@@ -7,6 +7,7 @@
 
 #include "common/rng.hpp"
 #include "core/entropy.hpp"
+#include "tensor/autograd.hpp"
 #include "tensor/gemm.hpp"
 #include "tensor/im2col.hpp"
 #include "tensor/ops.hpp"
@@ -54,6 +55,23 @@ void BM_Im2Col(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Im2Col)->Arg(8)->Arg(16)->Arg(32);
+
+// One 3x3, pad-1 convolution at the SS-14 expert's shapes (batch 1,
+// C -> C channels at S x S): the kernel-level number behind the
+// tcp_cnn_k2 latency. Items are FLOPs, so items/s reads as FLOP/s.
+void BM_Conv2dForward(benchmark::State& state) {
+  const std::int64_t c = state.range(0), s = state.range(1);
+  Rng rng(7);
+  ag::Var x = ag::constant(Tensor::randn({1, c, s, s}, rng));
+  ag::Var w = ag::constant(Tensor::randn({c * 9, c}, rng, 0.0f, 0.1f));
+  ag::Var b = ag::constant(Tensor::randn({c}, rng));
+  for (auto _ : state) {
+    ag::Var y = ag::conv2d(x, w, b, 3, 1, 1);
+    benchmark::DoNotOptimize(y.value().data());
+  }
+  state.SetItemsProcessed(state.iterations() * 2 * s * s * c * 9 * c);
+}
+BENCHMARK(BM_Conv2dForward)->Args({6, 16})->Args({12, 8});
 
 void BM_SoftmaxRows(benchmark::State& state) {
   Rng rng(4);

@@ -82,31 +82,27 @@ Tensor distributed_conv(const Tensor& x, nn::Conv2d& layer, Communicator& comm,
   const auto [c0, c1] = share_of(cout, comm.rank(), comm.size());
   const std::int64_t my_c = c1 - c0;
 
-  // This rank's output channels via im2col + sliced GEMM.
+  // This rank's output channels via im2col + sliced GEMM, one per image,
+  // written straight into the NCHW slice [n, my_c, ho, wo].
   Tensor cols = im2col(x, layer.kernel(), layer.stride(), layer.pad());
-  Tensor w_slice = col_block(layer.weight().value(), c0, c1);
-  charge(on_compute, 2 * cols.dim(0) * cols.dim(1) * my_c);
-  Tensor out_mat = ops::matmul(cols, w_slice);  // [n*Ho*Wo, my_c], NHWC rows
-  const float* bias = layer.bias().value().data();
-  for (std::int64_t r = 0; r < out_mat.dim(0); ++r) {
-    float* row = out_mat.data() + r * my_c;
-    for (std::int64_t j = 0; j < my_c; ++j) row[j] += bias[c0 + j];
-  }
-
+  const std::int64_t kk = cols.dim(1), hw = cols.dim(2);
   const std::int64_t ho =
       conv_out_dim(x.dim(2), layer.kernel(), layer.stride(), layer.pad());
   const std::int64_t wo =
       conv_out_dim(x.dim(3), layer.kernel(), layer.stride(), layer.pad());
-  // NHWC rows -> NCHW slice [n, my_c, ho, wo].
+  Tensor w_slice = col_block(layer.weight().value(), c0, c1);
+  charge(on_compute, 2 * n * hw * kk * my_c);
   Tensor slice({n, my_c, ho, wo});
-  for (std::int64_t img = 0; img < n; ++img)
-    for (std::int64_t y = 0; y < ho; ++y)
-      for (std::int64_t xp = 0; xp < wo; ++xp) {
-        const float* row = out_mat.data() + ((img * ho + y) * wo + xp) * my_c;
-        for (std::int64_t ch = 0; ch < my_c; ++ch) {
-          slice[((img * my_c + ch) * ho + y) * wo + xp] = row[ch];
-        }
-      }
+  for (std::int64_t img = 0; img < n; ++img) {
+    gemm_tn_accumulate(w_slice.data(), cols.data() + img * kk * hw,
+                       slice.data() + img * my_c * hw, my_c, kk, hw);
+  }
+  const float* bias = layer.bias().value().data();
+  for (std::int64_t plane = 0; plane < n * my_c; ++plane) {
+    float* row = slice.data() + plane * hw;
+    const float bv = bias[c0 + plane % my_c];
+    for (std::int64_t s = 0; s < hw; ++s) row[s] += bv;
+  }
 
   // Allgather the channel slices — the per-conv-layer WiFi exchange.
   std::vector<Tensor> slices = comm.allgather(slice);

@@ -31,7 +31,7 @@ class Linear : public Module {
 };
 
 /// 2-D convolution over NCHW inputs; weight stored as [Cin*k*k, Cout] so the
-/// forward pass is a single im2col + GEMM.
+/// forward pass is an im2col plus one W^T · cols GEMM per image.
 class Conv2d : public Module {
  public:
   Conv2d(std::int64_t in_channels, std::int64_t out_channels,

@@ -365,66 +365,69 @@ Var conv2d(const Var& input, const Var& weight, const Var& bias,
   const std::int64_t ho = conv_out_dim(h, kernel, stride, pad);
   const std::int64_t wo = conv_out_dim(wdim, kernel, stride, pad);
 
-  // cols: [N*Ho*Wo, Cin*k*k]; out_mat (NHWC rows): [N*Ho*Wo, Cout]
-  auto cols = std::make_shared<Tensor>(im2col(x, kernel, stride, pad));
-  Tensor out_mat = ops::matmul(*cols, w);
+  // cols: [N, Cin*k*k, Ho*Wo]; one GEMM per image writes NCHW directly:
+  // out[img] = W^T · cols[img], then the bias is added once per element.
+  Tensor cols = im2col(x, kernel, stride, pad);
+  const std::int64_t kk = cols.dim(1), hw = ho * wo;
+  Tensor out({n, cout, ho, wo});
+  for (std::int64_t img = 0; img < n; ++img) {
+    gemm_tn_accumulate(w.data(), cols.data() + img * kk * hw,
+                       out.data() + img * cout * hw, cout, kk, hw);
+  }
   if (bias.defined()) {
     TEAMNET_CHECK(bias.value().numel() == cout);
     const float* b = bias.value().data();
-    for (std::int64_t r = 0; r < out_mat.dim(0); ++r) {
-      float* row = out_mat.data() + r * cout;
-      for (std::int64_t j = 0; j < cout; ++j) row[j] += b[j];
+    for (std::int64_t plane = 0; plane < n * cout; ++plane) {
+      float* row = out.data() + plane * hw;
+      const float bv = b[plane % cout];
+      for (std::int64_t s = 0; s < hw; ++s) row[s] += bv;
     }
   }
-  // NHWC -> NCHW
-  Tensor out({n, cout, ho, wo});
-  for (std::int64_t img = 0; img < n; ++img)
-    for (std::int64_t y = 0; y < ho; ++y)
-      for (std::int64_t xp = 0; xp < wo; ++xp) {
-        const float* row = out_mat.data() + ((img * ho + y) * wo + xp) * cout;
-        for (std::int64_t ch = 0; ch < cout; ++ch) {
-          out[((img * cout + ch) * ho + y) * wo + xp] = row[ch];
-        }
-      }
 
-  std::vector<NodePtr> parents = {input.node(), weight.node()};
-  if (bias.defined()) parents.push_back(bias.node());
+  std::vector<NodePtr> parents =
+      bias.defined()
+          ? std::vector<NodePtr>{input.node(), weight.node(), bias.node()}
+          : std::vector<NodePtr>{input.node(), weight.node()};
   const Shape x_shape = x.shape();
   return make_node(
       std::move(out), std::move(parents),
-      [cols, x_shape, kernel, stride, pad, n, cout, ho, wo](Node& node) {
-        // NCHW grad -> NHWC rows
-        Tensor g_mat({n * ho * wo, cout});
-        for (std::int64_t img = 0; img < n; ++img)
-          for (std::int64_t y = 0; y < ho; ++y)
-            for (std::int64_t xp = 0; xp < wo; ++xp) {
-              float* row = g_mat.data() + ((img * ho + y) * wo + xp) * cout;
-              for (std::int64_t ch = 0; ch < cout; ++ch) {
-                row[ch] = node.grad[((img * cout + ch) * ho + y) * wo + xp];
-              }
-            }
+      [cols, x_shape, kernel, stride, pad, n, cout, kk, hw](Node& node) {
+        // Every sum below runs over (img, s) or co in ascending order — the
+        // order of the row-per-patch lowering, so gradients are unchanged
+        // bit for bit (im2col.hpp).
+        const float* g = node.grad.data();
         Node& px = *node.parents[0];
         Node& pw = *node.parents[1];
         if (pw.requires_grad) {
           if (!pw.grad.defined()) pw.grad = Tensor(pw.value.shape());
-          // dW += cols^T @ g_mat
-          gemm_tn_accumulate(cols->data(), g_mat.data(), pw.grad.data(),
-                             cols->dim(1), cols->dim(0), cout);
+          // dW += cols[img] · g[img]^T, image by image.
+          Tensor g_t({hw, cout});
+          for (std::int64_t img = 0; img < n; ++img) {
+            const float* g_img = g + img * cout * hw;
+            for (std::int64_t co = 0; co < cout; ++co)
+              for (std::int64_t s = 0; s < hw; ++s)
+                g_t[s * cout + co] = g_img[co * hw + s];
+            gemm_accumulate(cols.data() + img * kk * hw, g_t.data(),
+                            pw.grad.data(), kk, hw, cout);
+          }
         }
         if (node.parents.size() > 2 && node.parents[2]->requires_grad) {
           Node& pb = *node.parents[2];
           Tensor db(pb.value.shape());
-          for (std::int64_t r = 0; r < g_mat.dim(0); ++r) {
-            const float* row = g_mat.data() + r * cout;
-            for (std::int64_t j = 0; j < cout; ++j) db[j] += row[j];
-          }
+          for (std::int64_t img = 0; img < n; ++img)
+            for (std::int64_t co = 0; co < cout; ++co) {
+              const float* row = g + (img * cout + co) * hw;
+              for (std::int64_t s = 0; s < hw; ++s) db[co] += row[s];
+            }
           pb.accumulate_grad(db);
         }
         if (px.requires_grad) {
-          // dcols = g_mat @ W^T, then fold back to the image.
-          Tensor dcols({cols->dim(0), cols->dim(1)});
-          gemm_nt_accumulate(g_mat.data(), pw.value.data(), dcols.data(),
-                             g_mat.dim(0), cout, cols->dim(1));
+          // dcols[img] = W · g[img], then fold back to the image.
+          Tensor dcols(cols.shape());
+          for (std::int64_t img = 0; img < n; ++img) {
+            gemm_accumulate(pw.value.data(), g + img * cout * hw,
+                            dcols.data() + img * kk * hw, kk, cout, hw);
+          }
           px.accumulate_grad(col2im(dcols, x_shape, kernel, stride, pad));
         }
       },

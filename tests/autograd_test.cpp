@@ -2,7 +2,9 @@
 // differences, plus graph-mechanics tests (accumulation, reuse, broadcast).
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <functional>
 
 #include "common/rng.hpp"
@@ -235,6 +237,124 @@ TEST(Autograd, StridedConvGrad) {
             ag::conv2d(x, ag::constant(w.clone()), ag::Var(), 3, 2, 1)));
       },
       Tensor::randn({1, 1, 5, 5}, rng, 0.0f, 0.5f), 1e-2f, 5e-2f);
+}
+
+/// Direct NCHW convolution and its gradients, summed in the order of the
+/// row-per-patch lowering ([N*Ho*Wo, Cin*k*k] x [Cin*k*k, Cout]) that
+/// trained checkpoints were produced with. conv2d must match it bit for bit.
+struct ConvReference {
+  Tensor out, dx, dw, db;
+};
+
+ConvReference reference_conv(const Tensor& x, const Tensor& w, const Tensor& b,
+                             const Tensor& g, std::int64_t k, std::int64_t s,
+                             std::int64_t pad) {
+  const std::int64_t n = x.dim(0), cin = x.dim(1), h = x.dim(2), wd = x.dim(3);
+  const std::int64_t cout = w.dim(1), kk = cin * k * k;
+  const std::int64_t ho = (h + 2 * pad - k) / s + 1;
+  const std::int64_t wo = (wd + 2 * pad - k) / s + 1;
+  // Flat input index under tap p = (ci, ky, kx) of output pixel (oy, ox),
+  // or -1 where the tap falls in the zero padding.
+  auto input_index = [&](std::int64_t img, std::int64_t p, std::int64_t oy,
+                         std::int64_t ox) -> std::int64_t {
+    const std::int64_t ci = p / (k * k), ky = p / k % k, kx = p % k;
+    const std::int64_t iy = oy * s + ky - pad, ix = ox * s + kx - pad;
+    if (iy < 0 || iy >= h || ix < 0 || ix >= wd) return -1;
+    return ((img * cin + ci) * h + iy) * wd + ix;
+  };
+  auto tap = [&](std::int64_t img, std::int64_t p, std::int64_t oy,
+                 std::int64_t ox) {
+    const std::int64_t i = input_index(img, p, oy, ox);
+    return i < 0 ? 0.0f : x[i];
+  };
+  auto at = [&](std::int64_t img, std::int64_t co, std::int64_t oy,
+                std::int64_t ox) { return ((img * cout + co) * ho + oy) * wo + ox; };
+
+  ConvReference ref{Tensor({n, cout, ho, wo}), Tensor(x.shape()),
+                    Tensor(w.shape()), Tensor(b.shape())};
+  for (std::int64_t img = 0; img < n; ++img)
+    for (std::int64_t oy = 0; oy < ho; ++oy)
+      for (std::int64_t ox = 0; ox < wo; ++ox)
+        for (std::int64_t co = 0; co < cout; ++co) {
+          float acc = 0.0f;
+          for (std::int64_t p = 0; p < kk; ++p)
+            acc += tap(img, p, oy, ox) * w[p * cout + co];
+          ref.out[at(img, co, oy, ox)] = acc + b[co];
+        }
+  // dW[p][co] and db[co]: ascending (img, oy, ox).
+  for (std::int64_t p = 0; p < kk; ++p)
+    for (std::int64_t co = 0; co < cout; ++co) {
+      float acc = 0.0f;
+      for (std::int64_t img = 0; img < n; ++img)
+        for (std::int64_t oy = 0; oy < ho; ++oy)
+          for (std::int64_t ox = 0; ox < wo; ++ox)
+            acc += tap(img, p, oy, ox) * g[at(img, co, oy, ox)];
+      ref.dw[p * cout + co] = acc;
+    }
+  for (std::int64_t img = 0; img < n; ++img)
+    for (std::int64_t oy = 0; oy < ho; ++oy)
+      for (std::int64_t ox = 0; ox < wo; ++ox)
+        for (std::int64_t co = 0; co < cout; ++co)
+          ref.db[co] += g[at(img, co, oy, ox)];
+  // dx: each patch gradient (summed over co from 0) is scattered onto the
+  // input in ascending (img, oy, ox), taps in ascending p.
+  for (std::int64_t img = 0; img < n; ++img)
+    for (std::int64_t oy = 0; oy < ho; ++oy)
+      for (std::int64_t ox = 0; ox < wo; ++ox)
+        for (std::int64_t p = 0; p < kk; ++p) {
+          float dcol = 0.0f;
+          for (std::int64_t co = 0; co < cout; ++co)
+            dcol += g[at(img, co, oy, ox)] * w[p * cout + co];
+          const std::int64_t i = input_index(img, p, oy, ox);
+          if (i >= 0) ref.dx[i] += dcol;
+        }
+  return ref;
+}
+
+void expect_bit_identical(const Tensor& got, const Tensor& want,
+                          const char* what) {
+  ASSERT_EQ(got.shape(), want.shape()) << what;
+  for (std::int64_t i = 0; i < got.numel(); ++i) {
+    ASSERT_EQ(std::bit_cast<std::uint32_t>(got[i]),
+              std::bit_cast<std::uint32_t>(want[i]))
+        << what << " element " << i << ": " << got[i] << " vs " << want[i];
+  }
+}
+
+struct ConvCase {
+  std::int64_t cin, cout, size, k, s, pad;
+};
+
+TEST(Autograd, Conv2dBitIdenticalToDirectReference) {
+  // Batch 2 throughout; Cout is never a multiple of 4, so the GEMM row tail
+  // is exercised along with full tiles.
+  const ConvCase cases[] = {
+      {3, 5, 6, 3, 1, 1},   // 3x3, pad 1, stride 1
+      {3, 5, 6, 3, 1, 0},   // 3x3, pad 0: stride 1 that shrinks the map
+      {2, 7, 7, 3, 2, 1},   // 3x3, pad 1, stride 2, odd input
+      {4, 6, 5, 1, 1, 0},   // 1x1, pad 0
+      {6, 6, 16, 3, 1, 1},  // SS-14 block shape
+  };
+  Rng rng(21);
+  for (const ConvCase& c : cases) {
+    SCOPED_TRACE(testing::Message() << "cin=" << c.cin << " cout=" << c.cout
+                                    << " size=" << c.size << " k=" << c.k
+                                    << " s=" << c.s << " pad=" << c.pad);
+    const Tensor x = Tensor::randn({2, c.cin, c.size, c.size}, rng);
+    const Tensor w = Tensor::randn({c.cin * c.k * c.k, c.cout}, rng, 0.0f, 0.3f);
+    const Tensor b = Tensor::randn({c.cout}, rng);
+    ag::Var xv(x.clone(), true), wv(w.clone(), true), bv(b.clone(), true);
+    ag::Var out = ag::conv2d(xv, wv, bv, c.k, c.s, c.pad);
+    // d(sum(out * r))/d(out) = r exactly, so g is a known random tensor.
+    const Tensor g = Tensor::randn(out.value().shape(), rng);
+    ag::backward(ag::sum_all(ag::mul(out, ag::constant(g.clone()))));
+
+    const ConvReference ref = reference_conv(x, w, b, g, c.k, c.s, c.pad);
+    expect_bit_identical(out.value(), ref.out, "out");
+    expect_bit_identical(xv.grad(), ref.dx, "dx");
+    expect_bit_identical(wv.grad(), ref.dw, "dW");
+    expect_bit_identical(bv.grad(), ref.db, "db");
+  }
 }
 
 TEST(Autograd, GlobalAvgPoolGrad) {

@@ -1,7 +1,9 @@
 // Unit tests for the Tensor value type and the raw math kernels.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "common/rng.hpp"
 #include "tensor/gemm.hpp"
@@ -120,32 +122,76 @@ TEST(Ops, MatmulShapeMismatchThrows) {
   EXPECT_THROW(ops::matmul(Tensor({2, 3}), Tensor({2, 3})), InvariantError);
 }
 
+/// Bitwise float equality, so -0 vs +0 and NaN payloads count as different.
+void expect_bit_identical(const Tensor& got, const Tensor& want) {
+  ASSERT_EQ(got.shape(), want.shape());
+  for (std::int64_t i = 0; i < got.numel(); ++i) {
+    ASSERT_EQ(std::bit_cast<std::uint32_t>(got[i]),
+              std::bit_cast<std::uint32_t>(want[i]))
+        << "element " << i << ": " << got[i] << " vs " << want[i];
+  }
+}
+
+/// The naive kernels' summation order: each C[i,j] starts from its current
+/// value and adds A[i,p] * B[p,j] for ascending p.
+Tensor naive_gemm_accumulate(const Tensor& a, const Tensor& b, Tensor c) {
+  const std::int64_t m = a.dim(0), k = a.dim(1), n = b.dim(1);
+  for (std::int64_t i = 0; i < m; ++i)
+    for (std::int64_t j = 0; j < n; ++j) {
+      float acc = c[i * n + j];
+      for (std::int64_t p = 0; p < k; ++p) acc += a[i * k + p] * b[p * n + j];
+      c[i * n + j] = acc;
+    }
+  return c;
+}
+
+struct GemmShape {
+  std::int64_t m, k, n;
+};
+
+// Full 4x8 tiles, a row tail, column tails below and above one tile, k = 1,
+// and a depth past one k-chunk of the tiled kernel.
+const GemmShape kGemmShapes[] = {{8, 16, 16}, {7, 5, 16}, {5, 3, 6},
+                                 {6, 9, 13}, {9, 1, 11}, {5, 300, 12}};
+
 TEST(Gemm, VariantsAgreeWithNaive) {
   Rng rng(7);
-  const std::int64_t m = 5, k = 4, n = 6;
-  Tensor a = Tensor::randn({m, k}, rng);
-  Tensor b = Tensor::randn({k, n}, rng);
-  Tensor c_ref({m, n});
-  for (std::int64_t i = 0; i < m; ++i)
-    for (std::int64_t j = 0; j < n; ++j)
-      for (std::int64_t p = 0; p < k; ++p)
-        c_ref[i * n + j] += a[i * k + p] * b[p * n + j];
+  for (const GemmShape& sh : kGemmShapes) {
+    SCOPED_TRACE(testing::Message() << "m=" << sh.m << " k=" << sh.k
+                                    << " n=" << sh.n);
+    Tensor a = Tensor::randn({sh.m, sh.k}, rng);
+    Tensor b = Tensor::randn({sh.k, sh.n}, rng);
+    Tensor c0 = Tensor::randn({sh.m, sh.n}, rng);  // non-zero C
 
-  Tensor c({m, n});
-  gemm(a.data(), b.data(), c.data(), m, k, n);
-  EXPECT_TRUE(c.allclose(c_ref, 1e-4f));
+    Tensor c({sh.m, sh.n});
+    gemm(a.data(), b.data(), c.data(), sh.m, sh.k, sh.n);
+    expect_bit_identical(c, naive_gemm_accumulate(a, b, Tensor({sh.m, sh.n})));
 
-  // A^T variant: pass a transposed copy of A.
-  Tensor at = ops::transpose(a);
-  Tensor c_tn({m, n});
-  gemm_tn_accumulate(at.data(), b.data(), c_tn.data(), m, k, n);
-  EXPECT_TRUE(c_tn.allclose(c_ref, 1e-4f));
+    const Tensor want = naive_gemm_accumulate(a, b, c0.clone());
+    Tensor c_acc = c0.clone();
+    gemm_accumulate(a.data(), b.data(), c_acc.data(), sh.m, sh.k, sh.n);
+    expect_bit_identical(c_acc, want);
 
-  // B^T variant.
-  Tensor bt = ops::transpose(b);
-  Tensor c_nt({m, n});
-  gemm_nt_accumulate(a.data(), bt.data(), c_nt.data(), m, k, n);
-  EXPECT_TRUE(c_nt.allclose(c_ref, 1e-4f));
+    // A^T variant: pass a transposed copy of A.
+    Tensor at = ops::transpose(a);
+    Tensor c_tn = c0.clone();
+    gemm_tn_accumulate(at.data(), b.data(), c_tn.data(), sh.m, sh.k, sh.n);
+    expect_bit_identical(c_tn, want);
+
+    // B^T variant sums each dot product from zero, then adds it to C.
+    Tensor bt = ops::transpose(b);
+    Tensor c_nt = c0.clone();
+    gemm_nt_accumulate(a.data(), bt.data(), c_nt.data(), sh.m, sh.k, sh.n);
+    Tensor want_nt = c0.clone();
+    for (std::int64_t i = 0; i < sh.m; ++i)
+      for (std::int64_t j = 0; j < sh.n; ++j) {
+        float dot = 0.0f;
+        for (std::int64_t p = 0; p < sh.k; ++p)
+          dot += a[i * sh.k + p] * b[p * sh.n + j];
+        want_nt[i * sh.n + j] += dot;
+      }
+    expect_bit_identical(c_nt, want_nt);
+  }
 }
 
 TEST(Ops, SoftmaxRowsSumToOne) {
@@ -207,23 +253,26 @@ TEST(Ops, SumMeanAxis) {
 }
 
 TEST(Im2Col, IdentityKernelRoundTrip) {
-  // 1x1 kernel, stride 1: im2col is a permuted copy of the input.
+  // 1x1 kernel, stride 1: im2col is the input viewed as [N, C, H*W].
   Rng rng(11);
   Tensor x = Tensor::randn({2, 3, 4, 4}, rng);
   Tensor cols = im2col(x, 1, 1, 0);
-  EXPECT_EQ(cols.dim(0), 2 * 4 * 4);
-  EXPECT_EQ(cols.dim(1), 3);
-  // Element [n=1, c=2, y=3, x=0] should be cols[(1*4+3)*4+0, 2].
-  EXPECT_FLOAT_EQ(cols.at((1 * 4 + 3) * 4 + 0, 2), x.at(1, 2, 3, 0));
+  EXPECT_EQ(cols.shape(), (Shape{2, 3, 4 * 4}));
+  // Element [n=1, c=2, y=3, x=0] should be cols[1, 2, 3*4+0].
+  EXPECT_FLOAT_EQ(cols.at(1, 2, 3 * 4 + 0), x.at(1, 2, 3, 0));
+  expect_bit_identical(cols.reshape(x.shape()), x);
 }
 
 TEST(Im2Col, PaddingProducesZeros) {
   Tensor x = Tensor::ones({1, 1, 2, 2});
   Tensor cols = im2col(x, 3, 1, 1);
-  // Top-left output location: only the bottom-right 2x2 sub-window is real.
-  const float* row = cols.data();
-  EXPECT_EQ(row[0], 0.0f);  // out-of-bounds corner
-  EXPECT_EQ(row[4], 1.0f);  // center hits (0,0)
+  ASSERT_EQ(cols.shape(), (Shape{1, 9, 4}));
+  // Top-left output location (column 0): only the bottom-right 2x2 taps of
+  // the window are real.
+  EXPECT_EQ(cols.at(0, 0, 0), 0.0f);  // tap (0,0): out-of-bounds corner
+  EXPECT_EQ(cols.at(0, 4, 0), 1.0f);  // center tap (1,1) hits (0,0)
+  EXPECT_EQ(cols.at(0, 8, 0), 1.0f);  // tap (2,2) hits (1,1)
+  EXPECT_EQ(cols.at(0, 8, 3), 0.0f);  // bottom-right output, tap (2,2)
 }
 
 TEST(Im2Col, Col2ImIsAdjoint) {
