@@ -29,20 +29,11 @@ const std::vector<double>& metrics_latency_edges() {
   return edges;
 }
 
-/// Degradation level for a record, normalized across result types.
-int result_degradation(const net::CollaborativeMaster::Result& r) {
-  return static_cast<int>(r.degradation);
-}
-int result_degradation(const moe::MoeMaster::Result& r) {
-  // SG-MoE has no quorum; local fallback is its (only) degraded mode.
-  return r.fallback_rows > 0 ? 1 : 0;
-}
-
 /// The protocol plumbing is identical for both serving paths — only master
 /// construction and the expert each worker serves differ, so both arrive
 /// as callables. `make_master(channels)` returns a unique_ptr to a master
-/// with infer/shutdown/set_compute_hook (CollaborativeMaster and MoeMaster
-/// share that surface by convention, not by base class).
+/// with infer/shutdown and the net::MasterCore setters (both masters get
+/// them from that shared core).
 template <typename GetExpert, typename MakeMaster>
 LoadResult run_load_generic(const std::string& approach, int k,
                             GetExpert get_expert, const data::Dataset& test,
@@ -135,7 +126,10 @@ LoadResult run_load_generic(const std::string& approach, int k,
       record.correct =
           res.predictions[0] ==
           test.labels[static_cast<std::size_t>(rows[q])];
-      record.degradation = result_degradation(res);
+      // SG-MoE has no degraded mode: its records keep level 0 (full).
+      if constexpr (requires { res.degradation; }) {
+        record.degradation = static_cast<int>(res.degradation);
+      }
       if (record.correct) ++correct;
       records.push_back(record);
     }

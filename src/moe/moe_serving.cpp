@@ -1,177 +1,26 @@
 #include "moe/moe_serving.hpp"
 
 #include <algorithm>
-#include <string>
 
-#include "common/logging.hpp"
-#include "obs/metrics.hpp"
-#include "obs/timeline.hpp"
 #include "obs/trace.hpp"
 #include "tensor/ops.hpp"
 
 namespace teamnet::moe {
 
-namespace {
-
-/// Registry bump for rare protocol events — off the per-sample hot path.
-void bump(const char* name, std::int64_t delta = 1) {
-  obs::MetricsRegistry::instance().counter(name).add(delta);
-}
-
-}  // namespace
-
 MoeMaster::MoeMaster(SgMoe& model, std::vector<net::Channel*> workers)
-    : model_(model),
-      workers_(std::move(workers)),
-      slots_(workers_.size()),
-      now_(&net::steady_seconds) {
+    : MasterCore(std::move(workers), "moe", /*strict=*/true), model_(model) {
   TEAMNET_CHECK_MSG(
       static_cast<int>(workers_.size()) == model.num_experts() - 1,
       "need one worker channel per remote expert");
-  for (auto* w : workers_) TEAMNET_CHECK(w != nullptr);
-}
-
-void MoeMaster::set_time_source(net::TimeSource now) {
-  now_ = now ? std::move(now) : net::TimeSource(&net::steady_seconds);
-}
-
-void MoeMaster::set_probe_interval(int queries) {
-  TEAMNET_CHECK_MSG(queries >= 0, "probe interval must be >= 0");
-  probe_interval_ =
-      std::min(queries, net::CollaborativeMaster::kMaxProbeInterval);
-}
-
-void MoeMaster::enable_health(const net::HealthConfig& config) {
-  health_ = std::make_unique<net::HealthTracker>(
-      static_cast<int>(workers_.size()), config, now_);
-}
-
-int MoeMaster::failed_workers() const {
-  return static_cast<int>(
-      std::count_if(slots_.begin(), slots_.end(),
-                    [](const WorkerSlot& s) { return s.failed; }));
-}
-
-bool MoeMaster::worker_alive(int worker_index) const {
-  TEAMNET_CHECK_MSG(
-      worker_index >= 0 && worker_index < static_cast<int>(slots_.size()),
-      "worker index " << worker_index << " out of range [0, " << slots_.size()
-                      << ")");
-  return !slots_[static_cast<std::size_t>(worker_index)].failed;
-}
-
-bool MoeMaster::dispatchable(std::size_t w) const {
-  return !slots_[w].failed &&
-         (!health_ || health_->allow_dispatch(static_cast<int>(w)));
-}
-
-void MoeMaster::mark_failed(std::size_t w) {
-  WorkerSlot& slot = slots_[w];
-  if (slot.failed) return;
-  if (health_) health_->record_failure(static_cast<int>(w));
-  slot.failed = true;
-  slot.probe_id = 0;
-  slot.probe_interval = probe_interval_;
-  slot.probe_countdown = probe_interval_;
-  bump("moe.worker_failures_total");
-  obs::trace_instant("worker_failed", [&] {
-    return obs::TraceArgs().arg("expert", static_cast<std::int64_t>(w) + 1);
-  });
-}
-
-// Probation parity with CollaborativeMaster::probe_failed_workers: poll for
-// Pongs (rejoining answerers, breaker permitting) and send fresh Pings on
-// the exponential-backoff cadence.
-void MoeMaster::probe_failed_workers() {
-  if (probe_interval_ <= 0) return;
-  for (std::size_t w = 0; w < workers_.size(); ++w) {
-    WorkerSlot& slot = slots_[w];
-    if (!slot.failed) continue;
-    try {
-      for (int drained = 0; slot.probe_id != 0 && drained < 64; ++drained) {
-        auto raw = workers_[w]->recv_timeout(0.0);
-        if (!raw) break;
-        net::Message msg;
-        try {
-          msg = net::Message::decode(*raw);
-        } catch (const SerializationError&) {
-          ++stale_discarded_;
-          bump("moe.stale_replies_total");
-          continue;
-        }
-        if (msg.type == net::MsgType::Pong && !msg.ints.empty() &&
-            msg.ints[0] == slot.probe_id) {
-          if (health_) health_->record_probe_success(static_cast<int>(w));
-          if (health_ && !health_->allow_dispatch(static_cast<int>(w))) {
-            slot.probe_id = 0;
-            LOG_INFO("expert " << w + 1
-                               << " answered probe but its breaker is open; "
-                                  "staying in probation");
-            break;
-          }
-          slot.failed = false;
-          slot.probe_id = 0;
-          ++rejoins_;
-          bump("moe.rejoins_total");
-          obs::trace_instant("worker_rejoin", [&] {
-            return obs::TraceArgs().arg("expert",
-                                        static_cast<std::int64_t>(w) + 1);
-          });
-          LOG_INFO("expert " << w + 1
-                             << " answered probe; rejoining the live set");
-          break;
-        }
-        ++stale_discarded_;
-        bump("moe.stale_replies_total");
-        if (flow_trace_ && msg.type == net::MsgType::Result &&
-            !msg.ints.empty()) {
-          // A late Result from before the expert failed: close its flow at
-          // the probation drain so it does not dangle in the trace.
-          obs::trace_flow_finish(
-              "result",
-              obs::flow_id(msg.ints[0], static_cast<int>(w) + 1, 1));
-        }
-      }
-      if (!slot.failed) continue;
-      if (--slot.probe_countdown > 0) continue;
-      net::Message ping;
-      ping.type = net::MsgType::Ping;
-      ping.ints = {++probe_seq_};
-      workers_[w]->send(ping.encode());
-      slot.probe_id = probe_seq_;
-      obs::trace_instant("probe", [&] {
-        return obs::TraceArgs()
-            .arg("expert", static_cast<std::int64_t>(w) + 1)
-            .arg("probe_id", probe_seq_);
-      });
-      slot.probe_interval = std::min(
-          slot.probe_interval * 2, net::CollaborativeMaster::kMaxProbeInterval);
-      slot.probe_countdown = slot.probe_interval;
-    } catch (const Error& e) {
-      LOG_DEBUG("expert " << w + 1 << " probe failed: " << e.what());
-    }
-  }
 }
 
 // analyze:hot  (per-query path: hot-path allocation audit root)
 MoeMaster::Result MoeMaster::infer(const Tensor& x) {
+  const std::int64_t qid = begin_query(x);
   const std::int64_t n = x.dim(0);
-  const std::int64_t qid = ++query_seq_;
-  obs::MetricsRegistry::instance().counter("moe.queries_total").increment();
   obs::TraceSpan query_span("query", [&] {
     return obs::TraceArgs().arg("qid", qid).arg("batch", n);
   });
-  const bool timeline = obs::qtl_active();
-  if (timeline) {
-    obs::qtl_master_mark(qid, obs::QueryPhase::dispatch, now_());
-  }
-
-  // Probation first, so a recovered worker rejoins in time for this query.
-  probe_failed_workers();
-
-  // The shared deadline anchors before dispatch (the query's SLO) and its
-  // absolute expiry rides in every Infer frame (DESIGN.md §13).
-  net::GatherDeadline deadline(worker_timeout_s_, now_);
 
   // Gate evaluation on the master (tiny linear layer).
   Result result;
@@ -185,7 +34,7 @@ MoeMaster::Result MoeMaster::infer(const Tensor& x) {
     result.routed = model_.route(x);
   }
 
-  // Group rows per expert; remote groups cost one round trip each.
+  // Group rows per expert; each remote group is one request.
   std::vector<std::vector<int>> groups(
       static_cast<std::size_t>(model_.num_experts()));
   for (std::int64_t r = 0; r < n; ++r) {
@@ -194,226 +43,44 @@ MoeMaster::Result MoeMaster::infer(const Tensor& x) {
         .push_back(static_cast<int>(r));
   }
 
-  // Degraded rerouting (local fallback): rows routed to a probationed or
-  // breaker-open expert are recomputed by the master's expert 0 — a
-  // wrong-expert answer beats no answer.
-  auto reroute_local = [&](std::size_t expert) {
-    auto& rows = groups[expert];
-    fallback_rows_ += static_cast<std::int64_t>(rows.size());
-    result.fallback_rows += static_cast<std::int64_t>(rows.size());
-    bump("moe.fallback_rows_total", static_cast<std::int64_t>(rows.size()));
-    groups[0].insert(groups[0].end(), rows.begin(), rows.end());
-    rows.clear();
-  };
-  if (local_fallback_) {
-    for (int i = 1; i < model_.num_experts(); ++i) {
-      if (!groups[static_cast<std::size_t>(i)].empty() &&
-          !dispatchable(static_cast<std::size_t>(i - 1))) {
-        reroute_local(static_cast<std::size_t>(i));
-      }
-    }
-  }
-
   // Dispatch remote requests first so the remote nodes compute while the
-  // master handles its local group. Without local fallback a send error
-  // propagates (the legacy strict contract); with it the failure enters
-  // probation and the rows come home.
-  std::vector<char> asked(groups.size(), 0);
+  // master handles its local group.
   {
     obs::TraceSpan span("dispatch", [&] {
       return obs::TraceArgs().arg("qid", qid);
     });
-    for (int i = 1; i < model_.num_experts(); ++i) {
-      const auto& rows = groups[static_cast<std::size_t>(i)];
-      if (rows.empty()) continue;
-      net::Message request;
-      request.type = net::MsgType::Infer;
-      net::InferInfo info;
-      info.qid = qid;
-      info.deadline_us = deadline.deadline_us();
-      net::set_infer_info(request, info);
-      request.tensors = {ops::take_rows(x, rows)};
-      if (!local_fallback_) {
-        workers_[static_cast<std::size_t>(i - 1)]->send(request.encode());
-        asked[static_cast<std::size_t>(i)] = 1;
-        if (timeline) {
-          obs::qtl_worker_mark(qid, i - 1, obs::WorkerMark::sent, now_());
-        }
-        if (flow_trace_) {
-          obs::trace_flow_start("infer", obs::flow_id(qid, i, 0));
-        }
-        continue;
-      }
-      try {
-        workers_[static_cast<std::size_t>(i - 1)]->send(request.encode());
-        asked[static_cast<std::size_t>(i)] = 1;
-        if (timeline) {
-          obs::qtl_worker_mark(qid, i - 1, obs::WorkerMark::sent, now_());
-        }
-        if (flow_trace_) {
-          obs::trace_flow_start("infer", obs::flow_id(qid, i, 0));
-        }
-      } catch (const Error& e) {
-        LOG_WARN("expert " << i << " failed on send: " << e.what());
-        mark_failed(static_cast<std::size_t>(i - 1));
-        reroute_local(static_cast<std::size_t>(i));
-      }
+    for (std::size_t i = 1; i < groups.size(); ++i) {
+      if (groups[i].empty()) continue;
+      const Tensor rows = ops::take_rows(x, groups[i]);
+      send_request(i - 1, rows, request_frame(rows));
     }
   }
-  const double t_sent = now_();
-  if (timeline) {
-    obs::qtl_master_mark(qid, obs::QueryPhase::broadcast_end, t_sent);
-  }
+  end_dispatch();
 
-  Tensor probs;
+  Shape sample_shape(x.shape().begin() + 1, x.shape().end());
+  const std::int64_t c =
+      model_.expert(0).analyze(sample_shape).output_shape.back();
+  result.probs = Tensor({n, c});
   auto place = [&](const std::vector<int>& rows, const Tensor& pi) {
-    if (!probs.defined()) probs = Tensor({n, pi.dim(1)});
     for (std::size_t r = 0; r < rows.size(); ++r) {
-      std::copy(pi.data() + static_cast<std::int64_t>(r) * pi.dim(1),
-                pi.data() + static_cast<std::int64_t>(r + 1) * pi.dim(1),
-                probs.data() + rows[r] * pi.dim(1));
+      std::copy(pi.data() + static_cast<std::int64_t>(r) * c,
+                pi.data() + static_cast<std::int64_t>(r + 1) * c,
+                result.probs.data() + rows[r] * c);
     }
   };
-  auto run_local = [&](const std::vector<int>& rows) {
-    Tensor xi = ops::take_rows(x, rows);
-    if (on_compute_) {
-      Shape sample_shape(xi.shape().begin() + 1, xi.shape().end());
-      on_compute_(model_.expert(0).analyze(sample_shape).flops * xi.dim(0));
-    }
-    place(rows, ops::softmax_rows(model_.expert(0).predict(xi)));
-  };
-
-  // Local expert 0 (fallback rows included).
   if (!groups[0].empty()) {
-    obs::TraceSpan span("expert_forward", [&] {
-      return obs::TraceArgs().arg("qid", qid).arg(
-          "rows", static_cast<std::int64_t>(groups[0].size()));
-    });
-    run_local(groups[0]);
+    place(groups[0],
+          local_forward(model_.expert(0), ops::take_rows(x, groups[0])));
   }
-  if (timeline) {
-    obs::qtl_master_mark(qid, obs::QueryPhase::local_compute_end, now_());
-  }
+  mark(obs::QueryPhase::local_compute_end);
 
-  // Collect remote replies under ONE shared deadline; stale replies (old
-  // query ids left over from a previous timed-out query) and duplicate
-  // probe Pongs are discarded. A missed deadline throws under the strict
-  // contract — the routed expert's answer IS the answer — and falls back
-  // to the local expert in degraded mode.
-  obs::TraceSpan gather_span("gather", [&] {
-    return obs::TraceArgs().arg("qid", qid);
-  });
-  for (int i = 1; i < model_.num_experts(); ++i) {
-    const auto& rows = groups[static_cast<std::size_t>(i)];
-    if (rows.empty() || !asked[static_cast<std::size_t>(i)]) continue;
-    net::Channel& channel = *workers_[static_cast<std::size_t>(i - 1)];
-    const std::size_t w = static_cast<std::size_t>(i - 1);
-    try {
-      for (;;) {
-        auto raw = deadline.recv_from(channel);
-        if (!raw) {
-          if (!local_fallback_) {
-            throw NetworkError("expert " + std::to_string(i) +
-                               " missed the reply deadline");
-          }
-          LOG_WARN("expert " << i << " missed the reply deadline; rows fall "
-                                     "back to the local expert");
-          mark_failed(w);
-          fallback_rows_ += static_cast<std::int64_t>(rows.size());
-          result.fallback_rows += static_cast<std::int64_t>(rows.size());
-          bump("moe.fallback_rows_total",
-               static_cast<std::int64_t>(rows.size()));
-          run_local(rows);
-          break;
-        }
-        net::Message reply = net::Message::decode(*raw);
-        if (reply.type == net::MsgType::Pong) {
-          ++stale_discarded_;  // duplicate probe answer; keep waiting
-          bump("moe.stale_replies_total");
-          continue;
-        }
-        TEAMNET_CHECK(reply.type == net::MsgType::Result &&
-                      reply.tensors.size() == 2);
-        if (test_pre_qid_gather_) {
-          // TEST-ONLY mutant (see set_test_pre_qid_gather): no id echo — the
-          // deadline reading is the only stale filter, so acceptance races
-          // the reply's arrival time against the clock.
-          if (deadline.remaining() <= 0.0) {
-            throw NetworkError("expert " + std::to_string(i) +
-                               " answered past the deadline reading "
-                               "(pre-qid mutant)");
-          }
-        } else if (reply.ints.empty() || reply.ints[0] != qid) {
-          ++stale_discarded_;
-          bump("moe.stale_replies_total");
-          if (flow_trace_ && !reply.ints.empty()) {
-            obs::trace_flow_finish(
-                "result", obs::flow_id(reply.ints[0], i, 1));
-          }
-          obs::trace_instant("stale_reply_discarded", [&] {
-            return obs::TraceArgs().arg("expert", i).arg("qid", qid);
-          });
-          LOG_WARN("expert " << i << " sent a stale reply; discarded");
-          continue;
-        }
-        if (flow_trace_) {
-          obs::trace_flow_finish("result", obs::flow_id(qid, i, 1));
-        }
-        if (timeline) {
-          obs::qtl_worker_mark(qid, i - 1, obs::WorkerMark::reply_recv,
-                               now_());
-        }
-        place(rows, reply.tensors[0]);
-        if (health_) health_->record_success(static_cast<int>(w),
-                                             now_() - t_sent);
-        break;
-      }
-    } catch (const NetworkError&) {
-      if (!local_fallback_) throw;
-      LOG_WARN("expert " << i << " failed on recv; rows fall back to the "
-                                 "local expert");
-      mark_failed(w);
-      fallback_rows_ += static_cast<std::int64_t>(rows.size());
-      result.fallback_rows += static_cast<std::int64_t>(rows.size());
-      bump("moe.fallback_rows_total", static_cast<std::int64_t>(rows.size()));
-      run_local(rows);
-    }
+  gather(c);  // strict: throws unless every routed expert answered
+  for (std::size_t i = 1; i < groups.size(); ++i) {
+    if (!groups[i].empty()) place(groups[i], flight(i - 1).probs);
   }
-
-  if (timeline) {
-    obs::qtl_master_mark(qid, obs::QueryPhase::gather_end, now_());
-  }
-  result.probs = std::move(probs);
   result.predictions = ops::argmax_rows(result.probs);
-  if (timeline) {
-    // Map onto the shared degradation vocabulary: any row that fell back
-    // to the local expert degrades the query (quorum-equivalent).
-    obs::qtl_degradation(qid, result.fallback_rows > 0 ? 1 : 0);
-    obs::qtl_master_mark(qid, obs::QueryPhase::complete, now_());
-  }
+  end_query(0);
   return result;
-}
-
-void MoeMaster::shutdown() {
-  net::Message msg;
-  msg.type = net::MsgType::Shutdown;
-  const std::string encoded = msg.encode();
-  for (auto* worker : workers_) {
-    try {
-      worker->send(encoded);
-    } catch (const Error& e) {
-      LOG_WARN("moe shutdown send failed: " << e.what());
-    }
-  }
-  // Close every channel so a worker thread wedged in recv unblocks and can
-  // be joined; the Shutdown just sent stays readable until drained.
-  for (auto* worker : workers_) {
-    try {
-      worker->close();
-    } catch (const Error& e) {
-      LOG_WARN("moe shutdown close failed: " << e.what());
-    }
-  }
 }
 
 }  // namespace teamnet::moe

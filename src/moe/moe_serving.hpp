@@ -1,31 +1,26 @@
 // Distributed SG-MoE inference (§VI-A): each expert runs on its own edge
 // node; the gate sits on node 0 alongside expert 0. For every query the
-// master evaluates the gate, routes the input to the top-1 expert's node
-// (one request/response round trip — or a local call when expert 0 wins),
-// and returns that expert's prediction.
+// master evaluates the gate, routes each row to its top-1 expert's node
+// (one request/response round trip per routed expert — or a local call
+// for expert 0), and returns the routed experts' predictions.
 //
 // Workers reuse net::CollaborativeWorker — the Infer/Result protocol is the
-// same; only the master's routing differs from TeamNet's broadcast.
-//
-// Fault tolerance mirrors net/collab (probation parity, DESIGN.md §13): a
-// worker that misses the shared deadline or errors goes into Ping/Pong
-// probation with exponential backoff and rejoins when it answers, and the
-// same net::HealthTracker circuit breaker can gate dispatch. Because SG-MoE
-// routes each row to exactly one expert there is no quorum — the degraded
-// mode is a LOCAL FALLBACK: with set_local_fallback(true) the rows routed
-// to a dead expert are recomputed by the master's expert 0 instead of the
-// query throwing.
+// same. Dispatch, query ids, the shared deadline and the gather are
+// net::MasterCore's (net/master_core.hpp); MoeMaster keeps only the gate
+// routing, the per-expert row dispatch and the row placement. Its gather
+// waits for every asked expert and its contract is strict: a routed
+// expert's answer IS the answer, so a miss, a send or receive error, or a
+// malformed reply throws NetworkError — there is no degraded mode.
 #pragma once
 
-#include <memory>
 #include <vector>
 
 #include "moe/sg_moe.hpp"
-#include "net/collab.hpp"
+#include "net/master_core.hpp"
 
 namespace teamnet::moe {
 
-class MoeMaster {
+class MoeMaster : private net::MasterCore {
  public:
   /// `workers[i]` serves expert i+1; expert 0 runs locally on the master.
   MoeMaster(SgMoe& model, std::vector<net::Channel*> workers);
@@ -34,99 +29,19 @@ class MoeMaster {
     Tensor probs;
     std::vector<int> predictions;
     std::vector<int> routed;  ///< expert chosen per sample
-    std::int64_t fallback_rows = 0;  ///< rows recomputed by local expert 0
   };
 
+  /// Routes and answers a batch ([n >= 1, ...]).
   Result infer(const Tensor& x);
-  /// Sends Shutdown to every worker, then closes the channels so wedged
-  /// worker threads unblock and can be joined.
-  void shutdown();
 
-  void set_compute_hook(net::ComputeHook hook) { on_compute_ = std::move(hook); }
-
-  /// When > 0, ONE shared deadline bounds the whole reply collection (same
-  /// discipline as net::CollaborativeMaster). Without local fallback a
-  /// worker that misses it throws NetworkError — the routed expert's
-  /// answer is the answer; with set_local_fallback(true) the miss marks
-  /// the worker failed and its rows fall back to the local expert.
-  /// 0 (default) = block forever.
-  void set_worker_timeout(double seconds) { worker_timeout_s_ = seconds; }
-  /// Substitutes the monotonic clock used for the reply deadline.
-  void set_time_source(net::TimeSource now);
-
-  /// Causal flow tracing, same contract as
-  /// net::CollaborativeMaster::set_flow_trace: dispatch sends open
-  /// Chrome-trace flows the workers close, worker replies open flows the
-  /// collection loop closes (stale discards included). In-process sim
-  /// drivers only.
-  void set_flow_trace(bool enabled) { flow_trace_ = enabled; }
-
-  /// Degraded mode (DESIGN.md §13): rows routed to a failed (or
-  /// breaker-open) expert are recomputed by the master's local expert 0 —
-  /// a wrong-expert answer beats no answer — and the failure enters the
-  /// probation machinery instead of throwing. Off by default, preserving
-  /// the strict no-degraded-mode contract.
-  void set_local_fallback(bool enabled) { local_fallback_ = enabled; }
-
-  /// Probation cadence, identical to CollaborativeMaster::set_probe_interval:
-  /// a failed worker is probed with a Ping every `queries` queries with
-  /// exponential backoff; an answered probe rejoins it. 0 disables probing.
-  void set_probe_interval(int queries);
-
-  /// Per-worker health scoring + circuit breaker (net/health.hpp), shared
-  /// semantics with CollaborativeMaster::enable_health: an open breaker
-  /// keeps the worker out of dispatch until a probe answers after the
-  /// cooldown. Call after set_time_source.
-  void enable_health(const net::HealthConfig& config);
-  const net::HealthTracker* health() const { return health_.get(); }
-
-  /// Workers currently in probation.
-  int failed_workers() const;
-  /// Whether worker `worker_index` (0-based, serving expert index+1) is in
-  /// the live set.
-  bool worker_alive(int worker_index) const;
-  /// Probed workers that answered and re-entered the live set.
-  std::int64_t rejoins() const { return rejoins_; }
-  /// Replies discarded because their query id did not match.
-  std::int64_t stale_replies_discarded() const { return stale_discarded_; }
-  /// Total rows recomputed by the local expert across all queries.
-  std::int64_t fallback_rows() const { return fallback_rows_; }
-
-  /// TEST-ONLY: re-introduces the pre-query-id gather (same mutation hook
-  /// as net::CollaborativeMaster::set_test_pre_qid_gather; see there). Any
-  /// reply arriving while the deadline still reads unexpired is trusted;
-  /// one arriving after it throws the miss-path NetworkError.
-  void set_test_pre_qid_gather(bool enable) { test_pre_qid_gather_ = enable; }
+  using MasterCore::set_compute_hook;
+  using MasterCore::set_flow_trace;
+  using MasterCore::set_time_source;
+  using MasterCore::set_worker_timeout;
+  using MasterCore::shutdown;
 
  private:
-  /// Same live <-> probation state machine as CollaborativeMaster.
-  struct WorkerSlot {
-    bool failed = false;
-    int probe_countdown = 0;
-    int probe_interval = 0;
-    std::int64_t probe_id = 0;
-  };
-
-  void mark_failed(std::size_t w);
-  void probe_failed_workers();
-  bool dispatchable(std::size_t w) const;
-
   SgMoe& model_;
-  std::vector<net::Channel*> workers_;
-  std::vector<WorkerSlot> slots_;
-  net::ComputeHook on_compute_;
-  double worker_timeout_s_ = 0.0;
-  bool local_fallback_ = false;
-  bool flow_trace_ = false;
-  int probe_interval_ = 4;
-  std::unique_ptr<net::HealthTracker> health_;
-  bool test_pre_qid_gather_ = false;  ///< test-only mutation hook
-  net::TimeSource now_;
-  std::int64_t query_seq_ = 0;
-  std::int64_t probe_seq_ = 0;
-  std::int64_t stale_discarded_ = 0;
-  std::int64_t rejoins_ = 0;
-  std::int64_t fallback_rows_ = 0;
 };
 
 }  // namespace teamnet::moe

@@ -43,6 +43,64 @@ SimNetOptions net_options(const ScenarioConfig& config) {
   return opts;
 }
 
+/// Wraps the master's sim link to each of `nodes` in a FaultyChannel. One
+/// base seed forks into per-node streams (node index = fork key), so the
+/// whole fleet's fault schedule reproduces from `faults.seed` and a node
+/// keeps its stream whatever other links exist. Delay faults advance the
+/// master's virtual clock instead of sleeping.
+std::vector<std::unique_ptr<net::FaultyChannel>> wrap_faulty_links(
+    SimNet& net, const std::vector<int>& nodes,
+    const net::FaultProfile& faults, Scheduler scheduler) {
+  SimNet* netp = &net;
+  Rng seeder(faults.seed);
+  net::DelayFn delay = [netp](double seconds) { netp->advance(0, seconds); };
+  std::vector<std::unique_ptr<net::FaultyChannel>> links;
+  for (int node : nodes) {
+    net::FaultProfile profile = faults;
+    profile.seed = seeder.fork(static_cast<std::uint64_t>(node)).engine()();
+    links.push_back(std::make_unique<net::FaultyChannel>(
+        net.take_channel(0, node), profile, delay));
+    if (scheduler == Scheduler::discrete_event) {
+      // Timeout budgets must burn virtual time, not wall time: the real
+      // clock's sub-deadline remainders differ run to run and would leak
+      // nondeterminism into the recv_timeout sequence the inner DesChannel
+      // sees. Free-running keeps the default real clock (its deadlines
+      // really do elapse in real time).
+      links.back()->set_time_source([netp] { return netp->node_time(0); });
+    }
+  }
+  return links;
+}
+
+/// Quiesce before teardown: a duplicated Infer or hedge on the last query
+/// leaves a reply in flight on a worker thread, and shutdown()'s close
+/// would race with that send — making the traffic totals
+/// nondeterministic. A Ping over each link's fault-free inner() path is
+/// answered only after the worker has processed (and sent the replies
+/// for) everything queued before it, so once the Pong is back, that
+/// worker's deliveries are final. The sentinel id never collides with the
+/// master's probe ids.
+void quiesce_links(
+    const std::vector<std::unique_ptr<net::FaultyChannel>>& links) {
+  for (const auto& link : links) {
+    try {
+      net::Message quiesce;
+      quiesce.type = net::MsgType::Ping;
+      quiesce.ints = {-1};
+      link->inner().send(quiesce.encode());
+      while (auto raw = link->inner().recv_timeout(1.0)) {
+        net::Message msg = net::Message::decode(*raw);
+        if (msg.type == net::MsgType::Pong && !msg.ints.empty() &&
+            msg.ints[0] == -1) {
+          break;
+        }
+      }
+    } catch (const Error& e) {
+      LOG_DEBUG("quiesce skipped a worker: " << e.what());
+    }
+  }
+}
+
 }  // namespace
 
 ScenarioResult run_baseline(nn::Module& model, const data::Dataset& test,
@@ -206,28 +264,13 @@ ChaosResult run_teamnet_chaos(const std::vector<nn::Module*>& experts,
   }
 
   // The master reaches every worker through a FaultyChannel wrapped around
-  // the sim channel. One base seed forks into per-worker streams, so the
-  // whole fleet's fault schedule reproduces from chaos.faults.seed. Delay
-  // faults advance the master's virtual clock instead of sleeping.
-  Rng seeder(chaos.faults.seed);
-  net::DelayFn delay = [netp](double seconds) { netp->advance(0, seconds); };
-  std::vector<std::unique_ptr<net::FaultyChannel>> faulty;
+  // the sim channel.
+  std::vector<int> worker_nodes;
+  for (int i = 1; i < k; ++i) worker_nodes.push_back(i);
+  auto faulty =
+      wrap_faulty_links(*net, worker_nodes, chaos.faults, config.scheduler);
   std::vector<net::Channel*> worker_channels;
-  for (int i = 1; i < k; ++i) {
-    net::FaultProfile profile = chaos.faults;
-    profile.seed = seeder.fork(static_cast<std::uint64_t>(i)).engine()();
-    faulty.push_back(std::make_unique<net::FaultyChannel>(
-        net->take_channel(0, i), profile, delay));
-    if (config.scheduler == Scheduler::discrete_event) {
-      // Timeout budgets must burn virtual time, not wall time: the real
-      // clock's sub-deadline remainders differ run to run and would leak
-      // nondeterminism into the recv_timeout sequence the inner DesChannel
-      // sees. Free-running keeps the default real clock (its deadlines
-      // really do elapse in real time).
-      faulty.back()->set_time_source([netp] { return netp->node_time(0); });
-    }
-    worker_channels.push_back(faulty.back().get());
-  }
+  for (auto& link : faulty) worker_channels.push_back(link.get());
 
   net::CollaborativeMaster master(*experts[0], worker_channels);
   master.set_compute_hook(make_hook(*net, 0, config.device, &master_compute));
@@ -268,30 +311,7 @@ ChaosResult run_teamnet_chaos(const std::vector<nn::Module*>& experts,
     for (auto& t : threads) t.join();
     throw;
   }
-  // Quiesce before teardown: a duplicated Infer on the last query leaves a
-  // second reply in flight on a worker thread, and shutdown()'s close
-  // would race with that send — making the traffic totals nondeterministic.
-  // A Ping over each link's fault-free inner() path is answered only after
-  // the worker has processed (and sent the replies for) everything queued
-  // before it, so once the Pong is back, that worker's deliveries are
-  // final. The sentinel id never collides with the master's probe ids.
-  for (auto& link : faulty) {
-    try {
-      net::Message quiesce;
-      quiesce.type = net::MsgType::Ping;
-      quiesce.ints = {-1};
-      link->inner().send(quiesce.encode());
-      while (auto raw = link->inner().recv_timeout(1.0)) {
-        net::Message msg = net::Message::decode(*raw);
-        if (msg.type == net::MsgType::Pong && !msg.ints.empty() &&
-            msg.ints[0] == -1) {
-          break;
-        }
-      }
-    } catch (const Error& e) {
-      LOG_DEBUG("chaos quiesce skipped a worker: " << e.what());
-    }
-  }
+  quiesce_links(faulty);
   master.shutdown();  // closes the faulty channels, waking every worker
   net->retire(0);
   for (auto& t : threads) t.join();
@@ -359,28 +379,17 @@ ResilienceResult run_teamnet_resilience(const std::vector<nn::Module*>& experts,
     for (int i = 1; i < k; ++i) spawn_serving(k - 1 + i, i);
   }
 
-  // Same fault plumbing as run_teamnet_chaos, extended to the backup links:
-  // one base seed forks into per-node streams (node index = fork key), so
-  // primaries keep their stream whether or not hedging adds backups.
-  Rng seeder(res.faults.seed);
-  net::DelayFn delay = [netp](double seconds) { netp->advance(0, seconds); };
-  std::vector<std::unique_ptr<net::FaultyChannel>> faulty;
-  auto wrap_link = [&](int node) -> net::Channel* {
-    net::FaultProfile profile = res.faults;
-    profile.seed = seeder.fork(static_cast<std::uint64_t>(node)).engine()();
-    faulty.push_back(std::make_unique<net::FaultyChannel>(
-        net->take_channel(0, node), profile, delay));
-    if (config.scheduler == Scheduler::discrete_event) {
-      // Virtual-time budgets for determinism — see run_teamnet_chaos.
-      faulty.back()->set_time_source([netp] { return netp->node_time(0); });
-    }
-    return faulty.back().get();
-  };
+  // Same fault plumbing as run_teamnet_chaos, extended to the backup links
+  // (nodes k..2k-2), which fork after the primaries.
+  std::vector<int> link_nodes;
+  for (int node = 1; node < num_nodes; ++node) link_nodes.push_back(node);
+  auto faulty =
+      wrap_faulty_links(*net, link_nodes, res.faults, config.scheduler);
   std::vector<net::Channel*> worker_channels;
-  for (int i = 1; i < k; ++i) worker_channels.push_back(wrap_link(i));
   std::vector<net::Channel*> backup_channels;
-  if (res.hedging) {
-    for (int i = 1; i < k; ++i) backup_channels.push_back(wrap_link(k - 1 + i));
+  for (int node = 1; node < num_nodes; ++node) {
+    (node < k ? worker_channels : backup_channels)
+        .push_back(faulty[static_cast<std::size_t>(node - 1)].get());
   }
 
   net::CollaborativeMaster master(*experts[0], worker_channels);
@@ -422,26 +431,7 @@ ResilienceResult run_teamnet_resilience(const std::vector<nn::Module*>& experts,
     for (auto& t : threads) t.join();
     throw;
   }
-  // Quiesce every link (backups included) before teardown — same rationale
-  // as run_teamnet_chaos: a hedged duplicate on the last query leaves a
-  // reply in flight whose send would otherwise race shutdown()'s close.
-  for (auto& link : faulty) {
-    try {
-      net::Message quiesce;
-      quiesce.type = net::MsgType::Ping;
-      quiesce.ints = {-1};
-      link->inner().send(quiesce.encode());
-      while (auto raw = link->inner().recv_timeout(1.0)) {
-        net::Message msg = net::Message::decode(*raw);
-        if (msg.type == net::MsgType::Pong && !msg.ints.empty() &&
-            msg.ints[0] == -1) {
-          break;
-        }
-      }
-    } catch (const Error& e) {
-      LOG_DEBUG("resilience quiesce skipped a worker: " << e.what());
-    }
-  }
+  quiesce_links(faulty);  // backups included
   master.shutdown();  // closes primaries and backups, waking every worker
   net->retire(0);
   for (auto& t : threads) t.join();

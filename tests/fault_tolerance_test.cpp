@@ -220,6 +220,69 @@ TEST(FaultTolerance, ShutdownClosesChannelsSoWorkerThreadsJoin) {
   EXPECT_EQ(mute.requests_served(), 1);
 }
 
+/// A well-framed Result for the current query that does not cover the rows
+/// and classes asked is malformed: the worker is failed and the query
+/// answers from the remaining experts instead of reading out of bounds.
+TEST(FaultTolerance, WrongShapedResultIsRejected) {
+  struct Bad {
+    Shape probs;
+    Shape entropy;
+  };
+  // The query asks 2 rows of 3 classes.
+  const std::vector<Bad> cases = {{{1, 3}, {1}},      // too few rows
+                                  {{2, 2}, {2}},      // too few classes
+                                  {{2, 3}, {1}},      // short entropy
+                                  {{6}, {2}},         // flat probs
+                                  {{2, 3}, {2, 1}}};  // 2-D entropy
+  for (const Bad& bad : cases) {
+    Rng rng(7);
+    nn::MlpNet master_expert(tiny_mlp(), rng);
+    nn::MlpNet live_expert(tiny_mlp(), rng);
+    auto [m1, w1] = net::make_inproc_pair();
+    auto [m2, w2] = net::make_inproc_pair();
+    net::CollaborativeWorker live(live_expert, *w1);
+    std::thread live_thread([&live] { live.serve(); });
+    std::thread fake_thread([&w2 = w2, &bad] {
+      net::Message request = net::Message::decode(w2->recv());
+      net::Message reply;
+      reply.type = net::MsgType::Result;
+      reply.ints = request.ints;  // the current query id
+      Tensor probs(bad.probs);
+      probs.fill(1.0f / 3.0f);
+      // Entropy 0: accepted, this reply would win every row.
+      reply.tensors = {probs, Tensor(bad.entropy)};
+      w2->send(reply.encode());
+      try {
+        (void)w2->recv();
+      } catch (const NetworkError&) {
+        // expected: the failed worker's channel is closed on shutdown
+      }
+    });
+
+    net::CollaborativeMaster master(master_expert, {m1.get(), m2.get()});
+    master.set_worker_timeout(2.0);
+    auto result = master.infer(Tensor::randn({2, 6}, rng));
+    EXPECT_EQ(result.answered, 2);
+    EXPECT_EQ(result.degradation, net::DegradationLevel::quorum);
+    for (int chosen : result.chosen) EXPECT_NE(chosen, 2);
+    EXPECT_FALSE(master.worker_alive(1));
+    EXPECT_TRUE(master.worker_alive(0));
+    master.shutdown();
+    live_thread.join();
+    fake_thread.join();
+  }
+}
+
+TEST(FaultTolerance, EmptyBatchIsRejected) {
+  Rng rng(8);
+  nn::MlpNet master_expert(tiny_mlp(), rng);
+  auto [m1, w1] = net::make_inproc_pair();
+  net::CollaborativeMaster master(master_expert, {m1.get()});
+  master.set_compute_hook([](std::int64_t) {});
+  EXPECT_THROW(master.infer(Tensor({0, 6})), InvariantError);
+  EXPECT_THROW(master.infer(Tensor({6})), InvariantError);
+}
+
 TEST(ChannelTimeout, BaseFallbackWarnsOncePerProcess) {
   // A Channel subclass without timeout support falls back to blocking
   // recv() and must say so — once, not per call.

@@ -2,12 +2,15 @@
 // load balancing, joint training, and distributed serving equivalence.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <thread>
 
 #include "data/blobs.hpp"
 #include "moe/moe_ops.hpp"
 #include "moe/moe_serving.hpp"
 #include "moe/sg_moe.hpp"
+#include "net/collab.hpp"
+#include "net/message.hpp"
 #include "net/transport.hpp"
 #include "nn/mlp.hpp"
 
@@ -167,6 +170,107 @@ TEST(MoeServing, RejectsWrongWorkerCount) {
   moe::SgMoe model(cfg, 8, blob_expert_factory(8, 4));
   auto [a, b] = net::make_inproc_pair();
   EXPECT_THROW(moe::MoeMaster(model, {a.get()}), InvariantError);
+}
+
+// ---- strict serving contract ------------------------------------------------
+
+/// A two-expert model whose gate sends every row to expert 1 — the remote
+/// worker — so each query is exactly one request on the scripted channel.
+std::unique_ptr<moe::SgMoe> remote_routed_moe() {
+  moe::SgMoeConfig cfg;
+  cfg.num_experts = 2;
+  auto model =
+      std::make_unique<moe::SgMoe>(cfg, 8, blob_expert_factory(8, 4));
+  model->gate().weight().mutable_value().fill(0.0f);
+  Tensor& bias = model->gate().bias().mutable_value();
+  bias[0] = -100.0f;
+  bias[1] = 100.0f;
+  return model;
+}
+
+/// A Result echoing `qid` whose rows are all confident in class `cls`.
+std::string result_frame(std::int64_t qid, std::int64_t rows, int cls) {
+  net::Message reply;
+  reply.type = net::MsgType::Result;
+  reply.ints = {qid};
+  Tensor probs({rows, 4});
+  for (std::int64_t r = 0; r < rows; ++r) probs[r * 4 + cls] = 1.0f;
+  reply.tensors = {probs, Tensor({rows})};
+  return reply.encode();
+}
+
+TEST(MoeServing, SkipsStaleResultAndDuplicatePong) {
+  auto model = remote_routed_moe();
+  auto [master_ch, worker_ch] = net::make_inproc_pair();
+  std::thread worker([&worker_ch = worker_ch] {
+    net::Message request = net::Message::decode(worker_ch->recv());
+    const std::int64_t qid = net::infer_info(request).qid;
+    const std::int64_t rows = request.tensors[0].dim(0);
+    // An older query's Result (it would answer class 0) and a duplicate
+    // probe answer arrive ahead of the current reply (class 2).
+    worker_ch->send(result_frame(qid - 1, rows, 0));
+    net::Message pong;
+    pong.type = net::MsgType::Pong;
+    pong.ints = {1};
+    worker_ch->send(pong.encode());
+    worker_ch->send(result_frame(qid, rows, 2));
+    (void)worker_ch->recv();  // Shutdown
+  });
+
+  moe::MoeMaster master(*model, {master_ch.get()});
+  master.set_worker_timeout(2.0);
+  auto result = master.infer(Tensor::full({3, 8}, 1.0f));
+  master.shutdown();
+  worker.join();
+  EXPECT_EQ(result.routed, std::vector<int>(3, 1));
+  EXPECT_EQ(result.predictions, std::vector<int>(3, 2));
+}
+
+TEST(MoeServing, ReplyPastTheDeadlineThrows) {
+  auto model = remote_routed_moe();
+  auto [master_ch, worker_ch] = net::make_inproc_pair();
+  std::thread worker([&worker_ch = worker_ch] {
+    net::Message request = net::Message::decode(worker_ch->recv());
+    std::this_thread::sleep_for(std::chrono::milliseconds(300));
+    try {
+      worker_ch->send(result_frame(net::infer_info(request).qid,
+                                   request.tensors[0].dim(0), 2));
+      (void)worker_ch->recv();  // Shutdown
+    } catch (const NetworkError&) {
+      // the master may already have shut the channel
+    }
+  });
+
+  moe::MoeMaster master(*model, {master_ch.get()});
+  master.set_worker_timeout(0.05);
+  EXPECT_THROW(master.infer(Tensor::full({1, 8}, 1.0f)), NetworkError);
+  master.shutdown();
+  worker.join();
+}
+
+TEST(MoeServing, WrongShapedResultThrows) {
+  auto model = remote_routed_moe();
+  auto [master_ch, worker_ch] = net::make_inproc_pair();
+  std::thread worker([&worker_ch = worker_ch] {
+    net::Message request = net::Message::decode(worker_ch->recv());
+    // One row short of the two asked.
+    worker_ch->send(result_frame(net::infer_info(request).qid, 1, 2));
+    (void)worker_ch->recv();  // Shutdown
+  });
+
+  moe::MoeMaster master(*model, {master_ch.get()});
+  master.set_worker_timeout(2.0);
+  EXPECT_THROW(master.infer(Tensor::full({2, 8}, 1.0f)), NetworkError);
+  master.shutdown();
+  worker.join();
+}
+
+TEST(MoeServing, EmptyBatchIsRejected) {
+  auto model = remote_routed_moe();
+  auto [master_ch, worker_ch] = net::make_inproc_pair();
+  moe::MoeMaster master(*model, {master_ch.get()});
+  master.set_compute_hook([](std::int64_t) {});
+  EXPECT_THROW(master.infer(Tensor({0, 8})), InvariantError);
 }
 
 }  // namespace

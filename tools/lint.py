@@ -131,8 +131,6 @@ WALL_CLOCK_ALLOWED: set[pathlib.Path] = set()
 # range-for, so the containers themselves are banned there.
 UNORDERED_RE = re.compile(r"std::unordered_(?:multi)?(?:map|set)\b")
 
-# Matches `.recv(` / `->recv(` but not recv_timeout / recv_from.
-
 # Stream-writing stdio only; snprintf/sscanf (string formatting) are fine.
 RAW_STDIO_RE = re.compile(
     r"\b(?:std::)?(?:printf|fprintf|vfprintf|puts|fputs|putchar|fputc)\s*\(|"
