@@ -4,81 +4,12 @@
 // point of failure) at the cost of extra summary messages. This bench
 // measures both protocols' traffic and virtual latency on the same team.
 #include <cstdio>
-#include <thread>
 
 #include "bench_common.hpp"
 #include "common/table.hpp"
-#include "mpi/decentralized.hpp"
-#include "tensor/ops.hpp"
 
 namespace teamnet::bench {
 namespace {
-
-/// Virtual-time run of the decentralized protocol: the sensing rank (0)
-/// broadcasts the input, everyone computes + allgathers summaries, and the
-/// per-query latency is the LAST node to learn the answer (all must know).
-sim::ScenarioResult run_decentralized(const std::vector<nn::Module*>& experts,
-                                      const data::Dataset& test,
-                                      const sim::ScenarioConfig& config) {
-  const int k = static_cast<int>(experts.size());
-  net::VirtualClock clock(k);
-  auto mesh = net::make_sim_mesh(k, clock, config.link);
-
-  Rng rng(config.seed);
-  std::vector<int> queries(static_cast<std::size_t>(config.num_queries));
-  for (auto& q : queries) q = rng.randint(0, static_cast<int>(test.size()) - 1);
-
-  double total_latency = 0.0;
-  const std::int64_t bytes_before = clock.bytes_delivered();
-  const std::int64_t msgs_before = clock.messages_delivered();
-
-  auto rank_main = [&](int rank) {
-    std::vector<net::Channel*> peers(static_cast<std::size_t>(k), nullptr);
-    for (int p = 0; p < k; ++p) {
-      if (p != rank) {
-        peers[static_cast<std::size_t>(p)] =
-            mesh[static_cast<std::size_t>(rank)][static_cast<std::size_t>(p)]
-                .get();
-      }
-    }
-    mpi::Communicator comm(rank, peers);
-    net::ComputeHook hook = [&clock, rank, &config](std::int64_t flops) {
-      clock.advance(rank, config.device.compute_time(flops));
-    };
-    for (int row : queries) {
-      Tensor x;
-      if (rank == 0) x = ops::take_rows(test.images, {row});
-      x = comm.bcast(x.defined() ? x : Tensor({1}), 0);
-      auto result = mpi::decentralized_infer(
-          comm, *experts[static_cast<std::size_t>(rank)], x, hook);
-      if (rank == 0) {
-        // Wait until EVERY node knows the answer: barrier through rank 0.
-        comm.barrier();
-      } else {
-        comm.barrier();
-      }
-    }
-  };
-
-  const double t0 = clock.node_time(0);
-  std::vector<std::thread> threads;
-  for (int r = 1; r < k; ++r) threads.emplace_back(rank_main, r);
-  rank_main(0);
-  for (auto& t : threads) t.join();
-  total_latency = clock.max_time() - t0;
-
-  sim::ScenarioResult result;
-  result.approach = "TeamNet-decentralized";
-  result.num_nodes = k;
-  result.latency_ms = 1e3 * total_latency / config.num_queries;
-  result.bytes_per_query =
-      static_cast<double>(clock.bytes_delivered() - bytes_before) /
-      config.num_queries;
-  result.messages_per_query =
-      static_cast<double>(clock.messages_delivered() - msgs_before) /
-      config.num_queries;
-  return result;
-}
 
 int main_impl(int argc, char** argv) {
   Options opts = parse_options(argc, argv);
@@ -86,6 +17,7 @@ int main_impl(int argc, char** argv) {
                "§III step 5 ('can be done distributedly')");
 
   MnistSetup setup = mnist_setup(opts);
+  JsonReport report(opts, "ablation_decentralized");
   Table table({"protocol", "nodes", "messages/query", "KB/query",
                "latency (ms)", "who knows the answer"});
   for (int k : {2, 4}) {
@@ -96,18 +28,22 @@ int main_impl(int argc, char** argv) {
     cfg.link = sim::socket_link();
 
     auto centralized = sim::run_teamnet(team.expert_ptrs(), setup.test, cfg);
+    report.add("centralized k=" + std::to_string(k), centralized);
     table.add_row({"centralized", std::to_string(k),
                    Table::num(centralized.messages_per_query, 1),
                    Table::num(centralized.bytes_per_query / 1e3, 2),
                    Table::num(centralized.latency_ms, 2), "master only"});
 
-    auto decentralized = run_decentralized(team.expert_ptrs(), setup.test, cfg);
+    auto decentralized =
+        sim::run_teamnet_decentralized(team.expert_ptrs(), setup.test, cfg);
+    report.add("decentralized k=" + std::to_string(k), decentralized);
     table.add_row({"decentralized", std::to_string(k),
                    Table::num(decentralized.messages_per_query, 1),
                    Table::num(decentralized.bytes_per_query / 1e3, 2),
                    Table::num(decentralized.latency_ms, 2), "every node"});
   }
   std::printf("%s", table.to_string().c_str());
+  report.write();
   std::printf("\nexpected shape: decentralized selection pays extra summary\n"
               "messages (allgather + barrier) for coordinator-free agreement;\n"
               "the gap grows with the number of nodes.\n");

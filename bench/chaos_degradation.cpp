@@ -12,7 +12,7 @@
 namespace teamnet::bench {
 namespace {
 
-double mean_live(const sim::ChaosResult& r) {
+double mean_live(const sim::ResilienceResult& r) {
   double sum = 0.0;
   for (int live : r.live_nodes) sum += live;
   return r.live_nodes.empty() ? 0.0 : sum / static_cast<double>(r.live_nodes.size());
@@ -34,17 +34,20 @@ int main_impl(int argc, char** argv) {
   JsonReport report(opts, "chaos_degradation");
   Table table({"fault rate", "accuracy (%)", "mean live nodes",
                "latency (ms)", "faults", "stale", "rejoins"});
+  // A chaos run is a resilience run with the SLO machinery off: a gather
+  // deadline plus probation/rejoin only.
+  sim::ResilienceConfig base;
+  base.faults.seed = 42;
+  base.health = false;
+  base.drop_expired = false;
   const double rates[] = {0.0, 0.05, 0.1, 0.2, 0.3};
   for (double rate : rates) {
-    sim::ChaosConfig chaos;
-    chaos.faults.seed = 42;
+    sim::ResilienceConfig chaos = base;
     chaos.faults.drop_prob = rate;
     chaos.faults.corrupt_prob = rate / 4;
     chaos.faults.duplicate_prob = rate / 4;
-    chaos.worker_timeout_s = 0.05;
-    chaos.probe_interval = 2;
-    auto r = sim::run_teamnet_chaos(team4.expert_ptrs(), setup.test, cfg,
-                                    chaos);
+    auto r = sim::run_teamnet_resilience(team4.expert_ptrs(), setup.test, cfg,
+                                         chaos);
     report.add("fault rate " + Table::num(rate, 2), r.scenario);
     table.add_row({Table::num(rate, 2),
                    Table::num(r.scenario.accuracy_pct, 1),
@@ -57,15 +60,13 @@ int main_impl(int argc, char** argv) {
 
   // Scripted partition/heal on worker 1: the probation machinery must bring
   // the worker back, so late-window accuracy matches the fault-free run.
-  sim::ChaosConfig split;
-  split.faults.seed = 42;
+  sim::ResilienceConfig split = base;
   split.partition_worker = 0;
   split.partition_from_query = cfg.num_queries / 4;
   split.heal_at_query = cfg.num_queries / 2;
-  split.worker_timeout_s = 0.05;
   split.probe_interval = 1;
-  auto healed = sim::run_teamnet_chaos(team4.expert_ptrs(), setup.test, cfg,
-                                       split);
+  auto healed = sim::run_teamnet_resilience(team4.expert_ptrs(), setup.test,
+                                            cfg, split);
   report.add("partition+heal", healed.scenario);
   table.add_row({"partition+heal",
                  Table::num(healed.scenario.accuracy_pct, 1),

@@ -1,9 +1,7 @@
 #include "load/loadgen.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <memory>
-#include <thread>
 #include <utility>
 
 #include "common/error.hpp"
@@ -30,60 +28,27 @@ const std::vector<double>& metrics_latency_edges() {
 }
 
 /// The protocol plumbing is identical for both serving paths — only master
-/// construction and the expert each worker serves differ, so both arrive
-/// as callables. `make_master(channels)` returns a unique_ptr to a master
-/// with infer/shutdown and the net::MasterCore setters (both masters get
-/// them from that shared core).
-template <typename GetExpert, typename MakeMaster>
-LoadResult run_load_generic(const std::string& approach, int k,
-                            GetExpert get_expert, const data::Dataset& test,
+/// construction and the experts the nodes serve differ. `make_master(
+/// channels)` returns a unique_ptr to a master with infer/shutdown and the
+/// net::MasterCore setters (both masters get them from that shared core).
+template <typename MakeMaster>
+LoadResult run_load_generic(const std::string& approach,
+                            const std::vector<nn::Module*>& experts,
+                            const data::Dataset& test,
                             const sim::ScenarioConfig& config,
                             const LoadConfig& load, MakeMaster make_master) {
-  TEAMNET_CHECK(k >= 2);
-  TEAMNET_CHECK_MSG(load.num_queries >= 1, "load.num_queries must be >= 1");
   TEAMNET_CHECK_MSG(
       load.warmup_queries >= 0 && load.warmup_queries < load.num_queries,
       "warmup_queries must be in [0, num_queries)");
 
-  obs::Tracer::instance().begin_epoch(approach + "-load");
-  sim::SimNetOptions opts;
-  opts.grant_policy = config.grant_policy;
-  opts.schedule_seed = config.schedule_seed;
-  opts.schedule_slack_s = config.schedule_slack_s;
-  auto net = sim::make_sim_net(config.scheduler, k, config.link, opts);
-  sim::SimNet* netp = net.get();
-
-  std::atomic<double> master_compute{0.0};
-  std::vector<std::thread> threads;
-  std::vector<std::unique_ptr<net::CollaborativeWorker>> workers;
-  for (int i = 1; i < k; ++i) {
-    workers.push_back(std::make_unique<net::CollaborativeWorker>(
-        get_expert(i), net->channel(i, 0)));
-    workers.back()->set_compute_hook(
-        sim::make_compute_hook(*net, i, config.device, nullptr));
-    workers.back()->set_time_source([netp, i] { return netp->node_time(i); });
-    workers.back()->set_trace_node(i);
-    threads.push_back(sim::spawn_sim_worker(
-        *net, i, [w = workers.back().get()] { w->serve(); }));
-  }
-
-  std::vector<net::Channel*> worker_channels;
-  for (int i = 1; i < k; ++i) {
-    worker_channels.push_back(&net->channel(0, i));
-  }
-  auto master = make_master(worker_channels);
-  master->set_compute_hook(
-      sim::make_compute_hook(*net, 0, config.device, &master_compute));
-  // The master publishes timeline marks through its time source; the
-  // steady-clock default would stamp wall time into a virtual-clock run.
-  // Behavior-neutral otherwise: with timeout 0 no deadline ever reads it.
-  master->set_time_source([netp] { return netp->node_time(0); });
-  master->set_flow_trace(true);
+  sim::Fleet fleet(approach + "-load", config,
+                   {.experts = experts, .num_queries = load.num_queries});
+  auto master = make_master(fleet.worker_channels());
+  fleet.attach(*master);
   if (load.worker_timeout_s > 0.0) {
     master->set_worker_timeout(load.worker_timeout_s);
   }
 
-  obs::TraceTrack track(0, [netp] { return netp->node_time(0); }, "master");
   const auto rows =
       sample_load_rows(test, load.num_queries, load.query_seed,
                        load.zipf_exponent);
@@ -98,61 +63,43 @@ LoadResult run_load_generic(const std::string& approach, int k,
   std::vector<QueryRecord> records;
   records.reserve(rows.size());
   int correct = 0;
-  const std::int64_t bytes_before = net->bytes_delivered();
-  const std::int64_t msgs_before = net->messages_delivered();
   auto& recorder = obs::TimelineRecorder::instance();
-  recorder.start();
-  try {
-    for (std::size_t q = 0; q < rows.size(); ++q) {
-      const double now = net->node_time(0);
-      const double t_arrival = process->next_arrival(now);
-      // Open-loop: an arrival in the past means the query queued while the
-      // master was busy — serve immediately, latency absorbs the wait. An
-      // arrival in the future means the master idles until it.
-      if (t_arrival > now) net->advance(0, t_arrival - now);
-      arrivals_counter.increment();
-      obs::trace_instant("load.arrival");
-      recorder.note_arrival(t_arrival);
-      auto res = master->infer(sim::query_row_tensor(test, rows[q]));
-      const double t_completion = net->node_time(0);
-      process->on_complete(t_completion);
-      completions_counter.increment();
-      latency_histogram.observe(1e3 * (t_completion - t_arrival));
+  fleet.record_timelines();
+  for (std::size_t q = 0; q < rows.size(); ++q) {
+    const double now = fleet.now();
+    const double t_arrival = process->next_arrival(now);
+    // Open-loop: an arrival in the past means the query queued while the
+    // master was busy — serve immediately, latency absorbs the wait. An
+    // arrival in the future means the master idles until it.
+    if (t_arrival > now) fleet.net().advance(0, t_arrival - now);
+    arrivals_counter.increment();
+    obs::trace_instant("load.arrival");
+    recorder.note_arrival(t_arrival);
+    auto res = master->infer(sim::query_row_tensor(test, rows[q]));
+    const double t_completion = fleet.now();
+    process->on_complete(t_completion);
+    completions_counter.increment();
+    latency_histogram.observe(1e3 * (t_completion - t_arrival));
 
-      QueryRecord record;
-      record.arrival_s = t_arrival;
-      record.completion_s = t_completion;
-      record.row = rows[q];
-      record.correct =
-          res.predictions[0] ==
-          test.labels[static_cast<std::size_t>(rows[q])];
-      // SG-MoE has no degraded mode: its records keep level 0 (full).
-      if constexpr (requires { res.degradation; }) {
-        record.degradation = static_cast<int>(res.degradation);
-      }
-      if (record.correct) ++correct;
-      records.push_back(record);
+    QueryRecord record;
+    record.arrival_s = t_arrival;
+    record.completion_s = t_completion;
+    record.row = rows[q];
+    record.correct =
+        res.predictions[0] == test.labels[static_cast<std::size_t>(rows[q])];
+    // SG-MoE has no degraded mode: its records keep level 0 (full).
+    if constexpr (requires { res.degradation; }) {
+      record.degradation = static_cast<int>(res.degradation);
     }
-  } catch (...) {
-    recorder.stop();
-    recorder.take();
-    net->close_all();
-    net->retire(0);
-    for (auto& t : threads) t.join();
-    throw;
+    if (record.correct) ++correct;
+    records.push_back(record);
   }
-  const std::int64_t bytes_used = net->bytes_delivered() - bytes_before;
-  const std::int64_t msgs_used = net->messages_delivered() - msgs_before;
-  master->shutdown();
-  net->retire(0);
-  for (auto& t : threads) t.join();
-  recorder.stop();
-  const std::vector<obs::QueryTimeline> timelines = recorder.take();
 
   LoadResult result;
-  result.schedule_digest = net->finish();
+  result.schedule_digest = fleet.finish(*master);
+  const std::vector<obs::QueryTimeline> timelines = fleet.take_timelines();
   result.approach = approach;
-  result.num_nodes = k;
+  result.num_nodes = static_cast<int>(experts.size());
   result.arrival = process->name();
   result.num_queries = load.num_queries;
   result.warmup_queries = load.warmup_queries;
@@ -192,9 +139,9 @@ LoadResult run_load_generic(const std::string& approach, int k,
   result.accuracy_pct = 100.0 * static_cast<double>(correct) /
                         static_cast<double>(load.num_queries);
   result.bytes_per_query =
-      static_cast<double>(bytes_used) / load.num_queries;
+      static_cast<double>(fleet.bytes()) / load.num_queries;
   result.messages_per_query =
-      static_cast<double>(msgs_used) / load.num_queries;
+      static_cast<double>(fleet.messages()) / load.num_queries;
   registry.gauge("load.achieved_qps").set(result.achieved_qps);
   registry.gauge("load.offered_qps").set(result.offered_qps);
   registry.gauge("load.mean_inflight").set(result.mean_inflight);
@@ -262,13 +209,8 @@ LoadResult run_teamnet_load(const std::vector<nn::Module*>& experts,
                             const data::Dataset& test,
                             const sim::ScenarioConfig& config,
                             const LoadConfig& load) {
-  TEAMNET_CHECK(experts.size() >= 2);
   return run_load_generic(
-      "TeamNet", static_cast<int>(experts.size()),
-      [&experts](int i) -> nn::Module& {
-        return *experts[static_cast<std::size_t>(i)];
-      },
-      test, config, load,
+      "TeamNet", experts, test, config, load,
       [&experts, &load](const std::vector<net::Channel*>& channels) {
         auto master = std::make_unique<net::CollaborativeMaster>(*experts[0],
                                                                  channels);
@@ -282,10 +224,12 @@ LoadResult run_teamnet_load(const std::vector<nn::Module*>& experts,
 LoadResult run_sg_moe_load(moe::SgMoe& model, const data::Dataset& test,
                            const sim::ScenarioConfig& config,
                            const LoadConfig& load) {
+  std::vector<nn::Module*> experts;
+  for (int i = 0; i < model.num_experts(); ++i) {
+    experts.push_back(&model.expert(i));
+  }
   return run_load_generic(
-      "SG-MoE", model.num_experts(),
-      [&model](int i) -> nn::Module& { return model.expert(i); },
-      test, config, load,
+      "SG-MoE", experts, test, config, load,
       [&model](const std::vector<net::Channel*>& channels) {
         return std::make_unique<moe::MoeMaster>(model, channels);
       });

@@ -80,8 +80,10 @@ struct TeamNetFixture {
 
 }  // namespace
 
-ChaosConfig ExploreScenarioOptions::default_explore_chaos() {
-  ChaosConfig chaos;
+ResilienceConfig ExploreScenarioOptions::default_explore_chaos() {
+  ResilienceConfig chaos;
+  chaos.health = false;
+  chaos.drop_expired = false;
   chaos.faults.drop_prob = 0.2;
   chaos.faults.corrupt_prob = 0.1;
   chaos.faults.duplicate_prob = 0.15;
@@ -111,6 +113,10 @@ const std::vector<std::string>& explore_scenario_names() {
   return names;
 }
 
+namespace {
+
+// ---- schedule-invariant serializations -------------------------------------
+
 std::string discrete_bytes(const ScenarioResult& result) {
   std::ostringstream out;
   out << std::setprecision(17);
@@ -122,7 +128,7 @@ std::string discrete_bytes(const ScenarioResult& result) {
   return out.str();
 }
 
-std::string discrete_bytes(const ChaosResult& result) {
+std::string chaos_discrete_bytes(const ResilienceResult& result) {
   std::ostringstream out;
   out << discrete_bytes(result.scenario);
   out << "live_nodes=";
@@ -139,6 +145,10 @@ std::string discrete_bytes(const ChaosResult& result) {
   return out.str();
 }
 
+/// What must hold for the resilience scenario on EVERY legal schedule is
+/// the protocol's accounting: the degradation counters partition the
+/// queries, per-query vectors are complete, hedge wins/duplicates never
+/// exceed hedges sent, and every counter is non-negative.
 std::string discrete_bytes(const ResilienceResult& result) {
   const std::size_t n = result.degradation.size();
   const bool accounted =
@@ -165,6 +175,8 @@ std::string discrete_bytes(const ResilienceResult& result) {
       << "counters_non_negative=" << (non_negative ? 1 : 0) << "\n";
   return out.str();
 }
+
+}  // namespace
 
 des::ScheduleRunner make_explore_runner(const std::string& scenario,
                                         const ExploreScenarioOptions& options) {
@@ -223,14 +235,14 @@ des::ScheduleRunner make_explore_runner(const std::string& scenario,
   }
   if (scenario == "chaos") {
     auto fixture = std::make_shared<TeamNetFixture>();
-    ChaosConfig chaos = options.chaos;
+    ResilienceConfig chaos = options.chaos;
     chaos.faults.seed = options.seed;
     return [fixture, options, chaos](const des::ScheduleCase& c) {
       return guarded_run([&](des::RunOutcome& out) {
         const auto result =
-            run_teamnet_chaos(fixture->expert_ptrs(), fixture->test,
-                              scenario_config(options, c), chaos);
-        out.discrete = discrete_bytes(result);
+            run_teamnet_resilience(fixture->expert_ptrs(), fixture->test,
+                                   scenario_config(options, c), chaos);
+        out.discrete = chaos_discrete_bytes(result);
         out.digest = result.scenario.schedule_digest;
       });
     };

@@ -4,9 +4,13 @@
 // uses), runs the REAL protocol under the requested grant policy, and
 // serializes only the schedule-invariant outcomes:
 //
-//   * approach name, node count, accuracy, traffic counts — all scenarios;
+//   * approach name, node count, accuracy, traffic counts — every
+//     scenario but resilience;
 //   * per-query live set, per-query correctness, stale/rejoin/fault
-//     totals and the fault schedule — the chaos scenario.
+//     totals and the fault schedule — the chaos scenario;
+//   * the degradation accounting invariants alone — the resilience
+//     scenario, whose quorum membership and hedge firing (and with them
+//     accuracy, traffic and even the fault draws) legally vary by schedule.
 //
 // Latency and utilisation are deliberately ABSENT: they derive from the
 // schedule (who waited for whom) and legitimately vary across legal
@@ -37,17 +41,18 @@ struct ExploreScenarioOptions {
   /// a couple of airtimes of the default link so medium-capture reorderings
   /// actually occur; canonical ignores it, keeping the baseline canonical.
   double schedule_slack_s = 0.002;
-  /// Chaos-scenario tuning (ignored by the other scenarios). faults.seed is
-  /// overridden by `seed` so one knob sweeps the whole fixture. Flip
-  /// chaos.test_pre_qid_gather to arm the mutation gate.
-  ChaosConfig chaos = default_explore_chaos();
+  /// Chaos-scenario tuning (ignored by the other scenarios): a resilience
+  /// run with the SLO machinery off. faults.seed is overridden by `seed`
+  /// so one knob sweeps the whole fixture. Flip chaos.test_pre_qid_gather
+  /// to arm the mutation gate.
+  ResilienceConfig chaos = default_explore_chaos();
   /// Resilience-scenario tuning (degradation plane; same seed override).
   ResilienceConfig resilience = default_explore_resilience();
 
   /// The chaos fault model the explorer runs by default: drops, corruption,
   /// duplicates, plus a scripted partition/heal of worker 0 — the mix that
   /// exercises every stale-reply and rejoin path.
-  static ChaosConfig default_explore_chaos();
+  static ResilienceConfig default_explore_chaos();
   /// The default resilience fixture: drops + duplicates with quorum gather,
   /// hedging and the circuit breaker all enabled — the full degradation
   /// plane under schedule perturbation.
@@ -64,19 +69,5 @@ const std::vector<std::string>& explore_scenario_names();
 /// InvalidArgument for an unknown scenario name.
 des::ScheduleRunner make_explore_runner(const std::string& scenario,
                                         const ExploreScenarioOptions& options);
-
-/// Byte-stable serializations of the schedule-invariant outcome subset
-/// (exposed for tests; make_explore_runner uses these internally).
-std::string discrete_bytes(const ScenarioResult& result);
-std::string discrete_bytes(const ChaosResult& result);
-/// The resilience scenario's outcomes are mostly schedule-DEPENDENT by
-/// design — which Q replies form the quorum, whether a hedge fires, and
-/// therefore accuracy, traffic and even the fault draws all legally vary
-/// across interleavings. What must hold on EVERY legal schedule is the
-/// protocol's accounting: the degradation counters partition the queries,
-/// per-query vectors are complete, hedge wins/duplicates never exceed
-/// hedges sent, and every counter is non-negative. Only those invariants
-/// are serialized.
-std::string discrete_bytes(const ResilienceResult& result);
 
 }  // namespace teamnet::sim

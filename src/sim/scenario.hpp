@@ -30,7 +30,7 @@ namespace teamnet::sim {
 struct ScenarioConfig {
   DeviceProfile device = jetson_tx2_cpu();
   net::LinkProfile link = socket_link();
-  int num_queries = 40;    ///< latency-measurement queries (batch 1 each)
+  int num_queries = 40;    ///< latency-measurement queries (batch 1; >= 1)
   std::uint64_t seed = 123;
   /// free_running keeps the historical threads-plus-VirtualClock mode;
   /// discrete_event runs the same protocol under sim/des for bit-stable
@@ -96,64 +96,28 @@ ScenarioResult run_mpi_branch(nn::ShakeShakeNet& model,
                               const data::Dataset& test,
                               const ScenarioConfig& config);
 
+/// TeamNet with decentralized selection (mpi/decentralized.hpp): rank 0
+/// broadcasts the input, every rank runs its expert and the ranks
+/// allgather (class, entropy) summaries, so each one learns the answer
+/// without a master. A query's latency lasts until the LAST rank knows
+/// the answer. One expert per rank; experts.size() = number of nodes.
+ScenarioResult run_teamnet_decentralized(
+    const std::vector<nn::Module*>& experts, const data::Dataset& test,
+    const ScenarioConfig& config);
+
 /// Distributed SG-MoE: gate + expert 0 on the master, one expert per worker
 /// node. The link (gRPC vs MPI flavour) comes from `config.link`.
 ScenarioResult run_sg_moe(moe::SgMoe& model, const data::Dataset& test,
                           const ScenarioConfig& config);
 
-/// Fault injection layered on the TeamNet scenario: every master<->worker
-/// link is wrapped in a net::FaultyChannel whose seed is forked per worker
+/// TeamNet under fault injection (DESIGN.md §8, §13): every master<->worker
+/// link is wrapped in a net::FaultyChannel whose seed is forked per link
 /// from `faults.seed`, so one seed reproduces the whole fleet's fault
-/// schedule.
-struct ChaosConfig {
-  net::FaultProfile faults;  ///< per-link fault model (seed forked per worker)
-
-  /// Optional scripted two-way partition of one worker (0-based index) over
-  /// a query window — the crash/heal pattern the rejoin machinery targets.
-  int partition_worker = -1;      ///< -1 = no scripted partition
-  int partition_from_query = -1;  ///< query index at which the link goes dark
-  int heal_at_query = -1;         ///< query index at which it heals (-1 = never)
-
-  double worker_timeout_s = 0.05;  ///< shared gather deadline (virtual s)
-  int probe_interval = 2;          ///< probation probe cadence (queries)
-
-  /// TEST-ONLY mutation hook: re-introduces the pre-PR-3 gather, whose
-  /// stale-reply defense was the deadline clock reading instead of a
-  /// query-id echo — so acceptance races each reply's arrival time against
-  /// the deadline (net::CollaborativeMaster::set_test_pre_qid_gather).
-  /// Exists so the schedule explorer's mutation gate can prove it detects
-  /// a real ordering bug; never enable outside tests.
-  bool test_pre_qid_gather = false;
-};
-
-/// Per-query chaos telemetry on top of the usual scenario metrics.
-/// `scenario.accuracy_pct` is accuracy over the chaos queries themselves
-/// (not the full test set): degraded queries answer with fewer experts, and
-/// that degradation is exactly what this scenario measures.
-struct ChaosResult {
-  ScenarioResult scenario;
-  std::vector<int> live_nodes;  ///< per query: master + workers in the live set
-  std::vector<char> correct;    ///< per query: 1 = prediction was correct
-  std::int64_t stale_replies = 0;    ///< master's discarded stale replies
-  std::int64_t rejoins = 0;          ///< probed workers that came back
-  std::int64_t faults_injected = 0;  ///< total faults across all links
-  std::string fault_schedule;        ///< concatenated per-worker schedules
-};
-
-/// TeamNet's Figure-1 protocol under fault injection: same experts, same
-/// virtual-time accounting as run_teamnet, but the master reaches each
-/// worker through a FaultyChannel and runs with a gather deadline and
-/// probation/rejoin enabled. Deterministic for a fixed (config, chaos) —
-/// chaos_test asserts schedule equality byte for byte.
-ChaosResult run_teamnet_chaos(const std::vector<nn::Module*>& experts,
-                              const data::Dataset& test,
-                              const ScenarioConfig& config,
-                              const ChaosConfig& chaos);
-
-/// Degradation-plane scenario (DESIGN.md §13): the chaos substrate plus the
-/// SLO machinery — deadline propagation with expired-request drops, quorum
-/// gather, per-worker circuit breakers and (optionally) one backup replica
-/// per worker for hedged dispatch.
+/// schedule. On top sits the SLO machinery — deadline propagation with
+/// expired-request drops, quorum gather, per-worker circuit breakers and
+/// (optionally) one backup replica per worker for hedged dispatch. With
+/// health, drop_expired and hedging off and quorum 0 this is the plain
+/// chaos run: a gather deadline plus probation/rejoin.
 struct ResilienceConfig {
   net::FaultProfile faults;  ///< per-link fault model (seed forked per link)
 
@@ -171,11 +135,28 @@ struct ResilienceConfig {
   net::HealthConfig health_config;
   /// Workers drop Infer frames whose propagated deadline already expired.
   bool drop_expired = true;
+
+  /// Optional scripted two-way partition of one worker (0-based index) over
+  /// a query window — the crash/heal pattern the rejoin machinery targets.
+  int partition_worker = -1;      ///< -1 = no scripted partition
+  int partition_from_query = -1;  ///< query index at which the link goes dark
+  int heal_at_query = -1;         ///< query index at which it heals (-1 = never)
+
+  /// TEST-ONLY mutation hook: re-introduces the gather from before replies
+  /// echoed the query id, whose stale-reply defense was the deadline clock
+  /// reading instead — so acceptance races each reply's arrival time against
+  /// the deadline (net::CollaborativeMaster::set_test_pre_qid_gather).
+  /// Exists so the schedule explorer's mutation gate can prove it detects
+  /// a real ordering bug; never enable outside tests.
+  bool test_pre_qid_gather = false;
 };
 
 /// Per-query degradation telemetry on top of the usual scenario metrics.
 /// The three gather counters partition the queries
-/// (full + quorum + local_only == num_queries).
+/// (full + quorum + local_only == num_queries). `scenario.accuracy_pct` is
+/// accuracy over the issued queries themselves (not the full test set):
+/// degraded queries answer with fewer experts, and that degradation is
+/// exactly what this scenario measures.
 struct ResilienceResult {
   ScenarioResult scenario;
   std::vector<double> latency_ms;  ///< per query (virtual)
@@ -183,6 +164,7 @@ struct ResilienceResult {
   double p99_ms = 0.0;             ///< nearest-rank 99th percentile
   std::vector<int> degradation;  ///< per query: net::DegradationLevel as int
   std::vector<char> correct;     ///< per query: 1 = prediction was correct
+  std::vector<int> live_nodes;  ///< per query: master + workers in the live set
   std::int64_t full_gathers = 0;
   std::int64_t quorum_gathers = 0;
   std::int64_t local_only_gathers = 0;
@@ -194,13 +176,16 @@ struct ResilienceResult {
   std::int64_t stale_replies = 0;
   std::int64_t expired_drops = 0;  ///< summed over workers and backups
   std::int64_t faults_injected = 0;
+  std::string fault_schedule;  ///< concatenated per-link schedules
 };
 
 /// TeamNet's Figure-1 protocol under fault injection with the degradation
 /// plane enabled. Topology: master (node 0) + workers 1..K-1; with
 /// `res.hedging` also one backup replica of worker i's expert on node
 /// K-1+i. Deterministic for a fixed (config, res) under discrete_event —
-/// byte-identical across same-seed runs, results included.
+/// byte-identical across same-seed runs, results included. Under
+/// free_running the fault schedule and discrete outcomes still reproduce
+/// per seed; latency does not.
 ResilienceResult run_teamnet_resilience(const std::vector<nn::Module*>& experts,
                                         const data::Dataset& test,
                                         const ScenarioConfig& config,

@@ -4,8 +4,9 @@
 // crash-after-N, duplication, corruption, partition control), the
 // protocol-level regressions the query-id/deadline/probation machinery
 // exists for (stale replies, shared gather deadline, rejoin), and full
-// run_teamnet_chaos determinism: the same seed must reproduce the same
-// fault schedule AND the same ScenarioResult.
+// chaos-run determinism (run_teamnet_resilience with the SLO machinery
+// off): the same seed must reproduce the same fault schedule AND the same
+// ScenarioResult.
 //
 // CI runs this binary under ASan+UBSan and TSan across several values of
 // TEAMNET_CHAOS_SEED; tests read the env var so each leg exercises a
@@ -331,6 +332,15 @@ std::vector<nn::Module*> expert_ptrs(
   return ptrs;
 }
 
+/// A chaos run: the resilience scenario with health scoring and expired-
+/// request drops off (quorum 0 and no hedging are already the defaults).
+sim::ResilienceConfig chaos_config() {
+  sim::ResilienceConfig chaos;
+  chaos.health = false;
+  chaos.drop_expired = false;
+  return chaos;
+}
+
 /// Duplication-only faults: no drops means no timeouts, so everything
 /// discrete — schedule, outcomes, accuracy, traffic — must be
 /// bit-identical. Latency alone gets a tolerance: the nodes are
@@ -345,7 +355,7 @@ TEST(ChaosScenario, SameSeedSameResultUnderDuplication) {
   cfg.num_queries = 12;
   cfg.link = latency_only_link();
 
-  sim::ChaosConfig chaos;
+  sim::ResilienceConfig chaos = chaos_config();
   chaos.faults.seed = chaos_seed();
   chaos.faults.duplicate_prob = 0.3;
   // No drops, so no reply should ever miss the deadline — but the budget
@@ -355,8 +365,8 @@ TEST(ChaosScenario, SameSeedSameResultUnderDuplication) {
   chaos.worker_timeout_s = 5.0;
   chaos.probe_interval = 2;
 
-  auto a = sim::run_teamnet_chaos(expert_ptrs(experts), test, cfg, chaos);
-  auto b = sim::run_teamnet_chaos(expert_ptrs(experts), test, cfg, chaos);
+  auto a = sim::run_teamnet_resilience(expert_ptrs(experts), test, cfg, chaos);
+  auto b = sim::run_teamnet_resilience(expert_ptrs(experts), test, cfg, chaos);
 
   EXPECT_FALSE(a.fault_schedule.empty());
   EXPECT_EQ(a.fault_schedule, b.fault_schedule);
@@ -385,7 +395,7 @@ TEST(ChaosScenario, SameSeedSameScheduleUnderDropsAndPartition) {
   cfg.num_queries = 12;
   cfg.link = latency_only_link();
 
-  sim::ChaosConfig chaos;
+  sim::ResilienceConfig chaos = chaos_config();
   chaos.faults.seed = chaos_seed();
   chaos.faults.drop_prob = 0.25;
   chaos.faults.corrupt_prob = 0.1;
@@ -400,8 +410,8 @@ TEST(ChaosScenario, SameSeedSameScheduleUnderDropsAndPartition) {
   chaos.partition_from_query = 4;
   chaos.heal_at_query = 8;
 
-  auto a = sim::run_teamnet_chaos(expert_ptrs(experts), test, cfg, chaos);
-  auto b = sim::run_teamnet_chaos(expert_ptrs(experts), test, cfg, chaos);
+  auto a = sim::run_teamnet_resilience(expert_ptrs(experts), test, cfg, chaos);
+  auto b = sim::run_teamnet_resilience(expert_ptrs(experts), test, cfg, chaos);
 
   EXPECT_FALSE(a.fault_schedule.empty());
   EXPECT_EQ(a.fault_schedule, b.fault_schedule);
@@ -423,7 +433,7 @@ TEST(ChaosScenario, ScriptedPartitionHealsAndRejoins) {
   cfg.num_queries = 20;
   cfg.link = latency_only_link();
 
-  sim::ChaosConfig chaos;
+  sim::ResilienceConfig chaos = chaos_config();
   chaos.faults.seed = chaos_seed();
   chaos.worker_timeout_s = 0.25;  // loaded-CI headroom for live replies
   chaos.probe_interval = 1;
@@ -431,7 +441,7 @@ TEST(ChaosScenario, ScriptedPartitionHealsAndRejoins) {
   chaos.partition_from_query = 4;
   chaos.heal_at_query = 8;
 
-  auto r = sim::run_teamnet_chaos(expert_ptrs(experts), test, cfg, chaos);
+  auto r = sim::run_teamnet_resilience(expert_ptrs(experts), test, cfg, chaos);
   ASSERT_EQ(r.live_nodes.size(), 20u);
   EXPECT_EQ(r.live_nodes[0], 3);          // everyone up initially
   EXPECT_EQ(r.live_nodes[5], 2);          // partitioned worker failed

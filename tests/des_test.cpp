@@ -373,7 +373,16 @@ TEST(DesCrossMode, SgMoeDiscreteOutcomesMatchFreeRunning) {
   EXPECT_EQ(des.messages_per_query, free_run.messages_per_query);
 }
 
-std::string chaos_signature(const sim::ChaosResult& r) {
+/// A chaos run: resilience with health scoring and expired-request drops
+/// off.
+sim::ResilienceConfig chaos_config() {
+  sim::ResilienceConfig chaos;
+  chaos.health = false;
+  chaos.drop_expired = false;
+  return chaos;
+}
+
+std::string chaos_signature(const sim::ResilienceResult& r) {
   std::string s = r.fault_schedule;
   s += "|stale=" + std::to_string(r.stale_replies);
   s += "|rejoins=" + std::to_string(r.rejoins);
@@ -392,7 +401,7 @@ TEST(DesCrossMode, ChaosScheduleMatchesFreeRunningUnderDropsAndPartition) {
   const auto experts = make_experts(3);
   const auto ptrs = expert_ptrs(experts);
   const auto test = blob_test_set();
-  sim::ChaosConfig chaos;
+  sim::ResilienceConfig chaos = chaos_config();
   chaos.faults.seed = 42;
   chaos.faults.drop_prob = 0.25;
   chaos.faults.corrupt_prob = 0.1;
@@ -402,11 +411,11 @@ TEST(DesCrossMode, ChaosScheduleMatchesFreeRunningUnderDropsAndPartition) {
   chaos.partition_worker = 0;
   chaos.partition_from_query = 4;
   chaos.heal_at_query = 8;
-  const auto des = sim::run_teamnet_chaos(
+  const auto des = sim::run_teamnet_resilience(
       ptrs, test, fast_config(sim::Scheduler::discrete_event), chaos);
-  const auto des2 = sim::run_teamnet_chaos(
+  const auto des2 = sim::run_teamnet_resilience(
       ptrs, test, fast_config(sim::Scheduler::discrete_event), chaos);
-  const auto free_run = sim::run_teamnet_chaos(
+  const auto free_run = sim::run_teamnet_resilience(
       ptrs, test, fast_config(sim::Scheduler::free_running), chaos);
   EXPECT_EQ(des.scenario.latency_ms, des2.scenario.latency_ms);
   EXPECT_EQ(chaos_signature(des), chaos_signature(des2));
@@ -417,14 +426,14 @@ TEST(DesCrossMode, ChaosScheduleMatchesFreeRunningUnderDuplication) {
   const auto experts = make_experts(3);
   const auto ptrs = expert_ptrs(experts);
   const auto test = blob_test_set();
-  sim::ChaosConfig chaos;
+  sim::ResilienceConfig chaos = chaos_config();
   chaos.faults.seed = 42;
   chaos.faults.duplicate_prob = 0.3;
   chaos.worker_timeout_s = 5.0;  // generous: no worker ever actually fails,
   chaos.probe_interval = 2;      // so the probe path stays idle in both modes
-  const auto des = sim::run_teamnet_chaos(
+  const auto des = sim::run_teamnet_resilience(
       ptrs, test, fast_config(sim::Scheduler::discrete_event), chaos);
-  const auto free_run = sim::run_teamnet_chaos(
+  const auto free_run = sim::run_teamnet_resilience(
       ptrs, test, fast_config(sim::Scheduler::free_running), chaos);
   EXPECT_EQ(chaos_signature(des), chaos_signature(free_run));
 }

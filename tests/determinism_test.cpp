@@ -49,23 +49,6 @@ std::string result_bytes(const sim::ScenarioResult& r) {
   return out;
 }
 
-std::string result_bytes(const sim::ChaosResult& r) {
-  std::string out = result_bytes(r.scenario);
-  out += '\0';
-  for (int v : r.live_nodes) out += std::to_string(v) + ",";
-  out += '\0';
-  for (char c : r.correct) out += c ? '1' : '0';
-  out += '\0';
-  out += std::to_string(r.stale_replies);
-  out += '\0';
-  out += std::to_string(r.rejoins);
-  out += '\0';
-  out += std::to_string(r.faults_injected);
-  out += '\0';
-  out += r.fault_schedule;
-  return out;
-}
-
 std::string result_bytes(const sim::ResilienceResult& r) {
   std::string out = result_bytes(r.scenario);
   out += '\0';
@@ -76,6 +59,10 @@ std::string result_bytes(const sim::ResilienceResult& r) {
   for (int level : r.degradation) out += std::to_string(level) + ",";
   out += '\0';
   for (char c : r.correct) out += c ? '1' : '0';
+  out += '\0';
+  for (int v : r.live_nodes) out += std::to_string(v) + ",";
+  out += '\0';
+  out += r.fault_schedule;
   for (std::int64_t v :
        {r.full_gathers, r.quorum_gathers, r.local_only_gathers,
         r.hedges_sent, r.hedge_wins, r.hedge_duplicates, r.breaker_opens,
@@ -235,11 +222,24 @@ TEST(Determinism, SgMoe) {
   EXPECT_EQ(result_bytes(a), result_bytes(b));
 }
 
+TEST(Determinism, TeamNetDecentralized) {
+  const auto experts = make_experts(3);
+  const auto ptrs = expert_ptrs(experts);
+  const auto test = blob_test_set();
+  const auto a = sim::run_teamnet_decentralized(ptrs, test, des_config());
+  const auto b = sim::run_teamnet_decentralized(ptrs, test, des_config());
+  EXPECT_EQ(result_bytes(a), result_bytes(b));
+  EXPECT_EQ(a.schedule_digest, b.schedule_digest);
+}
+
+/// A chaos run: resilience with the SLO machinery off.
 TEST(Determinism, TeamNetChaos) {
   const auto experts = make_experts(3);
   const auto ptrs = expert_ptrs(experts);
   const auto test = blob_test_set();
-  sim::ChaosConfig chaos;
+  sim::ResilienceConfig chaos;
+  chaos.health = false;
+  chaos.drop_expired = false;
   chaos.faults.seed = determinism_seed();
   chaos.faults.drop_prob = 0.2;
   chaos.faults.corrupt_prob = 0.1;
@@ -249,8 +249,8 @@ TEST(Determinism, TeamNetChaos) {
   chaos.partition_worker = 0;
   chaos.partition_from_query = 3;
   chaos.heal_at_query = 6;
-  const auto a = sim::run_teamnet_chaos(ptrs, test, des_config(), chaos);
-  const auto b = sim::run_teamnet_chaos(ptrs, test, des_config(), chaos);
+  const auto a = sim::run_teamnet_resilience(ptrs, test, des_config(), chaos);
+  const auto b = sim::run_teamnet_resilience(ptrs, test, des_config(), chaos);
   EXPECT_EQ(result_bytes(a), result_bytes(b));
 }
 

@@ -326,5 +326,66 @@ TEST(Heterogeneous, StragglerGatesLatencyAndMatchingHelps) {
       InvariantError);
 }
 
+// Every driver reports per-query means, so a run of zero queries divided
+// 0 by 0 and a negative count threw std::length_error from the row
+// sampler; both are rejected up front as invalid configurations.
+TEST(ScenarioConfigCheck, RejectsQueryCountBelowOne) {
+  Rng rng(91);
+  nn::MlpConfig mc;
+  mc.in_features = 28 * 28;
+  mc.depth = 2;
+  mc.hidden = 16;
+  nn::MlpNet a(mc, rng), b(mc, rng);
+  data::MnistConfig dc;
+  dc.num_samples = 16;
+  const auto test = data::make_synthetic_mnist(dc);
+  moe::SgMoeConfig sc;
+  sc.num_experts = 2;
+  moe::SgMoe sg(sc, mc.in_features, [&mc](int, Rng& r) -> nn::ModulePtr {
+    return std::make_unique<nn::MlpNet>(mc, r);
+  });
+
+  for (int n : {0, -1}) {
+    sim::ScenarioConfig cfg;
+    cfg.num_queries = n;
+    EXPECT_THROW(sim::run_teamnet({&a, &b}, test, cfg), InvariantError) << n;
+    EXPECT_THROW(sim::run_teamnet_resilience({&a, &b}, test, cfg, {}),
+                 InvariantError)
+        << n;
+    EXPECT_THROW(sim::run_sg_moe(sg, test, cfg), InvariantError) << n;
+    EXPECT_THROW(sim::run_mpi_matrix(a, test, cfg, 2), InvariantError) << n;
+    EXPECT_THROW(sim::run_teamnet_decentralized({&a, &b}, test, cfg),
+                 InvariantError)
+        << n;
+  }
+}
+
+// A query that throws mid-run (the master's own expert cannot take the
+// input; the workers drop it and keep serving) surfaces as the error, with
+// every serving node woken and joined — fault-free and fault-wrapped
+// fleets, backups included, under both schedulers.
+TEST(FleetTeardown, QueryErrorJoinsEveryNode) {
+  Rng rng(92);
+  nn::MlpConfig mc;
+  mc.in_features = 8;
+  mc.depth = 2;
+  mc.hidden = 8;
+  nn::MlpNet a(mc, rng), b(mc, rng), c(mc, rng);
+  data::MnistConfig dc;
+  dc.num_samples = 16;
+  const auto test = data::make_synthetic_mnist(dc);  // 784 features, not 8
+  sim::ResilienceConfig res;
+  res.hedging = true;
+  for (auto scheduler :
+       {sim::Scheduler::discrete_event, sim::Scheduler::free_running}) {
+    sim::ScenarioConfig cfg;
+    cfg.num_queries = 2;
+    cfg.scheduler = scheduler;
+    EXPECT_THROW(sim::run_teamnet({&a, &b, &c}, test, cfg), Error);
+    EXPECT_THROW(sim::run_teamnet_resilience({&a, &b, &c}, test, cfg, res),
+                 Error);
+  }
+}
+
 }  // namespace
 }  // namespace teamnet

@@ -17,6 +17,7 @@
 // to prove the explorer itself is deterministic.
 #include <cstdlib>
 #include <iostream>
+#include <limits>
 #include <sstream>
 #include <string>
 
@@ -51,7 +52,7 @@ struct Cli {
             << "usage: schedule_explore --scenario=NAME [options]\n"
             << "  --scenario=NAME       teamnet|mpi|sg-moe|chaos|resilience\n"
             << "  --seed=N              scenario seed (default 123)\n"
-            << "  --queries=N           queries per run (default 8)\n"
+            << "  --queries=N           queries per run, >= 1 (default 8)\n"
             << "  --schedules=N         perturbed schedules (default 50)\n"
             << "  --schedule-seed0=N    first schedule seed (default 1)\n"
             << "  --mutate              arm the pre-query-id gather mutant\n"
@@ -88,7 +89,14 @@ Cli parse(int argc, char** argv) {
     } else if (name == "--seed") {
       cli.seed = std::strtoull(value().c_str(), nullptr, 10);
     } else if (name == "--queries") {
-      cli.queries = std::atoi(value().c_str());
+      const std::string text = value();
+      char* end = nullptr;
+      const long queries = std::strtol(text.c_str(), &end, 10);
+      if (text.empty() || *end != '\0' || queries < 1 ||
+          queries > std::numeric_limits<int>::max()) {
+        usage("--queries needs a positive integer, got '" + text + "'");
+      }
+      cli.queries = static_cast<int>(queries);
     } else if (name == "--schedules") {
       cli.schedules = std::atoi(value().c_str());
     } else if (name == "--schedule-seed0") {
