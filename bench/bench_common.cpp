@@ -124,7 +124,6 @@ void require_writable_parent_or_exit(const std::string& path,
 
 void apply_scheduler_options(sim::ScenarioConfig& config,
                              const Options& opts) {
-  config.scheduler = opts.scheduler;
   config.grant_policy = opts.grant_policy;
   config.schedule_seed = opts.schedule_seed;
   config.schedule_slack_s = opts.schedule_slack_s;
@@ -152,17 +151,6 @@ Options parse_options(int argc, char** argv) {
       require_writable_parent_or_exit(opts.breakdown_path, "--breakdown");
     } else if (arg == "--trace-sched") {
       opts.trace_sched = true;
-    } else if (arg == "--scheduler" && i + 1 < argc) {
-      const std::string mode = argv[++i];
-      if (mode == "free_running") {
-        opts.scheduler = sim::Scheduler::free_running;
-      } else if (mode == "discrete_event") {
-        opts.scheduler = sim::Scheduler::discrete_event;
-      } else {
-        std::fprintf(stderr, "unknown --scheduler %s (want free_running or "
-                             "discrete_event)\n", mode.c_str());
-        std::exit(2);
-      }
     } else if (arg == "--grant-policy" && i + 1 < argc) {
       const std::string name = argv[++i];
       const auto kind = sim::des::parse_grant_policy(name);
@@ -183,7 +171,6 @@ Options parse_options(int argc, char** argv) {
                    "usage: %s [--quick] [--verbose] [--cache-dir DIR] "
                    "[--json PATH] [--trace PATH] [--metrics PATH] "
                    "[--trace-sched] "
-                   "[--scheduler free_running|discrete_event] "
                    "[--grant-policy canonical|random-tiebreak|pct] "
                    "[--schedule-seed N] [--schedule-slack S]\n",
                    argv[0]);
@@ -533,8 +520,7 @@ std::unique_ptr<moe::SgMoe> train_cifar_sgmoe(const CifarSetup& setup,
 
 JsonReport::JsonReport(const Options& opts, std::string experiment)
     : path_(opts.json_path),
-      experiment_(std::move(experiment)),
-      scheduler_(sim::to_string(opts.scheduler)) {}
+      experiment_(std::move(experiment)) {}
 
 void JsonReport::add(const std::string& label,
                      const sim::ScenarioResult& result) {
@@ -563,7 +549,7 @@ void JsonReport::write() const {
   }
   os << "{\n"
      << "  \"experiment\": \"" << json_escape(experiment_) << "\",\n"
-     << "  \"scheduler\": \"" << scheduler_ << "\",\n"
+     << "  \"scheduler\": \"discrete_event\",\n"
      << "  \"results\": [";
   for (std::size_t i = 0; i < rows_.size(); ++i) {
     const Row& row = rows_[i];
@@ -620,8 +606,7 @@ void JsonReport::write() const {
 
 BreakdownReport::BreakdownReport(const Options& opts, std::string experiment)
     : path_(opts.breakdown_path),
-      experiment_(std::move(experiment)),
-      scheduler_(sim::to_string(opts.scheduler)) {}
+      experiment_(std::move(experiment)) {}
 
 void BreakdownReport::add(const std::string& label,
                           const load::BreakdownSummary& summary) {
@@ -634,7 +619,7 @@ void BreakdownReport::write() const {
   std::string doc;
   doc += "{\n";
   doc += "  \"experiment\": \"" + json_escape(experiment_) + "\",\n";
-  doc += "  \"scheduler\": \"" + scheduler_ + "\",\n";
+  doc += "  \"scheduler\": \"discrete_event\",\n";
   doc += "  \"breakdowns\": [";
   for (std::size_t i = 0; i < rows_.size(); ++i) {
     doc += (i == 0 ? "" : ",");

@@ -35,13 +35,9 @@ struct Options {
   /// flat --json row carries the compare-gated headline shares.
   std::string breakdown_path;
   bool trace_sched = false;  ///< --trace-sched: include DES scheduler events
-  /// Benches default to the discrete-event scheduler so every published
-  /// number — latency_ms included — is bit-reproducible from the seed;
-  /// --scheduler free_running restores the racing wall-clock mode.
-  sim::Scheduler scheduler = sim::Scheduler::discrete_event;
   /// Schedule-exploration knobs (DESIGN.md §11), forwarded into every
   /// ScenarioConfig via apply_scheduler_options. The defaults (canonical,
-  /// seed 0, slack 0) reproduce the historical schedule byte for byte;
+  /// seed 0, slack 0) reproduce the canonical schedule byte for byte;
   /// --grant-policy/--schedule-seed/--schedule-slack rerun a bench under a
   /// perturbed-but-legal schedule, e.g. to replay an explorer finding at
   /// full bench scale.
@@ -50,8 +46,8 @@ struct Options {
   double schedule_slack_s = 0.0;
 };
 
-/// Copies the scheduler-selection flags (--scheduler, --grant-policy,
-/// --schedule-seed, --schedule-slack) into a scenario config.
+/// Copies the schedule-exploration flags (--grant-policy, --schedule-seed,
+/// --schedule-slack) into a scenario config.
 void apply_scheduler_options(sim::ScenarioConfig& config, const Options& opts);
 
 /// Parses the shared bench flags. Every output-file flag (--json, --trace,
@@ -72,9 +68,11 @@ void print_banner(const std::string& experiment, const std::string& paper_ref);
 
 /// Machine-readable results sink behind --json: collects one row per
 /// measured scenario and writes them as a single JSON document (experiment
-/// name, scheduler mode, and per-row approach/nodes/latency/accuracy/
-/// traffic). Doubles are emitted with %.17g so a bit-stable run produces a
-/// byte-stable file. No-op when the option was not given.
+/// name, the scheduler tag — always "discrete_event", kept so frozen
+/// baselines and tools/bench_compare.py read unchanged — and per-row
+/// approach/nodes/latency/accuracy/traffic). Doubles are emitted with
+/// %.17g so a bit-stable run produces a byte-stable file. No-op when the
+/// option was not given.
 class JsonReport {
  public:
   JsonReport(const Options& opts, std::string experiment);
@@ -97,7 +95,6 @@ class JsonReport {
  private:
   std::string path_;
   std::string experiment_;
-  std::string scheduler_;
   struct Row {
     std::string label;
     sim::ScenarioResult result;
@@ -124,7 +121,6 @@ class BreakdownReport {
  private:
   std::string path_;
   std::string experiment_;
-  std::string scheduler_;
   std::vector<std::pair<std::string, load::BreakdownSummary>> rows_;
 };
 

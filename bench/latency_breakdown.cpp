@@ -13,9 +13,9 @@
 // them. The master IS the bottleneck, which is the paper's motivation for
 // keeping coordination cheap on the edge.
 //
-// Under --scheduler discrete_event (the default) every attribution
-// telescopes bit-exactly (reconciled == queries, max_residual_ns == 0) and
-// both --json and --breakdown are byte-stable across same-seed runs; the
+// On the discrete-event clock every attribution telescopes bit-exactly
+// (reconciled == queries, max_residual_ns == 0) and both --json and
+// --breakdown are byte-stable across same-seed runs; the
 // checked-in BENCH_breakdown.json freezes the flat --json rows, gated in
 // CI by tools/bench_compare.py, while the rich --breakdown document is
 // gated by double-run byte identity.

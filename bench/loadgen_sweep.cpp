@@ -7,10 +7,10 @@
 // the tail — the perf behaviour the paper-table benches (one query at a
 // time) cannot express.
 //
-// Under --scheduler discrete_event (the default) the whole sweep is
-// bit-reproducible from the seeds, so --json output is byte-stable across
-// same-seed runs; the checked-in BENCH_loadgen.json is the frozen --quick
-// snapshot, gated in CI by tools/bench_compare.py.
+// On the discrete-event clock the whole sweep is bit-reproducible from
+// the seeds, so --json output is byte-stable across same-seed runs; the
+// checked-in BENCH_loadgen.json is the frozen --quick snapshot, gated in
+// CI by tools/bench_compare.py.
 #include <cstdio>
 #include <string>
 #include <utility>

@@ -6,10 +6,10 @@
 // pins at the gather deadline (a single lost reply burns the whole SLO)
 // while quorum + hedging keeps the tail bounded below it, trading a
 // recorded fraction of quorum/local-only gathers for the latency win.
-// Under --scheduler discrete_event (the default) every number is
-// bit-reproducible, so --json output is byte-stable across same-seed
-// runs; the checked-in BENCH_resilience.json is the frozen --quick
-// snapshot of this sweep (the repo's first bench baseline).
+// On the discrete-event clock every number is bit-reproducible, so --json
+// output is byte-stable across same-seed runs; the checked-in
+// BENCH_resilience.json is the frozen --quick snapshot of this sweep (the
+// repo's first bench baseline).
 #include <cstdio>
 #include <string>
 #include <vector>

@@ -6,9 +6,8 @@
 // query at a time, latency = mean service time) and a perf baseline: it
 // measures latency from ARRIVAL to completion, so queueing delay under an
 // open-loop overload shows up in the tail exactly as it would on a real
-// edge deployment. Under the discrete_event scheduler the whole run —
-// arrival instants, per-query latencies, the JSON a bench emits — is
-// byte-identical for a seed.
+// edge deployment. The whole run — arrival instants, per-query latencies,
+// the JSON a bench emits — is byte-identical for a seed.
 #pragma once
 
 #include <cstdint>

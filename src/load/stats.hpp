@@ -3,8 +3,8 @@
 // A load run yields one QueryRecord per query: when it arrived (per the
 // arrival process, on the virtual clock) and when its reply came back.
 // Derived statistics are split into phases — warmup vs steady state — so
-// cold-start effects (first-touch page faults in free_running, the arrival
-// process ramping a closed-loop population) never pollute the numbers a
+// cold-start effects (the arrival process ramping a closed-loop
+// population, queues filling from empty) never pollute the numbers a
 // baseline is gated on. A phase reports offered vs achieved rate and the
 // time-average in-flight depth (queued + in service), computed exactly as
 // the integral of interval overlap with the phase window — Little's law

@@ -72,12 +72,12 @@ class FaultyChannel final : public Channel {
 
   /// Replaces the clock recv_timeout budgets are measured against (seconds,
   /// monotone non-decreasing). Defaults to the real steady clock — right
-  /// when wrapping TCP or free-running sim channels, whose deadlines elapse
-  /// in real time. The discrete-event scheduler injects virtual time here
-  /// instead: under DES the inner channel's timeouts consume virtual
-  /// seconds, and measuring the remaining budget on the real clock would
-  /// feed scheduling noise back into the retry sequence. Configure before
-  /// any traffic flows, like the DelayFn.
+  /// when wrapping TCP or in-process channels, whose deadlines elapse in
+  /// real time. The simulator injects virtual time here instead: a DES
+  /// channel's timeouts consume virtual seconds, and measuring the
+  /// remaining budget on the real clock would feed scheduling noise back
+  /// into the retry sequence. Configure before any traffic flows, like the
+  /// DelayFn.
   void set_time_source(std::function<double()> now);
 
   /// The recorded fault schedule so far, one `tx#N <fault>` / `rx#N <fault>`

@@ -2,13 +2,11 @@
 
 #include <atomic>
 #include <chrono>
+#include <deque>
 
 #include "common/annotations.hpp"
 #include "common/error.hpp"
 #include "common/logging.hpp"
-#include "common/raw_bytes.hpp"
-#include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 
 namespace teamnet::net {
 
@@ -110,122 +108,6 @@ class InProcChannel final : public Channel {
   std::shared_ptr<ByteQueue> in_;
 };
 
-/// Registry counters for the simulated wire. Counting happens at the
-/// SimChannel/DesChannel layer — the layers that know (self, peer) — never
-/// in InProcChannel, so wrapped channels are not double-counted.
-struct WireCounters {
-  obs::Counter& bytes_sent;
-  obs::Counter& msgs_sent;
-  obs::Counter& bytes_received;
-  obs::Counter& msgs_received;
-  /// Per-message link transit (virtual send -> virtual delivery), ms.
-  /// Decade edges span channel hops to multi-second injected delays.
-  obs::Histogram& transit_ms;
-
-  static WireCounters& instance() {
-    static WireCounters& counters = *new WireCounters{
-        obs::MetricsRegistry::instance().counter("net.bytes_sent"),
-        obs::MetricsRegistry::instance().counter("net.msgs_sent"),
-        obs::MetricsRegistry::instance().counter("net.bytes_received"),
-        obs::MetricsRegistry::instance().counter("net.msgs_received"),
-        obs::MetricsRegistry::instance().histogram(
-            "net.transit_ms", {0.001, 0.01, 0.1, 1.0, 10.0, 100.0, 1e3}),
-    };
-    return counters;
-  }
-};
-
-class SimChannel final : public Channel {
- public:
-  SimChannel(ChannelPtr inner, VirtualClock& clock, int self, int peer,
-             LinkProfile link)
-      : inner_(std::move(inner)),
-        clock_(clock),
-        self_(self),
-        peer_(peer),
-        link_(link),
-        tx_label_("tx_bytes " + std::to_string(self) + "->" +
-                  std::to_string(peer)),
-        rx_label_("rx_bytes " + std::to_string(peer) + "->" +
-                  std::to_string(self)) {}
-
-  void send(std::string bytes) override {
-    const std::size_t payload = bytes.size();
-    // Prefix the sender's virtual timestamp so the receiving endpoint can
-    // model the link delay relative to when the message actually left.
-    const double now = clock_.node_time(self_);
-    std::string stamped;
-    stamped.reserve(bytes.size() + sizeof(double));
-    write_raw(stamped, now);
-    stamped += bytes;
-    inner_->send(std::move(stamped));
-    WireCounters::instance().bytes_sent.add(
-        static_cast<std::int64_t>(payload));
-    WireCounters::instance().msgs_sent.increment();
-    if (obs::Tracer::active()) {
-      const auto total = tx_bytes_.fetch_add(
-                             static_cast<std::int64_t>(payload),
-                             std::memory_order_relaxed) +
-                         static_cast<std::int64_t>(payload);
-      obs::trace_counter(tx_label_.c_str(), static_cast<double>(total));
-    }
-  }
-
-  std::string recv() override {
-    std::string stamped = inner_->recv();
-    return unstamp(std::move(stamped));
-  }
-
-  std::optional<std::string> recv_timeout(double seconds) override {
-    auto stamped = inner_->recv_timeout(seconds);
-    if (!stamped) {
-      // Virtual-time-aware timeout: the real wait timed out, so the
-      // simulated node spent the full budget listening. Charging it here is
-      // what bounds a shared-deadline gather to ONE timeout of virtual time
-      // — the first timed-out worker consumes the budget, and later workers
-      // are polled with a zero remainder.
-      if (seconds > 0.0) clock_.advance(self_, seconds);
-      return std::nullopt;
-    }
-    return unstamp(std::move(*stamped));
-  }
-
-  void close() override { inner_->close(); }
-
- private:
-  std::string unstamp(std::string stamped) {
-    std::size_t offset = 0;
-    const double send_time = read_raw<double>(stamped, offset);
-    const auto payload_bytes =
-        static_cast<std::int64_t>(stamped.size() - sizeof(double));
-    clock_.deliver(self_, send_time, payload_bytes, link_);
-    WireCounters::instance().bytes_received.add(payload_bytes);
-    WireCounters::instance().msgs_received.increment();
-    // Observed AFTER deliver returns (never under the clock's lock): the
-    // receiver's post-delivery clock minus the sender's stamp is the
-    // message's realized transit, Lamport wait included.
-    WireCounters::instance().transit_ms.observe(
-        1e3 * (clock_.node_time(self_) - send_time));
-    if (obs::Tracer::active()) {
-      const auto total =
-          rx_bytes_.fetch_add(payload_bytes, std::memory_order_relaxed) +
-          payload_bytes;
-      obs::trace_counter(rx_label_.c_str(), static_cast<double>(total));
-    }
-    return stamped.substr(sizeof(double));
-  }
-
-  ChannelPtr inner_;
-  VirtualClock& clock_;
-  int self_;
-  int peer_;
-  LinkProfile link_;
-  const std::string tx_label_;
-  const std::string rx_label_;
-  std::atomic<std::int64_t> tx_bytes_{0};
-  std::atomic<std::int64_t> rx_bytes_{0};
-};
-
 }  // namespace
 
 std::pair<ChannelPtr, ChannelPtr> make_inproc_pair() {
@@ -233,29 +115,6 @@ std::pair<ChannelPtr, ChannelPtr> make_inproc_pair() {
   auto b_to_a = std::make_shared<ByteQueue>();
   return {std::make_unique<InProcChannel>(a_to_b, b_to_a),
           std::make_unique<InProcChannel>(b_to_a, a_to_b)};
-}
-
-ChannelPtr make_sim_channel(ChannelPtr inner, VirtualClock& clock, int self,
-                            int peer, LinkProfile link) {
-  TEAMNET_CHECK(inner != nullptr);
-  return std::make_unique<SimChannel>(std::move(inner), clock, self, peer, link);
-}
-
-std::vector<std::vector<ChannelPtr>> make_sim_mesh(int n, VirtualClock& clock,
-                                                   const LinkProfile& link) {
-  TEAMNET_CHECK(n >= 1 && clock.num_nodes() >= n);
-  std::vector<std::vector<ChannelPtr>> mesh(static_cast<std::size_t>(n));
-  for (auto& row : mesh) row.resize(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    for (int j = i + 1; j < n; ++j) {
-      auto [a, b] = make_inproc_pair();
-      mesh[static_cast<std::size_t>(i)][static_cast<std::size_t>(j)] =
-          make_sim_channel(std::move(a), clock, i, j, link);
-      mesh[static_cast<std::size_t>(j)][static_cast<std::size_t>(i)] =
-          make_sim_channel(std::move(b), clock, j, i, link);
-    }
-  }
-  return mesh;
 }
 
 }  // namespace teamnet::net

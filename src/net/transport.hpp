@@ -4,18 +4,15 @@
 // and the MPI-style runtime run unchanged over:
 //   * InProc      — lock-free-enough in-process queues (tests, examples)
 //   * TCP         — real sockets (examples; see tcp.hpp)
-//   * Sim         — an InProc pair wrapped with virtual-clock accounting:
-//                   every send stamps the sender's virtual time, every recv
-//                   charges link latency + serialization delay (benches)
+//   * DES         — discrete-event channels whose sends and receives run on
+//                   the simulator's virtual clock (benches; see
+//                   sim/des/des_channel.hpp)
 #pragma once
 
-#include <deque>
 #include <memory>
 #include <optional>
 #include <string>
 #include <utility>
-
-#include "net/virtual_clock.hpp"
 
 namespace teamnet::net {
 
@@ -27,12 +24,14 @@ class Channel {
   virtual void send(std::string bytes) = 0;
   /// Blocks until a message is available and returns it.
   virtual std::string recv() = 0;
-  /// Like recv but gives up after `seconds` of REAL time, returning
-  /// nullopt; `seconds <= 0` is a non-blocking poll. The fault-tolerant
-  /// master uses this to survive dead or wedged workers. The base default
-  /// has no timeout support: it falls back to plain blocking recv and
-  /// warns (once per process) when called with a positive timeout, because
-  /// a blocking fallback silently voids the caller's deadline.
+  /// Like recv but gives up after `seconds`, returning nullopt;
+  /// `seconds <= 0` is a non-blocking poll. InProc and TCP wait real
+  /// seconds; a DES channel spends the budget in virtual time. The
+  /// fault-tolerant master uses this to survive dead or wedged workers.
+  /// The base default has no timeout support: it falls back to plain
+  /// blocking recv and warns (once per process) when called with a
+  /// positive timeout, because a blocking fallback silently voids the
+  /// caller's deadline.
   virtual std::optional<std::string> recv_timeout(double seconds);
   /// Shuts the channel down: subsequent (and currently blocked) recv calls
   /// fail with NetworkError once drained. Error-recovery paths use this to
@@ -45,17 +44,5 @@ using ChannelPtr = std::unique_ptr<Channel>;
 /// Creates a connected in-process channel pair: bytes sent on `first` are
 /// received on `second` and vice versa.
 std::pair<ChannelPtr, ChannelPtr> make_inproc_pair();
-
-/// Wraps `inner` with virtual-time accounting for one direction-pair:
-/// this endpoint is simulated node `self`, the peer is node `peer`.
-/// Each sent message is prefixed with the sender's virtual timestamp; each
-/// received message advances the receiver's clock by the link model.
-ChannelPtr make_sim_channel(ChannelPtr inner, VirtualClock& clock, int self,
-                            int peer, LinkProfile link);
-
-/// Creates a fully connected simulated mesh of `n` nodes over in-process
-/// pairs. mesh[i][j] is node i's channel to node j (nullptr for i == j).
-std::vector<std::vector<ChannelPtr>> make_sim_mesh(int n, VirtualClock& clock,
-                                                   const LinkProfile& link);
 
 }  // namespace teamnet::net

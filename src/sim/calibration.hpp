@@ -9,7 +9,7 @@
 // come from net::wifi_link().
 #pragma once
 
-#include "net/virtual_clock.hpp"
+#include "net/link.hpp"
 
 namespace teamnet::sim {
 

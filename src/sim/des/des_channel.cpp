@@ -49,8 +49,8 @@ DesChannel::DesChannel(Engine& engine, int self, std::shared_ptr<Mailbox> in,
 void DesChannel::send(std::string bytes) {
   const auto payload = static_cast<std::int64_t>(bytes.size());
   engine_.send(self_, out_, std::move(bytes), link_);
-  // Same wire-level accounting as SimChannel (the layer that knows the
-  // endpoints counts; decorators above never double-count).
+  // Wire-level accounting lives here, in the layer that knows the
+  // endpoints; decorators above never double-count.
   WireCounters::instance().bytes_sent.add(payload);
   WireCounters::instance().msgs_sent.increment();
   if (obs::Tracer::active()) {

@@ -1,16 +1,16 @@
 // Channel implementation backed by the discrete-event engine.
 //
-// DesChannel is the DES counterpart of make_sim_channel: the same blocking
-// Channel interface the protocol code already runs over, but every send
-// schedules a delivery event in the engine and every recv parks the node
-// thread until the engine hands the message over in virtual-time order.
-// Unlike SimChannel there is no timestamp stamped into the payload — the
-// engine knows the sender's clock — so decorators that inspect or mutate
-// bytes (FaultyChannel corruption, fuzzed decoders) see the pure payload,
-// and byte counters match SimChannel's payload accounting.
+// DesChannel is how every simulated node talks: the same blocking Channel
+// interface the protocol code runs over in-process and over TCP, but every
+// send schedules a delivery event in the engine and every recv parks the
+// node thread until the engine hands the message over in virtual-time
+// order. The engine knows the sender's clock, so nothing is stamped into
+// the payload: decorators that inspect or mutate bytes (FaultyChannel
+// corruption, fuzzed decoders) see the pure payload, and the byte counters
+// count payload bytes only.
 //
-// Composable under make_faulty_channel exactly like SimChannel; the chaos
-// scenario wraps mesh legs without caring which scheduler built them.
+// Composable under make_faulty_channel; the chaos and resilience scenarios
+// wrap mesh legs in a FaultyChannel.
 #pragma once
 
 #include <atomic>
@@ -57,9 +57,9 @@ class DesChannel final : public net::Channel {
 std::pair<net::ChannelPtr, net::ChannelPtr> make_des_pair(
     Engine& engine, int a, int b, const net::LinkProfile& link);
 
-/// Fully connected DES mesh of `n` nodes, laid out exactly like
-/// make_sim_mesh: mesh[i][j] is node i's channel to node j (nullptr on the
-/// diagonal). `engine` must have at least `n` nodes and outlive the mesh.
+/// Fully connected DES mesh of `n` nodes: mesh[i][j] is node i's channel
+/// to node j (nullptr on the diagonal). `engine` must have at least `n`
+/// nodes and outlive the mesh.
 std::vector<std::vector<net::ChannelPtr>> make_des_mesh(
     Engine& engine, int n, const net::LinkProfile& link);
 

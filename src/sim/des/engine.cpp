@@ -271,11 +271,10 @@ std::string Engine::pop_locked(int node, Mailbox& mb) {
   slot.time = std::max(slot.time, delivery.arrival);
   bytes_ += static_cast<std::int64_t>(delivery.bytes.size());
   ++messages_;
-  // Realized transit on the receiver's clock, Lamport wait included — the
-  // same definition SimChannel::unstamp reports, and the same edges, so
-  // both schedulers feed one "net.transit_ms". The handle is cached after
-  // the first lookup; observe() is lock-free atomics, safe under mutex_
-  // (the registry mutex is a leaf, same nesting the tracer uses here).
+  // Realized transit on the receiver's clock, Lamport wait included. The
+  // handle is cached after the first lookup; observe() is lock-free
+  // atomics, safe under mutex_ (the registry mutex is a leaf, same nesting
+  // the tracer uses here).
   static obs::Histogram& transit_ms =
       obs::MetricsRegistry::instance().histogram(
           "net.transit_ms", {0.001, 0.01, 0.1, 1.0, 10.0, 100.0, 1e3});
@@ -334,17 +333,15 @@ void Engine::send(int from, const std::shared_ptr<Mailbox>& to,
   if (to->closed_) throw NetworkError("channel closed");
   await_grant_locked(from);
   if (to->closed_) throw NetworkError("channel closed");
-  // Exactly VirtualClock::deliver: the transmission occupies the shared
-  // half-duplex medium from max(send_time, medium_free) for its airtime,
-  // and arrives one propagation latency after it leaves the medium. The
-  // sender's clock does not advance (SimChannel behaves the same way).
+  // Medium arbitration: the transmission occupies the shared half-duplex
+  // medium from max(send_time, medium_free) for its airtime, and arrives
+  // one propagation latency after it leaves the medium. The sender's clock
+  // does not advance.
   const double send_time = nodes_[static_cast<std::size_t>(from)].time;
-  const double airtime =
-      link.transfer_time(static_cast<std::int64_t>(bytes.size())) -
-      link.latency_s;
   const double start = std::max(send_time, medium_free_);
-  medium_free_ = start + airtime;
-  const double arrival = start + airtime + link.latency_s;
+  medium_free_ =
+      start + link.airtime(static_cast<std::int64_t>(bytes.size()));
+  const double arrival = medium_free_ + link.latency_s;
   // Causality invariant the explorer leans on: no delivery may ever be
   // scheduled before its send left the sender's clock.
   TEAMNET_CHECK_MSG(arrival >= send_time,
@@ -416,8 +413,7 @@ std::optional<std::string> Engine::recv_timeout(int node, Mailbox& mb,
     }
     if (slot.timed_out) {
       // check_quiescence fired this wait: provably nothing could arrive
-      // within the budget, so charge it in full (SimChannel charges the
-      // same way) and report the timeout.
+      // within the budget, so charge it in full and report the timeout.
       slot.timed_out = false;
       if (budget > 0.0) {
         slot.time += budget;

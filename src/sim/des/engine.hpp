@@ -1,4 +1,5 @@
-// Conservative discrete-event engine for the edge simulation (DESIGN.md §9).
+// Conservative discrete-event engine for the edge simulation (DESIGN.md §9)
+// — the one clock every simulated fleet runs on.
 //
 // The engine runs the UNCHANGED distributed protocol code — the same
 // CollaborativeMaster/Worker, mpi::Communicator and MoE serving loops that
@@ -8,8 +9,9 @@
 //   * Each node's thread must hold the GRANT (be the lexicographic minimum
 //     (virtual_time, node_id) among running nodes, with no deliverable
 //     event at or before its clock) to advance its clock or transmit.
-//   * A send arbitrates the shared half-duplex medium with exactly
-//     VirtualClock's math and enqueues a delivery event keyed by
+//   * A send arbitrates the shared half-duplex medium (the one place the
+//     simulator does: start at max(send_time, medium_free), occupy
+//     LinkProfile::airtime) and enqueues a delivery event keyed by
 //     (arrival_time, destination_node, schedule_seq) — the global
 //     tie-break rule that makes event order total and deterministic.
 //   * An event fires (message moves into its destination mailbox) only
@@ -26,15 +28,11 @@
 // overlaps in real time (only engine calls are serialized, not the math
 // between them).
 //
-// Virtual timeouts deserve a note. In free-running mode a recv_timeout
-// waits REAL seconds, so a message actually in flight always beats the
-// deadline (real waits are microseconds); a timeout only ever fires for a
-// message that never comes. The engine reproduces that contract in virtual
-// time: a pending delivery is always handed over before a timeout is
-// considered, and a timeout fires only at quiescence — when provably no
-// message can still arrive. This is what keeps discrete outcomes
-// (selection, fault handling, traffic counts) identical across the two
-// scheduler modes.
+// Virtual timeouts deserve a note: a pending delivery is always handed
+// over before a timeout is considered, and a timeout fires only at
+// quiescence — when provably no message can still arrive. A timeout
+// therefore only ever fires for a message that never comes, however long
+// the budget, so timeouts decide fault handling and never race replies.
 #pragma once
 
 #include <cstddef>
@@ -47,7 +45,7 @@
 
 #include "common/annotations.hpp"
 #include "common/error.hpp"
-#include "net/virtual_clock.hpp"
+#include "net/link.hpp"
 #include "sim/des/grant_policy.hpp"
 
 namespace teamnet::sim::des {
@@ -146,7 +144,7 @@ class Engine {
   /// master retired); the explorer checks this as a protocol invariant.
   int unretired_nodes() const;
 
-  // -- clock surface (mirrors net::VirtualClock) ----------------------------
+  // -- clock surface --------------------------------------------------------
   double node_time(int node) const;
   double max_time() const;
   /// Advances `node` by `seconds` of local work, in virtual-time order:
@@ -168,7 +166,7 @@ class Engine {
   std::shared_ptr<Mailbox> make_mailbox(int owner);
   /// Transmits `bytes` from `from` into `to` under the grant: arbitrates
   /// the shared medium at the sender's current clock (the sender's clock
-  /// does not advance — matching SimChannel) and schedules the delivery.
+  /// does not advance) and schedules the delivery.
   void send(int from, const std::shared_ptr<Mailbox>& to, std::string bytes,
             const net::LinkProfile& link);
   /// Blocks until a message is available in `mb`, then pops it, advancing

@@ -1,141 +1,50 @@
 #include "sim/des/runtime.hpp"
 
 #include <utility>
-#include <vector>
 
 #include "sim/des/des_channel.hpp"
-#include "sim/des/engine.hpp"
 
 namespace teamnet::sim {
 
-namespace {
+SimNet::SimNet(int num_nodes, const net::LinkProfile& link,
+               const SimNetOptions& options)
+    : engine_(num_nodes,
+              des::make_grant_policy(options.grant_policy,
+                                     options.schedule_seed, num_nodes,
+                                     options.schedule_slack_s)),
+      mesh_(des::make_des_mesh(engine_, num_nodes, link)) {}
 
-using Mesh = std::vector<std::vector<net::ChannelPtr>>;
-
-net::ChannelPtr& mesh_slot(Mesh& mesh, int from, int to) {
-  const int n = static_cast<int>(mesh.size());
+net::ChannelPtr& SimNet::slot(int from, int to) {
+  const int n = static_cast<int>(mesh_.size());
   TEAMNET_CHECK_MSG(from >= 0 && from < n && to >= 0 && to < n && from != to,
                     "mesh leg out of range");
-  return mesh[static_cast<std::size_t>(from)][static_cast<std::size_t>(to)];
+  return mesh_[static_cast<std::size_t>(from)][static_cast<std::size_t>(to)];
 }
 
-void close_mesh(Mesh& mesh) {
-  for (auto& row : mesh) {
+net::Channel& SimNet::channel(int from, int to) {
+  net::ChannelPtr& leg = slot(from, to);
+  TEAMNET_CHECK_MSG(leg != nullptr, "channel leg already taken");
+  return *leg;
+}
+
+net::ChannelPtr SimNet::take_channel(int from, int to) {
+  return std::move(slot(from, to));
+}
+
+void SimNet::close_all() {
+  for (auto& row : mesh_) {
     for (auto& chan : row) {
       if (chan) chan->close();
     }
   }
 }
 
-class FreeRunningNet final : public SimNet {
- public:
-  FreeRunningNet(int num_nodes, const net::LinkProfile& link)
-      : clock_(num_nodes), mesh_(net::make_sim_mesh(num_nodes, clock_, link)) {}
-
-  Scheduler scheduler() const override { return Scheduler::free_running; }
-  int num_nodes() const override { return clock_.num_nodes(); }
-
-  net::Channel& channel(int from, int to) override {
-    net::ChannelPtr& slot = mesh_slot(mesh_, from, to);
-    TEAMNET_CHECK_MSG(slot != nullptr, "channel leg already taken");
-    return *slot;
-  }
-  net::ChannelPtr take_channel(int from, int to) override {
-    return std::move(mesh_slot(mesh_, from, to));
-  }
-
-  double node_time(int node) const override { return clock_.node_time(node); }
-  void advance(int node, double seconds) override {
-    clock_.advance(node, seconds);
-  }
-  std::int64_t bytes_delivered() const override {
-    return clock_.bytes_delivered();
-  }
-  std::int64_t messages_delivered() const override {
-    return clock_.messages_delivered();
-  }
-
-  void retire(int /*node*/) override {}  // free-running threads just exit
-  void close_all() override { close_mesh(mesh_); }
-  std::uint64_t finish() override { return 0; }
-
- private:
-  net::VirtualClock clock_;
-  Mesh mesh_;
-};
-
-class DesNet final : public SimNet {
- public:
-  DesNet(int num_nodes, const net::LinkProfile& link,
-         const SimNetOptions& options)
-      : engine_(num_nodes,
-                des::make_grant_policy(options.grant_policy,
-                                       options.schedule_seed, num_nodes,
-                                       options.schedule_slack_s)),
-        mesh_(des::make_des_mesh(engine_, num_nodes, link)) {}
-
-  Scheduler scheduler() const override { return Scheduler::discrete_event; }
-  int num_nodes() const override { return engine_.num_nodes(); }
-
-  net::Channel& channel(int from, int to) override {
-    net::ChannelPtr& slot = mesh_slot(mesh_, from, to);
-    TEAMNET_CHECK_MSG(slot != nullptr, "channel leg already taken");
-    return *slot;
-  }
-  net::ChannelPtr take_channel(int from, int to) override {
-    return std::move(mesh_slot(mesh_, from, to));
-  }
-
-  double node_time(int node) const override { return engine_.node_time(node); }
-  void advance(int node, double seconds) override {
-    engine_.advance(node, seconds);
-  }
-  std::int64_t bytes_delivered() const override {
-    return engine_.bytes_delivered();
-  }
-  std::int64_t messages_delivered() const override {
-    return engine_.messages_delivered();
-  }
-
-  void retire(int node) override { engine_.retire(node); }
-  void close_all() override { close_mesh(mesh_); }
-  std::uint64_t finish() override {
-    TEAMNET_CHECK_MSG(engine_.unretired_nodes() == 0,
-                      engine_.unretired_nodes()
-                          << " node(s) never retired — a worker exited "
-                             "without declaring its protocol role done");
-    return engine_.schedule_digest();
-  }
-
- private:
-  des::Engine engine_;
-  Mesh mesh_;
-};
-
-}  // namespace
-
-const char* to_string(Scheduler scheduler) {
-  switch (scheduler) {
-    case Scheduler::free_running:
-      return "free_running";
-    case Scheduler::discrete_event:
-      return "discrete_event";
-  }
-  return "unknown";
-}
-
-std::unique_ptr<SimNet> make_sim_net(Scheduler scheduler, int num_nodes,
-                                     const net::LinkProfile& link) {
-  return make_sim_net(scheduler, num_nodes, link, SimNetOptions());
-}
-
-std::unique_ptr<SimNet> make_sim_net(Scheduler scheduler, int num_nodes,
-                                     const net::LinkProfile& link,
-                                     const SimNetOptions& options) {
-  if (scheduler == Scheduler::discrete_event) {
-    return std::make_unique<DesNet>(num_nodes, link, options);
-  }
-  return std::make_unique<FreeRunningNet>(num_nodes, link);
+std::uint64_t SimNet::finish() {
+  TEAMNET_CHECK_MSG(engine_.unretired_nodes() == 0,
+                    engine_.unretired_nodes()
+                        << " node(s) never retired — a worker exited "
+                           "without declaring its protocol role done");
+  return engine_.schedule_digest();
 }
 
 }  // namespace teamnet::sim

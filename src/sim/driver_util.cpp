@@ -27,14 +27,11 @@ std::vector<std::unique_ptr<net::FaultyChannel>> wrap_faulty_links(
     profile.seed = seeder.fork(static_cast<std::uint64_t>(node)).engine()();
     links.push_back(std::make_unique<net::FaultyChannel>(
         net.take_channel(0, node), profile, delay));
-    if (net.scheduler() == Scheduler::discrete_event) {
-      // Timeout budgets must burn virtual time, not wall time: the real
-      // clock's sub-deadline remainders differ run to run and would leak
-      // nondeterminism into the recv_timeout sequence the inner DesChannel
-      // sees. Free-running keeps the default real clock (its deadlines
-      // really do elapse in real time).
-      links.back()->set_time_source([netp] { return netp->node_time(0); });
-    }
+    // Timeout budgets must burn virtual time, not wall time: the real
+    // clock's sub-deadline remainders differ run to run and would leak
+    // nondeterminism into the recv_timeout sequence the inner DesChannel
+    // sees.
+    links.back()->set_time_source([netp] { return netp->node_time(0); });
   }
   return links;
 }
@@ -78,7 +75,7 @@ std::unique_ptr<SimNet> make_driver_net(const ScenarioConfig& config,
   opts.grant_policy = config.grant_policy;
   opts.schedule_seed = config.schedule_seed;
   opts.schedule_slack_s = config.schedule_slack_s;
-  return make_sim_net(config.scheduler, num_nodes, config.link, opts);
+  return std::make_unique<SimNet>(num_nodes, config.link, opts);
 }
 
 std::thread spawn_sim_worker(SimNet& net, int node,
@@ -86,7 +83,7 @@ std::thread spawn_sim_worker(SimNet& net, int node,
   return std::thread([&net, node, body = std::move(body)] {
     // Trace time-source rule: inside the simulator every thread stamps
     // events with its node's virtual time, so traces are in virtual time
-    // end to end (and byte-stable under discrete_event).
+    // end to end (and byte-stable).
     obs::TraceTrack track(
         node, [&net, node] { return net.node_time(node); },
         "node" + std::to_string(node));

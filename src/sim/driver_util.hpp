@@ -25,8 +25,8 @@
 
 namespace teamnet::sim {
 
-/// The mesh a driver runs on: `config`'s scheduler, link and grant-policy
-/// knobs over `num_nodes` nodes. Rejects a run of fewer than one query —
+/// The mesh a driver runs on: `config`'s link and grant-policy knobs over
+/// `num_nodes` nodes. Rejects a run of fewer than one query —
 /// every driver reports per-query means.
 std::unique_ptr<SimNet> make_driver_net(const ScenarioConfig& config,
                                         int num_nodes, int num_queries);

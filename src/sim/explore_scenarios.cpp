@@ -45,7 +45,6 @@ ScenarioConfig scenario_config(const ExploreScenarioOptions& options,
   cfg.num_queries = options.num_queries;
   cfg.link = options.link;
   cfg.seed = options.seed;
-  cfg.scheduler = Scheduler::discrete_event;
   cfg.grant_policy = c.policy;
   cfg.schedule_seed = c.schedule_seed;
   cfg.schedule_slack_s = options.schedule_slack_s;

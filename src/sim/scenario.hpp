@@ -4,11 +4,12 @@
 //
 // Every scenario executes the genuine distributed code path — the same
 // CollaborativeMaster/Worker, Communicator and partitioned executors that
-// run over real TCP in the examples — on real threads with in-process
-// channels. Latency is virtual time: compute advances a node's clock by
-// FLOPs / device throughput, messages advance the receiver by the WiFi
-// link model. Queries are issued sequentially with batch size 1, matching
-// the paper's per-inference measurements.
+// run over real TCP in the examples — on real threads over the
+// discrete-event engine's channels (sim/des). Latency is virtual time:
+// compute advances a node's clock by FLOPs / device throughput, messages
+// advance the receiver by the WiFi link model, and every result is
+// bit-stable for a given seed. Queries are issued sequentially with batch
+// size 1, matching the paper's per-inference measurements.
 #pragma once
 
 #include <string>
@@ -27,21 +28,23 @@
 
 namespace teamnet::sim {
 
+/// The simulator's one time model: the conservative discrete-event engine
+/// (sim/des). Nothing branches on this enum or on ScenarioConfig::scheduler;
+/// both remain only because perfbench/driver.cpp still assigns the field.
+enum class Scheduler {
+  discrete_event,
+};
+
 struct ScenarioConfig {
   DeviceProfile device = jetson_tx2_cpu();
   net::LinkProfile link = socket_link();
   int num_queries = 40;    ///< latency-measurement queries (batch 1; >= 1)
   std::uint64_t seed = 123;
-  /// free_running keeps the historical threads-plus-VirtualClock mode;
-  /// discrete_event runs the same protocol under sim/des for bit-stable
-  /// results (latency_ms included). Discrete outcomes — selection,
-  /// accuracy, fault schedules, traffic counts — agree between the two.
-  Scheduler scheduler = Scheduler::free_running;
-  /// Grant tie-break under discrete_event (DESIGN.md §11). The canonical
-  /// default reproduces the historical schedule byte for byte; the other
-  /// policies perturb which simultaneously eligible node acts first so the
-  /// explorer can hunt for schedule-dependent outcomes. Ignored under
-  /// free_running.
+  Scheduler scheduler = Scheduler::discrete_event;  ///< see Scheduler
+  /// Grant tie-break (DESIGN.md §11). The canonical default reproduces the
+  /// canonical schedule byte for byte; the other policies perturb which
+  /// simultaneously eligible node acts first so the explorer can hunt for
+  /// schedule-dependent outcomes.
   des::GrantPolicyKind grant_policy = des::GrantPolicyKind::canonical;
   std::uint64_t schedule_seed = 0;  ///< seeds the non-canonical policies
   /// Eligibility window for the non-canonical policies (virtual seconds;
@@ -57,9 +60,10 @@ struct ScenarioResult {
   ResourceUsage usage;            ///< master/rank-0 node
   double bytes_per_query = 0.0;
   double messages_per_query = 0.0;
-  /// Engine fingerprint of the schedule that produced this result (0 under
-  /// free_running). Not part of the benchmark JSON — used by the schedule
-  /// explorer to prove a replayed counterexample is bit-identical.
+  /// Engine fingerprint of the schedule that produced this result (0 for
+  /// the single-node baseline). Not part of the benchmark JSON — used by
+  /// the schedule explorer to prove a replayed counterexample is
+  /// bit-identical.
   std::uint64_t schedule_digest = 0;
 };
 
@@ -182,10 +186,8 @@ struct ResilienceResult {
 /// TeamNet's Figure-1 protocol under fault injection with the degradation
 /// plane enabled. Topology: master (node 0) + workers 1..K-1; with
 /// `res.hedging` also one backup replica of worker i's expert on node
-/// K-1+i. Deterministic for a fixed (config, res) under discrete_event —
-/// byte-identical across same-seed runs, results included. Under
-/// free_running the fault schedule and discrete outcomes still reproduce
-/// per seed; latency does not.
+/// K-1+i. Deterministic for a fixed (config, res) — byte-identical across
+/// same-seed runs, results included.
 ResilienceResult run_teamnet_resilience(const std::vector<nn::Module*>& experts,
                                         const data::Dataset& test,
                                         const ScenarioConfig& config,

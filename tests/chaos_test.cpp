@@ -23,6 +23,7 @@
 #include "net/message.hpp"
 #include "net/transport.hpp"
 #include "nn/mlp.hpp"
+#include "sim/des/runtime.hpp"
 #include "sim/scenario.hpp"
 
 namespace teamnet {
@@ -61,9 +62,8 @@ data::Dataset blobs() {
   return data::make_blobs(cfg);
 }
 
-/// Latency-only link: zero airtime, so the shared-medium cursor cannot
-/// couple arrival times across delivery order — the precondition for the
-/// strict (bit-identical latency) determinism assertion below.
+/// Latency-only link: zero airtime, so every message costs exactly one
+/// propagation latency and the medium never queues.
 net::LinkProfile latency_only_link() { return net::LinkProfile{0.0005, 0.0, 0.0}; }
 
 // ---- FaultyChannel in isolation --------------------------------------------
@@ -221,28 +221,29 @@ TEST(ChaosProtocol, StaleReplyIsDiscardedNotConsumed) {
 }
 
 /// The gather budget is shared: with every worker dead, the master waits
-/// ONE deadline of virtual time, not one per worker. Uses a sim mesh with
-/// the virtual clock as the master's time source and no serving threads.
+/// ONE deadline of virtual time, not one per worker. Uses a DES mesh with
+/// the master's virtual clock as its time source and no serving threads.
 TEST(ChaosProtocol, GatherDeadlineIsSharedAcrossWorkers) {
   const int k = 4;
   const double timeout_s = 0.05;
-  net::VirtualClock clock(k);
-  auto mesh = net::make_sim_mesh(k, clock, latency_only_link());
+  sim::SimNet net(k, latency_only_link());
+  // Nodes 1..k-1 have no threads: retire them up front so they never hold
+  // the virtual-time floor the master's waits run against.
+  for (int i = 1; i < k; ++i) net.retire(i);
 
   Rng rng(12);
   nn::MlpNet expert(tiny_mlp(), rng);
   std::vector<net::Channel*> channels;
-  for (int i = 1; i < k; ++i) {
-    channels.push_back(mesh[0][static_cast<std::size_t>(i)].get());
-  }
+  for (int i = 1; i < k; ++i) channels.push_back(&net.channel(0, i));
   net::CollaborativeMaster master(expert, channels);
   master.set_worker_timeout(timeout_s);
-  master.set_time_source([&clock] { return clock.node_time(0); });
+  master.set_time_source([&net] { return net.node_time(0); });
 
   Tensor x = Tensor::randn({1, 6}, rng);
-  const double t0 = clock.node_time(0);
+  const double t0 = net.node_time(0);
   auto result = master.infer(x);
-  const double waited = clock.node_time(0) - t0;
+  const double waited = net.node_time(0) - t0;
+  net.retire(0);
 
   EXPECT_EQ(master.failed_workers(), k - 1);
   EXPECT_EQ(result.chosen[0], 0);
@@ -341,13 +342,9 @@ sim::ResilienceConfig chaos_config() {
   return chaos;
 }
 
-/// Duplication-only faults: no drops means no timeouts, so everything
-/// discrete — schedule, outcomes, accuracy, traffic — must be
-/// bit-identical. Latency alone gets a tolerance: the nodes are
-/// free-running threads, and the VirtualClock's shared-medium cursor makes
-/// each message's airtime slot depend on the real-time order concurrent
-/// sends reach the medium (see DESIGN.md, "Fault model & recovery"), so
-/// virtual latency jitters by a link latency even with no faults at all.
+/// Duplication-only faults: no drops means no timeouts, and the whole
+/// result — schedule, outcomes, accuracy, traffic, latency — must be
+/// bit-identical.
 TEST(ChaosScenario, SameSeedSameResultUnderDuplication) {
   auto experts = make_experts(3);
   auto test = blobs();
@@ -358,11 +355,7 @@ TEST(ChaosScenario, SameSeedSameResultUnderDuplication) {
   sim::ResilienceConfig chaos = chaos_config();
   chaos.faults.seed = chaos_seed();
   chaos.faults.duplicate_prob = 0.3;
-  // No drops, so no reply should ever miss the deadline — but the budget
-  // is measured in REAL seconds while waiting, and a sanitizer build on a
-  // loaded CI box can stall a worker thread long enough to miss a tight
-  // one, which would desync the two runs. Generous budget, never spent.
-  chaos.worker_timeout_s = 5.0;
+  chaos.worker_timeout_s = 5.0;  // no drops: never spent
   chaos.probe_interval = 2;
 
   auto a = sim::run_teamnet_resilience(expert_ptrs(experts), test, cfg, chaos);
@@ -379,15 +372,12 @@ TEST(ChaosScenario, SameSeedSameResultUnderDuplication) {
   EXPECT_DOUBLE_EQ(a.scenario.bytes_per_query, b.scenario.bytes_per_query);
   EXPECT_DOUBLE_EQ(a.scenario.messages_per_query,
                    b.scenario.messages_per_query);
-  EXPECT_NEAR(a.scenario.latency_ms, b.scenario.latency_ms,
-              0.25 * (a.scenario.latency_ms + 1.0));
+  EXPECT_EQ(a.scenario.latency_ms, b.scenario.latency_ms);
 }
 
 /// Determinism under drops + corruption + a scripted partition: the fault
-/// schedule and every discrete outcome must reproduce exactly. Latency is
-/// compared with a tolerance only: a timed-out wait charges the measured
-/// real remainder (budget minus scheduling epsilon) to the virtual clock,
-/// which jitters at sub-millisecond scale run to run.
+/// schedule, every discrete outcome and the latency must reproduce
+/// exactly — a timed-out wait charges its full virtual budget.
 TEST(ChaosScenario, SameSeedSameScheduleUnderDropsAndPartition) {
   auto experts = make_experts(3);
   auto test = blobs();
@@ -399,13 +389,10 @@ TEST(ChaosScenario, SameSeedSameScheduleUnderDropsAndPartition) {
   chaos.faults.seed = chaos_seed();
   chaos.faults.drop_prob = 0.25;
   chaos.faults.corrupt_prob = 0.1;
-  // Dropped replies cost a real wait of the full budget, so keep it small
-  // enough for test wall-clock — but big enough that a loaded sanitizer
-  // build can't make a LIVE worker's reply miss it (which would desync
-  // the runs). A failed worker stays failed here, so the budget is spent
-  // at most once per worker per run.
+  // A failed worker stays failed here (probation off), so the budget is
+  // spent at most once per worker per run.
   chaos.worker_timeout_s = 0.25;
-  chaos.probe_interval = 0;  // probation off: rejoin timing is real-time-racy
+  chaos.probe_interval = 0;
   chaos.partition_worker = 1;
   chaos.partition_from_query = 4;
   chaos.heal_at_query = 8;
@@ -420,8 +407,7 @@ TEST(ChaosScenario, SameSeedSameScheduleUnderDropsAndPartition) {
   EXPECT_EQ(a.stale_replies, b.stale_replies);
   EXPECT_EQ(a.faults_injected, b.faults_injected);
   EXPECT_DOUBLE_EQ(a.scenario.accuracy_pct, b.scenario.accuracy_pct);
-  EXPECT_NEAR(a.scenario.latency_ms, b.scenario.latency_ms,
-              0.1 * (a.scenario.latency_ms + 1.0));
+  EXPECT_EQ(a.scenario.latency_ms, b.scenario.latency_ms);
 }
 
 /// Rejoin inside the simulated scenario: a worker partitioned for a window
@@ -435,7 +421,7 @@ TEST(ChaosScenario, ScriptedPartitionHealsAndRejoins) {
 
   sim::ResilienceConfig chaos = chaos_config();
   chaos.faults.seed = chaos_seed();
-  chaos.worker_timeout_s = 0.25;  // loaded-CI headroom for live replies
+  chaos.worker_timeout_s = 0.25;
   chaos.probe_interval = 1;
   chaos.partition_worker = 0;
   chaos.partition_from_query = 4;

@@ -261,7 +261,6 @@ sim::ScenarioConfig des_config() {
   sim::ScenarioConfig cfg;
   cfg.link = net::LinkProfile{0.0005, 0.0, 0.0};
   cfg.seed = determinism_seed();
-  cfg.scheduler = sim::Scheduler::discrete_event;
   return cfg;
 }
 
@@ -363,7 +362,7 @@ FaultRun run_with_faulty_last_worker(const net::FaultProfile& profile,
   const auto test = blob_test_set();
   const auto experts = make_experts(k);
   const sim::ScenarioConfig cfg = des_config();
-  auto net = sim::make_sim_net(cfg.scheduler, k, cfg.link, sim::SimNetOptions{});
+  auto net = std::make_unique<sim::SimNet>(k, cfg.link);
   sim::SimNet* netp = net.get();
 
   std::vector<std::thread> threads;

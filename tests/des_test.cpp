@@ -1,9 +1,9 @@
-// Discrete-event engine tests (ISSUE 4): event-queue tie-breaking,
-// quiescence / deadlock detection, virtual timeouts, FaultyChannel
-// composition over DesChannel, and the cross-mode contract — free_running
-// and discrete_event agree on every discrete outcome (selection, accuracy,
-// traffic counts, fault schedules) for the same seed, while discrete_event
-// is additionally bit-stable in latency.
+// Discrete-event engine tests: event-queue tie-breaking, the link math
+// (compute advances, link delay, shared-medium arbitration, transfer
+// time), quiescence / deadlock detection, virtual timeouts, FaultyChannel
+// composition over DesChannel, and the reference contract — every
+// simulated fleet is bit-stable for a seed and answers exactly what an
+// in-process arg-min-entropy selection over the same rows answers.
 
 #include <gtest/gtest.h>
 
@@ -12,14 +12,18 @@
 #include <thread>
 #include <vector>
 
+#include "core/entropy.hpp"
 #include "data/blobs.hpp"
 #include "moe/sg_moe.hpp"
+#include "net/collab.hpp"
 #include "net/fault.hpp"
+#include "nn/loss.hpp"
 #include "nn/mlp.hpp"
 #include "sim/des/des_channel.hpp"
 #include "sim/des/engine.hpp"
-#include "sim/des/runtime.hpp"
+#include "sim/driver_util.hpp"
 #include "sim/scenario.hpp"
+#include "tensor/ops.hpp"
 
 namespace teamnet {
 namespace {
@@ -77,9 +81,75 @@ net::LinkProfile test_link() {
   return link;
 }
 
-TEST(DesEngine, DeliveryReplaysVirtualClockMath) {
-  // The same send sequence, issued to the engine and to a VirtualClock,
-  // must produce identical receiver clocks and medium arbitration.
+// ---- Link math -------------------------------------------------------------
+
+TEST(DesLinkMath, ComputeAdvancesOneNode) {
+  Engine engine(2);
+  engine.advance(0, 1.5);
+  EXPECT_DOUBLE_EQ(engine.node_time(0), 1.5);
+  EXPECT_DOUBLE_EQ(engine.node_time(1), 0.0);
+  EXPECT_DOUBLE_EQ(engine.max_time(), 1.5);
+  EXPECT_THROW(engine.advance(0, -1.0), InvariantError);
+}
+
+TEST(DesLinkMath, DeliveryImposesLinkDelay) {
+  net::LinkProfile link{0.001, 8e6, 0.0};  // 1 ms prop + 1 us/byte airtime
+  Engine engine(2);
+  auto mb = engine.make_mailbox(1);
+  engine.advance(0, 2.0);
+  engine.advance(1, 2.0);  // receiver catches up so the sender holds the grant
+  engine.send(0, mb, std::string(1000, 'x'), link);
+  engine.retire(0);
+  engine.recv(1, *mb);
+  EXPECT_NEAR(engine.node_time(1), 2.0 + 0.001 + 0.001, 1e-9);
+  EXPECT_EQ(engine.bytes_delivered(), 1000);
+  EXPECT_EQ(engine.messages_delivered(), 1);
+}
+
+TEST(DesLinkMath, SharedMediumSerializesConcurrentTransmissions) {
+  // Two messages sent at the same instant on different channels contend
+  // for the half-duplex medium: the second transmission starts only after
+  // the first's airtime. The receiver runs on its own thread so the sender
+  // can move on to t=10 while it waits.
+  net::LinkProfile link{0.001, 8e6, 0.0};
+  Engine engine(2);
+  auto mb_a = engine.make_mailbox(1);
+  auto mb_b = engine.make_mailbox(1);
+  std::vector<double> arrivals;
+  std::thread receiver([&] {
+    for (auto* mb : {mb_a.get(), mb_b.get(), mb_a.get()}) {
+      engine.recv(1, *mb);
+      arrivals.push_back(engine.node_time(1));
+    }
+    engine.retire(1);
+  });
+  engine.send(0, mb_a, std::string(1000, 'a'), link);  // airtime 1 ms
+  engine.send(0, mb_b, std::string(1000, 'b'), link);
+  engine.advance(0, 10.0);
+  // A later send on an idle medium pays no contention.
+  engine.send(0, mb_a, std::string(1000, 'c'), link);
+  engine.retire(0);
+  receiver.join();
+  ASSERT_EQ(arrivals.size(), 3u);
+  EXPECT_NEAR(arrivals[0], 0.002, 1e-9);
+  EXPECT_NEAR(arrivals[1], 0.003, 1e-9)
+      << "second message waits for the medium";
+  EXPECT_NEAR(arrivals[2], 10.002, 1e-9);
+}
+
+TEST(DesLinkMath, LinkTransferTime) {
+  net::LinkProfile link{0.0005, 40e6, 0.0002};
+  EXPECT_NEAR(link.transfer_time(0), 0.0007, 1e-9);
+  EXPECT_NEAR(link.transfer_time(40000000 / 8), 0.0007 + 1.0, 1e-6);
+  // Airtime is everything but propagation: overhead + serialization.
+  EXPECT_NEAR(link.airtime(0), 0.0002, 1e-9);
+  EXPECT_NEAR(link.airtime(40000000 / 8), 0.0002 + 1.0, 1e-6);
+}
+
+TEST(DesEngine, DeliveryMatchesClosedFormLinkMath) {
+  // Two back-to-back sends at t=0.5: the first starts on an idle medium,
+  // the second waits for the first's airtime. Each arrives one propagation
+  // latency after leaving the medium — bit for bit the closed form below.
   const net::LinkProfile link = test_link();
   Engine engine(2);
   auto mb = engine.make_mailbox(1);
@@ -94,12 +164,13 @@ TEST(DesEngine, DeliveryReplaysVirtualClockMath) {
   EXPECT_EQ(engine.recv(1, *mb).size(), 20u);
   const double t_second = engine.node_time(1);
 
-  net::VirtualClock clock(2);
-  clock.advance(0, 0.5);
-  const double a_first = clock.deliver(1, 0.5, 10, link);
-  const double a_second = clock.deliver(1, 0.5, 20, link);
-  EXPECT_EQ(t_first, a_first);
-  EXPECT_EQ(t_second, a_second);
+  const double first_leaves = 0.5 + link.airtime(10);
+  const double second_leaves = first_leaves + link.airtime(20);
+  EXPECT_EQ(t_first, first_leaves + link.latency_s);
+  EXPECT_EQ(t_second, second_leaves + link.latency_s);
+  // 2 ms overhead + 1 ms per byte of airtime, 1 ms propagation.
+  EXPECT_NEAR(t_first, 0.5 + 0.012 + 0.001, 1e-12);
+  EXPECT_NEAR(t_second, 0.5 + 0.012 + 0.022 + 0.001, 1e-12);
   EXPECT_EQ(engine.bytes_delivered(), 30);
   EXPECT_EQ(engine.messages_delivered(), 2);
 }
@@ -142,8 +213,7 @@ TEST(DesEngine, TimeoutFiresAtQuiescenceAndChargesBudget) {
 TEST(DesEngine, InFlightMessageAlwaysBeatsTimeout) {
   // The delivery arrives later than the timeout budget would expire, but a
   // timeout may only fire at quiescence — with a message in flight the wait
-  // must receive it (free-running has the same contract: real waits always
-  // lose to a message that is actually coming).
+  // must receive it.
   Engine engine(2);
   auto mb = engine.make_mailbox(1);
   engine.send(0, mb, "slow", test_link());
@@ -255,6 +325,20 @@ TEST(DesChannel, ComposesUnderFaultyChannelWithDeterministicSchedule) {
   EXPECT_EQ(engine.bytes_delivered(), 14);
 }
 
+TEST(DesChannel, AccountsBytesAndTime) {
+  net::LinkProfile link{0.01, 0.0, 0.0};
+  Engine engine(2);
+  auto [a, b] = sim::des::make_des_pair(engine, 0, 1, link);
+  engine.advance(0, 5.0);
+  engine.advance(1, 5.0);
+  a->send("data");
+  engine.retire(0);
+  EXPECT_EQ(b->recv(), "data");
+  EXPECT_NEAR(engine.node_time(1), 5.01, 1e-9);
+  EXPECT_EQ(engine.bytes_delivered(), 4);
+  EXPECT_EQ(engine.messages_delivered(), 1);
+}
+
 TEST(DesChannel, CloseWakesPeerRecv) {
   Engine engine(2);
   auto [c0, c1] = sim::des::make_des_pair(engine, 0, 1, test_link());
@@ -267,7 +351,7 @@ TEST(DesChannel, CloseWakesPeerRecv) {
   t1.join();
 }
 
-// ---- Cross-mode agreement ---------------------------------------------------
+// ---- Reference agreement ---------------------------------------------------
 
 data::Dataset blob_test_set() {
   data::BlobsConfig cfg;
@@ -299,34 +383,89 @@ std::vector<nn::Module*> expert_ptrs(
   return ptrs;
 }
 
-sim::ScenarioConfig fast_config(sim::Scheduler scheduler) {
+sim::ScenarioConfig fast_config() {
   sim::ScenarioConfig cfg;
   cfg.num_queries = 12;
   cfg.link = net::LinkProfile{0.0005, 0.0, 0.0};
-  cfg.scheduler = scheduler;
   return cfg;
 }
 
-TEST(DesCrossMode, TeamNetDiscreteOutcomesMatchFreeRunning) {
-  const auto experts = make_experts(3);
-  const auto ptrs = expert_ptrs(experts);
-  const auto test = blob_test_set();
-  const auto des =
-      sim::run_teamnet(ptrs, test, fast_config(sim::Scheduler::discrete_event));
-  const auto des2 =
-      sim::run_teamnet(ptrs, test, fast_config(sim::Scheduler::discrete_event));
-  const auto free_run =
-      sim::run_teamnet(ptrs, test, fast_config(sim::Scheduler::free_running));
-  // DES is bit-stable, latency included.
-  EXPECT_EQ(des.latency_ms, des2.latency_ms);
-  // Both modes agree on every discrete outcome.
-  EXPECT_EQ(des.num_nodes, free_run.num_nodes);
-  EXPECT_EQ(des.accuracy_pct, free_run.accuracy_pct);
-  EXPECT_EQ(des.bytes_per_query, free_run.bytes_per_query);
-  EXPECT_EQ(des.messages_per_query, free_run.messages_per_query);
+/// TeamNet's selection rule, in process: every expert in `members` scores
+/// the one-row input, the lowest predictive entropy wins (ties go to the
+/// lowest node index), and the winner's argmax is the answer.
+int reference_prediction(const std::vector<nn::Module*>& experts,
+                         const std::vector<int>& members, const Tensor& x) {
+  int prediction = -1;
+  float best = 0.0f;
+  for (int node : members) {
+    nn::Module& expert = *experts[static_cast<std::size_t>(node)];
+    expert.set_training(false);
+    const Tensor probs = ops::softmax_rows(expert.predict(x));
+    const float entropy = core::predictive_entropy(probs)[0];
+    if (prediction < 0 || entropy < best) {
+      best = entropy;
+      prediction = ops::argmax_rows(probs)[0];
+    }
+  }
+  return prediction;
 }
 
-TEST(DesCrossMode, MpiMatrixDiscreteOutcomesMatchFreeRunning) {
+bool reference_correct(const std::vector<nn::Module*>& experts,
+                       const std::vector<int>& members,
+                       const data::Dataset& test, int row) {
+  return reference_prediction(experts, members,
+                              sim::query_row_tensor(test, row)) ==
+         test.labels[static_cast<std::size_t>(row)];
+}
+
+std::vector<int> all_nodes(int k) {
+  std::vector<int> nodes(static_cast<std::size_t>(k));
+  for (int i = 0; i < k; ++i) nodes[static_cast<std::size_t>(i)] = i;
+  return nodes;
+}
+
+/// Accuracy of the full-team reference over `rows`, in percent.
+double reference_accuracy_pct(const std::vector<nn::Module*>& experts,
+                              const data::Dataset& test,
+                              const std::vector<int>& rows) {
+  const std::vector<int> team = all_nodes(static_cast<int>(experts.size()));
+  std::size_t ok = 0;
+  for (int row : rows) {
+    if (reference_correct(experts, team, test, row)) ++ok;
+  }
+  return 100.0 * static_cast<double>(ok) / static_cast<double>(rows.size());
+}
+
+/// Every field two same-seed runs must reproduce bit for bit.
+void expect_same_result(const sim::ScenarioResult& a,
+                        const sim::ScenarioResult& b) {
+  EXPECT_EQ(a.num_nodes, b.num_nodes);
+  EXPECT_EQ(a.latency_ms, b.latency_ms);
+  EXPECT_EQ(a.accuracy_pct, b.accuracy_pct);
+  EXPECT_EQ(a.bytes_per_query, b.bytes_per_query);
+  EXPECT_EQ(a.messages_per_query, b.messages_per_query);
+  EXPECT_EQ(a.schedule_digest, b.schedule_digest);
+}
+
+TEST(DesReference, TeamNetMatchesInProcessSelection) {
+  const int k = 3;
+  const auto experts = make_experts(k);
+  const auto ptrs = expert_ptrs(experts);
+  const auto test = blob_test_set();
+  const auto des = sim::run_teamnet(ptrs, test, fast_config());
+  const auto des2 = sim::run_teamnet(ptrs, test, fast_config());
+  expect_same_result(des, des2);
+  EXPECT_EQ(des.num_nodes, k);
+  // run_teamnet scores the team over the whole test set.
+  std::vector<int> rows(static_cast<std::size_t>(test.size()));
+  for (std::size_t r = 0; r < rows.size(); ++r) rows[r] = static_cast<int>(r);
+  EXPECT_EQ(des.accuracy_pct, reference_accuracy_pct(ptrs, test, rows));
+  // One broadcast + one gather: an Infer and a Result per worker per query.
+  EXPECT_EQ(des.messages_per_query, 2.0 * (k - 1));
+  EXPECT_GT(des.bytes_per_query, 0.0);
+}
+
+TEST(DesReference, MpiMatrixMatchesInProcessModel) {
   nn::MlpConfig cfg;
   cfg.in_features = 8;
   cfg.num_classes = 4;
@@ -335,19 +474,18 @@ TEST(DesCrossMode, MpiMatrixDiscreteOutcomesMatchFreeRunning) {
   Rng rng(7);
   nn::MlpNet model(cfg, rng);
   const auto test = blob_test_set();
-  const auto des = sim::run_mpi_matrix(
-      model, test, fast_config(sim::Scheduler::discrete_event), 3);
-  const auto des2 = sim::run_mpi_matrix(
-      model, test, fast_config(sim::Scheduler::discrete_event), 3);
-  const auto free_run = sim::run_mpi_matrix(
-      model, test, fast_config(sim::Scheduler::free_running), 3);
-  EXPECT_EQ(des.latency_ms, des2.latency_ms);
-  EXPECT_EQ(des.accuracy_pct, free_run.accuracy_pct);
-  EXPECT_EQ(des.bytes_per_query, free_run.bytes_per_query);
-  EXPECT_EQ(des.messages_per_query, free_run.messages_per_query);
+  const auto des = sim::run_mpi_matrix(model, test, fast_config(), 3);
+  const auto des2 = sim::run_mpi_matrix(model, test, fast_config(), 3);
+  expect_same_result(des, des2);
+  EXPECT_EQ(des.num_nodes, 3);
+  model.set_training(false);
+  EXPECT_EQ(des.accuracy_pct,
+            100.0 * nn::accuracy(model.predict(test.images), test.labels));
+  EXPECT_GT(des.messages_per_query, 0.0);
+  EXPECT_GT(des.bytes_per_query, 0.0);
 }
 
-TEST(DesCrossMode, SgMoeDiscreteOutcomesMatchFreeRunning) {
+TEST(DesReference, SgMoeMatchesInProcessModel) {
   moe::SgMoeConfig cfg;
   cfg.num_experts = 3;
   cfg.epochs = 1;
@@ -361,16 +499,12 @@ TEST(DesCrossMode, SgMoeDiscreteOutcomesMatchFreeRunning) {
   });
   const auto test = blob_test_set();
   model.train(test);
-  const auto des =
-      sim::run_sg_moe(model, test, fast_config(sim::Scheduler::discrete_event));
-  const auto des2 =
-      sim::run_sg_moe(model, test, fast_config(sim::Scheduler::discrete_event));
-  const auto free_run =
-      sim::run_sg_moe(model, test, fast_config(sim::Scheduler::free_running));
-  EXPECT_EQ(des.latency_ms, des2.latency_ms);
-  EXPECT_EQ(des.accuracy_pct, free_run.accuracy_pct);
-  EXPECT_EQ(des.bytes_per_query, free_run.bytes_per_query);
-  EXPECT_EQ(des.messages_per_query, free_run.messages_per_query);
+  const auto des = sim::run_sg_moe(model, test, fast_config());
+  const auto des2 = sim::run_sg_moe(model, test, fast_config());
+  expect_same_result(des, des2);
+  EXPECT_EQ(des.accuracy_pct, 100.0 * model.evaluate_accuracy(test));
+  EXPECT_GT(des.messages_per_query, 0.0);
+  EXPECT_GT(des.bytes_per_query, 0.0);
 }
 
 /// A chaos run: resilience with health scoring and expired-request drops
@@ -397,7 +531,41 @@ std::string chaos_signature(const sim::ResilienceResult& r) {
   return s;
 }
 
-TEST(DesCrossMode, ChaosScheduleMatchesFreeRunningUnderDropsAndPartition) {
+/// Checks every query's answer against the in-process reference over the
+/// experts that could have answered it: the whole team for a full gather,
+/// the master alone for a local-only one, and the master plus one worker
+/// for a k=3 quorum gather (whichever worker answered).
+void expect_answers_match_reference(const std::vector<nn::Module*>& experts,
+                                    const data::Dataset& test,
+                                    const sim::ScenarioConfig& cfg,
+                                    const sim::ResilienceResult& r) {
+  const int k = static_cast<int>(experts.size());
+  ASSERT_EQ(k, 3);
+  const auto rows = sim::sample_query_rows(test, cfg.num_queries, cfg.seed);
+  ASSERT_EQ(r.correct.size(), rows.size());
+  ASSERT_EQ(r.degradation.size(), rows.size());
+  for (std::size_t q = 0; q < rows.size(); ++q) {
+    const bool ok = r.correct[q] != 0;
+    const int row = rows[q];
+    switch (static_cast<net::DegradationLevel>(r.degradation[q])) {
+      case net::DegradationLevel::full:
+        EXPECT_EQ(ok, reference_correct(experts, all_nodes(k), test, row))
+            << "query " << q;
+        break;
+      case net::DegradationLevel::local_only:
+        EXPECT_EQ(ok, reference_correct(experts, {0}, test, row))
+            << "query " << q;
+        break;
+      case net::DegradationLevel::quorum:
+        EXPECT_TRUE(ok == reference_correct(experts, {0, 1}, test, row) ||
+                    ok == reference_correct(experts, {0, 2}, test, row))
+            << "query " << q;
+        break;
+    }
+  }
+}
+
+TEST(DesReference, ChaosUnderDropsAndPartitionMatchesReference) {
   const auto experts = make_experts(3);
   const auto ptrs = expert_ptrs(experts);
   const auto test = blob_test_set();
@@ -406,36 +574,41 @@ TEST(DesCrossMode, ChaosScheduleMatchesFreeRunningUnderDropsAndPartition) {
   chaos.faults.drop_prob = 0.25;
   chaos.faults.corrupt_prob = 0.1;
   chaos.worker_timeout_s = 0.25;
-  chaos.probe_interval = 0;  // probes race real time; keep them out of the
-                             // cross-mode comparison
+  chaos.probe_interval = 0;
   chaos.partition_worker = 0;
   chaos.partition_from_query = 4;
   chaos.heal_at_query = 8;
-  const auto des = sim::run_teamnet_resilience(
-      ptrs, test, fast_config(sim::Scheduler::discrete_event), chaos);
-  const auto des2 = sim::run_teamnet_resilience(
-      ptrs, test, fast_config(sim::Scheduler::discrete_event), chaos);
-  const auto free_run = sim::run_teamnet_resilience(
-      ptrs, test, fast_config(sim::Scheduler::free_running), chaos);
+  const sim::ScenarioConfig cfg = fast_config();
+  const auto des = sim::run_teamnet_resilience(ptrs, test, cfg, chaos);
+  const auto des2 = sim::run_teamnet_resilience(ptrs, test, cfg, chaos);
   EXPECT_EQ(des.scenario.latency_ms, des2.scenario.latency_ms);
   EXPECT_EQ(chaos_signature(des), chaos_signature(des2));
-  EXPECT_EQ(chaos_signature(des), chaos_signature(free_run));
+  EXPECT_GT(des.faults_injected, 0);
+  expect_answers_match_reference(ptrs, test, cfg, des);
 }
 
-TEST(DesCrossMode, ChaosScheduleMatchesFreeRunningUnderDuplication) {
+TEST(DesReference, ChaosUnderDuplicationMatchesReference) {
   const auto experts = make_experts(3);
   const auto ptrs = expert_ptrs(experts);
   const auto test = blob_test_set();
   sim::ResilienceConfig chaos = chaos_config();
   chaos.faults.seed = 42;
   chaos.faults.duplicate_prob = 0.3;
-  chaos.worker_timeout_s = 5.0;  // generous: no worker ever actually fails,
-  chaos.probe_interval = 2;      // so the probe path stays idle in both modes
-  const auto des = sim::run_teamnet_resilience(
-      ptrs, test, fast_config(sim::Scheduler::discrete_event), chaos);
-  const auto free_run = sim::run_teamnet_resilience(
-      ptrs, test, fast_config(sim::Scheduler::free_running), chaos);
-  EXPECT_EQ(chaos_signature(des), chaos_signature(free_run));
+  chaos.worker_timeout_s = 5.0;
+  chaos.probe_interval = 2;
+  const sim::ScenarioConfig cfg = fast_config();
+  const auto des = sim::run_teamnet_resilience(ptrs, test, cfg, chaos);
+  const auto des2 = sim::run_teamnet_resilience(ptrs, test, cfg, chaos);
+  EXPECT_EQ(des.scenario.latency_ms, des2.scenario.latency_ms);
+  EXPECT_EQ(chaos_signature(des), chaos_signature(des2));
+  // Duplicates never cost an answer: every query is a full gather and the
+  // accuracy is the reference's over the same sampled rows.
+  EXPECT_EQ(des.full_gathers, cfg.num_queries);
+  EXPECT_EQ(des.scenario.accuracy_pct,
+            reference_accuracy_pct(
+                ptrs, test,
+                sim::sample_query_rows(test, cfg.num_queries, cfg.seed)));
+  expect_answers_match_reference(ptrs, test, cfg, des);
 }
 
 }  // namespace

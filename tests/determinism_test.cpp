@@ -100,7 +100,6 @@ sim::ScenarioConfig des_config() {
   cfg.num_queries = 8;
   cfg.link = net::LinkProfile{0.0005, 0.0, 0.0};
   cfg.seed = determinism_seed();
-  cfg.scheduler = sim::Scheduler::discrete_event;
   return cfg;
 }
 

@@ -393,7 +393,6 @@ sim::ScenarioConfig des_config() {
   sim::ScenarioConfig cfg;
   cfg.link = net::LinkProfile{0.0005, 0.0, 0.0};
   cfg.seed = determinism_seed();
-  cfg.scheduler = sim::Scheduler::discrete_event;
   return cfg;
 }
 

@@ -1,6 +1,7 @@
 // Transport / protocol tests: framing, in-proc channels, real TCP over
-// loopback, virtual-clock math, and the Figure-1 collaborative protocol
-// (including equivalence with the in-process TeamNetEnsemble).
+// loopback, and the Figure-1 collaborative protocol (including equivalence
+// with the in-process TeamNetEnsemble). The simulated link math lives with
+// the engine that owns it, in des_test.
 #include <gtest/gtest.h>
 
 #include <thread>
@@ -11,7 +12,6 @@
 #include "net/message.hpp"
 #include "net/tcp.hpp"
 #include "net/transport.hpp"
-#include "net/virtual_clock.hpp"
 #include "nn/mlp.hpp"
 
 namespace teamnet {
@@ -86,58 +86,6 @@ TEST(Tcp, LargeMessageSurvivesFraming) {
 
 TEST(Tcp, ConnectToDeadPortFails) {
   EXPECT_THROW(net::tcp_connect("127.0.0.1", 1), NetworkError);
-}
-
-TEST(VirtualClock, ComputeAdvancesOneNode) {
-  net::VirtualClock clock(2);
-  clock.advance(0, 1.5);
-  EXPECT_DOUBLE_EQ(clock.node_time(0), 1.5);
-  EXPECT_DOUBLE_EQ(clock.node_time(1), 0.0);
-  EXPECT_DOUBLE_EQ(clock.max_time(), 1.5);
-  EXPECT_THROW(clock.advance(0, -1.0), InvariantError);
-}
-
-TEST(VirtualClock, DeliveryImposesLinkDelay) {
-  net::VirtualClock clock(2);
-  net::LinkProfile link{0.001, 8e6, 0.0};  // 1 ms prop + 1 us/byte airtime
-  const double arrival = clock.deliver(1, /*send_time=*/2.0, 1000, link);
-  EXPECT_NEAR(arrival, 2.0 + 0.001 + 0.001, 1e-9);
-  EXPECT_NEAR(clock.node_time(1), arrival, 1e-12);
-  EXPECT_EQ(clock.bytes_delivered(), 1000);
-  EXPECT_EQ(clock.messages_delivered(), 1);
-}
-
-TEST(VirtualClock, SharedMediumSerializesConcurrentTransmissions) {
-  // Two messages "sent" at the same instant contend for the half-duplex
-  // medium: the second transmission starts only after the first's airtime.
-  net::VirtualClock clock(3);
-  net::LinkProfile link{0.001, 8e6, 0.0};
-  const double a1 = clock.deliver(1, 0.0, 1000, link);  // airtime 1 ms
-  const double a2 = clock.deliver(2, 0.0, 1000, link);
-  EXPECT_NEAR(a1, 0.002, 1e-9);
-  EXPECT_NEAR(a2, 0.003, 1e-9) << "second message waits for the medium";
-  // A later send on an idle medium pays no contention.
-  const double a3 = clock.deliver(1, 10.0, 1000, link);
-  EXPECT_NEAR(a3, 10.002, 1e-9);
-}
-
-TEST(VirtualClock, LinkTransferTime) {
-  net::LinkProfile link{0.0005, 40e6, 0.0002};
-  EXPECT_NEAR(link.transfer_time(0), 0.0007, 1e-9);
-  EXPECT_NEAR(link.transfer_time(40000000 / 8), 0.0007 + 1.0, 1e-6);
-}
-
-TEST(SimChannel, AccountsBytesAndTime) {
-  net::VirtualClock clock(2);
-  net::LinkProfile link{0.01, 0.0, 0.0};
-  auto [raw_a, raw_b] = net::make_inproc_pair();
-  auto a = net::make_sim_channel(std::move(raw_a), clock, 0, 1, link);
-  auto b = net::make_sim_channel(std::move(raw_b), clock, 1, 0, link);
-
-  clock.advance(0, 5.0);
-  a->send("data");
-  EXPECT_EQ(b->recv(), "data");
-  EXPECT_NEAR(clock.node_time(1), 5.01, 1e-9);
 }
 
 /// Two blobs experts trained via TeamNet, then served over the collaborative

@@ -306,7 +306,6 @@ std::string traced_teamnet_json() {
   cfg.num_queries = 8;
   cfg.link = net::LinkProfile{0.0005, 0.0, 0.0};
   cfg.seed = determinism_seed();
-  cfg.scheduler = sim::Scheduler::discrete_event;
   sim::run_teamnet(ptrs, test, cfg);
 
   std::string json = tracer.to_json();

@@ -1,5 +1,5 @@
 // TSan-targeted stress tests: hammer the concurrent substrate — thread
-// pool, in-proc channels, MPI-style collectives, virtual clock, telemetry —
+// pool, in-proc channels, MPI-style collectives, the DES engine, telemetry —
 // from many threads at once so `-DTEAMNET_SANITIZE=thread` has something to
 // bite on. The assertions also hold under the plain build; the point of the
 // test is the interleavings, not the arithmetic.
@@ -17,7 +17,6 @@
 #include "core/telemetry.hpp"
 #include "mpi/communicator.hpp"
 #include "net/transport.hpp"
-#include "net/virtual_clock.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "sim/des/des_channel.hpp"
@@ -117,25 +116,6 @@ TEST(TelemetryRace, SimultaneousWritersAndReaders) {
   core::ConvergenceTelemetry copy = tel;
   EXPECT_EQ(copy.iterations(), tel.iterations());
   EXPECT_EQ(copy.gamma_bar(0).size(), 2u);
-}
-
-TEST(VirtualClockRace, ConcurrentAdvanceAndDeliver) {
-  net::VirtualClock clock(4);
-  const net::LinkProfile link = net::wifi_link();
-  std::vector<std::thread> threads;
-  for (int node = 0; node < 4; ++node) {
-    threads.emplace_back([&clock, &link, node] {
-      for (int i = 0; i < 500; ++i) {
-        clock.advance(node, 1e-4);
-        clock.deliver((node + 1) % 4, clock.node_time(node), 128, link);
-        (void)clock.max_time();
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  EXPECT_EQ(clock.messages_delivered(), 4 * 500);
-  EXPECT_EQ(clock.bytes_delivered(), 4 * 500 * 128);
-  EXPECT_GE(clock.max_time(), 500 * 1e-4);
 }
 
 /// Builds a fully connected in-proc mesh (no virtual clock) for `n` ranks.

@@ -315,7 +315,6 @@ sim::ScenarioConfig des_config(int num_queries) {
   cfg.num_queries = num_queries;
   cfg.link = net::LinkProfile{0.0005, 0.0, 0.0};
   cfg.seed = chaos_seed();
-  cfg.scheduler = sim::Scheduler::discrete_event;
   return cfg;
 }
 

@@ -363,7 +363,7 @@ TEST(ScenarioConfigCheck, RejectsQueryCountBelowOne) {
 // A query that throws mid-run (the master's own expert cannot take the
 // input; the workers drop it and keep serving) surfaces as the error, with
 // every serving node woken and joined — fault-free and fault-wrapped
-// fleets, backups included, under both schedulers.
+// fleets, backups included.
 TEST(FleetTeardown, QueryErrorJoinsEveryNode) {
   Rng rng(92);
   nn::MlpConfig mc;
@@ -376,15 +376,11 @@ TEST(FleetTeardown, QueryErrorJoinsEveryNode) {
   const auto test = data::make_synthetic_mnist(dc);  // 784 features, not 8
   sim::ResilienceConfig res;
   res.hedging = true;
-  for (auto scheduler :
-       {sim::Scheduler::discrete_event, sim::Scheduler::free_running}) {
-    sim::ScenarioConfig cfg;
-    cfg.num_queries = 2;
-    cfg.scheduler = scheduler;
-    EXPECT_THROW(sim::run_teamnet({&a, &b, &c}, test, cfg), Error);
-    EXPECT_THROW(sim::run_teamnet_resilience({&a, &b, &c}, test, cfg, res),
-                 Error);
-  }
+  sim::ScenarioConfig cfg;
+  cfg.num_queries = 2;
+  EXPECT_THROW(sim::run_teamnet({&a, &b, &c}, test, cfg), Error);
+  EXPECT_THROW(sim::run_teamnet_resilience({&a, &b, &c}, test, cfg, res),
+               Error);
 }
 
 }  // namespace

@@ -34,12 +34,12 @@ Rules enforced over src/** (tests/bench/examples are exempt unless noted):
   wall-clock-in-sim  Wall-clock reads (std::chrono::*_clock::now) and real
                  sleeps (sleep_for / sleep_until) are forbidden in the
                  virtual-time surfaces: src/sim/** (including the sim/des
-                 engine), src/obs/**, src/load/**, src/net/virtual_clock.*
-                 and bench/**.
+                 engine), src/obs/**, src/load/**, src/net/link.* (the
+                 link math) and bench/**.
                  One wall-clock read in a scenario driver, trace/metrics
                  sink or bench silently breaks the bit-stability the
                  determinism CI gate enforces; time must come from
-                 VirtualClock / des::Engine (or an injected time source).
+                 des::Engine (or an injected time source).
 
   (retired) naked-recv — the token-level bare-recv() rule moved to the
                  deep tier: tools/analyze.py's `unbounded-wait` pass flags
@@ -281,7 +281,7 @@ def in_wall_clock_scope(path: pathlib.Path) -> bool:
         return False
     if rel.parts[0] in {"sim", "obs", "load"}:
         return True
-    return rel.parts[0] == "net" and path.stem == "virtual_clock"
+    return rel.parts[0] == "net" and path.stem == "link"
 
 
 def check_wall_clock(path: pathlib.Path, code: list[str]) -> list[Finding]:
@@ -294,8 +294,7 @@ def check_wall_clock(path: pathlib.Path, code: list[str]) -> list[Finding]:
                 path, i, "wall-clock-in-sim",
                 "wall-clock read/sleep in a virtual-time surface; this "
                 "breaks the bit-stability the determinism gate enforces — "
-                "take time from VirtualClock / des::Engine (or an injected "
-                "time source)"))
+                "take time from des::Engine (or an injected time source)"))
     return findings
 
 
@@ -420,7 +419,7 @@ def self_test() -> int:
          "const auto t0 = std::chrono::steady_clock::now();\n", True),
         ("wall-clock-in-sim", SRC / "sim" / "des" / "seeded.cpp",
          "std::this_thread::sleep_for(std::chrono::milliseconds(5));\n", True),
-        ("wall-clock-in-sim", SRC / "net" / "virtual_clock.cpp",
+        ("wall-clock-in-sim", SRC / "net" / "link.cpp",
          "return std::chrono::system_clock::now();\n", True),
         ("wall-clock-in-sim", REPO / "bench" / "seeded.cpp",
          "std::this_thread::sleep_until(deadline);\n", True),
