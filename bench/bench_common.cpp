@@ -1,16 +1,21 @@
 #include "bench_common.hpp"
 
+#include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
+#include <type_traits>
 
+#include "common/error.hpp"
 #include "common/logging.hpp"
 #include "common/table.hpp"
 #include "nn/loss.hpp"
 #include "nn/optim.hpp"
 #include "nn/serialize.hpp"
+#include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -18,95 +23,143 @@ namespace teamnet::bench {
 
 namespace {
 
-namespace fs = std::filesystem;
+using obs::json_double;
+using obs::json_escape;
 
-std::string cache_path(const Options& opts, const std::string& key) {
-  fs::create_directories(opts.cache_dir);
-  return (fs::path(opts.cache_dir) / key).string();
-}
-
-bool exists(const std::string& path) { return fs::exists(path); }
-
-void save_telemetry(const std::string& path,
-                    const core::ConvergenceTelemetry& tel) {
-  std::ofstream os(path);
-  for (std::size_t t = 0; t < tel.iterations(); ++t) {
-    for (float g : tel.gamma_bar(t)) os << g << ' ';
-    os << tel.objective(t) << ' ' << tel.gate_iters(t) << '\n';
-  }
-}
-
-core::ConvergenceTelemetry load_telemetry(const std::string& path, int k) {
-  core::ConvergenceTelemetry tel;
-  std::ifstream is(path);
-  std::string line;
-  while (std::getline(is, line)) {
-    std::istringstream ls(line);
-    std::vector<float> gamma(static_cast<std::size_t>(k));
-    for (auto& g : gamma) ls >> g;
-    float objective = 0.0f;
-    int iters = 0;
-    ls >> objective >> iters;
-    tel.record(gamma, objective, iters);
-  }
-  return tel;
-}
-
-/// Plain supervised training of a single model (the Baseline columns).
-void train_supervised(nn::Module& model, const data::Dataset& train, int epochs,
-                      std::int64_t batch_size, float lr, std::uint64_t seed) {
-  model.set_training(true);
-  nn::SgdConfig sgd;
-  sgd.lr = lr;
-  nn::Sgd opt(model.parameters(), sgd);
-  Rng rng(seed);
-  data::BatchIterator batches(train, batch_size, &rng);
-  for (int e = 0; e < epochs; ++e) {
-    batches.reset();
-    for (auto b = batches.next(); b.size() > 0; b = batches.next()) {
-      ag::backward(nn::cross_entropy_loss(model.forward(ag::constant(b.x)), b.y));
-      opt.step();
-    }
-    LOG_INFO("baseline epoch " << e + 1 << "/" << epochs);
-  }
-  model.set_training(false);
-}
-
-std::string fmt(double v, int digits = 1) { return Table::num(v, digits); }
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
+Tensor encode_telemetry(const core::ConvergenceTelemetry& telemetry) {
+  const auto s = telemetry.series();
+  const std::size_t cols = (s.gamma_bar.empty() ? 0 : s.gamma_bar[0].size()) + 2;
+  Tensor out({static_cast<std::int64_t>(s.objective.size()),
+              static_cast<std::int64_t>(cols)});
+  float* row = out.data();
+  for (std::size_t t = 0; t < s.objective.size(); ++t, row += cols) {
+    TEAMNET_CHECK(s.gamma_bar[t].size() + 2 == cols);
+    std::copy(s.gamma_bar[t].begin(), s.gamma_bar[t].end(), row);
+    row[cols - 2] = s.objective[t];
+    row[cols - 1] = static_cast<float>(s.gate_iters[t]);
   }
   return out;
 }
 
-/// %.17g round-trips every finite double exactly; non-finite values have no
-/// JSON spelling, so they degrade to null rather than corrupt the document.
-std::string json_number(double v) {
-  if (!std::isfinite(v)) return "null";
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
+core::ConvergenceTelemetry decode_telemetry(const std::vector<Tensor>& tensors) {
+  if (tensors.size() != 1 || tensors[0].rank() != 2 || tensors[0].dim(1) < 2) {
+    throw SerializationError("telemetry checkpoint is not one [T, k+2] tensor");
+  }
+  const std::int64_t cols = tensors[0].dim(1);
+  core::ConvergenceTelemetry telemetry;
+  for (std::int64_t t = 0; t < tensors[0].dim(0); ++t) {
+    const float* row = tensors[0].data() + t * cols;
+    telemetry.record(std::vector<float>(row, row + cols - 2), row[cols - 2],
+                     static_cast<int>(row[cols - 1]));
+  }
+  return telemetry;
 }
 
-}  // namespace
+/// The Baseline recipe both datasets share: one Net built from `init_seed`
+/// and trained by plain supervised SGD (batch order seeded by `seed`). It
+/// trains a fresh model, never a load target a failed load partly wrote.
+template <class Net, class NetConfig>
+std::unique_ptr<Net> cached_baseline(const Options& opts,
+                                     const std::string& stem,
+                                     const NetConfig& cfg,
+                                     std::uint64_t init_seed,
+                                     const data::Dataset& train, int epochs,
+                                     std::int64_t batch_size, float lr,
+                                     std::uint64_t seed) {
+  const auto make = [&cfg, init_seed] {
+    Rng rng(init_seed);
+    return std::make_unique<Net>(cfg, rng);
+  };
+  auto model = make();
+  load_or_train(opts.cache_dir, {stem, {{"", model.get()}}}, [&] {
+    model = make();
+    model->set_training(true);
+    nn::SgdConfig sgd;
+    sgd.lr = lr;
+    nn::Sgd opt(model->parameters(), sgd);
+    Rng rng(seed);
+    data::BatchIterator batches(train, batch_size, &rng);
+    for (int e = 0; e < epochs; ++e) {
+      batches.reset();
+      for (auto b = batches.next(); b.size() > 0; b = batches.next()) {
+        ag::backward(
+            nn::cross_entropy_loss(model->forward(ag::constant(b.x)), b.y));
+        opt.step();
+      }
+      LOG_INFO("baseline epoch " << e + 1 << "/" << epochs);
+    }
+    return CacheEntry{stem, {{"", model.get()}}};
+  });
+  model->set_training(false);
+  return model;
+}
 
-namespace {
+CacheEntry team_entry(const std::string& stem, TrainedTeam& team) {
+  CacheEntry entry{stem, {}, &team.telemetry};
+  for (std::size_t i = 0; i < team.experts.size(); ++i) {
+    entry.modules.emplace_back("_e" + std::to_string(i), team.experts[i].get());
+  }
+  return entry;
+}
+
+/// The TeamNet recipe both datasets share: `cfg.num_experts` experts of
+/// type Net, built from `init_seed` when the entry is cached and trained
+/// by core::TeamNetTrainer (seeded by `cfg.seed`) when it is not.
+template <class Net, class NetConfig>
+TrainedTeam cached_team(const Options& opts, const std::string& stem,
+                        const NetConfig& expert_cfg,
+                        const core::TeamNetConfig& cfg,
+                        const data::Dataset& train, std::uint64_t init_seed) {
+  const core::ExpertFactory make = [&expert_cfg](int, Rng& rng) {
+    return nn::ModulePtr(std::make_unique<Net>(expert_cfg, rng));
+  };
+  TrainedTeam team;
+  Rng rng(init_seed);
+  for (int i = 0; i < cfg.num_experts; ++i) team.experts.push_back(make(i, rng));
+  load_or_train(opts.cache_dir, team_entry(stem, team), [&] {
+    core::TeamNetTrainer trainer(cfg, make);
+    team.experts = trainer.train(train).release_experts();
+    team.telemetry = trainer.telemetry();
+    return team_entry(stem, team);
+  });
+  for (auto& expert : team.experts) expert->set_training(false);
+  return team;
+}
+
+/// The SG-MoE recipe both datasets share: a gate on `gate_in` features and
+/// `cfg.num_experts` experts of type Net, trained by moe::SgMoe::train on a
+/// freshly built model.
+template <class Net, class NetConfig>
+std::unique_ptr<moe::SgMoe> cached_sgmoe(const Options& opts,
+                                         const std::string& stem,
+                                         const NetConfig& expert_cfg,
+                                         const moe::SgMoeConfig& cfg,
+                                         std::int64_t gate_in,
+                                         const data::Dataset& train) {
+  const auto make = [&] {
+    return std::make_unique<moe::SgMoe>(
+        cfg, gate_in, [&expert_cfg](int, Rng& rng) -> nn::ModulePtr {
+          return std::make_unique<Net>(expert_cfg, rng);
+        });
+  };
+  const auto entry = [&stem, &cfg](moe::SgMoe& model) {
+    CacheEntry e{stem, {{"_gate", &model.gate()}}};
+    for (int i = 0; i < cfg.num_experts; ++i) {
+      e.modules.emplace_back("_e" + std::to_string(i), &model.expert(i));
+    }
+    return e;
+  };
+  auto model = make();
+  load_or_train(opts.cache_dir, entry(*model), [&] {
+    model = make();
+    model->train(train);
+    return entry(*model);
+  });
+  for (int i = 0; i < cfg.num_experts; ++i) model->expert(i).set_training(false);
+  return model;
+}
+
+std::string fmt(double v, int digits = 1) { return Table::num(v, digits); }
 
 /// Bad output paths are usage errors: diagnose on stderr and exit(2) like
 /// the other flag errors instead of aborting on an uncaught exception.
@@ -120,7 +173,66 @@ void require_writable_parent_or_exit(const std::string& path,
   }
 }
 
+[[noreturn]] void usage_exit(const char* argv0) {
+  std::fprintf(stderr,
+               "usage: %s [--quick] [--verbose] [--cache-dir DIR] "
+               "[--json PATH] [--trace PATH] [--metrics PATH] "
+               "[--breakdown PATH] [--trace-sched] "
+               "[--grant-policy canonical|random-tiebreak|pct] "
+               "[--schedule-seed N] [--schedule-slack S]\n",
+               argv0);
+  std::exit(2);
+}
+
+/// Parses all of `text` as a number; anything else (empty, trailing junk,
+/// out of range) is a usage error naming `flag`.
+template <class T>
+T parse_number_or_exit(const char* text, const char* flag, const char* argv0) {
+  T value{};
+  const char* end = text + std::strlen(text);
+  const auto [ptr, ec] = std::from_chars(text, end, value);
+  const auto as_double = static_cast<double>(value);
+  if (ec != std::errc() || ptr != end || !std::isfinite(as_double) ||
+      as_double < 0.0) {
+    std::fprintf(stderr, "invalid %s %s (want %s)\n", flag, text,
+                 std::is_integral_v<T> ? "an integer >= 0"
+                                       : "a finite number >= 0");
+    usage_exit(argv0);
+  }
+  return value;
+}
+
 }  // namespace
+
+void load_or_train(const std::string& dir, const CacheEntry& cached,
+                   const std::function<CacheEntry()>& train) {
+  const auto file = [&dir](const CacheEntry& entry, const std::string& suffix) {
+    return (std::filesystem::path(dir) / (entry.stem + suffix + ".tnet"))
+        .string();
+  };
+  try {
+    for (const auto& [suffix, module] : cached.modules) {
+      nn::load_module(file(cached, suffix), *module);
+    }
+    if (cached.telemetry != nullptr) {
+      *cached.telemetry =
+          decode_telemetry(nn::load_tensors(file(cached, ".telemetry")));
+    }
+    return;
+  } catch (const Error& e) {
+    LOG_INFO("cache miss for " << cached.stem << " (" << e.what()
+                               << "); training");
+  }
+  const CacheEntry trained = train();
+  std::filesystem::create_directories(dir);
+  for (const auto& [suffix, module] : trained.modules) {
+    nn::save_module(file(trained, suffix), *module);
+  }
+  if (trained.telemetry != nullptr) {
+    nn::save_tensors(file(trained, ".telemetry"),
+                     {encode_telemetry(*trained.telemetry)});
+  }
+}
 
 void apply_scheduler_options(sim::ScenarioConfig& config,
                              const Options& opts) {
@@ -161,20 +273,15 @@ Options parse_options(int argc, char** argv) {
       }
       opts.grant_policy = *kind;
     } else if (arg == "--schedule-seed" && i + 1 < argc) {
-      opts.schedule_seed = std::strtoull(argv[++i], nullptr, 10);
+      opts.schedule_seed = parse_number_or_exit<std::uint64_t>(
+          argv[++i], "--schedule-seed", argv[0]);
     } else if (arg == "--schedule-slack" && i + 1 < argc) {
-      opts.schedule_slack_s = std::strtod(argv[++i], nullptr);
+      opts.schedule_slack_s = parse_number_or_exit<double>(
+          argv[++i], "--schedule-slack", argv[0]);
     } else if (arg == "--verbose") {
       log::set_level(log::Level::Info);
     } else {
-      std::fprintf(stderr,
-                   "usage: %s [--quick] [--verbose] [--cache-dir DIR] "
-                   "[--json PATH] [--trace PATH] [--metrics PATH] "
-                   "[--trace-sched] "
-                   "[--grant-policy canonical|random-tiebreak|pct] "
-                   "[--schedule-seed N] [--schedule-slack S]\n",
-                   argv[0]);
-      std::exit(2);
+      usage_exit(argv[0]);
     }
   }
   if (!opts.trace_path.empty()) {
@@ -264,80 +371,28 @@ const nn::ShakeShakeConfig& cifar_expert_cfg(const CifarSetup& setup,
 
 std::unique_ptr<nn::MlpNet> train_mnist_baseline(const MnistSetup& setup,
                                                  const Options& opts) {
-  Rng rng(21);
-  auto model = std::make_unique<nn::MlpNet>(setup.mlp8, rng);
-  const std::string path = cache_path(
-      opts, "mnist_mlp8_h" + std::to_string(setup.mlp8.hidden) + "_n" +
-                std::to_string(setup.train.size()) + ".tnet");
-  if (exists(path)) {
-    try {
-      nn::load_module(path, *model);
-      model->set_training(false);
-      return model;
-    } catch (const Error& e) {
-      LOG_WARN("stale cache " << path << " (" << e.what() << "); retraining");
-    }
-  }
-  const int epochs = opts.quick ? 3 : 6;
-  train_supervised(*model, setup.train, epochs, 64, 0.05f, 22);
-  nn::save_module(path, *model);
-  return model;
+  return cached_baseline<nn::MlpNet>(
+      opts,
+      "mnist_mlp8_h" + std::to_string(setup.mlp8.hidden) + "_n" +
+          std::to_string(setup.train.size()),
+      setup.mlp8, 21, setup.train, opts.quick ? 3 : 6, 64, 0.05f, 22);
 }
 
 TrainedTeam train_mnist_teamnet(const MnistSetup& setup, int num_experts,
                                 const Options& opts, core::GateKind gate) {
   const nn::MlpConfig& expert_cfg = mnist_expert_cfg(setup, num_experts);
-  const std::string stem =
-      "mnist_teamnet_k" + std::to_string(num_experts) + "_h" +
-      std::to_string(expert_cfg.hidden) + "_n" +
-      std::to_string(setup.train.size()) + "_" + core::to_string(gate);
-
-  TrainedTeam team;
-  const std::string tele_path = cache_path(opts, stem + ".telemetry");
-  bool cached = exists(tele_path);
-  for (int i = 0; cached && i < num_experts; ++i) {
-    cached = exists(cache_path(opts, stem + "_e" + std::to_string(i) + ".tnet"));
-  }
-
-  if (cached) {
-    try {
-      Rng rng(31);
-      for (int i = 0; i < num_experts; ++i) {
-        auto expert = std::make_unique<nn::MlpNet>(expert_cfg, rng);
-        nn::load_module(
-            cache_path(opts, stem + "_e" + std::to_string(i) + ".tnet"),
-            *expert);
-        expert->set_training(false);
-        team.experts.push_back(std::move(expert));
-      }
-      team.telemetry = load_telemetry(tele_path, num_experts);
-      return team;
-    } catch (const Error& e) {
-      LOG_WARN("stale cache for " << stem << " (" << e.what()
-                                  << "); retraining");
-      team.experts.clear();
-    }
-  }
-
   core::TeamNetConfig cfg;
   cfg.num_experts = num_experts;
   cfg.epochs = opts.quick ? 3 : 6;
   cfg.batch_size = 64;
   cfg.gate_kind = gate;
   cfg.seed = 33;
-  core::TeamNetTrainer trainer(cfg, [&expert_cfg](int, Rng& rng) -> nn::ModulePtr {
-    return std::make_unique<nn::MlpNet>(expert_cfg, rng);
-  });
-  core::TeamNetEnsemble ensemble = trainer.train(setup.train);
-  team.telemetry = trainer.telemetry();
-  team.experts = ensemble.release_experts();
-
-  for (int i = 0; i < num_experts; ++i) {
-    nn::save_module(cache_path(opts, stem + "_e" + std::to_string(i) + ".tnet"),
-                    *team.experts[static_cast<std::size_t>(i)]);
-  }
-  save_telemetry(tele_path, team.telemetry);
-  return team;
+  return cached_team<nn::MlpNet>(
+      opts,
+      "mnist_teamnet_k" + std::to_string(num_experts) + "_h" +
+          std::to_string(expert_cfg.hidden) + "_n" +
+          std::to_string(setup.train.size()) + "_" + core::to_string(gate),
+      expert_cfg, cfg, setup.train, 31);
 }
 
 std::unique_ptr<moe::SgMoe> train_mnist_sgmoe(const MnistSetup& setup,
@@ -354,119 +409,39 @@ std::unique_ptr<moe::SgMoe> train_mnist_sgmoe(const MnistSetup& setup,
   cfg.top_k = 1;
   cfg.epochs = opts.quick ? 3 : 6;
   cfg.seed = 35;
-  auto model = std::make_unique<moe::SgMoe>(
-      cfg, 28 * 28, [&expert_cfg](int, Rng& rng) -> nn::ModulePtr {
-        return std::make_unique<nn::MlpNet>(expert_cfg, rng);
-      });
-
-  const std::string stem = "mnist_sgmoe_v2_k" + std::to_string(num_experts) +
-                           "_h" + std::to_string(expert_cfg.hidden) + "_n" +
-                           std::to_string(setup.train.size());
-  const std::string gate_path = cache_path(opts, stem + "_gate.tnet");
-  bool cached = exists(gate_path);
-  for (int i = 0; cached && i < num_experts; ++i) {
-    cached = exists(cache_path(opts, stem + "_e" + std::to_string(i) + ".tnet"));
-  }
-  if (cached) {
-    try {
-      nn::load_module(gate_path, model->gate());
-      for (int i = 0; i < num_experts; ++i) {
-        nn::load_module(
-            cache_path(opts, stem + "_e" + std::to_string(i) + ".tnet"),
-            model->expert(i));
-        model->expert(i).set_training(false);
-      }
-      return model;
-    } catch (const Error& e) {
-      LOG_WARN("stale cache for " << stem << " (" << e.what()
-                                  << "); retraining");
-    }
-  }
-  model->train(setup.train);
-  nn::save_module(gate_path, model->gate());
-  for (int i = 0; i < num_experts; ++i) {
-    nn::save_module(cache_path(opts, stem + "_e" + std::to_string(i) + ".tnet"),
-                    model->expert(i));
-  }
-  return model;
+  return cached_sgmoe<nn::MlpNet>(
+      opts,
+      "mnist_sgmoe_v2_k" + std::to_string(num_experts) + "_h" +
+          std::to_string(expert_cfg.hidden) + "_n" +
+          std::to_string(setup.train.size()),
+      expert_cfg, cfg, 28 * 28, setup.train);
 }
 
 std::unique_ptr<nn::ShakeShakeNet> train_cifar_baseline(const CifarSetup& setup,
                                                         const Options& opts) {
-  Rng rng(41);
-  auto model = std::make_unique<nn::ShakeShakeNet>(setup.ss26, rng);
-  const std::string path = cache_path(
-      opts, "cifar_ss26_c" + std::to_string(setup.ss26.base_channels) + "_n" +
-                std::to_string(setup.train.size()) + ".tnet");
-  if (exists(path)) {
-    try {
-      nn::load_module(path, *model);
-      model->set_training(false);
-      return model;
-    } catch (const Error& e) {
-      LOG_WARN("stale cache " << path << " (" << e.what() << "); retraining");
-    }
-  }
-  const int epochs = opts.quick ? 2 : 4;
-  train_supervised(*model, setup.train, epochs, 32, 0.03f, 42);
-  nn::save_module(path, *model);
-  return model;
+  return cached_baseline<nn::ShakeShakeNet>(
+      opts,
+      "cifar_ss26_c" + std::to_string(setup.ss26.base_channels) + "_n" +
+          std::to_string(setup.train.size()),
+      setup.ss26, 41, setup.train, opts.quick ? 2 : 4, 32, 0.03f, 42);
 }
 
 TrainedTeam train_cifar_teamnet(const CifarSetup& setup, int num_experts,
                                 const Options& opts) {
   const nn::ShakeShakeConfig& expert_cfg = cifar_expert_cfg(setup, num_experts);
-  const std::string stem =
-      "cifar_teamnet_k" + std::to_string(num_experts) + "_d" +
-      std::to_string(expert_cfg.depth) + "_c" +
-      std::to_string(expert_cfg.base_channels) + "_n" +
-      std::to_string(setup.train.size());
-
-  TrainedTeam team;
-  const std::string tele_path = cache_path(opts, stem + ".telemetry");
-  bool cached = exists(tele_path);
-  for (int i = 0; cached && i < num_experts; ++i) {
-    cached = exists(cache_path(opts, stem + "_e" + std::to_string(i) + ".tnet"));
-  }
-  if (cached) {
-    try {
-      Rng rng(51);
-      for (int i = 0; i < num_experts; ++i) {
-        auto expert = std::make_unique<nn::ShakeShakeNet>(expert_cfg, rng);
-        nn::load_module(
-            cache_path(opts, stem + "_e" + std::to_string(i) + ".tnet"),
-            *expert);
-        expert->set_training(false);
-        team.experts.push_back(std::move(expert));
-      }
-      team.telemetry = load_telemetry(tele_path, num_experts);
-      return team;
-    } catch (const Error& e) {
-      LOG_WARN("stale cache for " << stem << " (" << e.what()
-                                  << "); retraining");
-      team.experts.clear();
-    }
-  }
-
   core::TeamNetConfig cfg;
   cfg.num_experts = num_experts;
   cfg.epochs = opts.quick ? 2 : 4;
   cfg.batch_size = 32;
   cfg.sgd.lr = 0.03f;
   cfg.seed = 53;
-  core::TeamNetTrainer trainer(cfg, [&expert_cfg](int, Rng& rng) -> nn::ModulePtr {
-    return std::make_unique<nn::ShakeShakeNet>(expert_cfg, rng);
-  });
-  core::TeamNetEnsemble ensemble = trainer.train(setup.train);
-  team.telemetry = trainer.telemetry();
-  team.experts = ensemble.release_experts();
-
-  for (int i = 0; i < num_experts; ++i) {
-    nn::save_module(cache_path(opts, stem + "_e" + std::to_string(i) + ".tnet"),
-                    *team.experts[static_cast<std::size_t>(i)]);
-  }
-  save_telemetry(tele_path, team.telemetry);
-  return team;
+  return cached_team<nn::ShakeShakeNet>(
+      opts,
+      "cifar_teamnet_k" + std::to_string(num_experts) + "_d" +
+          std::to_string(expert_cfg.depth) + "_c" +
+          std::to_string(expert_cfg.base_channels) + "_n" +
+          std::to_string(setup.train.size()),
+      expert_cfg, cfg, setup.train, 51);
 }
 
 std::unique_ptr<moe::SgMoe> train_cifar_sgmoe(const CifarSetup& setup,
@@ -480,42 +455,13 @@ std::unique_ptr<moe::SgMoe> train_cifar_sgmoe(const CifarSetup& setup,
   cfg.sgd.lr = 0.03f;
   cfg.batch_size = 32;
   cfg.seed = 55;
-  const std::int64_t gate_in = 3 * setup.ss26.image_size * setup.ss26.image_size;
-  auto model = std::make_unique<moe::SgMoe>(
-      cfg, gate_in, [&expert_cfg](int, Rng& rng) -> nn::ModulePtr {
-        return std::make_unique<nn::ShakeShakeNet>(expert_cfg, rng);
-      });
-
-  const std::string stem = "cifar_sgmoe_v2_k" + std::to_string(num_experts) +
-                           "_d" + std::to_string(expert_cfg.depth) + "_n" +
-                           std::to_string(setup.train.size());
-  const std::string gate_path = cache_path(opts, stem + "_gate.tnet");
-  bool cached = exists(gate_path);
-  for (int i = 0; cached && i < num_experts; ++i) {
-    cached = exists(cache_path(opts, stem + "_e" + std::to_string(i) + ".tnet"));
-  }
-  if (cached) {
-    try {
-      nn::load_module(gate_path, model->gate());
-      for (int i = 0; i < num_experts; ++i) {
-        nn::load_module(
-            cache_path(opts, stem + "_e" + std::to_string(i) + ".tnet"),
-            model->expert(i));
-        model->expert(i).set_training(false);
-      }
-      return model;
-    } catch (const Error& e) {
-      LOG_WARN("stale cache for " << stem << " (" << e.what()
-                                  << "); retraining");
-    }
-  }
-  model->train(setup.train);
-  nn::save_module(gate_path, model->gate());
-  for (int i = 0; i < num_experts; ++i) {
-    nn::save_module(cache_path(opts, stem + "_e" + std::to_string(i) + ".tnet"),
-                    model->expert(i));
-  }
-  return model;
+  return cached_sgmoe<nn::ShakeShakeNet>(
+      opts,
+      "cifar_sgmoe_v2_k" + std::to_string(num_experts) + "_d" +
+          std::to_string(expert_cfg.depth) + "_n" +
+          std::to_string(setup.train.size()),
+      expert_cfg, cfg, 3 * setup.ss26.image_size * setup.ss26.image_size,
+      setup.train);
 }
 
 JsonReport::JsonReport(const Options& opts, std::string experiment)
@@ -558,42 +504,39 @@ void JsonReport::write() const {
        << "\"label\": \"" << json_escape(row.label) << "\", "
        << "\"approach\": \"" << json_escape(r.approach) << "\", "
        << "\"nodes\": " << r.num_nodes << ", "
-       << "\"latency_ms\": " << json_number(r.latency_ms) << ", "
-       << "\"accuracy_pct\": " << json_number(r.accuracy_pct) << ", "
-       << "\"bytes_per_query\": " << json_number(r.bytes_per_query) << ", "
-       << "\"messages_per_query\": " << json_number(r.messages_per_query);
+       << "\"latency_ms\": " << json_double(r.latency_ms) << ", "
+       << "\"accuracy_pct\": " << json_double(r.accuracy_pct) << ", "
+       << "\"bytes_per_query\": " << json_double(r.bytes_per_query) << ", "
+       << "\"messages_per_query\": " << json_double(r.messages_per_query);
     for (const auto& extra : row.extras) {
       os << ", \"" << json_escape(extra.first)
-         << "\": " << json_number(extra.second);
+         << "\": " << json_double(extra.second);
     }
     os << "}";
   }
   os << "\n  ]";
   if (!convergence_.empty()) {
     os << ",\n  \"convergence\": [";
+    const auto array = [&os](const auto& values) {
+      os << "[";
+      for (std::size_t t = 0; t < values.size(); ++t) {
+        os << (t == 0 ? "" : ", ") << json_double(values[t]);
+      }
+      os << "]";
+    };
     for (std::size_t i = 0; i < convergence_.size(); ++i) {
-      const ConvergenceRow& row = convergence_[i];
-      const auto& s = row.series;
+      const auto& s = convergence_[i].series;
       os << (i == 0 ? "" : ",") << "\n    {\"label\": \""
-         << json_escape(row.label) << "\", \"gamma_bar\": [";
+         << json_escape(convergence_[i].label) << "\", \"gamma_bar\": [";
       for (std::size_t t = 0; t < s.gamma_bar.size(); ++t) {
-        os << (t == 0 ? "[" : ", [");
-        for (std::size_t e = 0; e < s.gamma_bar[t].size(); ++e) {
-          os << (e == 0 ? "" : ", ")
-             << json_number(static_cast<double>(s.gamma_bar[t][e]));
-        }
-        os << "]";
+        os << (t == 0 ? "" : ", ");
+        array(s.gamma_bar[t]);
       }
-      os << "], \"objective\": [";
-      for (std::size_t t = 0; t < s.objective.size(); ++t) {
-        os << (t == 0 ? "" : ", ")
-           << json_number(static_cast<double>(s.objective[t]));
-      }
-      os << "], \"gate_iters\": [";
-      for (std::size_t t = 0; t < s.gate_iters.size(); ++t) {
-        os << (t == 0 ? "" : ", ") << s.gate_iters[t];
-      }
-      os << "]}";
+      os << "], \"objective\": ";
+      array(s.objective);
+      os << ", \"gate_iters\": ";
+      array(s.gate_iters);
+      os << "}";
     }
     os << "\n  ]";
   }
@@ -639,6 +582,28 @@ void BreakdownReport::write() const {
     throw Error("failed writing --breakdown output file: " + path_);
   }
   std::printf("wrote %zu breakdown rows to %s\n", rows_.size(), path_.c_str());
+}
+
+void print_convergence_series(const core::ConvergenceTelemetry& tel, int k) {
+  const float set_point = 1.0f / static_cast<float>(k);
+  std::printf("\n(%c) %d experts — smoothed gamma per expert (set point %.2f)\n",
+              k == 2 ? 'a' : 'b', k, set_point);
+  std::printf("%10s", "iteration");
+  for (int i = 0; i < k; ++i) std::printf("  expert%-3d", i + 1);
+  std::printf("  max|dev|\n");
+  const std::size_t total = tel.iterations();
+  const std::size_t window = std::max<std::size_t>(1, total / 20);
+  const std::size_t step = std::max<std::size_t>(1, total / 16);
+  for (std::size_t t = step - 1; t < total; t += step) {
+    auto gamma = tel.smoothed_gamma(t, window);
+    std::printf("%10zu", t + 1);
+    float dev = 0.0f;
+    for (float g : gamma) {
+      std::printf("  %8.3f", g);
+      dev = std::max(dev, std::abs(g - set_point));
+    }
+    std::printf("  %7.3f\n", dev);
+  }
 }
 
 void print_comparison_table(const std::string& title,

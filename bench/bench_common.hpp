@@ -5,6 +5,7 @@
 // paper's row layout with the paper's reported numbers alongside.
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -154,6 +155,27 @@ CifarSetup cifar_setup(const Options& opts);
 const nn::ShakeShakeConfig& cifar_expert_cfg(const CifarSetup& setup,
                                              int num_experts);
 
+// ---- checkpoint cache -------------------------------------------------------
+
+/// One all-or-nothing cache entry: `<dir>/<stem><suffix>.tnet` per module
+/// and, when `telemetry` is set, `<dir>/<stem>.telemetry.tnet` holding one
+/// [iterations, k+2] tensor (k gamma-bar columns, the gate objective, the
+/// gate inner-loop iterations). Every file is a TNET checkpoint, so floats
+/// round-trip exactly and a truncated or corrupt file fails to decode.
+struct CacheEntry {
+  std::string stem;
+  std::vector<std::pair<std::string, nn::Module*>> modules;  ///< suffix, module
+  core::ConvergenceTelemetry* telemetry = nullptr;
+};
+
+/// Loads every file of `cached` into its modules and telemetry. If any file
+/// is missing or fails to decode the entry is uncached: `train` runs, and
+/// every file of the entry it returns is saved atomically under `dir`. A
+/// failed load may have overwritten some of `cached`'s modules, so `train`
+/// must train freshly built modules, not those.
+void load_or_train(const std::string& dir, const CacheEntry& cached,
+                   const std::function<CacheEntry()>& train);
+
 // ---- cached training --------------------------------------------------------
 
 /// Trained TeamNet experts plus the gate telemetry from training (telemetry
@@ -185,6 +207,12 @@ TrainedTeam train_cifar_teamnet(const CifarSetup& setup, int num_experts,
 std::unique_ptr<moe::SgMoe> train_cifar_sgmoe(const CifarSetup& setup,
                                               int num_experts,
                                               const Options& opts);
+
+/// Prints one panel of a gate-convergence figure (Figures 6 and 8): the
+/// smoothed gamma per expert at evenly spaced iterations and its largest
+/// deviation from the 1/K set point. Panel (a) is K=2, (b) any other K.
+void print_convergence_series(const core::ConvergenceTelemetry& telemetry,
+                              int k);
 
 // ---- paper-style tables ------------------------------------------------------
 

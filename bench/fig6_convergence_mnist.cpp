@@ -9,27 +9,8 @@ namespace teamnet::bench {
 namespace {
 
 void print_series(const core::ConvergenceTelemetry& tel, int k) {
-  const float set_point = 1.0f / static_cast<float>(k);
-  std::printf("\n(%c) %d experts — smoothed gamma per expert (set point %.2f)\n",
-              k == 2 ? 'a' : 'b', k, set_point);
-  std::printf("%10s", "iteration");
-  for (int i = 0; i < k; ++i) std::printf("  expert%-3d", i + 1);
-  std::printf("  max|dev|\n");
-
+  print_convergence_series(tel, k);
   const std::size_t total = tel.iterations();
-  const std::size_t window = std::max<std::size_t>(1, total / 20);
-  const std::size_t step = std::max<std::size_t>(1, total / 16);
-  for (std::size_t t = step - 1; t < total; t += step) {
-    auto gamma = tel.smoothed_gamma(t, window);
-    std::printf("%10zu", t + 1);
-    float dev = 0.0f;
-    for (float g : gamma) {
-      std::printf("  %8.3f", g);
-      dev = std::max(dev, std::abs(g - set_point));
-    }
-    std::printf("  %7.3f\n", dev);
-  }
-
   const int converged = tel.iterations_to_converge(0.15f, 5);
   if (converged >= 0) {
     std::printf("converged (|gamma - 1/K| < 0.15 for 5 iters) at iteration %d"

@@ -8,28 +8,6 @@
 namespace teamnet::bench {
 namespace {
 
-void print_series(const core::ConvergenceTelemetry& tel, int k) {
-  const float set_point = 1.0f / static_cast<float>(k);
-  std::printf("\n(%c) %d experts — smoothed gamma per expert (set point %.2f)\n",
-              k == 2 ? 'a' : 'b', k, set_point);
-  std::printf("%10s", "iteration");
-  for (int i = 0; i < k; ++i) std::printf("  expert%-3d", i + 1);
-  std::printf("  max|dev|\n");
-  const std::size_t total = tel.iterations();
-  const std::size_t window = std::max<std::size_t>(1, total / 20);
-  const std::size_t step = std::max<std::size_t>(1, total / 16);
-  for (std::size_t t = step - 1; t < total; t += step) {
-    auto gamma = tel.smoothed_gamma(t, window);
-    std::printf("%10zu", t + 1);
-    float dev = 0.0f;
-    for (float g : gamma) {
-      std::printf("  %8.3f", g);
-      dev = std::max(dev, std::abs(g - set_point));
-    }
-    std::printf("  %7.3f\n", dev);
-  }
-}
-
 int main_impl(int argc, char** argv) {
   Options opts = parse_options(argc, argv);
   print_banner("Figure 8 — gate convergence on CIFAR", "Figure 8(a), 8(b)");
@@ -38,8 +16,8 @@ int main_impl(int argc, char** argv) {
   auto team2 = train_cifar_teamnet(setup, 2, opts);
   auto team4 = train_cifar_teamnet(setup, 4, opts);
 
-  print_series(team2.telemetry, 2);
-  print_series(team4.telemetry, 4);
+  print_convergence_series(team2.telemetry, 2);
+  print_convergence_series(team4.telemetry, 4);
 
   // Full per-iteration series: into --json directly, and into the metrics
   // registry so a --metrics snapshot carries the same curves.

@@ -8,32 +8,13 @@
 #include <string>
 #include <vector>
 
+#include "obs/json.hpp"
+
 namespace teamnet::bench {
 namespace {
 
-/// %.17g, matching the sweep benches' number formatting.
-std::string json_number(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
-
-std::string json_escape(const std::string& in) {
-  std::string out;
-  for (char c : in) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-      out += buf;
-    } else {
-      out += c;
-    }
-  }
-  return out;
-}
+using obs::json_double;
+using obs::json_escape;
 
 const char* time_unit_name(benchmark::TimeUnit unit) {
   switch (unit) {
@@ -102,14 +83,14 @@ int write_json(const std::string& path, const std::string& experiment,
     const auto& r = rows[i];
     os << (i == 0 ? "" : ",") << "\n    {\"name\": \"" << json_escape(r.name)
        << "\", \"iterations\": " << r.iterations
-       << ", \"real_time\": " << json_number(r.real_time)
-       << ", \"cpu_time\": " << json_number(r.cpu_time) << ", \"time_unit\": \""
+       << ", \"real_time\": " << json_double(r.real_time)
+       << ", \"cpu_time\": " << json_double(r.cpu_time) << ", \"time_unit\": \""
        << r.unit << "\"";
     if (r.items_per_second >= 0.0) {
-      os << ", \"items_per_second\": " << json_number(r.items_per_second);
+      os << ", \"items_per_second\": " << json_double(r.items_per_second);
     }
     if (r.bytes_per_second >= 0.0) {
-      os << ", \"bytes_per_second\": " << json_number(r.bytes_per_second);
+      os << ", \"bytes_per_second\": " << json_double(r.bytes_per_second);
     }
     os << "}";
   }

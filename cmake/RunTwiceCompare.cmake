@@ -10,7 +10,12 @@
 #   cmake -DBIN=<sweep binary> -DOUT_DIR=<scratch dir>
 #         [-DOUT_FLAGS=<;-list of output flags, default --json>]
 #         [-DEXTRA_ARGS=<;-list appended to both runs>]
+#         [-DFRESH_DIR=<directory deleted before run a>]
 #         -P RunTwiceCompare.cmake
+#
+# FRESH_DIR names a model cache directory that EXTRA_ARGS passes to the
+# binary: run `a` then starts cold and trains, run `b` loads what `a`
+# saved, and the pair must still be identical.
 #
 # Each flag F in OUT_FLAGS contributes "F ${OUT_DIR}/run_<run>.<stem>.json"
 # to both invocations (stem = flag without dashes), and the resulting pair
@@ -23,6 +28,9 @@ if(NOT DEFINED OUT_FLAGS)
 endif()
 
 file(MAKE_DIRECTORY "${OUT_DIR}")
+if(DEFINED FRESH_DIR)
+  file(REMOVE_RECURSE "${FRESH_DIR}")
+endif()
 set(stems)
 foreach(run a b)
   set(args)

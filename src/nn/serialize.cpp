@@ -1,6 +1,10 @@
 #include "nn/serialize.hpp"
 
+#include <unistd.h>
+
+#include <atomic>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 
@@ -75,6 +79,30 @@ std::vector<Tensor> load_tensors(std::istream& is) {
   return tensors;
 }
 
+void save_tensors(const std::string& path, const std::vector<Tensor>& tensors) {
+  static std::atomic<std::uint64_t> sequence{0};
+  const std::string tmp = path + ".tmp" + std::to_string(::getpid()) + "." +
+                          std::to_string(sequence.fetch_add(1));
+  try {
+    std::ofstream os(tmp, std::ios::binary);
+    save_tensors(os, tensors);
+    os.close();
+    std::error_code ec;
+    if (os) std::filesystem::rename(tmp, path, ec);
+    if (!os || ec) throw SerializationError("cannot write " + path);
+  } catch (...) {
+    std::error_code ignored;
+    std::filesystem::remove(tmp, ignored);
+    throw;
+  }
+}
+
+std::vector<Tensor> load_tensors(const std::string& path) {
+  std::ifstream is(path, std::ios::binary);
+  if (!is) throw SerializationError("cannot open for read: " + path);
+  return load_tensors(is);
+}
+
 std::vector<Tensor> snapshot_parameters(Module& module) {
   std::vector<Tensor> values;
   for (const auto& p : module.parameters()) values.push_back(p.value().clone());
@@ -106,15 +134,11 @@ void restore_parameters(Module& module, const std::vector<Tensor>& values) {
 }
 
 void save_module(const std::string& path, Module& module) {
-  std::ofstream os(path, std::ios::binary);
-  if (!os) throw SerializationError("cannot open for write: " + path);
-  save_tensors(os, snapshot_parameters(module));
+  save_tensors(path, snapshot_parameters(module));
 }
 
 void load_module(const std::string& path, Module& module) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is) throw SerializationError("cannot open for read: " + path);
-  restore_parameters(module, load_tensors(is));
+  restore_parameters(module, load_tensors(path));
 }
 
 std::string serialize_parameters(Module& module) {

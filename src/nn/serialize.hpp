@@ -36,6 +36,13 @@ Tensor read_tensor(std::istream& is);
 void save_tensors(std::ostream& os, const std::vector<Tensor>& tensors);
 std::vector<Tensor> load_tensors(std::istream& is);
 
+/// File forms. The save is atomic: it writes a sibling temp file whose name
+/// is unique per writer (pid + per-process sequence number) and renames it
+/// over `path`, so a concurrent reader sees either the old file or the new
+/// one, never a partial write.
+void save_tensors(const std::string& path, const std::vector<Tensor>& tensors);
+std::vector<Tensor> load_tensors(const std::string& path);
+
 /// Snapshot of a module's full state: parameters() followed by buffers()
 /// (batch-norm running statistics etc.), all deep copies.
 std::vector<Tensor> snapshot_parameters(Module& module);
@@ -44,7 +51,7 @@ std::vector<Tensor> snapshot_parameters(Module& module);
 /// and shapes must match.
 void restore_parameters(Module& module, const std::vector<Tensor>& values);
 
-/// File-based convenience wrappers.
+/// File-based convenience wrappers over the path forms above.
 void save_module(const std::string& path, Module& module);
 void load_module(const std::string& path, Module& module);
 

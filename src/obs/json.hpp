@@ -1,16 +1,20 @@
-// Minimal byte-stable JSON emission helpers shared by the obs sinks.
+// Minimal byte-stable JSON emission helpers shared by the obs sinks and the
+// bench `--json` writers.
 //
 // Doubles use %.17g — enough digits to round-trip any IEEE double — so a
 // deterministic (same-seed discrete_event) run serializes to a
-// byte-identical file. Same convention as `bench --json`.
+// byte-identical file. NaN and ±Inf have no JSON spelling; they are written
+// as null so the document stays valid JSON.
 #pragma once
 
+#include <cmath>
 #include <cstdio>
 #include <string>
 
 namespace teamnet::obs {
 
 inline std::string json_double(double v) {
+  if (!std::isfinite(v)) return "null";
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.17g", v);
   return buf;

@@ -1,7 +1,10 @@
 // Layer/model/optimizer/serialization tests for the nn module.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cmath>
+#include <filesystem>
 #include <sstream>
 
 #include "common/rng.hpp"
@@ -409,6 +412,32 @@ TEST(Serialize, BufferCountMismatchRejected) {
   nn::BatchNorm bn(4);           // has buffers
   EXPECT_THROW(nn::deserialize_parameters(nn::serialize_parameters(mlp), bn),
                Error);
+}
+
+TEST(Serialize, OverwriteReplacesCheckpointAtomically) {
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::path(::testing::TempDir()) /
+                       ("nn_overwrite_" + std::to_string(::getpid()));
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  const std::string path = (dir / "model.tnet").string();
+  Rng rng(19);
+  nn::MlpConfig cfg;
+  cfg.in_features = 4;
+  cfg.depth = 2;
+  cfg.hidden = 4;
+  nn::MlpNet first(cfg, rng), second(cfg, rng), loaded(cfg, rng);
+  nn::save_module(path, first);
+  nn::save_module(path, second);
+
+  // The temp file was renamed over the target: one file, the new contents.
+  std::vector<fs::path> files;
+  for (const auto& f : fs::directory_iterator(dir)) files.push_back(f.path());
+  EXPECT_EQ(files, std::vector<fs::path>{path});
+  nn::load_module(path, loaded);
+  EXPECT_EQ(nn::serialize_parameters(loaded), nn::serialize_parameters(second));
+  EXPECT_NE(nn::serialize_parameters(loaded), nn::serialize_parameters(first));
+  fs::remove_all(dir);
 }
 
 }  // namespace

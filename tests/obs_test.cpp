@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -22,6 +23,7 @@
 #include "common/error.hpp"
 #include "data/blobs.hpp"
 #include "nn/mlp.hpp"
+#include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "sim/scenario.hpp"
@@ -147,6 +149,15 @@ TEST(Metrics, RequireWritableParentNamesFlagAndPath) {
     EXPECT_NE(what.find("--trace"), std::string::npos) << what;
     EXPECT_NE(what.find("/no/such/dir/out.json"), std::string::npos) << what;
   }
+}
+
+TEST(Json, NonFiniteDoublesSerializeAsNull) {
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(obs::json_double(std::numeric_limits<double>::quiet_NaN()), "null");
+  EXPECT_EQ(obs::json_double(inf), "null");
+  EXPECT_EQ(obs::json_double(-inf), "null");
+  EXPECT_EQ(obs::json_double(0.1), "0.10000000000000001");
+  EXPECT_EQ(obs::json_double(-2.5), "-2.5");
 }
 
 // ---- tracer -----------------------------------------------------------------
