@@ -84,7 +84,6 @@ int main_impl(int argc, char** argv) {
 
   sim::ScenarioConfig scenario;
   scenario.num_queries = 30;
-  apply_scheduler_options(scenario, opts);
   scenario.link = sim::socket_link();
   const std::vector<sim::DeviceProfile> fleet = {sim::jetson_tx2_cpu(),
                                                  sim::raspberry_pi_3b()};

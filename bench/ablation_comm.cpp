@@ -22,7 +22,6 @@ int main_impl(int argc, char** argv) {
 
   sim::ScenarioConfig cfg;
   cfg.num_queries = 40;
-  apply_scheduler_options(cfg, opts);
   // Same link for both patterns so only the pattern differs.
   cfg.link = sim::socket_link();
 

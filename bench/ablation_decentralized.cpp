@@ -24,7 +24,6 @@ int main_impl(int argc, char** argv) {
     TrainedTeam team = train_mnist_teamnet(setup, k, opts);
     sim::ScenarioConfig cfg;
     cfg.num_queries = 30;
-    apply_scheduler_options(cfg, opts);
     cfg.link = sim::socket_link();
 
     auto centralized = sim::run_teamnet(team.expert_ptrs(), setup.test, cfg);

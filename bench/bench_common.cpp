@@ -1,13 +1,10 @@
 #include "bench_common.hpp"
 
 #include <algorithm>
-#include <charconv>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <type_traits>
 
 #include "common/error.hpp"
 #include "common/logging.hpp"
@@ -177,29 +174,9 @@ void require_writable_parent_or_exit(const std::string& path,
   std::fprintf(stderr,
                "usage: %s [--quick] [--verbose] [--cache-dir DIR] "
                "[--json PATH] [--trace PATH] [--metrics PATH] "
-               "[--breakdown PATH] [--trace-sched] "
-               "[--grant-policy canonical|random-tiebreak|pct] "
-               "[--schedule-seed N] [--schedule-slack S]\n",
+               "[--breakdown PATH]\n",
                argv0);
   std::exit(2);
-}
-
-/// Parses all of `text` as a number; anything else (empty, trailing junk,
-/// out of range) is a usage error naming `flag`.
-template <class T>
-T parse_number_or_exit(const char* text, const char* flag, const char* argv0) {
-  T value{};
-  const char* end = text + std::strlen(text);
-  const auto [ptr, ec] = std::from_chars(text, end, value);
-  const auto as_double = static_cast<double>(value);
-  if (ec != std::errc() || ptr != end || !std::isfinite(as_double) ||
-      as_double < 0.0) {
-    std::fprintf(stderr, "invalid %s %s (want %s)\n", flag, text,
-                 std::is_integral_v<T> ? "an integer >= 0"
-                                       : "a finite number >= 0");
-    usage_exit(argv0);
-  }
-  return value;
 }
 
 }  // namespace
@@ -234,13 +211,6 @@ void load_or_train(const std::string& dir, const CacheEntry& cached,
   }
 }
 
-void apply_scheduler_options(sim::ScenarioConfig& config,
-                             const Options& opts) {
-  config.grant_policy = opts.grant_policy;
-  config.schedule_seed = opts.schedule_seed;
-  config.schedule_slack_s = opts.schedule_slack_s;
-}
-
 Options parse_options(int argc, char** argv) {
   Options opts;
   for (int i = 1; i < argc; ++i) {
@@ -261,33 +231,13 @@ Options parse_options(int argc, char** argv) {
     } else if (arg == "--breakdown" && i + 1 < argc) {
       opts.breakdown_path = argv[++i];
       require_writable_parent_or_exit(opts.breakdown_path, "--breakdown");
-    } else if (arg == "--trace-sched") {
-      opts.trace_sched = true;
-    } else if (arg == "--grant-policy" && i + 1 < argc) {
-      const std::string name = argv[++i];
-      const auto kind = sim::des::parse_grant_policy(name);
-      if (!kind) {
-        std::fprintf(stderr, "unknown --grant-policy %s (want canonical, "
-                             "random-tiebreak or pct)\n", name.c_str());
-        std::exit(2);
-      }
-      opts.grant_policy = *kind;
-    } else if (arg == "--schedule-seed" && i + 1 < argc) {
-      opts.schedule_seed = parse_number_or_exit<std::uint64_t>(
-          argv[++i], "--schedule-seed", argv[0]);
-    } else if (arg == "--schedule-slack" && i + 1 < argc) {
-      opts.schedule_slack_s = parse_number_or_exit<double>(
-          argv[++i], "--schedule-slack", argv[0]);
     } else if (arg == "--verbose") {
       log::set_level(log::Level::Info);
     } else {
       usage_exit(argv[0]);
     }
   }
-  if (!opts.trace_path.empty()) {
-    obs::Tracer::instance().set_scheduler_events(opts.trace_sched);
-    obs::Tracer::instance().start();
-  }
+  if (!opts.trace_path.empty()) obs::Tracer::instance().start();
   return opts;
 }
 

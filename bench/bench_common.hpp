@@ -35,21 +35,7 @@ struct Options {
   /// discrete_event; CI gates it by double-run byte identity, while the
   /// flat --json row carries the compare-gated headline shares.
   std::string breakdown_path;
-  bool trace_sched = false;  ///< --trace-sched: include DES scheduler events
-  /// Schedule-exploration knobs (DESIGN.md §11), forwarded into every
-  /// ScenarioConfig via apply_scheduler_options. The defaults (canonical,
-  /// seed 0, slack 0) reproduce the canonical schedule byte for byte;
-  /// --grant-policy/--schedule-seed/--schedule-slack rerun a bench under a
-  /// perturbed-but-legal schedule, e.g. to replay an explorer finding at
-  /// full bench scale.
-  sim::des::GrantPolicyKind grant_policy = sim::des::GrantPolicyKind::canonical;
-  std::uint64_t schedule_seed = 0;
-  double schedule_slack_s = 0.0;
 };
-
-/// Copies the schedule-exploration flags (--grant-policy, --schedule-seed,
-/// --schedule-slack) into a scenario config.
-void apply_scheduler_options(sim::ScenarioConfig& config, const Options& opts);
 
 /// Parses the shared bench flags. Every output-file flag (--json, --trace,
 /// --metrics) fails fast with a teamnet::Error naming the flag and path when

@@ -29,7 +29,6 @@ int main_impl(int argc, char** argv) {
   sim::ScenarioConfig cfg;
   cfg.num_queries = opts.quick ? 24 : 60;
   cfg.link = sim::socket_link();
-  apply_scheduler_options(cfg, opts);
 
   JsonReport report(opts, "chaos_degradation");
   Table table({"fault rate", "accuracy (%)", "mean live nodes",

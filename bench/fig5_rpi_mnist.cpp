@@ -21,7 +21,6 @@ int main_impl(int argc, char** argv) {
   cfg.device = sim::raspberry_pi_3b();
   cfg.link = sim::socket_link();
   cfg.num_queries = 40;
-  apply_scheduler_options(cfg, opts);
 
   std::vector<PaperColumn> columns;
   columns.push_back({"MLP-8 (baseline)",

@@ -9,15 +9,13 @@
 namespace teamnet::bench {
 namespace {
 
-void run_device(const Options& opts, const CifarSetup& setup,
-                nn::ShakeShakeNet& baseline,
+void run_device(const CifarSetup& setup, nn::ShakeShakeNet& baseline,
                 const TrainedTeam& team2, const TrainedTeam& team4,
                 const sim::DeviceProfile& device, char tag) {
   sim::ScenarioConfig cfg;
   cfg.device = device;
   cfg.link = sim::socket_link();
   cfg.num_queries = 20;
-  apply_scheduler_options(cfg, opts);
 
   std::vector<PaperColumn> columns;
   columns.push_back({"SS-26 (baseline)",
@@ -61,10 +59,8 @@ int main_impl(int argc, char** argv) {
   auto team2 = train_cifar_teamnet(setup, 2, opts);
   auto team4 = train_cifar_teamnet(setup, 4, opts);
 
-  run_device(opts, setup, *baseline, team2, team4, sim::jetson_tx2_cpu(),
-             'a');
-  run_device(opts, setup, *baseline, team2, team4, sim::jetson_tx2_gpu(),
-             'b');
+  run_device(setup, *baseline, team2, team4, sim::jetson_tx2_cpu(), 'a');
+  run_device(setup, *baseline, team2, team4, sim::jetson_tx2_gpu(), 'b');
   write_observability_outputs(opts);
   return 0;
 }

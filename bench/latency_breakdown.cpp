@@ -84,7 +84,6 @@ int main_impl(int argc, char** argv) {
 
   sim::ScenarioConfig cfg;
   cfg.link = sim::socket_link();
-  apply_scheduler_options(cfg, opts);
 
   load::LoadConfig base;
   base.num_queries = opts.quick ? 40 : 200;
@@ -106,7 +105,7 @@ int main_impl(int argc, char** argv) {
         load::run_teamnet_load(team.expert_ptrs(), setup.test, cfg, load_cfg);
     const auto summary = load::summarize_attributions(
         r.attributions, static_cast<std::size_t>(load_cfg.warmup_queries),
-        load_cfg.histogram);
+        load::LatencyHistogram::Config{});
     const std::string label = prefix + load::to_string(load_cfg.arrival.kind) +
                               " k" + std::to_string(k) + " " + level;
     report.add(label, as_scenario(r), extras(r, summary));

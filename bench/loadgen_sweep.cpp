@@ -60,7 +60,6 @@ int main_impl(int argc, char** argv) {
 
   sim::ScenarioConfig cfg;
   cfg.link = sim::socket_link();
-  apply_scheduler_options(cfg, opts);
 
   load::LoadConfig base;
   base.num_queries = opts.quick ? 40 : 200;

@@ -53,7 +53,6 @@ int main_impl(int argc, char** argv) {
   sim::ScenarioConfig cfg;
   cfg.num_queries = opts.quick ? 20 : 48;
   cfg.link = sim::socket_link();
-  apply_scheduler_options(cfg, opts);
 
   const double slo_ms = 0.05 * 1000.0;  // worker_timeout_s below, in ms
   JsonReport report(opts, "resilience_sweep");

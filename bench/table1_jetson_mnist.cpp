@@ -13,16 +13,14 @@ struct PaperRow {
   double accuracy;
 };
 
-void run_device(const Options& opts, JsonReport& report,
-                const MnistSetup& setup, nn::MlpNet& baseline,
-                const TrainedTeam& team2, const TrainedTeam& team4,
-                moe::SgMoe& moe2, moe::SgMoe& moe4,
+void run_device(JsonReport& report, const MnistSetup& setup,
+                nn::MlpNet& baseline, const TrainedTeam& team2,
+                const TrainedTeam& team4, moe::SgMoe& moe2, moe::SgMoe& moe4,
                 const sim::DeviceProfile& device, const std::string& label,
                 const std::vector<PaperRow>& paper) {
   sim::ScenarioConfig cfg;
   cfg.device = device;
   cfg.num_queries = 40;
-  apply_scheduler_options(cfg, opts);
 
   auto socket_cfg = cfg;
   socket_cfg.link = sim::socket_link();
@@ -86,9 +84,9 @@ int main_impl(int argc, char** argv) {
       {2.6, 98.7},  {187.7, 98.8}, {4.5, 98.5}, {6.9, 98.5}};
 
   JsonReport report(opts, "table1_jetson_mnist");
-  run_device(opts, report, setup, *baseline, team2, team4, *moe2, *moe4,
+  run_device(report, setup, *baseline, team2, team4, *moe2, *moe4,
              sim::jetson_tx2_cpu(), "a: Jetson TX2 CPU only", paper_cpu);
-  run_device(opts, report, setup, *baseline, team2, team4, *moe2, *moe4,
+  run_device(report, setup, *baseline, team2, team4, *moe2, *moe4,
              sim::jetson_tx2_gpu(), "b: Jetson TX2 GPU and CPU", paper_gpu);
   report.write();
   write_observability_outputs(opts);

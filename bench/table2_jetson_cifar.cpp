@@ -14,16 +14,14 @@ struct PaperRow {
   double accuracy;
 };
 
-void run_device(const Options& opts, JsonReport& report,
-                const CifarSetup& setup, nn::ShakeShakeNet& baseline,
-                const TrainedTeam& team2, const TrainedTeam& team4,
-                moe::SgMoe& moe2, moe::SgMoe& moe4,
+void run_device(JsonReport& report, const CifarSetup& setup,
+                nn::ShakeShakeNet& baseline, const TrainedTeam& team2,
+                const TrainedTeam& team4, moe::SgMoe& moe2, moe::SgMoe& moe4,
                 const sim::DeviceProfile& device, const std::string& label,
                 const std::vector<PaperRow>& paper) {
   sim::ScenarioConfig cfg;
   cfg.device = device;
   cfg.num_queries = 20;
-  apply_scheduler_options(cfg, opts);
 
   auto socket_cfg = cfg;
   socket_cfg.link = sim::socket_link();
@@ -91,9 +89,9 @@ int main_impl(int argc, char** argv) {
       {30.6, 87.3}, {29.5, 87.3}};
 
   JsonReport report(opts, "table2_jetson_cifar");
-  run_device(opts, report, setup, *baseline, team2, team4, *moe2, *moe4,
+  run_device(report, setup, *baseline, team2, team4, *moe2, *moe4,
              sim::jetson_tx2_cpu(), "a: Jetson TX2 CPU only", paper_cpu);
-  run_device(opts, report, setup, *baseline, team2, team4, *moe2, *moe4,
+  run_device(report, setup, *baseline, team2, team4, *moe2, *moe4,
              sim::jetson_tx2_gpu(), "b: Jetson TX2 GPU and CPU", paper_gpu);
   report.write();
   write_observability_outputs(opts);

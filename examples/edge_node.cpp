@@ -19,10 +19,13 @@
 // Every subcommand accepts --trace PATH (Chrome trace-event JSON of the
 // run, wall-clock timestamps) and --metrics PATH (protocol counter
 // snapshot); see DESIGN.md §10.
+#include <charconv>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
-#include <cstring>
+#include <cstdlib>
 #include <filesystem>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -69,6 +72,60 @@ data::Dataset test_set() {
   cfg.num_samples = 600;
   cfg.seed = 77;  // disjoint from the training seed below
   return data::make_synthetic_mnist(cfg);
+}
+
+void usage() {
+  std::fprintf(stderr,
+               "usage:\n"
+               "  edge_node train  --experts K --out DIR\n"
+               "  edge_node worker --listen PORT --weights FILE\n"
+               "  edge_node master --workers host:port[,host:port...] "
+               "--weights FILE\n"
+               "                   [--chaos-seed N --chaos-drop P]\n"
+               "  edge_node demo\n"
+               "\n"
+               "--chaos-seed N (N != 0) wraps every worker link in a seeded\n"
+               "fault injector (drop rate P, default 0.05) and enables the\n"
+               "gather deadline + probation machinery.\n"
+               "\n"
+               "Any subcommand also takes --trace PATH (Chrome trace-event\n"
+               "JSON, open in Perfetto) and --metrics PATH (counter\n"
+               "snapshot).\n");
+}
+
+[[noreturn]] void usage_exit(const std::string& error) {
+  std::fprintf(stderr, "error: %s\n\n", error.c_str());
+  usage();
+  std::exit(2);
+}
+
+/// Parses all of `text` as an integer in [min, max]; anything else (empty,
+/// a sign, trailing junk, out of range) prints the usage and exits 2.
+std::uint64_t parse_integer(const std::string& flag, const std::string& text,
+                            std::uint64_t min, std::uint64_t max) {
+  std::uint64_t value = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end || value < min || value > max) {
+    usage_exit(flag + " needs an integer in [" + std::to_string(min) + ", " +
+               std::to_string(max) + "], got '" + text + "'");
+  }
+  return value;
+}
+
+std::uint16_t parse_port(const std::string& flag, const std::string& text) {
+  return static_cast<std::uint16_t>(parse_integer(flag, text, 0, 65535));
+}
+
+/// Parses all of `text` as a probability in [0, 1], or exits 2.
+double parse_probability(const std::string& flag, const std::string& text) {
+  double value = 0.0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end || !(value >= 0.0 && value <= 1.0)) {
+    usage_exit(flag + " needs a number in [0, 1], got '" + text + "'");
+  }
+  return value;
 }
 
 int cmd_train(int experts, const std::string& out_dir) {
@@ -124,7 +181,7 @@ int cmd_master(const std::vector<std::string>& workers,
     TEAMNET_CHECK_MSG(colon != std::string::npos, "worker must be host:port");
     auto channel = net::tcp_connect(
         address.substr(0, colon),
-        static_cast<std::uint16_t>(std::stoi(address.substr(colon + 1))));
+        parse_port("--workers", address.substr(colon + 1)));
     if (chaos_seed != 0) {
       // Chaos mode: inject seeded faults on this link so the deadline +
       // probation machinery can be exercised against real TCP workers.
@@ -196,25 +253,6 @@ int cmd_demo() {
   return rc;
 }
 
-void usage() {
-  std::fprintf(stderr,
-               "usage:\n"
-               "  edge_node train  --experts K --out DIR\n"
-               "  edge_node worker --listen PORT --weights FILE\n"
-               "  edge_node master --workers host:port[,host:port...] "
-               "--weights FILE\n"
-               "                   [--chaos-seed N --chaos-drop P]\n"
-               "  edge_node demo\n"
-               "\n"
-               "--chaos-seed N (N != 0) wraps every worker link in a seeded\n"
-               "fault injector (drop rate P, default 0.05) and enables the\n"
-               "gather deadline + probation machinery.\n"
-               "\n"
-               "Any subcommand also takes --trace PATH (Chrome trace-event\n"
-               "JSON, open in Perfetto) and --metrics PATH (counter\n"
-               "snapshot).\n");
-}
-
 std::string flag_value(int argc, char** argv, const std::string& flag,
                        const std::string& fallback = "") {
   for (int i = 2; i + 1 < argc; ++i) {
@@ -247,11 +285,13 @@ int main(int argc, char** argv) {
     if (command == "train") {
       const std::string out = flag_value(argc, argv, "--out", ".");
       std::filesystem::create_directories(out);
-      rc = cmd_train(std::stoi(flag_value(argc, argv, "--experts", "2")), out);
+      rc = cmd_train(static_cast<int>(parse_integer(
+                         "--experts", flag_value(argc, argv, "--experts", "2"),
+                         1, std::numeric_limits<int>::max())),
+                     out);
     } else if (command == "worker") {
       rc = cmd_worker(
-          static_cast<std::uint16_t>(
-              std::stoi(flag_value(argc, argv, "--listen", "0"))),
+          parse_port("--listen", flag_value(argc, argv, "--listen", "0")),
           flag_value(argc, argv, "--weights"));
     } else if (command == "master") {
       std::vector<std::string> workers;
@@ -266,8 +306,11 @@ int main(int argc, char** argv) {
       TEAMNET_CHECK_MSG(!workers.empty(), "--workers required");
       rc = cmd_master(
           workers, flag_value(argc, argv, "--weights"),
-          std::stoull(flag_value(argc, argv, "--chaos-seed", "0")),
-          std::stod(flag_value(argc, argv, "--chaos-drop", "0.05")));
+          parse_integer("--chaos-seed",
+                        flag_value(argc, argv, "--chaos-seed", "0"), 0,
+                        std::numeric_limits<std::uint64_t>::max()),
+          parse_probability("--chaos-drop",
+                            flag_value(argc, argv, "--chaos-drop", "0.05")));
     } else if (command == "demo") {
       rc = cmd_demo();
     } else {

@@ -76,13 +76,11 @@ const char* level_tag(Level level) {
   return "?????";
 }
 
-/// The one log sink. Every level writes through emit() under `mutex` — the
-/// stream pointer and the write itself share a single critical section, so
-/// set_sink() can never race a half-written line. Leaf lock: nothing else
+/// The one log sink. Every level writes to stderr through emit() under
+/// `mutex`, so concurrent lines never interleave. Leaf lock: nothing else
 /// is acquired while it is held.
 struct Sink {
   Mutex mutex;
-  std::FILE* stream TN_GUARDED_BY(mutex) = nullptr;  ///< nullptr = stderr
 };
 
 Sink& sink() {
@@ -142,12 +140,6 @@ Fields& Fields::kv(const char* key, bool value) {
   return *this;
 }
 
-void set_sink(std::FILE* stream) {
-  Sink& s = sink();
-  MutexLock lock(s.mutex);
-  s.stream = stream;
-}
-
 namespace detail {
 
 void emit(Level level, const std::string& message) {
@@ -155,10 +147,8 @@ void emit(Level level, const std::string& message) {
   static const auto start = clock::now();
   const double elapsed =
       std::chrono::duration<double>(clock::now() - start).count();
-  Sink& s = sink();
-  MutexLock lock(s.mutex);
-  std::FILE* out = s.stream != nullptr ? s.stream : stderr;
-  std::fprintf(out, "[%8.3fs %s] %s\n", elapsed, level_tag(level),
+  MutexLock lock(sink().mutex);
+  std::fprintf(stderr, "[%8.3fs %s] %s\n", elapsed, level_tag(level),
                message.c_str());
 }
 

@@ -6,7 +6,6 @@
 #pragma once
 
 #include <atomic>
-#include <cstdio>
 #include <ostream>
 #include <sstream>
 #include <string>
@@ -28,11 +27,6 @@ void set_level(Level level);
 
 /// True when messages at `level` are currently emitted.
 bool enabled(Level level);
-
-/// Redirects all subsequent log output (every level — there is one sink,
-/// guarded by one mutex) to `stream`; nullptr restores stderr. The caller
-/// keeps ownership and must not close the stream while logging may occur.
-void set_sink(std::FILE* stream);
 
 /// Structured key=value fields for machine-grepable log lines. Streams as
 /// space-separated `key=value` pairs in insertion order:

@@ -25,7 +25,6 @@ class Table {
   std::string to_string() const;
 
   std::size_t num_rows() const { return rows_.size(); }
-  std::size_t num_cols() const { return header_.size(); }
 
  private:
   std::vector<std::string> header_;

@@ -17,10 +17,6 @@ ExpertTrainer::ExpertTrainer(std::vector<nn::Module*> experts,
   }
 }
 
-void ExpertTrainer::set_lr_multiplier(float multiplier) {
-  for (auto& opt : optimizers_) opt->set_lr_multiplier(multiplier);
-}
-
 std::vector<float> ExpertTrainer::train_on_batch(
     const Tensor& x, const std::vector<int>& labels,
     const std::vector<int>& assignment) {

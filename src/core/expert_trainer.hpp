@@ -27,10 +27,6 @@ class ExpertTrainer {
 
   int num_experts() const { return static_cast<int>(experts_.size()); }
 
-  /// Applies a learning-rate multiplier to every expert's optimizer
-  /// (driven by TeamNetConfig::lr_schedule between epochs).
-  void set_lr_multiplier(float multiplier);
-
  private:
   std::vector<nn::Module*> experts_;
   std::vector<std::unique_ptr<nn::Sgd>> optimizers_;

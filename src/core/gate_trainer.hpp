@@ -84,9 +84,6 @@ class GateTrainer {
   const GateTrainerConfig& config() const { return config_; }
 
  private:
-  /// Builds gamma_bar Vars for the current delta/b graph.
-  struct SoftProportions;
-
   int k_;
   GateTrainerConfig config_;
   Rng rng_;

@@ -132,9 +132,6 @@ TeamNetEnsemble TeamNetTrainer::train(const data::Dataset& train_data) {
   Rng shuffle_rng = rng.fork(2);
   data::BatchIterator batches(train_data, config_.batch_size, &shuffle_rng);
   for (int epoch = 0; epoch < config_.epochs; ++epoch) {
-    if (config_.lr_schedule) {
-      expert_trainer.set_lr_multiplier(config_.lr_schedule(epoch));
-    }
     batches.reset();
     for (data::Batch batch = batches.next(); batch.size() > 0;
          batch = batches.next()) {

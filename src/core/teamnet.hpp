@@ -15,7 +15,6 @@
 #include "core/telemetry.hpp"
 #include "data/dataset.hpp"
 #include "nn/module.hpp"
-#include "nn/schedule.hpp"
 
 namespace teamnet::core {
 
@@ -26,9 +25,6 @@ struct TeamNetConfig {
   GateKind gate_kind = GateKind::Learned;
   GateTrainerConfig gate;
   nn::SgdConfig sgd;
-  /// Learning-rate schedule applied to the expert optimizers at the start
-  /// of each epoch (defaults to a constant rate).
-  nn::LrSchedule lr_schedule = nn::constant_schedule();
   std::uint64_t seed = 7;
 };
 

@@ -127,17 +127,6 @@ const char* to_string(ArrivalKind kind) {
   return "unknown";
 }
 
-std::optional<ArrivalKind> parse_arrival_kind(const std::string& name) {
-  if (name == "open_poisson" || name == "poisson") {
-    return ArrivalKind::open_poisson;
-  }
-  if (name == "closed_loop" || name == "closed") {
-    return ArrivalKind::closed_loop;
-  }
-  if (name == "bursty") return ArrivalKind::bursty;
-  return std::nullopt;
-}
-
 std::unique_ptr<ArrivalProcess> make_arrival_process(
     const ArrivalConfig& config) {
   switch (config.kind) {

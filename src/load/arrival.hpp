@@ -28,9 +28,7 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <queue>
-#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -40,7 +38,6 @@ namespace teamnet::load {
 enum class ArrivalKind { open_poisson, closed_loop, bursty };
 
 const char* to_string(ArrivalKind kind);
-std::optional<ArrivalKind> parse_arrival_kind(const std::string& name);
 
 struct ArrivalConfig {
   ArrivalKind kind = ArrivalKind::open_poisson;

@@ -17,11 +17,9 @@ namespace teamnet::load {
 
 namespace {
 
-/// Coarse decade edges (ms) for the always-on metrics-registry histogram.
-/// Fixed independently of LoadConfig::histogram so repeated runs in one
-/// process (different layouts) never trip the registry's same-name /
-/// same-edges invariant; the fine-grained percentiles come from the
-/// per-run LatencyHistogram instead.
+/// Coarse decade edges (ms) for the always-on metrics-registry histogram;
+/// the fine-grained percentiles come from the per-run LatencyHistogram
+/// instead.
 const std::vector<double>& metrics_latency_edges() {
   static const std::vector<double> edges{0.1, 1.0, 10.0, 100.0, 1e3, 1e4};
   return edges;
@@ -124,9 +122,10 @@ LoadResult run_load_generic(const std::string& approach,
   }
 
   const std::size_t warmup = static_cast<std::size_t>(load.warmup_queries);
-  result.warmup = make_phase_stats(result.records, 0, warmup, load.histogram);
+  const LatencyHistogram::Config histogram;
+  result.warmup = make_phase_stats(result.records, 0, warmup, histogram);
   result.steady = make_phase_stats(result.records, warmup,
-                                   result.records.size(), load.histogram);
+                                   result.records.size(), histogram);
   result.offered_qps = result.steady.offered_qps();
   result.achieved_qps = result.steady.achieved_qps();
   result.p50_ms = result.steady.latency.percentile(50.0);
@@ -149,21 +148,17 @@ LoadResult run_load_generic(const std::string& approach,
   registry.gauge("load.steady_queries")
       .set(static_cast<double>(result.steady.queries));
   // Export the steady-phase distribution at full resolution (the always-on
-  // "load.latency_ms" above keeps coarse decade edges). Guarded on the
-  // default layout: a same-process run with a custom layout would otherwise
-  // trip the registry's same-name/same-edges invariant.
-  if (load.histogram == LatencyHistogram::Config{}) {
-    auto& steady_histogram = registry.histogram(
-        "load.steady_latency_ms", result.steady.latency.upper_edges());
-    const auto& edges = result.steady.latency.upper_edges();
-    const auto counts = result.steady.latency.bucket_counts();
-    for (std::size_t b = 0; b < counts.size(); ++b) {
-      // Placing each bucket at its inclusive upper edge reproduces the
-      // counts exactly (both histograms bucket by lower_bound); overflow
-      // goes past the last edge.
-      const double at = b < edges.size() ? edges[b] : edges.back() * 2.0;
-      steady_histogram.observe_n(at, counts[b]);
-    }
+  // "load.latency_ms" above keeps coarse decade edges).
+  auto& steady_histogram = registry.histogram(
+      "load.steady_latency_ms", result.steady.latency.upper_edges());
+  const auto& edges = result.steady.latency.upper_edges();
+  const auto counts = result.steady.latency.bucket_counts();
+  for (std::size_t b = 0; b < counts.size(); ++b) {
+    // Placing each bucket at its inclusive upper edge reproduces the
+    // counts exactly (both histograms bucket by lower_bound); overflow
+    // goes past the last edge.
+    const double at = b < edges.size() ? edges[b] : edges.back() * 2.0;
+    steady_histogram.observe_n(at, counts[b]);
   }
   return result;
 }

@@ -37,7 +37,6 @@ struct LoadConfig {
   /// Seed for query-row sampling (the arrival process seeds separately via
   /// arrival.seed, so traffic shape and traffic content vary independently).
   std::uint64_t query_seed = 7;
-  LatencyHistogram::Config histogram;
   /// > 0 bounds each gather with one shared deadline (master
   /// set_worker_timeout); 0 keeps the block-forever default.
   double worker_timeout_s = 0.0;

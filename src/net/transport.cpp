@@ -1,26 +1,12 @@
 #include "net/transport.hpp"
 
-#include <atomic>
 #include <chrono>
 #include <deque>
 
 #include "common/annotations.hpp"
 #include "common/error.hpp"
-#include "common/logging.hpp"
 
 namespace teamnet::net {
-
-std::optional<std::string> Channel::recv_timeout(double seconds) {
-  if (seconds > 0.0) {
-    static std::atomic<bool> warned{false};
-    if (!warned.exchange(true)) {
-      LOG_WARN("Channel::recv_timeout: this channel type has no timeout "
-               "support; falling back to blocking recv() — the caller's "
-               << seconds << "s deadline is not enforced");
-    }
-  }
-  return recv();
-}
 
 namespace {
 

@@ -28,11 +28,7 @@ class Channel {
   /// `seconds <= 0` is a non-blocking poll. InProc and TCP wait real
   /// seconds; a DES channel spends the budget in virtual time. The
   /// fault-tolerant master uses this to survive dead or wedged workers.
-  /// The base default has no timeout support: it falls back to plain
-  /// blocking recv and warns (once per process) when called with a
-  /// positive timeout, because a blocking fallback silently voids the
-  /// caller's deadline.
-  virtual std::optional<std::string> recv_timeout(double seconds);
+  virtual std::optional<std::string> recv_timeout(double seconds) = 0;
   /// Shuts the channel down: subsequent (and currently blocked) recv calls
   /// fail with NetworkError once drained. Error-recovery paths use this to
   /// unblock peer threads instead of leaking them. Default: no-op.

@@ -25,7 +25,6 @@ class BatchNorm : public Module {
   std::string name() const override;
 
   const Tensor& running_mean() const { return running_mean_; }
-  const Tensor& running_var() const { return running_var_; }
 
  private:
   std::int64_t channels_;

@@ -1,4 +1,4 @@
-// Basic layers: Linear, Conv2d, activations, Flatten.
+// Basic layers: Linear, Conv2d, activations, pooling.
 #pragma once
 
 #include <cstdint>
@@ -72,19 +72,6 @@ class Tanh : public Module {
     return {input_shape, shape_numel(input_shape)};
   }
   std::string name() const override { return "Tanh"; }
-};
-
-/// [N, C, H, W] (or any rank >= 2) -> [N, prod(rest)].
-class Flatten : public Module {
- public:
-  ag::Var forward(const ag::Var& input) override {
-    const std::int64_t n = input.value().dim(0);
-    return ag::reshape(input, {n, -1});
-  }
-  Analysis analyze(const Shape& input_shape) const override {
-    return {{shape_numel(input_shape)}, 0};
-  }
-  std::string name() const override { return "Flatten"; }
 };
 
 /// Global average pooling: [N, C, H, W] -> [N, C].

@@ -5,7 +5,7 @@
 namespace teamnet::nn {
 
 Sgd::Sgd(std::vector<ag::Var> params, const SgdConfig& config)
-    : Optimizer(std::move(params)), config_(config) {
+    : params_(std::move(params)), config_(config) {
   velocity_.reserve(params_.size());
   for (const auto& p : params_) velocity_.emplace_back(p.value().shape());
 }
@@ -33,41 +33,7 @@ void Sgd::step() {
     for (std::int64_t j = 0; j < n; ++j) {
       float grad = g[j] * scale + config_.weight_decay * w[j];
       v[j] = config_.momentum * v[j] + grad;
-      w[j] -= config_.lr * lr_multiplier_ * v[j];
-    }
-    p.zero_grad();
-  }
-}
-
-Adam::Adam(std::vector<ag::Var> params, const AdamConfig& config)
-    : Optimizer(std::move(params)), config_(config) {
-  m_.reserve(params_.size());
-  v_.reserve(params_.size());
-  for (const auto& p : params_) {
-    m_.emplace_back(p.value().shape());
-    v_.emplace_back(p.value().shape());
-  }
-}
-
-void Adam::step() {
-  ++t_;
-  const float bc1 = 1.0f - std::pow(config_.beta1, static_cast<float>(t_));
-  const float bc2 = 1.0f - std::pow(config_.beta2, static_cast<float>(t_));
-  for (std::size_t i = 0; i < params_.size(); ++i) {
-    auto& p = params_[i];
-    if (!p.has_grad()) continue;
-    float* w = p.mutable_value().data();
-    const float* g = p.grad().data();
-    float* m = m_[i].data();
-    float* v = v_[i].data();
-    const std::int64_t n = p.value().numel();
-    for (std::int64_t j = 0; j < n; ++j) {
-      const float grad = g[j] + config_.weight_decay * w[j];
-      m[j] = config_.beta1 * m[j] + (1.0f - config_.beta1) * grad;
-      v[j] = config_.beta2 * v[j] + (1.0f - config_.beta2) * grad * grad;
-      const float mhat = m[j] / bc1;
-      const float vhat = v[j] / bc2;
-      w[j] -= config_.lr * lr_multiplier_ * mhat / (std::sqrt(vhat) + config_.eps);
+      w[j] -= config_.lr * v[j];
     }
     p.zero_grad();
   }

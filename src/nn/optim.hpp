@@ -1,43 +1,11 @@
-// First-order optimizers operating on parameter Vars in place.
+// SGD with momentum, operating on parameter Vars in place.
 #pragma once
 
-#include <cstdint>
 #include <vector>
-
-#include "common/error.hpp"
 
 #include "tensor/autograd.hpp"
 
 namespace teamnet::nn {
-
-class Optimizer {
- public:
-  explicit Optimizer(std::vector<ag::Var> params) : params_(std::move(params)) {}
-  virtual ~Optimizer() = default;
-
-  /// Applies one update from the accumulated gradients (parameters without a
-  /// gradient are skipped) and then clears all gradients.
-  virtual void step() = 0;
-
-  /// Clears gradients without stepping.
-  void zero_grad() {
-    for (auto& p : params_) p.zero_grad();
-  }
-
-  /// Scales the configured learning rate (driven by an LrSchedule between
-  /// epochs); 1.0 restores the base rate.
-  void set_lr_multiplier(float multiplier) {
-    TEAMNET_CHECK(multiplier >= 0.0f);
-    lr_multiplier_ = multiplier;
-  }
-  float lr_multiplier() const { return lr_multiplier_; }
-
-  const std::vector<ag::Var>& params() const { return params_; }
-
- protected:
-  std::vector<ag::Var> params_;
-  float lr_multiplier_ = 1.0f;
-};
 
 struct SgdConfig {
   float lr = 0.05f;
@@ -48,34 +16,18 @@ struct SgdConfig {
   float max_grad_norm = 5.0f;
 };
 
-class Sgd : public Optimizer {
+class Sgd {
  public:
   Sgd(std::vector<ag::Var> params, const SgdConfig& config);
-  void step() override;
+
+  /// Applies one update from the accumulated gradients (parameters without a
+  /// gradient are skipped) and then clears all gradients.
+  void step();
 
  private:
+  std::vector<ag::Var> params_;
   SgdConfig config_;
   std::vector<Tensor> velocity_;
-};
-
-struct AdamConfig {
-  float lr = 1e-3f;
-  float beta1 = 0.9f;
-  float beta2 = 0.999f;
-  float eps = 1e-8f;
-  float weight_decay = 0.0f;
-};
-
-class Adam : public Optimizer {
- public:
-  Adam(std::vector<ag::Var> params, const AdamConfig& config);
-  void step() override;
-
- private:
-  AdamConfig config_;
-  std::vector<Tensor> m_;
-  std::vector<Tensor> v_;
-  std::int64_t t_ = 0;
 };
 
 }  // namespace teamnet::nn

@@ -21,7 +21,7 @@ std::unique_ptr<Sequential> make_branch(std::int64_t cin, std::int64_t cout,
 
 ShakeBlock::ShakeBlock(std::int64_t in_channels, std::int64_t out_channels,
                        std::int64_t stride, Rng& rng)
-    : stride_(stride), shake_rng_(rng.fork(0xb10c)) {
+    : shake_rng_(rng.fork(0xb10c)) {
   branch0_ = make_branch(in_channels, out_channels, stride, rng);
   branch1_ = make_branch(in_channels, out_channels, stride, rng);
   if (in_channels != out_channels || stride != 1) {
@@ -31,26 +31,10 @@ ShakeBlock::ShakeBlock(std::int64_t in_channels, std::int64_t out_channels,
   }
 }
 
-ag::Var ShakeBlock::forward_branch(int b, const ag::Var& input) {
-  TEAMNET_CHECK(b == 0 || b == 1);
-  return branch(b).forward(input);
-}
-
-ag::Var ShakeBlock::forward_skip(const ag::Var& input) {
-  return skip_ ? skip_->forward(input) : input;
-}
-
-ag::Var ShakeBlock::combine(const ag::Var& branch0, const ag::Var& branch1,
-                            const ag::Var& skip) {
-  // Deterministic equal mix — the eval-time rule.
-  ag::Var mixed = ag::shake_combine(branch0, branch1, 0.5f, 0.5f);
-  return ag::relu(ag::add(mixed, skip));
-}
-
 ag::Var ShakeBlock::forward(const ag::Var& input) {
   ag::Var b0 = branch0_->forward(input);
   ag::Var b1 = branch1_->forward(input);
-  ag::Var skip = forward_skip(input);
+  ag::Var skip = skip_ ? skip_->forward(input) : input;
   float alpha = 0.5f, beta = 0.5f;
   if (training_) {
     alpha = shake_rng_.uniform(0.0f, 1.0f);
@@ -89,10 +73,6 @@ Analysis ShakeBlock::analyze(const Shape& input_shape) const {
   if (skip_) flops += skip_->analyze(input_shape).flops;
   flops += 3 * shape_numel(b0.output_shape);  // mix + add + relu
   return {b0.output_shape, flops};
-}
-
-std::int64_t ShakeBlock::branch_flops(const Shape& input_shape) const {
-  return branch0_->analyze(input_shape).flops;
 }
 
 void ShakeBlock::set_training(bool training) {

@@ -43,18 +43,6 @@ class ShakeBlock : public Module {
   void set_training(bool training) override;
   std::string name() const override { return "ShakeBlock"; }
 
-  /// Branch b (0 or 1) applied to `input` — used by MPI-Branch to run each
-  /// branch on its own edge node; the caller then mixes and adds the skip.
-  ag::Var forward_branch(int b, const ag::Var& input);
-  /// Skip connection applied to `input` (identity or 1x1 conv + BN).
-  ag::Var forward_skip(const ag::Var& input);
-  /// Eval-time mixing coefficient (0.5) applied to pre-computed branches.
-  ag::Var combine(const ag::Var& branch0, const ag::Var& branch1,
-                  const ag::Var& skip);
-
-  /// Per-sample FLOPs of a single branch (both branches are identical).
-  std::int64_t branch_flops(const Shape& input_shape) const;
-
   /// Direct access to the branch / skip Sequentials — the MPI baselines
   /// partition these across ranks.
   Sequential& branch_seq(int b) {
@@ -63,12 +51,8 @@ class ShakeBlock : public Module {
   }
   /// nullptr when the skip connection is the identity.
   Sequential* skip_seq() { return skip_.get(); }
-  std::int64_t stride() const { return stride_; }
 
  private:
-  Sequential& branch(int b) { return b == 0 ? *branch0_ : *branch1_; }
-
-  std::int64_t stride_;
   std::unique_ptr<Sequential> branch0_;
   std::unique_ptr<Sequential> branch1_;
   std::unique_ptr<Sequential> skip_;  // nullptr => identity

@@ -150,11 +150,6 @@ void TimelineRecorder::set_degradation(std::int64_t qid, int level) {
   query(qid).degradation = level;
 }
 
-std::int64_t TimelineRecorder::recorded_queries() const {
-  MutexLock lock(mutex_);
-  return static_cast<std::int64_t>(queries_.size());
-}
-
 namespace {
 
 /// Trace instant carrying the (qid, lane, seq) triple check_trace.py

@@ -137,13 +137,11 @@ class TimelineRecorder {
   /// Records the degradation level the query completed at.
   void set_degradation(std::int64_t qid, int level);
 
-  std::int64_t recorded_queries() const;
-
  private:
   TimelineRecorder() = default;
   QueryTimeline& query(std::int64_t qid) TN_REQUIRES(mutex_);
 
-  mutable Mutex mutex_;
+  Mutex mutex_;
   /// Sorted by qid; queries arrive in qid order so appends dominate.
   std::vector<QueryTimeline> queries_ TN_GUARDED_BY(mutex_);
   bool have_pending_arrival_ TN_GUARDED_BY(mutex_) = false;

@@ -281,8 +281,6 @@ TraceTrack::~TraceTrack() {
   b.clock = std::move(saved_clock_);
 }
 
-int bound_track() { return binding().track; }
-
 namespace detail {
 
 void begin_slow(const char* name, const TraceArgs* args, bool* live,

@@ -270,7 +270,4 @@ inline std::int64_t flow_id(std::int64_t qid, int node, int dir) {
   return (epoch << 40) | ((qid * 512 + node) * 2 + dir);
 }
 
-/// Track id the calling thread is bound to, or -1.
-int bound_track();
-
 }  // namespace teamnet::obs

@@ -102,7 +102,6 @@ ResilienceConfig ExploreScenarioOptions::default_explore_resilience() {
   res.probe_interval = 2;
   res.quorum = 2;  // master + one worker completes the gather
   res.hedging = true;
-  res.hedge_min_delay_s = 0.002;
   return res;
 }
 

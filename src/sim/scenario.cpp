@@ -10,6 +10,7 @@
 #include "mpi/decentralized.hpp"
 #include "mpi/partitioned.hpp"
 #include "net/collab.hpp"
+#include "net/health.hpp"
 #include "nn/loss.hpp"
 #include "obs/percentile.hpp"
 #include "obs/trace.hpp"
@@ -123,11 +124,13 @@ ResilienceResult run_teamnet_resilience(const std::vector<nn::Module*>& experts,
   fleet.attach(master);
   master.set_worker_timeout(res.worker_timeout_s);
   master.set_probe_interval(res.probe_interval);
-  if (res.health) master.enable_health(res.health_config);
+  if (res.health) master.enable_health(net::HealthConfig{});
   if (res.quorum > 0) master.set_gather_quorum(res.quorum);
   if (res.hedging) {
-    master.set_hedging(fleet.backup_channels(), res.hedge_min_delay_s,
-                       res.hedge_latency_factor);
+    constexpr double kHedgeMinDelayS = 0.002;
+    constexpr double kHedgeLatencyFactor = 1.5;
+    master.set_hedging(fleet.backup_channels(), kHedgeMinDelayS,
+                       kHedgeLatencyFactor);
   }
   if (res.test_pre_qid_gather) master.set_test_pre_qid_gather(true);
 

@@ -18,7 +18,6 @@
 #include "data/dataset.hpp"
 #include "moe/sg_moe.hpp"
 #include "net/fault.hpp"
-#include "net/health.hpp"
 #include "nn/mlp.hpp"
 #include "nn/shake_shake.hpp"
 #include "sim/calibration.hpp"
@@ -132,11 +131,8 @@ struct ResilienceConfig {
   /// Spawn one backup replica node per worker expert and hedge to it. The
   /// backup links run the same fault model (independent streams).
   bool hedging = false;
-  double hedge_min_delay_s = 0.002;
-  double hedge_latency_factor = 1.5;
   /// Per-worker health scoring + circuit breaker (net/health.hpp).
   bool health = true;
-  net::HealthConfig health_config;
   /// Workers drop Infer frames whose propagated deadline already expired.
   bool drop_expired = true;
 

@@ -114,18 +114,6 @@ Tensor unary(const Tensor& a, F f) {
 
 }  // namespace
 
-Shape broadcast_shape(const Shape& a, const Shape& b) {
-  switch (classify(a, b)) {
-    case BroadcastKind::Same:
-    case BroadcastKind::ScalarB:
-    case BroadcastKind::RowB:
-    case BroadcastKind::ColB:
-      return a;
-    default:
-      return b;
-  }
-}
-
 Tensor reduce_to_shape(const Tensor& t, const Shape& target) {
   if (t.shape() == target) return t;
   Tensor out(target);
@@ -225,13 +213,6 @@ float mean_all(const Tensor& a) {
   return sum_all(a) / static_cast<float>(a.numel());
 }
 
-float max_all(const Tensor& a) {
-  TEAMNET_CHECK(a.numel() > 0);
-  float best = a[0];
-  for (float v : a.values()) best = std::max(best, v);
-  return best;
-}
-
 Tensor sum_axis(const Tensor& a, int axis) {
   TEAMNET_CHECK(a.rank() == 2 && (axis == 0 || axis == 1));
   const std::int64_t m = a.dim(0), n = a.dim(1);
@@ -245,11 +226,6 @@ Tensor sum_axis(const Tensor& a, int axis) {
   for (std::int64_t i = 0; i < m; ++i)
     for (std::int64_t j = 0; j < n; ++j) out[i] += a[i * n + j];
   return out;
-}
-
-Tensor mean_axis(const Tensor& a, int axis) {
-  const float denom = static_cast<float>(axis == 0 ? a.dim(0) : a.dim(1));
-  return mul_scalar(sum_axis(a, axis), 1.0f / denom);
 }
 
 Tensor softmax_rows(const Tensor& logits) {
@@ -325,27 +301,6 @@ Tensor take_rows(const Tensor& a, const std::vector<int>& indices) {
     std::memcpy(out.data() + static_cast<std::int64_t>(i) * row_size,
                 a.data() + r * row_size,
                 static_cast<std::size_t>(row_size) * sizeof(float));
-  }
-  return out;
-}
-
-Tensor concat_rows(const std::vector<Tensor>& parts) {
-  TEAMNET_CHECK(!parts.empty());
-  Shape out_shape = parts[0].shape();
-  std::int64_t rows = 0;
-  for (const auto& p : parts) {
-    TEAMNET_CHECK(p.rank() == parts[0].rank());
-    for (std::int64_t d = 1; d < p.rank(); ++d)
-      TEAMNET_CHECK(p.dim(d) == parts[0].dim(d));
-    rows += p.dim(0);
-  }
-  out_shape[0] = rows;
-  Tensor out(out_shape);
-  std::int64_t offset = 0;
-  for (const auto& p : parts) {
-    std::memcpy(out.data() + offset, p.data(),
-                static_cast<std::size_t>(p.numel()) * sizeof(float));
-    offset += p.numel();
   }
   return out;
 }

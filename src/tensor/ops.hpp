@@ -22,10 +22,6 @@ Tensor sub(const Tensor& a, const Tensor& b);
 Tensor mul(const Tensor& a, const Tensor& b);
 Tensor div(const Tensor& a, const Tensor& b);
 
-/// Shape of `a op b` under the supported broadcast rules; throws
-/// InvalidArgument when the shapes are incompatible.
-Shape broadcast_shape(const Shape& a, const Shape& b);
-
 /// Sums `t` down to `target` shape (inverse of broadcasting, used by
 /// autograd to reduce gradients).
 Tensor reduce_to_shape(const Tensor& t, const Shape& target);
@@ -53,10 +49,8 @@ Tensor transpose(const Tensor& a);
 // ---- reductions ------------------------------------------------------------
 float sum_all(const Tensor& a);
 float mean_all(const Tensor& a);
-float max_all(const Tensor& a);
 /// 2-D only: axis 0 -> [1,n], axis 1 -> [m,1].
 Tensor sum_axis(const Tensor& a, int axis);
-Tensor mean_axis(const Tensor& a, int axis);
 
 // ---- rows of a 2-D tensor --------------------------------------------------
 /// Numerically-stable row-wise softmax of a [m,n] tensor.
@@ -70,8 +64,5 @@ std::vector<int> argmin_rows(const Tensor& a);
 /// Rows of `a` selected by `indices` (gather along axis 0; works for any
 /// rank by treating dim 0 as the row axis).
 Tensor take_rows(const Tensor& a, const std::vector<int>& indices);
-
-/// Concatenate along axis 0; all inputs must agree on trailing dims.
-Tensor concat_rows(const std::vector<Tensor>& parts);
 
 }  // namespace teamnet::ops

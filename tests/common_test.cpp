@@ -1,15 +1,13 @@
 // Tests for the common utilities: error macros, logging levels, seeded RNG
-// (fork independence), thread pool, and the table printer.
+// (fork independence), and the table printer.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <set>
 
 #include "common/error.hpp"
 #include "common/logging.hpp"
 #include "common/rng.hpp"
 #include "common/table.hpp"
-#include "common/thread_pool.hpp"
 
 namespace teamnet {
 namespace {
@@ -107,31 +105,6 @@ TEST(Rng, BernoulliExtremes) {
     EXPECT_FALSE(rng.bernoulli(0.0));
     EXPECT_TRUE(rng.bernoulli(1.0));
   }
-}
-
-TEST(ThreadPool, RunsSubmittedTasks) {
-  ThreadPool pool(2);
-  EXPECT_EQ(pool.size(), 2u);
-  auto f = pool.submit([] { return 6 * 7; });
-  EXPECT_EQ(f.get(), 42);
-}
-
-TEST(ThreadPool, ParallelForCoversAllIndices) {
-  ThreadPool pool(3);
-  std::vector<std::atomic<int>> hits(100);
-  pool.parallel_for(100, [&](std::size_t i) { hits[i]++; });
-  for (auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ThreadPool, PropagatesTaskExceptions) {
-  ThreadPool pool(1);
-  auto f = pool.submit([]() -> int { throw InvalidArgument("boom"); });
-  EXPECT_THROW(f.get(), InvalidArgument);
-}
-
-TEST(ThreadPool, ParallelForZeroIsNoop) {
-  ThreadPool pool(2);
-  pool.parallel_for(0, [](std::size_t) { FAIL(); });
 }
 
 TEST(Table, AlignsColumnsAndValidatesRows) {

@@ -3,7 +3,7 @@
 // the paper's scenarios, and the mutation gate — a seeded reintroduction of
 // the pre-query-id gather (whose stale filter was a deadline clock reading,
 // i.e. a time-of-check race) that the explorer must catch within a bounded
-// schedule budget.
+// schedule budget — plus the scheduler-event trace of a replay.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/trace.hpp"
 #include "sim/des/explore.hpp"
 #include "sim/des/grant_policy.hpp"
 #include "sim/explore_scenarios.hpp"
@@ -268,6 +269,35 @@ TEST(ExploreScenarios, MutationGateConfigPassesUnmutated) {
       make_explore_runner("chaos", mutation_gate_options(false));
   const auto report = explore_schedules(runner, small_budget(16));
   EXPECT_TRUE(report.passed()) << format_report(report);
+}
+
+// ---- scheduler-event trace (schedule_explore --replay --trace-sched) -------
+
+/// Replays the canonical chaos schedule under a started tracer and returns
+/// the trace JSON; `scheduler_events` is the --trace-sched switch.
+std::string traced_chaos_replay(const ScheduleRunner& runner,
+                                bool scheduler_events) {
+  auto& tracer = obs::Tracer::instance();
+  tracer.reset_for_testing();
+  tracer.set_scheduler_events(scheduler_events);
+  tracer.start();
+  (void)runner(ScheduleCase{});
+  const std::string json = tracer.to_json();
+  tracer.reset_for_testing();
+  return json;
+}
+
+TEST(ExploreTrace, SchedulerEventsOnlyWhenEnabled) {
+  const auto runner = make_explore_runner("chaos", ExploreScenarioOptions{});
+  const std::string on = traced_chaos_replay(runner, true);
+  EXPECT_NE(on.find("\"des.schedule\""), std::string::npos);
+  EXPECT_NE(on.find("\"des.timeout_fired\""), std::string::npos);
+
+  const std::string off = traced_chaos_replay(runner, false);
+  EXPECT_NE(off.find("\"query\""), std::string::npos)
+      << "the replay must still be traced";
+  EXPECT_EQ(off.find("des.schedule"), std::string::npos);
+  EXPECT_EQ(off.find("des.timeout_fired"), std::string::npos);
 }
 
 // ---- determinism gates (ctest -L determinism) ------------------------------

@@ -3,11 +3,9 @@
 // surviving experts, never hang or crash.
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <future>
 #include <thread>
 
-#include "common/logging.hpp"
 #include "net/collab.hpp"
 #include "net/fault.hpp"
 #include "net/tcp.hpp"
@@ -281,38 +279,6 @@ TEST(FaultTolerance, EmptyBatchIsRejected) {
   master.set_compute_hook([](std::int64_t) {});
   EXPECT_THROW(master.infer(Tensor({0, 6})), InvariantError);
   EXPECT_THROW(master.infer(Tensor({6})), InvariantError);
-}
-
-TEST(ChannelTimeout, BaseFallbackWarnsOncePerProcess) {
-  // A Channel subclass without timeout support falls back to blocking
-  // recv() and must say so — once, not per call.
-  class NoTimeoutChannel final : public net::Channel {
-   public:
-    void send(std::string) override {}
-    std::string recv() override { return "payload"; }
-  };
-
-  std::FILE* sink = std::tmpfile();
-  ASSERT_NE(sink, nullptr);
-  log::set_sink(sink);
-  NoTimeoutChannel channel;
-  EXPECT_EQ(channel.recv_timeout(0.25), "payload");
-  EXPECT_EQ(channel.recv_timeout(0.25), "payload");
-  log::set_sink(nullptr);
-
-  std::fflush(sink);
-  std::rewind(sink);
-  std::string captured(1 << 12, '\0');
-  captured.resize(std::fread(captured.data(), 1, captured.size(), sink));
-  std::fclose(sink);
-
-  int warnings = 0;
-  for (std::size_t at = captured.find("no timeout support");
-       at != std::string::npos;
-       at = captured.find("no timeout support", at + 1)) {
-    ++warnings;
-  }
-  EXPECT_EQ(warnings, 1) << captured;
 }
 
 }  // namespace

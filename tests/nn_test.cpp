@@ -9,12 +9,10 @@
 
 #include "common/rng.hpp"
 #include "nn/batchnorm.hpp"
-#include "nn/dropout.hpp"
 #include "nn/layers.hpp"
 #include "nn/loss.hpp"
 #include "nn/mlp.hpp"
 #include "nn/optim.hpp"
-#include "nn/schedule.hpp"
 #include "nn/sequential.hpp"
 #include "nn/serialize.hpp"
 #include "nn/shake_shake.hpp"
@@ -212,18 +210,6 @@ TEST(Optim, SgdClipsGlobalNorm) {
   EXPECT_NEAR(w.value()[0], -1.0f, 1e-4f);  // clipped to norm 1
 }
 
-TEST(Optim, AdamDescendsQuadratic) {
-  ag::Var w(Tensor({1}, {4.0f}), true);
-  nn::AdamConfig cfg;
-  cfg.lr = 0.2f;
-  nn::Adam opt({w}, cfg);
-  for (int i = 0; i < 200; ++i) {
-    ag::backward(ag::sum_all(ag::square(w)));
-    opt.step();
-  }
-  EXPECT_NEAR(w.value()[0], 0.0f, 1e-2f);
-}
-
 TEST(Optim, SkipsParamsWithoutGrad) {
   ag::Var used(Tensor({1}, {1.0f}), true);
   ag::Var unused(Tensor({1}, {7.0f}), true);
@@ -302,80 +288,6 @@ TEST(Training, TinyMlpOverfitsTinyDataset) {
   EXPECT_EQ(nn::accuracy(mlp.predict(x), y), 1.0);
 }
 
-
-TEST(Dropout, EvalIsIdentityTrainingDropsAndRescales) {
-  nn::Dropout drop(0.5f, Rng(3));
-  Rng rng(4);
-  Tensor x = Tensor::ones({64, 32});
-  drop.set_training(false);
-  EXPECT_TRUE(drop.predict(x).allclose(x));
-
-  drop.set_training(true);
-  Tensor y = drop.forward(ag::constant(x)).value();
-  int zeros = 0;
-  for (float v : y.values()) {
-    EXPECT_TRUE(v == 0.0f || std::abs(v - 2.0f) < 1e-5f)
-        << "survivors are scaled by 1/(1-p)";
-    zeros += (v == 0.0f);
-  }
-  const double drop_rate = static_cast<double>(zeros) / y.numel();
-  EXPECT_NEAR(drop_rate, 0.5, 0.08);
-}
-
-TEST(Dropout, GradientFlowsOnlyThroughSurvivors) {
-  nn::Dropout drop(0.5f, Rng(5));
-  drop.set_training(true);
-  ag::Var x(Tensor::ones({16, 16}), true);
-  ag::Var y = drop.forward(x);
-  ag::backward(ag::sum_all(y));
-  for (std::int64_t i = 0; i < x.grad().numel(); ++i) {
-    if (y.value()[i] == 0.0f) {
-      EXPECT_EQ(x.grad()[i], 0.0f);
-    } else {
-      EXPECT_NEAR(x.grad()[i], 2.0f, 1e-5f);
-    }
-  }
-}
-
-TEST(Dropout, RejectsBadProbability) {
-  EXPECT_THROW(nn::Dropout(1.0f), InvariantError);
-  EXPECT_THROW(nn::Dropout(-0.1f), InvariantError);
-}
-
-TEST(Schedule, StepDecayHalvesEveryPeriod) {
-  auto schedule = nn::step_decay(2, 0.5f);
-  EXPECT_FLOAT_EQ(schedule(0), 1.0f);
-  EXPECT_FLOAT_EQ(schedule(1), 1.0f);
-  EXPECT_FLOAT_EQ(schedule(2), 0.5f);
-  EXPECT_FLOAT_EQ(schedule(5), 0.25f);
-}
-
-TEST(Schedule, CosineDecayEndsAtFloor) {
-  auto schedule = nn::cosine_decay(10, 0.1f);
-  EXPECT_NEAR(schedule(0), 1.0f, 1e-5f);
-  EXPECT_NEAR(schedule(10), 0.1f, 1e-4f);
-  EXPECT_NEAR(schedule(100), 0.1f, 1e-4f);
-  EXPECT_GT(schedule(3), schedule(7));
-}
-
-TEST(Schedule, ConstantIsOne) {
-  EXPECT_FLOAT_EQ(nn::constant_schedule()(0), 1.0f);
-  EXPECT_FLOAT_EQ(nn::constant_schedule()(99), 1.0f);
-}
-
-TEST(Optim, LrMultiplierScalesStep) {
-  ag::Var w(Tensor({1}, {1.0f}), true);
-  nn::SgdConfig cfg;
-  cfg.lr = 0.1f;
-  cfg.momentum = 0.0f;
-  cfg.max_grad_norm = 0.0f;
-  nn::Sgd opt({w}, cfg);
-  opt.set_lr_multiplier(0.5f);
-  ag::backward(ag::sum_all(w));  // grad = 1
-  opt.step();
-  EXPECT_NEAR(w.value()[0], 1.0f - 0.05f, 1e-6f);
-  EXPECT_THROW(opt.set_lr_multiplier(-1.0f), InvariantError);
-}
 
 TEST(Serialize, BatchNormRunningStatsSurviveRoundTrip) {
   // Regression test: eval-mode behaviour depends on running statistics, so

@@ -16,10 +16,9 @@ and runs three interprocedural passes over it:
                     between its two locks.
 
   block-under-lock  Flag calls that may block — CondVar::wait/wait_until,
-                    channel recv/send, ThreadPool submission/join, OS
-                    sockets, stdio, sleeps — made (possibly through any
-                    number of intermediate calls) while a TN_CAPABILITY
-                    mutex is held. CondVar::wait(m) while holding only `m`
+                    channel recv/send, OS sockets, stdio, sleeps — made
+                    (possibly through any number of intermediate calls)
+                    while a TN_CAPABILITY mutex is held. CondVar::wait(m) while holding only `m`
                     is the sanctioned wait-loop pattern and is exempt.
 
   hot-alloc         Functions reachable from the per-query hot path
@@ -115,15 +114,6 @@ BLOCKING_EXTERNAL = {
     "fwrite": "stdio",
     "fputs": "stdio",
     "fflush": "stdio",
-}
-
-# Parsed functions that are blocking seeds by qualified-name suffix even
-# though their bodies alone would not prove it (policy seeds from the
-# issue: pool submission under a lock is a queue-pressure/lock-order
-# hazard; parallel_for joins futures).
-BLOCKING_QNAME_SEEDS = {
-    "ThreadPool::submit": "pool-submit",
-    "ThreadPool::parallel_for": "pool-join",
 }
 
 # The LOG_* macros funnel into log::detail::emit; the lexical frontend
@@ -1275,11 +1265,6 @@ def compute_may_block(program: Program) -> dict[str, tuple[str, str]]:
     sites do not make the *enclosing* function blocking — the closure runs
     later, outside this frame."""
     mb: dict[str, tuple[str, str]] = {}
-    for key in sorted(program.functions):
-        fn = program.functions[key]
-        for suffix, kind in sorted(BLOCKING_QNAME_SEEDS.items()):
-            if fn.qname == suffix or fn.qname.endswith("::" + suffix):
-                mb[key] = (kind, fn.qname)
     changed = True
     while changed:
         changed = False
@@ -1301,7 +1286,7 @@ def compute_may_block(program: Program) -> dict[str, tuple[str, str]]:
 def compute_may_acquire(program: Program) -> dict[str, dict[str, str]]:
     """fn key → {canonical lock → witness} for every lock the function may
     acquire, directly or transitively (deferred calls included: a closure
-    handed to the pool still runs this code)."""
+    handed elsewhere still runs this code)."""
     acq: dict[str, dict[str, str]] = {k: {} for k in program.functions}
     for key in sorted(program.functions):
         fn = program.functions[key]
@@ -1418,8 +1403,8 @@ def find_lock_cycles(edges: dict[tuple[str, str], str]) -> list[list[str]]:
 
 def hot_reachable(program: Program) -> dict[str, tuple[str, str]]:
     """fn key → (root qname, immediate caller qname) for every function
-    reachable from an `// analyze:hot` root. Deferred calls count: work
-    handed to the pool from the hot path still burns hot-path time."""
+    reachable from an `// analyze:hot` root. Deferred calls count: a closure
+    run from the hot path still burns hot-path time."""
     reach: dict[str, tuple[str, str]] = {}
     queue: list[str] = []
     for key in sorted(program.functions):

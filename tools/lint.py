@@ -69,6 +69,13 @@ Rules enforced over src/** (tests/bench/examples are exempt unless noted):
                  (String formatting via snprintf is fine — the rule is
                  about writing to the process streams.)
 
+  orphan-header  Every src/**/*.hpp must be #included by some file that
+                 builds a program — anything under src/, bench/,
+                 perfbench/, examples/, tools/ or fuzz/ — other than its
+                 own .cpp. A header only tests/ reaches is dead code: the
+                 analyzer, the lint and every reviewer pay for it while no
+                 program runs it. Delete it (with its tests) or use it.
+
 Suppress a finding with `// lint:allow(<rule>)` on the offending line.
 
 Usage:
@@ -137,6 +144,9 @@ RAW_STDIO_RE = re.compile(
     r"std::(?:cout|cerr|clog)\b"
 )
 RAW_STDIO_ALLOWED_STEMS = {"logging", "table"}
+
+# Trees whose #includes keep a src/ header alive (tests/ does not count).
+PROGRAM_ROOTS = ("src", "bench", "perfbench", "examples", "tools", "fuzz")
 
 INCLUDE_RE = re.compile(r'^\s*#\s*include\s+"([^"]+)"')
 ERRNO_RE = re.compile(r"\berrno\b")
@@ -349,6 +359,59 @@ CHECKS = [check_raw_cast, check_module_deps, check_errno, check_raw_mutex,
           check_raw_stdio]
 
 
+def check_orphan_headers(headers: list[pathlib.Path],
+                         includes: dict[pathlib.Path, set[str]]
+                         ) -> list[Finding]:
+    """Whole-tree rule: `includes` maps each scanned file to the quoted
+    #include paths it names. A src/ header is alive when some file under a
+    PROGRAM_ROOTS tree, other than the header's own .cpp, includes it by
+    its module-qualified path (the only include form src/ uses)."""
+    findings = []
+    for header in headers:
+        key = header.relative_to(SRC).as_posix()
+        own_cpp = header.with_suffix(".cpp")
+        alive = any(
+            key in names and path != own_cpp
+            and path.relative_to(REPO).parts[0] in PROGRAM_ROOTS
+            for path, names in includes.items())
+        if not alive:
+            findings.append(Finding(
+                header, 1, "orphan-header",
+                f"src/{key} is #included by no program file (src, bench, "
+                f"perfbench, examples, tools, fuzz) besides its own .cpp; "
+                f"only tests reach it — delete it with its tests, or use it"))
+    return findings
+
+
+def scan_includes() -> dict[pathlib.Path, set[str]]:
+    """Quoted #include paths of every C++ file under PROGRAM_ROOTS."""
+    includes = {}
+    for root in PROGRAM_ROOTS:
+        for path in sorted((REPO / root).rglob("*")):
+            if path.suffix not in {".cpp", ".hpp", ".h", ".cc"}:
+                continue
+            try:
+                text = path.read_text(encoding="utf-8")
+            except (OSError, UnicodeDecodeError):
+                continue
+            includes[path] = {m.group(1) for line in stripped_lines(text)
+                              if (m := INCLUDE_RE.match(line))}
+    return includes
+
+
+def lint_orphan_headers(targets: list[pathlib.Path]) -> list[Finding]:
+    headers = [p for p in targets
+               if p.suffix == ".hpp" and str(p).startswith(str(SRC))]
+    if not headers:
+        return []
+    findings = []
+    for f in check_orphan_headers(headers, scan_includes()):
+        allowed = suppressions(f.path.read_text(encoding="utf-8"))
+        if f.rule not in allowed.get(f.line, set()):
+            findings.append(f)
+    return findings
+
+
 def lint_file(path: pathlib.Path) -> list[Finding]:
     try:
         text = path.read_text(encoding="utf-8")
@@ -469,7 +532,32 @@ def self_test() -> int:
         ("no-raw-stdio", SRC / "moe" / "seeded.cpp",
          "// printf-style formatting documented here\n", False),
     ]
+    # orphan-header is whole-tree: each case is a header plus the include
+    # map of the files that name it.
+    header = SRC / "nn" / "seeded.hpp"
+    orphan_cases = [
+        ("own .cpp only", {SRC / "nn" / "seeded.cpp": {"nn/seeded.hpp"}},
+         True),
+        ("tests only", {SRC / "nn" / "seeded.cpp": {"nn/seeded.hpp"},
+                        REPO / "tests" / "nn_test.cpp": {"nn/seeded.hpp"}},
+         True),
+        ("no includer", {}, True),
+        ("another src file", {SRC / "core" / "teamnet.cpp": {"nn/seeded.hpp"}},
+         False),
+        ("a bench", {REPO / "bench" / "seeded.cpp": {"nn/seeded.hpp"}},
+         False),
+        ("perfbench", {REPO / "perfbench" / "driver.cpp": {"nn/seeded.hpp"}},
+         False),
+    ]
     failures = 0
+    for label, includes, should_fire in orphan_cases:
+        fired = bool(check_orphan_headers([header], includes))
+        ok = fired == should_fire
+        if not ok:
+            failures += 1
+        print(f"{'ok  ' if ok else 'FAIL'} [orphan-header] included by "
+              f"{label} -> {'fired' if fired else 'quiet'} (expected to "
+              f"{'fire' if should_fire else 'stay quiet'})")
     for rule, path, snippet, should_fire in cases:
         code = stripped_lines(snippet)
         fired = any(f.rule == rule
@@ -484,7 +572,7 @@ def self_test() -> int:
     if failures:
         print(f"self-test: {failures} case(s) failed", file=sys.stderr)
         return 1
-    print(f"self-test: all {len(cases)} cases passed")
+    print(f"self-test: all {len(cases) + len(orphan_cases)} cases passed")
     return 0
 
 
@@ -508,6 +596,7 @@ def main() -> int:
     findings = []
     for path in targets:
         findings.extend(lint_file(path))
+    findings.extend(lint_orphan_headers(targets))
     for f in findings:
         print(f.github() if args.format == "github" else f)
     if findings:

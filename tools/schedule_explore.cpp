@@ -15,6 +15,9 @@
 //
 // The report is byte-stable for a fixed flag set: CI diffs two invocations
 // to prove the explorer itself is deterministic.
+#include <charconv>
+#include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <iostream>
 #include <limits>
@@ -53,7 +56,7 @@ struct Cli {
             << "  --scenario=NAME       teamnet|mpi|sg-moe|chaos|resilience\n"
             << "  --seed=N              scenario seed (default 123)\n"
             << "  --queries=N           queries per run, >= 1 (default 8)\n"
-            << "  --schedules=N         perturbed schedules (default 50)\n"
+            << "  --schedules=N         perturbed schedules, >= 1 (default 50)\n"
             << "  --schedule-seed0=N    first schedule seed (default 1)\n"
             << "  --mutate              arm the pre-query-id gather mutant\n"
             << "                        (chaos scenario; mutation-gate use)\n"
@@ -67,6 +70,42 @@ struct Cli {
             << "  --timeout=S           chaos gather deadline override\n"
             << "  --slack=S             perturbed-policy eligibility window\n";
   std::exit(2);
+}
+
+/// Parses all of `text` as an integer in [min, max]; anything else (empty,
+/// a sign, trailing junk, out of range) is a usage error naming `flag`.
+std::uint64_t parse_integer(const std::string& flag, const std::string& text,
+                            std::uint64_t min, std::uint64_t max) {
+  std::uint64_t value = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end || value < min || value > max) {
+    usage(flag + " needs an integer in [" + std::to_string(min) + ", " +
+          std::to_string(max) + "], got '" + text + "'");
+  }
+  return value;
+}
+
+std::uint64_t parse_seed(const std::string& flag, const std::string& text) {
+  return parse_integer(flag, text, 0,
+                       std::numeric_limits<std::uint64_t>::max());
+}
+
+int parse_positive(const std::string& flag, const std::string& text) {
+  return static_cast<int>(
+      parse_integer(flag, text, 1, std::numeric_limits<int>::max()));
+}
+
+/// Parses all of `text` as a finite number >= 0, or dies with the usage.
+double parse_non_negative(const std::string& flag, const std::string& text) {
+  double value = 0.0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end || !std::isfinite(value) ||
+      value < 0.0) {
+    usage(flag + " needs a finite number >= 0, got '" + text + "'");
+  }
+  return value;
 }
 
 /// Accepts --flag=value and --flag value; returns the value or dies.
@@ -87,22 +126,15 @@ Cli parse(int argc, char** argv) {
     if (name == "--scenario") {
       cli.scenario = value();
     } else if (name == "--seed") {
-      cli.seed = std::strtoull(value().c_str(), nullptr, 10);
+      cli.seed = parse_seed(name, value());
     } else if (name == "--queries") {
-      const std::string text = value();
-      char* end = nullptr;
-      const long queries = std::strtol(text.c_str(), &end, 10);
-      if (text.empty() || *end != '\0' || queries < 1 ||
-          queries > std::numeric_limits<int>::max()) {
-        usage("--queries needs a positive integer, got '" + text + "'");
-      }
-      cli.queries = static_cast<int>(queries);
+      cli.queries = parse_positive(name, value());
     } else if (name == "--schedules") {
-      cli.schedules = std::atoi(value().c_str());
+      cli.schedules = parse_positive(name, value());
     } else if (name == "--schedule-seed0") {
-      cli.schedule_seed0 = std::strtoull(value().c_str(), nullptr, 10);
+      cli.schedule_seed0 = parse_seed(name, value());
     } else if (name == "--schedule-seed") {
-      cli.schedule_seed = std::strtoull(value().c_str(), nullptr, 10);
+      cli.schedule_seed = parse_seed(name, value());
     } else if (name == "--mutate") {
       cli.mutate = true;
     } else if (name == "--replay") {
@@ -116,15 +148,15 @@ Cli parse(int argc, char** argv) {
     } else if (name == "--trace-sched") {
       cli.trace_sched = true;
     } else if (name == "--latency") {
-      cli.latency_s = std::strtod(value().c_str(), nullptr);
+      cli.latency_s = parse_non_negative(name, value());
     } else if (name == "--bandwidth") {
-      cli.bandwidth_bps = std::strtod(value().c_str(), nullptr);
+      cli.bandwidth_bps = parse_non_negative(name, value());
     } else if (name == "--overhead") {
-      cli.overhead_s = std::strtod(value().c_str(), nullptr);
+      cli.overhead_s = parse_non_negative(name, value());
     } else if (name == "--timeout") {
-      cli.timeout_s = std::strtod(value().c_str(), nullptr);
+      cli.timeout_s = parse_non_negative(name, value());
     } else if (name == "--slack") {
-      cli.slack_s = std::strtod(value().c_str(), nullptr);
+      cli.slack_s = parse_non_negative(name, value());
     } else {
       usage("unknown flag: " + arg);
     }
