@@ -5,13 +5,13 @@
 // into per-phase totals, a dominant-phase census, and straggler-slack
 // distributions.
 //
-// The point of the sweep: WHERE the latency goes as load rises. At low
-// load the critical path is the wire (request/reply transit: link latency
-// plus the shared medium serializing the broadcast); as an open-loop rate
-// passes the serial service capacity, master-side queueing takes over —
-// queries spend most of their life waiting for the serial master to reach
-// them. The master IS the bottleneck, which is the paper's motivation for
-// keeping coordination cheap on the edge.
+// The point of the sweep: WHERE the latency goes as load rises. The
+// pipelined master dispatches every query on arrival, so the shared
+// medium is the resource queries wait for: at k=2 the critical path is
+// airtime + propagation; from k=4 the unicast broadcast's frames queue
+// behind each other even at low load, and as the rate nears the medium's
+// capacity the medium waits own the path. Master-side queueing is near
+// zero — the queue moved from the master to the air.
 //
 // On the discrete-event clock every attribution telescopes bit-exactly
 // (reconciled == queries, max_residual_ns == 0) and both --json and
@@ -135,12 +135,12 @@ int main_impl(int argc, char** argv) {
     }
   }
 
-  // Quorum leg: a bounded gather (quorum 2 of 3 workers, 6 ms deadline) at
-  // the overload rate exercises the polling-gather code path and the
-  // per-DegradationLevel split in the report. Fault-free DES runs still
-  // complete full (zero-budget polls see every in-flight reply at
-  // quiescence); actual quorum/local_only splits appear under injected
-  // faults — the attribution tests cover that.
+  // Quorum leg: a bounded gather (quorum 2 — the master plus the first of
+  // 3 workers — under a 6 ms deadline) at the overload rate exercises the
+  // per-DegradationLevel split in the report. The pipelined master
+  // completes each query the moment its quorum is in, so even this
+  // fault-free run reports quorum-level queries; the stragglers' replies
+  // land later and are discarded as stale.
   {
     load::LoadConfig load_cfg = base;
     load_cfg.arrival.kind = load::ArrivalKind::open_poisson;
@@ -155,13 +155,13 @@ int main_impl(int argc, char** argv) {
   report.write();
   breakdown.write();
   std::printf(
-      "\nexpected shape: at 50 q/s the critical path is dominated by the\n"
-      "wire (request/reply transit — link latency plus the shared medium\n"
-      "serializing the broadcast); at 200 q/s — past the serial service\n"
-      "capacity — master-side queueing owns the critical path, and its\n"
-      "share grows with k as every extra worker lengthens the serial\n"
-      "broadcast+gather each queued query waits behind. Every query's two\n"
-      "partitions telescope bit-exactly under discrete_event\n"
+      "\nexpected shape: the pipelined master dispatches every query on\n"
+      "arrival, so queries wait for the shared medium, not the master. At\n"
+      "k=2 the critical path is the wire (airtime + propagation); from\n"
+      "k=4 the unicast broadcast's frames queue behind each other even at\n"
+      "50 q/s, and as the rate nears the medium's capacity (k=8 at 200\n"
+      "q/s) the medium waits (queueing) own the critical path. Every\n"
+      "query's two partitions telescope bit-exactly under discrete_event\n"
       "(reconciled == queries, max_residual_ns == 0).\n");
   write_observability_outputs(opts);
   return 0;

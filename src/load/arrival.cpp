@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <functional>
+#include <limits>
 
 #include "common/error.hpp"
 
@@ -32,7 +33,16 @@ class OpenPoissonProcess final : public ArrivalProcess {
   }
 
   double next_arrival(double /*now*/) override {
-    next_ += exponential(rng_, rate_);
+    const double t = peek_arrival();
+    drawn_ = false;
+    return t;
+  }
+
+  double peek_arrival() override {
+    if (!drawn_) {
+      next_ += exponential(rng_, rate_);
+      drawn_ = true;
+    }
     return next_;
   }
 
@@ -42,6 +52,7 @@ class OpenPoissonProcess final : public ArrivalProcess {
   double rate_;
   Rng rng_;
   double next_ = 0.0;
+  bool drawn_ = false;  ///< next_ is a peeked, unconsumed draw
 };
 
 class BurstyProcess final : public ArrivalProcess {
@@ -58,6 +69,14 @@ class BurstyProcess final : public ArrivalProcess {
   }
 
   double next_arrival(double /*now*/) override {
+    const double t = peek_arrival();
+    drawn_ = false;
+    return t;
+  }
+
+  double peek_arrival() override {
+    if (drawn_) return candidate_;
+    drawn_ = true;
     // Lewis thinning: candidates at the peak rate, accepted with
     // probability rate(t)/rate_max. Both draws come from the one stream,
     // in a fixed order, so the accepted subsequence is deterministic.
@@ -78,6 +97,7 @@ class BurstyProcess final : public ArrivalProcess {
   double period_;
   Rng rng_;
   double candidate_ = 0.0;
+  bool drawn_ = false;  ///< candidate_ is a peeked, unconsumed arrival
 };
 
 class ClosedLoopProcess final : public ArrivalProcess {
@@ -102,6 +122,11 @@ class ClosedLoopProcess final : public ArrivalProcess {
     const double t = ready_.top();
     ready_.pop();
     return t;
+  }
+
+  double peek_arrival() override {
+    return ready_.empty() ? std::numeric_limits<double>::infinity()
+                          : ready_.top();
   }
 
   void on_complete(double completion_s) override {

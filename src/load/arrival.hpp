@@ -69,6 +69,13 @@ class ArrivalProcess {
   /// draws once the population is exhausted).
   virtual double next_arrival(double now) = 0;
 
+  /// The instant the next next_arrival() call returns, without consuming
+  /// it; +infinity while a closed loop has every client awaiting a
+  /// completion (an on_complete may still make an earlier one ready).
+  /// Open-loop shapes draw it once and hand the same draw to
+  /// next_arrival, so peeking never changes the sequence.
+  virtual double peek_arrival() = 0;
+
   /// Completion feedback at virtual time `completion_s`. Only the closed
   /// loop reacts (the finishing client starts thinking); open-loop shapes
   /// ignore it.

@@ -1,12 +1,12 @@
 #include "load/loadgen.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <memory>
 #include <utility>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
-#include "moe/moe_serving.hpp"
 #include "net/collab.hpp"
 #include "obs/metrics.hpp"
 #include "obs/timeline.hpp"
@@ -25,27 +25,36 @@ const std::vector<double>& metrics_latency_edges() {
   return edges;
 }
 
-/// The protocol plumbing is identical for both serving paths — only master
-/// construction and the experts the nodes serve differ. `make_master(
-/// channels)` returns a unique_ptr to a master with infer/shutdown and the
-/// net::MasterCore setters (both masters get them from that shared core).
-template <typename MakeMaster>
-LoadResult run_load_generic(const std::string& approach,
-                            const std::vector<nn::Module*>& experts,
+}  // namespace
+
+/// The TeamNet fleet's master event loop on the discrete-event clock.
+/// Node 0 waits in SimNet::recv_any for whichever comes first: a worker
+/// reply, the next arrival, or the earliest query deadline. A reply goes to
+/// the query it names and completes it once its gather target is met; an
+/// arrival is dispatched at once — or, if it came while the master was
+/// busy with a local forward, as soon as that forward ends. Replies that
+/// landed by then are read first: reading costs no virtual time, so their
+/// queries complete at the earliest instant the master could see them. A
+/// query whose target the local answer already meets (a quorum of one)
+/// falls due at once. Every arrived query is in flight; a closed loop's
+/// population bounds the depth. The loop ends once every query completed
+/// and every reply was read.
+LoadResult run_teamnet_load(const std::vector<nn::Module*>& experts,
                             const data::Dataset& test,
                             const sim::ScenarioConfig& config,
-                            const LoadConfig& load, MakeMaster make_master) {
+                            const LoadConfig& load) {
   TEAMNET_CHECK_MSG(
       load.warmup_queries >= 0 && load.warmup_queries < load.num_queries,
       "warmup_queries must be in [0, num_queries)");
 
-  sim::Fleet fleet(approach + "-load", config,
+  sim::Fleet fleet("TeamNet-load", config,
                    {.experts = experts, .num_queries = load.num_queries});
-  auto master = make_master(fleet.worker_channels());
-  fleet.attach(*master);
+  net::CollaborativeMaster master(*experts[0], fleet.worker_channels());
+  fleet.attach(master);
   if (load.worker_timeout_s > 0.0) {
-    master->set_worker_timeout(load.worker_timeout_s);
+    master.set_worker_timeout(load.worker_timeout_s);
   }
+  if (load.gather_quorum > 0) master.set_gather_quorum(load.gather_quorum);
 
   const auto rows =
       sample_load_rows(test, load.num_queries, load.query_seed,
@@ -58,45 +67,72 @@ LoadResult run_load_generic(const std::string& approach,
   auto& latency_histogram =
       registry.histogram("load.latency_ms", metrics_latency_edges());
 
-  std::vector<QueryRecord> records;
-  records.reserve(rows.size());
+  // records[q] is query id q+1: the master issues ids from 1 in arrival
+  // order.
+  std::vector<QueryRecord> records(rows.size());
   int correct = 0;
+  std::size_t completed = 0;
+  auto complete = [&](std::int64_t qid) {
+    const auto res = master.complete(qid);
+    QueryRecord& record = records[static_cast<std::size_t>(qid - 1)];
+    record.completion_s = fleet.now();
+    record.prediction = res.predictions[0];
+    record.chosen = res.chosen[0];
+    record.correct =
+        record.prediction == test.labels[static_cast<std::size_t>(record.row)];
+    record.degradation = static_cast<int>(res.degradation);
+    if (record.correct) ++correct;
+    process->on_complete(record.completion_s);
+    completions_counter.increment();
+    latency_histogram.observe(1e3 * (record.completion_s - record.arrival_s));
+    ++completed;
+  };
+
+  std::vector<int> peers;
+  for (int node = 1; node < static_cast<int>(experts.size()); ++node) {
+    peers.push_back(node);
+  }
   auto& recorder = obs::TimelineRecorder::instance();
   fleet.record_timelines();
-  for (std::size_t q = 0; q < rows.size(); ++q) {
-    const double now = fleet.now();
-    const double t_arrival = process->next_arrival(now);
-    // Open-loop: an arrival in the past means the query queued while the
-    // master was busy — serve immediately, latency absorbs the wait. An
-    // arrival in the future means the master idles until it.
-    if (t_arrival > now) fleet.net().advance(0, t_arrival - now);
+  // Every worker answers every Infer in a fault-free fleet. Reading the
+  // replies a quorum or a deadline left behind (stale by then) before
+  // shutdown keeps the traffic totals whole and closes their flows.
+  const std::size_t replies_due = rows.size() * peers.size();
+  std::size_t replies = 0;
+  std::size_t issued = 0;
+  while (completed < rows.size() || replies < replies_due) {
+    const double arrival = issued < rows.size()
+                               ? process->peek_arrival()
+                               : std::numeric_limits<double>::infinity();
+    const double until =
+        std::max(fleet.now(), std::min(arrival, master.next_due()));
+    if (auto got = fleet.net().recv_any(0, peers, until)) {
+      ++replies;
+      if (const std::int64_t qid = master.deliver(got->first, got->second)) {
+        complete(qid);
+      }
+      continue;
+    }
+    // Woken at `until`: a query fell due, or the next one arrived.
+    if (const std::int64_t qid = master.due()) {
+      complete(qid);
+      continue;
+    }
+    if (arrival > fleet.now()) continue;
+    const double t_arrival = process->next_arrival(fleet.now());
     arrivals_counter.increment();
     obs::trace_instant("load.arrival");
     recorder.note_arrival(t_arrival);
-    auto res = master->infer(sim::query_row_tensor(test, rows[q]));
-    const double t_completion = fleet.now();
-    process->on_complete(t_completion);
-    completions_counter.increment();
-    latency_histogram.observe(1e3 * (t_completion - t_arrival));
-
-    QueryRecord record;
-    record.arrival_s = t_arrival;
-    record.completion_s = t_completion;
-    record.row = rows[q];
-    record.correct =
-        res.predictions[0] == test.labels[static_cast<std::size_t>(rows[q])];
-    // SG-MoE has no degraded mode: its records keep level 0 (full).
-    if constexpr (requires { res.degradation; }) {
-      record.degradation = static_cast<int>(res.degradation);
-    }
-    if (record.correct) ++correct;
-    records.push_back(record);
+    records[issued].arrival_s = t_arrival;
+    records[issued].row = rows[issued];
+    master.submit(sim::query_row_tensor(test, rows[issued]));
+    ++issued;
   }
 
   LoadResult result;
-  result.schedule_digest = fleet.finish(*master);
+  result.schedule_digest = fleet.finish(master);
   const std::vector<obs::QueryTimeline> timelines = fleet.take_timelines();
-  result.approach = approach;
+  result.approach = "TeamNet";
   result.num_nodes = static_cast<int>(experts.size());
   result.arrival = process->name();
   result.num_queries = load.num_queries;
@@ -163,8 +199,6 @@ LoadResult run_load_generic(const std::string& approach,
   return result;
 }
 
-}  // namespace
-
 std::vector<int> sample_load_rows(const data::Dataset& test, int n,
                                   std::uint64_t seed, double zipf_exponent) {
   if (zipf_exponent <= 0.0) return sim::sample_query_rows(test, n, seed);
@@ -198,36 +232,6 @@ std::vector<int> sample_load_rows(const data::Dataset& test, int n,
         row_rng.randint(0, static_cast<int>(bucket.size()) - 1))]);
   }
   return rows;
-}
-
-LoadResult run_teamnet_load(const std::vector<nn::Module*>& experts,
-                            const data::Dataset& test,
-                            const sim::ScenarioConfig& config,
-                            const LoadConfig& load) {
-  return run_load_generic(
-      "TeamNet", experts, test, config, load,
-      [&experts, &load](const std::vector<net::Channel*>& channels) {
-        auto master = std::make_unique<net::CollaborativeMaster>(*experts[0],
-                                                                 channels);
-        if (load.gather_quorum > 0) {
-          master->set_gather_quorum(load.gather_quorum);
-        }
-        return master;
-      });
-}
-
-LoadResult run_sg_moe_load(moe::SgMoe& model, const data::Dataset& test,
-                           const sim::ScenarioConfig& config,
-                           const LoadConfig& load) {
-  std::vector<nn::Module*> experts;
-  for (int i = 0; i < model.num_experts(); ++i) {
-    experts.push_back(&model.expert(i));
-  }
-  return run_load_generic(
-      "SG-MoE", experts, test, config, load,
-      [&model](const std::vector<net::Channel*>& channels) {
-        return std::make_unique<moe::MoeMaster>(model, channels);
-      });
 }
 
 }  // namespace teamnet::load

@@ -1,6 +1,8 @@
-// Load-generation driver (DESIGN.md §14): feeds the real serving protocols
-// (TeamNet CollaborativeMaster, SG-MoE MoeMaster) with queries timed by a
-// seeded ArrivalProcess, entirely on the simulator's virtual clock.
+// Load-generation driver (DESIGN.md §14): feeds the real TeamNet serving
+// protocol (CollaborativeMaster over a sim::Fleet) with queries timed by a
+// seeded ArrivalProcess, entirely on the simulator's virtual clock. The
+// master is pipelined: every arrived query is in flight at once, and each
+// completes when its own gather target is met.
 //
 // The driver is the missing piece between the paper-scenario runners (one
 // query at a time, latency = mean service time) and a perf baseline: it
@@ -17,7 +19,6 @@
 #include "data/dataset.hpp"
 #include "load/arrival.hpp"
 #include "load/stats.hpp"
-#include "moe/sg_moe.hpp"
 #include "nn/module.hpp"
 #include "obs/critpath.hpp"
 #include "sim/scenario.hpp"
@@ -37,12 +38,12 @@ struct LoadConfig {
   /// Seed for query-row sampling (the arrival process seeds separately via
   /// arrival.seed, so traffic shape and traffic content vary independently).
   std::uint64_t query_seed = 7;
-  /// > 0 bounds each gather with one shared deadline (master
-  /// set_worker_timeout); 0 keeps the block-forever default.
+  /// > 0 bounds each query with one shared deadline (master
+  /// set_worker_timeout): at it the query completes with the answers it
+  /// has. 0 keeps the wait-for-every-answer default.
   double worker_timeout_s = 0.0;
-  /// > 0 lets the TeamNet gather complete at a quorum of worker answers
-  /// (set_gather_quorum; requires worker_timeout_s > 0 to ever degrade).
-  /// Ignored by the SG-MoE path, which has no quorum concept.
+  /// > 0 completes a query at a quorum of answers (set_gather_quorum);
+  /// the stragglers' replies are then stale.
   int gather_quorum = 0;
 };
 
@@ -93,11 +94,5 @@ LoadResult run_teamnet_load(const std::vector<nn::Module*>& experts,
                             const data::Dataset& test,
                             const sim::ScenarioConfig& config,
                             const LoadConfig& load);
-
-/// Same driver over the SG-MoE serving path (gate on the master, experts
-/// sharded across workers).
-LoadResult run_sg_moe_load(moe::SgMoe& model, const data::Dataset& test,
-                           const sim::ScenarioConfig& config,
-                           const LoadConfig& load);
 
 }  // namespace teamnet::load

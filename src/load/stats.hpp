@@ -25,8 +25,10 @@ struct QueryRecord {
   double completion_s = 0.0;
   int row = -1;       ///< dataset row served
   bool correct = false;
+  int prediction = -1;  ///< the served class
+  int chosen = -1;      ///< winning node (0 = master, 1.. = workers)
   /// net::DegradationLevel the serving path reported for this query (0 =
-  /// full; SG-MoE reports 1 when local fallback recomputed any row).
+  /// full).
   int degradation = 0;
 };
 

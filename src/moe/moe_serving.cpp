@@ -17,6 +17,15 @@ MoeMaster::MoeMaster(SgMoe& model, std::vector<net::Channel*> workers)
 // analyze:hot  (per-query path: hot-path allocation audit root)
 MoeMaster::Result MoeMaster::infer(const Tensor& x) {
   const std::int64_t qid = begin_query(x);
+  try {
+    return serve(qid, x);
+  } catch (...) {
+    abandon(qid);  // its late replies are stale
+    throw;
+  }
+}
+
+MoeMaster::Result MoeMaster::serve(std::int64_t qid, const Tensor& x) {
   const std::int64_t n = x.dim(0);
   obs::TraceSpan query_span("query", [&] {
     return obs::TraceArgs().arg("qid", qid).arg("batch", n);

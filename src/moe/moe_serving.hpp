@@ -41,6 +41,9 @@ class MoeMaster : private net::MasterCore {
   using MasterCore::shutdown;
 
  private:
+  /// infer() for the query begun as `qid`.
+  Result serve(std::int64_t qid, const Tensor& x);
+
   SgMoe& model_;
 };
 

@@ -78,6 +78,13 @@ void CollaborativeWorker::serve() {
     const bool marked = trace_node_ >= 1 && !info.hedged && obs::qtl_active();
     if (marked) {
       obs::trace_flow_finish("infer", obs::flow_id(info.qid, trace_node_, 0));
+      if (auto wire = channel_.last_recv_timing()) {
+        // Where the request waited: for the medium, then on the air.
+        obs::qtl_worker_mark(info.qid, trace_node_ - 1,
+                             obs::WorkerMark::request_on_air, wire->on_air);
+        obs::qtl_worker_mark(info.qid, trace_node_ - 1,
+                             obs::WorkerMark::request_landed, wire->landed);
+      }
       obs::qtl_worker_mark(info.qid, trace_node_ - 1,
                            obs::WorkerMark::request_recv, now_());
     }
@@ -156,18 +163,35 @@ CollaborativeMaster::CollaborativeMaster(nn::Module& local_expert,
 // analyze:hot  (per-query path: hot-path allocation audit root)
 CollaborativeMaster::Result CollaborativeMaster::infer(const Tensor& x) {
   const std::int64_t qid = begin_query(x);
-  const std::int64_t n = x.dim(0);
   obs::TraceSpan query_span("query", [&] {
-    return obs::TraceArgs().arg("qid", qid).arg("batch", n);
+    return obs::TraceArgs().arg("qid", qid).arg("batch", x.dim(0));
   });
+  try {
+    dispatch(x);
+    // Step 4: whatever answers arrive before the shared deadline.
+    gather(current().classes);
+  } catch (...) {
+    abandon(qid);
+    throw;
+  }
+  return complete(qid);
+}
 
+std::int64_t CollaborativeMaster::submit(const Tensor& x) {
+  const std::int64_t qid = begin_query(x);
+  dispatch(x);
+  return qid;
+}
+
+void CollaborativeMaster::dispatch(const Tensor& x) {
+  Query& q = current();
   // Step 2: broadcast the sensor data to every live worker. Channel errors
   // mark the worker failed rather than aborting the query.
   const std::string frame = request_frame(x);
   {
     obs::TraceSpan span("broadcast", [&] {
-      return obs::TraceArgs().arg("qid", qid).arg("bytes_per_worker",
-                                                  frame.size());
+      return obs::TraceArgs().arg("qid", q.qid).arg("bytes_per_worker",
+                                                    frame.size());
     });
     for (std::size_t w = 0; w < workers_.size(); ++w) {
       if (dispatchable(w)) send_request(w, x, frame);
@@ -177,27 +201,29 @@ CollaborativeMaster::Result CollaborativeMaster::infer(const Tensor& x) {
 
   // Step 3 (local share): the master evaluates its own expert while the
   // workers evaluate theirs.
-  const Tensor local_probs = local_forward(expert_, x);
-  const Tensor local_entropy = core::predictive_entropy(local_probs);
-  mark(obs::QueryPhase::local_compute_end);
+  q.local_probs = local_forward(expert_, x);
+  q.local_entropy = core::predictive_entropy(q.local_probs);
+  q.classes = q.local_probs.dim(1);
+  mark(q, obs::QueryPhase::local_compute_end);
+}
 
-  // Step 4: whatever answers arrive before the shared deadline.
-  const std::int64_t c = local_probs.dim(1);
-  const int answered = gather(c);
-
+CollaborativeMaster::Result CollaborativeMaster::complete(std::int64_t qid) {
+  Query& q = query(qid);
+  const std::int64_t n = q.local_probs.dim(0);
+  const std::int64_t c = q.classes;
   // Step 5: per sample, the least-uncertain answering node wins.
   obs::TraceSpan argmin_span("argmin", [&] {
-    return obs::TraceArgs().arg("qid", qid).arg("answered", answered);
+    return obs::TraceArgs().arg("qid", qid).arg("answered", q.answers);
   });
   Result result;
   result.probs = Tensor({n, c});
   result.chosen.resize(static_cast<std::size_t>(n));
   for (std::int64_t r = 0; r < n; ++r) {
     int winner = 0;
-    float best = local_entropy[r];
-    const Tensor* src = &local_probs;
+    float best = q.local_entropy[r];
+    const Tensor* src = &q.local_probs;
     for (std::size_t w = 0; w < workers_.size(); ++w) {
-      const Flight& f = flight(w);
+      const Flight& f = q.flights[w];
       if (f.answered && f.entropy[r] < best) {
         best = f.entropy[r];
         winner = static_cast<int>(w) + 1;
@@ -209,15 +235,15 @@ CollaborativeMaster::Result CollaborativeMaster::infer(const Tensor& x) {
               result.probs.data() + r * c);
   }
   result.predictions = ops::argmax_rows(result.probs);
-  result.answered = answered;
+  result.answered = q.answers;
   // Degradation level is fleet-relative (DESIGN.md §13): `full` means every
   // expert contributed — a worker skipped at broadcast (probation, open
   // breaker) degrades the query exactly like one that missed the deadline.
-  if (answered == num_nodes() || workers_.empty()) {
+  if (result.answered == num_nodes() || workers_.empty()) {
     result.degradation = DegradationLevel::full;
     ++full_gathers_;
     increment("collab.degradation_full_total");
-  } else if (answered == 1) {
+  } else if (result.answered == 1) {
     result.degradation = DegradationLevel::local_only;
     ++local_only_gathers_;
     increment("collab.degradation_local_only_total");
@@ -226,7 +252,7 @@ CollaborativeMaster::Result CollaborativeMaster::infer(const Tensor& x) {
     ++quorum_gathers_;
     increment("collab.degradation_quorum_total");
   }
-  end_query(static_cast<int>(result.degradation));
+  end_query(q, static_cast<int>(result.degradation));
   return result;
 }
 

@@ -100,12 +100,31 @@ class CollaborativeMaster : public MasterCore {
     DegradationLevel degradation = DegradationLevel::full;
   };
 
-  /// Runs Figure 1's five steps for a batch of inputs ([n >= 1, ...]).
-  /// Workers that have been marked failed are skipped; the selection runs
-  /// over whichever nodes answered (degraded but available — the master
-  /// alone in the worst case), ties going to the lowest node index. Failed
-  /// workers are probed and rejoin when they answer.
+  /// Runs Figure 1's five steps for a batch of inputs ([n >= 1, ...]):
+  /// submit, the polling gather, complete. Workers that have been marked
+  /// failed are skipped; the selection runs over whichever nodes answered
+  /// (degraded but available — the master alone in the worst case), ties
+  /// going to the lowest node index. Failed workers are probed and rejoin
+  /// when they answer.
   Result infer(const Tensor& x);
+
+  // Pipelined serving (DESIGN.md §13.1): the caller owns the wait. It
+  // submits each query as it arrives, reads the worker channels itself and
+  // hands every frame to deliver(), and waits no later than next_due()
+  // before asking due(); any number of queries are in flight. Deadlines
+  // complete a query with the answers it has; they do not put the missing
+  // workers on probation.
+
+  /// Steps 2–3 for `x`: broadcasts it and runs the local expert. Returns
+  /// the query id; the answer comes from complete() once deliver() or
+  /// due() names that id.
+  std::int64_t submit(const Tensor& x);
+  using MasterCore::deliver;
+  using MasterCore::due;
+  using MasterCore::next_due;
+  /// Step 5 for query `qid` (see deliver/due): the argmin over the
+  /// experts that answered, and the degradation accounting.
+  Result complete(std::int64_t qid);
 
   int num_nodes() const { return 1 + static_cast<int>(workers_.size()); }
 
@@ -116,6 +135,9 @@ class CollaborativeMaster : public MasterCore {
   std::int64_t local_only_gathers() const { return local_only_gathers_; }
 
  private:
+  /// Steps 2–3 for the current query.
+  void dispatch(const Tensor& x);
+
   nn::Module& expert_;
   std::int64_t full_gathers_ = 0;
   std::int64_t quorum_gathers_ = 0;

@@ -37,15 +37,17 @@ std::int64_t GatherDeadline::deadline_us() const {
   return std::llround(deadline_ * 1e6);
 }
 
+double GatherDeadline::expiry() const {
+  return unbounded_ ? std::numeric_limits<double>::infinity() : deadline_;
+}
+
 MasterCore::MasterCore(std::vector<Channel*> workers,
                        const std::string& counters, bool strict)
     : workers_(std::move(workers)),
       counters_(counters + "."),
       strict_(strict),
       now_(&steady_seconds),
-      slots_(workers_.size()),
-      flights_(workers_.size()),
-      deadline_(0.0, now_) {
+      slots_(workers_.size()) {
   for (auto* w : workers_) TEAMNET_CHECK(w != nullptr);
 }
 
@@ -205,8 +207,14 @@ void MasterCore::probe_failed_workers() {
   }
 }
 
-void MasterCore::mark(obs::QueryPhase phase) {
-  if (timeline_) obs::qtl_master_mark(qid_, phase, now_());
+void MasterCore::mark(const Query& q, obs::QueryPhase phase) {
+  if (q.timeline) obs::qtl_master_mark(q.qid, phase, now_());
+}
+
+MasterCore::Query& MasterCore::query(std::int64_t qid) {
+  auto it = inflight_.find(qid);
+  TEAMNET_CHECK_MSG(it != inflight_.end(), "query " << qid << " not in flight");
+  return it->second;
 }
 
 std::int64_t MasterCore::begin_query(const Tensor& x) {
@@ -214,26 +222,27 @@ std::int64_t MasterCore::begin_query(const Tensor& x) {
                     "a query needs a non-empty [n, ...] batch");
   ++qid_;
   bump("queries_total");
-  timeline_ = obs::qtl_active();
-  mark(obs::QueryPhase::dispatch);
-  for (auto& f : flights_) f = Flight{};
+  Query& q = inflight_.try_emplace(qid_, qid_, now_).first->second;
+  q.timeline = obs::qtl_active();
+  q.flights.resize(workers_.size());
+  mark(q, obs::QueryPhase::dispatch);
   // Probation first, so a recovered worker rejoins in time for this query.
   probe_failed_workers();
   // The shared deadline anchors BEFORE dispatch: the budget is the query's
   // SLO — it covers send + compute + gather — and its absolute expiry
   // rides in every Infer frame so workers can drop requests that outlive
   // it (deadline propagation, DESIGN.md §13).
-  deadline_ = GatherDeadline(worker_timeout_s_, now_);
+  q.deadline = GatherDeadline(worker_timeout_s_, now_);
   return qid_;
 }
 
-std::string MasterCore::request_frame(const Tensor& payload,
-                                      bool hedged) const {
+std::string MasterCore::request_frame(const Tensor& payload, bool hedged) {
+  const Query& q = current();
   Message request;
   request.type = MsgType::Infer;
   InferInfo info;
-  info.qid = qid_;
-  info.deadline_us = deadline_.deadline_us();
+  info.qid = q.qid;
+  info.deadline_us = q.deadline.deadline_us();
   info.hedged = hedged;
   set_infer_info(request, info);
   request.tensors = {payload};
@@ -248,27 +257,32 @@ void MasterCore::send_request(std::size_t w, const Tensor& payload,
     fail(w, std::string("failed on send: ") + e.what());
     return;
   }
-  Flight& f = flights_[w];
+  Query& q = current();
+  Flight& f = q.flights[w];
   f.asked = f.pending = f.primary_out = true;
   f.request = payload;
-  if (timeline_) {
+  if (q.timeline) {
     // Per-worker send-done instants expose the serial dispatch: the gap
     // between consecutive `sent` marks IS the master's per-worker
     // serialization cost (AttrPhase::broadcast_serial).
-    obs::qtl_worker_mark(qid_, static_cast<int>(w), obs::WorkerMark::sent,
+    obs::qtl_worker_mark(q.qid, static_cast<int>(w), obs::WorkerMark::sent,
                          now_());
   }
   if (flow_trace_) {
     obs::trace_flow_start("infer",
-                          obs::flow_id(qid_, static_cast<int>(w) + 1, 0));
+                          obs::flow_id(q.qid, static_cast<int>(w) + 1, 0));
   }
 }
 
 void MasterCore::end_dispatch() {
-  t_sent_ = now_();
-  if (timeline_) {
-    obs::qtl_master_mark(qid_, obs::QueryPhase::broadcast_end, t_sent_);
+  Query& q = current();
+  q.t_sent = now_();
+  if (q.timeline) {
+    obs::qtl_master_mark(q.qid, obs::QueryPhase::broadcast_end, q.t_sent);
   }
+  int full_total = 1;
+  for (const auto& f : q.flights) full_total += f.asked ? 1 : 0;
+  q.target = quorum_ > 0 ? std::min(quorum_, full_total) : full_total;
 }
 
 Tensor MasterCore::local_forward(nn::Module& expert, const Tensor& x) {
@@ -280,14 +294,66 @@ Tensor MasterCore::local_forward(nn::Module& expert, const Tensor& x) {
 }
 
 void MasterCore::end_query(int degradation) {
-  if (timeline_) {
-    obs::qtl_degradation(qid_, degradation);
-    obs::qtl_master_mark(qid_, obs::QueryPhase::complete, now_());
-  }
+  end_query(current(), degradation);
 }
 
-bool MasterCore::accept(const std::string& raw, std::size_t w,
-                        bool from_backup, std::int64_t classes) {
+void MasterCore::end_query(Query& q, int degradation) {
+  if (q.timeline) {
+    obs::qtl_degradation(q.qid, degradation);
+    obs::qtl_master_mark(q.qid, obs::QueryPhase::complete, now_());
+  }
+  const std::int64_t qid = q.qid;  // the key dies with the entry
+  inflight_.erase(qid);
+}
+
+std::int64_t MasterCore::deliver(std::size_t w, const std::string& raw) {
+  Query* q = accept(raw, w, /*from_backup=*/false);
+  if (q == nullptr || q->answers != q->target) return 0;
+  mark(*q, obs::QueryPhase::gather_end);
+  return q->qid;
+}
+
+double MasterCore::next_due() const {
+  double t = std::numeric_limits<double>::infinity();
+  for (const auto& [qid, q] : inflight_) {
+    if (q.answers >= q.target) return now_();
+    t = std::min(t, q.deadline.expiry());
+  }
+  return t;
+}
+
+std::int64_t MasterCore::due() {
+  for (auto& [qid, q] : inflight_) {
+    if (q.answers >= q.target || q.deadline.expired()) {
+      // The workers still out are slow, not lost: no probation, and their
+      // late replies count as stale like a quorum's stragglers.
+      mark(q, obs::QueryPhase::gather_end);
+      return qid;
+    }
+  }
+  return 0;
+}
+
+void MasterCore::stale(std::size_t w, bool from_backup, const Message& reply) {
+  ++stale_discarded_;
+  bump("stale_replies_total");
+  if (flow_trace_ && !from_backup && !reply.ints.empty()) {
+    // Close the stale reply's flow at its discard point — a drained
+    // stale is consumed, not dangling.
+    obs::trace_flow_finish(
+        "result", obs::flow_id(reply.ints[0], static_cast<int>(w) + 1, 1));
+  }
+  obs::trace_instant("stale_reply_discarded", [&] {
+    return obs::TraceArgs()
+        .arg("worker", static_cast<std::int64_t>(w) + 1)
+        .arg("stale_qid",
+             reply.ints.empty() ? std::int64_t{-1} : reply.ints[0])
+        .arg("qid", qid_);
+  });
+}
+
+MasterCore::Query* MasterCore::accept(const std::string& raw, std::size_t w,
+                                      bool from_backup) {
   Message reply = Message::decode(raw);
   if (reply.type == MsgType::Pong) {
     ++stale_discarded_;  // duplicate probe answer
@@ -297,38 +363,33 @@ bool MasterCore::accept(const std::string& raw, std::size_t w,
           .arg("worker", static_cast<std::int64_t>(w) + 1)
           .arg("kind", "duplicate_pong");
     });
-    return false;
+    return nullptr;
   }
   TEAMNET_CHECK_MSG(
       reply.type == MsgType::Result && reply.tensors.size() == 2,
       "worker " << w + 1 << " sent malformed reply type "
                 << static_cast<int>(reply.type));
+  Query* found = nullptr;
   if (test_pre_qid_gather_) {
     // TEST-ONLY mutant (see set_test_pre_qid_gather): no id echo — the
     // deadline reading is the only stale filter, so whether a reply is
     // trusted or treated as a miss races its arrival against the clock.
-    if (deadline_.remaining() <= 0.0) {
+    found = &current();
+    if (found->deadline.remaining() <= 0.0) {
       throw NetworkError("answered past the deadline reading (pre-qid mutant)");
     }
-  } else if (reply.ints.empty() || reply.ints[0] != qid_) {
-    ++stale_discarded_;
-    bump("stale_replies_total");
-    if (flow_trace_ && !from_backup && !reply.ints.empty()) {
-      // Close the stale reply's flow at its discard point — a drained
-      // stale is consumed, not dangling.
-      obs::trace_flow_finish(
-          "result", obs::flow_id(reply.ints[0], static_cast<int>(w) + 1, 1));
-    }
-    obs::trace_instant("stale_reply_discarded", [&] {
-      return obs::TraceArgs()
-          .arg("worker", static_cast<std::int64_t>(w) + 1)
-          .arg("stale_qid",
-               reply.ints.empty() ? std::int64_t{-1} : reply.ints[0])
-          .arg("qid", qid_);
-    });
-    return false;
+  } else if (!reply.ints.empty()) {
+    // Route by the echoed id: a reply for any in-flight query answers that
+    // query, however many were dispatched after it.
+    auto it = inflight_.find(reply.ints[0]);
+    if (it != inflight_.end()) found = &it->second;
   }
-  Flight& f = flights_[w];
+  if (found == nullptr) {
+    stale(w, from_backup, reply);
+    return nullptr;
+  }
+  Query& q = *found;
+  Flight& f = q.flights[w];
   // A current-query Result settles its source's outstanding request,
   // duplicate or not.
   if (from_backup) {
@@ -339,7 +400,7 @@ bool MasterCore::accept(const std::string& raw, std::size_t w,
     // not own), so only primary replies close one.
     if (flow_trace_) {
       obs::trace_flow_finish("result",
-                             obs::flow_id(qid_, static_cast<int>(w) + 1, 1));
+                             obs::flow_id(q.qid, static_cast<int>(w) + 1, 1));
     }
   }
   if (f.answered) {
@@ -350,9 +411,9 @@ bool MasterCore::accept(const std::string& raw, std::size_t w,
     obs::trace_instant("hedge_duplicate_reconciled", [&] {
       return obs::TraceArgs()
           .arg("worker", static_cast<std::int64_t>(w) + 1)
-          .arg("qid", qid_);
+          .arg("qid", q.qid);
     });
-    return false;
+    return nullptr;
   }
   // A well-framed Result is still only an answer if it covers exactly the
   // rows asked: the combine steps index it by row and class unchecked.
@@ -360,7 +421,7 @@ bool MasterCore::accept(const std::string& raw, std::size_t w,
   const Tensor& entropy = reply.tensors[1];
   const std::int64_t rows = f.request.dim(0);
   TEAMNET_CHECK_MSG(probs.rank() == 2 && probs.dim(0) == rows &&
-                        probs.dim(1) == classes && entropy.rank() == 1 &&
+                        probs.dim(1) == q.classes && entropy.rank() == 1 &&
                         entropy.dim(0) == rows,
                     "worker " << w + 1 << " answered " << rows
                               << " rows with probs "
@@ -368,11 +429,20 @@ bool MasterCore::accept(const std::string& raw, std::size_t w,
                               << shape_to_string(entropy.shape()));
   f.answered = true;
   f.pending = false;
+  ++q.answers;
   f.probs = std::move(reply.tensors[0]);
   f.entropy = std::move(reply.tensors[1]);
-  if (timeline_) {
-    obs::qtl_worker_mark(qid_, static_cast<int>(w),
-                         obs::WorkerMark::reply_recv, now_());
+  if (q.timeline) {
+    const auto lane = static_cast<int>(w);
+    if (auto wire = (from_backup ? backups_[w] : workers_[w])
+                        ->last_recv_timing()) {
+      // Where the reply waited: for the medium, then on the air.
+      obs::qtl_worker_mark(q.qid, lane, obs::WorkerMark::reply_on_air,
+                           wire->on_air);
+      obs::qtl_worker_mark(q.qid, lane, obs::WorkerMark::reply_landed,
+                           wire->landed);
+    }
+    obs::qtl_worker_mark(q.qid, lane, obs::WorkerMark::reply_recv, now_());
   }
   if (from_backup) {
     ++hedge_wins_;
@@ -380,16 +450,16 @@ bool MasterCore::accept(const std::string& raw, std::size_t w,
     obs::trace_instant("hedge_won", [&] {
       return obs::TraceArgs()
           .arg("worker", static_cast<std::int64_t>(w) + 1)
-          .arg("qid", qid_);
+          .arg("qid", q.qid);
     });
   } else if (health_) {
-    health_->record_success(static_cast<int>(w), now_() - t_sent_);
+    health_->record_success(static_cast<int>(w), now_() - q.t_sent);
   }
-  return true;
+  return &q;
 }
 
 void MasterCore::lost(std::size_t w, bool from_backup, const Error& e) {
-  Flight& f = flights_[w];
+  Flight& f = current().flights[w];
   if (from_backup) {
     LOG_WARN("worker " << w + 1 << "'s backup failed on recv: " << e.what());
     f.backup_out = 0;
@@ -403,24 +473,26 @@ void MasterCore::lost(std::size_t w, bool from_backup, const Error& e) {
 }
 
 void MasterCore::hedge_to(std::size_t w) {
+  Query& q = current();
   try {
-    backups_[w]->send(request_frame(flights_[w].request, /*hedged=*/true));
+    backups_[w]->send(request_frame(q.flights[w].request, /*hedged=*/true));
   } catch (const Error& e) {
     LOG_WARN("hedge to worker " << w + 1 << "'s backup failed on send: "
                                 << e.what());
     return;
   }
-  ++flights_[w].backup_out;
+  ++q.flights[w].backup_out;
   ++hedges_sent_;
   bump("hedges_total");
   obs::trace_instant("hedge_dispatch", [&] {
     return obs::TraceArgs()
         .arg("worker", static_cast<std::int64_t>(w) + 1)
-        .arg("qid", qid_);
+        .arg("qid", q.qid);
   });
 }
 
 void MasterCore::fire_hedge(int round) {
+  const std::vector<Flight>& flights = current().flights;
   if (round == 1) {
     // First round: cover only the slowest still-outstanding worker (by
     // health EWMA; lowest index breaks ties deterministically) with its
@@ -428,7 +500,7 @@ void MasterCore::fire_hedge(int round) {
     std::size_t target = workers_.size();
     double slowest = -1.0;
     for (std::size_t w = 0; w < backups_.size(); ++w) {
-      if (!flights_[w].pending || backups_[w] == nullptr) continue;
+      if (!flights[w].pending || backups_[w] == nullptr) continue;
       const double expect =
           health_ ? health_->expected_latency_s(static_cast<int>(w)) : 0.0;
       if (expect > slowest) {
@@ -445,7 +517,7 @@ void MasterCore::fire_hedge(int round) {
   // lost hedge is indistinguishable from a slow one; retrying is what
   // bounds p99 under message loss, DESIGN.md §13).
   for (std::size_t w = 0; w < backups_.size(); ++w) {
-    if (flights_[w].pending && backups_[w] != nullptr) hedge_to(w);
+    if (flights[w].pending && backups_[w] != nullptr) hedge_to(w);
   }
 }
 
@@ -455,17 +527,16 @@ void MasterCore::fire_hedge(int round) {
 // no-progress wait at the bottom paces the loop (and burns deadline
 // budget, virtual time included) when every outstanding source is silent.
 int MasterCore::gather(std::int64_t classes) {
+  Query& q = current();
+  q.classes = classes;
+  std::vector<Flight>& flights = q.flights;
   obs::TraceSpan span("gather", [&] {
-    return obs::TraceArgs().arg("qid", qid_);
+    return obs::TraceArgs().arg("qid", q.qid);
   });
-  int full_total = 1;
-  for (const auto& f : flights_) full_total += f.asked ? 1 : 0;
-  const int target = quorum_ > 0 ? std::min(quorum_, full_total) : full_total;
-  int answers = 1;  // the local expert always counts
 
   bool can_hedge = false;
   for (std::size_t w = 0; w < backups_.size(); ++w) {
-    if (flights_[w].pending && backups_[w] != nullptr) can_hedge = true;
+    if (flights[w].pending && backups_[w] != nullptr) can_hedge = true;
   }
   int hedge_round = 0;
   double hedge_at = std::numeric_limits<double>::infinity();
@@ -479,25 +550,25 @@ int MasterCore::gather(std::int64_t classes) {
     if (health_) {
       slowest = 0.0;
       for (std::size_t w = 0; w < backups_.size(); ++w) {
-        if (!flights_[w].pending || backups_[w] == nullptr) continue;
+        if (!flights[w].pending || backups_[w] == nullptr) continue;
         slowest = std::max(slowest,
                            health_->expected_latency_s(static_cast<int>(w)));
       }
     }
     hedge_interval = std::max(hedge_min_delay_s_, hedge_factor_ * slowest);
-    hedge_at = t_sent_ + hedge_interval;
+    hedge_at = q.t_sent + hedge_interval;
   }
 
   // Reads one source until it runs dry or its request settles.
   auto drain = [&](std::size_t w, bool backup) {
-    Flight& f = flights_[w];
+    Flight& f = flights[w];
     bool progress = false;
     try {
       while (backup ? f.backup_out > 0 : f.primary_out) {
         auto raw = (backup ? backups_[w] : workers_[w])->recv_timeout(0.0);
         if (!raw) break;
         progress = true;
-        answers += accept(*raw, w, backup, classes) ? 1 : 0;
+        accept(*raw, w, backup);
       }
     } catch (const Error& e) {
       lost(w, backup, e);
@@ -505,20 +576,20 @@ int MasterCore::gather(std::int64_t classes) {
     return progress;
   };
 
-  while (answers < target) {
+  while (q.answers < q.target) {
     // A backup can still produce a fresh ANSWER only while its worker is
     // unanswered; once answered it is drained purely for duplicate
     // reconciliation and must not keep the loop alive.
     bool any_pending = false;
-    for (const auto& f : flights_) {
+    for (const auto& f : flights) {
       if (f.pending || (f.backup_out > 0 && !f.answered)) any_pending = true;
     }
     if (!any_pending) break;  // every source answered, failed or errored
-    if (deadline_.expired()) {
+    if (q.deadline.expired()) {
       for (std::size_t w = 0; w < workers_.size(); ++w) {
-        flights_[w].backup_out = 0;
-        if (!flights_[w].pending) continue;
-        flights_[w].pending = false;
+        flights[w].backup_out = 0;
+        if (!flights[w].pending) continue;
+        flights[w].pending = false;
         fail(w, "missed the gather deadline");
       }
       break;
@@ -533,7 +604,7 @@ int MasterCore::gather(std::int64_t classes) {
     for (std::size_t w = 0; w < backups_.size(); ++w) {
       progress |= drain(w, true);
     }
-    if (answers >= target) break;
+    if (q.answers >= q.target) break;
     if (can_hedge && now_() >= hedge_at) {
       fire_hedge(++hedge_round);
       hedge_at += hedge_interval;  // pace the next escalation round
@@ -544,20 +615,20 @@ int MasterCore::gather(std::int64_t classes) {
     // burns deadline budget (virtual time under simulation) instead of
     // spinning, bounded by the deadline and the pending hedge fire time.
     double wait = worker_timeout_s_ > 0.0 ? worker_timeout_s_ / 8 : 0.005;
-    wait = std::min(wait, deadline_.remaining());
+    wait = std::min(wait, q.deadline.remaining());
     if (can_hedge) wait = std::min(wait, hedge_at - now_());
     wait = std::max(wait, 1e-6);
     std::size_t source = workers_.size();
     bool backup = false;
     for (std::size_t w = 0; w < workers_.size(); ++w) {
-      if (flights_[w].pending) {
+      if (flights[w].pending) {
         source = w;
         break;
       }
     }
     if (source == workers_.size()) {
       for (std::size_t w = 0; w < workers_.size(); ++w) {
-        if (flights_[w].backup_out > 0 && !flights_[w].answered) {
+        if (flights[w].backup_out > 0 && !flights[w].answered) {
           source = w;
           backup = true;
           break;
@@ -568,14 +639,14 @@ int MasterCore::gather(std::int64_t classes) {
     try {
       if (auto raw = (backup ? backups_[source] : workers_[source])
                          ->recv_timeout(wait)) {
-        answers += accept(*raw, source, backup, classes) ? 1 : 0;
+        accept(*raw, source, backup);
       }
     } catch (const Error& e) {
       lost(source, backup, e);
     }
   }
-  mark(obs::QueryPhase::gather_end);
-  return answers;
+  mark(q, obs::QueryPhase::gather_end);
+  return q.answers;
 }
 
 void MasterCore::shutdown() {

@@ -6,8 +6,15 @@
 // per-sample argmin entropy; moe::MoeMaster routes each row to the gate's
 // expert and places the answers back in row order.
 //
-// Fault model (DESIGN.md §8): every Infer carries a query id that workers
-// echo on the Result; replies for any other id are stale and discarded. A
+// Query state is per query id (DESIGN.md §13.1): each Infer carries its
+// query's id, workers echo it on the Result, and a reply is routed to the
+// in-flight query it names — so several queries can be in flight at once
+// (the pipelined load driver) and a late reply for query n still answers
+// n after n+1 was dispatched. A blocking infer() is one such query,
+// submitted and gathered on the same core.
+//
+// Fault model (DESIGN.md §8): replies naming a completed, abandoned or
+// never-issued id are stale and discarded. A
 // worker that misses the deadline or errors goes into probation — probed
 // with Ping/Pong on an exponential-backoff cadence — until it answers and
 // rejoins the live set. A `strict` master (MoeMaster: the routed expert's
@@ -22,11 +29,13 @@
 
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "net/health.hpp"
+#include "net/message.hpp"
 #include "net/transport.hpp"
 #include "nn/module.hpp"
 #include "obs/timeline.hpp"
@@ -61,6 +70,8 @@ class GatherDeadline {
   /// what an Infer frame propagates (InferInfo::deadline_us).
   /// kNoDeadlineUs when unbounded.
   std::int64_t deadline_us() const;
+  /// The absolute expiry in seconds; +infinity when unbounded.
+  double expiry() const;
 
  private:
   const TimeSource* now_;
@@ -68,8 +79,10 @@ class GatherDeadline {
   double deadline_ = 0.0;
 };
 
-/// Owns the worker channels and runs one query at a time through
-/// begin_query -> send_request... -> end_dispatch -> gather -> end_query.
+/// Owns the worker channels and the per-qid state of every in-flight
+/// query. A blocking query runs begin_query -> send_request... ->
+/// end_dispatch -> gather -> end_query; a pipelined caller instead reads
+/// the workers itself and feeds each frame to deliver().
 class MasterCore {
  public:
   // The per-query deadline reads this object's own time source.
@@ -152,8 +165,8 @@ class MasterCore {
   /// Whether `worker_index` (0-based) is in the live set. Out-of-range
   /// indices throw InvariantError.
   bool worker_alive(int worker_index) const;
-  /// Replies discarded because their query id did not match the in-flight
-  /// query (late answers from timed-out workers, injected duplicates).
+  /// Replies discarded because their query id named no in-flight query
+  /// (late answers from timed-out workers, injected duplicates).
   std::int64_t stale_replies_discarded() const { return stale_discarded_; }
   /// Probed workers that answered and re-entered the live set.
   std::int64_t rejoins() const { return rejoins_; }
@@ -167,7 +180,7 @@ class MasterCore {
   static constexpr int kMaxProbeInterval = 64;
 
  protected:
-  /// Gather state of one worker for the in-flight query.
+  /// Gather state of one worker for one in-flight query.
   struct Flight {
     bool asked = false;
     Tensor request;  ///< the rows sent (re-sent verbatim by a hedge)
@@ -179,36 +192,84 @@ class MasterCore {
     Tensor entropy;  ///< [rows] once answered
   };
 
+  /// One in-flight query: its flights, deadline and gather progress.
+  struct Query {
+    Query(std::int64_t id, const TimeSource& now)
+        : qid(id), deadline(0.0, now) {}
+    std::int64_t qid;
+    bool timeline = false;  ///< marks are recorded for this query
+    GatherDeadline deadline;
+    double t_sent = 0.0;      ///< end of dispatch (anchors health latency)
+    std::int64_t classes = 0;  ///< answer width accepted replies must have
+    int target = 1;   ///< answers that complete the gather, local included
+    int answers = 1;  ///< answers in so far; the local expert always counts
+    Tensor local_probs;    ///< [rows, classes]: the master's own expert
+    Tensor local_entropy;  ///< [rows]
+    std::vector<Flight> flights;  ///< one per worker
+  };
+
   /// `counters` prefixes the registry counter names ("collab", "moe").
   MasterCore(std::vector<Channel*> workers, const std::string& counters,
              bool strict);
   ~MasterCore() = default;
 
-  /// Starts a query on `x` ([n >= 1, ...]): issues its id, runs the
-  /// probation pass and anchors the shared deadline. Returns the id.
+  /// Starts a query on `x` ([n >= 1, ...]) and makes it the current one:
+  /// issues its id, runs the probation pass and anchors the shared
+  /// deadline. Returns the id.
   std::int64_t begin_query(const Tensor& x);
   /// Whether worker `w` may be asked this query (live, breaker closed).
   bool dispatchable(std::size_t w) const;
   /// The current query's Infer frame carrying `payload`.
-  std::string request_frame(const Tensor& payload, bool hedged = false) const;
+  std::string request_frame(const Tensor& payload, bool hedged = false);
   /// Step 2 for one worker: sends `frame` (which carries `payload`).
   void send_request(std::size_t w, const Tensor& payload,
                     const std::string& frame);
-  /// Closes the dispatch phase (its end anchors health latencies).
+  /// Closes the dispatch phase: its end anchors health latencies, and the
+  /// gather target becomes 1 + the asked workers, or the quorum.
   void end_dispatch();
   /// Step 3's local share: `expert` on `x` under the compute hook.
   Tensor local_forward(nn::Module& expert, const Tensor& x);
-  /// Step 4: polls every outstanding source until 1 (the local expert) +
-  /// the answers reach the target — the quorum, or every asked worker —
-  /// or the deadline expires. A Result is accepted only with probs
-  /// [rows asked, classes] and entropy [rows asked]. Returns the answer
-  /// count, local included; the answers are in flight(w).
+  /// Step 4 for the current query: polls every outstanding source until
+  /// its answers reach the target or the deadline expires. A Result is
+  /// accepted only with probs [rows asked, classes] and entropy [rows
+  /// asked]. Returns the answer count, local included; the answers are in
+  /// flight(w).
   int gather(std::int64_t classes);
-  const Flight& flight(std::size_t w) const { return flights_[w]; }
-  /// Records the query's degradation level and completion (timeline).
+  const Flight& flight(std::size_t w) const {
+    return current().flights[w];
+  }
+  /// Records the current query's degradation level and completion
+  /// (timeline) and retires its state.
   void end_query(int degradation);
+  /// Drops query `qid`'s state without completing it — a blocking caller
+  /// that threw mid-query — so its late replies count as stale.
+  void abandon(std::int64_t qid) { inflight_.erase(qid); }
   /// Master-side timeline mark for the current query.
-  void mark(obs::QueryPhase phase);
+  void mark(obs::QueryPhase phase) { mark(current(), phase); }
+  void mark(const Query& q, obs::QueryPhase phase);
+
+  /// The most recently begun query: the one a blocking caller serves.
+  Query& current() { return inflight_.at(qid_); }
+  const Query& current() const { return inflight_.at(qid_); }
+  /// In-flight query `qid`; throws InvariantError for any other id.
+  Query& query(std::int64_t qid);
+  /// Pipelined gather: accepts one frame read from worker `w`'s (0-based)
+  /// primary channel for whichever in-flight query it names. Returns that
+  /// query's id when the frame met its gather target — every asked worker,
+  /// or the quorum — which also stamps its gather_end; 0 otherwise (a
+  /// straggler, a stale reply).
+  std::int64_t deliver(std::size_t w, const std::string& raw);
+  /// When due() next has a query to name (seconds on the master's clock):
+  /// now if a query's target is already met, else the earliest deadline
+  /// among queries still gathering; +infinity when none is bounded.
+  double next_due() const;
+  /// The lowest-id query whose gather is over with no reply left to
+  /// report it — its target was met by the local answer alone at dispatch
+  /// (a quorum of one), or its deadline passed. Stamped gather_end, it
+  /// completes with the answers it has. 0 when there is none.
+  std::int64_t due();
+  /// Records `q`'s degradation level and completion and retires it.
+  void end_query(Query& q, int degradation);
 
   std::vector<Channel*> workers_;
   ComputeHook on_compute_;
@@ -230,10 +291,11 @@ class MasterCore {
   /// and sends fresh Pings on the backoff cadence.
   void probe_failed_workers();
   /// Accepts or discards one frame from worker `w`'s primary or backup
-  /// replica; true = it completed a fresh answer. Throws on a malformed
-  /// reply.
-  bool accept(const std::string& raw, std::size_t w, bool from_backup,
-              std::int64_t classes);
+  /// replica, for the query it names; returns that query when the frame
+  /// was a fresh answer, nullptr otherwise. Throws on a malformed reply.
+  Query* accept(const std::string& raw, std::size_t w, bool from_backup);
+  /// Counts and traces one discarded reply.
+  void stale(std::size_t w, bool from_backup, const Message& reply);
   /// A receive from `w`'s primary or backup errored.
   void lost(std::size_t w, bool from_backup, const Error& e);
   void hedge_to(std::size_t w);
@@ -243,7 +305,6 @@ class MasterCore {
   const bool strict_;
   TimeSource now_;
   std::vector<WorkerSlot> slots_;
-  std::vector<Flight> flights_;
   double worker_timeout_s_ = 0.0;
   int probe_interval_ = 4;
   int quorum_ = 0;  ///< 0 = every asked worker
@@ -254,11 +315,8 @@ class MasterCore {
   bool flow_trace_ = false;
   bool test_pre_qid_gather_ = false;  ///< test-only mutation hook
 
-  // The in-flight query.
-  std::int64_t qid_ = 0;
-  bool timeline_ = false;
-  GatherDeadline deadline_;
-  double t_sent_ = 0.0;
+  std::int64_t qid_ = 0;  ///< the latest issued id: the current query
+  std::map<std::int64_t, Query> inflight_;
 
   std::int64_t probe_seq_ = 0;
   std::int64_t stale_discarded_ = 0;

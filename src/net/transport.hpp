@@ -16,6 +16,15 @@
 
 namespace teamnet::net {
 
+/// Where the last received frame spent its time on a modeled link: the
+/// instant it went on the air (after any wait for the shared medium) and
+/// the instant it landed in the receiver's inbox. Only transports with a
+/// virtual link model (the DES channel) report one.
+struct WireTiming {
+  double on_air = 0.0;
+  double landed = 0.0;
+};
+
 class Channel {
  public:
   virtual ~Channel() = default;
@@ -33,6 +42,11 @@ class Channel {
   /// fail with NetworkError once drained. Error-recovery paths use this to
   /// unblock peer threads instead of leaking them. Default: no-op.
   virtual void close() {}
+  /// WireTiming of the frame the last recv/recv_timeout returned; nullopt
+  /// on transports without a link model (and before any receive).
+  virtual std::optional<WireTiming> last_recv_timing() const {
+    return std::nullopt;
+  }
 };
 
 using ChannelPtr = std::unique_ptr<Channel>;

@@ -69,6 +69,8 @@ const char* to_string(AttrPhase phase) {
       return "argmin";
     case AttrPhase::broadcast_serial:
       return "broadcast_serial";
+    case AttrPhase::request_medium_wait:
+      return "request_medium_wait";
     case AttrPhase::request_transit:
       return "request_transit";
     case AttrPhase::worker_queue:
@@ -77,8 +79,12 @@ const char* to_string(AttrPhase phase) {
       return "worker_compute";
     case AttrPhase::reply_prep:
       return "reply_prep";
+    case AttrPhase::reply_medium_wait:
+      return "reply_medium_wait";
     case AttrPhase::reply_transit:
       return "reply_transit";
+    case AttrPhase::reply_queue:
+      return "reply_queue";
     case AttrPhase::gather_slack:
       return "gather_slack";
     case AttrPhase::unattributed:
@@ -106,7 +112,10 @@ const char* to_string(CritKind kind) {
 CritKind kind_of(AttrPhase phase) {
   switch (phase) {
     case AttrPhase::master_queue:
+    case AttrPhase::request_medium_wait:
     case AttrPhase::worker_queue:
+    case AttrPhase::reply_medium_wait:
+    case AttrPhase::reply_queue:
       return CritKind::queueing;
     case AttrPhase::broadcast:
     case AttrPhase::broadcast_serial:
@@ -208,14 +217,27 @@ QueryAttribution attribute(const QueryTimeline& tl) {
         lane.has(WorkerMark::compute_begin) &&
         lane.has(WorkerMark::compute_end) && lane.has(WorkerMark::reply_sent);
     if (full_lane) {
+      // Without the link's own instants a leg's inbox wait stays inside
+      // its transit slice.
+      const bool request_timed = lane.has(WorkerMark::request_landed);
+      const bool reply_timed = lane.has(WorkerMark::reply_landed);
       crit = {
           point(tl, QueryPhase::dispatch, AttrPhase::master_queue),
           point(lane, WorkerMark::sent, AttrPhase::broadcast_serial),
-          point(lane, WorkerMark::request_recv, AttrPhase::request_transit),
+          point(lane, WorkerMark::request_on_air,
+                AttrPhase::request_medium_wait),
+          point(lane, WorkerMark::request_landed, AttrPhase::request_transit),
+          point(lane, WorkerMark::request_recv,
+                request_timed ? AttrPhase::worker_queue
+                              : AttrPhase::request_transit),
           point(lane, WorkerMark::compute_begin, AttrPhase::worker_queue),
           point(lane, WorkerMark::compute_end, AttrPhase::worker_compute),
           point(lane, WorkerMark::reply_sent, AttrPhase::reply_prep),
-          point(lane, WorkerMark::reply_recv, AttrPhase::reply_transit),
+          point(lane, WorkerMark::reply_on_air, AttrPhase::reply_medium_wait),
+          point(lane, WorkerMark::reply_landed, AttrPhase::reply_transit),
+          point(lane, WorkerMark::reply_recv,
+                reply_timed ? AttrPhase::reply_queue
+                            : AttrPhase::reply_transit),
           point(tl, QueryPhase::gather_end, AttrPhase::gather_slack),
           point(tl, QueryPhase::complete, AttrPhase::argmin),
       };

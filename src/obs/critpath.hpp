@@ -8,7 +8,10 @@
 //     that released the gather — either the master's own expert or the
 //     worker whose accepted reply was read last — and that chain's marks
 //     re-slice the same interval into queue / serialization / transit /
-//     compute / slack segments.
+//     compute / slack segments. Where the link model reports when a frame
+//     got the shared medium and when it landed, each leg's link time
+//     splits into the wait for the medium (queueing), airtime +
+//     propagation (transit), and the wait in the receiver's inbox.
 //
 // Exactness invariant: all arithmetic is integer nanoseconds
 // (to_ns(t) = llround(t * 1e9)) over a chain of clamped-monotone points,
@@ -32,7 +35,7 @@ namespace teamnet::obs {
 /// rest appear only on critical-path chains.
 enum class AttrPhase : int {
   // -- end-to-end partition (master-side slices) --
-  master_queue = 0,  ///< arrival → dispatch: waiting for the serial master
+  master_queue = 0,  ///< arrival → dispatch: waiting for the master's CPU
   broadcast,         ///< dispatch → broadcast_end: encode + all sends
   local_compute,     ///< broadcast_end → local_compute_end
   gather_wait,       ///< local_compute_end → gather_end
@@ -40,21 +43,30 @@ enum class AttrPhase : int {
   // -- critical-path-only slices --
   broadcast_serial,  ///< dispatch → this worker's send done (incl. earlier
                      ///< workers' serialization: the serial-master cost)
-  request_transit,   ///< sent → request_recv: link time to the worker
-  worker_queue,      ///< request_recv → compute_begin
+  request_medium_wait,  ///< sent → request_on_air: waiting for the medium
+  request_transit,   ///< request_on_air → request_landed: airtime +
+                     ///< propagation (sent → request_recv, inbox wait
+                     ///< included, when the link reports no timing)
+  worker_queue,      ///< request_landed → compute_begin: the worker's inbox
+                     ///< (request_recv → compute_begin without timing)
   worker_compute,    ///< compute_begin → compute_end
   reply_prep,        ///< compute_end → reply_sent: encode + send
-  reply_transit,     ///< reply_sent → reply_recv: link time back
+  reply_medium_wait,  ///< reply_sent → reply_on_air: waiting for the medium
+  reply_transit,     ///< reply_on_air → reply_landed: airtime + propagation
+                     ///< (reply_sent → reply_recv without timing)
+  reply_queue,       ///< reply_landed → reply_recv: the master's inbox
+                     ///< while it was busy with other work
   gather_slack,      ///< releaser read → gather_end (poll/duplicate drain)
   unattributed,      ///< interval whose interior marks were not observed
 };
-inline constexpr int kNumAttrPhases = 13;
+inline constexpr int kNumAttrPhases = 16;
 const char* to_string(AttrPhase phase);
 
 /// Coarse grouping for the bottleneck report: which *kind* of work owns
 /// the critical path.
 enum class CritKind : int {
-  queueing = 0,   ///< master_queue, worker_queue
+  queueing = 0,   ///< master_queue, worker_queue, reply_queue, the
+                  ///< medium waits
   serialization,  ///< broadcast, broadcast_serial, argmin, gather_slack
   compute,        ///< local_compute, worker_compute, reply_prep
   transit,        ///< request_transit, reply_transit

@@ -36,6 +36,10 @@ const char* to_string(WorkerMark mark) {
   switch (mark) {
     case WorkerMark::sent:
       return "sent";
+    case WorkerMark::request_on_air:
+      return "request_on_air";
+    case WorkerMark::request_landed:
+      return "request_landed";
     case WorkerMark::request_recv:
       return "request_recv";
     case WorkerMark::compute_begin:
@@ -44,6 +48,10 @@ const char* to_string(WorkerMark mark) {
       return "compute_end";
     case WorkerMark::reply_sent:
       return "reply_sent";
+    case WorkerMark::reply_on_air:
+      return "reply_on_air";
+    case WorkerMark::reply_landed:
+      return "reply_landed";
     case WorkerMark::reply_recv:
       return "reply_recv";
   }

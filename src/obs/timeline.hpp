@@ -53,16 +53,23 @@ inline constexpr int kNumQueryPhases = 6;
 const char* to_string(QueryPhase phase);
 
 /// Per-worker lane marks. `sent` and `reply_recv` are master-clock
-/// observations; the middle four are worker-clock.
+/// observations; request_recv..reply_sent are worker-clock. The on_air and
+/// landed marks are the link model's own instants for the frame, read by
+/// its receiver; transports without a link model (TCP, fault-wrapped
+/// links) leave them unobserved.
 enum class WorkerMark : int {
-  sent = 0,       ///< master finished sending this worker's request
-  request_recv,   ///< worker received + decoded the request
-  compute_begin,  ///< worker starts its expert forward
-  compute_end,    ///< worker's expert finished
-  reply_sent,     ///< worker finished sending the reply
-  reply_recv,     ///< master read + accepted the reply
+  sent = 0,        ///< master finished sending this worker's request
+  request_on_air,  ///< the request got the shared medium
+  request_landed,  ///< the request landed in the worker's inbox
+  request_recv,    ///< worker received + decoded the request
+  compute_begin,   ///< worker starts its expert forward
+  compute_end,     ///< worker's expert finished
+  reply_sent,      ///< worker finished sending the reply
+  reply_on_air,    ///< the reply got the shared medium
+  reply_landed,    ///< the reply landed in the master's inbox
+  reply_recv,      ///< master read + accepted the reply
 };
-inline constexpr int kNumWorkerMarks = 6;
+inline constexpr int kNumWorkerMarks = 10;
 const char* to_string(WorkerMark mark);
 
 /// One worker's marks for one query. A quiet NaN means "not observed"

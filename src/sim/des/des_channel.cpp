@@ -61,15 +61,43 @@ void DesChannel::send(std::string bytes) {
 }
 
 std::string DesChannel::recv() {
-  std::string bytes = engine_.recv(self_, *in_);
+  net::WireTiming timing;
+  std::string bytes = engine_.recv(self_, *in_, &timing);
+  last_timing_ = timing;
   note_received(bytes.size());
   return bytes;
 }
 
 std::optional<std::string> DesChannel::recv_timeout(double seconds) {
-  auto bytes = engine_.recv_timeout(self_, *in_, seconds);
-  if (bytes) note_received(bytes->size());
+  net::WireTiming timing;
+  auto bytes = engine_.recv_timeout(self_, *in_, seconds, &timing);
+  if (bytes) {
+    last_timing_ = timing;
+    note_received(bytes->size());
+  }
   return bytes;
+}
+
+std::optional<std::pair<std::size_t, std::string>> DesChannel::recv_any(
+    const std::vector<DesChannel*>& channels, double until) {
+  TEAMNET_CHECK_MSG(!channels.empty(), "recv_any needs at least one channel");
+  std::vector<Mailbox*> inboxes;
+  inboxes.reserve(channels.size());
+  for (DesChannel* c : channels) {
+    TEAMNET_CHECK_MSG(&c->engine_ == &channels[0]->engine_ &&
+                          c->self_ == channels[0]->self_,
+                      "recv_any channels must share one node and engine");
+    inboxes.push_back(c->in_.get());
+  }
+  net::WireTiming timing;
+  auto got = channels[0]->engine_.recv_any(channels[0]->self_, inboxes, until,
+                                           &timing);
+  if (got) {
+    DesChannel& c = *channels[got->first];
+    c.last_timing_ = timing;
+    c.note_received(got->second.size());
+  }
+  return got;
 }
 
 void DesChannel::note_received(std::size_t payload) {

@@ -16,7 +16,9 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "net/transport.hpp"
@@ -38,6 +40,15 @@ class DesChannel final : public net::Channel {
   /// Closes both directions (InProc close semantics): queued and in-flight
   /// messages still drain, then readers on either end get NetworkError.
   void close() override;
+  std::optional<net::WireTiming> last_recv_timing() const override {
+    return last_timing_;
+  }
+
+  /// Engine::recv_any over `channels` — endpoints of one node on one
+  /// engine: the earliest frame landing by `until` and the index of the
+  /// channel it came in on, or nullopt at the wake-up.
+  static std::optional<std::pair<std::size_t, std::string>> recv_any(
+      const std::vector<DesChannel*>& channels, double until);
 
  private:
   void note_received(std::size_t payload);
@@ -51,6 +62,7 @@ class DesChannel final : public net::Channel {
   const std::string rx_label_;
   std::atomic<std::int64_t> tx_bytes_{0};
   std::atomic<std::int64_t> rx_bytes_{0};
+  std::optional<net::WireTiming> last_timing_;  ///< receiving thread only
 };
 
 /// Connected DES channel pair between nodes `a` and `b`.

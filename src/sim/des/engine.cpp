@@ -1,6 +1,7 @@
 #include "sim/des/engine.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <sstream>
 #include <utility>
@@ -89,6 +90,19 @@ double Engine::wake_time_locked(const NodeSlot& slot) const {
   if (slot.state != NodeState::kBlocked) {
     return std::numeric_limits<double>::infinity();
   }
+  if (slot.waiting_any != nullptr) {
+    // recv_any: the earliest queued delivery or the wake-up, whichever
+    // comes first (+inf wake_at = no wake-up).
+    double t = std::max(slot.time, slot.wake_at);
+    for (const Mailbox* mb : *slot.waiting_any) {
+      if (!mb->queue_.empty()) {
+        t = std::min(t, std::max(slot.time, mb->queue_.front().arrival));
+      } else if (drained_locked(*mb)) {
+        t = std::min(t, slot.time);
+      }
+    }
+    return t;
+  }
   const Mailbox& mb = *slot.waiting;
   if (!mb.queue_.empty()) {
     return std::max(slot.time, mb.queue_.front().arrival);
@@ -153,6 +167,35 @@ bool Engine::granted_locked(int node) const {
   return policy_->choose(t_min, eligible_, salt) == node;
 }
 
+bool Engine::granted_at_locked(int node, double t) {
+  NodeSlot& self = nodes_[static_cast<std::size_t>(node)];
+  const NodeState state = self.state;
+  const double time = self.time;
+  self.state = NodeState::kRunning;
+  self.time = std::max(time, t);
+  const bool granted = granted_locked(node);
+  self.state = state;
+  self.time = time;
+  return granted;
+}
+
+std::size_t Engine::earliest_locked(const std::vector<Mailbox*>& mbs) const {
+  std::size_t best = mbs.size();
+  for (std::size_t i = 0; i < mbs.size(); ++i) {
+    if (mbs[i]->queue_.empty()) continue;
+    const Mailbox::Delivery& d = mbs[i]->queue_.front();
+    if (best == mbs.size()) {
+      best = i;
+      continue;
+    }
+    const Mailbox::Delivery& b = mbs[best]->queue_.front();
+    if (d.arrival < b.arrival || (d.arrival == b.arrival && d.seq < b.seq)) {
+      best = i;
+    }
+  }
+  return best;
+}
+
 void Engine::record_locked(std::uint64_t tag, int node, double time,
                            std::uint64_t extra) {
   std::uint64_t h = mix64(tag ^ mix64(static_cast<std::uint64_t>(node) ^
@@ -181,7 +224,8 @@ void Engine::pump_locked() {
     Event event = events_.pop();
     Mailbox& mb = *event.mailbox;
     --mb.pending_events_;
-    mb.queue_.push_back({event.key.time, std::move(event.bytes), event.sent});
+    mb.queue_.push_back({event.key.time, std::move(event.bytes), event.sent,
+                         event.on_air, event.key.seq});
     fired = true;
   }
   // Firing never changes a running node's clock, so `horizon` stays valid
@@ -206,10 +250,19 @@ void Engine::check_quiescence_locked() {
     const NodeSlot& slot = nodes_[static_cast<std::size_t>(n)];
     if (slot.state != NodeState::kBlocked) continue;
     any_blocked = true;
-    const Mailbox& mb = *slot.waiting;
-    const bool wakeable = !mb.queue_.empty() ||
-                          (mb.closed_ && mb.pending_events_ == 0) ||
-                          slot.timed_out;
+    bool wakeable = slot.timed_out;
+    if (slot.waiting_any != nullptr) {
+      // A recv_any wake-up is a determined resume time, not a timeout: the
+      // node resumes at it once granted, so the engine is not stuck.
+      wakeable = std::isfinite(slot.wake_at);
+      for (const Mailbox* mb : *slot.waiting_any) {
+        wakeable = wakeable || !mb->queue_.empty() || drained_locked(*mb);
+      }
+    } else {
+      const Mailbox& mb = *slot.waiting;
+      wakeable = wakeable || !mb.queue_.empty() ||
+                 (mb.closed_ && mb.pending_events_ == 0);
+    }
     if (wakeable) {
       cv_.notify_all();
       return;
@@ -238,8 +291,12 @@ void Engine::check_quiescence_locked() {
   for (int n = 0; n < num_nodes_; ++n) {
     const NodeSlot& slot = nodes_[static_cast<std::size_t>(n)];
     if (slot.state != NodeState::kBlocked) continue;
-    msg << " node " << n << " (t=" << slot.time << ", recv from mailbox of node "
-        << slot.waiting->owner() << ");";
+    msg << " node " << n << " (t=" << slot.time;
+    if (slot.waiting_any != nullptr) {
+      msg << ", recv_any over " << slot.waiting_any->size() << " mailboxes);";
+    } else {
+      msg << ", recv from mailbox of node " << slot.waiting->owner() << ");";
+    }
   }
   deadlocked_ = true;
   deadlock_msg_ = msg.str();
@@ -263,12 +320,14 @@ void Engine::await_grant_locked(int node) {
   }
 }
 
-std::string Engine::pop_locked(int node, Mailbox& mb) {
+std::string Engine::pop_locked(int node, Mailbox& mb,
+                               net::WireTiming* timing) {
   TEAMNET_CHECK_MSG(!mb.queue_.empty(), "pop_locked on empty mailbox");
   NodeSlot& slot = nodes_[static_cast<std::size_t>(node)];
   Mailbox::Delivery delivery = std::move(mb.queue_.front());
   mb.queue_.pop_front();
   slot.time = std::max(slot.time, delivery.arrival);
+  if (timing != nullptr) *timing = {delivery.on_air, delivery.arrival};
   bytes_ += static_cast<std::int64_t>(delivery.bytes.size());
   ++messages_;
   // Realized transit on the receiver's clock, Lamport wait included. The
@@ -363,18 +422,18 @@ void Engine::send(int from, const std::shared_ptr<Mailbox>& to,
             .arg("bytes", static_cast<std::int64_t>(bytes.size())));
   }
   events_.push(Event{EventKey{arrival, to->owner(), next_seq_++}, to,
-                     std::move(bytes), send_time});
+                     std::move(bytes), send_time, start});
   pump_locked();
   cv_.notify_all();
 }
 
-std::string Engine::recv(int node, Mailbox& mb) {
+std::string Engine::recv(int node, Mailbox& mb, net::WireTiming* timing) {
   check_node(node);
   MutexLock lock(mutex_);
   NodeSlot& slot = nodes_[static_cast<std::size_t>(node)];
   for (;;) {
     throw_if_deadlocked_locked();
-    if (!mb.queue_.empty()) return pop_locked(node, mb);
+    if (!mb.queue_.empty()) return pop_locked(node, mb, timing);
     if (mb.closed_ && mb.pending_events_ == 0) {
       throw NetworkError("channel closed");
     }
@@ -399,7 +458,8 @@ std::string Engine::recv(int node, Mailbox& mb) {
 }
 
 std::optional<std::string> Engine::recv_timeout(int node, Mailbox& mb,
-                                                double seconds) {
+                                                double seconds,
+                                                net::WireTiming* timing) {
   check_node(node);
   const double budget = seconds > 0.0 ? seconds : 0.0;
   MutexLock lock(mutex_);
@@ -407,7 +467,7 @@ std::optional<std::string> Engine::recv_timeout(int node, Mailbox& mb,
   slot.timed_out = false;
   for (;;) {
     throw_if_deadlocked_locked();
-    if (!mb.queue_.empty()) return pop_locked(node, mb);
+    if (!mb.queue_.empty()) return pop_locked(node, mb, timing);
     if (mb.closed_ && mb.pending_events_ == 0) {
       throw NetworkError("channel closed");
     }
@@ -444,6 +504,63 @@ std::optional<std::string> Engine::recv_timeout(int node, Mailbox& mb,
     slot.state = NodeState::kRunning;
     slot.waiting = nullptr;
     slot.has_timeout = false;
+  }
+}
+
+std::optional<std::pair<std::size_t, std::string>> Engine::recv_any(
+    int node, const std::vector<Mailbox*>& mbs, double until,
+    net::WireTiming* timing) {
+  check_node(node);
+  TEAMNET_CHECK_MSG(!mbs.empty(), "recv_any needs at least one mailbox");
+  MutexLock lock(mutex_);
+  NodeSlot& slot = nodes_[static_cast<std::size_t>(node)];
+  const bool wakes = std::isfinite(until);
+  // Ready to return: a delivery landing by `until`, a drained channel, or
+  // the wake-up itself. A delivery and the wake-up alike are read only once
+  // this node would be granted at their instant — by then every delivery
+  // due no later has fired (events win ties) and no node can still send
+  // one, so the earliest queued delivery is the earliest there will ever
+  // be, whichever threads happened to run first.
+  auto deliverable = [&] {
+    const std::size_t i = earliest_locked(mbs);
+    if (i == mbs.size()) return i;
+    const double arrival = mbs[i]->queue_.front().arrival;
+    return arrival <= until && granted_at_locked(node, arrival) ? i
+                                                                : mbs.size();
+  };
+  auto drained = [&] {
+    return std::any_of(mbs.begin(), mbs.end(),
+                       [&](const Mailbox* mb) { return drained_locked(*mb); });
+  };
+  for (;;) {
+    throw_if_deadlocked_locked();
+    if (const std::size_t i = deliverable(); i < mbs.size()) {
+      std::string bytes = pop_locked(node, *mbs[i], timing);
+      return std::make_pair(i, std::move(bytes));
+    }
+    if (drained()) throw NetworkError("channel closed");
+    if (wakes && granted_at_locked(node, until)) {
+      slot.time = std::max(slot.time, until);
+      record_locked('W', node, slot.time, 0);
+      policy_->note_step(node);
+      pump_locked();
+      cv_.notify_all();
+      return std::nullopt;
+    }
+    slot.state = NodeState::kBlocked;
+    slot.waiting_any = &mbs;
+    slot.wake_at = until;
+    pump_locked();
+    check_quiescence_locked();
+    // Same lost-wakeup guard as recv: the pump above may have fired a
+    // delivery for this wait, or the events gating the wake-up.
+    if (deliverable() == mbs.size() && !drained() && !deadlocked_ &&
+        !(wakes && granted_at_locked(node, until))) {
+      cv_.notify_all();
+      cv_.wait(mutex_);
+    }
+    slot.state = NodeState::kRunning;
+    slot.waiting_any = nullptr;
   }
 }
 

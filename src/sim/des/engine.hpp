@@ -33,6 +33,14 @@
 // quiescence — when provably no message can still arrive. A timeout
 // therefore only ever fires for a message that never comes, however long
 // the budget, so timeouts decide fault handling and never race replies.
+//
+// Wake-ups are not timeouts. recv_any waits on several of a node's
+// mailboxes at once until a virtual instant T: the node wakes for the
+// earliest delivery landing at or before T, or at T itself. The wake-up is
+// keyed (T, node) like an EventKey: it is a determined resume time that
+// holds the grant floor down at T, it loses ties to deliveries due at T,
+// and it fires only once the node would be granted at T. It never touches
+// the medium and is never counted as traffic.
 #pragma once
 
 #include <cstddef>
@@ -46,6 +54,7 @@
 #include "common/annotations.hpp"
 #include "common/error.hpp"
 #include "net/link.hpp"
+#include "net/transport.hpp"
 #include "sim/des/grant_policy.hpp"
 
 namespace teamnet::sim::des {
@@ -79,7 +88,8 @@ struct Event {
   EventKey key;
   std::shared_ptr<Mailbox> mailbox;
   std::string bytes;
-  double sent = 0.0;  ///< sender's clock when the message left
+  double sent = 0.0;    ///< sender's clock when the message left
+  double on_air = 0.0;  ///< when it got the medium (sent + medium wait)
 };
 
 /// Min-heap of events keyed by EventKey. Exposed (rather than buried in
@@ -111,6 +121,8 @@ class Mailbox {
     double arrival = 0.0;
     std::string bytes;
     double sent = 0.0;  ///< sender's clock when the message left
+    double on_air = 0.0;
+    std::uint64_t seq = 0;  ///< its EventKey::seq (orders recv_any ties)
   };
 
   const int owner_;
@@ -173,12 +185,26 @@ class Engine {
   /// `node`'s clock to max(now, arrival) and counting the traffic. Throws
   /// NetworkError once `mb` is closed and fully drained, DeadlockError on
   /// global quiescence with no way forward.
-  std::string recv(int node, Mailbox& mb);
+  /// `timing`, when non-null, receives the popped frame's WireTiming.
+  std::string recv(int node, Mailbox& mb, net::WireTiming* timing = nullptr);
   /// recv with a virtual budget: returns nullopt (charging the budget to
   /// `node`'s clock when positive) if the engine reaches quiescence before
   /// a message arrives. Never times out a delivery already in flight.
   std::optional<std::string> recv_timeout(int node, Mailbox& mb,
-                                          double seconds);
+                                          double seconds,
+                                          net::WireTiming* timing = nullptr);
+  /// One read from whichever of `node`'s mailboxes `mbs` delivers first:
+  /// the earliest delivery (EventKey order) landing at or before `until`,
+  /// read once `node` would be granted at its arrival (so no earlier one
+  /// can still come) and returned with its index in `mbs`. Returns nullopt
+  /// instead once `node` is granted at virtual time `until` with nothing
+  /// earlier to read — its clock then reads `until` (see the wake-up note
+  /// at the top). `until` =
+  /// +infinity waits for a delivery only. Throws NetworkError once any of
+  /// `mbs` is closed and drained, DeadlockError when nothing can come.
+  std::optional<std::pair<std::size_t, std::string>> recv_any(
+      int node, const std::vector<Mailbox*>& mbs, double until,
+      net::WireTiming* timing = nullptr);
   /// Closes `mb`: already-scheduled deliveries still fire and drain, then
   /// readers get NetworkError; new sends fail immediately.
   void close(Mailbox& mb);
@@ -190,6 +216,9 @@ class Engine {
     double time = 0.0;
     NodeState state = NodeState::kRunning;
     const Mailbox* waiting = nullptr;  ///< mailbox blocked on, when kBlocked
+    /// recv_any's mailboxes and wake-up instant, when blocked in recv_any.
+    const std::vector<Mailbox*>* waiting_any = nullptr;
+    double wake_at = 0.0;
     bool has_timeout = false;          ///< blocked wait carries a budget
     double timeout_budget = 0.0;
     bool timed_out = false;  ///< quiescence fired this node's timeout
@@ -203,6 +232,15 @@ class Engine {
   /// +inf for nodes that are running, retired, or still genuinely waiting.
   double wake_time_locked(const NodeSlot& slot) const TN_REQUIRES(mutex_);
   bool granted_locked(int node) const TN_REQUIRES(mutex_);
+  /// Whether `node` (running) would be granted were its clock at `t`.
+  bool granted_at_locked(int node, double t) TN_REQUIRES(mutex_);
+  /// Index in `mbs` of the earliest queued delivery (arrival, then seq);
+  /// mbs.size() when every mailbox is empty.
+  std::size_t earliest_locked(const std::vector<Mailbox*>& mbs) const
+      TN_REQUIRES(mutex_);
+  bool drained_locked(const Mailbox& mb) const TN_REQUIRES(mutex_) {
+    return mb.closed_ && mb.pending_events_ == 0 && mb.queue_.empty();
+  }
   /// Mixes one schedule-visible record into the digest (commutative sum —
   /// see schedule_digest()).
   void record_locked(std::uint64_t tag, int node, double time,
@@ -214,7 +252,8 @@ class Engine {
   void check_quiescence_locked() TN_REQUIRES(mutex_);
   void await_grant_locked(int node) TN_REQUIRES(mutex_);
   /// Pops the front delivery of `mb` for `node` (queue must be nonempty).
-  std::string pop_locked(int node, Mailbox& mb) TN_REQUIRES(mutex_);
+  std::string pop_locked(int node, Mailbox& mb, net::WireTiming* timing)
+      TN_REQUIRES(mutex_);
 
   const int num_nodes_;
   /// Tie-break rule; never null. State only mutates via note_step under

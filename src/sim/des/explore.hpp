@@ -27,7 +27,7 @@
 //
 // This header is scenario-agnostic: callers supply a ScheduleRunner that
 // executes their scenario under a given ScheduleCase. Fixture runners for
-// the paper's scenarios live in sim/explore_scenarios.hpp.
+// the paper's scenarios live in explore/explore_scenarios.hpp.
 #pragma once
 
 #include <cstdint>

@@ -24,7 +24,6 @@
 #include "data/blobs.hpp"
 #include "load/breakdown.hpp"
 #include "load/loadgen.hpp"
-#include "moe/sg_moe.hpp"
 #include "net/collab.hpp"
 #include "net/fault.hpp"
 #include "nn/mlp.hpp"
@@ -299,18 +298,6 @@ TEST(LoadDriver, TeamnetAttributionsReconcileBitExactly) {
   EXPECT_EQ(s.max_residual_ns, 0);
 }
 
-TEST(LoadDriver, SgMoeAttributionsReconcileBitExactly) {
-  moe::SgMoeConfig cfg;
-  cfg.num_experts = 3;
-  cfg.epochs = 1;
-  moe::SgMoe model(cfg, 8, [](int /*index*/, Rng& rng) -> nn::ModulePtr {
-    return std::make_unique<nn::MlpNet>(tiny_mlp(), rng);
-  });
-  const auto r = load::run_sg_moe_load(model, blob_test_set(), des_config(),
-                                       small_load(500.0));
-  expect_exact_reconciliation(r);
-}
-
 TEST(LoadDriver, BreakdownJsonByteIdenticalAcrossRuns) {
   const auto experts = make_experts(3);
   const auto ptrs = expert_ptrs(experts);
@@ -328,21 +315,27 @@ TEST(LoadDriver, BreakdownJsonByteIdenticalAcrossRuns) {
 }
 
 TEST(LoadDriver, OverloadPutsQueueingAheadOfCompute) {
-  // An open-loop rate far past the serial service capacity: queries spend
-  // their lives waiting for the master, so master_queue owns the critical
-  // path — the bench's headline claim, pinned here at test scale.
+  // An open-loop rate far past what the shared medium can carry. The
+  // pipelined master dispatches every query on arrival, so queries no
+  // longer wait for the master: they wait for the air. A medium wait owns
+  // the critical path — the bench's headline claim, pinned here at test
+  // scale on a link whose frames cost airtime.
   const auto experts = make_experts(3);
+  auto config = des_config();
+  config.link.per_message_overhead_s = 0.0002;
   auto load_cfg = small_load(50'000.0);
   load_cfg.num_queries = 24;
   load_cfg.warmup_queries = 4;
   const auto r = load::run_teamnet_load(expert_ptrs(experts), blob_test_set(),
-                                        des_config(), load_cfg);
+                                        config, load_cfg);
   expect_exact_reconciliation(r);
   const auto s = load::summarize_attributions(
       r.attributions, 4, load::LatencyHistogram::Config{});
   EXPECT_GT(s.kind_share(obs::CritKind::queueing),
             s.kind_share(obs::CritKind::compute));
-  EXPECT_EQ(s.dominant_phase, obs::AttrPhase::master_queue);
+  EXPECT_TRUE(s.dominant_phase == obs::AttrPhase::request_medium_wait ||
+              s.dominant_phase == obs::AttrPhase::reply_medium_wait)
+      << obs::to_string(s.dominant_phase);
 }
 
 // ---- fault injection: attribution under delays and partitions ---------------

@@ -7,12 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "core/entropy.hpp"
 #include "data/blobs.hpp"
 #include "moe/sg_moe.hpp"
 #include "net/collab.hpp"
@@ -23,7 +23,6 @@
 #include "sim/des/engine.hpp"
 #include "sim/driver_util.hpp"
 #include "sim/scenario.hpp"
-#include "tensor/ops.hpp"
 
 namespace teamnet {
 namespace {
@@ -246,6 +245,61 @@ TEST(DesEngine, EarliestVirtualDeadlineFiresFirst) {
   EXPECT_EQ(done2, 0.2);
 }
 
+TEST(DesEngine, RecvAnyReadsTheEarliestDeliveryAcrossMailboxes) {
+  // Node 0 waits on two inboxes; node 1 sends first in real time but at a
+  // later virtual time, so node 2's frame lands first.
+  Engine engine(3);
+  auto from1 = engine.make_mailbox(0);
+  auto from2 = engine.make_mailbox(0);
+  const std::vector<sim::des::Mailbox*> inboxes{from1.get(), from2.get()};
+  const double never = std::numeric_limits<double>::infinity();
+  std::vector<std::pair<std::size_t, std::string>> got;
+  std::thread receiver([&] {
+    for (int i = 0; i < 2; ++i) {
+      auto frame = engine.recv_any(0, inboxes, never);
+      if (frame) got.push_back(*frame);
+    }
+    engine.retire(0);
+  });
+  std::thread early([&] {
+    engine.send(2, from2, "early", test_link());
+    engine.retire(2);
+  });
+  engine.advance(1, 0.5);
+  engine.send(1, from1, "late", test_link());
+  engine.retire(1);
+  early.join();
+  receiver.join();
+  ASSERT_EQ(got.size(), 2u);
+  EXPECT_EQ(got[0], std::make_pair(std::size_t{1}, std::string("early")));
+  EXPECT_EQ(got[1], std::make_pair(std::size_t{0}, std::string("late")));
+}
+
+TEST(DesEngine, RecvAnyWakesAtItsInstantWithoutTraffic) {
+  Engine engine(2);
+  auto inbox = engine.make_mailbox(1);
+  const std::vector<sim::des::Mailbox*> inboxes{inbox.get()};
+  std::thread sender([&] {
+    engine.send(0, inbox, "on time", test_link());
+    engine.advance(0, 1.0);
+    engine.retire(0);
+  });
+  // A frame landing exactly at the wake-up instant wins the tie.
+  const double landed = test_link().airtime(7) + test_link().latency_s;
+  auto got = engine.recv_any(1, inboxes, landed);
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(got->second, "on time");
+  EXPECT_EQ(engine.node_time(1), landed);
+  // Nothing else lands by 2 s: the node wakes at 2 s once node 0 is past
+  // it, and the wake-up is not traffic.
+  EXPECT_EQ(engine.recv_any(1, inboxes, 2.0), std::nullopt);
+  EXPECT_EQ(engine.node_time(1), 2.0);
+  EXPECT_EQ(engine.messages_delivered(), 1);
+  EXPECT_EQ(engine.bytes_delivered(), 7);
+  sender.join();
+  engine.retire(1);
+}
+
 TEST(DesEngine, DeadlockIsDiagnosedNotHung) {
   // Two nodes, each blocked on a mailbox nobody will ever write to: the
   // engine must fail the recv with a DeadlockError naming the stuck nodes
@@ -395,19 +449,13 @@ sim::ScenarioConfig fast_config() {
 /// lowest node index), and the winner's argmax is the answer.
 int reference_prediction(const std::vector<nn::Module*>& experts,
                          const std::vector<int>& members, const Tensor& x) {
-  int prediction = -1;
-  float best = 0.0f;
+  std::vector<nn::Module*> team;
   for (int node : members) {
-    nn::Module& expert = *experts[static_cast<std::size_t>(node)];
-    expert.set_training(false);
-    const Tensor probs = ops::softmax_rows(expert.predict(x));
-    const float entropy = core::predictive_entropy(probs)[0];
-    if (prediction < 0 || entropy < best) {
-      best = entropy;
-      prediction = ops::argmax_rows(probs)[0];
-    }
+    nn::Module* expert = experts[static_cast<std::size_t>(node)];
+    expert->set_training(false);
+    team.push_back(expert);
   }
-  return prediction;
+  return sim::reference_answer(team, x).prediction;
 }
 
 bool reference_correct(const std::vector<nn::Module*>& experts,

@@ -14,7 +14,7 @@
 #include "obs/trace.hpp"
 #include "sim/des/explore.hpp"
 #include "sim/des/grant_policy.hpp"
-#include "sim/explore_scenarios.hpp"
+#include "explore/explore_scenarios.hpp"
 
 namespace teamnet::sim::des {
 namespace {

@@ -23,6 +23,7 @@
 #include "load/histogram.hpp"
 #include "load/loadgen.hpp"
 #include "load/stats.hpp"
+#include "net/collab.hpp"
 #include "nn/mlp.hpp"
 #include "obs/percentile.hpp"
 #include "sim/driver_util.hpp"
@@ -456,7 +457,8 @@ TEST(LoadGen, RecordsAreCoherent) {
   for (const auto& rec : r.records) {
     EXPECT_GE(rec.arrival_s, prev_arrival);
     EXPECT_GT(rec.completion_s, rec.arrival_s);
-    // Serial master: completions are ordered even when arrivals queue up.
+    // FIFO workers and a FIFO medium: a fault-free fleet completes its
+    // queries in arrival order, however many are in flight.
     EXPECT_GE(rec.completion_s, prev_completion);
     EXPECT_GE(rec.row, 0);
     EXPECT_LT(rec.row, static_cast<int>(test.size()));
@@ -469,6 +471,70 @@ TEST(LoadGen, RecordsAreCoherent) {
   EXPECT_GE(r.p999_ms, r.p99_ms);
   EXPECT_EQ(r.steady.latency.count(), r.num_queries - r.warmup_queries);
   EXPECT_EQ(r.warmup.latency.count(), r.warmup_queries);
+}
+
+TEST(LoadGen, PipelinedFullGathersMatchTheArgMinEntropyOracle) {
+  const auto experts = make_experts(4);
+  const auto ptrs = expert_ptrs(experts);
+  const auto test = blob_test_set();
+  // Frames that cost airtime give the in-flight queries a medium to share.
+  auto config = des_config();
+  config.link.per_message_overhead_s = 0.0002;
+  auto load_cfg = small_load(load::ArrivalKind::open_poisson);
+  load_cfg.arrival.rate_qps = 600.0;
+  load_cfg.num_queries = 40;
+  load_cfg.warmup_queries = 4;
+  const auto r = load::run_teamnet_load(ptrs, test, config, load_cfg);
+  ASSERT_EQ(static_cast<int>(r.records.size()), load_cfg.num_queries);
+
+  // Queries overlap: for most of them the next query is dispatched before
+  // they complete, so their replies are read after n+1 went out.
+  ASSERT_EQ(r.attributions.size(), r.records.size());
+  int overlapped = 0;
+  for (std::size_t q = 0; q + 1 < r.attributions.size(); ++q) {
+    const auto& next = r.attributions[q + 1];
+    const std::int64_t next_dispatch =
+        next.arrival_ns +
+        next.e2e_ns[static_cast<std::size_t>(obs::AttrPhase::master_queue)];
+    if (next_dispatch < r.attributions[q].complete_ns) ++overlapped;
+  }
+  EXPECT_GT(2 * overlapped, load_cfg.num_queries);
+
+  // Every full gather answers what an in-process arg-min-entropy over the
+  // same experts answers, ties going to the lowest node.
+  int checked = 0;
+  for (const auto& rec : r.records) {
+    if (rec.degradation != 0) continue;
+    ++checked;
+    const sim::ReferenceAnswer want =
+        sim::reference_answer(ptrs, sim::query_row_tensor(test, rec.row));
+    EXPECT_EQ(rec.chosen, want.chosen) << "row " << rec.row;
+    EXPECT_EQ(rec.prediction, want.prediction) << "row " << rec.row;
+  }
+  EXPECT_EQ(checked, load_cfg.num_queries);
+}
+
+TEST(LoadGen, QuorumOfOneCompletesEveryQueryAtDispatch) {
+  const auto experts = make_experts(3);
+  const auto ptrs = expert_ptrs(experts);
+  const auto test = blob_test_set();
+  auto load_cfg = small_load(load::ArrivalKind::open_poisson);
+  const auto full = load::run_teamnet_load(ptrs, test, des_config(), load_cfg);
+  // The local answer alone meets a quorum of one, so no reply ever
+  // completes a query: each must complete at dispatch, local only.
+  load_cfg.gather_quorum = 1;
+  const auto r = load::run_teamnet_load(ptrs, test, des_config(), load_cfg);
+  ASSERT_EQ(static_cast<int>(r.records.size()), load_cfg.num_queries);
+  for (const auto& rec : r.records) {
+    EXPECT_EQ(rec.degradation,
+              static_cast<int>(net::DegradationLevel::local_only));
+    EXPECT_EQ(rec.chosen, 0);
+    EXPECT_GT(rec.completion_s, rec.arrival_s);
+  }
+  // The replies still arrive and are read (as stale) before shutdown.
+  EXPECT_EQ(r.messages_per_query, full.messages_per_query);
+  EXPECT_EQ(r.bytes_per_query, full.bytes_per_query);
+  EXPECT_LT(r.mean_ms, full.mean_ms);
 }
 
 TEST(LoadGen, ZipfRowsSkewTowardHotClasses) {

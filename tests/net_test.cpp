@@ -181,5 +181,68 @@ TEST(Collab, ComputeHooksFire) {
   EXPECT_EQ(worker_flops, expected);
 }
 
+
+// ---- per-qid routing (pipelined serving) ------------------------------------
+
+/// A worker's Result for query `qid`: one row whose entropy is `entropy`
+/// and whose probabilities put all mass on class `label`.
+std::string result_frame(std::int64_t qid, int label, float entropy) {
+  net::Message reply;
+  reply.type = net::MsgType::Result;
+  reply.ints = {qid};
+  Tensor probs({1, 4});
+  probs[label] = 1.0f;
+  Tensor h({1});
+  h[0] = entropy;
+  reply.tensors = {probs, h};
+  return reply.encode();
+}
+
+TEST(MasterCore, RoutesEachReplyToTheQueryItNames) {
+  nn::MlpConfig mc;
+  mc.in_features = 8;
+  mc.num_classes = 4;
+  mc.depth = 2;
+  mc.hidden = 8;
+  Rng rng(3);
+  nn::MlpNet local(mc, rng);
+  auto [m0, w0] = net::make_inproc_pair();
+  auto [m1, w1] = net::make_inproc_pair();
+  net::CollaborativeMaster master(local, {m0.get(), m1.get()});
+
+  const std::int64_t q1 = master.submit(Tensor::randn({1, 8}, rng));
+  const std::int64_t q2 = master.submit(Tensor::randn({1, 8}, rng));
+  ASSERT_NE(q1, q2);
+  // Both Infer frames reached both workers, each carrying its own id.
+  for (net::Channel* worker : {w0.get(), w1.get()}) {
+    EXPECT_EQ(net::infer_info(net::Message::decode(worker->recv())).qid, q1);
+    EXPECT_EQ(net::infer_info(net::Message::decode(worker->recv())).qid, q2);
+  }
+
+  // Worker 1 answers q2 first, then q1: read after q2 was dispatched, the
+  // q1 reply still answers q1.
+  EXPECT_EQ(master.deliver(0, result_frame(q2, 2, 0.0f)), 0);
+  EXPECT_EQ(master.deliver(0, result_frame(q1, 1, 0.0f)), 0);
+  EXPECT_EQ(master.deliver(1, result_frame(q1, 3, -1.0f)), q1);
+  const auto r1 = master.complete(q1);
+  EXPECT_EQ(r1.answered, 3);
+  EXPECT_EQ(r1.degradation, net::DegradationLevel::full);
+  EXPECT_EQ(r1.chosen, std::vector<int>{2});  // lowest entropy: worker 2
+  EXPECT_EQ(r1.predictions, std::vector<int>{3});
+  EXPECT_EQ(master.stale_replies_discarded(), 0);
+
+  // A reply for a completed query and one for an id never issued are stale.
+  EXPECT_EQ(master.deliver(1, result_frame(q1, 3, -1.0f)), 0);
+  EXPECT_EQ(master.deliver(1, result_frame(q2 + 40, 3, -1.0f)), 0);
+  EXPECT_EQ(master.stale_replies_discarded(), 2);
+
+  // q2 completes on its own answers; ties on entropy go to the lowest node.
+  EXPECT_EQ(master.deliver(1, result_frame(q2, 0, 0.0f)), q2);
+  const auto r2 = master.complete(q2);
+  EXPECT_EQ(r2.answered, 3);
+  EXPECT_EQ(r2.chosen, std::vector<int>{1});
+  EXPECT_EQ(r2.predictions, std::vector<int>{2});
+}
+
 }  // namespace
 }  // namespace teamnet

@@ -109,7 +109,9 @@ MODULE_DEPS = {
     "mpi": {"net", "core", "nn", "tensor", "common"},
     "sim": {"obs", "mpi", "moe", "net", "core", "nn", "data", "tensor",
             "common"},
-    "load": {"sim", "moe", "net", "nn", "data", "obs", "common"},
+    "load": {"sim", "net", "nn", "data", "obs", "common"},
+    "explore": {"load", "sim", "moe", "core", "nn", "data", "tensor", "obs",
+                "common"},
 }
 
 RAW_CAST_RE = re.compile(

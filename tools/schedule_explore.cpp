@@ -26,7 +26,7 @@
 
 #include "common/error.hpp"
 #include "obs/trace.hpp"
-#include "sim/explore_scenarios.hpp"
+#include "explore/explore_scenarios.hpp"
 
 namespace teamnet {
 namespace {
@@ -53,7 +53,7 @@ struct Cli {
 [[noreturn]] void usage(const std::string& error) {
   std::cerr << "error: " << error << "\n\n"
             << "usage: schedule_explore --scenario=NAME [options]\n"
-            << "  --scenario=NAME       teamnet|mpi|sg-moe|chaos|resilience\n"
+            << "  --scenario=NAME       teamnet|mpi|sg-moe|chaos|resilience|load\n"
             << "  --seed=N              scenario seed (default 123)\n"
             << "  --queries=N           queries per run, >= 1 (default 8)\n"
             << "  --schedules=N         perturbed schedules, >= 1 (default 50)\n"
