@@ -414,6 +414,18 @@ std::unique_ptr<moe::SgMoe> train_cifar_sgmoe(const CifarSetup& setup,
       setup.train);
 }
 
+sim::ScenarioResult as_scenario(const load::LoadResult& r) {
+  sim::ScenarioResult sr;
+  sr.approach = r.approach;
+  sr.num_nodes = r.num_nodes;
+  sr.latency_ms = r.mean_ms;
+  sr.accuracy_pct = r.accuracy_pct;
+  sr.bytes_per_query = r.bytes_per_query;
+  sr.messages_per_query = r.messages_per_query;
+  sr.schedule_digest = r.schedule_digest;
+  return sr;
+}
+
 JsonReport::JsonReport(const Options& opts, std::string experiment)
     : path_(opts.json_path),
       experiment_(std::move(experiment)) {}

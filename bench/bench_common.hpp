@@ -16,6 +16,7 @@
 #include "data/synthetic_cifar.hpp"
 #include "data/synthetic_mnist.hpp"
 #include "load/breakdown.hpp"
+#include "load/loadgen.hpp"
 #include "moe/sg_moe.hpp"
 #include "nn/mlp.hpp"
 #include "nn/shake_shake.hpp"
@@ -52,6 +53,10 @@ void write_observability_outputs(const Options& opts);
 
 /// Prints the standard bench banner (what is being reproduced + caveats).
 void print_banner(const std::string& experiment, const std::string& paper_ref);
+
+/// A load run's headline columns as the ScenarioResult JsonReport speaks
+/// (the load-specific metrics ride in a row's extras).
+sim::ScenarioResult as_scenario(const load::LoadResult& r);
 
 /// Machine-readable results sink behind --json: collects one row per
 /// measured scenario and writes them as a single JSON document (experiment

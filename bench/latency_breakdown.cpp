@@ -63,18 +63,6 @@ std::vector<std::pair<std::string, double>> extras(
           {"quorum_queries", static_cast<double>(s.levels[1].queries)}};
 }
 
-sim::ScenarioResult as_scenario(const load::LoadResult& r) {
-  sim::ScenarioResult sr;
-  sr.approach = r.approach;
-  sr.num_nodes = r.num_nodes;
-  sr.latency_ms = r.mean_ms;
-  sr.accuracy_pct = r.accuracy_pct;
-  sr.bytes_per_query = r.bytes_per_query;
-  sr.messages_per_query = r.messages_per_query;
-  sr.schedule_digest = r.schedule_digest;
-  return sr;
-}
-
 int main_impl(int argc, char** argv) {
   Options opts = parse_options(argc, argv);
   print_banner("Latency attribution — critical-path breakdown sweep",
@@ -104,8 +92,7 @@ int main_impl(int argc, char** argv) {
     const auto r =
         load::run_teamnet_load(team.expert_ptrs(), setup.test, cfg, load_cfg);
     const auto summary = load::summarize_attributions(
-        r.attributions, static_cast<std::size_t>(load_cfg.warmup_queries),
-        load::LatencyHistogram::Config{});
+        r.attributions, static_cast<std::size_t>(load_cfg.warmup_queries));
     const std::string label = prefix + load::to_string(load_cfg.arrival.kind) +
                               " k" + std::to_string(k) + " " + level;
     report.add(label, as_scenario(r), extras(r, summary));

@@ -37,20 +37,6 @@ std::vector<std::pair<std::string, double>> extras(
           {"warmup_queries", static_cast<double>(r.warmup_queries)}};
 }
 
-/// JsonReport speaks ScenarioResult; adapt the loadgen headline columns
-/// into one (the loadgen-specific metrics ride in the extras).
-sim::ScenarioResult as_scenario(const load::LoadResult& r) {
-  sim::ScenarioResult sr;
-  sr.approach = r.approach;
-  sr.num_nodes = r.num_nodes;
-  sr.latency_ms = r.mean_ms;
-  sr.accuracy_pct = r.accuracy_pct;
-  sr.bytes_per_query = r.bytes_per_query;
-  sr.messages_per_query = r.messages_per_query;
-  sr.schedule_digest = r.schedule_digest;
-  return sr;
-}
-
 int main_impl(int argc, char** argv) {
   Options opts = parse_options(argc, argv);
   print_banner("Load generation — arrival-process x team-size sweep",

@@ -21,10 +21,10 @@ TeamNetEnsemble::TeamNetEnsemble(std::vector<nn::ModulePtr> experts)
 }
 
 // analyze:hot  (per-query path: hot-path allocation audit root)
-TeamNetEnsemble::InferenceResult TeamNetEnsemble::infer(const Tensor& x,
-                                                        SelectionRule rule) {
+InferenceResult infer_experts(const std::vector<nn::Module*>& experts,
+                              const Tensor& x, SelectionRule rule) {
   const std::int64_t n = x.dim(0);
-  const int k = num_experts();
+  const int k = static_cast<int>(experts.size());
 
   // Step 3 of Figure 1: every expert runs on the same input.
   std::vector<Tensor> probs(static_cast<std::size_t>(k));
@@ -32,7 +32,7 @@ TeamNetEnsemble::InferenceResult TeamNetEnsemble::infer(const Tensor& x,
   result.entropy = Tensor({n, static_cast<std::int64_t>(k)});
   for (int i = 0; i < k; ++i) {
     probs[static_cast<std::size_t>(i)] =
-        ops::softmax_rows(experts_[static_cast<std::size_t>(i)]->predict(x));
+        ops::softmax_rows(experts[static_cast<std::size_t>(i)]->predict(x));
     Tensor h = predictive_entropy(probs[static_cast<std::size_t>(i)]);
     for (std::int64_t r = 0; r < n; ++r) result.entropy[r * k + i] = h[r];
   }
@@ -81,16 +81,32 @@ TeamNetEnsemble::InferenceResult TeamNetEnsemble::infer(const Tensor& x,
   return result;
 }
 
-double TeamNetEnsemble::evaluate_accuracy(const data::Dataset& dataset,
-                                          SelectionRule rule) {
-  const InferenceResult result = infer(dataset.images, rule);
+std::size_t count_correct(const std::vector<nn::Module*>& experts,
+                          const data::Dataset& dataset, SelectionRule rule) {
+  const InferenceResult result = infer_experts(experts, dataset.images, rule);
   std::size_t correct = 0;
   for (std::size_t i = 0; i < dataset.labels.size(); ++i) {
     if (result.predictions[i] == dataset.labels[i]) ++correct;
   }
+  return correct;
+}
+
+std::vector<nn::Module*> TeamNetEnsemble::expert_ptrs() const {
+  std::vector<nn::Module*> ptrs;
+  for (const auto& e : experts_) ptrs.push_back(e.get());
+  return ptrs;
+}
+
+InferenceResult TeamNetEnsemble::infer(const Tensor& x, SelectionRule rule) {
+  return infer_experts(expert_ptrs(), x, rule);
+}
+
+double TeamNetEnsemble::evaluate_accuracy(const data::Dataset& dataset,
+                                          SelectionRule rule) {
   return dataset.labels.empty()
              ? 0.0
-             : static_cast<double>(correct) /
+             : static_cast<double>(count_correct(expert_ptrs(), dataset,
+                                                 rule)) /
                    static_cast<double>(dataset.labels.size());
 }
 

@@ -37,17 +37,33 @@ using ExpertFactory = std::function<nn::ModulePtr(int index, Rng& rng)>;
 /// alternative, kept for the ablation bench.
 enum class SelectionRule { ArgMinEntropy, MajorityVote };
 
+/// Per input row: the combined answer and every expert's uncertainty.
+struct InferenceResult {
+  Tensor probs;                 ///< [n, C] winning expert's probabilities
+  std::vector<int> predictions; ///< argmax class per sample
+  std::vector<int> chosen;      ///< winning expert per sample
+  Tensor entropy;               ///< [n, K] every expert's uncertainty
+};
+
+/// TeamNet's collaborative inference (paper §V) over borrowed experts:
+/// every expert scores `x` and `rule` picks each row's winner. Under
+/// ArgMinEntropy (Figure 4's gate) the expert with the least predictive
+/// entropy wins, ties going to the lowest index, and its argmax is the
+/// prediction: the in-process reference every serving mode must match.
+InferenceResult infer_experts(
+    const std::vector<nn::Module*>& experts, const Tensor& x,
+    SelectionRule rule = SelectionRule::ArgMinEntropy);
+
+/// Rows of `dataset` whose infer_experts() prediction matches the label.
+std::size_t count_correct(const std::vector<nn::Module*>& experts,
+                          const data::Dataset& dataset,
+                          SelectionRule rule = SelectionRule::ArgMinEntropy);
+
 class TeamNetEnsemble {
  public:
   explicit TeamNetEnsemble(std::vector<nn::ModulePtr> experts);
 
-  struct InferenceResult {
-    Tensor probs;                 ///< [n, C] winning expert's probabilities
-    std::vector<int> predictions; ///< argmax class per sample
-    std::vector<int> chosen;      ///< winning expert per sample
-    Tensor entropy;               ///< [n, K] every expert's uncertainty
-  };
-
+  /// infer_experts over this ensemble's experts.
   InferenceResult infer(const Tensor& x,
                         SelectionRule rule = SelectionRule::ArgMinEntropy);
 
@@ -61,6 +77,8 @@ class TeamNetEnsemble {
   std::vector<nn::ModulePtr> release_experts() { return std::move(experts_); }
 
  private:
+  std::vector<nn::Module*> expert_ptrs() const;
+
   std::vector<nn::ModulePtr> experts_;
 };
 

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "common/error.hpp"
+#include "core/teamnet.hpp"
 #include "data/blobs.hpp"
 #include "load/loadgen.hpp"
 #include "moe/sg_moe.hpp"
@@ -80,11 +81,12 @@ struct TeamNetFixture {
 };
 
 /// TeamNet's answer for every test row, computed in process.
-std::vector<ReferenceAnswer> reference_answers(const TeamNetFixture& fixture) {
-  std::vector<ReferenceAnswer> answers;
+std::vector<core::InferenceResult> reference_answers(
+    const TeamNetFixture& fixture) {
+  std::vector<core::InferenceResult> answers;
   for (int row = 0; row < static_cast<int>(fixture.test.size()); ++row) {
-    answers.push_back(reference_answer(fixture.expert_ptrs(),
-                                       query_row_tensor(fixture.test, row)));
+    answers.push_back(core::infer_experts(
+        fixture.expert_ptrs(), query_row_tensor(fixture.test, row)));
   }
   return answers;
 }
@@ -192,14 +194,15 @@ std::string discrete_bytes(const ResilienceResult& result) {
 /// gather. Which query waits for the medium behind which is the schedule's
 /// business, so latencies stay out.
 std::string discrete_bytes(const load::LoadResult& result,
-                           const std::vector<ReferenceAnswer>& oracle) {
+                           const std::vector<core::InferenceResult>& oracle) {
   int answered_right = 0;
   int reconciled = 0;
   for (std::size_t q = 0; q < result.records.size(); ++q) {
     const load::QueryRecord& rec = result.records[q];
-    const ReferenceAnswer& want = oracle[static_cast<std::size_t>(rec.row)];
-    if (rec.degradation == 0 && rec.prediction == want.prediction &&
-        rec.chosen == want.chosen) {
+    const core::InferenceResult& want =
+        oracle[static_cast<std::size_t>(rec.row)];
+    if (rec.degradation == 0 && rec.prediction == want.predictions[0] &&
+        rec.chosen == want.chosen[0]) {
       ++answered_right;
     }
     const obs::QueryAttribution& a = result.attributions[q];
@@ -307,7 +310,7 @@ des::ScheduleRunner make_explore_runner(const std::string& scenario,
   }
   if (scenario == "load") {
     auto fixture = std::make_shared<TeamNetFixture>();
-    auto oracle = std::make_shared<std::vector<ReferenceAnswer>>(
+    auto oracle = std::make_shared<std::vector<core::InferenceResult>>(
         reference_answers(*fixture));
     load::LoadConfig load;
     load.arrival.kind = load::ArrivalKind::open_poisson;

@@ -103,15 +103,13 @@ class BurstyProcess final : public ArrivalProcess {
 class ClosedLoopProcess final : public ArrivalProcess {
  public:
   explicit ClosedLoopProcess(const ArrivalConfig& config)
-      : think_mean_(config.think_mean_s), rng_(config.seed) {
+      : rng_(config.seed) {
     TEAMNET_CHECK_MSG(config.clients >= 1, "closed_loop needs clients >= 1");
-    TEAMNET_CHECK_MSG(think_mean_ > 0.0,
-                      "closed_loop needs think_mean_s > 0");
     // Each client finishes an initial think before its first submission —
     // a deterministic stagger that keeps arrival ties (and their heap
     // order) out of the sequence.
     for (int c = 0; c < config.clients; ++c) {
-      ready_.push(exponential(rng_, 1.0 / think_mean_));
+      ready_.push(exponential(rng_, 1.0 / kThinkMeanS));
     }
   }
 
@@ -130,13 +128,14 @@ class ClosedLoopProcess final : public ArrivalProcess {
   }
 
   void on_complete(double completion_s) override {
-    ready_.push(completion_s + exponential(rng_, 1.0 / think_mean_));
+    ready_.push(completion_s + exponential(rng_, 1.0 / kThinkMeanS));
   }
 
   const char* name() const override { return "closed_loop"; }
 
  private:
-  double think_mean_;
+  static constexpr double kThinkMeanS = 0.01;  ///< mean think time (s)
+
   Rng rng_;
   std::priority_queue<double, std::vector<double>, std::greater<>> ready_;
 };

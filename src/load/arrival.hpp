@@ -10,7 +10,7 @@
 //                 the queue (and the tail) grows, which is exactly what an
 //                 open-loop benchmark is for.
 //   closed_loop   a fixed population of clients, each submitting, waiting
-//                 for its completion, thinking (exponential think time),
+//                 for its completion, thinking (exponential, 10 ms mean),
 //                 then submitting again. In-flight depth is bounded by the
 //                 population; throughput self-limits instead of queueing.
 //   bursty        nonhomogeneous Poisson via Lewis thinning: the rate is a
@@ -46,8 +46,6 @@ struct ArrivalConfig {
   double rate_qps = 100.0;
   /// Closed-loop population size.
   int clients = 4;
-  /// Closed-loop mean think time (virtual seconds, exponential).
-  double think_mean_s = 0.01;
   /// Bursty wave: rate(t) = rate_qps * (1 + amplitude * sin(2πt/period)).
   /// Amplitude must stay in [0, 1] so the rate is never negative.
   double burst_amplitude = 0.8;

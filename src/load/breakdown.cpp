@@ -66,13 +66,8 @@ std::int64_t BreakdownSummary::crit_total_ns() const {
 }
 
 BreakdownSummary summarize_attributions(
-    const std::vector<obs::QueryAttribution>& attrs, std::size_t skip_warmup,
-    const LatencyHistogram::Config& histogram) {
+    const std::vector<obs::QueryAttribution>& attrs, std::size_t skip_warmup) {
   BreakdownSummary s;
-  s.latency_ms = LatencyHistogram(histogram);
-  s.straggler_slack_ms = LatencyHistogram(histogram);
-  for (PhaseBreakdown& p : s.phases) p.crit_ms = LatencyHistogram(histogram);
-  for (LevelBreakdown& l : s.levels) l.latency_ms = LatencyHistogram(histogram);
 
   for (std::size_t i = skip_warmup; i < attrs.size(); ++i) {
     const obs::QueryAttribution& a = attrs[i];

@@ -70,11 +70,10 @@ struct BreakdownSummary {
   std::int64_t crit_total_ns() const;
 };
 
-/// Folds `attrs[skip_warmup..]` into a summary. `histogram` configures
-/// every LatencyHistogram in the result (one layout, so summaries merge).
+/// Folds `attrs[skip_warmup..]` into a summary. Every LatencyHistogram in
+/// it has the default layout, so summaries merge.
 BreakdownSummary summarize_attributions(
-    const std::vector<obs::QueryAttribution>& attrs, std::size_t skip_warmup,
-    const LatencyHistogram::Config& histogram);
+    const std::vector<obs::QueryAttribution>& attrs, std::size_t skip_warmup);
 
 /// Appends `summary` as a JSON object onto `out`. `indent` prefixes every
 /// line (the opening '{' is NOT prefixed — it continues the current line,

@@ -11,6 +11,7 @@
 #include "obs/metrics.hpp"
 #include "obs/timeline.hpp"
 #include "obs/trace.hpp"
+#include "sim/des/des_channel.hpp"
 #include "sim/driver_util.hpp"
 
 namespace teamnet::load {
@@ -28,11 +29,12 @@ const std::vector<double>& metrics_latency_edges() {
 }  // namespace
 
 /// The TeamNet fleet's master event loop on the discrete-event clock.
-/// Node 0 waits in SimNet::recv_any for whichever comes first: a worker
-/// reply, the next arrival, or the earliest query deadline. A reply goes to
-/// the query it names and completes it once its gather target is met; an
-/// arrival is dispatched at once — or, if it came while the master was
-/// busy with a local forward, as soon as that forward ends. Replies that
+/// Node 0 waits in DesChannel::recv_any on its own worker channels for
+/// whichever comes first: a worker reply, the next arrival, or the earliest
+/// query deadline. A reply goes to the query it names and completes it
+/// once its gather target is met; an arrival is dispatched at once — or,
+/// if it came while the master was busy with a local forward, as soon as
+/// that forward ends. Replies that
 /// landed by then are read first: reading costs no virtual time, so their
 /// queries complete at the earliest instant the master could see them. A
 /// query whose target the local answer already meets (a quorum of one)
@@ -51,10 +53,8 @@ LoadResult run_teamnet_load(const std::vector<nn::Module*>& experts,
                    {.experts = experts, .num_queries = load.num_queries});
   net::CollaborativeMaster master(*experts[0], fleet.worker_channels());
   fleet.attach(master);
-  if (load.worker_timeout_s > 0.0) {
-    master.set_worker_timeout(load.worker_timeout_s);
-  }
-  if (load.gather_quorum > 0) master.set_gather_quorum(load.gather_quorum);
+  master.set_worker_timeout(load.worker_timeout_s);
+  master.set_gather_quorum(load.gather_quorum);
 
   const auto rows =
       sample_load_rows(test, load.num_queries, load.query_seed,
@@ -88,16 +88,13 @@ LoadResult run_teamnet_load(const std::vector<nn::Module*>& experts,
     ++completed;
   };
 
-  std::vector<int> peers;
-  for (int node = 1; node < static_cast<int>(experts.size()); ++node) {
-    peers.push_back(node);
-  }
   auto& recorder = obs::TimelineRecorder::instance();
   fleet.record_timelines();
   // Every worker answers every Infer in a fault-free fleet. Reading the
   // replies a quorum or a deadline left behind (stale by then) before
   // shutdown keeps the traffic totals whole and closes their flows.
-  const std::size_t replies_due = rows.size() * peers.size();
+  const std::size_t replies_due =
+      rows.size() * fleet.worker_channels().size();
   std::size_t replies = 0;
   std::size_t issued = 0;
   while (completed < rows.size() || replies < replies_due) {
@@ -106,7 +103,8 @@ LoadResult run_teamnet_load(const std::vector<nn::Module*>& experts,
                                : std::numeric_limits<double>::infinity();
     const double until =
         std::max(fleet.now(), std::min(arrival, master.next_due()));
-    if (auto got = fleet.net().recv_any(0, peers, until)) {
+    if (auto got =
+            sim::des::DesChannel::recv_any(fleet.worker_channels(), until)) {
       ++replies;
       if (const std::int64_t qid = master.deliver(got->first, got->second)) {
         complete(qid);
@@ -158,10 +156,9 @@ LoadResult run_teamnet_load(const std::vector<nn::Module*>& experts,
   }
 
   const std::size_t warmup = static_cast<std::size_t>(load.warmup_queries);
-  const LatencyHistogram::Config histogram;
-  result.warmup = make_phase_stats(result.records, 0, warmup, histogram);
-  result.steady = make_phase_stats(result.records, warmup,
-                                   result.records.size(), histogram);
+  result.warmup = make_phase_stats(result.records, 0, warmup);
+  result.steady =
+      make_phase_stats(result.records, warmup, result.records.size());
   result.offered_qps = result.steady.offered_qps();
   result.achieved_qps = result.steady.achieved_qps();
   result.p50_ms = result.steady.latency.percentile(50.0);

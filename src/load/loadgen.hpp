@@ -40,10 +40,11 @@ struct LoadConfig {
   std::uint64_t query_seed = 7;
   /// > 0 bounds each query with one shared deadline (master
   /// set_worker_timeout): at it the query completes with the answers it
-  /// has. 0 keeps the wait-for-every-answer default.
+  /// has. 0 keeps the wait-for-every-answer default; negative throws.
   double worker_timeout_s = 0.0;
   /// > 0 completes a query at a quorum of answers (set_gather_quorum);
-  /// the stragglers' replies are then stale.
+  /// the stragglers' replies are then stale. 0 = full gather; negative
+  /// throws.
   int gather_quorum = 0;
 };
 

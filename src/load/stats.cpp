@@ -22,11 +22,9 @@ double PhaseStats::mean_inflight() const {
 }
 
 PhaseStats make_phase_stats(const std::vector<QueryRecord>& records,
-                            std::size_t begin, std::size_t end,
-                            const LatencyHistogram::Config& histogram) {
+                            std::size_t begin, std::size_t end) {
   TEAMNET_CHECK(begin <= end && end <= records.size());
   PhaseStats phase;
-  phase.latency = LatencyHistogram(histogram);
   if (begin == end) return phase;
   phase.queries = static_cast<std::int64_t>(end - begin);
   phase.window_start_s = records[begin].arrival_s;

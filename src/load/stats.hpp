@@ -57,7 +57,6 @@ struct PhaseStats {
 /// query still in service when the steady window opens is charged to both
 /// phases for the time it actually overlaps each.
 PhaseStats make_phase_stats(const std::vector<QueryRecord>& records,
-                            std::size_t begin, std::size_t end,
-                            const LatencyHistogram::Config& histogram);
+                            std::size_t begin, std::size_t end);
 
 }  // namespace teamnet::load

@@ -24,20 +24,11 @@ const char* to_string(BreakerState state) {
   return "?";
 }
 
-HealthTracker::HealthTracker(int num_workers, HealthConfig config,
-                             TimeSource now)
-    : config_(config),
-      now_(now ? std::move(now) : TimeSource(&steady_seconds)),
+HealthTracker::HealthTracker(int num_workers, TimeSource now)
+    : now_(now ? std::move(now) : TimeSource(&steady_seconds)),
       size_(static_cast<std::size_t>(num_workers)),
       slots_(size_) {
   TEAMNET_CHECK_MSG(num_workers >= 0, "worker count must be >= 0");
-  TEAMNET_CHECK_MSG(
-      config_.latency_alpha > 0.0 && config_.latency_alpha <= 1.0 &&
-          config_.failure_alpha > 0.0 && config_.failure_alpha <= 1.0,
-      "EWMA smoothing factors must lie in (0, 1]");
-  TEAMNET_CHECK_MSG(config_.open_threshold > 0.0 &&
-                        config_.open_threshold <= 1.0,
-                    "open_threshold must lie in (0, 1]");
 }
 
 const HealthTracker::Slot& HealthTracker::check_slot(int worker) const {
@@ -61,10 +52,9 @@ void HealthTracker::open_locked(Slot& slot) {
 void HealthTracker::record_success(int worker, double latency_s) {
   MutexLock lock(mutex_);
   Slot& slot = check_slot(worker);
-  slot.failure_ewma *= 1.0 - config_.failure_alpha;
+  slot.failure_ewma *= 1.0 - kFailureAlpha;
   if (slot.has_latency) {
-    slot.latency_ewma_s += config_.latency_alpha *
-                           (latency_s - slot.latency_ewma_s);
+    slot.latency_ewma_s += kLatencyAlpha * (latency_s - slot.latency_ewma_s);
   } else {
     slot.latency_ewma_s = latency_s;
     slot.has_latency = true;
@@ -78,13 +68,11 @@ void HealthTracker::record_success(int worker, double latency_s) {
 void HealthTracker::record_failure(int worker) {
   MutexLock lock(mutex_);
   Slot& slot = check_slot(worker);
-  slot.failure_ewma =
-      slot.failure_ewma * (1.0 - config_.failure_alpha) +
-      config_.failure_alpha;
+  slot.failure_ewma = slot.failure_ewma * (1.0 - kFailureAlpha) + kFailureAlpha;
   if (slot.state == BreakerState::half_open) {
     open_locked(slot);  // trial query failed: straight back to open
   } else if (slot.state == BreakerState::closed &&
-             slot.failure_ewma >= config_.open_threshold) {
+             slot.failure_ewma >= kOpenThreshold) {
     open_locked(slot);
   }
 }
@@ -92,9 +80,9 @@ void HealthTracker::record_failure(int worker) {
 void HealthTracker::record_probe_success(int worker) {
   MutexLock lock(mutex_);
   Slot& slot = check_slot(worker);
-  slot.failure_ewma *= 1.0 - config_.failure_alpha;
+  slot.failure_ewma *= 1.0 - kFailureAlpha;
   if (slot.state == BreakerState::open &&
-      now_() - slot.opened_at_s >= config_.cooldown_s) {
+      now_() - slot.opened_at_s >= kCooldownS) {
     slot.state = BreakerState::half_open;
   }
 }
@@ -112,7 +100,7 @@ bool HealthTracker::allow_dispatch(int worker) const {
 double HealthTracker::expected_latency_s(int worker) const {
   MutexLock lock(mutex_);
   const Slot& slot = check_slot(worker);
-  return slot.has_latency ? slot.latency_ewma_s : config_.initial_latency_s;
+  return slot.has_latency ? slot.latency_ewma_s : kInitialLatencyS;
 }
 
 double HealthTracker::failure_rate(int worker) const {

@@ -40,24 +40,21 @@ enum class BreakerState { closed = 0, half_open = 1, open = 2 };
 
 const char* to_string(BreakerState state);
 
-struct HealthConfig {
-  double latency_alpha = 0.3;  ///< EWMA smoothing for reply latency
-  double failure_alpha = 0.4;  ///< EWMA smoothing for the failure rate
-  /// Failure EWMA that trips closed -> open. With failure_alpha 0.4 the
-  /// default opens after three consecutive misses (0.4, 0.64, 0.784).
-  double open_threshold = 0.7;
-  /// Earliest open -> half_open transition after the breaker opened; until
-  /// then even an answered probe leaves the breaker open.
-  double cooldown_s = 0.02;
-  /// expected_latency_s() before any reply has been observed (seeds the
-  /// hedge delay on the first queries).
-  double initial_latency_s = 0.01;
-};
-
 class HealthTracker {
  public:
-  HealthTracker(int num_workers, HealthConfig config = {},
-                TimeSource now = {});
+  static constexpr double kLatencyAlpha = 0.3;  ///< reply-latency EWMA
+  static constexpr double kFailureAlpha = 0.4;  ///< failure-rate EWMA
+  /// Failure EWMA that trips closed -> open: three consecutive misses
+  /// (0.4, 0.64, 0.784).
+  static constexpr double kOpenThreshold = 0.7;
+  /// Earliest open -> half_open transition after the breaker opened; until
+  /// then even an answered probe leaves the breaker open.
+  static constexpr double kCooldownS = 0.02;
+  /// expected_latency_s() before any reply has been observed (seeds the
+  /// hedge delay on the first queries).
+  static constexpr double kInitialLatencyS = 0.01;
+
+  explicit HealthTracker(int num_workers, TimeSource now = {});
 
   /// A dispatched query got its reply after `latency_s`. Decays the failure
   /// score, folds the latency into the EWMA, and closes the breaker (a
@@ -77,8 +74,8 @@ class HealthTracker {
   BreakerState state(int worker) const;
   /// Whether the worker may be dispatched to: closed or half_open.
   bool allow_dispatch(int worker) const;
-  /// EWMA of observed reply latency (config.initial_latency_s before any
-  /// sample) — the hedge-delay estimate.
+  /// EWMA of observed reply latency (kInitialLatencyS before any sample) —
+  /// the hedge-delay estimate.
   double expected_latency_s(int worker) const;
   /// Current failure EWMA in [0, 1].
   double failure_rate(int worker) const;
@@ -101,7 +98,6 @@ class HealthTracker {
   const Slot& check_slot(int worker) const TN_REQUIRES(mutex_);
   void open_locked(Slot& slot) TN_REQUIRES(mutex_);
 
-  HealthConfig config_;
   TimeSource now_;
   std::size_t size_;
   mutable Mutex mutex_;

@@ -61,6 +61,11 @@ void MasterCore::set_time_source(TimeSource now) {
   now_ = now ? std::move(now) : TimeSource(&steady_seconds);
 }
 
+void MasterCore::set_worker_timeout(double seconds) {
+  TEAMNET_CHECK_MSG(seconds >= 0.0, "worker timeout must be >= 0");
+  worker_timeout_s_ = seconds;
+}
+
 void MasterCore::set_probe_interval(int queries) {
   TEAMNET_CHECK_MSG(queries >= 0, "probe interval must be >= 0");
   probe_interval_ = std::min(queries, kMaxProbeInterval);
@@ -71,20 +76,15 @@ void MasterCore::set_gather_quorum(int answers) {
   quorum_ = answers;
 }
 
-void MasterCore::enable_health(const HealthConfig& config) {
-  health_ = std::make_unique<HealthTracker>(
-      static_cast<int>(workers_.size()), config, now_);
+void MasterCore::enable_health() {
+  health_ =
+      std::make_unique<HealthTracker>(static_cast<int>(workers_.size()), now_);
 }
 
-void MasterCore::set_hedging(std::vector<Channel*> backups,
-                             double min_delay_s, double latency_factor) {
+void MasterCore::set_hedging(std::vector<Channel*> backups) {
   TEAMNET_CHECK_MSG(backups.size() == workers_.size(),
                     "need one backup entry (possibly null) per worker");
-  TEAMNET_CHECK_MSG(min_delay_s >= 0.0 && latency_factor >= 0.0,
-                    "hedge delay parameters must be >= 0");
   backups_ = std::move(backups);
-  hedge_min_delay_s_ = min_delay_s;
-  hedge_factor_ = latency_factor;
 }
 
 int MasterCore::failed_workers() const {
@@ -542,9 +542,9 @@ int MasterCore::gather(std::int64_t classes) {
   double hedge_at = std::numeric_limits<double>::infinity();
   double hedge_interval = 0.0;
   if (can_hedge) {
-    // Adaptive hedge delay: `hedge_factor_` times the slowest outstanding
-    // worker's expected latency (half the SLO budget when no health
-    // tracker is observing), floored at hedge_min_delay_s_. The same
+    // Adaptive hedge delay: kHedgeLatencyFactor times the slowest
+    // outstanding worker's expected latency (half the SLO budget when no
+    // health tracker is observing), floored at kHedgeMinDelayS. The same
     // interval paces the later escalation rounds.
     double slowest = worker_timeout_s_ > 0.0 ? worker_timeout_s_ / 2 : 0.0;
     if (health_) {
@@ -555,7 +555,8 @@ int MasterCore::gather(std::int64_t classes) {
                            health_->expected_latency_s(static_cast<int>(w)));
       }
     }
-    hedge_interval = std::max(hedge_min_delay_s_, hedge_factor_ * slowest);
+    hedge_interval =
+        std::max(kHedgeMinDelayS, kHedgeLatencyFactor * slowest);
     hedge_at = q.t_sent + hedge_interval;
   }
 

@@ -101,7 +101,7 @@ class MasterCore {
   /// worker that has not answered when it runs out (or whose channel
   /// errors) is marked failed and put on probation. 0 (default) = no
   /// deadline.
-  void set_worker_timeout(double seconds) { worker_timeout_s_ = seconds; }
+  void set_worker_timeout(double seconds);
 
   /// Substitutes the monotonic clock used for deadlines, timeline marks
   /// and health latencies (default: steady_seconds). Simulations pass
@@ -134,20 +134,19 @@ class MasterCore {
   /// breaker puts the worker in probation (skipped at dispatch, probed via
   /// Ping/Pong) and an answered probe readmits it only after the breaker's
   /// cooldown. Uses the master's time source — call after set_time_source.
-  void enable_health(const HealthConfig& config);
+  void enable_health();
   /// The tracker enabled by enable_health (nullptr before).
   const HealthTracker* health() const { return health_.get(); }
 
   /// Hedged dispatch (DESIGN.md §13): `backups[w]` is the channel to the
   /// static backup replica serving worker w's expert (nullptr = none).
-  /// After an adaptive delay — max of `min_delay_s` and `latency_factor` ×
-  /// the health EWMA of the slowest outstanding worker (worker_timeout/2
-  /// without health) — the query is re-issued to that worker's backup with
-  /// the hedge flag set; each further interval re-issues to every pending
-  /// worker's backup. Whichever replica answers first wins and the
-  /// duplicate is reconciled via the query-id echo.
-  void set_hedging(std::vector<Channel*> backups, double min_delay_s,
-                   double latency_factor);
+  /// After an adaptive delay — max of kHedgeMinDelayS and
+  /// kHedgeLatencyFactor × the health EWMA of the slowest outstanding
+  /// worker (worker_timeout/2 without health) — the query is re-issued to
+  /// that worker's backup with the hedge flag set; each further interval
+  /// re-issues to every pending worker's backup. Whichever replica answers
+  /// first wins and the duplicate is reconciled via the query-id echo.
+  void set_hedging(std::vector<Channel*> backups);
 
   /// TEST-ONLY: re-introduces the gather from before the query-id echo.
   /// Its only stale-reply defense was the deadline clock reading: a Result
@@ -178,6 +177,10 @@ class MasterCore {
 
   /// Probe backoff never exceeds this many queries between Pings.
   static constexpr int kMaxProbeInterval = 64;
+  /// Hedge delay: at least kHedgeMinDelayS, else kHedgeLatencyFactor × the
+  /// slowest outstanding worker's expected latency (see set_hedging).
+  static constexpr double kHedgeMinDelayS = 0.002;
+  static constexpr double kHedgeLatencyFactor = 1.5;
 
  protected:
   /// Gather state of one worker for one in-flight query.
@@ -310,8 +313,6 @@ class MasterCore {
   int quorum_ = 0;  ///< 0 = every asked worker
   std::unique_ptr<HealthTracker> health_;
   std::vector<Channel*> backups_;  ///< empty = hedging disabled
-  double hedge_min_delay_s_ = 0.0;
-  double hedge_factor_ = 1.5;
   bool flow_trace_ = false;
   bool test_pre_qid_gather_ = false;  ///< test-only mutation hook
 

@@ -63,44 +63,41 @@ void DesChannel::send(std::string bytes) {
 std::string DesChannel::recv() {
   net::WireTiming timing;
   std::string bytes = engine_.recv(self_, *in_, &timing);
-  last_timing_ = timing;
-  note_received(bytes.size());
+  note_received(timing, bytes.size());
   return bytes;
 }
 
 std::optional<std::string> DesChannel::recv_timeout(double seconds) {
   net::WireTiming timing;
   auto bytes = engine_.recv_timeout(self_, *in_, seconds, &timing);
-  if (bytes) {
-    last_timing_ = timing;
-    note_received(bytes->size());
-  }
+  if (bytes) note_received(timing, bytes->size());
   return bytes;
 }
 
 std::optional<std::pair<std::size_t, std::string>> DesChannel::recv_any(
-    const std::vector<DesChannel*>& channels, double until) {
+    std::span<net::Channel* const> channels, double until) {
   TEAMNET_CHECK_MSG(!channels.empty(), "recv_any needs at least one channel");
+  std::vector<DesChannel*> legs;
   std::vector<Mailbox*> inboxes;
-  inboxes.reserve(channels.size());
-  for (DesChannel* c : channels) {
-    TEAMNET_CHECK_MSG(&c->engine_ == &channels[0]->engine_ &&
-                          c->self_ == channels[0]->self_,
+  for (net::Channel* c : channels) {
+    auto* leg = dynamic_cast<DesChannel*>(c);
+    TEAMNET_CHECK_MSG(leg != nullptr, "recv_any reads DES channels only");
+    TEAMNET_CHECK_MSG(legs.empty() || (&leg->engine_ == &legs[0]->engine_ &&
+                                       leg->self_ == legs[0]->self_),
                       "recv_any channels must share one node and engine");
-    inboxes.push_back(c->in_.get());
+    legs.push_back(leg);
+    inboxes.push_back(leg->in_.get());
   }
   net::WireTiming timing;
-  auto got = channels[0]->engine_.recv_any(channels[0]->self_, inboxes, until,
-                                           &timing);
-  if (got) {
-    DesChannel& c = *channels[got->first];
-    c.last_timing_ = timing;
-    c.note_received(got->second.size());
-  }
+  auto got =
+      legs[0]->engine_.recv_any(legs[0]->self_, inboxes, until, &timing);
+  if (got) legs[got->first]->note_received(timing, got->second.size());
   return got;
 }
 
-void DesChannel::note_received(std::size_t payload) {
+void DesChannel::note_received(const net::WireTiming& timing,
+                               std::size_t payload) {
+  last_timing_ = timing;
   WireCounters::instance().bytes_received.add(
       static_cast<std::int64_t>(payload));
   WireCounters::instance().msgs_received.increment();

@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -44,14 +45,16 @@ class DesChannel final : public net::Channel {
     return last_timing_;
   }
 
-  /// Engine::recv_any over `channels` — endpoints of one node on one
-  /// engine: the earliest frame landing by `until` and the index of the
-  /// channel it came in on, or nullopt at the wake-up.
+  /// Engine::recv_any over `channels` — DesChannel endpoints of one node
+  /// on one engine: the earliest frame landing by `until` and the index of
+  /// the channel it came in on, or nullopt at the wake-up.
   static std::optional<std::pair<std::size_t, std::string>> recv_any(
-      const std::vector<DesChannel*>& channels, double until);
+      std::span<net::Channel* const> channels, double until);
 
  private:
-  void note_received(std::size_t payload);
+  /// The three reads' one helper: books a frame this channel read (its
+  /// timing and the wire counters).
+  void note_received(const net::WireTiming& timing, std::size_t payload);
 
   Engine& engine_;
   const int self_;

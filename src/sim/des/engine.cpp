@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <sstream>
 #include <utility>
 
@@ -57,13 +56,6 @@ double Engine::node_time(int node) const {
   return nodes_[static_cast<std::size_t>(node)].time;
 }
 
-double Engine::max_time() const {
-  MutexLock lock(mutex_);
-  double t = 0.0;
-  for (const NodeSlot& slot : nodes_) t = std::max(t, slot.time);
-  return t;
-}
-
 std::int64_t Engine::bytes_delivered() const {
   MutexLock lock(mutex_);
   return bytes_;
@@ -79,7 +71,7 @@ void Engine::throw_if_deadlocked_locked() const {
 }
 
 double Engine::min_running_time_locked() const {
-  double t = std::numeric_limits<double>::infinity();
+  double t = kNever;
   for (const NodeSlot& slot : nodes_) {
     if (slot.state == NodeState::kRunning) t = std::min(t, slot.time);
   }
@@ -87,30 +79,18 @@ double Engine::min_running_time_locked() const {
 }
 
 double Engine::wake_time_locked(const NodeSlot& slot) const {
-  if (slot.state != NodeState::kBlocked) {
-    return std::numeric_limits<double>::infinity();
-  }
-  if (slot.waiting_any != nullptr) {
-    // recv_any: the earliest queued delivery or the wake-up, whichever
-    // comes first (+inf wake_at = no wake-up).
-    double t = std::max(slot.time, slot.wake_at);
-    for (const Mailbox* mb : *slot.waiting_any) {
-      if (!mb->queue_.empty()) {
-        t = std::min(t, std::max(slot.time, mb->queue_.front().arrival));
-      } else if (drained_locked(*mb)) {
-        t = std::min(t, slot.time);
-      }
+  if (slot.state != NodeState::kBlocked) return kNever;
+  // The wake-up (or a fired budget), or the earliest queued delivery or
+  // drained channel, whichever comes first.
+  double t = slot.timed_out ? slot.time : std::max(slot.time, slot.wake_at);
+  for (const Mailbox* mb : slot.waiting) {
+    if (!mb->queue_.empty()) {
+      t = std::min(t, std::max(slot.time, mb->queue_.front().arrival));
+    } else if (drained_locked(*mb)) {
+      t = std::min(t, slot.time);
     }
-    return t;
   }
-  const Mailbox& mb = *slot.waiting;
-  if (!mb.queue_.empty()) {
-    return std::max(slot.time, mb.queue_.front().arrival);
-  }
-  if ((mb.closed_ && mb.pending_events_ == 0) || slot.timed_out) {
-    return slot.time;
-  }
-  return std::numeric_limits<double>::infinity();
+  return t;
 }
 
 bool Engine::granted_locked(int node) const {
@@ -147,9 +127,7 @@ bool Engine::granted_locked(int node) const {
   // floor node always passes this gate (post-pump events strictly exceed
   // the min running clock), so the eligible set is never empty and a gated
   // ahead-of-floor node cannot livelock the grant.
-  const double gate = events_.empty()
-                          ? std::numeric_limits<double>::infinity()
-                          : events_.top().key.time;
+  const double gate = events_.empty() ? kNever : events_.top().key.time;
   if (self.time >= gate) return false;
   eligible_.clear();
   for (int m = 0; m < num_nodes_; ++m) {
@@ -179,7 +157,7 @@ bool Engine::granted_at_locked(int node, double t) {
   return granted;
 }
 
-std::size_t Engine::earliest_locked(const std::vector<Mailbox*>& mbs) const {
+std::size_t Engine::earliest_locked(std::span<Mailbox* const> mbs) const {
   std::size_t best = mbs.size();
   for (std::size_t i = 0; i < mbs.size(); ++i) {
     if (mbs[i]->queue_.empty()) continue;
@@ -240,39 +218,23 @@ void Engine::check_quiescence_locked() {
   if (!events_.empty()) return;  // pump will fire these once horizon allows
 
   // No node is running and nothing is in flight. Classify the blocked set:
-  // a waiter whose predicate already holds (message queued, channel drained
-  // and closed, or a timeout already fired for it) just needs the CPU — the
-  // engine is not stuck.
+  // a waiter whose resume time is already determined (a delivery queued, a
+  // channel drained and closed, a budget fired, or a wake-up) just needs
+  // the CPU — the engine is not stuck.
   bool any_blocked = false;
   int fire = -1;
-  double fire_deadline = std::numeric_limits<double>::infinity();
+  double fire_deadline = kNever;
   for (int n = 0; n < num_nodes_; ++n) {
     const NodeSlot& slot = nodes_[static_cast<std::size_t>(n)];
     if (slot.state != NodeState::kBlocked) continue;
     any_blocked = true;
-    bool wakeable = slot.timed_out;
-    if (slot.waiting_any != nullptr) {
-      // A recv_any wake-up is a determined resume time, not a timeout: the
-      // node resumes at it once granted, so the engine is not stuck.
-      wakeable = std::isfinite(slot.wake_at);
-      for (const Mailbox* mb : *slot.waiting_any) {
-        wakeable = wakeable || !mb->queue_.empty() || drained_locked(*mb);
-      }
-    } else {
-      const Mailbox& mb = *slot.waiting;
-      wakeable = wakeable || !mb.queue_.empty() ||
-                 (mb.closed_ && mb.pending_events_ == 0);
-    }
-    if (wakeable) {
+    if (std::isfinite(wake_time_locked(slot))) {
       cv_.notify_all();
       return;
     }
-    if (slot.has_timeout) {
-      const double deadline = slot.time + slot.timeout_budget;
-      if (deadline < fire_deadline) {
-        fire_deadline = deadline;
-        fire = n;
-      }
+    if (slot.budget && slot.time + *slot.budget < fire_deadline) {
+      fire_deadline = slot.time + *slot.budget;
+      fire = n;
     }
   }
   if (!any_blocked) return;  // everyone retired — normal termination
@@ -287,16 +249,12 @@ void Engine::check_quiescence_locked() {
 
   std::ostringstream msg;
   msg << "discrete-event deadlock: no node running, no event pending, and "
-         "no timeout armed; blocked:";
+         "no budget armed; blocked:";
   for (int n = 0; n < num_nodes_; ++n) {
     const NodeSlot& slot = nodes_[static_cast<std::size_t>(n)];
     if (slot.state != NodeState::kBlocked) continue;
-    msg << " node " << n << " (t=" << slot.time;
-    if (slot.waiting_any != nullptr) {
-      msg << ", recv_any over " << slot.waiting_any->size() << " mailboxes);";
-    } else {
-      msg << ", recv from mailbox of node " << slot.waiting->owner() << ");";
-    }
+    msg << " node " << n << " (t=" << slot.time << ", waiting on "
+        << slot.waiting.size() << " mailbox(es));";
   }
   deadlocked_ = true;
   deadlock_msg_ = msg.str();
@@ -364,8 +322,6 @@ void Engine::retire(int node) {
   MutexLock lock(mutex_);
   NodeSlot& slot = nodes_[static_cast<std::size_t>(node)];
   slot.state = NodeState::kRetired;
-  slot.waiting = nullptr;
-  slot.has_timeout = false;
   record_locked('R', node, slot.time, 0);
   if (obs::Tracer::active() && obs::Tracer::scheduler_events()) {
     obs::Tracer::instance().instant_at(node, slot.time, "des.retire",
@@ -427,119 +383,60 @@ void Engine::send(int from, const std::shared_ptr<Mailbox>& to,
   cv_.notify_all();
 }
 
-std::string Engine::recv(int node, Mailbox& mb, net::WireTiming* timing) {
+std::optional<std::pair<std::size_t, std::string>> Engine::await_read(
+    int node, std::span<Mailbox* const> mbs, double until,
+    std::optional<double> budget, net::WireTiming* timing) {
   check_node(node);
-  MutexLock lock(mutex_);
-  NodeSlot& slot = nodes_[static_cast<std::size_t>(node)];
-  for (;;) {
-    throw_if_deadlocked_locked();
-    if (!mb.queue_.empty()) return pop_locked(node, mb, timing);
-    if (mb.closed_ && mb.pending_events_ == 0) {
-      throw NetworkError("channel closed");
-    }
-    // Only mark Blocked once the not-ready predicate holds above — blocking
-    // with a deliverable message queued would let check_quiescence mistake
-    // a runnable system for a stuck one.
-    slot.state = NodeState::kBlocked;
-    slot.waiting = &mb;
-    pump_locked();
-    check_quiescence_locked();
-    // pump/quiescence above may have satisfied this very wait (fired an
-    // event into `mb`, or declared deadlock); their notify happened before
-    // we could sleep, so re-check instead of waiting on a lost wakeup.
-    if (mb.queue_.empty() && !(mb.closed_ && mb.pending_events_ == 0) &&
-        !deadlocked_) {
-      cv_.notify_all();  // blocking lowers the grant floor for other nodes
-      cv_.wait(mutex_);
-    }
-    slot.state = NodeState::kRunning;
-    slot.waiting = nullptr;
-  }
-}
-
-std::optional<std::string> Engine::recv_timeout(int node, Mailbox& mb,
-                                                double seconds,
-                                                net::WireTiming* timing) {
-  check_node(node);
-  const double budget = seconds > 0.0 ? seconds : 0.0;
+  TEAMNET_CHECK_MSG(!mbs.empty(), "await_read needs at least one mailbox");
+  if (budget) budget = *budget > 0.0 ? *budget : 0.0;
   MutexLock lock(mutex_);
   NodeSlot& slot = nodes_[static_cast<std::size_t>(node)];
   slot.timed_out = false;
+  // The delivery to read, if any. Over several mailboxes it waits for the
+  // grant at its arrival: by then every delivery due no later has fired
+  // (events win ties) and no node can still send one, so the earliest
+  // queued delivery is the earliest there will ever be, whichever threads
+  // happened to run first. One mailbox is FIFO, so its front already is.
+  auto readable = [&] {
+    const std::size_t i = earliest_locked(mbs);
+    if (i == mbs.size()) return i;
+    const double arrival = mbs[i]->queue_.front().arrival;
+    const bool ready = arrival <= until && (mbs.size() == 1 ||
+                                            granted_at_locked(node, arrival));
+    return ready ? i : mbs.size();
+  };
+  auto drained = [&] {
+    return std::any_of(mbs.begin(), mbs.end(),
+                       [&](const Mailbox* mb) { return drained_locked(*mb); });
+  };
+  auto woken = [&] {
+    return std::isfinite(until) && granted_at_locked(node, until);
+  };
   for (;;) {
     throw_if_deadlocked_locked();
-    if (!mb.queue_.empty()) return pop_locked(node, mb, timing);
-    if (mb.closed_ && mb.pending_events_ == 0) {
-      throw NetworkError("channel closed");
+    if (const std::size_t i = readable(); i < mbs.size()) {
+      std::string bytes = pop_locked(node, *mbs[i], timing);
+      return std::make_pair(i, std::move(bytes));
     }
+    if (drained()) throw NetworkError("channel closed");
     if (slot.timed_out) {
       // check_quiescence fired this wait: provably nothing could arrive
       // within the budget, so charge it in full and report the timeout.
       slot.timed_out = false;
-      if (budget > 0.0) {
-        slot.time += budget;
+      if (*budget > 0.0) {
+        slot.time += *budget;
         pump_locked();
       }
       record_locked('T', node, slot.time, 0);
       if (obs::Tracer::active() && obs::Tracer::scheduler_events()) {
         obs::Tracer::instance().instant_at(
             node, slot.time, "des.timeout_fired",
-            obs::TraceArgs().arg("budget_s", budget));
+            obs::TraceArgs().arg("budget_s", *budget));
       }
       cv_.notify_all();
       return std::nullopt;
     }
-    slot.state = NodeState::kBlocked;
-    slot.waiting = &mb;
-    slot.has_timeout = true;
-    slot.timeout_budget = budget;
-    pump_locked();
-    check_quiescence_locked();
-    // Same lost-wakeup guard as recv, plus: quiescence may have fired this
-    // node's own timeout just now.
-    if (mb.queue_.empty() && !(mb.closed_ && mb.pending_events_ == 0) &&
-        !slot.timed_out && !deadlocked_) {
-      cv_.notify_all();
-      cv_.wait(mutex_);
-    }
-    slot.state = NodeState::kRunning;
-    slot.waiting = nullptr;
-    slot.has_timeout = false;
-  }
-}
-
-std::optional<std::pair<std::size_t, std::string>> Engine::recv_any(
-    int node, const std::vector<Mailbox*>& mbs, double until,
-    net::WireTiming* timing) {
-  check_node(node);
-  TEAMNET_CHECK_MSG(!mbs.empty(), "recv_any needs at least one mailbox");
-  MutexLock lock(mutex_);
-  NodeSlot& slot = nodes_[static_cast<std::size_t>(node)];
-  const bool wakes = std::isfinite(until);
-  // Ready to return: a delivery landing by `until`, a drained channel, or
-  // the wake-up itself. A delivery and the wake-up alike are read only once
-  // this node would be granted at their instant — by then every delivery
-  // due no later has fired (events win ties) and no node can still send
-  // one, so the earliest queued delivery is the earliest there will ever
-  // be, whichever threads happened to run first.
-  auto deliverable = [&] {
-    const std::size_t i = earliest_locked(mbs);
-    if (i == mbs.size()) return i;
-    const double arrival = mbs[i]->queue_.front().arrival;
-    return arrival <= until && granted_at_locked(node, arrival) ? i
-                                                                : mbs.size();
-  };
-  auto drained = [&] {
-    return std::any_of(mbs.begin(), mbs.end(),
-                       [&](const Mailbox* mb) { return drained_locked(*mb); });
-  };
-  for (;;) {
-    throw_if_deadlocked_locked();
-    if (const std::size_t i = deliverable(); i < mbs.size()) {
-      std::string bytes = pop_locked(node, *mbs[i], timing);
-      return std::make_pair(i, std::move(bytes));
-    }
-    if (drained()) throw NetworkError("channel closed");
-    if (wakes && granted_at_locked(node, until)) {
+    if (woken()) {
       slot.time = std::max(slot.time, until);
       record_locked('W', node, slot.time, 0);
       policy_->note_step(node);
@@ -547,20 +444,27 @@ std::optional<std::pair<std::size_t, std::string>> Engine::recv_any(
       cv_.notify_all();
       return std::nullopt;
     }
+    // Only block once nothing above holds — blocking with a deliverable
+    // message queued would let check_quiescence mistake a runnable system
+    // for a stuck one.
     slot.state = NodeState::kBlocked;
-    slot.waiting_any = &mbs;
+    slot.waiting = mbs;
     slot.wake_at = until;
+    slot.budget = budget;
     pump_locked();
     check_quiescence_locked();
-    // Same lost-wakeup guard as recv: the pump above may have fired a
-    // delivery for this wait, or the events gating the wake-up.
-    if (deliverable() == mbs.size() && !drained() && !deadlocked_ &&
-        !(wakes && granted_at_locked(node, until))) {
-      cv_.notify_all();
+    // pump/quiescence above may have satisfied this very wait (fired a
+    // delivery or the events gating the wake-up, fired its budget, or
+    // declared deadlock); their notify happened before we could sleep, so
+    // re-check instead of waiting on a lost wakeup.
+    if (readable() == mbs.size() && !drained() && !slot.timed_out &&
+        !woken() && !deadlocked_) {
+      cv_.notify_all();  // blocking lowers the grant floor for other nodes
       cv_.wait(mutex_);
     }
     slot.state = NodeState::kRunning;
-    slot.waiting_any = nullptr;
+    slot.waiting = {};
+    slot.budget.reset();
   }
 }
 

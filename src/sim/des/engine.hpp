@@ -17,38 +17,46 @@
 //   * An event fires (message moves into its destination mailbox) only
 //     once no running node could still schedule an earlier one — the
 //     conservative PDES invariant: nothing is ever delivered "early".
-//   * A node blocked in recv joins the blocked registry; when no node is
+//   * A node blocked in a wait joins the blocked registry; when no node is
 //     running and no event is pending, the engine has reached QUIESCENCE:
-//     the earliest pending recv_timeout fires (charging its budget to the
-//     waiter's clock), and if no node holds a timeout the engine declares
-//     a deadlock with a diagnosable DeadlockError instead of hanging.
+//     the earliest pending budget fires (charging it to the waiter's
+//     clock), and if no waiter holds a budget the engine declares a
+//     deadlock with a diagnosable DeadlockError instead of hanging.
 //
 // The result: two same-seed runs produce bit-identical virtual traces —
 // ScenarioResult::latency_ms included — while tensor compute still
 // overlaps in real time (only engine calls are serialized, not the math
 // between them).
 //
-// Virtual timeouts deserve a note: a pending delivery is always handed
-// over before a timeout is considered, and a timeout fires only at
-// quiescence — when provably no message can still arrive. A timeout
-// therefore only ever fires for a message that never comes, however long
-// the budget, so timeouts decide fault handling and never race replies.
+// Every blocking read is one wait: a node waits on one or more of its
+// mailboxes, optionally until a virtual wake-up instant T, optionally with
+// a quiescence budget. recv, recv_timeout and recv_any are that wait with
+// one mailbox, one mailbox and a budget, and several mailboxes and a T.
 //
-// Wake-ups are not timeouts. recv_any waits on several of a node's
-// mailboxes at once until a virtual instant T: the node wakes for the
-// earliest delivery landing at or before T, or at T itself. The wake-up is
-// keyed (T, node) like an EventKey: it is a determined resume time that
-// holds the grant floor down at T, it loses ties to deliveries due at T,
-// and it fires only once the node would be granted at T. It never touches
-// the medium and is never counted as traffic.
+// Budgets deserve a note: a pending delivery is always handed over before
+// a budget is considered, and a budget fires only at quiescence — when
+// provably no message can still arrive. A timeout therefore only ever
+// fires for a message that never comes, however long the budget, so
+// timeouts decide fault handling and never race replies.
+//
+// Wake-ups are not timeouts: the node wakes for the earliest delivery
+// landing at or before T, or at T itself. The wake-up is keyed (T, node)
+// like an EventKey: it is a determined resume time that holds the grant
+// floor down at T, it loses ties to deliveries due at T, and it fires only
+// once the node would be granted at T. It never touches the medium and is
+// never counted as traffic.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <limits>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/annotations.hpp"
@@ -60,8 +68,8 @@
 namespace teamnet::sim::des {
 
 /// The simulated system can never make progress: at least one node is
-/// blocked in a plain recv while no node is running, no delivery is
-/// pending, and no timeout could fire. The message names the stuck nodes.
+/// blocked in a wait while no node is running, no delivery is pending,
+/// and no budget or wake-up could fire. The message names the stuck nodes.
 class DeadlockError : public Error {
  public:
   explicit DeadlockError(const std::string& what) : Error(what) {}
@@ -122,7 +130,7 @@ class Mailbox {
     std::string bytes;
     double sent = 0.0;  ///< sender's clock when the message left
     double on_air = 0.0;
-    std::uint64_t seq = 0;  ///< its EventKey::seq (orders recv_any ties)
+    std::uint64_t seq = 0;  ///< its EventKey::seq (orders ties in a wait)
   };
 
   const int owner_;
@@ -158,7 +166,6 @@ class Engine {
 
   // -- clock surface --------------------------------------------------------
   double node_time(int node) const;
-  double max_time() const;
   /// Advances `node` by `seconds` of local work, in virtual-time order:
   /// blocks until `node` holds the grant. Returns the new time.
   double advance(int node, double seconds);
@@ -181,62 +188,76 @@ class Engine {
   /// does not advance) and schedules the delivery.
   void send(int from, const std::shared_ptr<Mailbox>& to, std::string bytes,
             const net::LinkProfile& link);
-  /// Blocks until a message is available in `mb`, then pops it, advancing
-  /// `node`'s clock to max(now, arrival) and counting the traffic. Throws
-  /// NetworkError once `mb` is closed and fully drained, DeadlockError on
-  /// global quiescence with no way forward.
-  /// `timing`, when non-null, receives the popped frame's WireTiming.
-  std::string recv(int node, Mailbox& mb, net::WireTiming* timing = nullptr);
-  /// recv with a virtual budget: returns nullopt (charging the budget to
-  /// `node`'s clock when positive) if the engine reaches quiescence before
-  /// a message arrives. Never times out a delivery already in flight.
+  /// The one blocking read: `node` waits on its mailboxes `mbs` and reads
+  /// the earliest delivery (EventKey order) landing at or before `until`,
+  /// returned with its index in `mbs`. Over several mailboxes the read
+  /// waits until `node` would be granted at the delivery's arrival, so no
+  /// earlier one can still come; one mailbox is FIFO, so its front delivery
+  /// already is the earliest. The read advances `node`'s clock to
+  /// max(now, arrival), counts the traffic and, when `timing` is non-null,
+  /// stores the frame's WireTiming. Returns nullopt instead
+  ///   * once `node` is granted at a finite `until` with nothing earlier to
+  ///     read — its clock then reads `until` (the wake-up, see the top);
+  ///   * when `budget` is set and the engine reaches quiescence first — a
+  ///     positive budget is then charged to `node`'s clock.
+  /// Throws NetworkError once any of `mbs` is closed and drained,
+  /// DeadlockError on global quiescence with no way forward.
+  std::optional<std::pair<std::size_t, std::string>> await_read(
+      int node, std::span<Mailbox* const> mbs, double until,
+      std::optional<double> budget, net::WireTiming* timing = nullptr);
+  /// await_read on one mailbox with neither a wake-up nor a budget.
+  std::string recv(int node, Mailbox& mb, net::WireTiming* timing = nullptr) {
+    return std::move(
+        await_read(node, std::array{&mb}, kNever, {}, timing)->second);
+  }
+  /// await_read on one mailbox with a budget of `seconds`.
   std::optional<std::string> recv_timeout(int node, Mailbox& mb,
                                           double seconds,
-                                          net::WireTiming* timing = nullptr);
-  /// One read from whichever of `node`'s mailboxes `mbs` delivers first:
-  /// the earliest delivery (EventKey order) landing at or before `until`,
-  /// read once `node` would be granted at its arrival (so no earlier one
-  /// can still come) and returned with its index in `mbs`. Returns nullopt
-  /// instead once `node` is granted at virtual time `until` with nothing
-  /// earlier to read — its clock then reads `until` (see the wake-up note
-  /// at the top). `until` =
-  /// +infinity waits for a delivery only. Throws NetworkError once any of
-  /// `mbs` is closed and drained, DeadlockError when nothing can come.
+                                          net::WireTiming* timing = nullptr) {
+    auto got = await_read(node, std::array{&mb}, kNever, seconds, timing);
+    return got ? std::optional(std::move(got->second)) : std::nullopt;
+  }
+  /// await_read on several mailboxes until `until` (+infinity: no
+  /// wake-up).
   std::optional<std::pair<std::size_t, std::string>> recv_any(
-      int node, const std::vector<Mailbox*>& mbs, double until,
-      net::WireTiming* timing = nullptr);
+      int node, std::span<Mailbox* const> mbs, double until,
+      net::WireTiming* timing = nullptr) {
+    return await_read(node, mbs, until, {}, timing);
+  }
   /// Closes `mb`: already-scheduled deliveries still fire and drain, then
   /// readers get NetworkError; new sends fail immediately.
   void close(Mailbox& mb);
 
  private:
+  static constexpr double kNever = std::numeric_limits<double>::infinity();
+
   enum class NodeState { kRunning, kBlocked, kRetired };
 
   struct NodeSlot {
     double time = 0.0;
     NodeState state = NodeState::kRunning;
-    const Mailbox* waiting = nullptr;  ///< mailbox blocked on, when kBlocked
-    /// recv_any's mailboxes and wake-up instant, when blocked in recv_any.
-    const std::vector<Mailbox*>* waiting_any = nullptr;
-    double wake_at = 0.0;
-    bool has_timeout = false;          ///< blocked wait carries a budget
-    double timeout_budget = 0.0;
-    bool timed_out = false;  ///< quiescence fired this node's timeout
+    /// The blocked wait, when kBlocked: its mailboxes, wake-up instant
+    /// (+inf = none) and quiescence budget.
+    std::span<Mailbox* const> waiting;
+    double wake_at = kNever;
+    std::optional<double> budget;
+    bool timed_out = false;  ///< quiescence fired this node's budget
   };
 
   void check_node(int node) const;
   void throw_if_deadlocked_locked() const TN_REQUIRES(mutex_);
   double min_running_time_locked() const TN_REQUIRES(mutex_);
   /// Virtual time at which a blocked node is certain to resume (delivery
-  /// already in its mailbox, channel closed and drained, or timeout fired);
-  /// +inf for nodes that are running, retired, or still genuinely waiting.
+  /// already in a mailbox, channel closed and drained, budget fired, or a
+  /// wake-up); +inf for nodes that are running, retired, or still
+  /// genuinely waiting.
   double wake_time_locked(const NodeSlot& slot) const TN_REQUIRES(mutex_);
   bool granted_locked(int node) const TN_REQUIRES(mutex_);
   /// Whether `node` (running) would be granted were its clock at `t`.
   bool granted_at_locked(int node, double t) TN_REQUIRES(mutex_);
   /// Index in `mbs` of the earliest queued delivery (arrival, then seq);
   /// mbs.size() when every mailbox is empty.
-  std::size_t earliest_locked(const std::vector<Mailbox*>& mbs) const
+  std::size_t earliest_locked(std::span<Mailbox* const> mbs) const
       TN_REQUIRES(mutex_);
   bool drained_locked(const Mailbox& mb) const TN_REQUIRES(mutex_) {
     return mb.closed_ && mb.pending_events_ == 0 && mb.queue_.empty();
@@ -247,7 +268,7 @@ class Engine {
                      std::uint64_t extra) TN_REQUIRES(mutex_);
   /// Fires every event due at or before the minimum running clock.
   void pump_locked() TN_REQUIRES(mutex_);
-  /// At quiescence, fires the earliest pending timeout or declares
+  /// At quiescence, fires the earliest pending budget or declares
   /// deadlock. No-op while any node runs or any wait can self-resolve.
   void check_quiescence_locked() TN_REQUIRES(mutex_);
   void await_grant_locked(int node) TN_REQUIRES(mutex_);

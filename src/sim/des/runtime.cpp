@@ -31,17 +31,6 @@ net::ChannelPtr SimNet::take_channel(int from, int to) {
   return std::move(slot(from, to));
 }
 
-std::optional<std::pair<std::size_t, std::string>> SimNet::recv_any(
-    int node, const std::vector<int>& peers, double until) {
-  std::vector<des::DesChannel*> legs;
-  legs.reserve(peers.size());
-  // Every leg make_des_mesh built is a DesChannel.
-  for (int peer : peers) {
-    legs.push_back(static_cast<des::DesChannel*>(&channel(node, peer)));
-  }
-  return des::DesChannel::recv_any(legs, until);
-}
-
 void SimNet::close_all() {
   for (auto& row : mesh_) {
     for (auto& chan : row) {

@@ -8,9 +8,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
-#include <string>
-#include <utility>
 #include <vector>
 
 #include "net/link.hpp"
@@ -61,14 +58,6 @@ class SimNet {
   /// the serve loop exits, the master after shutdown and before any join —
   /// or pending deliveries stall behind the idle node's clock.
   void retire(int node) { engine_.retire(node); }
-
-  /// One read by `node` from whichever of its mesh legs to `peers` delivers
-  /// first (des::Engine::recv_any): the earliest frame landing by `until`
-  /// with the index into `peers` it came from, or nullopt once `node` is
-  /// granted at `until` — its clock then reads `until`. +infinity waits
-  /// for a frame only.
-  std::optional<std::pair<std::size_t, std::string>> recv_any(
-      int node, const std::vector<int>& peers, double until);
 
   /// Closes every channel leg still owned by the mesh (error teardown).
   void close_all();

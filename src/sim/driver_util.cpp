@@ -5,7 +5,6 @@
 
 #include "common/logging.hpp"
 #include "common/rng.hpp"
-#include "core/entropy.hpp"
 #include "tensor/ops.hpp"
 
 namespace teamnet::sim {
@@ -122,22 +121,6 @@ std::vector<int> sample_query_rows(const data::Dataset& test, int n,
 
 Tensor query_row_tensor(const data::Dataset& test, int row) {
   return ops::take_rows(test.images, {row});
-}
-
-ReferenceAnswer reference_answer(const std::vector<nn::Module*>& experts,
-                                 const Tensor& x) {
-  ReferenceAnswer answer;
-  float best = 0.0f;
-  for (std::size_t i = 0; i < experts.size(); ++i) {
-    const Tensor probs = ops::softmax_rows(experts[i]->predict(x));
-    const float entropy = core::predictive_entropy(probs)[0];
-    if (answer.chosen < 0 || entropy < best) {
-      best = entropy;
-      answer.chosen = static_cast<int>(i);
-      answer.prediction = ops::argmax_rows(probs)[0];
-    }
-  }
-  return answer;
 }
 
 Fleet::Fleet(const std::string& epoch, const ScenarioConfig& config,

@@ -51,17 +51,6 @@ std::vector<int> sample_query_rows(const data::Dataset& test, int n,
 /// One-sample batch holding `test`'s row `row`.
 Tensor query_row_tensor(const data::Dataset& test, int row);
 
-/// TeamNet's answer for the one-row batch `x`, computed in process — the
-/// differential oracle for a full gather: every expert scores `x`, the
-/// lowest predictive entropy wins (ties go to the lowest index), and the
-/// winner's argmax is the prediction.
-struct ReferenceAnswer {
-  int prediction = -1;
-  int chosen = -1;  ///< index in `experts` of the winning expert
-};
-ReferenceAnswer reference_answer(const std::vector<nn::Module*>& experts,
-                                 const Tensor& x);
-
 /// What a Fleet serves. Node i serves experts[i] on devices[i]; node 0 is
 /// the master, whose expert the driver hands its master itself.
 struct FleetSpec {

@@ -5,7 +5,7 @@
 #include <thread>
 
 #include "common/annotations.hpp"
-#include "core/entropy.hpp"
+#include "core/teamnet.hpp"
 #include "moe/moe_serving.hpp"
 #include "mpi/decentralized.hpp"
 #include "mpi/partitioned.hpp"
@@ -15,7 +15,6 @@
 #include "obs/percentile.hpp"
 #include "obs/trace.hpp"
 #include "sim/driver_util.hpp"
-#include "tensor/ops.hpp"
 
 namespace teamnet::sim {
 
@@ -24,34 +23,6 @@ namespace {
 double model_accuracy_pct(nn::Module& model, const data::Dataset& test) {
   model.set_training(false);
   return 100.0 * nn::accuracy(model.predict(test.images), test.labels);
-}
-
-/// Accuracy over the full test set via the argmin-entropy rule both
-/// selection protocols apply (protocol equivalence is covered by tests).
-double teamnet_accuracy_pct(const std::vector<nn::Module*>& experts,
-                            const data::Dataset& test) {
-  const int k = static_cast<int>(experts.size());
-  Tensor entropy({test.size(), k});
-  std::vector<Tensor> probs(static_cast<std::size_t>(k));
-  for (int i = 0; i < k; ++i) {
-    probs[static_cast<std::size_t>(i)] = ops::softmax_rows(
-        experts[static_cast<std::size_t>(i)]->predict(test.images));
-    Tensor h = core::predictive_entropy(probs[static_cast<std::size_t>(i)]);
-    for (std::int64_t r = 0; r < test.size(); ++r) {
-      entropy[r * k + i] = h[r];
-    }
-  }
-  const auto chosen = ops::argmin_rows(entropy);
-  std::size_t ok = 0;
-  for (std::int64_t r = 0; r < test.size(); ++r) {
-    const Tensor& p = probs[static_cast<std::size_t>(chosen[
-        static_cast<std::size_t>(r)])];
-    const float* row = p.data() + r * p.dim(1);
-    const int pred = static_cast<int>(
-        std::max_element(row, row + p.dim(1)) - row);
-    if (pred == test.labels[static_cast<std::size_t>(r)]) ++ok;
-  }
-  return 100.0 * static_cast<double>(ok) / static_cast<double>(test.size());
 }
 
 }  // namespace
@@ -102,7 +73,9 @@ ScenarioResult run_teamnet_heterogeneous(
   fleet.finish(master);
   ScenarioResult result =
       fleet.result("TeamNet", total_latency, test.sample_shape());
-  result.accuracy_pct = teamnet_accuracy_pct(experts, test);
+  result.accuracy_pct =
+      100.0 * static_cast<double>(core::count_correct(experts, test)) /
+      static_cast<double>(test.size());
   return result;
 }
 
@@ -124,14 +97,9 @@ ResilienceResult run_teamnet_resilience(const std::vector<nn::Module*>& experts,
   fleet.attach(master);
   master.set_worker_timeout(res.worker_timeout_s);
   master.set_probe_interval(res.probe_interval);
-  if (res.health) master.enable_health(net::HealthConfig{});
-  if (res.quorum > 0) master.set_gather_quorum(res.quorum);
-  if (res.hedging) {
-    constexpr double kHedgeMinDelayS = 0.002;
-    constexpr double kHedgeLatencyFactor = 1.5;
-    master.set_hedging(fleet.backup_channels(), kHedgeMinDelayS,
-                       kHedgeLatencyFactor);
-  }
+  if (res.health) master.enable_health();
+  master.set_gather_quorum(res.quorum);
+  if (res.hedging) master.set_hedging(fleet.backup_channels());
   if (res.test_pre_qid_gather) master.set_test_pre_qid_gather(true);
 
   const auto rows = sample_query_rows(test, config.num_queries, config.seed);
@@ -345,7 +313,9 @@ ScenarioResult run_teamnet_decentralized(
           comm.barrier();  // the query ends once every rank has the answer
         };
       });
-  result.accuracy_pct = teamnet_accuracy_pct(experts, test);
+  result.accuracy_pct =
+      100.0 * static_cast<double>(core::count_correct(experts, test)) /
+      static_cast<double>(test.size());
   return result;
 }
 

@@ -126,7 +126,8 @@ struct ResilienceConfig {
 
   double worker_timeout_s = 0.05;  ///< the query SLO (virtual seconds)
   int probe_interval = 2;          ///< probation probe cadence (queries)
-  /// Gather quorum (total answers, local expert included); 0 = full gather.
+  /// Gather quorum (total answers, local expert included); 0 = full
+  /// gather; negative throws.
   int quorum = 0;
   /// Spawn one backup replica node per worker expert and hedge to it. The
   /// backup links run the same fault model (independent streams).

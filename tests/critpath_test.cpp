@@ -291,8 +291,7 @@ TEST(LoadDriver, TeamnetAttributionsReconcileBitExactly) {
   const auto r = load::run_teamnet_load(expert_ptrs(experts), blob_test_set(),
                                         des_config(), small_load(500.0));
   expect_exact_reconciliation(r);
-  const auto s = load::summarize_attributions(
-      r.attributions, 4, load::LatencyHistogram::Config{});
+  const auto s = load::summarize_attributions(r.attributions, 4);
   EXPECT_EQ(s.queries, 12);
   EXPECT_EQ(s.reconciled, s.queries);
   EXPECT_EQ(s.max_residual_ns, 0);
@@ -306,8 +305,7 @@ TEST(LoadDriver, BreakdownJsonByteIdenticalAcrossRuns) {
   for (std::string& doc : docs) {
     const auto r =
         load::run_teamnet_load(ptrs, test, des_config(), small_load(500.0));
-    const auto s = load::summarize_attributions(
-        r.attributions, 4, load::LatencyHistogram::Config{});
+    const auto s = load::summarize_attributions(r.attributions, 4);
     load::append_breakdown_json(doc, s, "  ");
   }
   EXPECT_EQ(docs[0], docs[1]);
@@ -329,8 +327,7 @@ TEST(LoadDriver, OverloadPutsQueueingAheadOfCompute) {
   const auto r = load::run_teamnet_load(expert_ptrs(experts), blob_test_set(),
                                         config, load_cfg);
   expect_exact_reconciliation(r);
-  const auto s = load::summarize_attributions(
-      r.attributions, 4, load::LatencyHistogram::Config{});
+  const auto s = load::summarize_attributions(r.attributions, 4);
   EXPECT_GT(s.kind_share(obs::CritKind::queueing),
             s.kind_share(obs::CritKind::compute));
   EXPECT_TRUE(s.dominant_phase == obs::AttrPhase::request_medium_wait ||
@@ -477,8 +474,7 @@ TEST(FaultAttribution, PartitionedWorkerDegradesGatherWithoutBreakingSums) {
   }
 
   // The per-level split sees the degraded queries.
-  const auto s = load::summarize_attributions(
-      r.attributions, 0, load::LatencyHistogram::Config{});
+  const auto s = load::summarize_attributions(r.attributions, 0);
   EXPECT_EQ(s.queries, queries);
   EXPECT_EQ(s.reconciled, s.queries);
   EXPECT_EQ(s.levels[0].queries + s.levels[1].queries + s.levels[2].queries,

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "core/teamnet.hpp"
 #include "data/blobs.hpp"
 #include "load/arrival.hpp"
 #include "load/histogram.hpp"
@@ -319,8 +320,7 @@ TEST(PhaseStats, LittlesLawOnSyntheticRecords) {
     r.completion_s = r.arrival_s + 0.5;
     records.push_back(r);
   }
-  const auto phase = load::make_phase_stats(
-      records, 0, records.size(), load::LatencyHistogram::Config{});
+  const auto phase = load::make_phase_stats(records, 0, records.size());
   EXPECT_EQ(phase.queries, 10);
   EXPECT_DOUBLE_EQ(phase.window_start_s, 0.0);
   EXPECT_DOUBLE_EQ(phase.window_end_s, 9.5);
@@ -338,10 +338,8 @@ TEST(PhaseStats, WarmupQueryStraddlingBoundaryChargesBothPhases) {
   records[0].completion_s = 4.0;
   records[1].arrival_s = 2.0;
   records[1].completion_s = 6.0;
-  const auto warmup = load::make_phase_stats(
-      records, 0, 1, load::LatencyHistogram::Config{});
-  const auto steady = load::make_phase_stats(
-      records, 1, 2, load::LatencyHistogram::Config{});
+  const auto warmup = load::make_phase_stats(records, 0, 1);
+  const auto steady = load::make_phase_stats(records, 1, 2);
   // Warmup window [0,4]: own query 4s + steady query's [2,4] overlap.
   EXPECT_DOUBLE_EQ(warmup.inflight_integral_s, 6.0);
   // Steady window [2,6]: own query 4s + warmup query's [2,4] overlap.
@@ -350,8 +348,7 @@ TEST(PhaseStats, WarmupQueryStraddlingBoundaryChargesBothPhases) {
 }
 
 TEST(PhaseStats, EmptySliceIsAllZero) {
-  const auto phase = load::make_phase_stats(
-      {}, 0, 0, load::LatencyHistogram::Config{});
+  const auto phase = load::make_phase_stats({}, 0, 0);
   EXPECT_EQ(phase.queries, 0);
   EXPECT_EQ(phase.offered_qps(), 0.0);
   EXPECT_EQ(phase.achieved_qps(), 0.0);
@@ -506,10 +503,10 @@ TEST(LoadGen, PipelinedFullGathersMatchTheArgMinEntropyOracle) {
   for (const auto& rec : r.records) {
     if (rec.degradation != 0) continue;
     ++checked;
-    const sim::ReferenceAnswer want =
-        sim::reference_answer(ptrs, sim::query_row_tensor(test, rec.row));
-    EXPECT_EQ(rec.chosen, want.chosen) << "row " << rec.row;
-    EXPECT_EQ(rec.prediction, want.prediction) << "row " << rec.row;
+    const core::InferenceResult want =
+        core::infer_experts(ptrs, sim::query_row_tensor(test, rec.row));
+    EXPECT_EQ(rec.chosen, want.chosen[0]) << "row " << rec.row;
+    EXPECT_EQ(rec.prediction, want.predictions[0]) << "row " << rec.row;
   }
   EXPECT_EQ(checked, load_cfg.num_queries);
 }
@@ -535,6 +532,22 @@ TEST(LoadGen, QuorumOfOneCompletesEveryQueryAtDispatch) {
   EXPECT_EQ(r.messages_per_query, full.messages_per_query);
   EXPECT_EQ(r.bytes_per_query, full.bytes_per_query);
   EXPECT_LT(r.mean_ms, full.mean_ms);
+}
+
+TEST(LoadGen, RejectsNegativeQuorumAndDeadline) {
+  // A negative quorum or deadline is a configuration error, not "none":
+  // it must throw instead of running a full, unbounded gather.
+  const auto experts = make_experts(3);
+  const auto ptrs = expert_ptrs(experts);
+  const auto test = blob_test_set();
+  auto load_cfg = small_load(load::ArrivalKind::open_poisson);
+  load_cfg.gather_quorum = -1;
+  EXPECT_THROW(load::run_teamnet_load(ptrs, test, des_config(), load_cfg),
+               InvariantError);
+  load_cfg.gather_quorum = 0;
+  load_cfg.worker_timeout_s = -0.01;
+  EXPECT_THROW(load::run_teamnet_load(ptrs, test, des_config(), load_cfg),
+               InvariantError);
 }
 
 TEST(LoadGen, ZipfRowsSkewTowardHotClasses) {

@@ -199,11 +199,10 @@ TEST(DuplicateReconciliation, BothReplicasAnsweringIsReconciledOnce) {
   net::CollaborativeMaster master(
       master_expert, {b_master.get(), c_master.get(), d_master.get()});
   master.set_worker_timeout(0.5);
-  master.enable_health(net::HealthConfig{});
+  master.enable_health();
   // Only C has a backup, so the hedge (after ~15ms of C pending) must pick
   // C — D pending without a backup never hedges.
-  master.set_hedging({nullptr, cb_master.get(), nullptr},
-                     /*min_delay_s=*/0.01, /*latency_factor=*/1.5);
+  master.set_hedging({nullptr, cb_master.get(), nullptr});
 
   auto result = master.infer(Tensor::randn({1, 6}, rng));
   EXPECT_EQ(result.answered, 3);  // local + B + one C replica, never 4
@@ -254,9 +253,8 @@ TEST(HedgedDispatch, HedgeWinsUnderPartitionThenHeal) {
 
   net::CollaborativeMaster master(master_expert, {faulty.get()});
   master.set_worker_timeout(2.0);
-  master.enable_health(net::HealthConfig{});
-  master.set_hedging({backup_master_ch.get()}, /*min_delay_s=*/0.01,
-                     /*latency_factor=*/1.5);
+  master.enable_health();
+  master.set_hedging({backup_master_ch.get()});
 
   Tensor x = Tensor::randn({1, 6}, rng);
 
