@@ -3,7 +3,9 @@
 // latency decomposed exactly — an end-to-end master-side partition and a
 // critical-path partition through the broadcast→gather DAG — and folded
 // into per-phase totals, a dominant-phase census, and straggler-slack
-// distributions.
+// distributions. Each row states its steady sample count `n`; a
+// percentile with fewer than ten samples beyond it is null (and "-" in
+// the table), so at --quick (n = 32) p99 is not published.
 //
 // The point of the sweep: WHERE the latency goes as load rises. The
 // pipelined master dispatches every query on arrival, so the shared
@@ -28,6 +30,7 @@
 #include "common/table.hpp"
 #include "load/breakdown.hpp"
 #include "load/loadgen.hpp"
+#include "obs/percentile.hpp"
 
 namespace teamnet::bench {
 namespace {
@@ -35,10 +38,12 @@ namespace {
 std::vector<std::pair<std::string, double>> extras(
     const load::LoadResult& r, const load::BreakdownSummary& s) {
   const double queries = s.queries > 0 ? static_cast<double>(s.queries) : 1.0;
+  const auto n = static_cast<std::size_t>(r.steady.queries);
   return {{"offered_qps", r.offered_qps},
           {"achieved_qps", r.achieved_qps},
-          {"p50_ms", r.p50_ms},
-          {"p99_ms", r.p99_ms},
+          {"n", static_cast<double>(n)},
+          {"p50_ms", obs::published_percentile(r.p50_ms, n, 50.0)},
+          {"p99_ms", obs::published_percentile(r.p99_ms, n, 99.0)},
           {"mean_ms", r.mean_ms},
           {"warmup_queries", static_cast<double>(r.warmup_queries)},
           {"reconciled_pct",
@@ -59,7 +64,7 @@ std::vector<std::pair<std::string, double>> extras(
           {"dom_transit_pct",
            100.0 * s.dominant_kind_fraction(obs::CritKind::transit)},
           {"dominant_share_pct", 100.0 * s.crit_share(s.dominant_phase)},
-          {"mean_slack_ms", s.straggler_slack_ms.mean()},
+          {"mean_slack_ms", obs::sample_mean(s.straggler_slack_ms)},
           {"quorum_queries", static_cast<double>(s.levels[1].queries)}};
 }
 
@@ -97,16 +102,18 @@ int main_impl(int argc, char** argv) {
                               " k" + std::to_string(k) + " " + level;
     report.add(label, as_scenario(r), extras(r, summary));
     breakdown.add(label, summary);
+    const auto n = static_cast<std::size_t>(r.steady.queries);
     table.add_row(
         {prefix + r.arrival, std::to_string(k), level,
-         Table::num(r.p50_ms, 2), Table::num(r.p99_ms, 2),
+         Table::num(obs::published_percentile(r.p50_ms, n, 50.0), 2),
+         Table::num(obs::published_percentile(r.p99_ms, n, 99.0), 2),
          obs::to_string(summary.dominant_phase),
          Table::num(100.0 * summary.kind_share(obs::CritKind::queueing), 1),
          Table::num(
              100.0 * summary.kind_share(obs::CritKind::serialization), 1),
          Table::num(100.0 * summary.kind_share(obs::CritKind::compute), 1),
          Table::num(100.0 * summary.kind_share(obs::CritKind::transit), 1),
-         Table::num(summary.straggler_slack_ms.mean(), 2)});
+         Table::num(obs::sample_mean(summary.straggler_slack_ms), 2)});
   };
 
   for (const load::ArrivalKind kind :

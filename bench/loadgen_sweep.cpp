@@ -1,8 +1,11 @@
 // Load-generation sweep (DESIGN.md §14): the TeamNet serving path under
 // seeded arrival processes — open-loop Poisson, closed-loop with think
 // time, bursty diurnal-style waves — across team sizes and offered loads,
-// reporting steady-state throughput and latency percentiles from the
-// log-bucketed histogram. Latency here is ARRIVAL-to-completion, so an
+// reporting steady-state throughput and exact nearest-rank latency
+// percentiles. Each row states its steady sample count `n`; a percentile
+// with fewer than ten samples beyond it is null (and "-" in the table), so
+// at --quick (n = 32) only p50, mean and max are published. Latency here
+// is ARRIVAL-to-completion, so an
 // open-loop rate above the service capacity shows up as queueing delay in
 // the tail — the perf behaviour the paper-table benches (one query at a
 // time) cannot express.
@@ -19,18 +22,21 @@
 #include "bench_common.hpp"
 #include "common/table.hpp"
 #include "load/loadgen.hpp"
+#include "obs/percentile.hpp"
 
 namespace teamnet::bench {
 namespace {
 
 std::vector<std::pair<std::string, double>> extras(
     const load::LoadResult& r) {
+  const auto n = static_cast<std::size_t>(r.steady.queries);
   return {{"offered_qps", r.offered_qps},
           {"achieved_qps", r.achieved_qps},
-          {"p50_ms", r.p50_ms},
-          {"p90_ms", r.p90_ms},
-          {"p99_ms", r.p99_ms},
-          {"p999_ms", r.p999_ms},
+          {"n", static_cast<double>(n)},
+          {"p50_ms", obs::published_percentile(r.p50_ms, n, 50.0)},
+          {"p90_ms", obs::published_percentile(r.p90_ms, n, 90.0)},
+          {"p99_ms", obs::published_percentile(r.p99_ms, n, 99.0)},
+          {"p999_ms", obs::published_percentile(r.p999_ms, n, 99.9)},
           {"mean_ms", r.mean_ms},
           {"max_ms", r.max_ms},
           {"mean_inflight", r.mean_inflight},
@@ -53,7 +59,7 @@ int main_impl(int argc, char** argv) {
 
   JsonReport report(opts, "loadgen_sweep");
   Table table({"arrival", "nodes", "level", "offered q/s", "achieved q/s",
-               "p50 (ms)", "p99 (ms)", "p99.9 (ms)", "inflight",
+               "p50 (ms)", "p99 (ms)", "p99.9 (ms)", "max (ms)", "inflight",
                "accuracy (%)"});
 
   const int team_sizes[] = {2, 4, 8};
@@ -71,10 +77,14 @@ int main_impl(int argc, char** argv) {
     const std::string label = prefix + load::to_string(load_cfg.arrival.kind) +
                               " k" + std::to_string(k) + " " + level;
     report.add(label, as_scenario(r), extras(r));
+    const auto n = static_cast<std::size_t>(r.steady.queries);
     table.add_row({prefix + r.arrival, std::to_string(k), level,
                    Table::num(r.offered_qps, 1), Table::num(r.achieved_qps, 1),
-                   Table::num(r.p50_ms, 2), Table::num(r.p99_ms, 2),
-                   Table::num(r.p999_ms, 2), Table::num(r.mean_inflight, 2),
+                   Table::num(obs::published_percentile(r.p50_ms, n, 50.0), 2),
+                   Table::num(obs::published_percentile(r.p99_ms, n, 99.0), 2),
+                   Table::num(obs::published_percentile(r.p999_ms, n, 99.9), 2),
+                   Table::num(r.max_ms, 2),
+                   Table::num(r.mean_inflight, 2),
                    Table::num(r.accuracy_pct, 1)});
   };
 

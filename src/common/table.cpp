@@ -1,6 +1,7 @@
 #include "common/table.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <sstream>
 
@@ -20,6 +21,7 @@ void Table::add_row(std::vector<std::string> cells) {
 }
 
 std::string Table::num(double value, int digits) {
+  if (std::isnan(value)) return "-";
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.*f", digits, value);
   return buf;

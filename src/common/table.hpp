@@ -20,6 +20,7 @@ class Table {
   void add_row(std::vector<std::string> cells);
 
   /// Formats a double with `digits` decimals (helper for numeric cells).
+  /// NaN — an unpublished value, which JSON writes as null — prints "-".
   static std::string num(double value, int digits = 1);
 
   std::string to_string() const;

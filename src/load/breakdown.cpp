@@ -4,6 +4,7 @@
 #include <cstdlib>
 
 #include "obs/json.hpp"
+#include "obs/percentile.hpp"
 
 namespace teamnet::load {
 
@@ -11,13 +12,18 @@ namespace {
 
 constexpr double kNsPerMs = 1e6;
 
-void append_hist_json(std::string& out, const LatencyHistogram& h) {
-  out += "{\"count\": " + std::to_string(h.count());
-  out += ", \"mean_ms\": " + obs::json_double(h.mean());
-  out += ", \"p50_ms\": " + obs::json_double(h.percentile(50.0));
-  out += ", \"p95_ms\": " + obs::json_double(h.percentile(95.0));
-  out += ", \"p99_ms\": " + obs::json_double(h.percentile(99.0));
-  out += ", \"max_ms\": " + obs::json_double(h.max());
+void append_samples_json(std::string& out, const std::vector<double>& ms) {
+  auto percentile = [&ms](double pct) {
+    return obs::json_double(obs::published_percentile(
+        obs::nearest_rank_percentile(ms, pct), ms.size(), pct));
+  };
+  out += "{\"count\": " + std::to_string(ms.size());
+  out += ", \"mean_ms\": " + obs::json_double(obs::sample_mean(ms));
+  out += ", \"p50_ms\": " + percentile(50.0);
+  out += ", \"p95_ms\": " + percentile(95.0);
+  out += ", \"p99_ms\": " + percentile(99.0);
+  out += ", \"max_ms\": " +
+         obs::json_double(obs::nearest_rank_percentile(ms, 100.0));
   out += "}";
 }
 
@@ -81,20 +87,20 @@ BreakdownSummary summarize_attributions(
       s.phases[p].e2e_sum_ns += a.e2e_ns[p];
       s.phases[p].crit_sum_ns += a.crit_ns[p];
       if (a.crit_ns[p] > 0) {
-        s.phases[p].crit_ms.record(static_cast<double>(a.crit_ns[p]) /
-                                   kNsPerMs);
+        s.phases[p].crit_ms.push_back(static_cast<double>(a.crit_ns[p]) /
+                                      kNsPerMs);
       }
     }
     s.phases[static_cast<int>(a.dominant)].dominant_queries += 1;
     s.dominant_kind_queries[static_cast<int>(a.dominant_kind())] += 1;
-    s.latency_ms.record(static_cast<double>(a.total_ns) / kNsPerMs);
+    const double latency_ms = static_cast<double>(a.total_ns) / kNsPerMs;
+    s.latency_ms.push_back(latency_ms);
     for (std::int64_t slack : a.straggler_slack_ns) {
-      s.straggler_slack_ms.record(static_cast<double>(slack) / kNsPerMs);
+      s.straggler_slack_ms.push_back(static_cast<double>(slack) / kNsPerMs);
     }
     const int level = std::clamp(a.degradation, 0, 2);
     s.levels[level].queries += 1;
-    s.levels[level].latency_ms.record(static_cast<double>(a.total_ns) /
-                                      kNsPerMs);
+    s.levels[level].latency_ms.push_back(latency_ms);
   }
 
   // Dominant phase of the RUN: largest aggregate critical contribution,
@@ -143,7 +149,7 @@ void append_breakdown_json(std::string& out, const BreakdownSummary& s,
     out += ", \"crit_share\": " + obs::json_double(s.crit_share(phase));
     out += ", \"dominant_queries\": " + std::to_string(pb.dominant_queries);
     out += ", \"crit\": ";
-    append_hist_json(out, pb.crit_ms);
+    append_samples_json(out, pb.crit_ms);
     out += "}";
   }
   if (!first) out += "\n" + in1;
@@ -164,10 +170,10 @@ void append_breakdown_json(std::string& out, const BreakdownSummary& s,
   out += "\n" + in1 + "},\n";
 
   out += in1 + "\"latency\": ";
-  append_hist_json(out, s.latency_ms);
+  append_samples_json(out, s.latency_ms);
   out += ",\n";
   out += in1 + "\"straggler_slack\": ";
-  append_hist_json(out, s.straggler_slack_ms);
+  append_samples_json(out, s.straggler_slack_ms);
   out += ",\n";
 
   out += in1 + "\"levels\": {";
@@ -176,7 +182,7 @@ void append_breakdown_json(std::string& out, const BreakdownSummary& s,
     out += "\n" + in2 + "\"" + std::string(level_name(l)) + "\": ";
     out += "{\"queries\": " + std::to_string(s.levels[l].queries);
     out += ", \"latency\": ";
-    append_hist_json(out, s.levels[l].latency_ms);
+    append_samples_json(out, s.levels[l].latency_ms);
     out += "}";
   }
   out += "\n" + in1 + "}\n";

@@ -3,13 +3,14 @@
 // obs::attribute() decomposes ONE query; a load run produces hundreds.
 // This module folds the per-query QueryAttributions into a
 // BreakdownSummary: per-phase end-to-end and critical-path totals,
-// per-phase critical-contribution histograms, the dominant-phase census
+// per-phase critical-contribution samples, the dominant-phase census
 // ("what fraction of queries have their critical path topped by gather
 // slack vs compute vs queueing"), straggler-slack distribution, and
-// per-DegradationLevel latency splits. The summary also carries the
-// reconciliation census — how many queries' two partitions telescoped
-// bit-exactly to the measured latency — which the determinism tests and
-// the bench report both assert on.
+// per-DegradationLevel latency splits. Each distribution keeps its raw
+// samples, so its percentiles are exact (obs/percentile.hpp). The
+// summary also carries the reconciliation census — how many queries' two
+// partitions telescoped bit-exactly to the measured latency — which the
+// determinism tests and the bench report both assert on.
 //
 // Serialization lives here (not in bench_common) so tests can link
 // teamnet_load and byte-compare the JSON without pulling in the bench
@@ -22,7 +23,6 @@
 #include <string>
 #include <vector>
 
-#include "load/histogram.hpp"
 #include "obs/critpath.hpp"
 
 namespace teamnet::load {
@@ -33,15 +33,15 @@ struct PhaseBreakdown {
   std::int64_t crit_sum_ns = 0;  ///< total across the critical partition
   std::int64_t dominant_queries = 0;  ///< queries whose top slice is this
   /// Per-query critical-path contribution, ms (zero-ns slices skipped so
-  /// the histogram describes the phase when it actually appears).
-  LatencyHistogram crit_ms;
+  /// the distribution describes the phase when it actually appears).
+  std::vector<double> crit_ms;
 };
 
 /// Latency split for one net::DegradationLevel (full / quorum /
 /// local_only).
 struct LevelBreakdown {
   std::int64_t queries = 0;
-  LatencyHistogram latency_ms;
+  std::vector<double> latency_ms;
 };
 
 struct BreakdownSummary {
@@ -53,8 +53,8 @@ struct BreakdownSummary {
   std::array<PhaseBreakdown, obs::kNumAttrPhases> phases{};
   /// Queries whose dominant critical slice falls in each CritKind.
   std::array<std::int64_t, obs::kNumCritKinds> dominant_kind_queries{};
-  LatencyHistogram latency_ms;          ///< arrival -> completion
-  LatencyHistogram straggler_slack_ms;  ///< per non-critical worker reply
+  std::vector<double> latency_ms;          ///< arrival -> completion
+  std::vector<double> straggler_slack_ms;  ///< per non-critical worker reply
   std::array<LevelBreakdown, 3> levels{};
   /// Phase with the largest aggregate crit_sum_ns (ties: lowest value).
   obs::AttrPhase dominant_phase = obs::AttrPhase::unattributed;
@@ -70,15 +70,17 @@ struct BreakdownSummary {
   std::int64_t crit_total_ns() const;
 };
 
-/// Folds `attrs[skip_warmup..]` into a summary. Every LatencyHistogram in
-/// it has the default layout, so summaries merge.
+/// Folds `attrs[skip_warmup..]` into a summary. Samples keep query order
+/// (and, within a query, worker order for the straggler slack).
 BreakdownSummary summarize_attributions(
     const std::vector<obs::QueryAttribution>& attrs, std::size_t skip_warmup);
 
-/// Appends `summary` as a JSON object onto `out`. `indent` prefixes every
-/// line (the opening '{' is NOT prefixed — it continues the current line,
-/// so callers embed the object after a key). Byte-stable for
-/// deterministic runs.
+/// Appends `summary` as a JSON object onto `out`; each distribution is
+/// written as count, mean (summed in sample order), p50/p95/p99 by
+/// nearest rank (null unless obs::kMinBeyond samples lie beyond) and max.
+/// `indent` prefixes every line (the opening '{' is NOT prefixed — it
+/// continues the current line, so callers embed the object after a key).
+/// Byte-stable for deterministic runs.
 void append_breakdown_json(std::string& out, const BreakdownSummary& summary,
                            const std::string& indent);
 

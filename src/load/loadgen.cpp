@@ -9,24 +9,13 @@
 #include "common/rng.hpp"
 #include "net/collab.hpp"
 #include "obs/metrics.hpp"
+#include "obs/percentile.hpp"
 #include "obs/timeline.hpp"
 #include "obs/trace.hpp"
 #include "sim/des/des_channel.hpp"
 #include "sim/driver_util.hpp"
 
 namespace teamnet::load {
-
-namespace {
-
-/// Coarse decade edges (ms) for the always-on metrics-registry histogram;
-/// the fine-grained percentiles come from the per-run LatencyHistogram
-/// instead.
-const std::vector<double>& metrics_latency_edges() {
-  static const std::vector<double> edges{0.1, 1.0, 10.0, 100.0, 1e3, 1e4};
-  return edges;
-}
-
-}  // namespace
 
 /// The TeamNet fleet's master event loop on the discrete-event clock.
 /// Node 0 waits in DesChannel::recv_any on its own worker channels for
@@ -64,8 +53,10 @@ LoadResult run_teamnet_load(const std::vector<nn::Module*>& experts,
   auto& registry = obs::MetricsRegistry::instance();
   auto& arrivals_counter = registry.counter("load.arrivals");
   auto& completions_counter = registry.counter("load.completions");
-  auto& latency_histogram =
-      registry.histogram("load.latency_ms", metrics_latency_edges());
+  // Coarse decade edges (ms): a live view only; LoadResult's percentiles
+  // are exact over the records.
+  auto& latency_histogram = registry.histogram(
+      "load.latency_ms", {0.1, 1.0, 10.0, 100.0, 1e3, 1e4});
 
   // records[q] is query id q+1: the master issues ids from 1 in arrival
   // order.
@@ -155,19 +146,7 @@ LoadResult run_teamnet_load(const std::vector<nn::Module*>& experts,
     }
   }
 
-  const std::size_t warmup = static_cast<std::size_t>(load.warmup_queries);
-  result.warmup = make_phase_stats(result.records, 0, warmup);
-  result.steady =
-      make_phase_stats(result.records, warmup, result.records.size());
-  result.offered_qps = result.steady.offered_qps();
-  result.achieved_qps = result.steady.achieved_qps();
-  result.p50_ms = result.steady.latency.percentile(50.0);
-  result.p90_ms = result.steady.latency.percentile(90.0);
-  result.p99_ms = result.steady.latency.percentile(99.0);
-  result.p999_ms = result.steady.latency.percentile(99.9);
-  result.mean_ms = result.steady.latency.mean();
-  result.max_ms = result.steady.latency.max();
-  result.mean_inflight = result.steady.mean_inflight();
+  summarize_records(result);
   result.accuracy_pct = 100.0 * static_cast<double>(correct) /
                         static_cast<double>(load.num_queries);
   result.bytes_per_query =
@@ -180,20 +159,28 @@ LoadResult run_teamnet_load(const std::vector<nn::Module*>& experts,
   registry.gauge("load.steady_window_s").set(result.steady.duration_s());
   registry.gauge("load.steady_queries")
       .set(static_cast<double>(result.steady.queries));
-  // Export the steady-phase distribution at full resolution (the always-on
-  // "load.latency_ms" above keeps coarse decade edges).
-  auto& steady_histogram = registry.histogram(
-      "load.steady_latency_ms", result.steady.latency.upper_edges());
-  const auto& edges = result.steady.latency.upper_edges();
-  const auto counts = result.steady.latency.bucket_counts();
-  for (std::size_t b = 0; b < counts.size(); ++b) {
-    // Placing each bucket at its inclusive upper edge reproduces the
-    // counts exactly (both histograms bucket by lower_bound); overflow
-    // goes past the last edge.
-    const double at = b < edges.size() ? edges[b] : edges.back() * 2.0;
-    steady_histogram.observe_n(at, counts[b]);
-  }
   return result;
+}
+
+void summarize_records(LoadResult& result) {
+  const auto& records = result.records;
+  const std::size_t warmup = static_cast<std::size_t>(result.warmup_queries);
+  result.warmup = make_phase_stats(records, 0, warmup);
+  result.steady = make_phase_stats(records, warmup, records.size());
+  std::vector<double> steady_ms;
+  steady_ms.reserve(records.size() - warmup);
+  for (std::size_t i = warmup; i < records.size(); ++i) {
+    steady_ms.push_back(1e3 * (records[i].completion_s - records[i].arrival_s));
+  }
+  result.offered_qps = result.steady.offered_qps();
+  result.achieved_qps = result.steady.achieved_qps();
+  result.p50_ms = obs::nearest_rank_percentile(steady_ms, 50.0);
+  result.p90_ms = obs::nearest_rank_percentile(steady_ms, 90.0);
+  result.p99_ms = obs::nearest_rank_percentile(steady_ms, 99.0);
+  result.p999_ms = obs::nearest_rank_percentile(steady_ms, 99.9);
+  result.mean_ms = obs::sample_mean(steady_ms);
+  result.max_ms = obs::nearest_rank_percentile(steady_ms, 100.0);
+  result.mean_inflight = result.steady.mean_inflight();
 }
 
 std::vector<int> sample_load_rows(const data::Dataset& test, int n,

@@ -55,8 +55,9 @@ struct LoadResult {
   int num_queries = 0;
   int warmup_queries = 0;
 
-  // Steady-state headline numbers (warmup excluded). Percentiles come from
-  // the log-bucketed histogram — nearest-rank bucket upper edges.
+  // Steady-state headline numbers (warmup excluded), over the steady
+  // records' latencies: exact nearest-rank percentiles
+  // (obs::nearest_rank_percentile), and the mean summed in arrival order.
   double offered_qps = 0.0;
   double achieved_qps = 0.0;
   double p50_ms = 0.0;
@@ -88,6 +89,11 @@ struct LoadResult {
 /// otherwise.
 std::vector<int> sample_load_rows(const data::Dataset& test, int n,
                                   std::uint64_t seed, double zipf_exponent);
+
+/// Sets `result`'s phase statistics and steady-state headline numbers
+/// (rates, percentiles, mean, max, in-flight depth) from result.records,
+/// the first result.warmup_queries of them excluded.
+void summarize_records(LoadResult& result);
 
 /// Runs the TeamNet serving path (master = experts[0], workers serve the
 /// rest over the simulated mesh) under `load`. experts.size() >= 2.

@@ -36,7 +36,6 @@ PhaseStats make_phase_stats(const std::vector<QueryRecord>& records,
                       "query completed before it arrived");
     phase.arrivals_end_s = std::max(phase.arrivals_end_s, r.arrival_s);
     phase.window_end_s = std::max(phase.window_end_s, r.completion_s);
-    phase.latency.record(1e3 * (r.completion_s - r.arrival_s));
   }
   // In-flight depth integral: overlap of every run query's service interval
   // with this phase's window, including queries from other phases that

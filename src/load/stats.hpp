@@ -14,8 +14,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "load/histogram.hpp"
-
 namespace teamnet::load {
 
 /// One served query on the virtual clock. completion >= arrival always
@@ -40,7 +38,6 @@ struct PhaseStats {
   /// Integral over the phase window of the in-flight depth — every run
   /// query (any phase) contributes its [arrival, completion] overlap.
   double inflight_integral_s = 0.0;
-  LatencyHistogram latency;        ///< per-query (completion - arrival), ms
 
   double duration_s() const { return window_end_s - window_start_s; }
   /// Arrival rate: queries per second over the arrival span. 0 when the

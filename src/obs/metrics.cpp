@@ -42,16 +42,6 @@ void Histogram::observe(double value) {
   sum_.fetch_add(value, std::memory_order_relaxed);
 }
 
-void Histogram::observe_n(double value, std::int64_t n) {
-  if (n <= 0) return;
-  const auto it =
-      std::lower_bound(upper_edges_.begin(), upper_edges_.end(), value);
-  const auto bucket = static_cast<std::size_t>(it - upper_edges_.begin());
-  buckets_[bucket].fetch_add(n, std::memory_order_relaxed);
-  count_.fetch_add(n, std::memory_order_relaxed);
-  sum_.fetch_add(value * static_cast<double>(n), std::memory_order_relaxed);
-}
-
 std::vector<std::int64_t> Histogram::bucket_counts() const {
   std::vector<std::int64_t> out(upper_edges_.size() + 1);
   for (std::size_t i = 0; i < out.size(); ++i) {

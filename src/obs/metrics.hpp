@@ -79,10 +79,6 @@ class Histogram {
   explicit Histogram(std::vector<double> upper_edges);
 
   void observe(double value);
-  /// Records `n` observations of `value` in one shot — how a pre-bucketed
-  /// histogram (e.g. load::LatencyHistogram) exports into the registry
-  /// without replaying every sample.
-  void observe_n(double value, std::int64_t n);
 
   std::int64_t count() const { return count_.load(std::memory_order_relaxed); }
   double sum() const { return sum_.load(std::memory_order_relaxed); }

@@ -134,6 +134,7 @@ ResilienceResult run_teamnet_resilience(const std::vector<nn::Module*>& experts,
                                  static_cast<double>(rows.size());
   result.p50_ms = obs::nearest_rank_percentile(result.latency_ms, 50.0);
   result.p99_ms = obs::nearest_rank_percentile(result.latency_ms, 99.0);
+  result.max_ms = obs::nearest_rank_percentile(result.latency_ms, 100.0);
   result.full_gathers = master.full_gathers();
   result.quorum_gathers = master.quorum_gathers();
   result.local_only_gathers = master.local_only_gathers();

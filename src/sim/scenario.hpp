@@ -163,6 +163,7 @@ struct ResilienceResult {
   std::vector<double> latency_ms;  ///< per query (virtual)
   double p50_ms = 0.0;             ///< median per-query latency
   double p99_ms = 0.0;             ///< nearest-rank 99th percentile
+  double max_ms = 0.0;             ///< largest per-query latency
   std::vector<int> degradation;  ///< per query: net::DegradationLevel as int
   std::vector<char> correct;     ///< per query: 1 = prediction was correct
   std::vector<int> live_nodes;  ///< per query: master + workers in the live set

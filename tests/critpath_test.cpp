@@ -7,7 +7,7 @@
 // attribute() units, fault-injection attribution (a delayed link lands in
 // serialization/transit/slack, never in compute; a partitioned worker
 // degrades the gather without breaking any sum), flow-event serialization
-// with epoch-folded ids, and the registry's pre-bucketed histogram export.
+// with epoch-folded ids, and the breakdown JSON's exact percentiles.
 
 #include <gtest/gtest.h>
 
@@ -28,7 +28,8 @@
 #include "net/fault.hpp"
 #include "nn/mlp.hpp"
 #include "obs/critpath.hpp"
-#include "obs/metrics.hpp"
+#include "obs/json.hpp"
+#include "obs/percentile.hpp"
 #include "obs/timeline.hpp"
 #include "obs/trace.hpp"
 #include "sim/des/runtime.hpp"
@@ -312,6 +313,36 @@ TEST(LoadDriver, BreakdownJsonByteIdenticalAcrossRuns) {
   EXPECT_NE(docs[0].find("\"reconciled\""), std::string::npos);
 }
 
+TEST(Breakdown, JsonPercentilesAreExactNearestRank) {
+  // 25 synthetic queries in shuffled order, latencies 1.000..1.888 ms in
+  // 37 us steps: none sits on a round bucket edge, so any bucketed
+  // estimate would miss the exact nearest-rank answer.
+  std::vector<obs::QueryAttribution> attrs;
+  std::vector<double> latencies_ms;
+  for (int q = 0; q < 25; ++q) {
+    obs::QueryAttribution a;
+    a.qid = q + 1;
+    a.total_ns = 1'000'000 + 37'000 * ((q * 7) % 25);
+    a.e2e_ns[static_cast<int>(obs::AttrPhase::gather_wait)] = a.total_ns;
+    a.crit_ns[static_cast<int>(obs::AttrPhase::request_transit)] = a.total_ns;
+    attrs.push_back(a);
+    latencies_ms.push_back(static_cast<double>(a.total_ns) / 1e6);
+  }
+  const auto s = load::summarize_attributions(attrs, 0);
+  std::string doc;
+  load::append_breakdown_json(doc, s, "");
+  // 25 samples leave 12 beyond p50 but only 1 beyond p95 and p99, so
+  // those two are unsupported and written as null.
+  const std::string latency =
+      "\"latency\": {\"count\": 25, \"mean_ms\": " +
+      obs::json_double(obs::sample_mean(latencies_ms)) + ", \"p50_ms\": " +
+      obs::json_double(obs::nearest_rank_percentile(latencies_ms, 50.0)) +
+      ", \"p95_ms\": null, \"p99_ms\": null, \"max_ms\": " +
+      obs::json_double(1.888) + "}";
+  EXPECT_NE(doc.find(latency), std::string::npos) << doc;
+  EXPECT_EQ(obs::nearest_rank_percentile(latencies_ms, 50.0), 1.444);
+}
+
 TEST(LoadDriver, OverloadPutsQueueingAheadOfCompute) {
   // An open-loop rate far past what the shared medium can carry. The
   // pipelined master dispatches every query on arrival, so queries no
@@ -480,22 +511,6 @@ TEST(FaultAttribution, PartitionedWorkerDegradesGatherWithoutBreakingSums) {
   EXPECT_EQ(s.levels[0].queries + s.levels[1].queries + s.levels[2].queries,
             queries);
   EXPECT_GT(s.levels[1].queries + s.levels[2].queries, 0);
-}
-
-// ---- registry export: pre-bucketed histograms -------------------------------
-
-TEST(Registry, ObserveNMatchesRepeatedObserve) {
-  const std::vector<double> edges{1.0, 10.0, 100.0};
-  obs::Histogram a(edges);
-  obs::Histogram b(edges);
-  for (int i = 0; i < 7; ++i) a.observe(5.0);
-  for (int i = 0; i < 3; ++i) a.observe(500.0);  // overflow
-  b.observe_n(5.0, 7);
-  b.observe_n(500.0, 3);
-  EXPECT_EQ(a.count(), b.count());
-  EXPECT_EQ(a.bucket_counts(), b.bucket_counts());
-  EXPECT_DOUBLE_EQ(a.sum(), b.sum());
-  EXPECT_EQ(b.count(), 10);
 }
 
 // ---- tracer: flow events ----------------------------------------------------

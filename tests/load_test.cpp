@@ -2,10 +2,10 @@
 // the `determinism` ctest label: the arrival processes and the loadgen
 // driver promise byte-identical output per seed under the discrete-event
 // scheduler, and the gates here compare raw double bytes, not tolerances.
-// Alongside the bit-stability gates: histogram bucket/merge semantics,
-// phase statistics (Little's law holds by construction), Zipf skew
-// properties, and the regression pin that the shared nearest-rank helper
-// reproduces the historical resilience percentile byte for byte.
+// Alongside the bit-stability gates: the one percentile rule (exact
+// nearest rank, pinned byte for byte against the historical resilience
+// percentile, and what LoadResult reports), phase statistics (Little's
+// law holds by construction) and Zipf skew properties.
 
 #include <gtest/gtest.h>
 
@@ -21,7 +21,6 @@
 #include "core/teamnet.hpp"
 #include "data/blobs.hpp"
 #include "load/arrival.hpp"
-#include "load/histogram.hpp"
 #include "load/loadgen.hpp"
 #include "load/stats.hpp"
 #include "net/collab.hpp"
@@ -231,82 +230,20 @@ TEST(Percentile, NearestRankRule) {
   EXPECT_EQ(obs::nearest_rank(100, 99.0), 99u);
   EXPECT_EQ(obs::nearest_rank(100, 99.9), 100u);
   EXPECT_EQ(obs::nearest_rank(10, 0.001), 1u);  // rank clamps up to 1
+  // 0.999 * 1000 is 999.0000000000001 in doubles: the rank must still be
+  // 999, not the max.
+  EXPECT_EQ(obs::nearest_rank(1000, 99.9), 999u);
+  EXPECT_EQ(obs::nearest_rank(10000, 99.9), 9990u);
 }
 
-// ---- latency histogram ------------------------------------------------------
-
-TEST(Histogram, BucketBoundariesAreInclusiveUpperEdges) {
-  load::LatencyHistogram::Config cfg;
-  cfg.min_value = 1.0;
-  cfg.buckets_per_decade = 1;
-  cfg.num_decades = 3;  // edges: 1, 10, 100, 1000
-  load::LatencyHistogram h(cfg);
-  ASSERT_EQ(h.upper_edges().size(), 4u);
-  h.record(1.0);     // exactly on edge 0 -> bucket 0
-  h.record(1.0001);  // just above -> bucket 1
-  h.record(10.0);    // exactly on edge 1 -> bucket 1
-  h.record(1000.0);  // last finite edge -> bucket 3
-  h.record(5000.0);  // beyond -> overflow
-  const auto& counts = h.bucket_counts();
-  ASSERT_EQ(counts.size(), 5u);
-  EXPECT_EQ(counts[0], 1);
-  EXPECT_EQ(counts[1], 2);
-  EXPECT_EQ(counts[2], 0);
-  EXPECT_EQ(counts[3], 1);
-  EXPECT_EQ(counts[4], 1);  // overflow
-  EXPECT_EQ(h.count(), 5);
-  EXPECT_EQ(h.min(), 1.0);
-  EXPECT_EQ(h.max(), 5000.0);
-}
-
-TEST(Histogram, PercentileReportsBucketUpperEdgeClamped) {
-  load::LatencyHistogram::Config cfg;
-  cfg.min_value = 1.0;
-  cfg.buckets_per_decade = 1;
-  cfg.num_decades = 3;
-  load::LatencyHistogram h(cfg);
-  EXPECT_EQ(h.percentile(99.0), 0.0);  // empty
-  for (int i = 0; i < 99; ++i) h.record(5.0);  // bucket 1 (edge 10)
-  h.record(50.0);                              // bucket 2 (edge 100)
-  EXPECT_EQ(h.percentile(50.0), 10.0);
-  EXPECT_EQ(h.percentile(99.0), 10.0);
-  EXPECT_EQ(h.percentile(100.0), 50.0);  // bucket 2's edge 100 clamps to max
-  // Overflow bucket reports the observed max, not an edge.
-  h.record(1e6);
-  EXPECT_EQ(h.percentile(100.0), 1e6);
-}
-
-TEST(Histogram, MergeEqualsConcatenation) {
-  load::LatencyHistogram::Config cfg;
-  load::LatencyHistogram a(cfg);
-  load::LatencyHistogram b(cfg);
-  load::LatencyHistogram both(cfg);
-  Rng rng(determinism_seed());
-  for (int i = 0; i < 500; ++i) {
-    const double v = std::exp(static_cast<double>(rng.uniform(-3.0f, 8.0f)));
-    if (i % 2 == 0) {
-      a.record(v);
-    } else {
-      b.record(v);
-    }
-    both.record(v);
-  }
-  a.merge(b);
-  EXPECT_EQ(a.count(), both.count());
-  EXPECT_EQ(a.bucket_counts(), both.bucket_counts());
-  EXPECT_EQ(a.min(), both.min());
-  EXPECT_EQ(a.max(), both.max());
-  for (double pct : {50.0, 90.0, 99.0, 99.9}) {
-    EXPECT_EQ(a.percentile(pct), both.percentile(pct)) << pct;
-  }
-}
-
-TEST(Histogram, MergeRejectsLayoutMismatch) {
-  load::LatencyHistogram::Config narrow;
-  narrow.num_decades = 2;
-  load::LatencyHistogram a{load::LatencyHistogram::Config{}};
-  load::LatencyHistogram b(narrow);
-  EXPECT_THROW(a.merge(b), InvariantError);
+TEST(Percentile, PublishedOnlyWithTenSamplesBeyond) {
+  EXPECT_EQ(obs::published_percentile(7.0, 20, 50.0), 7.0);  // 10 beyond
+  EXPECT_TRUE(std::isnan(obs::published_percentile(7.0, 19, 50.0)));
+  EXPECT_TRUE(std::isnan(obs::published_percentile(7.0, 32, 90.0)));
+  EXPECT_EQ(obs::published_percentile(7.0, 100, 90.0), 7.0);
+  EXPECT_TRUE(std::isnan(obs::published_percentile(7.0, 180, 99.0)));
+  EXPECT_EQ(obs::published_percentile(7.0, 1000, 99.0), 7.0);
+  EXPECT_TRUE(std::isnan(obs::published_percentile(7.0, 0, 50.0)));
 }
 
 // ---- phase statistics -------------------------------------------------------
@@ -344,7 +281,32 @@ TEST(PhaseStats, WarmupQueryStraddlingBoundaryChargesBothPhases) {
   EXPECT_DOUBLE_EQ(warmup.inflight_integral_s, 6.0);
   // Steady window [2,6]: own query 4s + warmup query's [2,4] overlap.
   EXPECT_DOUBLE_EQ(steady.inflight_integral_s, 6.0);
-  EXPECT_EQ(steady.latency.count(), 1);
+  EXPECT_EQ(steady.queries, 1);
+}
+
+TEST(PhaseStats, LoadResultPercentilesAreExactNearestRank) {
+  // 3 warmup + 30 steady queries, one every 10 ms, served in shuffled
+  // times 2.000..4.900 ms (100 us steps) that sit on no bucket edge.
+  load::LoadResult r;
+  r.warmup_queries = 3;
+  std::vector<double> steady_ms;
+  for (int i = 0; i < 33; ++i) {
+    load::QueryRecord rec;
+    rec.arrival_s = 0.01 * i;
+    rec.completion_s = rec.arrival_s + 0.002 + 1e-4 * ((i * 11) % 30);
+    r.records.push_back(rec);
+    if (i >= r.warmup_queries) {
+      steady_ms.push_back(1e3 * (rec.completion_s - rec.arrival_s));
+    }
+  }
+  load::summarize_records(r);
+  EXPECT_EQ(r.steady.queries, 30);
+  EXPECT_EQ(r.warmup.queries, 3);
+  EXPECT_EQ(r.p50_ms, obs::nearest_rank_percentile(steady_ms, 50.0));
+  EXPECT_EQ(r.p90_ms, obs::nearest_rank_percentile(steady_ms, 90.0));
+  EXPECT_EQ(r.max_ms, *std::max_element(steady_ms.begin(), steady_ms.end()));
+  EXPECT_EQ(r.mean_ms, obs::sample_mean(steady_ms));
+  EXPECT_EQ(r.mean_inflight, r.steady.mean_inflight());
 }
 
 TEST(PhaseStats, EmptySliceIsAllZero) {
@@ -466,8 +428,8 @@ TEST(LoadGen, RecordsAreCoherent) {
   EXPECT_GT(r.p50_ms, 0.0);
   EXPECT_GE(r.p99_ms, r.p50_ms);
   EXPECT_GE(r.p999_ms, r.p99_ms);
-  EXPECT_EQ(r.steady.latency.count(), r.num_queries - r.warmup_queries);
-  EXPECT_EQ(r.warmup.latency.count(), r.warmup_queries);
+  EXPECT_EQ(r.steady.queries, r.num_queries - r.warmup_queries);
+  EXPECT_EQ(r.warmup.queries, r.warmup_queries);
 }
 
 TEST(LoadGen, PipelinedFullGathersMatchTheArgMinEntropyOracle) {

@@ -27,7 +27,7 @@ and runs three interprocedural passes over it:
                     loops) are audited for allocation: new, malloc,
                     make_unique/make_shared, growing container ops,
                     string materialization. The checked-in baseline is
-                    the burn-down list for ROADMAP item 3's arena work.
+                    the burn-down list for ROADMAP item 4's pooled-buffer work.
 
   unbounded-wait    Direct calls to unbounded recv()/pop() in the protocol
                     layers (src/net/**, src/moe/** minus the channel
@@ -1535,7 +1535,7 @@ def run_passes(program: Program) -> tuple[list[Finding],
 # ---------------------------------------------------------------------------
 
 DEFAULT_JUSTIFICATIONS = {
-    "hot-alloc": ("pre-arena hot-path allocation baseline (ROADMAP item 3):"
+    "hot-alloc": ("pre-arena hot-path allocation baseline (ROADMAP item 4):"
                   " burn down, do not extend"),
 }
 PLACEHOLDER_JUSTIFICATION = "REVIEW: justify this entry"

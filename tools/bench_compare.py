@@ -16,7 +16,9 @@ Matching and bands:
     failure (a sweep that silently dropped a cell is not "within
     tolerance"),
   * string fields (approach, scheduler) must match exactly,
-  * "nodes" and other structural integers must match exactly,
+  * "nodes" and other structural integers must match exactly — "n", the
+    samples behind a row's percentiles, among them: a row with a different
+    sample count is a different experiment, not a perf move,
   * accuracy_pct-style metrics get an ABSOLUTE band (quick-mode models are
     tiny; a fraction of the queries flipping is noise),
   * everything else (latencies, rates, counters) gets a RELATIVE band with
@@ -45,7 +47,7 @@ import tempfile
 
 # Structural integers: a drifting value means the sweep changed shape, not
 # that performance moved.
-EXACT_KEYS = {"nodes", "warmup_queries"}
+EXACT_KEYS = {"nodes", "warmup_queries", "n"}
 # Absolute bands (units of the metric itself).
 ABSOLUTE_BANDS = {"accuracy_pct": 10.0}
 # Relative band for everything else, with an absolute floor below which
@@ -166,6 +168,8 @@ def self_test():
          _fixture(accuracy_pct=75.0), False),
         ("node count must match exactly", _fixture(),
          _fixture(nodes=4), False),
+        ("sample count must match exactly", _fixture(n=32),
+         _fixture(n=33), False),
         ("approach string must match", _fixture(),
          _fixture(approach="SG-MoE"), False),
         ("missing metric fails", _fixture(p99_ms=20.0),
