@@ -1,12 +1,16 @@
 // Microbenchmarks for the tensor substrate: GEMM variants, convolution
-// lowering, softmax/entropy kernels — the primitives whose FLOP counts feed
-// the edge-latency model.
+// lowering, ReLU, softmax/entropy kernels — the primitives whose FLOP counts
+// feed the edge-latency model — plus one whole expert forward.
 #include <benchmark/benchmark.h>
+
+#include <memory>
 
 #include "micro_common.hpp"
 
 #include "common/rng.hpp"
 #include "core/entropy.hpp"
+#include "nn/mlp.hpp"
+#include "nn/shake_shake.hpp"
 #include "tensor/autograd.hpp"
 #include "tensor/gemm.hpp"
 #include "tensor/im2col.hpp"
@@ -72,6 +76,54 @@ void BM_Conv2dForward(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 2 * s * s * c * 9 * c);
 }
 BENCHMARK(BM_Conv2dForward)->Args({6, 16})->Args({12, 8});
+
+// ReLU over one SS-14 activation (batch 1, 6 channels at 16 x 16) and a
+// larger map. Items are elements.
+void BM_Relu(benchmark::State& state) {
+  Rng rng(8);
+  Tensor x = Tensor::randn({state.range(0)}, rng);
+  for (auto _ : state) {
+    Tensor y = ops::relu(x);
+    benchmark::DoNotOptimize(y.data());
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_Relu)->Arg(6 * 16 * 16)->Arg(1 << 16);
+
+// One batch-1 eval forward through Module::predict, the call every serving
+// path makes: arg 0 is the tcp_cnn_k2 expert (SS-14, 6 base channels,
+// 16 x 16 RGB), arg 1 the fleet MLP-2 expert (784 -> 128 -> 10). Items are
+// the analyze() FLOPs, so items/s reads as FLOP/s.
+void BM_ExpertForward(benchmark::State& state) {
+  Rng rng(9);
+  std::unique_ptr<nn::Module> expert;
+  Shape sample;
+  if (state.range(0) == 0) {
+    nn::ShakeShakeConfig cfg;
+    cfg.depth = 14;
+    cfg.base_channels = 6;
+    cfg.image_size = 16;
+    expert = std::make_unique<nn::ShakeShakeNet>(cfg, rng);
+    sample = {3, 16, 16};
+  } else {
+    nn::MlpConfig cfg;
+    cfg.depth = 2;
+    cfg.hidden = 128;
+    expert = std::make_unique<nn::MlpNet>(cfg, rng);
+    sample = {784};
+  }
+  expert->set_training(false);
+  Shape batch = sample;
+  batch.insert(batch.begin(), 1);
+  Tensor x = Tensor::randn(batch, rng);
+  for (auto _ : state) {
+    Tensor logits = expert->predict(x);
+    benchmark::DoNotOptimize(logits.data());
+  }
+  state.SetLabel(state.range(0) == 0 ? "ss14_c6_16x16" : "mlp2_h128");
+  state.SetItemsProcessed(state.iterations() * expert->analyze(sample).flops);
+}
+BENCHMARK(BM_ExpertForward)->Arg(0)->Arg(1);
 
 void BM_SoftmaxRows(benchmark::State& state) {
   Rng rng(4);

@@ -54,31 +54,33 @@ ag::Var BatchNorm::forward(const ag::Var& input) {
   const Tensor& x = input.value();
   const BnLayout l = layout_of(x, channels_);
 
-  // Per-channel statistics (batch stats in training, running stats in eval).
-  Tensor mean({channels_});
-  Tensor var({channels_});
+  // Per-channel statistics: batch stats in training, running stats in eval.
+  Tensor batch_mean;
+  Tensor batch_var;
+  const float* mean = running_mean_.data();
+  const float* var = running_var_.data();
   if (training_) {
+    batch_mean = Tensor({channels_});
+    batch_var = Tensor({channels_});
     for (std::int64_t c = 0; c < channels_; ++c) {
       double acc = 0.0;
       for_each_in_channel(l, c, [&](std::int64_t i) { acc += x[i]; });
-      mean[c] = static_cast<float>(acc / static_cast<double>(l.count));
+      batch_mean[c] = static_cast<float>(acc / static_cast<double>(l.count));
       double vacc = 0.0;
       for_each_in_channel(l, c, [&](std::int64_t i) {
-        const double d = x[i] - mean[c];
+        const double d = x[i] - batch_mean[c];
         vacc += d * d;
       });
-      var[c] = static_cast<float>(vacc / static_cast<double>(l.count));
+      batch_var[c] = static_cast<float>(vacc / static_cast<double>(l.count));
       running_mean_[c] =
-          (1.0f - momentum_) * running_mean_[c] + momentum_ * mean[c];
-      running_var_[c] = (1.0f - momentum_) * running_var_[c] + momentum_ * var[c];
+          (1.0f - momentum_) * running_mean_[c] + momentum_ * batch_mean[c];
+      running_var_[c] =
+          (1.0f - momentum_) * running_var_[c] + momentum_ * batch_var[c];
     }
-  } else {
-    mean = running_mean_.clone();
-    var = running_var_.clone();
+    mean = batch_mean.data();
+    var = batch_var.data();
   }
 
-  // Normalized activations, cached for the backward pass.
-  auto xhat = std::make_shared<Tensor>(x.shape());
   Tensor inv_std({channels_});
   for (std::int64_t c = 0; c < channels_; ++c) {
     inv_std[c] = 1.0f / std::sqrt(var[c] + eps_);
@@ -86,14 +88,22 @@ ag::Var BatchNorm::forward(const ag::Var& input) {
   Tensor out(x.shape());
   const float* g = gamma_.value().data();
   const float* b = beta_.value().data();
+  // Normalized activations are cached only for a backward pass; with grad
+  // mode off (Module::predict) the output is all that gets written.
+  const bool keep_xhat = ag::grad_enabled();
+  Tensor xhat = keep_xhat ? Tensor(x.shape()) : Tensor();
+  const float* xp = x.data();
+  float* op = out.data();
+  float* hp = xhat.data();
   for (std::int64_t c = 0; c < channels_; ++c) {
     const float m = mean[c], is = inv_std[c], gc = g[c], bc = b[c];
     for_each_in_channel(l, c, [&](std::int64_t i) {
-      const float xh = (x[i] - m) * is;
-      (*xhat)[i] = xh;
-      out[i] = gc * xh + bc;
+      const float xh = (xp[i] - m) * is;
+      if (keep_xhat) hp[i] = xh;
+      op[i] = gc * xh + bc;
     });
   }
+  if (!keep_xhat) return ag::constant(std::move(out));
 
   const bool use_batch_stats = training_;
   const std::int64_t channels = channels_;
@@ -110,7 +120,7 @@ ag::Var BatchNorm::forward(const ag::Var& input) {
         for (std::int64_t c = 0; c < channels; ++c) {
           double dg = 0.0, db = 0.0;
           for_each_in_channel(l, c, [&](std::int64_t i) {
-            dg += gout[i] * (*xhat)[i];
+            dg += gout[i] * xhat[i];
             db += gout[i];
           });
           dgamma[c] = static_cast<float>(dg);
@@ -129,7 +139,7 @@ ag::Var BatchNorm::forward(const ag::Var& input) {
               const float mean_g = dbeta[c] * inv_count;
               const float mean_gx = dgamma[c] * inv_count;
               for_each_in_channel(l, c, [&](std::int64_t i) {
-                dx[i] = gc * (gout[i] - mean_g - (*xhat)[i] * mean_gx);
+                dx[i] = gc * (gout[i] - mean_g - xhat[i] * mean_gx);
               });
             } else {
               // Eval mode: statistics are constants.

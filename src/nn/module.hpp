@@ -47,8 +47,13 @@ class Module {
   /// Short human-readable name ("Linear(784->64)").
   virtual std::string name() const = 0;
 
-  /// Convenience: forward pass on a plain tensor without tracking gradients.
+  /// Forward pass on a plain tensor with no autograd graph: runs under an
+  /// ag::NoGradGuard, so no node keeps parents, closures or im2col buffers.
+  /// The result is bit-identical to forward(ag::constant(input)).value(),
+  /// and training-mode side effects (batch-norm running stats, shake-shake
+  /// draws) still happen.
   Tensor predict(const Tensor& input) {
+    ag::NoGradGuard no_grad;
     return forward(ag::constant(input)).value();
   }
 

@@ -10,6 +10,20 @@
 
 namespace teamnet::ag {
 
+namespace {
+
+thread_local bool t_grad_enabled = true;
+
+}  // namespace
+
+bool grad_enabled() { return t_grad_enabled; }
+
+NoGradGuard::NoGradGuard() : previous_(t_grad_enabled) {
+  t_grad_enabled = false;
+}
+
+NoGradGuard::~NoGradGuard() { t_grad_enabled = previous_; }
+
 void Node::accumulate_grad(const Tensor& g) {
   TEAMNET_CHECK_MSG(g.shape() == value.shape(),
                     "gradient shape " << shape_to_string(g.shape())
@@ -43,6 +57,7 @@ Var make_node(Tensor value, std::vector<NodePtr> parents,
   node->value = std::move(value);
   node->op = op;
   node->requires_grad =
+      t_grad_enabled &&
       std::any_of(parents.begin(), parents.end(),
                   [](const NodePtr& p) { return p && p->requires_grad; });
   if (node->requires_grad) {
@@ -463,8 +478,21 @@ Var global_avg_pool(const Var& input) {
 }
 
 Var shake_combine(const Var& a, const Var& b, float alpha, float beta) {
-  Tensor out = ops::add(ops::mul_scalar(a.value(), alpha),
-                        ops::mul_scalar(b.value(), 1.0f - alpha));
+  const Tensor& av = a.value();
+  const Tensor& bv = b.value();
+  TEAMNET_CHECK_MSG(av.shape() == bv.shape(),
+                    "shake_combine branches differ: "
+                        << shape_to_string(av.shape()) << " vs "
+                        << shape_to_string(bv.shape()));
+  // One pass, same two roundings per term as mul_scalar then add.
+  Tensor out(av.shape());
+  const float* pa = av.data();
+  const float* pb = bv.data();
+  float* po = out.data();
+  const float one_minus_alpha = 1.0f - alpha;
+  for (std::int64_t i = 0; i < out.numel(); ++i) {
+    po[i] = pa[i] * alpha + pb[i] * one_minus_alpha;
+  }
   return make_node(
       std::move(out), {a.node(), b.node()},
       [beta](Node& n) {

@@ -9,6 +9,11 @@
 // persist across forward passes so an optimizer can read `grad()` and write
 // `value()` in place. Custom ops (Conv2d, BatchNorm, shake-shake) are built
 // with `make_node`, which is the public extension point.
+//
+// Inference runs under a `NoGradGuard`: every node built on that thread is a
+// constant with no parents and no closure, so an intermediate (and the
+// im2col buffer a conv closure would capture) is freed as soon as the next
+// op has read it. Values are computed by the same kernels either way.
 #pragma once
 
 #include <functional>
@@ -59,8 +64,26 @@ class Var {
   NodePtr node_;
 };
 
+/// False while a NoGradGuard is alive on the calling thread.
+bool grad_enabled();
+
+/// Scoped, thread-local no-grad mode: while alive, make_node records no
+/// parents and no closure. The destructor restores the previous mode, also
+/// when the forward pass throws. `nn::Module::predict` is its one user.
+class NoGradGuard {
+ public:
+  NoGradGuard();
+  ~NoGradGuard();
+  NoGradGuard(const NoGradGuard&) = delete;
+  NoGradGuard& operator=(const NoGradGuard&) = delete;
+
+ private:
+  bool previous_;
+};
+
 /// Creates an interior node. `backward_fn` must accumulate into the parents'
-/// grads; it is dropped (and never called) when no parent requires grad.
+/// grads; it is dropped (and never called) when no parent requires grad or
+/// grad mode is off.
 Var make_node(Tensor value, std::vector<NodePtr> parents,
               std::function<void(Node&)> backward_fn, const char* op);
 

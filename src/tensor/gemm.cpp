@@ -3,30 +3,19 @@
 #include <algorithm>
 #include <cstring>
 
+#include "tensor/vec4.hpp"
+
 namespace teamnet {
 
 namespace {
 
-// Four floats in one SSE2 register on x86-64 (NEON on AArch64). GCC and
-// Clang lower `v += s * w` on this type to one rounded vector multiply and
-// one rounded vector add per lane — the same two roundings as the scalar
-// statement `c += s * w` — so the tiled kernel reproduces the scalar loops
-// bit for bit as long as no FMA contraction is enabled.
-using f32x4 = float __attribute__((vector_size(16)));
-
+// The 4x8 tile below accumulates on f32x4 lanes (vec4.hpp), so it
+// reproduces the scalar `c += a * b` loops bit for bit.
 constexpr std::int64_t kTileRows = 4;
 constexpr std::int64_t kTileCols = 8;
 // Depth of one pass over B. Splitting k only stores and reloads the C tile
 // between chunks, so every C[i,j] still sums in ascending p.
 constexpr std::int64_t kDepthChunk = 256;
-
-inline f32x4 load4(const float* p) {
-  f32x4 v;
-  std::memcpy(&v, p, sizeof v);
-  return v;
-}
-
-inline void store4(float* p, f32x4 v) { std::memcpy(p, &v, sizeof v); }
 
 /// C[R, 8] += A(R, k) * B[k, 8], where A(r, p) = a[r * a_row + p * a_depth],
 /// B rows are `ldb` apart and C rows `ldc` apart. Each accumulator is seeded

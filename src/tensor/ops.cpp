@@ -6,6 +6,7 @@
 #include <functional>
 
 #include "tensor/gemm.hpp"
+#include "tensor/vec4.hpp"
 
 namespace teamnet::ops {
 
@@ -172,7 +173,20 @@ Tensor tanh(const Tensor& a) {
   return unary(a, [](float x) { return std::tanh(x); });
 }
 Tensor relu(const Tensor& a) {
-  return unary(a, [](float x) { return x > 0.0f ? x : 0.0f; });
+  // `v > 0 ? v : 0` lane by lane: the compare yields an all-ones/all-zero
+  // mask, so NaN and -0 both become +0 exactly as in the scalar tail.
+  Tensor out(a.shape());
+  const float* src = a.data();
+  float* dst = out.data();
+  const std::int64_t n = a.numel();
+  const f32x4 zero = {};
+  std::int64_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    const f32x4 v = load4(src + i);
+    store4(dst + i, v > zero ? v : zero);
+  }
+  for (; i < n; ++i) dst[i] = src[i] > 0.0f ? src[i] : 0.0f;
+  return out;
 }
 Tensor abs(const Tensor& a) {
   return unary(a, [](float x) { return std::abs(x); });

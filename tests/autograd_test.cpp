@@ -379,6 +379,22 @@ TEST(Autograd, ShakeCombineRoutesGradByBeta) {
   EXPECT_FLOAT_EQ(vb.grad()[0], 0.3f);
 }
 
+TEST(Autograd, ShakeCombineForwardBitIdenticalToScaledSum) {
+  // The one-pass mix must round like mul_scalar, mul_scalar, then add.
+  Rng rng(22);
+  const Tensor a = Tensor::randn({2, 6, 16, 16}, rng);
+  const Tensor b = Tensor::randn({2, 6, 16, 16}, rng);
+  for (float alpha : {0.5f, 0.3f, 0.8137f}) {
+    SCOPED_TRACE(testing::Message() << "alpha=" << alpha);
+    const Tensor want = ops::add(ops::mul_scalar(a, alpha),
+                                 ops::mul_scalar(b, 1.0f - alpha));
+    expect_bit_identical(
+        ag::shake_combine(ag::constant(a), ag::constant(b), alpha, 0.5f)
+            .value(),
+        want, "mix");
+  }
+}
+
 TEST(Autograd, GradAccumulatesWhenVarReused) {
   ag::Var x(Tensor({1}, {3.0f}), true);
   ag::Var out = ag::sum_all(ag::mul(x, x));  // x^2

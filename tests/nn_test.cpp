@@ -3,7 +3,9 @@
 
 #include <unistd.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <filesystem>
 #include <sstream>
 
@@ -182,6 +184,114 @@ TEST(ShakeShake, EvalIsDeterministicTrainingIsStochastic) {
   Tensor c = net.forward(ag::constant(x)).value();
   Tensor d = net.forward(ag::constant(x)).value();
   EXPECT_FALSE(c.allclose(d, 1e-7f)) << "shake mixing should differ per pass";
+}
+
+/// Bitwise float equality, so -0 vs +0 and NaN payloads count as different.
+void expect_bit_identical(const Tensor& got, const Tensor& want) {
+  ASSERT_EQ(got.shape(), want.shape());
+  for (std::int64_t i = 0; i < got.numel(); ++i) {
+    ASSERT_EQ(std::bit_cast<std::uint32_t>(got[i]),
+              std::bit_cast<std::uint32_t>(want[i]))
+        << "element " << i << ": " << got[i] << " vs " << want[i];
+  }
+}
+
+/// The tcp_cnn_k2 expert: SS-14 with 6 base channels on 16x16 RGB.
+nn::ShakeShakeConfig ss14_c6() {
+  nn::ShakeShakeConfig cfg;
+  cfg.depth = 14;
+  cfg.base_channels = 6;
+  cfg.image_size = 16;
+  return cfg;
+}
+
+/// Gives a model non-trivial state: a few training-mode passes move every
+/// batch-norm running statistic off its 0/1 start, and every parameter is
+/// shifted, so gamma = 1 and beta = 0 cannot hide a reordered BatchNorm
+/// expression.
+void perturb_state(nn::Module& model, const Shape& batch, Rng& rng) {
+  model.set_training(true);
+  for (int i = 0; i < 3; ++i) model.predict(Tensor::randn(batch, rng));
+  for (ag::Var& p : model.parameters()) {
+    for (float& v : p.mutable_value().values()) v += rng.uniform(-0.1f, 0.1f);
+  }
+  model.set_training(false);
+}
+
+TEST(Predict, BitIdenticalToForwardOnConstant) {
+  Rng rng(31);
+  nn::ShakeShakeNet ss14(ss14_c6(), rng);
+  perturb_state(ss14, {4, 3, 16, 16}, rng);
+  nn::MlpConfig mlp_cfg;
+  mlp_cfg.depth = 2;
+  mlp_cfg.hidden = 128;
+  nn::MlpNet mlp2(mlp_cfg, rng);
+  perturb_state(mlp2, {4, 784}, rng);
+  for (std::int64_t batch : {1, 4}) {
+    SCOPED_TRACE(testing::Message() << "batch=" << batch);
+    Tensor image = Tensor::randn({batch, 3, 16, 16}, rng);
+    const Tensor logits = ss14.predict(image);
+    expect_bit_identical(logits, ss14.forward(ag::constant(image)).value());
+    if (batch > 1) {
+      // The input reaches the logits (not only the head's bias).
+      EXPECT_NE(logits[0], logits[10]);
+    }
+    Tensor digits = Tensor::randn({batch, 784}, rng);
+    expect_bit_identical(mlp2.predict(digits),
+                         mlp2.forward(ag::constant(digits)).value());
+  }
+}
+
+TEST(Predict, BuildsNoGraphAndRestoresGradMode) {
+  Rng rng(32);
+  nn::MlpConfig cfg;
+  cfg.in_features = 12;
+  cfg.depth = 2;
+  cfg.hidden = 8;
+  nn::MlpNet mlp(cfg, rng);
+  ASSERT_TRUE(ag::grad_enabled());
+  EXPECT_THROW(mlp.predict(Tensor({2, 5})), InvariantError);
+  EXPECT_TRUE(ag::grad_enabled()) << "a throwing predict left grad mode off";
+
+  {
+    ag::NoGradGuard outer;
+    {
+      ag::NoGradGuard inner;
+    }
+    EXPECT_FALSE(ag::grad_enabled()) << "inner guard re-enabled grad mode";
+    ag::Var y = mlp.forward(ag::constant(Tensor({2, 12})));
+    EXPECT_FALSE(y.requires_grad());
+    EXPECT_TRUE(y.node()->parents.empty());
+    EXPECT_FALSE(y.node()->backward_fn);
+  }
+  ag::Var y = mlp.forward(ag::constant(Tensor({2, 12})));
+  EXPECT_TRUE(y.requires_grad());
+}
+
+TEST(Predict, TrainingStepAfterPredictHasSameGradients) {
+  Rng data_rng(33);
+  Tensor x = Tensor::randn({4, 3, 16, 16}, data_rng);
+  const std::vector<int> labels = {1, 7, 3, 0};
+  auto gradients = [&](bool predict_first) {
+    Rng rng(34);
+    nn::ShakeShakeNet net(ss14_c6(), rng);
+    if (predict_first) {
+      net.set_training(false);
+      net.predict(x);
+    }
+    net.set_training(true);
+    ag::backward(nn::cross_entropy_loss(net.forward(ag::constant(x)), labels));
+    std::vector<Tensor> grads;
+    for (const ag::Var& p : net.parameters()) grads.push_back(p.grad().clone());
+    return grads;
+  };
+  const std::vector<Tensor> plain = gradients(false);
+  const std::vector<Tensor> after_predict = gradients(true);
+  ASSERT_EQ(plain.size(), after_predict.size());
+  for (std::size_t i = 0; i < plain.size(); ++i) {
+    SCOPED_TRACE(testing::Message() << "parameter " << i);
+    expect_bit_identical(after_predict[i], plain[i]);
+  }
 }
 
 TEST(Optim, SgdDescendsQuadratic) {

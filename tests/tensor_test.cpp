@@ -132,6 +132,35 @@ void expect_bit_identical(const Tensor& got, const Tensor& want) {
   }
 }
 
+/// The scalar ReLU rule the vector kernel must reproduce on every lane.
+float scalar_relu(float x) { return x > 0.0f ? x : 0.0f; }
+
+TEST(Ops, ReluMapsNanAndNegativeZeroToPositiveZero) {
+  const float nan = std::nanf("");
+  const float inf = INFINITY;
+  Tensor x({8}, {nan, -0.0f, 0.0f, -1.5f, 2.5f, -nan, inf, -inf});
+  Tensor want({8}, {0.0f, 0.0f, 0.0f, 0.0f, 2.5f, 0.0f, inf, 0.0f});
+  expect_bit_identical(ops::relu(x), want);
+}
+
+TEST(Ops, ReluMatchesScalarRuleOnEveryLane) {
+  // Lengths below, at and just past one 4-lane vector, and one long enough
+  // to run the vector body many times before a one-element tail.
+  Rng rng(9);
+  for (std::int64_t n : {0, 1, 3, 4, 5, 1537}) {
+    SCOPED_TRACE(testing::Message() << "n=" << n);
+    Tensor x = Tensor::randn({n}, rng);
+    // NaN and -0 land on every lane position and in the tail.
+    for (std::int64_t i = 0; i < n; ++i) {
+      if (i % 7 == 2) x[i] = std::nanf("");
+      if (i % 7 == 5) x[i] = -0.0f;
+    }
+    Tensor want({n});
+    for (std::int64_t i = 0; i < n; ++i) want[i] = scalar_relu(x[i]);
+    expect_bit_identical(ops::relu(x), want);
+  }
+}
+
 /// The naive kernels' summation order: each C[i,j] starts from its current
 /// value and adds A[i,p] * B[p,j] for ascending p.
 Tensor naive_gemm_accumulate(const Tensor& a, const Tensor& b, Tensor c) {
