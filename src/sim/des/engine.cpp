@@ -1,7 +1,6 @@
 #include "sim/des/engine.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <sstream>
 #include <utility>
 
@@ -40,10 +39,12 @@ Engine::Engine(int num_nodes, std::unique_ptr<GrantPolicy> policy)
       policy_(policy != nullptr
                   ? std::move(policy)
                   : make_grant_policy(GrantPolicyKind::canonical, 0,
-                                      num_nodes)) {
+                                      num_nodes)),
+      nodes_(static_cast<std::size_t>(std::max(num_nodes, 0))) {
   TEAMNET_CHECK_MSG(num_nodes > 0, "Engine needs at least one node");
-  nodes_.resize(static_cast<std::size_t>(num_nodes));
-  eligible_.reserve(static_cast<std::size_t>(num_nodes));
+  MutexLock lock(mutex_);
+  eligible_.reserve(nodes_.size());
+  hand_off_locked();  // the first turn
 }
 
 void Engine::check_node(int node) const {
@@ -70,16 +71,17 @@ void Engine::throw_if_deadlocked_locked() const {
   if (deadlocked_) throw DeadlockError(deadlock_msg_);
 }
 
-double Engine::min_running_time_locked() const {
-  double t = kNever;
-  for (const NodeSlot& slot : nodes_) {
-    if (slot.state == NodeState::kRunning) t = std::min(t, slot.time);
-  }
-  return t;
+Engine::NodeSlot& Engine::enter_locked(int node) {
+  NodeSlot& slot = nodes_[static_cast<std::size_t>(node)];
+  TEAMNET_CHECK_MSG(slot.state != NodeState::kRetired,
+                    "node " << node << " called the engine after retiring");
+  slot.thread = std::this_thread::get_id();
+  return slot;
 }
 
 double Engine::wake_time_locked(const NodeSlot& slot) const {
-  if (slot.state != NodeState::kBlocked) return kNever;
+  if (slot.state == NodeState::kRunning) return slot.time;
+  if (slot.state == NodeState::kRetired) return kNever;
   // The wake-up (or a fired budget), or the earliest queued delivery or
   // drained channel, whichever comes first.
   double t = slot.timed_out ? slot.time : std::max(slot.time, slot.wake_at);
@@ -91,70 +93,6 @@ double Engine::wake_time_locked(const NodeSlot& slot) const {
     }
   }
   return t;
-}
-
-bool Engine::granted_locked(int node) const {
-  const NodeSlot& self = nodes_[static_cast<std::size_t>(node)];
-  if (self.state != NodeState::kRunning) return false;
-  // Conservative floor: a node may only act while it is within the policy's
-  // eligibility window of the minimum key, where a running node's key is
-  // its clock and a blocked node's key is its determined wake time. A
-  // blocked node whose wakeup is already determined (delivery queued,
-  // channel drained-and-closed, timeout fired) WILL resume at a known
-  // virtual time; until its thread actually wakes it keeps depressing the
-  // grant floor, or the window between event-fire and thread-wake would let
-  // later-clocked nodes slip sends in front of it non-deterministically —
-  // exactly the thread-timing leak this engine exists to remove.
-  //
-  // The window (policy slack, 0 under canonical) widens "simultaneously
-  // eligible" to every node within `t_min + slack`: reordering those nodes'
-  // timed ops perturbs only virtual times via the shared-medium cursor
-  // (bounded arbitration jitter); per-mailbox delivery content remains
-  // pump-fire-order deterministic either way.
-  double t_min = self.time;
-  for (int m = 0; m < num_nodes_; ++m) {
-    const NodeSlot& other = nodes_[static_cast<std::size_t>(m)];
-    const double t = other.state == NodeState::kRunning
-                         ? other.time
-                         : wake_time_locked(other);
-    if (t < t_min) t_min = t;
-  }
-  const double window = t_min + policy_->slack();
-  if (self.time > window) return false;
-  // Events win ties against running nodes: a delivery due at or before a
-  // node's own clock must land before that node takes another timed step,
-  // or the trace would depend on which thread got scheduled first. The
-  // floor node always passes this gate (post-pump events strictly exceed
-  // the min running clock), so the eligible set is never empty and a gated
-  // ahead-of-floor node cannot livelock the grant.
-  const double gate = events_.empty() ? kNever : events_.top().key.time;
-  if (self.time >= gate) return false;
-  eligible_.clear();
-  for (int m = 0; m < num_nodes_; ++m) {
-    const NodeSlot& other = nodes_[static_cast<std::size_t>(m)];
-    const double t = other.state == NodeState::kRunning
-                         ? other.time
-                         : wake_time_locked(other);
-    if (t <= window && t < gate) eligible_.push_back(m);
-  }
-  // Which of the simultaneously eligible nodes acts first is pure schedule
-  // choice — delegate it to the policy. The salt mixes in state that only
-  // granted sends mutate, so repeated ties at the same virtual time can
-  // still land on different winners without breaking the purity contract.
-  const std::uint64_t salt = mix64(next_seq_ ^ double_bits(medium_free_));
-  return policy_->choose(t_min, eligible_, salt) == node;
-}
-
-bool Engine::granted_at_locked(int node, double t) {
-  NodeSlot& self = nodes_[static_cast<std::size_t>(node)];
-  const NodeState state = self.state;
-  const double time = self.time;
-  self.state = NodeState::kRunning;
-  self.time = std::max(time, t);
-  const bool granted = granted_locked(node);
-  self.state = state;
-  self.time = time;
-  return granted;
 }
 
 std::size_t Engine::earliest_locked(std::span<Mailbox* const> mbs) const {
@@ -195,86 +133,84 @@ int Engine::unretired_nodes() const {
   return n;
 }
 
-void Engine::pump_locked() {
-  const double horizon = min_running_time_locked();
-  bool fired = false;
-  while (!events_.empty() && events_.top().key.time <= horizon) {
-    Event event = events_.pop();
-    Mailbox& mb = *event.mailbox;
-    --mb.pending_events_;
-    mb.queue_.push_back({event.key.time, std::move(event.bytes), event.sent,
-                         event.on_air, event.key.seq});
-    fired = true;
-  }
-  // Firing never changes a running node's clock, so `horizon` stays valid
-  // across the loop.
-  if (fired) cv_.notify_all();
-}
-
-void Engine::check_quiescence_locked() {
-  for (const NodeSlot& slot : nodes_) {
-    if (slot.state == NodeState::kRunning) return;
-  }
-  if (!events_.empty()) return;  // pump will fire these once horizon allows
-
-  // No node is running and nothing is in flight. Classify the blocked set:
-  // a waiter whose resume time is already determined (a delivery queued, a
-  // channel drained and closed, a budget fired, or a wake-up) just needs
-  // the CPU — the engine is not stuck.
-  bool any_blocked = false;
-  int fire = -1;
-  double fire_deadline = kNever;
-  for (int n = 0; n < num_nodes_; ++n) {
-    const NodeSlot& slot = nodes_[static_cast<std::size_t>(n)];
-    if (slot.state != NodeState::kBlocked) continue;
-    any_blocked = true;
-    if (std::isfinite(wake_time_locked(slot))) {
-      cv_.notify_all();
+void Engine::hand_off_locked() {
+  if (deadlocked_) return;
+  for (;;) {
+    // Fire every event due at or before the earliest running clock: no
+    // running node can still schedule an earlier one, and a blocked node
+    // resumes only through this step.
+    double horizon = kNever;
+    for (const NodeSlot& slot : nodes_) {
+      if (slot.state == NodeState::kRunning) {
+        horizon = std::min(horizon, slot.time);
+      }
+    }
+    while (!events_.empty() && events_.top().key.time <= horizon) {
+      Event event = events_.pop();
+      Mailbox& mb = *event.mailbox;
+      --mb.pending_events_;
+      mb.queue_.push_back({event.key.time, std::move(event.bytes), event.sent,
+                           event.on_air, event.key.seq});
+    }
+    double t_min = kNever;
+    for (const NodeSlot& slot : nodes_) {
+      t_min = std::min(t_min, wake_time_locked(slot));
+    }
+    if (t_min < kNever) {
+      // Every node within the policy's window of the minimum key is
+      // eligible (slack 0 under canonical: exact ties only), unless an
+      // unfired event is due at or before its key — events win ties. The
+      // minimum-key node always passes (unfired events lie past the
+      // horizon), so the set is never empty. Which eligible node goes
+      // first is pure schedule choice; the salt mixes in state that only
+      // sends mutate, so repeated ties at one virtual time can still land
+      // on different winners.
+      const double window = t_min + policy_->slack();
+      const double gate = events_.empty() ? kNever : events_.top().key.time;
+      eligible_.clear();
+      for (int m = 0; m < num_nodes_; ++m) {
+        const NodeSlot& slot = nodes_[static_cast<std::size_t>(m)];
+        const double t = wake_time_locked(slot);
+        if (t <= window && t < gate) eligible_.push_back(m);
+      }
+      holder_ = policy_->choose(t_min, eligible_,
+                                mix64(next_seq_ ^ double_bits(medium_free_)));
+      nodes_[static_cast<std::size_t>(holder_)].baton.notify_one();
       return;
     }
-    if (slot.budget && slot.time + *slot.budget < fire_deadline) {
-      fire_deadline = slot.time + *slot.budget;
-      fire = n;
+    // Quiescence: nothing runs, nothing is in flight, no wait can resume
+    // by itself. Fire the earliest budget (waiter_time + budget, ties by
+    // node id): provably no message can still arrive for that wait.
+    holder_ = -1;
+    NodeSlot* fire = nullptr;
+    double deadline = kNever;
+    bool stuck = false;
+    for (NodeSlot& slot : nodes_) {
+      if (slot.state != NodeState::kBlocked) continue;
+      stuck = true;
+      if (slot.budget && slot.time + *slot.budget < deadline) {
+        deadline = slot.time + *slot.budget;
+        fire = &slot;
+      }
     }
-  }
-  if (!any_blocked) return;  // everyone retired — normal termination
-
-  if (fire >= 0) {
-    // Quiescence proves no message can still arrive for this wait; fire the
-    // earliest deadline (ties broken by node id via strict `<` above).
-    nodes_[static_cast<std::size_t>(fire)].timed_out = true;
-    cv_.notify_all();
-    return;
-  }
-
-  std::ostringstream msg;
-  msg << "discrete-event deadlock: no node running, no event pending, and "
-         "no budget armed; blocked:";
-  for (int n = 0; n < num_nodes_; ++n) {
-    const NodeSlot& slot = nodes_[static_cast<std::size_t>(n)];
-    if (slot.state != NodeState::kBlocked) continue;
-    msg << " node " << n << " (t=" << slot.time << ", waiting on "
-        << slot.waiting.size() << " mailbox(es));";
-  }
-  deadlocked_ = true;
-  deadlock_msg_ = msg.str();
-  if (obs::Tracer::active() && obs::Tracer::scheduler_events()) {
+    if (fire != nullptr) {
+      fire->timed_out = true;
+      continue;
+    }
+    if (!stuck) return;  // every node retired: the run is over
+    std::ostringstream msg;
+    msg << "discrete-event deadlock: no node running, no event pending, and "
+           "no budget armed; blocked:";
     for (int n = 0; n < num_nodes_; ++n) {
       const NodeSlot& slot = nodes_[static_cast<std::size_t>(n)];
       if (slot.state != NodeState::kBlocked) continue;
-      obs::Tracer::instance().instant_at(n, slot.time, "des.deadlock",
-                                         obs::TraceArgs());
+      msg << " node " << n << " (t=" << slot.time << ", waiting on "
+          << slot.waiting.size() << " mailbox(es));";
     }
-  }
-  cv_.notify_all();
-}
-
-void Engine::await_grant_locked(int node) {
-  for (;;) {
-    throw_if_deadlocked_locked();
-    pump_locked();
-    if (granted_locked(node)) return;
-    cv_.wait(mutex_);
+    deadlocked_ = true;
+    deadlock_msg_ = msg.str();
+    for (NodeSlot& slot : nodes_) slot.baton.notify_one();
+    return;
   }
 }
 
@@ -297,9 +233,6 @@ std::string Engine::pop_locked(int node, Mailbox& mb,
           "net.transit_ms", {0.001, 0.01, 0.1, 1.0, 10.0, 100.0, 1e3});
   transit_ms.observe(1e3 * (slot.time - delivery.sent));
   record_locked('P', node, delivery.arrival, delivery.bytes.size());
-  // The receiver's clock may have jumped forward, raising the pump horizon.
-  pump_locked();
-  cv_.notify_all();
   return std::move(delivery.bytes);
 }
 
@@ -307,13 +240,13 @@ double Engine::advance(int node, double seconds) {
   check_node(node);
   TEAMNET_CHECK_MSG(seconds >= 0.0, "advance by negative time");
   MutexLock lock(mutex_);
-  await_grant_locked(node);
-  NodeSlot& slot = nodes_[static_cast<std::size_t>(node)];
+  NodeSlot& slot = enter_locked(node);
+  while (holder_ != node && !deadlocked_) slot.baton.wait(mutex_);
+  throw_if_deadlocked_locked();
   slot.time += seconds;
   record_locked('A', node, slot.time, 0);
   policy_->note_step(node);
-  pump_locked();
-  cv_.notify_all();
+  hand_off_locked();
   return slot.time;
 }
 
@@ -321,15 +254,16 @@ void Engine::retire(int node) {
   check_node(node);
   MutexLock lock(mutex_);
   NodeSlot& slot = nodes_[static_cast<std::size_t>(node)];
+  if (slot.state == NodeState::kRetired) return;
+  // After a deadlock there are no turns left; teardown retires at once.
+  while (holder_ != node && !deadlocked_) slot.baton.wait(mutex_);
   slot.state = NodeState::kRetired;
   record_locked('R', node, slot.time, 0);
   if (obs::Tracer::active() && obs::Tracer::scheduler_events()) {
     obs::Tracer::instance().instant_at(node, slot.time, "des.retire",
                                        obs::TraceArgs());
   }
-  pump_locked();
-  check_quiescence_locked();
-  cv_.notify_all();
+  hand_off_locked();
 }
 
 std::shared_ptr<Mailbox> Engine::make_mailbox(int owner) {
@@ -342,17 +276,18 @@ void Engine::send(int from, const std::shared_ptr<Mailbox>& to,
   check_node(from);
   TEAMNET_CHECK_MSG(to != nullptr, "send to null mailbox");
   MutexLock lock(mutex_);
-  // Closed means closed regardless of virtual order — check before the
-  // grant so a sender whose peer tore the channel down fails fast instead
-  // of queueing behind nodes that will never advance.
+  // A closed mailbox stays closed, so a send that would fail at its turn
+  // fails now instead of waiting for the baton.
   if (to->closed_) throw NetworkError("channel closed");
-  await_grant_locked(from);
+  NodeSlot& slot = enter_locked(from);
+  while (holder_ != from && !deadlocked_) slot.baton.wait(mutex_);
+  throw_if_deadlocked_locked();
   if (to->closed_) throw NetworkError("channel closed");
   // Medium arbitration: the transmission occupies the shared half-duplex
   // medium from max(send_time, medium_free) for its airtime, and arrives
   // one propagation latency after it leaves the medium. The sender's clock
   // does not advance.
-  const double send_time = nodes_[static_cast<std::size_t>(from)].time;
+  const double send_time = slot.time;
   const double start = std::max(send_time, medium_free_);
   medium_free_ =
       start + link.airtime(static_cast<std::int64_t>(bytes.size()));
@@ -379,8 +314,7 @@ void Engine::send(int from, const std::shared_ptr<Mailbox>& to,
   }
   events_.push(Event{EventKey{arrival, to->owner(), next_seq_++}, to,
                      std::move(bytes), send_time, start});
-  pump_locked();
-  cv_.notify_all();
+  hand_off_locked();
 }
 
 std::optional<std::pair<std::size_t, std::string>> Engine::await_read(
@@ -390,90 +324,78 @@ std::optional<std::pair<std::size_t, std::string>> Engine::await_read(
   TEAMNET_CHECK_MSG(!mbs.empty(), "await_read needs at least one mailbox");
   if (budget) budget = *budget > 0.0 ? *budget : 0.0;
   MutexLock lock(mutex_);
-  NodeSlot& slot = nodes_[static_cast<std::size_t>(node)];
+  NodeSlot& slot = enter_locked(node);
+  while (holder_ != node && !deadlocked_) slot.baton.wait(mutex_);
+  throw_if_deadlocked_locked();
+  // Register the wait and pass the baton on. It comes back once this
+  // wait's resume time is the next key: at once when a delivery is
+  // already due, else after every node and event keyed earlier.
+  slot.state = NodeState::kBlocked;
+  slot.waiting = mbs;
+  slot.wake_at = until;
+  slot.budget = budget;
   slot.timed_out = false;
-  // The delivery to read, if any. Over several mailboxes it waits for the
-  // grant at its arrival: by then every delivery due no later has fired
-  // (events win ties) and no node can still send one, so the earliest
-  // queued delivery is the earliest there will ever be, whichever threads
-  // happened to run first. One mailbox is FIFO, so its front already is.
-  auto readable = [&] {
-    const std::size_t i = earliest_locked(mbs);
-    if (i == mbs.size()) return i;
+  hand_off_locked();
+  while (holder_ != node && !deadlocked_) slot.baton.wait(mutex_);
+  const double resume = wake_time_locked(slot);
+  const bool timed_out = slot.timed_out;
+  slot.state = NodeState::kRunning;
+  slot.waiting = {};
+  slot.budget.reset();
+  if (deadlocked_) {
+    if (obs::Tracer::active() && obs::Tracer::scheduler_events()) {
+      obs::Tracer::instance().instant_at(node, slot.time, "des.deadlock",
+                                         obs::TraceArgs());
+    }
+    throw DeadlockError(deadlock_msg_);
+  }
+  // Resume by whatever set `resume`; a delivery wins every tie.
+  if (const std::size_t i = earliest_locked(mbs); i < mbs.size()) {
     const double arrival = mbs[i]->queue_.front().arrival;
-    const bool ready = arrival <= until && (mbs.size() == 1 ||
-                                            granted_at_locked(node, arrival));
-    return ready ? i : mbs.size();
-  };
-  auto drained = [&] {
-    return std::any_of(mbs.begin(), mbs.end(),
-                       [&](const Mailbox* mb) { return drained_locked(*mb); });
-  };
-  auto woken = [&] {
-    return std::isfinite(until) && granted_at_locked(node, until);
-  };
-  for (;;) {
-    throw_if_deadlocked_locked();
-    if (const std::size_t i = readable(); i < mbs.size()) {
+    if (arrival <= until && std::max(slot.time, arrival) <= resume) {
       std::string bytes = pop_locked(node, *mbs[i], timing);
+      hand_off_locked();
       return std::make_pair(i, std::move(bytes));
     }
-    if (drained()) throw NetworkError("channel closed");
-    if (slot.timed_out) {
-      // check_quiescence fired this wait: provably nothing could arrive
-      // within the budget, so charge it in full and report the timeout.
-      slot.timed_out = false;
-      if (*budget > 0.0) {
-        slot.time += *budget;
-        pump_locked();
-      }
-      record_locked('T', node, slot.time, 0);
-      if (obs::Tracer::active() && obs::Tracer::scheduler_events()) {
-        obs::Tracer::instance().instant_at(
-            node, slot.time, "des.timeout_fired",
-            obs::TraceArgs().arg("budget_s", *budget));
-      }
-      cv_.notify_all();
-      return std::nullopt;
-    }
-    if (woken()) {
-      slot.time = std::max(slot.time, until);
-      record_locked('W', node, slot.time, 0);
-      policy_->note_step(node);
-      pump_locked();
-      cv_.notify_all();
-      return std::nullopt;
-    }
-    // Only block once nothing above holds — blocking with a deliverable
-    // message queued would let check_quiescence mistake a runnable system
-    // for a stuck one.
-    slot.state = NodeState::kBlocked;
-    slot.waiting = mbs;
-    slot.wake_at = until;
-    slot.budget = budget;
-    pump_locked();
-    check_quiescence_locked();
-    // pump/quiescence above may have satisfied this very wait (fired a
-    // delivery or the events gating the wake-up, fired its budget, or
-    // declared deadlock); their notify happened before we could sleep, so
-    // re-check instead of waiting on a lost wakeup.
-    if (readable() == mbs.size() && !drained() && !slot.timed_out &&
-        !woken() && !deadlocked_) {
-      cv_.notify_all();  // blocking lowers the grant floor for other nodes
-      cv_.wait(mutex_);
-    }
-    slot.state = NodeState::kRunning;
-    slot.waiting = {};
-    slot.budget.reset();
   }
+  if (std::any_of(mbs.begin(), mbs.end(),
+                  [&](const Mailbox* mb) { return drained_locked(*mb); })) {
+    throw NetworkError("channel closed");
+  }
+  if (timed_out) {
+    // Quiescence fired this wait: provably nothing could arrive within the
+    // budget, so charge it in full and report the timeout.
+    slot.time += *budget;
+    record_locked('T', node, slot.time, 0);
+    if (obs::Tracer::active() && obs::Tracer::scheduler_events()) {
+      obs::Tracer::instance().instant_at(
+          node, slot.time, "des.timeout_fired",
+          obs::TraceArgs().arg("budget_s", *budget));
+    }
+  } else {
+    slot.time = resume;  // the wake-up
+    record_locked('W', node, slot.time, 0);
+    policy_->note_step(node);
+  }
+  hand_off_locked();
+  return std::nullopt;
 }
 
 void Engine::close(Mailbox& mb) {
   MutexLock lock(mutex_);
+  // The close is the calling thread's mutation: it waits for the baton of
+  // the running node this thread makes engine calls as.
+  for (int node = 0; node < num_nodes_; ++node) {
+    NodeSlot& slot = nodes_[static_cast<std::size_t>(node)];
+    if (slot.thread != std::this_thread::get_id() ||
+        slot.state != NodeState::kRunning) {
+      continue;
+    }
+    while (holder_ != node && !deadlocked_) slot.baton.wait(mutex_);
+    break;
+  }
   mb.closed_ = true;
-  // Blocked readers re-check and throw once the queue and pending events
-  // drain; nothing else changes, so no quiescence pass is needed here.
-  cv_.notify_all();
+  hand_off_locked();
 }
 
 }  // namespace teamnet::sim::des

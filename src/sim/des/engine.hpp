@@ -3,30 +3,35 @@
 //
 // The engine runs the UNCHANGED distributed protocol code — the same
 // CollaborativeMaster/Worker, mpi::Communicator and MoE serving loops that
-// run over real TCP — on real threads, but serializes every virtual-time
-// mutation so the whole run replays in virtual-time order:
+// run over real TCP — on real threads, but lets one node at a time change
+// engine state, so the whole run replays in virtual-time order:
 //
-//   * Each node's thread must hold the GRANT (be the lexicographic minimum
-//     (virtual_time, node_id) among running nodes, with no deliverable
-//     event at or before its clock) to advance its clock or transmit.
+//   * One node holds the BATON. Every engine call made as a node — advance,
+//     send, a read, close, retire — first waits until that node holds it.
+//     At the end of each call the engine hands the baton on by a pure
+//     function of its own state, never of which threads happen to be
+//     awake, and wakes exactly that node's thread.
 //   * A send arbitrates the shared half-duplex medium (the one place the
 //     simulator does: start at max(send_time, medium_free), occupy
 //     LinkProfile::airtime) and enqueues a delivery event keyed by
 //     (arrival_time, destination_node, schedule_seq) — the global
 //     tie-break rule that makes event order total and deterministic.
-//   * An event fires (message moves into its destination mailbox) only
-//     once no running node could still schedule an earlier one — the
-//     conservative PDES invariant: nothing is ever delivered "early".
-//   * A node blocked in a wait joins the blocked registry; when no node is
-//     running and no event is pending, the engine has reached QUIESCENCE:
-//     the earliest pending budget fires (charging it to the waiter's
-//     clock), and if no waiter holds a budget the engine declares a
-//     deadlock with a diagnosable DeadlockError instead of hanging.
+//   * The hand-off first fires (moves into its mailbox) every event due at
+//     or before the earliest running clock — no running node can still
+//     schedule an earlier one. It then picks the minimum key: a running
+//     node's clock, or a blocked node's determined resume time
+//     (wake_time_locked). Events win ties, and a GrantPolicy may pick
+//     another node within its slack (grant_policy.hpp).
+//   * With no key left the engine has reached QUIESCENCE: the earliest
+//     pending budget fires (charging it to the waiter's clock), and if no
+//     waiter holds a budget the engine declares a deadlock with a
+//     diagnosable DeadlockError — the one event that wakes every node.
 //
-// The result: two same-seed runs produce bit-identical virtual traces —
-// ScenarioResult::latency_ms included — while tensor compute still
-// overlaps in real time (only engine calls are serialized, not the math
-// between them).
+// The result: two runs with the same seeds produce bit-identical virtual
+// traces under every grant policy — ScenarioResult::latency_ms included.
+// Tensor compute still overlaps in real time: a thread that has returned
+// from an engine call keeps computing while the baton moves on, and waits
+// only at its next engine call.
 //
 // Every blocking read is one wait: a node waits on one or more of its
 // mailboxes, optionally until a virtual wake-up instant T, optionally with
@@ -41,10 +46,10 @@
 //
 // Wake-ups are not timeouts: the node wakes for the earliest delivery
 // landing at or before T, or at T itself. The wake-up is keyed (T, node)
-// like an EventKey: it is a determined resume time that holds the grant
-// floor down at T, it loses ties to deliveries due at T, and it fires only
-// once the node would be granted at T. It never touches the medium and is
-// never counted as traffic.
+// like an EventKey: it is a determined resume time that holds the
+// baton's floor down at T, it loses ties to deliveries due at T, and the
+// node resumes only once the baton reaches it there. It never touches the
+// medium and is never counted as traffic.
 #pragma once
 
 #include <array>
@@ -56,6 +61,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -150,14 +156,13 @@ class Engine {
   int num_nodes() const { return num_nodes_; }
 
   /// Order-insensitive fingerprint of everything schedule-visible that
-  /// happened so far: granted advances/sends, deliveries, timeout charges
+  /// happened so far: advances, sends, deliveries, timeout charges, wake-ups
   /// and retirements, each hashed with its virtual timestamp and summed.
   /// Two runs of the same scenario under the same (seed, policy,
   /// schedule_seed) must report identical digests — the bit-exactness
-  /// check behind counterexample replay. The sum (not a running chain)
-  /// is deliberate: receive-side pops race granted operations in REAL
-  /// mutex-acquisition order even though their virtual content is
-  /// deterministic, so only a commutative combine is reproducible.
+  /// check behind counterexample replay. The baton makes the record order
+  /// deterministic too; the sum (not a running chain) stays only so the
+  /// pinned canonical digests keep their values.
   std::uint64_t schedule_digest() const;
 
   /// Nodes not yet retired — 0 after a clean run (every worker and the
@@ -167,37 +172,37 @@ class Engine {
   // -- clock surface --------------------------------------------------------
   double node_time(int node) const;
   /// Advances `node` by `seconds` of local work, in virtual-time order:
-  /// blocks until `node` holds the grant. Returns the new time.
+  /// waits for the baton. Returns the new time.
   double advance(int node, double seconds);
   std::int64_t bytes_delivered() const;
   std::int64_t messages_delivered() const;
 
   // -- node lifecycle -------------------------------------------------------
-  /// Marks `node` permanently done with virtual time. A node whose thread
-  /// stops making engine calls while still registered as running would
-  /// hold the virtual-time floor forever and stall every pending delivery;
-  /// drivers therefore retire a node when its protocol role ends (workers
-  /// on serve-loop exit, the master after shutdown and before join).
-  /// Idempotent; a retired node must make no further timed calls.
+  /// Marks `node` permanently done with virtual time, at its turn of the
+  /// baton. A node whose thread stops making engine calls while still
+  /// running would hold the virtual-time floor forever and stall every
+  /// pending delivery; drivers therefore retire a node when its protocol
+  /// role ends (workers on serve-loop exit, the master after shutdown and
+  /// before join). Idempotent; a retired node must make no further calls.
   void retire(int node);
 
   // -- channel surface (used by DesChannel) ---------------------------------
   std::shared_ptr<Mailbox> make_mailbox(int owner);
-  /// Transmits `bytes` from `from` into `to` under the grant: arbitrates
+  /// Transmits `bytes` from `from` into `to` with the baton: arbitrates
   /// the shared medium at the sender's current clock (the sender's clock
   /// does not advance) and schedules the delivery.
   void send(int from, const std::shared_ptr<Mailbox>& to, std::string bytes,
             const net::LinkProfile& link);
   /// The one blocking read: `node` waits on its mailboxes `mbs` and reads
   /// the earliest delivery (EventKey order) landing at or before `until`,
-  /// returned with its index in `mbs`. Over several mailboxes the read
-  /// waits until `node` would be granted at the delivery's arrival, so no
-  /// earlier one can still come; one mailbox is FIFO, so its front delivery
-  /// already is the earliest. The read advances `node`'s clock to
-  /// max(now, arrival), counts the traffic and, when `timing` is non-null,
-  /// stores the frame's WireTiming. Returns nullopt instead
-  ///   * once `node` is granted at a finite `until` with nothing earlier to
-  ///     read — its clock then reads `until` (the wake-up, see the top);
+  /// returned with its index in `mbs`. The read happens once the baton
+  /// reaches `node` at the delivery's arrival, so no earlier one can still
+  /// come. It advances `node`'s clock to max(now, arrival), counts the
+  /// traffic and, when `timing` is non-null, stores the frame's WireTiming.
+  /// Returns nullopt instead
+  ///   * once the baton reaches `node` at a finite `until` with nothing
+  ///     earlier to read — its clock then reads `until` (the wake-up, see
+  ///     the top);
   ///   * when `budget` is set and the engine reaches quiescence first — a
   ///     positive budget is then charged to `node`'s clock.
   /// Throws NetworkError once any of `mbs` is closed and drained,
@@ -225,7 +230,9 @@ class Engine {
     return await_read(node, mbs, until, {}, timing);
   }
   /// Closes `mb`: already-scheduled deliveries still fire and drain, then
-  /// readers get NetworkError; new sends fail immediately.
+  /// readers get NetworkError; new sends fail immediately. The close waits
+  /// for the baton of the running node the calling thread makes engine
+  /// calls as; a thread that has made none closes at once.
   void close(Mailbox& mb);
 
  private:
@@ -242,19 +249,20 @@ class Engine {
     double wake_at = kNever;
     std::optional<double> budget;
     bool timed_out = false;  ///< quiescence fired this node's budget
+    std::thread::id thread;  ///< last thread to call in as this node
+    CondVar baton;           ///< signalled when this node gets the baton
   };
 
   void check_node(int node) const;
   void throw_if_deadlocked_locked() const TN_REQUIRES(mutex_);
-  double min_running_time_locked() const TN_REQUIRES(mutex_);
-  /// Virtual time at which a blocked node is certain to resume (delivery
-  /// already in a mailbox, channel closed and drained, budget fired, or a
-  /// wake-up); +inf for nodes that are running, retired, or still
-  /// genuinely waiting.
+  /// Starts an engine call as `node`: records the calling thread. The
+  /// caller then waits until holder_ == node.
+  NodeSlot& enter_locked(int node) TN_REQUIRES(mutex_);
+  /// A node's key for the hand-off: a running node's clock; the virtual
+  /// time at which a blocked node is certain to resume (delivery already in
+  /// a mailbox, channel closed and drained, budget fired, or a wake-up);
+  /// +inf for nodes that are retired or still genuinely waiting.
   double wake_time_locked(const NodeSlot& slot) const TN_REQUIRES(mutex_);
-  bool granted_locked(int node) const TN_REQUIRES(mutex_);
-  /// Whether `node` (running) would be granted were its clock at `t`.
-  bool granted_at_locked(int node, double t) TN_REQUIRES(mutex_);
   /// Index in `mbs` of the earliest queued delivery (arrival, then seq);
   /// mbs.size() when every mailbox is empty.
   std::size_t earliest_locked(std::span<Mailbox* const> mbs) const
@@ -266,25 +274,24 @@ class Engine {
   /// see schedule_digest()).
   void record_locked(std::uint64_t tag, int node, double time,
                      std::uint64_t extra) TN_REQUIRES(mutex_);
-  /// Fires every event due at or before the minimum running clock.
-  void pump_locked() TN_REQUIRES(mutex_);
-  /// At quiescence, fires the earliest pending budget or declares
-  /// deadlock. No-op while any node runs or any wait can self-resolve.
-  void check_quiescence_locked() TN_REQUIRES(mutex_);
-  void await_grant_locked(int node) TN_REQUIRES(mutex_);
+  /// The one scheduling step, run at the end of every engine call: fires
+  /// due events, then sets holder_ to the next node and wakes its thread;
+  /// at quiescence fires the earliest budget or declares deadlock.
+  void hand_off_locked() TN_REQUIRES(mutex_);
   /// Pops the front delivery of `mb` for `node` (queue must be nonempty).
   std::string pop_locked(int node, Mailbox& mb, net::WireTiming* timing)
       TN_REQUIRES(mutex_);
 
   const int num_nodes_;
   /// Tie-break rule; never null. State only mutates via note_step under
-  /// mutex_ on granted operations (see GrantPolicy's purity contract).
+  /// mutex_, by the baton holder (see GrantPolicy's purity contract).
   const std::unique_ptr<GrantPolicy> policy_;
   mutable Mutex mutex_;
-  CondVar cv_;
-  /// Scratch for granted_locked's eligible set (avoids an allocation per
-  /// grant check; only touched under mutex_).
-  mutable std::vector<int> eligible_ TN_GUARDED_BY(mutex_);
+  /// The node whose turn it is; -1 once every node retired or deadlocked.
+  int holder_ TN_GUARDED_BY(mutex_) = -1;
+  /// Scratch for the hand-off's eligible set (avoids an allocation per
+  /// hand-off; only touched under mutex_).
+  std::vector<int> eligible_ TN_GUARDED_BY(mutex_);
   std::vector<NodeSlot> nodes_ TN_GUARDED_BY(mutex_);
   EventQueue events_ TN_GUARDED_BY(mutex_);
   double medium_free_ TN_GUARDED_BY(mutex_) = 0.0;

@@ -37,8 +37,8 @@ class RandomTiebreakPolicy final : public GrantPolicy {
 
   int choose(double time, const std::vector<int>& eligible,
              std::uint64_t salt) const override {
-    // Stateless hash — NOT an RNG draw — so re-evaluation at arbitrary
-    // real times always lands on the same winner (see header contract).
+    // Stateless hash — NOT an RNG draw — so a replay of the same state
+    // lands on the same winner (see header contract).
     std::uint64_t h = mix64(seed_ ^ double_bits(time));
     h = mix64(h ^ salt);
     for (int n : eligible) h = mix64(h ^ static_cast<std::uint64_t>(n));

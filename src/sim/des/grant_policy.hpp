@@ -9,14 +9,14 @@
 // the schedule explorer can rerun an unchanged scenario under many legal
 // interleavings and check that discrete outcomes never depend on the pick.
 //
-// Purity contract (load-bearing): `choose` is re-evaluated at unpredictable
-// REAL times — every spurious condvar wakeup and every racing thread's
-// grant check calls it again. It must therefore be a pure function of
-// (virtual time, eligible set, salt, policy state), never consume from a
-// stateful RNG per call, or wall-clock scheduling would leak straight back
-// into the virtual schedule. Policy state may change only in `note_step`,
-// which the engine calls under its mutex for granted operations only —
-// those are serialized in virtual-time order, so the state stream is
+// Purity contract (load-bearing): `choose` runs once per hand-off of the
+// engine's baton, at the end of the holder's engine call. It must be a
+// pure function of (virtual time, eligible set, salt, policy state) and
+// never consume from a stateful RNG per call: replay reruns a
+// (policy, schedule_seed) case and relies on the same state giving the
+// same pick. Policy state may change only in `note_step`, which the engine
+// calls under its mutex for the baton holder's advances, sends and
+// wake-ups — one node at a time in baton order, so the state stream is
 // deterministic too.
 #pragma once
 
@@ -53,16 +53,16 @@ class GrantPolicy {
   virtual ~GrantPolicy() = default;
 
   /// Picks the winner among `eligible` (non-empty, ascending node ids, all
-  /// sharing virtual time `time`). `salt` is engine state that changes only
-  /// under granted operations (schedule-deterministic); policies may mix it
-  /// in for variety across repeated ties at the same virtual time. Must be
-  /// pure: same arguments + same policy state → same winner.
+  /// within the slack window of virtual time `time`). `salt` is engine
+  /// state that only sends change (schedule-deterministic); policies may
+  /// mix it in for variety across repeated ties at the same virtual time.
+  /// Must be pure: same arguments + same policy state → same winner.
   virtual int choose(double time, const std::vector<int>& eligible,
                      std::uint64_t salt) const = 0;
 
-  /// Called by the engine (under its mutex) each time `node` performs a
-  /// granted timed operation (advance or send). The only place policy
-  /// state may change.
+  /// Called by the engine (under its mutex) each time `node`, holding the
+  /// baton, performs a timed operation (advance, send or wake-up). The
+  /// only place policy state may change.
   virtual void note_step(int /*node*/) {}
 
   /// Width of the eligibility window in virtual seconds. 0 (canonical)

@@ -16,6 +16,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <thread>
+#include <vector>
 
 #include "data/blobs.hpp"
 #include "net/collab.hpp"
@@ -227,9 +228,13 @@ TEST(ChaosProtocol, GatherDeadlineIsSharedAcrossWorkers) {
   const int k = 4;
   const double timeout_s = 0.05;
   sim::SimNet net(k, latency_only_link());
-  // Nodes 1..k-1 have no threads: retire them up front so they never hold
-  // the virtual-time floor the master's waits run against.
-  for (int i = 1; i < k; ++i) net.retire(i);
+  // Nodes 1..k-1 serve nothing: each gets a thread that only retires it,
+  // at its first turn of the baton, so it never holds the virtual-time
+  // floor the master's waits run against.
+  std::vector<std::thread> idle;
+  for (int i = 1; i < k; ++i) {
+    idle.emplace_back([&net, i] { net.retire(i); });
+  }
 
   Rng rng(12);
   nn::MlpNet expert(tiny_mlp(), rng);
@@ -244,6 +249,7 @@ TEST(ChaosProtocol, GatherDeadlineIsSharedAcrossWorkers) {
   auto result = master.infer(x);
   const double waited = net.node_time(0) - t0;
   net.retire(0);
+  for (auto& t : idle) t.join();
 
   EXPECT_EQ(master.failed_workers(), k - 1);
   EXPECT_EQ(result.chosen[0], 0);

@@ -313,6 +313,20 @@ TEST(ExploreDeterminism, ReportIsByteIdenticalAcrossRuns) {
   EXPECT_EQ(first, second);
 }
 
+TEST(ExploreScenarios, PerturbedReportsAreReproducible) {
+  // Every perturbed schedule is a function of its seeds: whichever node
+  // threads happen to be awake, two sweeps print the same report — case
+  // digests included — for every scenario, not only the canonical run.
+  for (const std::string& name : explore_scenario_names()) {
+    const auto runner = make_explore_runner(name, ExploreScenarioOptions{});
+    const std::string first =
+        format_report(explore_schedules(runner, small_budget(8)));
+    const std::string second =
+        format_report(explore_schedules(runner, small_budget(8)));
+    EXPECT_EQ(first, second) << name;
+  }
+}
+
 TEST(ExploreDeterminism, ViolatingCaseReplaysBitIdentically) {
   const auto runner = make_explore_runner("chaos", mutation_gate_options(true));
   const auto report = explore_schedules(runner, small_budget(16));

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/rng.hpp"
 #include "core/telemetry.hpp"
 #include "mpi/communicator.hpp"
 #include "net/transport.hpp"
@@ -19,6 +20,7 @@
 #include "obs/trace.hpp"
 #include "sim/des/des_channel.hpp"
 #include "sim/des/engine.hpp"
+#include "sim/des/grant_policy.hpp"
 
 namespace teamnet {
 namespace {
@@ -138,15 +140,32 @@ TEST(ChannelRace, CloseWakesBlockedReceiver) {
   EXPECT_THROW(a->send("late"), NetworkError);
 }
 
+/// What one ring run leaves behind, compared bit-wise across runs.
+struct RingRun {
+  std::vector<double> times;  ///< every node's final virtual clock
+  std::uint64_t digest = 0;   ///< Engine::schedule_digest
+};
+
 /// One full ring run over a DES mesh: every node advances, sends to its
-/// successor, and receives from its predecessor, `rounds` times. Returns
-/// the final per-node virtual clocks so callers can compare runs bit-wise.
-std::vector<double> run_des_ring(int k, int rounds) {
-  sim::des::Engine engine(k);
+/// successor, and receives from its predecessor, `rounds` times. With a
+/// non-zero `jitter_seed` every node thread also sleeps a seeded, varying
+/// 0-200 us of wall time before each engine call, so the threads reach the
+/// engine in a different real order than they would unslowed.
+RingRun run_des_ring(int k, int rounds,
+                     std::unique_ptr<sim::des::GrantPolicy> policy = nullptr,
+                     std::uint64_t jitter_seed = 0) {
+  sim::des::Engine engine(k, std::move(policy));
   auto mesh = sim::des::make_des_mesh(engine, k, net::wifi_link());
   std::vector<std::thread> threads;
   for (int node = 0; node < k; ++node) {
-    threads.emplace_back([&engine, &mesh, node, k, rounds] {
+    threads.emplace_back([&engine, &mesh, node, k, rounds, jitter_seed] {
+      Rng jitter(jitter_seed + static_cast<std::uint64_t>(node));
+      auto pause = [&] {
+        if (jitter_seed != 0) {
+          std::this_thread::sleep_for(
+              std::chrono::microseconds(jitter.randint(0, 200)));
+        }
+      };
       const int next = (node + 1) % k;
       const int prev = (node + k - 1) % k;
       net::Channel& to_next =
@@ -154,35 +173,67 @@ std::vector<double> run_des_ring(int k, int rounds) {
       net::Channel& from_prev =
           *mesh[static_cast<std::size_t>(node)][static_cast<std::size_t>(prev)];
       for (int round = 0; round < rounds; ++round) {
+        pause();
         engine.advance(node, 1e-4 * (node + 1));
+        pause();
         to_next.send(std::string(64, static_cast<char>('a' + node)));
+        pause();
         const std::string got = from_prev.recv();
         EXPECT_EQ(got, std::string(64, static_cast<char>('a' + prev)));
       }
-      // A node that leaves the simulation must retire, or the grant floor
-      // would wait on its frozen clock forever.
+      // A node that leaves the simulation must retire, or the baton would
+      // keep coming back to its frozen clock.
+      pause();
       engine.retire(node);
     });
   }
   for (auto& t : threads) t.join();
   EXPECT_EQ(engine.messages_delivered(),
             static_cast<std::int64_t>(k) * rounds);
-  std::vector<double> times;
-  for (int node = 0; node < k; ++node) times.push_back(engine.node_time(node));
-  return times;
+  RingRun run;
+  for (int node = 0; node < k; ++node) {
+    run.times.push_back(engine.node_time(node));
+  }
+  run.digest = engine.schedule_digest();
+  return run;
 }
 
 TEST(DesEngineRace, RingStressIsBitStableAcrossRuns) {
   constexpr int kNodes = 4;
   constexpr int kRounds = 50;
-  const std::vector<double> first = run_des_ring(kNodes, kRounds);
-  const std::vector<double> second = run_des_ring(kNodes, kRounds);
+  const std::vector<double> first = run_des_ring(kNodes, kRounds).times;
+  const std::vector<double> second = run_des_ring(kNodes, kRounds).times;
   ASSERT_EQ(first.size(), second.size());
   for (std::size_t i = 0; i < first.size(); ++i) {
     // Bit-exact, not approximately equal: the engine's whole contract is
     // that thread scheduling cannot leak into virtual time.
     EXPECT_EQ(first[i], second[i]) << "node " << i;
   }
+}
+
+TEST(DesEngineRace, PerturbedScheduleIgnoresWallClockJitter) {
+  // A perturbing policy with a window wide enough to reorder neighbours'
+  // sends: which node goes next is the policy's pick among several, so a
+  // leak of real thread timing would show as a different digest or clock.
+  constexpr int kNodes = 4;
+  constexpr int kRounds = 30;
+  auto policy = [] {
+    return sim::des::make_grant_policy(
+        sim::des::GrantPolicyKind::random_tiebreak, 7, kNodes, 5e-4);
+  };
+  const RingRun steady = run_des_ring(kNodes, kRounds, policy());
+  for (std::uint64_t jitter_seed : {11u, 12u}) {
+    const RingRun jittered =
+        run_des_ring(kNodes, kRounds, policy(), jitter_seed);
+    EXPECT_EQ(jittered.digest, steady.digest) << "jitter " << jitter_seed;
+    ASSERT_EQ(jittered.times.size(), steady.times.size());
+    for (std::size_t i = 0; i < steady.times.size(); ++i) {
+      EXPECT_EQ(jittered.times[i], steady.times[i])
+          << "jitter " << jitter_seed << ", node " << i;
+    }
+  }
+  // The window really reorders something: the canonical schedule differs.
+  EXPECT_NE(run_des_ring(kNodes, kRounds).digest, steady.digest);
 }
 
 TEST(ChannelRace, CloseDrainsQueuedMessagesFirst) {
