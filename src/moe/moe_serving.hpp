@@ -36,7 +36,6 @@ class MoeMaster : private net::MasterCore {
 
   using MasterCore::set_compute_hook;
   using MasterCore::set_flow_trace;
-  using MasterCore::set_time_source;
   using MasterCore::set_worker_timeout;
   using MasterCore::shutdown;
 

@@ -29,12 +29,8 @@ std::pair<Tensor, Tensor> evaluate(nn::Module& expert, const Tensor& x) {
 }  // namespace
 
 CollaborativeWorker::CollaborativeWorker(nn::Module& expert, Channel& channel)
-    : expert_(expert), channel_(channel), now_(&steady_seconds) {
+    : expert_(expert), channel_(channel) {
   expert_.set_training(false);
-}
-
-void CollaborativeWorker::set_time_source(TimeSource now) {
-  now_ = now ? std::move(now) : TimeSource(&steady_seconds);
 }
 
 void CollaborativeWorker::set_trace_node(int node) {
@@ -86,10 +82,10 @@ void CollaborativeWorker::serve() {
                              obs::WorkerMark::request_landed, wire->landed);
       }
       obs::qtl_worker_mark(info.qid, trace_node_ - 1,
-                           obs::WorkerMark::request_recv, now_());
+                           obs::WorkerMark::request_recv, channel_.now());
     }
     if (drop_expired_ && info.deadline_us != kNoDeadlineUs &&
-        now_() * 1e6 > static_cast<double>(info.deadline_us)) {
+        channel_.now() * 1e6 > static_cast<double>(info.deadline_us)) {
       // The propagated deadline already passed on this node's clock: the
       // master has stopped listening, so computing a reply could only feed
       // the stale-discard path. Drop the request instead (DESIGN.md §13).
@@ -111,13 +107,13 @@ void CollaborativeWorker::serve() {
       // the begin/end pair brackets exactly that interval.
       if (marked) {
         obs::qtl_worker_mark(info.qid, trace_node_ - 1,
-                             obs::WorkerMark::compute_begin, now_());
+                             obs::WorkerMark::compute_begin, channel_.now());
       }
       if (on_compute_) on_compute_(batch_flops(expert_, x));
       auto [probs, entropy] = evaluate(expert_, x);
       if (marked) {
         obs::qtl_worker_mark(info.qid, trace_node_ - 1,
-                             obs::WorkerMark::compute_end, now_());
+                             obs::WorkerMark::compute_end, channel_.now());
       }
       Message reply;
       reply.type = MsgType::Result;
@@ -127,7 +123,7 @@ void CollaborativeWorker::serve() {
       if (marked) {
         obs::trace_flow_start("result", obs::flow_id(info.qid, trace_node_, 1));
         obs::qtl_worker_mark(info.qid, trace_node_ - 1,
-                             obs::WorkerMark::reply_sent, now_());
+                             obs::WorkerMark::reply_sent, channel_.now());
       }
       ++served_;
     } catch (const NetworkError&) {

@@ -6,9 +6,12 @@
 //   Step 5  master selects the least-uncertain expert's output
 //
 // The same classes run over any Channel implementation: real TCP in the
-// examples, simulated WiFi channels in the benches. The optional compute
-// hook reports each node's FLOP count so a simulation can advance its
-// virtual clock; real deployments leave it unset.
+// examples, simulated WiFi channels in the benches. Every timestamp a node
+// takes — deadlines, expiry checks, timeline marks — reads the clock of the
+// channel it serves on (Channel::now), so a simulated node runs on its
+// virtual clock with nothing wired in. The optional compute hook reports
+// each node's FLOP count so a simulation can advance that clock; real
+// deployments leave it unset.
 //
 // Steps 2 and 4 — query ids, the shared deadline, probation, quorum,
 // health gating and hedging — live in net::MasterCore (net/master_core.hpp);
@@ -41,13 +44,11 @@ class CollaborativeWorker {
   /// this worker's clock is dropped without computing or replying — the
   /// master stopped listening for it, so the reply could only ever be
   /// discarded as stale. Off by default because the check compares the
-  /// frame's stamp against set_time_source's clock: it is only meaningful
-  /// when worker and master share a clock domain (in-process, or the same
-  /// simulation), which the caller asserts by opting in.
+  /// frame's stamp against this worker's channel clock (Channel::now): it
+  /// is only meaningful when worker and master share a clock domain
+  /// (in-process, or the same simulation), which the caller asserts by
+  /// opting in.
   void set_drop_expired(bool enabled) { drop_expired_ = enabled; }
-  /// Clock used for the expiry check (default: steady_seconds; simulations
-  /// pass this node's virtual clock).
-  void set_time_source(TimeSource now);
 
   /// Tells the worker which scenario node it serves as (node >= 1; worker
   /// lane = node - 1) so it can publish per-query timeline marks and close
@@ -71,7 +72,6 @@ class CollaborativeWorker {
   nn::Module& expert_;
   Channel& channel_;
   ComputeHook on_compute_;
-  TimeSource now_;
   int trace_node_ = 0;  ///< 0 = anonymous (no marks/flows)
   bool drop_expired_ = false;
   std::int64_t served_ = 0;

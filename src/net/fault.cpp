@@ -1,8 +1,6 @@
 #include "net/fault.hpp"
 
-#include <chrono>
 #include <cstdio>
-#include <thread>
 #include <utility>
 
 #include "common/error.hpp"
@@ -39,16 +37,9 @@ std::string format_corrupt(std::size_t pos, unsigned mask) {
 
 }  // namespace
 
-FaultyChannel::FaultyChannel(ChannelPtr inner, FaultProfile profile,
-                             DelayFn delay)
+FaultyChannel::FaultyChannel(ChannelPtr inner, FaultProfile profile)
     : inner_(std::move(inner)),
       profile_(profile),
-      delay_(std::move(delay)),
-      now_([] {
-        return std::chrono::duration<double>(
-                   std::chrono::steady_clock::now().time_since_epoch())
-            .count();
-      }),
       rng_(profile.seed),
       partition_send_(profile.partition_send),
       partition_recv_(profile.partition_recv) {
@@ -97,126 +88,96 @@ void FaultyChannel::record_locked(const char* dir, std::int64_t seq,
   });
 }
 
-void FaultyChannel::send(std::string bytes) {
-  double delay_s = 0.0;
-  bool duplicate = false;
-  {
-    MutexLock lock(mutex_);
-    const std::int64_t seq = ++tx_seq_;
-    check_crash_locked("tx", seq);
-    ++messages_seen_;
-    if (partition_send_) {
-      record_locked("tx", seq, "partition-drop");
-      return;
-    }
-    if (profile_.drop_prob > 0.0 && rng_.bernoulli(profile_.drop_prob)) {
-      record_locked("tx", seq, "drop");
-      return;
-    }
-    if (profile_.delay_prob > 0.0 && rng_.bernoulli(profile_.delay_prob)) {
-      delay_s = static_cast<double>(
-          rng_.uniform(static_cast<float>(profile_.delay_min_s),
-                       static_cast<float>(profile_.delay_max_s)));
-      record_locked("tx", seq, format_delay(delay_s));
-    }
-    if (profile_.corrupt_prob > 0.0 && rng_.bernoulli(profile_.corrupt_prob) &&
-        !bytes.empty()) {
-      const auto pos = static_cast<std::size_t>(
-          rng_.randint(0, static_cast<int>(bytes.size()) - 1));
-      const unsigned mask = 1u << rng_.randint(0, 7);
-      bytes[pos] = static_cast<char>(static_cast<unsigned char>(bytes[pos]) ^
-                                     mask);
-      record_locked("tx", seq, format_corrupt(pos, mask));
-    }
-    if (profile_.duplicate_prob > 0.0 &&
-        rng_.bernoulli(profile_.duplicate_prob)) {
-      duplicate = true;
-      record_locked("tx", seq, "dup");
-    }
-  }
-  // Delay and forwarding happen outside the lock: the hook may advance a
-  // virtual clock (its own leaf lock) and inner_->send may block.
-  if (delay_s > 0.0) {
-    if (delay_) {
-      delay_(delay_s);
-    } else {
-      std::this_thread::sleep_for(std::chrono::duration<double>(delay_s));
-    }
-  }
-  if (duplicate) inner_->send(bytes);
-  inner_->send(std::move(bytes));
-}
-
-bool FaultyChannel::apply_rx_locked(std::string& bytes) {
-  const std::int64_t seq = ++rx_seq_;
+FaultyChannel::Fate FaultyChannel::fault_step_locked(bool tx,
+                                                     std::int64_t seq,
+                                                     std::string& bytes) {
+  const char* dir = tx ? "tx" : "rx";
+  Fate fate;
   ++messages_seen_;
-  if (partition_recv_) {
-    record_locked("rx", seq, "partition-drop");
-    return false;
+  if (tx ? partition_send_ : partition_recv_) {
+    record_locked(dir, seq, "partition-drop");
+    fate.lost = true;
+    return fate;
   }
   if (profile_.drop_prob > 0.0 && rng_.bernoulli(profile_.drop_prob)) {
-    record_locked("rx", seq, "drop");
-    return false;
+    record_locked(dir, seq, "drop");
+    fate.lost = true;
+    return fate;
+  }
+  if (tx && profile_.delay_prob > 0.0 && rng_.bernoulli(profile_.delay_prob)) {
+    fate.delay_s = static_cast<double>(
+        rng_.uniform(static_cast<float>(profile_.delay_min_s),
+                     static_cast<float>(profile_.delay_max_s)));
+    record_locked(dir, seq, format_delay(fate.delay_s));
   }
   if (profile_.corrupt_prob > 0.0 && rng_.bernoulli(profile_.corrupt_prob) &&
       !bytes.empty()) {
     const auto pos = static_cast<std::size_t>(
         rng_.randint(0, static_cast<int>(bytes.size()) - 1));
     const unsigned mask = 1u << rng_.randint(0, 7);
-    bytes[pos] = static_cast<char>(static_cast<unsigned char>(bytes[pos]) ^
-                                   mask);
-    record_locked("rx", seq, format_corrupt(pos, mask));
+    bytes[pos] =
+        static_cast<char>(static_cast<unsigned char>(bytes[pos]) ^ mask);
+    record_locked(dir, seq, format_corrupt(pos, mask));
   }
   if (profile_.duplicate_prob > 0.0 &&
       rng_.bernoulli(profile_.duplicate_prob)) {
-    pending_rx_.push_back(bytes);
-    record_locked("rx", seq, "dup");
+    fate.duplicate = true;
+    record_locked(dir, seq, "dup");
   }
-  return true;
+  return fate;
+}
+
+void FaultyChannel::send(std::string bytes) {
+  Fate fate;
+  {
+    MutexLock lock(mutex_);
+    const std::int64_t seq = ++tx_seq_;
+    check_crash_locked("tx", seq);
+    fate = fault_step_locked(/*tx=*/true, seq, bytes);
+  }
+  if (fate.lost) return;
+  // Delay and forwarding happen outside the lock: inner sleep() may
+  // advance a virtual clock (the engine's lock) and inner send may block.
+  if (fate.delay_s > 0.0) inner_->sleep(fate.delay_s);
+  if (fate.duplicate) inner_->send(bytes);
+  inner_->send(std::move(bytes));
+}
+
+std::optional<std::string> FaultyChannel::pending_rx() {
+  MutexLock lock(mutex_);
+  check_crash_locked("rx", rx_seq_ + 1);
+  if (pending_rx_.empty()) return std::nullopt;
+  std::string bytes = std::move(pending_rx_.front());
+  pending_rx_.pop_front();
+  return bytes;
+}
+
+bool FaultyChannel::admit_rx(std::string& bytes) {
+  MutexLock lock(mutex_);
+  const Fate fate = fault_step_locked(/*tx=*/false, ++rx_seq_, bytes);
+  if (fate.duplicate) pending_rx_.push_back(bytes);
+  return !fate.lost;
 }
 
 std::string FaultyChannel::recv() {
   for (;;) {
-    {
-      MutexLock lock(mutex_);
-      check_crash_locked("rx", rx_seq_ + 1);
-      if (!pending_rx_.empty()) {
-        std::string bytes = std::move(pending_rx_.front());
-        pending_rx_.pop_front();
-        return bytes;
-      }
-    }
+    if (auto bytes = pending_rx()) return std::move(*bytes);
     std::string bytes = inner_->recv();
-    MutexLock lock(mutex_);
-    if (apply_rx_locked(bytes)) return bytes;
+    if (admit_rx(bytes)) return bytes;
   }
 }
 
-void FaultyChannel::set_time_source(std::function<double()> now) {
-  TEAMNET_CHECK(now != nullptr);
-  now_ = std::move(now);
-}
-
 std::optional<std::string> FaultyChannel::recv_timeout(double seconds) {
-  // One budget across retries, measured on now_(): a dropped message must
-  // not reset the caller's deadline.
+  // One budget across retries, measured on the inner channel's clock: a
+  // dropped message must not reset the caller's deadline.
   const double budget = seconds > 0.0 ? seconds : 0.0;
-  const double start = now_();
+  const double start = now();
   for (;;) {
-    {
-      MutexLock lock(mutex_);
-      check_crash_locked("rx", rx_seq_ + 1);
-      if (!pending_rx_.empty()) {
-        std::string bytes = std::move(pending_rx_.front());
-        pending_rx_.pop_front();
-        return bytes;
-      }
-    }
-    const double remaining = budget - (now_() - start);
+    if (auto bytes = pending_rx()) return bytes;
+    const double remaining = budget - (now() - start);
     auto bytes = inner_->recv_timeout(remaining > 0.0 ? remaining : 0.0);
     if (!bytes) return std::nullopt;
-    MutexLock lock(mutex_);
-    if (apply_rx_locked(*bytes)) return bytes;
+    if (admit_rx(*bytes)) return bytes;
   }
 }
 
@@ -243,10 +204,8 @@ std::int64_t FaultyChannel::faults_injected() const {
   return faults_;
 }
 
-ChannelPtr make_faulty_channel(ChannelPtr inner, FaultProfile profile,
-                               DelayFn delay) {
-  return std::make_unique<FaultyChannel>(std::move(inner), profile,
-                                         std::move(delay));
+ChannelPtr make_faulty_channel(ChannelPtr inner, FaultProfile profile) {
+  return std::make_unique<FaultyChannel>(std::move(inner), profile);
 }
 
 }  // namespace teamnet::net

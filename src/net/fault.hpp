@@ -1,6 +1,6 @@
 // Deterministic fault injection for any Channel.
 //
-// FaultyChannel decorates a Channel (InProc, TCP and Sim alike) with a
+// FaultyChannel decorates a Channel (InProc, TCP and DES alike) with a
 // seeded fault schedule: per-message drop, bounded extra delay, single-byte
 // corruption, duplication, crash-after-N-messages, and a one-way partition
 // that can also be toggled at runtime (crash/heal patterns). Every decision
@@ -12,13 +12,17 @@
 // Faults are injected at this endpoint only: send-side faults model losses
 // between the caller and the wire (a dropped send never reaches the inner
 // channel), recv-side faults model losses at the receiver (the inner
-// channel already delivered — and, for Sim channels, already charged — the
+// channel already delivered — and, for DES channels, already charged — the
 // message before it is discarded or corrupted here).
+//
+// Time is the inner channel's: now() and sleep() forward to it, recv
+// budgets are measured on inner now(), and a delay fault holds the sender
+// with inner sleep() — a real sleep over TCP, a virtual-clock advance of
+// the sending node over DES.
 #pragma once
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <optional>
 #include <string>
 
@@ -50,35 +54,21 @@ struct FaultProfile {
   bool partition_recv = false;  ///< one-way partition: all receipts blackholed
 };
 
-/// Called with the drawn delay when a message is held back. The chaos
-/// simulation advances the sender's virtual clock here; the default (empty)
-/// hook sleeps for real (the right model when wrapping TCP channels).
-using DelayFn = std::function<void(double seconds)>;
-
 class FaultyChannel final : public Channel {
  public:
-  /// Takes ownership of `inner`. `delay` is invoked for delay faults; when
-  /// empty, the thread sleeps for the drawn duration instead.
-  FaultyChannel(ChannelPtr inner, FaultProfile profile, DelayFn delay = {});
+  /// Takes ownership of `inner`.
+  FaultyChannel(ChannelPtr inner, FaultProfile profile);
 
   void send(std::string bytes) override;
   std::string recv() override;
   std::optional<std::string> recv_timeout(double seconds) override;
   void close() override;
+  double now() const override { return inner_->now(); }
+  void sleep(double seconds) override { inner_->sleep(seconds); }
 
   /// Runtime partition control for crash/heal patterns: `send_lost` drops
   /// every outbound message, `recv_lost` every inbound one.
   void set_partition(bool send_lost, bool recv_lost);
-
-  /// Replaces the clock recv_timeout budgets are measured against (seconds,
-  /// monotone non-decreasing). Defaults to the real steady clock — right
-  /// when wrapping TCP or in-process channels, whose deadlines elapse in
-  /// real time. The simulator injects virtual time here instead: a DES
-  /// channel's timeouts consume virtual seconds, and measuring the
-  /// remaining budget on the real clock would feed scheduling noise back
-  /// into the retry sequence. Configure before any traffic flows, like the
-  /// DelayFn.
-  void set_time_source(std::function<double()> now);
 
   /// The recorded fault schedule so far, one `tx#N <fault>` / `rx#N <fault>`
   /// line per injected fault. Byte-identical across runs for the same seed
@@ -103,14 +93,27 @@ class FaultyChannel final : public Channel {
       TN_REQUIRES(mutex_);
   void record_locked(const char* dir, std::int64_t seq, const std::string& what)
       TN_REQUIRES(mutex_);
-  /// Applies recv-side faults to `bytes` in place. Returns false when the
-  /// message is dropped (partition or drop fault).
-  bool apply_rx_locked(std::string& bytes) TN_REQUIRES(mutex_);
+
+  /// What the fault step decided for one frame.
+  struct Fate {
+    bool lost = false;       ///< partitioned or dropped
+    double delay_s = 0.0;    ///< hold before sending (tx only)
+    bool duplicate = false;  ///< deliver twice
+  };
+  /// The one fault step, tx and rx alike: counts frame `seq` through the
+  /// endpoint, then draws partition, drop, delay (tx only), corruption
+  /// (applied to `bytes` in place) and duplication, in that order.
+  Fate fault_step_locked(bool tx, std::int64_t seq, std::string& bytes)
+      TN_REQUIRES(mutex_);
+  /// Receive side, before reading the inner channel: throws at the crash
+  /// point, else pops the duplicate the last received frame left, if any.
+  std::optional<std::string> pending_rx();
+  /// Receive side, after the inner channel delivered `bytes`: the rx fault
+  /// step. Returns false when the frame is lost; queues a duplicate.
+  bool admit_rx(std::string& bytes);
 
   ChannelPtr inner_;
   const FaultProfile profile_;
-  DelayFn delay_;
-  std::function<double()> now_;  ///< timeout clock; see set_time_source
 
   mutable Mutex mutex_;
   Rng rng_ TN_GUARDED_BY(mutex_);
@@ -127,7 +130,6 @@ class FaultyChannel final : public Channel {
 };
 
 /// Convenience factory for callers that only need the Channel interface.
-ChannelPtr make_faulty_channel(ChannelPtr inner, FaultProfile profile,
-                               DelayFn delay = {});
+ChannelPtr make_faulty_channel(ChannelPtr inner, FaultProfile profile);
 
 }  // namespace teamnet::net

@@ -1,16 +1,8 @@
 #include "net/health.hpp"
 
-#include <chrono>
-
 #include "common/error.hpp"
 
 namespace teamnet::net {
-
-double steady_seconds() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 const char* to_string(BreakerState state) {
   switch (state) {

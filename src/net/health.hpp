@@ -14,27 +14,20 @@
 // one trial query. The latency EWMA doubles as the hedge-delay estimate
 // (CollaborativeMaster::set_hedging).
 //
-// Time is an injectable TimeSource so the cooldown runs on virtual time
-// under the simulator — breaker transitions are deterministic under DES.
+// Time is an injectable TimeSource: a master hands it its channels' clock
+// (Channel::now), so under the simulator the cooldown runs on virtual time
+// and breaker transitions are deterministic; unit tests use fake clocks.
 // All state sits behind one TN-annotated mutex: the tracker is shared
 // between a master's query path and any telemetry reader.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "common/annotations.hpp"
+#include "net/transport.hpp"
 
 namespace teamnet::net {
-
-/// Monotonic time source in seconds, used for deadline and breaker
-/// accounting. The default reads std::chrono::steady_clock; simulations
-/// substitute the virtual clock so budgets burn simulated time.
-using TimeSource = std::function<double()>;
-
-/// Seconds since an arbitrary epoch on the steady (monotonic) clock.
-double steady_seconds();
 
 enum class BreakerState { closed = 0, half_open = 1, open = 2 };
 

@@ -17,36 +17,11 @@ std::int64_t batch_flops(nn::Module& model, const Tensor& x) {
   return model.analyze(sample_shape).flops * x.dim(0);
 }
 
-GatherDeadline::GatherDeadline(double budget_s, const TimeSource& now)
-    : now_(&now), unbounded_(budget_s <= 0.0) {
-  if (!unbounded_) deadline_ = (*now_)() + budget_s;
-}
-
-bool GatherDeadline::expired() const {
-  return !unbounded_ && (*now_)() >= deadline_;
-}
-
-double GatherDeadline::remaining() const {
-  if (unbounded_) return std::numeric_limits<double>::infinity();
-  const double left = deadline_ - (*now_)();
-  return left > 0.0 ? left : 0.0;
-}
-
-std::int64_t GatherDeadline::deadline_us() const {
-  if (unbounded_) return kNoDeadlineUs;
-  return std::llround(deadline_ * 1e6);
-}
-
-double GatherDeadline::expiry() const {
-  return unbounded_ ? std::numeric_limits<double>::infinity() : deadline_;
-}
-
 MasterCore::MasterCore(std::vector<Channel*> workers,
                        const std::string& counters, bool strict)
     : workers_(std::move(workers)),
       counters_(counters + "."),
       strict_(strict),
-      now_(&steady_seconds),
       slots_(workers_.size()) {
   for (auto* w : workers_) TEAMNET_CHECK(w != nullptr);
 }
@@ -57,8 +32,8 @@ void MasterCore::bump(const char* counter) const {
   obs::MetricsRegistry::instance().counter(counters_ + counter).increment();
 }
 
-void MasterCore::set_time_source(TimeSource now) {
-  now_ = now ? std::move(now) : TimeSource(&steady_seconds);
+double MasterCore::now() const {
+  return workers_.empty() ? steady_seconds() : workers_.front()->now();
 }
 
 void MasterCore::set_worker_timeout(double seconds) {
@@ -77,8 +52,8 @@ void MasterCore::set_gather_quorum(int answers) {
 }
 
 void MasterCore::enable_health() {
-  health_ =
-      std::make_unique<HealthTracker>(static_cast<int>(workers_.size()), now_);
+  health_ = std::make_unique<HealthTracker>(static_cast<int>(workers_.size()),
+                                            [this] { return now(); });
 }
 
 void MasterCore::set_hedging(std::vector<Channel*> backups) {
@@ -208,7 +183,7 @@ void MasterCore::probe_failed_workers() {
 }
 
 void MasterCore::mark(const Query& q, obs::QueryPhase phase) {
-  if (q.timeline) obs::qtl_master_mark(q.qid, phase, now_());
+  if (q.timeline) obs::qtl_master_mark(q.qid, phase, now());
 }
 
 MasterCore::Query& MasterCore::query(std::int64_t qid) {
@@ -222,7 +197,8 @@ std::int64_t MasterCore::begin_query(const Tensor& x) {
                     "a query needs a non-empty [n, ...] batch");
   ++qid_;
   bump("queries_total");
-  Query& q = inflight_.try_emplace(qid_, qid_, now_).first->second;
+  Query& q = inflight_[qid_];
+  q.qid = qid_;
   q.timeline = obs::qtl_active();
   q.flights.resize(workers_.size());
   mark(q, obs::QueryPhase::dispatch);
@@ -232,7 +208,7 @@ std::int64_t MasterCore::begin_query(const Tensor& x) {
   // SLO — it covers send + compute + gather — and its absolute expiry
   // rides in every Infer frame so workers can drop requests that outlive
   // it (deadline propagation, DESIGN.md §13).
-  q.deadline = GatherDeadline(worker_timeout_s_, now_);
+  if (worker_timeout_s_ > 0.0) q.expiry = now() + worker_timeout_s_;
   return qid_;
 }
 
@@ -242,7 +218,8 @@ std::string MasterCore::request_frame(const Tensor& payload, bool hedged) {
   request.type = MsgType::Infer;
   InferInfo info;
   info.qid = q.qid;
-  info.deadline_us = q.deadline.deadline_us();
+  info.deadline_us = std::isinf(q.expiry) ? kNoDeadlineUs
+                                          : std::llround(q.expiry * 1e6);
   info.hedged = hedged;
   set_infer_info(request, info);
   request.tensors = {payload};
@@ -266,7 +243,7 @@ void MasterCore::send_request(std::size_t w, const Tensor& payload,
     // between consecutive `sent` marks IS the master's per-worker
     // serialization cost (AttrPhase::broadcast_serial).
     obs::qtl_worker_mark(q.qid, static_cast<int>(w), obs::WorkerMark::sent,
-                         now_());
+                         now());
   }
   if (flow_trace_) {
     obs::trace_flow_start("infer",
@@ -276,7 +253,7 @@ void MasterCore::send_request(std::size_t w, const Tensor& payload,
 
 void MasterCore::end_dispatch() {
   Query& q = current();
-  q.t_sent = now_();
+  q.t_sent = now();
   if (q.timeline) {
     obs::qtl_master_mark(q.qid, obs::QueryPhase::broadcast_end, q.t_sent);
   }
@@ -300,7 +277,7 @@ void MasterCore::end_query(int degradation) {
 void MasterCore::end_query(Query& q, int degradation) {
   if (q.timeline) {
     obs::qtl_degradation(q.qid, degradation);
-    obs::qtl_master_mark(q.qid, obs::QueryPhase::complete, now_());
+    obs::qtl_master_mark(q.qid, obs::QueryPhase::complete, now());
   }
   const std::int64_t qid = q.qid;  // the key dies with the entry
   inflight_.erase(qid);
@@ -316,15 +293,15 @@ std::int64_t MasterCore::deliver(std::size_t w, const std::string& raw) {
 double MasterCore::next_due() const {
   double t = std::numeric_limits<double>::infinity();
   for (const auto& [qid, q] : inflight_) {
-    if (q.answers >= q.target) return now_();
-    t = std::min(t, q.deadline.expiry());
+    if (q.answers >= q.target) return now();
+    t = std::min(t, q.expiry);
   }
   return t;
 }
 
 std::int64_t MasterCore::due() {
   for (auto& [qid, q] : inflight_) {
-    if (q.answers >= q.target || q.deadline.expired()) {
+    if (q.answers >= q.target || expired(q)) {
       // The workers still out are slow, not lost: no probation, and their
       // late replies count as stale like a quorum's stragglers.
       mark(q, obs::QueryPhase::gather_end);
@@ -375,7 +352,7 @@ MasterCore::Query* MasterCore::accept(const std::string& raw, std::size_t w,
     // deadline reading is the only stale filter, so whether a reply is
     // trusted or treated as a miss races its arrival against the clock.
     found = &current();
-    if (found->deadline.remaining() <= 0.0) {
+    if (expired(*found)) {
       throw NetworkError("answered past the deadline reading (pre-qid mutant)");
     }
   } else if (!reply.ints.empty()) {
@@ -442,7 +419,7 @@ MasterCore::Query* MasterCore::accept(const std::string& raw, std::size_t w,
       obs::qtl_worker_mark(q.qid, lane, obs::WorkerMark::reply_landed,
                            wire->landed);
     }
-    obs::qtl_worker_mark(q.qid, lane, obs::WorkerMark::reply_recv, now_());
+    obs::qtl_worker_mark(q.qid, lane, obs::WorkerMark::reply_recv, now());
   }
   if (from_backup) {
     ++hedge_wins_;
@@ -453,7 +430,7 @@ MasterCore::Query* MasterCore::accept(const std::string& raw, std::size_t w,
           .arg("qid", q.qid);
     });
   } else if (health_) {
-    health_->record_success(static_cast<int>(w), now_() - q.t_sent);
+    health_->record_success(static_cast<int>(w), now() - q.t_sent);
   }
   return &q;
 }
@@ -586,7 +563,7 @@ int MasterCore::gather(std::int64_t classes) {
       if (f.pending || (f.backup_out > 0 && !f.answered)) any_pending = true;
     }
     if (!any_pending) break;  // every source answered, failed or errored
-    if (q.deadline.expired()) {
+    if (expired(q)) {
       for (std::size_t w = 0; w < workers_.size(); ++w) {
         flights[w].backup_out = 0;
         if (!flights[w].pending) continue;
@@ -606,7 +583,7 @@ int MasterCore::gather(std::int64_t classes) {
       progress |= drain(w, true);
     }
     if (q.answers >= q.target) break;
-    if (can_hedge && now_() >= hedge_at) {
+    if (can_hedge && now() >= hedge_at) {
       fire_hedge(++hedge_round);
       hedge_at += hedge_interval;  // pace the next escalation round
       progress = true;  // a hedged reply may land on the next pass
@@ -616,8 +593,8 @@ int MasterCore::gather(std::int64_t classes) {
     // burns deadline budget (virtual time under simulation) instead of
     // spinning, bounded by the deadline and the pending hedge fire time.
     double wait = worker_timeout_s_ > 0.0 ? worker_timeout_s_ / 8 : 0.005;
-    wait = std::min(wait, q.deadline.remaining());
-    if (can_hedge) wait = std::min(wait, hedge_at - now_());
+    wait = std::min(wait, q.expiry - now());
+    if (can_hedge) wait = std::min(wait, hedge_at - now());
     wait = std::max(wait, 1e-6);
     std::size_t source = workers_.size();
     bool backup = false;

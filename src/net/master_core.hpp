@@ -20,6 +20,13 @@
 // rejoins the live set. A `strict` master (MoeMaster: the routed expert's
 // answer IS the answer) throws NetworkError instead of failing the worker.
 //
+// Clock: the master reads its channels' clock (Channel::now), so a master
+// over DES channels runs its deadlines, hedges and breaker cooldowns on
+// its node's virtual time and one over TCP on the steady clock, with no
+// clock wired in. Master-side receives are bounded by the query's one
+// deadline and go through recv_timeout; tools/analyze.py (rule
+// `unbounded-wait`) rejects bare blocking Channel::recv() calls here.
+//
 // Degradation plane (DESIGN.md §13): the Infer frame propagates the
 // query's absolute deadline; the gather can complete at a quorum of
 // answers; a per-worker circuit breaker (net/health.hpp) removes flapping
@@ -29,6 +36,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
@@ -48,44 +56,12 @@ using ComputeHook = std::function<void(std::int64_t flops)>;
 /// unit): the per-sample analysis times the batch size.
 std::int64_t batch_flops(nn::Module& model, const Tensor& x);
 
-/// One shared receive budget for a whole gather loop: however many workers
-/// are slow or dead, the total wait is bounded by a single `budget_s`
-/// (each receive gets whatever remains). A budget <= 0 means unbounded.
-///
-/// Master-side receives are bounded by this deadline and always go through
-/// recv_timeout; tools/analyze.py (rule `unbounded-wait`) rejects bare
-/// blocking Channel::recv() calls in the protocol layers so no gather can
-/// silently reintroduce an unbounded per-worker wait.
-class GatherDeadline {
- public:
-  GatherDeadline(double budget_s, const TimeSource& now);
-
-  bool unbounded() const { return unbounded_; }
-  /// Whether a bounded budget has run out. Always false when unbounded.
-  bool expired() const;
-  /// Seconds left before the deadline; 0 once expired, +infinity when
-  /// unbounded.
-  double remaining() const;
-  /// The absolute expiry in microseconds on the time source's clock —
-  /// what an Infer frame propagates (InferInfo::deadline_us).
-  /// kNoDeadlineUs when unbounded.
-  std::int64_t deadline_us() const;
-  /// The absolute expiry in seconds; +infinity when unbounded.
-  double expiry() const;
-
- private:
-  const TimeSource* now_;
-  bool unbounded_;
-  double deadline_ = 0.0;
-};
-
 /// Owns the worker channels and the per-qid state of every in-flight
 /// query. A blocking query runs begin_query -> send_request... ->
 /// end_dispatch -> gather -> end_query; a pipelined caller instead reads
 /// the workers itself and feeds each frame to deliver().
 class MasterCore {
  public:
-  // The per-query deadline reads this object's own time source.
   MasterCore(const MasterCore&) = delete;
   MasterCore& operator=(const MasterCore&) = delete;
 
@@ -97,16 +73,12 @@ class MasterCore {
   void set_compute_hook(ComputeHook hook) { on_compute_ = std::move(hook); }
 
   /// When > 0, ONE shared deadline of `seconds` bounds the whole query —
-  /// it anchors before dispatch and covers send + compute + gather. A
-  /// worker that has not answered when it runs out (or whose channel
+  /// it anchors before dispatch and covers send + compute + gather, so
+  /// however many workers are slow or dead the query waits at most once.
+  /// A worker that has not answered when it runs out (or whose channel
   /// errors) is marked failed and put on probation. 0 (default) = no
   /// deadline.
   void set_worker_timeout(double seconds);
-
-  /// Substitutes the monotonic clock used for deadlines, timeline marks
-  /// and health latencies (default: steady_seconds). Simulations pass
-  /// virtual-clock time here.
-  void set_time_source(TimeSource now);
 
   /// Causal flow tracing (DESIGN.md §15): every dispatch send opens a
   /// Chrome-trace flow ('s') that the worker's receive closes ('f'), and
@@ -133,7 +105,7 @@ class MasterCore {
   /// Per-worker health scoring + circuit breaker (net/health.hpp): an open
   /// breaker puts the worker in probation (skipped at dispatch, probed via
   /// Ping/Pong) and an answered probe readmits it only after the breaker's
-  /// cooldown. Uses the master's time source — call after set_time_source.
+  /// cooldown, measured on now().
   void enable_health();
   /// The tracker enabled by enable_health (nullptr before).
   const HealthTracker* health() const { return health_.get(); }
@@ -197,11 +169,10 @@ class MasterCore {
 
   /// One in-flight query: its flights, deadline and gather progress.
   struct Query {
-    Query(std::int64_t id, const TimeSource& now)
-        : qid(id), deadline(0.0, now) {}
-    std::int64_t qid;
+    std::int64_t qid = 0;
     bool timeline = false;  ///< marks are recorded for this query
-    GatherDeadline deadline;
+    /// The shared deadline: absolute, on now(); +infinity = none.
+    double expiry = std::numeric_limits<double>::infinity();
     double t_sent = 0.0;      ///< end of dispatch (anchors health latency)
     std::int64_t classes = 0;  ///< answer width accepted replies must have
     int target = 1;   ///< answers that complete the gather, local included
@@ -287,6 +258,13 @@ class MasterCore {
   };
 
   void bump(const char* counter) const;
+  /// The master's clock, in seconds: its first worker channel's
+  /// Channel::now (every channel of a master belongs to one node), the
+  /// steady clock when it has none. Deadlines, timeline marks, hedge
+  /// times and health latencies all read it.
+  double now() const;
+  /// Whether `q`'s deadline has passed on now().
+  bool expired(const Query& q) const { return now() >= q.expiry; }
   /// A miss: strict masters throw NetworkError, others fail the worker.
   void fail(std::size_t w, const std::string& why);
   void mark_failed(std::size_t w);
@@ -306,7 +284,6 @@ class MasterCore {
 
   const std::string counters_;
   const bool strict_;
-  TimeSource now_;
   std::vector<WorkerSlot> slots_;
   double worker_timeout_s_ = 0.0;
   int probe_interval_ = 4;

@@ -2,11 +2,22 @@
 
 #include <chrono>
 #include <deque>
+#include <thread>
 
 #include "common/annotations.hpp"
 #include "common/error.hpp"
 
 namespace teamnet::net {
+
+double steady_seconds() {
+  return std::chrono::duration<double>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
+
+void Channel::sleep(double seconds) {
+  std::this_thread::sleep_for(std::chrono::duration<double>(seconds));
+}
 
 namespace {
 

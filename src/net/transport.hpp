@@ -7,14 +7,29 @@
 //   * DES         — discrete-event channels whose sends and receives run on
 //                   the simulator's virtual clock (benches; see
 //                   sim/des/des_channel.hpp)
+//
+// A channel also answers "what time is it at this endpoint": now() and
+// sleep() read and spend the clock of the node that holds it — the steady
+// clock over InProc and TCP, the node's virtual clock over DES. Protocol
+// objects read the channel they already hold, so no clock is wired in by
+// hand and the same code keeps real and virtual deadlines. A decorator
+// forwards both to the channel it wraps (FaultyChannel does); one that
+// does not reads the steady clock even over DES.
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
 #include <utility>
 
 namespace teamnet::net {
+
+/// Monotonic time source in seconds.
+using TimeSource = std::function<double()>;
+
+/// Seconds since an arbitrary epoch on the steady (monotonic) clock.
+double steady_seconds();
 
 /// Where the last received frame spent its time on a modeled link: the
 /// instant it went on the air (after any wait for the shared medium) and
@@ -47,6 +62,13 @@ class Channel {
   virtual std::optional<WireTiming> last_recv_timing() const {
     return std::nullopt;
   }
+  /// The clock of the node holding this endpoint, in seconds (monotone
+  /// non-decreasing): steady_seconds() by default, the node's virtual
+  /// clock on a DES channel.
+  virtual double now() const { return steady_seconds(); }
+  /// Holds the calling node for `seconds` on that clock: a real sleep by
+  /// default, a virtual-clock advance on a DES channel.
+  virtual void sleep(double seconds);
 };
 
 using ChannelPtr = std::unique_ptr<Channel>;

@@ -7,7 +7,10 @@
 // order. The engine knows the sender's clock, so nothing is stamped into
 // the payload: decorators that inspect or mutate bytes (FaultyChannel
 // corruption, fuzzed decoders) see the pure payload, and the byte counters
-// count payload bytes only.
+// count payload bytes only. Its clock is its node's: now() reads the
+// node's virtual time and sleep() advances it, so protocol objects and
+// decorators that read their channel's clock run on virtual time with no
+// clock wired in.
 //
 // Composable under make_faulty_channel; the chaos and resilience scenarios
 // wrap mesh legs in a FaultyChannel.
@@ -44,6 +47,8 @@ class DesChannel final : public net::Channel {
   std::optional<net::WireTiming> last_recv_timing() const override {
     return last_timing_;
   }
+  double now() const override { return engine_.node_time(self_); }
+  void sleep(double seconds) override { engine_.advance(self_, seconds); }
 
   /// Engine::recv_any over `channels` — DesChannel endpoints of one node
   /// on one engine: the earliest frame landing by `until` and the index of

@@ -15,23 +15,17 @@ namespace {
 /// FaultyChannel. One base seed forks into per-node streams (node index =
 /// fork key), so the whole fleet's fault schedule reproduces from
 /// `faults.seed` and a node keeps its stream whatever other links exist.
-/// Delay faults advance the master's virtual clock instead of sleeping.
+/// Each link reads its DES leg's clock, so delay faults advance the
+/// master's virtual clock and recv budgets burn virtual time.
 std::vector<std::unique_ptr<net::FaultyChannel>> wrap_faulty_links(
     SimNet& net, int num_nodes, const net::FaultProfile& faults) {
-  SimNet* netp = &net;
   Rng seeder(faults.seed);
-  net::DelayFn delay = [netp](double seconds) { netp->advance(0, seconds); };
   std::vector<std::unique_ptr<net::FaultyChannel>> links;
   for (int node = 1; node < num_nodes; ++node) {
     net::FaultProfile profile = faults;
     profile.seed = seeder.fork(static_cast<std::uint64_t>(node)).engine()();
     links.push_back(std::make_unique<net::FaultyChannel>(
-        net.take_channel(0, node), profile, delay));
-    // Timeout budgets must burn virtual time, not wall time: the real
-    // clock's sub-deadline remainders differ run to run and would leak
-    // nondeterminism into the recv_timeout sequence the inner DesChannel
-    // sees.
-    links.back()->set_time_source([netp] { return netp->node_time(0); });
+        net.take_channel(0, node), profile));
   }
   return links;
 }
@@ -138,7 +132,7 @@ Fleet::Fleet(const std::string& epoch, const ScenarioConfig& config,
   net_ = make_driver_net(config, num_nodes, spec.num_queries);
   try {
     // Node 1..k-1 serves expert i; with backups node k-1+i serves it too.
-    // Every serving node reads its own virtual clock, so a propagated
+    // Every serving node reads its channel's virtual clock, so a propagated
     // deadline compares against the time base the master stamped it in.
     for (int node = 1; node < num_nodes; ++node) {
       const auto expert =
@@ -148,8 +142,6 @@ Fleet::Fleet(const std::string& epoch, const ScenarioConfig& config,
                                                      net_->channel(node, 0)));
       worker.set_compute_hook(
           make_compute_hook(*net_, node, devices_[expert], nullptr));
-      worker.set_time_source(
-          [net = net_.get(), node] { return net->node_time(node); });
       worker.set_drop_expired(spec.drop_expired);
       if (spec.faults == nullptr) worker.set_trace_node(node);
       threads_.push_back(

@@ -4,8 +4,10 @@
 // the paper-scenario drivers in sim/scenario.cpp and the load-generation
 // plane in load/loadgen.cpp — builds its mesh, spawns its serving nodes,
 // wires its master and tears down through the pieces here, so the drivers
-// cannot drift apart on teardown, clock-charging or traffic-counting
-// rules. A driver on top of `Fleet` is a per-query loop.
+// cannot drift apart on teardown, compute-charging or traffic-counting
+// rules. Every node, master and fault layer reads its DES channel's
+// virtual clock (Channel::now). A driver on top of `Fleet` is a per-query
+// loop.
 #pragma once
 
 #include <atomic>
@@ -103,16 +105,13 @@ class Fleet {
     return workers_;
   }
 
-  /// Gives `master` the master node's compute hook and virtual clock (its
-  /// deadlines and timeline marks must read virtual time, not the steady
-  /// clock), flow tracing when fault-free, and binds the calling thread's
-  /// trace track. Call before any setter that captures the time source
-  /// (enable_health).
+  /// Gives `master` the master node's compute hook, flow tracing when
+  /// fault-free, and binds the calling thread's trace track. The master
+  /// reads its clock from its channels, all node 0's.
   template <typename Master>
   void attach(Master& master) {
     master.set_compute_hook(make_compute_hook(*net_, 0, devices_[0],
                                               &master_compute_));
-    master.set_time_source([net = net_.get()] { return net->node_time(0); });
     if (links_.empty()) master.set_flow_trace(true);
     track_.emplace(0, [net = net_.get()] { return net->node_time(0); },
                    "master");

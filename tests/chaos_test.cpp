@@ -14,7 +14,11 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstdio>
 #include <cstdlib>
+#include <memory>
+#include <optional>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -69,6 +73,22 @@ net::LinkProfile latency_only_link() { return net::LinkProfile{0.0005, 0.0, 0.0}
 
 // ---- FaultyChannel in isolation --------------------------------------------
 
+/// An in-process endpoint whose sleep() returns at once, so a delay fault
+/// costs no wall time.
+class NoSleepChannel final : public net::Channel {
+ public:
+  explicit NoSleepChannel(net::ChannelPtr inner) : inner_(std::move(inner)) {}
+  void send(std::string bytes) override { inner_->send(std::move(bytes)); }
+  std::string recv() override { return inner_->recv(); }
+  std::optional<std::string> recv_timeout(double seconds) override {
+    return inner_->recv_timeout(seconds);
+  }
+  void sleep(double /*seconds*/) override {}
+
+ private:
+  net::ChannelPtr inner_;
+};
+
 TEST(FaultyChannel, SameSeedSameScheduleAndDeliveries) {
   net::FaultProfile profile;
   profile.seed = chaos_seed();
@@ -78,11 +98,11 @@ TEST(FaultyChannel, SameSeedSameScheduleAndDeliveries) {
   profile.delay_prob = 0.2;
   profile.delay_min_s = 0.001;
   profile.delay_max_s = 0.002;
-  net::DelayFn no_sleep = [](double) {};
 
   auto run_once = [&] {
     auto [a, b] = net::make_inproc_pair();
-    net::FaultyChannel faulty(std::move(a), profile, no_sleep);
+    net::FaultyChannel faulty(std::make_unique<NoSleepChannel>(std::move(a)),
+                              profile);
     for (int i = 0; i < 32; ++i) faulty.send("message " + std::to_string(i));
     std::vector<std::string> delivered;
     while (auto bytes = b->recv_timeout(0.0)) delivered.push_back(*bytes);
@@ -95,6 +115,84 @@ TEST(FaultyChannel, SameSeedSameScheduleAndDeliveries) {
   EXPECT_EQ(schedule1, schedule2);
   EXPECT_EQ(delivered1, delivered2);
   EXPECT_LT(delivered1.size(), 32u + 7u);  // sanity: some messages dropped
+}
+
+/// One fixed seed's whole tx+rx schedule, pinned to its bytes: every draw
+/// of the fault step (partition, drop, delay, corruption, duplication)
+/// must stay in its place, in both directions.
+TEST(FaultyChannel, ScheduleIsPinnedForOneSeed) {
+  net::FaultProfile profile;
+  profile.seed = 2;
+  profile.drop_prob = 0.2;
+  profile.corrupt_prob = 0.2;
+  profile.duplicate_prob = 0.2;
+  profile.delay_prob = 0.3;
+  profile.delay_min_s = 0.0001;
+  profile.delay_max_s = 0.0002;
+  auto [a, b] = net::make_inproc_pair();
+  net::FaultyChannel faulty(std::move(a), profile);
+  std::vector<std::string> delivered;
+  for (int i = 0; i < 12; ++i) {
+    if (i == 9) faulty.set_partition(true, true);
+    if (i == 10) faulty.set_partition(false, false);
+    faulty.send("request " + std::to_string(i));
+    b->send("reply " + std::to_string(i));
+    while (auto bytes = faulty.recv_timeout(0.0)) delivered.push_back(*bytes);
+  }
+  EXPECT_EQ(faulty.fault_schedule(),
+            "rx#1 corrupt @1 ^0x01\n"
+            "rx#1 dup\n"
+            "rx#2 drop\n"
+            "tx#3 delay 0.000200\n"
+            "rx#3 corrupt @0 ^0x08\n"
+            "tx#4 dup\n"
+            "rx#4 corrupt @2 ^0x04\n"
+            "tx#6 drop\n"
+            "tx#7 dup\n"
+            "rx#7 corrupt @1 ^0x20\n"
+            "rx#7 dup\n"
+            "tx#8 corrupt @4 ^0x02\n"
+            "tx#9 delay 0.000135\n"
+            "rx#9 drop\n"
+            "ctl partition send=1 recv=1\n"
+            "tx#10 partition-drop\n"
+            "rx#10 partition-drop\n"
+            "ctl partition send=0 recv=0\n"
+            "tx#11 drop\n"
+            "tx#12 delay 0.000172\n"
+            "tx#12 corrupt @3 ^0x80\n");
+  EXPECT_EQ(delivered.size(), 11u);
+}
+
+/// A delay fault on a fault-wrapped DES leg holds the sending node on its
+/// virtual clock: node 0's clock moves by exactly the logged delay, with
+/// no clock or delay hook wired in.
+TEST(FaultyChannel, DelayAdvancesTheSendersVirtualClock) {
+  sim::SimNet net(2, latency_only_link());
+  std::thread peer([&net] {
+    try {
+      net.channel(1, 0).recv();
+    } catch (const Error&) {
+    }
+    net.retire(1);
+  });
+  net::FaultProfile profile;
+  profile.seed = chaos_seed();
+  profile.delay_prob = 1.0;
+  profile.delay_min_s = 0.001;
+  profile.delay_max_s = 0.002;
+  net::FaultyChannel link(net.take_channel(0, 1), profile);
+
+  const double t0 = net.node_time(0);
+  link.send("held");
+  const double held = net.node_time(0) - t0;
+  net.retire(0);
+  peer.join();
+
+  char logged[64];
+  std::snprintf(logged, sizeof(logged), "tx#1 delay %.6f\n", held);
+  EXPECT_EQ(link.fault_schedule(), logged);
+  EXPECT_GE(held, profile.delay_min_s);
 }
 
 TEST(FaultyChannel, CrashAfterNMessagesThenDead) {
@@ -222,8 +320,8 @@ TEST(ChaosProtocol, StaleReplyIsDiscardedNotConsumed) {
 }
 
 /// The gather budget is shared: with every worker dead, the master waits
-/// ONE deadline of virtual time, not one per worker. Uses a DES mesh with
-/// the master's virtual clock as its time source and no serving threads.
+/// ONE deadline of virtual time, not one per worker. Uses a DES mesh (the
+/// master reads its channels' virtual clock) and no serving threads.
 TEST(ChaosProtocol, GatherDeadlineIsSharedAcrossWorkers) {
   const int k = 4;
   const double timeout_s = 0.05;
@@ -242,7 +340,6 @@ TEST(ChaosProtocol, GatherDeadlineIsSharedAcrossWorkers) {
   for (int i = 1; i < k; ++i) channels.push_back(&net.channel(0, i));
   net::CollaborativeMaster master(expert, channels);
   master.set_worker_timeout(timeout_s);
-  master.set_time_source([&net] { return net.node_time(0); });
 
   Tensor x = Tensor::randn({1, 6}, rng);
   const double t0 = net.node_time(0);

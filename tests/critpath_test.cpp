@@ -375,7 +375,8 @@ struct FaultRun {
 
 /// Compact chaos-style harness: k nodes under DES, the master reaching the
 /// LAST worker through a FaultyChannel (delay faults advance the master's
-/// virtual clock, like the chaos scenario driver).
+/// virtual clock through the DES leg it wraps, like the chaos scenario
+/// driver).
 FaultRun run_with_faulty_last_worker(const net::FaultProfile& profile,
                                      double worker_timeout_s, int quorum,
                                      int num_queries) {
@@ -393,16 +394,13 @@ FaultRun run_with_faulty_last_worker(const net::FaultProfile& profile,
         *experts[static_cast<std::size_t>(i)], net->channel(i, 0)));
     workers.back()->set_compute_hook(
         sim::make_compute_hook(*net, i, cfg.device, nullptr));
-    workers.back()->set_time_source([netp, i] { return netp->node_time(i); });
     workers.back()->set_trace_node(i);
     threads.push_back(sim::spawn_sim_worker(
         *net, i, [w = workers.back().get()] { w->serve(); }));
   }
 
-  net::DelayFn delay = [netp](double seconds) { netp->advance(0, seconds); };
   auto faulty = std::make_unique<net::FaultyChannel>(
-      net->take_channel(0, k - 1), profile, delay);
-  faulty->set_time_source([netp] { return netp->node_time(0); });
+      net->take_channel(0, k - 1), profile);
   std::vector<net::Channel*> worker_channels;
   for (int i = 1; i < k - 1; ++i) worker_channels.push_back(&net->channel(0, i));
   worker_channels.push_back(faulty.get());
@@ -410,7 +408,6 @@ FaultRun run_with_faulty_last_worker(const net::FaultProfile& profile,
   net::CollaborativeMaster master(*experts[0], worker_channels);
   master.set_compute_hook(
       sim::make_compute_hook(*net, 0, cfg.device, nullptr));
-  master.set_time_source([netp] { return netp->node_time(0); });
   if (worker_timeout_s > 0.0) master.set_worker_timeout(worker_timeout_s);
   if (quorum > 0) master.set_gather_quorum(quorum);
 

@@ -11,6 +11,8 @@
 #include <chrono>
 #include <cstdlib>
 #include <memory>
+#include <optional>
+#include <string>
 #include <thread>
 
 #include "data/blobs.hpp"
@@ -19,6 +21,7 @@
 #include "net/message.hpp"
 #include "net/transport.hpp"
 #include "nn/mlp.hpp"
+#include "sim/des/runtime.hpp"
 #include "sim/scenario.hpp"
 
 namespace teamnet {
@@ -38,6 +41,23 @@ nn::MlpConfig tiny_mlp() {
   return cfg;
 }
 
+/// An in-process endpoint whose clock is frozen at 100 s.
+class FrozenClockChannel final : public net::Channel {
+ public:
+  explicit FrozenClockChannel(net::ChannelPtr inner)
+      : inner_(std::move(inner)) {}
+  void send(std::string bytes) override { inner_->send(std::move(bytes)); }
+  std::string recv() override { return inner_->recv(); }
+  std::optional<std::string> recv_timeout(double seconds) override {
+    return inner_->recv_timeout(seconds);
+  }
+  void close() override { inner_->close(); }
+  double now() const override { return 100.0; }
+
+ private:
+  net::ChannelPtr inner_;
+};
+
 // ---- deadline-budget propagation -------------------------------------------
 
 /// A worker with drop-expired enabled must silently skip an Infer whose
@@ -47,9 +67,9 @@ TEST(DeadlinePropagation, WorkerDropsExpiredRequests) {
   Rng rng(17);
   nn::MlpNet expert(tiny_mlp(), rng);
   auto [master_ch, worker_ch] = net::make_inproc_pair();
+  FrozenClockChannel worker_end(std::move(worker_ch));
 
-  net::CollaborativeWorker worker(expert, *worker_ch);
-  worker.set_time_source([] { return 100.0; });  // frozen worker clock
+  net::CollaborativeWorker worker(expert, worker_end);
   worker.set_drop_expired(true);
   std::thread t([&worker] {
     try {
@@ -99,8 +119,8 @@ TEST(DeadlinePropagation, DropExpiredIsOptIn) {
   Rng rng(18);
   nn::MlpNet expert(tiny_mlp(), rng);
   auto [master_ch, worker_ch] = net::make_inproc_pair();
-  net::CollaborativeWorker worker(expert, *worker_ch);
-  worker.set_time_source([] { return 100.0; });
+  FrozenClockChannel worker_end(std::move(worker_ch));
+  net::CollaborativeWorker worker(expert, worker_end);
   std::thread t([&worker] {
     try {
       worker.serve();
@@ -274,6 +294,61 @@ TEST(HedgedDispatch, HedgeWinsUnderPartitionThenHeal) {
   master.shutdown();
   primary_thread.join();
   backup_thread.join();
+}
+
+// ---- circuit breaker --------------------------------------------------------
+
+/// The breaker's cooldown runs on the master's clock with nothing wired
+/// in: over DES channels, enable_health() measures kCooldownS in virtual
+/// time, so an answered probe kCooldownS of virtual time after the breaker
+/// opened moves it to half_open, however little wall time has passed.
+TEST(CircuitBreaker, CooldownRunsOnTheMastersVirtualClock) {
+  sim::SimNet net(2, net::LinkProfile{0.0005, 0.0, 0.0});
+  // Node 1 answers probes and never an Infer.
+  std::thread worker([&net] {
+    net::Channel& channel = net.channel(1, 0);
+    try {
+      for (;;) {
+        const net::Message msg = net::Message::decode(channel.recv());
+        if (msg.type == net::MsgType::Shutdown) break;
+        if (msg.type == net::MsgType::Ping) {
+          net::Message pong;
+          pong.type = net::MsgType::Pong;
+          pong.ints = msg.ints;
+          channel.send(pong.encode());
+        }
+      }
+    } catch (const Error&) {
+    }
+    net.retire(1);
+  });
+
+  Rng rng(19);
+  nn::MlpNet expert(tiny_mlp(), rng);
+  net::CollaborativeMaster master(expert, {&net.channel(0, 1)});
+  master.set_worker_timeout(0.01);
+  master.set_probe_interval(1);
+  master.enable_health();
+  const Tensor x = Tensor::randn({1, 6}, rng);
+
+  master.infer(x);  // the worker misses the deadline: failed, one miss
+  ASSERT_FALSE(master.worker_alive(0));
+  // A failure episode records one miss and three open the breaker; the
+  // other two go to the tracker directly.
+  auto& tracker = const_cast<net::HealthTracker&>(*master.health());
+  tracker.record_failure(0);
+  tracker.record_failure(0);
+  ASSERT_EQ(tracker.state(0), net::BreakerState::open);
+
+  net.advance(0, net::HealthTracker::kCooldownS);
+  master.infer(x);   // probation sends a Ping
+  master.submit(x);  // its Pong lands: half_open, and the worker rejoins
+  EXPECT_EQ(tracker.state(0), net::BreakerState::half_open);
+  EXPECT_EQ(master.rejoins(), 1);
+
+  master.shutdown();
+  net.retire(0);
+  worker.join();
 }
 
 // ---- whole-scenario ---------------------------------------------------------
