@@ -49,6 +49,25 @@ void BM_GemmTransposedVariants(benchmark::State& state) {
 }
 BENCHMARK(BM_GemmTransposedVariants)->Arg(64)->Arg(128);
 
+// The conv GEMM alone, out[Cout, S*S] += W^T[Cout, Cin*9] * cols, at the
+// SS-14 expert's two widest layers: 6 -> 6 channels at 16 x 16 and 12 -> 12
+// at 8 x 8. Items are FLOPs, so items/s reads as FLOP/s.
+void BM_ConvGemm(benchmark::State& state) {
+  const std::int64_t m = state.range(0), k = state.range(1),
+                     n = state.range(2);
+  Rng rng(10);
+  Tensor w = Tensor::randn({k, m}, rng);
+  Tensor cols = Tensor::randn({k, n}, rng);
+  Tensor out({m, n});
+  for (auto _ : state) {
+    gemm_tn_accumulate(w.data(), cols.data(), out.data(), m, k, n);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * 2 * m * k * n);
+}
+BENCHMARK(BM_ConvGemm)->Args({6, 54, 256})->Args({12, 108, 64});
+
 void BM_Im2Col(benchmark::State& state) {
   const std::int64_t s = state.range(0);
   Rng rng(3);

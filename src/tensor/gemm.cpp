@@ -9,31 +9,48 @@ namespace teamnet {
 
 namespace {
 
-// The 4x8 tile below accumulates on f32x4 lanes (vec4.hpp), so it
-// reproduces the scalar `c += a * b` loops bit for bit.
+// Eight floats in one AVX register. Only the avx2-target kernel below does
+// arithmetic on it; no function signature carries it, since passing a
+// 32-byte vector by value changes the ABI between AVX and non-AVX code.
+using f32x8 = float __attribute__((vector_size(32)));
+
+// A tile is kTileRows rows of two V vectors each: 4x8 with f32x4 lanes,
+// 4x16 with f32x8. A six-row f32x8 tile made the SS-14 forward slower on an
+// AVX2 EPYC, though its GEMMs ran ~15% faster on a Sapphire Rapids Xeon.
 constexpr std::int64_t kTileRows = 4;
-constexpr std::int64_t kTileCols = 8;
+template <class V>
+constexpr std::int64_t kTileCols = 2 * std::int64_t{sizeof(V) / sizeof(float)};
 // Depth of one pass over B. Splitting k only stores and reloads the C tile
 // between chunks, so every C[i,j] still sums in ascending p.
 constexpr std::int64_t kDepthChunk = 256;
 
-/// C[R, 8] += A(R, k) * B[k, 8], where A(r, p) = a[r * a_row + p * a_depth],
-/// B rows are `ldb` apart and C rows `ldc` apart. Each accumulator is seeded
-/// from C and adds its products in ascending p. The row loops are unrolled
-/// so the 2R accumulators live in registers rather than on the stack.
-template <int R>
-void micro_tile(const float* a, std::int64_t a_row, std::int64_t a_depth,
-                const float* b, std::int64_t ldb, float* c, std::int64_t ldc,
-                std::int64_t k) {
-  f32x4 lo[R], hi[R];
+// The kernel templates are inlined into one entry point per vector width,
+// so each instantiation is compiled for the target of the function that
+// calls it (SSE2/NEON for f32x4, AVX2 for f32x8).
+#define TEAMNET_GEMM_INLINE inline __attribute__((always_inline))
+
+/// C[R, 2w] += A(R, k) * B[k, 2w] for V of w lanes, where
+/// A(r, p) = a[r * a_row + p * a_depth], B rows are `ldb` apart and C rows
+/// `ldc` apart. Each accumulator is seeded from C and adds its products in
+/// ascending p, one rounded multiply and one rounded add per lane — the
+/// scalar `c += a * b` loop bit for bit, whatever the width. The row loops
+/// are unrolled so the 2R accumulators live in registers.
+template <class V, int R>
+TEAMNET_GEMM_INLINE void micro_tile(const float* a, std::int64_t a_row,
+                                    std::int64_t a_depth, const float* b,
+                                    std::int64_t ldb, float* c,
+                                    std::int64_t ldc, std::int64_t k) {
+  constexpr std::int64_t w = kTileCols<V> / 2;
+  V lo[R], hi[R];
 #pragma GCC unroll 4
   for (int r = 0; r < R; ++r) {
-    lo[r] = load4(c + r * ldc);
-    hi[r] = load4(c + r * ldc + 4);
+    std::memcpy(&lo[r], c + r * ldc, sizeof(V));
+    std::memcpy(&hi[r], c + r * ldc + w, sizeof(V));
   }
   for (std::int64_t p = 0; p < k; ++p) {
-    const f32x4 b_lo = load4(b + p * ldb);
-    const f32x4 b_hi = load4(b + p * ldb + 4);
+    V b_lo, b_hi;
+    std::memcpy(&b_lo, b + p * ldb, sizeof(V));
+    std::memcpy(&b_hi, b + p * ldb + w, sizeof(V));
     const float* ap = a + p * a_depth;
 #pragma GCC unroll 4
     for (int r = 0; r < R; ++r) {
@@ -44,73 +61,116 @@ void micro_tile(const float* a, std::int64_t a_row, std::int64_t a_depth,
   }
 #pragma GCC unroll 4
   for (int r = 0; r < R; ++r) {
-    store4(c + r * ldc, lo[r]);
-    store4(c + r * ldc + 4, hi[r]);
+    std::memcpy(c + r * ldc, &lo[r], sizeof(V));
+    std::memcpy(c + r * ldc + w, &hi[r], sizeof(V));
   }
 }
 
-void tile(std::int64_t rows, const float* a, std::int64_t a_row,
-          std::int64_t a_depth, const float* b, std::int64_t ldb, float* c,
-          std::int64_t ldc, std::int64_t k) {
+template <class V>
+TEAMNET_GEMM_INLINE void tile(std::int64_t rows, const float* a,
+                              std::int64_t a_row, std::int64_t a_depth,
+                              const float* b, std::int64_t ldb, float* c,
+                              std::int64_t ldc, std::int64_t k) {
   switch (rows) {
-    case 4: micro_tile<4>(a, a_row, a_depth, b, ldb, c, ldc, k); break;
-    case 3: micro_tile<3>(a, a_row, a_depth, b, ldb, c, ldc, k); break;
-    case 2: micro_tile<2>(a, a_row, a_depth, b, ldb, c, ldc, k); break;
-    default: micro_tile<1>(a, a_row, a_depth, b, ldb, c, ldc, k); break;
+    case 4: micro_tile<V, 4>(a, a_row, a_depth, b, ldb, c, ldc, k); break;
+    case 3: micro_tile<V, 3>(a, a_row, a_depth, b, ldb, c, ldc, k); break;
+    case 2: micro_tile<V, 2>(a, a_row, a_depth, b, ldb, c, ldc, k); break;
+    default: micro_tile<V, 1>(a, a_row, a_depth, b, ldb, c, ldc, k); break;
   }
 }
 
 /// C[m,n] += A(m,k) * B[k,n] with A(i,p) = a[i * a_row + p * a_depth] and
-/// B, C row-major. Shared by gemm_accumulate (a_row = k, a_depth = 1) and
-/// gemm_tn_accumulate (a_row = 1, a_depth = m).
+/// B, C row-major (detail::GemmKernel).
 ///
-/// C is cut into 4x8 register tiles; column strips run outermost so a strip
-/// of B stays in L1 while every row block of A streams past it. A column
-/// tail (n % 8) is copied into a zero-padded 8-wide panel of B and a
-/// scratch C tile, and only its real columns are written back.
-void tiled_accumulate(const float* a, std::int64_t a_row,
-                      std::int64_t a_depth, const float* b, float* c,
-                      std::int64_t m, std::int64_t k, std::int64_t n) {
-  const std::int64_t n_full = n - n % kTileCols;
+/// C is cut into 4 x kTileCols register tiles; column strips run outermost
+/// so a strip of B stays in L1 while every row block of A streams past it.
+/// A column tail (n % kTileCols) is copied into a zero-padded full-width
+/// panel of B and a scratch C tile, and only its real columns are written
+/// back.
+template <class V>
+TEAMNET_GEMM_INLINE void tiled_accumulate(const float* a, std::int64_t a_row,
+                                          std::int64_t a_depth, const float* b,
+                                          float* c, std::int64_t m,
+                                          std::int64_t k, std::int64_t n) {
+  constexpr std::int64_t cols = kTileCols<V>;
+  const std::int64_t n_full = n - n % cols;
   const std::int64_t tail = n - n_full;
+  const auto tail_bytes = static_cast<std::size_t>(tail) * sizeof(float);
   for (std::int64_t p0 = 0; p0 < k; p0 += kDepthChunk) {
     const std::int64_t kc = std::min(kDepthChunk, k - p0);
     const float* a_chunk = a + p0 * a_depth;
     const float* b_chunk = b + p0 * n;
-    for (std::int64_t j0 = 0; j0 < n_full; j0 += kTileCols) {
+    for (std::int64_t j0 = 0; j0 < n_full; j0 += cols) {
       for (std::int64_t i0 = 0; i0 < m; i0 += kTileRows) {
-        tile(std::min(kTileRows, m - i0), a_chunk + i0 * a_row, a_row,
-             a_depth, b_chunk + j0, n, c + i0 * n + j0, n, kc);
+        tile<V>(std::min(kTileRows, m - i0), a_chunk + i0 * a_row, a_row,
+                a_depth, b_chunk + j0, n, c + i0 * n + j0, n, kc);
       }
     }
     if (tail == 0) continue;
-    float panel[kDepthChunk * kTileCols] = {};
+    // Only the kc rows the tile reads are zeroed and filled.
+    float panel[kDepthChunk * cols];
+    std::memset(panel, 0, static_cast<std::size_t>(kc * cols) * sizeof(float));
     for (std::int64_t p = 0; p < kc; ++p) {
-      std::memcpy(panel + p * kTileCols, b_chunk + p * n + n_full,
-                  static_cast<std::size_t>(tail) * sizeof(float));
+      std::memcpy(panel + p * cols, b_chunk + p * n + n_full, tail_bytes);
     }
     for (std::int64_t i0 = 0; i0 < m; i0 += kTileRows) {
       const std::int64_t rows = std::min(kTileRows, m - i0);
-      float c_tile[kTileRows * kTileCols] = {};
+      float c_tile[kTileRows * cols] = {};
       for (std::int64_t r = 0; r < rows; ++r) {
-        std::memcpy(c_tile + r * kTileCols, c + (i0 + r) * n + n_full,
-                    static_cast<std::size_t>(tail) * sizeof(float));
+        std::memcpy(c_tile + r * cols, c + (i0 + r) * n + n_full, tail_bytes);
       }
-      tile(rows, a_chunk + i0 * a_row, a_row, a_depth, panel, kTileCols,
-           c_tile, kTileCols, kc);
+      tile<V>(rows, a_chunk + i0 * a_row, a_row, a_depth, panel, cols, c_tile,
+              cols, kc);
       for (std::int64_t r = 0; r < rows; ++r) {
-        std::memcpy(c + (i0 + r) * n + n_full, c_tile + r * kTileCols,
-                    static_cast<std::size_t>(tail) * sizeof(float));
+        std::memcpy(c + (i0 + r) * n + n_full, c_tile + r * cols, tail_bytes);
       }
     }
   }
 }
 
+void tiled_accumulate_4(const float* a, std::int64_t a_row,
+                        std::int64_t a_depth, const float* b, float* c,
+                        std::int64_t m, std::int64_t k, std::int64_t n) {
+  tiled_accumulate<f32x4>(a, a_row, a_depth, b, c, m, k, n);
+}
+
+#if defined(__x86_64__) || defined(__i386__)
+// AVX2 without FMA: each lane still rounds its multiply and its add
+// separately, so this kernel's bits equal tiled_accumulate_4's.
+__attribute__((target("avx2"))) void tiled_accumulate_8(
+    const float* a, std::int64_t a_row, std::int64_t a_depth, const float* b,
+    float* c, std::int64_t m, std::int64_t k, std::int64_t n) {
+  tiled_accumulate<f32x8>(a, a_row, a_depth, b, c, m, k, n);
+}
+#endif
+
+/// The widest kernel this CPU runs, read from CPUID once per process.
+detail::GemmKernel host_kernel() {
+  static const detail::GemmKernel kernel = [] {
+    const detail::GemmKernel wide = detail::gemm_kernel(8);
+    return wide != nullptr ? wide : detail::gemm_kernel(4);
+  }();
+  return kernel;
+}
+
 }  // namespace
+
+namespace detail {
+
+GemmKernel gemm_kernel(int lanes) {
+  if (lanes == 4) return tiled_accumulate_4;
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_cpu_init();
+  if (lanes == 8 && __builtin_cpu_supports("avx2")) return tiled_accumulate_8;
+#endif
+  return nullptr;
+}
+
+}  // namespace detail
 
 void gemm_accumulate(const float* a, const float* b, float* c, std::int64_t m,
                      std::int64_t k, std::int64_t n) {
-  tiled_accumulate(a, /*a_row=*/k, /*a_depth=*/1, b, c, m, k, n);
+  host_kernel()(a, /*a_row=*/k, /*a_depth=*/1, b, c, m, k, n);
 }
 
 void gemm(const float* a, const float* b, float* c, std::int64_t m,
@@ -121,7 +181,7 @@ void gemm(const float* a, const float* b, float* c, std::int64_t m,
 
 void gemm_tn_accumulate(const float* a, const float* b, float* c, std::int64_t m,
                         std::int64_t k, std::int64_t n) {
-  tiled_accumulate(a, /*a_row=*/1, /*a_depth=*/m, b, c, m, k, n);
+  host_kernel()(a, /*a_row=*/1, /*a_depth=*/m, b, c, m, k, n);
 }
 
 void gemm_nt_accumulate(const float* a, const float* b, float* c, std::int64_t m,

@@ -3,12 +3,15 @@
 // accounting (src/sim) models the edge devices' real throughput.
 //
 // gemm / gemm_accumulate / gemm_tn_accumulate share one register-tiled
-// kernel (4x8 accumulator tiles in 16-byte SIMD vectors; plain SSE2 on the
-// default x86-64 build). Every C[i,j] is seeded from its current value and
-// adds A·B products in ascending p, one rounded multiply and one rounded add
-// per term — exactly the order of the textbook triple loop, so results do
-// not depend on the tiling. Trained checkpoints rely on this (DESIGN.md,
-// "Convolution lowering").
+// kernel source, built at two vector widths: 4x16 accumulator tiles in
+// 8-float vectors on x86 CPUs with AVX2, 4x8 tiles in 4-float vectors (SSE2,
+// or NEON on AArch64) everywhere else. The width is read from CPUID once
+// per process; there is no knob. Every C[i,j] is seeded from its current
+// value and adds A·B products in ascending p, one rounded multiply and one
+// rounded add per term (neither width uses FMA) — exactly the order of the
+// textbook triple loop, so results depend on neither the tiling nor the
+// width. Trained checkpoints rely on this (DESIGN.md, "Convolution
+// lowering").
 #pragma once
 
 #include <cstdint>
@@ -31,5 +34,21 @@ void gemm_tn_accumulate(const float* a, const float* b, float* c, std::int64_t m
 /// each dot product is summed from zero and then added to C.
 void gemm_nt_accumulate(const float* a, const float* b, float* c, std::int64_t m,
                         std::int64_t k, std::int64_t n);
+
+namespace detail {
+
+/// The tiled kernel behind gemm_accumulate (a_row = k, a_depth = 1) and
+/// gemm_tn_accumulate (a_row = 1, a_depth = m): C[m,n] += A(m,k) * B[k,n]
+/// with A(i,p) = a[i * a_row + p * a_depth], B and C row-major.
+using GemmKernel = void (*)(const float* a, std::int64_t a_row,
+                            std::int64_t a_depth, const float* b, float* c,
+                            std::int64_t m, std::int64_t k, std::int64_t n);
+
+/// The kernel built for `lanes`-float vectors (4 or 8), or nullptr if this
+/// CPU cannot run it (8 lanes need x86 AVX2). The entry points above use the
+/// widest kernel the CPU runs; tests reach each width through this hook.
+GemmKernel gemm_kernel(int lanes);
+
+}  // namespace detail
 
 }  // namespace teamnet

@@ -1,10 +1,13 @@
 // Four floats in one SSE2 register on x86-64 (NEON on AArch64), shared by
-// the tensor kernels that are written on GCC/Clang vector extensions.
+// the tensor kernels that are written on GCC/Clang vector extensions. The
+// GEMM (gemm.cpp) also builds an eight-lane copy of its kernel for AVX2
+// hosts; f32x4 is the width every build can run.
 //
-// Lane arithmetic on `f32x4` rounds exactly like the scalar statement it
-// replaces: `v += s * w` is one rounded multiply and one rounded add per
-// lane, and the build enables no FMA contraction (ISO -std, no -march), so a
-// vector kernel reproduces its scalar loop bit for bit.
+// Lane arithmetic rounds exactly like the scalar statement it replaces:
+// `v += s * w` is one rounded multiply and one rounded add per lane. Nothing
+// enables FMA — ISO -std turns contraction off, the build sets no -march,
+// and the GEMM's target("avx2") does not imply fma — so a vector kernel of
+// either width reproduces its scalar loop bit for bit.
 #pragma once
 
 #include <cstdint>

@@ -178,10 +178,13 @@ struct GemmShape {
   std::int64_t m, k, n;
 };
 
-// Full 4x8 tiles, a row tail, column tails below and above one tile, k = 1,
-// and a depth past one k-chunk of the tiled kernel.
-const GemmShape kGemmShapes[] = {{8, 16, 16}, {7, 5, 16}, {5, 3, 6},
-                                 {6, 9, 13}, {9, 1, 11}, {5, 300, 12}};
+// Full tiles, a row tail, column tails around both tile widths (8 and 16
+// columns), k = 1, the two SS-14 conv GEMMs (Cout x Cin*9 x S*S), and depths
+// past one k-chunk of the tiled kernel.
+const GemmShape kGemmShapes[] = {
+    {8, 16, 16},  {7, 5, 16},   {5, 3, 6},     {6, 9, 13},  {9, 1, 11},
+    {5, 300, 12}, {6, 7, 15},   {5, 11, 16},   {7, 4, 17},  {3, 20, 31},
+    {9, 6, 33},   {6, 54, 256}, {12, 108, 64}, {5, 257, 17}};
 
 TEST(Gemm, VariantsAgreeWithNaive) {
   Rng rng(7);
@@ -222,6 +225,37 @@ TEST(Gemm, VariantsAgreeWithNaive) {
     expect_bit_identical(c_nt, want_nt);
   }
 }
+
+/// Runs the tiled kernel built for `lanes`-float vectors directly, in both
+/// of its layouts, over every shape; skips if this CPU cannot run it.
+void check_kernel_width(int lanes) {
+  const detail::GemmKernel kernel = detail::gemm_kernel(lanes);
+  if (kernel == nullptr) GTEST_SKIP() << lanes << "-lane kernel needs AVX2";
+  Rng rng(11);
+  for (const GemmShape& sh : kGemmShapes) {
+    SCOPED_TRACE(testing::Message() << "m=" << sh.m << " k=" << sh.k
+                                    << " n=" << sh.n);
+    Tensor a = Tensor::randn({sh.m, sh.k}, rng);
+    Tensor b = Tensor::randn({sh.k, sh.n}, rng);
+    Tensor c0 = Tensor::randn({sh.m, sh.n}, rng);
+    const Tensor want = naive_gemm_accumulate(a, b, c0.clone());
+
+    Tensor c = c0.clone();
+    kernel(a.data(), /*a_row=*/sh.k, /*a_depth=*/1, b.data(), c.data(), sh.m,
+           sh.k, sh.n);
+    expect_bit_identical(c, want);
+
+    Tensor at = ops::transpose(a);
+    Tensor c_tn = c0.clone();
+    kernel(at.data(), /*a_row=*/1, /*a_depth=*/sh.m, b.data(), c_tn.data(),
+           sh.m, sh.k, sh.n);
+    expect_bit_identical(c_tn, want);
+  }
+}
+
+TEST(Gemm, FourLaneKernelAgreesWithNaive) { check_kernel_width(4); }
+
+TEST(Gemm, EightLaneKernelAgreesWithNaive) { check_kernel_width(8); }
 
 TEST(Ops, SoftmaxRowsSumToOne) {
   Rng rng(3);
