@@ -1,6 +1,7 @@
 // Microbenchmarks for the tensor substrate: GEMM variants, convolution
-// lowering, ReLU, softmax/entropy kernels — the primitives whose FLOP counts
-// feed the edge-latency model — plus one whole expert forward.
+// lowering, ReLU, eval BatchNorm, softmax/entropy kernels — the primitives
+// whose FLOP counts feed the edge-latency model — plus one whole expert
+// forward.
 #include <benchmark/benchmark.h>
 
 #include <memory>
@@ -9,6 +10,7 @@
 
 #include "common/rng.hpp"
 #include "core/entropy.hpp"
+#include "nn/batchnorm.hpp"
 #include "nn/mlp.hpp"
 #include "nn/shake_shake.hpp"
 #include "tensor/autograd.hpp"
@@ -108,6 +110,26 @@ void BM_Relu(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_Relu)->Arg(6 * 16 * 16)->Arg(1 << 16);
+
+// Eval BatchNorm through Module::predict at the SS-14 expert's two widest
+// activations (batch 1, C channels at S x S), with non-trivial running
+// statistics. Items are elements.
+void BM_BatchNormEval(benchmark::State& state) {
+  const std::int64_t c = state.range(0), s = state.range(1);
+  Rng rng(11);
+  nn::BatchNorm bn(c);
+  for (Tensor* buffer : bn.buffers()) {
+    for (float& v : buffer->values()) v = rng.uniform(0.5f, 2.0f);
+  }
+  bn.set_training(false);
+  Tensor x = Tensor::randn({1, c, s, s}, rng);
+  for (auto _ : state) {
+    Tensor y = bn.predict(x);
+    benchmark::DoNotOptimize(y.data());
+  }
+  state.SetItemsProcessed(state.iterations() * c * s * s);
+}
+BENCHMARK(BM_BatchNormEval)->Args({6, 16})->Args({12, 8});
 
 // One batch-1 eval forward through Module::predict, the call every serving
 // path makes: arg 0 is the tcp_cnn_k2 expert (SS-14, 6 base channels,

@@ -61,6 +61,12 @@ endif()
 
 function(teamnet_apply_build_flags target)
   target_compile_options(${target} PRIVATE -Wall -Wextra)
+  # Every `a * b + c` rounds twice, on every host and compiler. GCC (even
+  # under ISO -std for C++) and clang would otherwise fuse it into one FMA
+  # wherever the target has the instruction — AArch64 NEON, or the GEMM's
+  # avx512f kernel — and trained checkpoints would then depend on the CPU
+  # (DESIGN.md §2.2).
+  target_compile_options(${target} PRIVATE -ffp-contract=off)
   if(TEAMNET_WERROR)
     target_compile_options(${target} PRIVATE -Werror)
   endif()

@@ -92,16 +92,12 @@ Tensor distributed_conv(const Tensor& x, nn::Conv2d& layer, Communicator& comm,
       conv_out_dim(x.dim(3), layer.kernel(), layer.stride(), layer.pad());
   Tensor w_slice = col_block(layer.weight().value(), c0, c1);
   charge(on_compute, 2 * n * hw * kk * my_c);
-  Tensor slice({n, my_c, ho, wo});
+  // Bias included, exactly as Conv2d's own forward computes these channels.
+  const float* bias = layer.bias().value().data() + c0;
+  Tensor slice({n, my_c, ho, wo}, uninitialized);
   for (std::int64_t img = 0; img < n; ++img) {
-    gemm_tn_accumulate(w_slice.data(), cols.data() + img * kk * hw,
-                       slice.data() + img * my_c * hw, my_c, kk, hw);
-  }
-  const float* bias = layer.bias().value().data();
-  for (std::int64_t plane = 0; plane < n * my_c; ++plane) {
-    float* row = slice.data() + plane * hw;
-    const float bv = bias[c0 + plane % my_c];
-    for (std::int64_t s = 0; s < hw; ++s) row[s] += bv;
+    gemm_tn(w_slice.data(), cols.data() + img * kk * hw, bias,
+            slice.data() + img * my_c * hw, my_c, kk, hw);
   }
 
   // Allgather the channel slices — the per-conv-layer WiFi exchange.

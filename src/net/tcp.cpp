@@ -3,13 +3,16 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <poll.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <ctime>
 #include <thread>
 
 #include "common/error.hpp"
@@ -26,15 +29,34 @@ namespace {
   throw NetworkError(what + ": " + std::strerror(err));
 }
 
-void send_all(int fd, const char* data, std::size_t len) {
-  while (len > 0) {
-    const ssize_t n = ::send(fd, data, len, MSG_NOSIGNAL);
+/// Writes the 8-byte length header and the body with one sendmsg, so under
+/// TCP_NODELAY a small frame leaves as one segment and the peer never wakes
+/// on a bare header. A partial write resumes where the kernel stopped.
+void send_frame(int fd, const std::string& body) {
+  const std::uint64_t len = body.size();
+  char header[8];
+  std::memcpy(header, &len, sizeof(len));
+  iovec iov[2] = {{header, sizeof(header)},
+                  {const_cast<char*>(body.data()), body.size()}};
+  msghdr msg{};
+  msg.msg_iov = iov;
+  msg.msg_iovlen = 2;
+  while (msg.msg_iovlen > 0) {
+    const ssize_t n = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
     if (n <= 0) {
       const int err = errno;
       throw_errno("send", err);
     }
-    data += n;
-    len -= static_cast<std::size_t>(n);
+    auto sent = static_cast<std::size_t>(n);
+    while (msg.msg_iovlen > 0 && sent >= msg.msg_iov->iov_len) {
+      sent -= msg.msg_iov->iov_len;
+      ++msg.msg_iov;
+      --msg.msg_iovlen;
+    }
+    if (msg.msg_iovlen > 0) {
+      msg.msg_iov->iov_base = static_cast<char*>(msg.msg_iov->iov_base) + sent;
+      msg.msg_iov->iov_len -= sent;
+    }
   }
 }
 
@@ -48,6 +70,29 @@ void recv_all(int fd, char* data, std::size_t len) {
     }
     data += n;
     len -= static_cast<std::size_t>(n);
+  }
+}
+
+/// ppoll(2) until `fd` is readable (a frame, EOF or an error) or `seconds`
+/// pass; false on timeout. Restarts after a signal with the time that is
+/// left.
+bool wait_readable(int fd, double seconds) {
+  const auto until = std::chrono::steady_clock::now() +
+                     std::chrono::duration_cast<std::chrono::nanoseconds>(
+                         std::chrono::duration<double>(seconds));
+  for (;;) {
+    const auto left = until - std::chrono::steady_clock::now();
+    if (left <= std::chrono::nanoseconds::zero()) return false;
+    const auto ns =
+        std::chrono::duration_cast<std::chrono::nanoseconds>(left).count();
+    const timespec ts{static_cast<time_t>(ns / 1'000'000'000),
+                      static_cast<long>(ns % 1'000'000'000)};
+    pollfd pfd{fd, POLLIN, 0};
+    const int ready = ::ppoll(&pfd, 1, &ts, nullptr);
+    if (ready > 0) return true;
+    if (ready == 0) return false;
+    const int err = errno;
+    if (err != EINTR) throw_errno("poll", err);
   }
 }
 
@@ -78,13 +123,7 @@ class TcpChannel final : public Channel {
     if (fd_ >= 0) ::shutdown(fd_, SHUT_RDWR);
   }
 
-  void send(std::string bytes) override {
-    const std::uint64_t len = bytes.size();
-    char header[8];
-    std::memcpy(header, &len, sizeof(len));
-    send_all(fd_, header, sizeof(header));
-    send_all(fd_, bytes.data(), bytes.size());
-  }
+  void send(std::string bytes) override { send_frame(fd_, bytes); }
 
   std::string recv() override {
     char header[8];
@@ -93,28 +132,19 @@ class TcpChannel final : public Channel {
   }
 
   std::optional<std::string> recv_timeout(double seconds) override {
-    // Arm SO_RCVTIMEO for the frame header only; once a header arrives the
-    // body is assumed to follow promptly (sender writes frames atomically).
-    const double clamped = std::max(seconds, 0.0);
-    timeval tv{};
-    tv.tv_sec = static_cast<time_t>(clamped);
-    tv.tv_usec = static_cast<suseconds_t>(
-        (clamped - static_cast<double>(tv.tv_sec)) * 1e6);
-    // A zeroed timeval means "no timeout" to SO_RCVTIMEO, which would turn
-    // a non-blocking poll (seconds <= 0) into a blocking recv. Clamp to the
-    // smallest representable timeout instead.
-    if (tv.tv_sec == 0 && tv.tv_usec == 0) tv.tv_usec = 1;
-    ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+    // Wait for the frame header only; once it arrives the body is assumed
+    // to follow promptly (send_frame writes a frame with one syscall). A
+    // budget <= 0 is a poll: one non-blocking peek.
+    if (seconds > 0.0 && !wait_readable(fd_, seconds)) return std::nullopt;
     char header[8];
-    const ssize_t n = ::recv(fd_, header, sizeof(header), MSG_PEEK);
-    const int err = errno;  // before setsockopt below can clobber it
-    timeval off{};
-    ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &off, sizeof(off));
-    if (n < 0 && (err == EAGAIN || err == EWOULDBLOCK)) {
-      return std::nullopt;
+    const ssize_t n =
+        ::recv(fd_, header, sizeof(header), MSG_PEEK | MSG_DONTWAIT);
+    if (n < 0) {
+      const int err = errno;
+      if (err == EAGAIN || err == EWOULDBLOCK) return std::nullopt;
+      throw_errno("recv", err);
     }
     if (n == 0) throw NetworkError("peer closed connection");
-    if (n < 0) throw_errno("recv", err);
     return recv();
   }
 

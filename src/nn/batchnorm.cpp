@@ -3,6 +3,8 @@
 #include <cmath>
 #include <sstream>
 
+#include "tensor/vec4.hpp"
+
 namespace teamnet::nn {
 
 namespace {
@@ -37,6 +39,15 @@ void for_each_in_channel(const BnLayout& l, std::int64_t c, F f) {
       for (std::int64_t p = 0; p < l.s; ++p) f(base + p);
     }
   }
+}
+
+/// o[i] = g * ((x[i] - m) * is) + b over `len` floats: one f32x4 pass and a
+/// scalar tail, each step rounded as in the per-element formula.
+void normalize_span(const float* x, float* o, std::int64_t len, float m,
+                    float is, float g, float b) {
+  std::int64_t i = 0;
+  for (; i + 4 <= len; i += 4) store4(o + i, g * ((load4(x + i) - m) * is) + b);
+  for (; i < len; ++i) o[i] = g * ((x[i] - m) * is) + b;
 }
 
 }  // namespace
@@ -85,25 +96,33 @@ ag::Var BatchNorm::forward(const ag::Var& input) {
   for (std::int64_t c = 0; c < channels_; ++c) {
     inv_std[c] = 1.0f / std::sqrt(var[c] + eps_);
   }
-  Tensor out(x.shape());
+  Tensor out(x.shape(), uninitialized);
   const float* g = gamma_.value().data();
   const float* b = beta_.value().data();
-  // Normalized activations are cached only for a backward pass; with grad
-  // mode off (Module::predict) the output is all that gets written.
-  const bool keep_xhat = ag::grad_enabled();
-  Tensor xhat = keep_xhat ? Tensor(x.shape()) : Tensor();
   const float* xp = x.data();
   float* op = out.data();
+  // Normalized activations are cached only for a backward pass; with grad
+  // mode off (Module::predict) the output is all that gets written, one
+  // vector pass per channel plane (a plane of [N,F] is one element).
+  if (!ag::grad_enabled()) {
+    for (std::int64_t plane = 0; plane < l.n * channels_; ++plane) {
+      const std::int64_t c = plane % channels_;
+      normalize_span(xp + plane * l.s, op + plane * l.s, l.s, mean[c],
+                     inv_std[c], g[c], b[c]);
+    }
+    return ag::constant(std::move(out));
+  }
+
+  Tensor xhat(x.shape(), uninitialized);
   float* hp = xhat.data();
   for (std::int64_t c = 0; c < channels_; ++c) {
     const float m = mean[c], is = inv_std[c], gc = g[c], bc = b[c];
     for_each_in_channel(l, c, [&](std::int64_t i) {
       const float xh = (xp[i] - m) * is;
-      if (keep_xhat) hp[i] = xh;
+      hp[i] = xh;
       op[i] = gc * xh + bc;
     });
   }
-  if (!keep_xhat) return ag::constant(std::move(out));
 
   const bool use_batch_stats = training_;
   const std::int64_t channels = channels_;

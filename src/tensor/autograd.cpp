@@ -380,23 +380,20 @@ Var conv2d(const Var& input, const Var& weight, const Var& bias,
   const std::int64_t ho = conv_out_dim(h, kernel, stride, pad);
   const std::int64_t wo = conv_out_dim(wdim, kernel, stride, pad);
 
-  // cols: [N, Cin*k*k, Ho*Wo]; one GEMM per image writes NCHW directly:
-  // out[img] = W^T · cols[img], then the bias is added once per element.
+  // cols: [N, Cin*k*k, Ho*Wo]; one GEMM per image writes NCHW directly,
+  // each element once: out[img] = W^T · cols[img] + b, the taps summed from
+  // zero and the bias added last.
   Tensor cols = im2col(x, kernel, stride, pad);
   const std::int64_t kk = cols.dim(1), hw = ho * wo;
-  Tensor out({n, cout, ho, wo});
-  for (std::int64_t img = 0; img < n; ++img) {
-    gemm_tn_accumulate(w.data(), cols.data() + img * kk * hw,
-                       out.data() + img * cout * hw, cout, kk, hw);
-  }
+  const float* b = nullptr;
   if (bias.defined()) {
     TEAMNET_CHECK(bias.value().numel() == cout);
-    const float* b = bias.value().data();
-    for (std::int64_t plane = 0; plane < n * cout; ++plane) {
-      float* row = out.data() + plane * hw;
-      const float bv = b[plane % cout];
-      for (std::int64_t s = 0; s < hw; ++s) row[s] += bv;
-    }
+    b = bias.value().data();
+  }
+  Tensor out({n, cout, ho, wo}, uninitialized);
+  for (std::int64_t img = 0; img < n; ++img) {
+    gemm_tn(w.data(), cols.data() + img * kk * hw, b,
+            out.data() + img * cout * hw, cout, kk, hw);
   }
 
   std::vector<NodePtr> parents =
@@ -485,7 +482,7 @@ Var shake_combine(const Var& a, const Var& b, float alpha, float beta) {
                         << shape_to_string(av.shape()) << " vs "
                         << shape_to_string(bv.shape()));
   // One pass, same two roundings per term as mul_scalar then add.
-  Tensor out(av.shape());
+  Tensor out(av.shape(), uninitialized);
   const float* pa = av.data();
   const float* pb = bv.data();
   float* po = out.data();

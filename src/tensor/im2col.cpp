@@ -48,49 +48,57 @@ Tensor im2col(const Tensor& input, std::int64_t kernel, std::int64_t stride,
                      w = input.dim(3);
   const std::int64_t ho = conv_out_dim(h, kernel, stride, pad);
   const std::int64_t wo = conv_out_dim(w, kernel, stride, pad);
-  Tensor cols({n, c * kernel * kernel, ho * wo});  // zero-filled: the padding
+  // Every element is written below, the padding zeros included.
+  Tensor cols({n, c * kernel * kernel, ho * wo}, uninitialized);
 
   const std::vector<Range> ys = valid_ranges(h, ho, kernel, stride, pad);
   const std::vector<Range> xs = valid_ranges(w, wo, kernel, stride, pad);
   const float* in = input.data();
   float* out = cols.data();
+  const std::int64_t hw = ho * wo;
   for (std::int64_t img = 0; img < n; ++img) {
     for (std::int64_t ch = 0; ch < c; ++ch) {
       const float* plane = in + (img * c + ch) * h * w;
       for (std::int64_t ky = 0; ky < kernel; ++ky) {
         const auto [oy0, oy1] = ys[static_cast<std::size_t>(ky)];
-        for (std::int64_t kx = 0; kx < kernel; ++kx, out += ho * wo) {
+        for (std::int64_t kx = 0; kx < kernel; ++kx, out += hw) {
           const auto [ox0, ox1] = xs[static_cast<std::size_t>(kx)];
-          if (oy0 == oy1 || ox0 == ox1) continue;
+          if (oy0 == oy1 || ox0 == ox1) {
+            std::fill_n(out, hw, 0.0f);  // the tap reads only padding
+            continue;
+          }
+          // Output rows whose input row is padding.
+          std::fill(out, out + oy0 * wo, 0.0f);
+          std::fill(out + oy1 * wo, out + hw, 0.0f);
+          // Column by column: a row holds only pad-many padding columns,
+          // which would otherwise become one memset call each.
+          auto zero_column = [&](std::int64_t ox) {
+            for (std::int64_t oy = oy0; oy < oy1; ++oy) out[oy * wo + ox] = 0.0f;
+          };
           if (stride == 1 && wo == w) {
             // Output pixel j reads input pixel j + delta, so the whole tap is
-            // one copy; then re-zero the padding columns it wrapped across.
+            // one copy; then zero the padding columns it wrapped across.
             const std::int64_t delta = (ky - pad) * w + kx - pad;
             const std::int64_t j0 = oy0 * wo + ox0, j1 = (oy1 - 1) * wo + ox1;
             std::memcpy(out + j0, plane + (j0 + delta),
                         static_cast<std::size_t>(j1 - j0) * sizeof(float));
-            // Column by column: a row holds only pad-many such stores, which
-            // would otherwise become one memset call each.
-            auto zero_column = [&](std::int64_t ox) {
-              for (std::int64_t oy = oy0; oy < oy1; ++oy) out[oy * wo + ox] = 0.0f;
-            };
-            for (std::int64_t ox = 0; ox < ox0; ++ox) zero_column(ox);
-            for (std::int64_t ox = ox1; ox < wo; ++ox) zero_column(ox);
-            continue;
-          }
-          for (std::int64_t oy = oy0; oy < oy1; ++oy) {
-            // Input index of output column ox is base + ox * stride.
-            const std::int64_t base = (oy * stride + ky - pad) * w + kx - pad;
-            float* dst = out + oy * wo;
-            if (stride == 1) {
-              std::memcpy(dst + ox0, plane + (base + ox0),
-                          static_cast<std::size_t>(ox1 - ox0) * sizeof(float));
-            } else {
-              for (std::int64_t ox = ox0; ox < ox1; ++ox) {
-                dst[ox] = plane[base + ox * stride];
+          } else {
+            for (std::int64_t oy = oy0; oy < oy1; ++oy) {
+              // Input index of output column ox is base + ox * stride.
+              const std::int64_t base = (oy * stride + ky - pad) * w + kx - pad;
+              float* dst = out + oy * wo;
+              if (stride == 1) {
+                std::memcpy(dst + ox0, plane + (base + ox0),
+                            static_cast<std::size_t>(ox1 - ox0) * sizeof(float));
+              } else {
+                for (std::int64_t ox = ox0; ox < ox1; ++ox) {
+                  dst[ox] = plane[base + ox * stride];
+                }
               }
             }
           }
+          for (std::int64_t ox = 0; ox < ox0; ++ox) zero_column(ox);
+          for (std::int64_t ox = ox1; ox < wo; ++ox) zero_column(ox);
         }
       }
     }

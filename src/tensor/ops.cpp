@@ -50,7 +50,7 @@ Tensor binary(const Tensor& a, const Tensor& b, F f) {
   const BroadcastKind kind = classify(a.shape(), b.shape());
   switch (kind) {
     case BroadcastKind::Same: {
-      Tensor out(a.shape());
+      Tensor out(a.shape(), uninitialized);
       const std::int64_t n = a.numel();
       for (std::int64_t i = 0; i < n; ++i) out[i] = f(a[i], b[i]);
       return out;
@@ -175,7 +175,7 @@ Tensor tanh(const Tensor& a) {
 Tensor relu(const Tensor& a) {
   // `v > 0 ? v : 0` lane by lane: the compare yields an all-ones/all-zero
   // mask, so NaN and -0 both become +0 exactly as in the scalar tail.
-  Tensor out(a.shape());
+  Tensor out(a.shape(), uninitialized);
   const float* src = a.data();
   float* dst = out.data();
   const std::int64_t n = a.numel();
@@ -202,7 +202,7 @@ Tensor matmul(const Tensor& a, const Tensor& b) {
   TEAMNET_CHECK_MSG(a.rank() == 2 && b.rank() == 2 && a.dim(1) == b.dim(0),
                     "matmul " << shape_to_string(a.shape()) << " x "
                               << shape_to_string(b.shape()));
-  Tensor out({a.dim(0), b.dim(1)});
+  Tensor out({a.dim(0), b.dim(1)}, uninitialized);
   gemm(a.data(), b.data(), out.data(), a.dim(0), a.dim(1), b.dim(1));
   return out;
 }

@@ -3,7 +3,16 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <sstream>
+
+#if defined(__SANITIZE_ADDRESS__)
+#define TEAMNET_POISON_UNINITIALIZED 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define TEAMNET_POISON_UNINITIALIZED 1
+#endif
+#endif
 
 namespace teamnet {
 
@@ -32,7 +41,16 @@ Tensor::Tensor(Shape shape) : shape_(std::move(shape)) {
   data_ = std::shared_ptr<float[]>(new float[static_cast<std::size_t>(numel_)]());
 }
 
-Tensor::Tensor(Shape shape, std::vector<float> values) : Tensor(std::move(shape)) {
+Tensor::Tensor(Shape shape, Uninitialized) : shape_(std::move(shape)) {
+  numel_ = shape_numel(shape_);
+  data_ = std::shared_ptr<float[]>(new float[static_cast<std::size_t>(numel_)]);
+#ifdef TEAMNET_POISON_UNINITIALIZED
+  fill(std::numeric_limits<float>::quiet_NaN());
+#endif
+}
+
+Tensor::Tensor(Shape shape, std::vector<float> values)
+    : Tensor(std::move(shape), uninitialized) {
   TEAMNET_CHECK_MSG(static_cast<std::int64_t>(values.size()) == numel_,
                     "shape " << shape_to_string(shape_) << " needs " << numel_
                              << " values, got " << values.size());

@@ -26,6 +26,10 @@ std::int64_t shape_numel(const Shape& shape);
 /// "[2, 3, 4]" — for error messages.
 std::string shape_to_string(const Shape& shape);
 
+/// Tag for the Tensor constructor that leaves its storage unset.
+struct Uninitialized {};
+inline constexpr Uninitialized uninitialized{};
+
 class Tensor {
  public:
   /// Empty tensor (rank 0, no buffer). numel() == 0.
@@ -33,6 +37,11 @@ class Tensor {
 
   /// Zero-initialized tensor of the given shape.
   explicit Tensor(Shape shape);
+
+  /// Tensor whose elements are not set, for a kernel that writes every one
+  /// of them. AddressSanitizer builds fill it with NaN instead, so an
+  /// element a kernel forgets to write shows up in any bit-identity test.
+  Tensor(Shape shape, Uninitialized);
 
   /// Tensor with explicit contents; `values.size()` must match the shape.
   Tensor(Shape shape, std::vector<float> values);

@@ -4,6 +4,8 @@
 // the engine that owns it, in des_test.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <thread>
 
 #include "core/teamnet.hpp"
@@ -82,6 +84,33 @@ TEST(Tcp, LargeMessageSurvivesFraming) {
   auto server = listener.accept();
   EXPECT_EQ(server->recv(), big);
   client.join();
+}
+
+/// recv_timeout(0) on an empty channel is a poll: the gather's zero-budget
+/// drain must not sleep a scheduler tick per silent worker. A positive
+/// budget still waits for all of it.
+TEST(Tcp, ZeroBudgetRecvDoesNotBlock) {
+  net::TcpListener listener(0);
+  auto client = net::tcp_connect("127.0.0.1", listener.port());
+  auto server = listener.accept();
+  using Clock = std::chrono::steady_clock;
+  auto fastest = Clock::duration::max();
+  for (int i = 0; i < 5; ++i) {
+    const auto t0 = Clock::now();
+    EXPECT_FALSE(server->recv_timeout(0.0).has_value());
+    fastest = std::min(fastest, Clock::now() - t0);
+  }
+  EXPECT_LT(fastest, std::chrono::milliseconds(1));
+
+  const auto t0 = Clock::now();
+  EXPECT_FALSE(server->recv_timeout(0.020).has_value());
+  EXPECT_GE(Clock::now() - t0, std::chrono::milliseconds(20));
+
+  // A frame that is already there comes back at once, whole.
+  client->send("ping");
+  EXPECT_EQ(server->recv_timeout(1.0).value_or(""), "ping");
+  client->send("");
+  EXPECT_EQ(server->recv_timeout(1.0).value_or("missing"), "");
 }
 
 TEST(Tcp, ConnectToDeadPortFails) {

@@ -196,6 +196,39 @@ void expect_bit_identical(const Tensor& got, const Tensor& want) {
   }
 }
 
+/// Eval BatchNorm through predict against its per-element formula, bit for
+/// bit: a 3 x 3 plane leaves a scalar tail after two vectors, and a
+/// [N, F] input makes every plane a single element.
+TEST(BatchNorm, EvalPredictMatchesPerElementFormula) {
+  Rng rng(8);
+  const std::int64_t channels = 5;
+  nn::BatchNorm bn(channels);
+  for (Tensor* buffer : bn.buffers()) {
+    for (float& v : buffer->values()) v = rng.uniform(0.5f, 2.0f);
+  }
+  for (ag::Var& p : bn.parameters()) {
+    for (float& v : p.mutable_value().values()) v = rng.normal(0.0f, 1.0f);
+  }
+  bn.set_training(false);
+  const Tensor& mean = *bn.buffers()[0];
+  const Tensor& var = *bn.buffers()[1];
+  const Tensor& gamma = bn.parameters()[0].value();
+  const Tensor& beta = bn.parameters()[1].value();
+  for (const Shape& shape : {Shape{2, channels, 3, 3}, Shape{3, channels, 4, 4},
+                             Shape{7, channels}}) {
+    SCOPED_TRACE(shape_to_string(shape));
+    const Tensor x = Tensor::randn(shape, rng);
+    const std::int64_t plane = shape.size() == 4 ? shape[2] * shape[3] : 1;
+    Tensor want(shape);
+    for (std::int64_t i = 0; i < x.numel(); ++i) {
+      const std::int64_t c = (i / plane) % channels;
+      const float is = 1.0f / std::sqrt(var[c] + 1e-5f);
+      want[i] = gamma[c] * ((x[i] - mean[c]) * is) + beta[c];
+    }
+    expect_bit_identical(bn.predict(x), want);
+  }
+}
+
 /// The tcp_cnn_k2 expert: SS-14 with 6 base channels on 16x16 RGB.
 nn::ShakeShakeConfig ss14_c6() {
   nn::ShakeShakeConfig cfg;

@@ -178,13 +178,14 @@ struct GemmShape {
   std::int64_t m, k, n;
 };
 
-// Full tiles, a row tail, column tails around both tile widths (8 and 16
-// columns), k = 1, the two SS-14 conv GEMMs (Cout x Cin*9 x S*S), and depths
-// past one k-chunk of the tiled kernel.
+// Full tiles, a row tail, column tails around every tile width (8, 16 and
+// 32 columns), k = 1, the two SS-14 conv GEMMs (Cout x Cin*9 x S*S), and
+// depths past one k-chunk of the tiled kernel.
 const GemmShape kGemmShapes[] = {
     {8, 16, 16},  {7, 5, 16},   {5, 3, 6},     {6, 9, 13},  {9, 1, 11},
     {5, 300, 12}, {6, 7, 15},   {5, 11, 16},   {7, 4, 17},  {3, 20, 31},
-    {9, 6, 33},   {6, 54, 256}, {12, 108, 64}, {5, 257, 17}};
+    {9, 6, 33},   {6, 54, 256}, {12, 108, 64}, {5, 257, 17}, {5, 7, 31},
+    {4, 9, 32},   {6, 3, 33},   {3, 12, 63},   {7, 5, 64},  {5, 8, 65}};
 
 TEST(Gemm, VariantsAgreeWithNaive) {
   Rng rng(7);
@@ -230,7 +231,10 @@ TEST(Gemm, VariantsAgreeWithNaive) {
 /// of its layouts, over every shape; skips if this CPU cannot run it.
 void check_kernel_width(int lanes) {
   const detail::GemmKernel kernel = detail::gemm_kernel(lanes);
-  if (kernel == nullptr) GTEST_SKIP() << lanes << "-lane kernel needs AVX2";
+  if (kernel == nullptr) {
+    GTEST_SKIP() << lanes << "-lane kernel needs "
+                 << (lanes == 16 ? "AVX-512F" : "AVX2");
+  }
   Rng rng(11);
   for (const GemmShape& sh : kGemmShapes) {
     SCOPED_TRACE(testing::Message() << "m=" << sh.m << " k=" << sh.k
@@ -242,13 +246,13 @@ void check_kernel_width(int lanes) {
 
     Tensor c = c0.clone();
     kernel(a.data(), /*a_row=*/sh.k, /*a_depth=*/1, b.data(), c.data(), sh.m,
-           sh.k, sh.n);
+           sh.k, sh.n, /*overwrite=*/false, /*bias=*/nullptr);
     expect_bit_identical(c, want);
 
     Tensor at = ops::transpose(a);
     Tensor c_tn = c0.clone();
     kernel(at.data(), /*a_row=*/1, /*a_depth=*/sh.m, b.data(), c_tn.data(),
-           sh.m, sh.k, sh.n);
+           sh.m, sh.k, sh.n, /*overwrite=*/false, /*bias=*/nullptr);
     expect_bit_identical(c_tn, want);
   }
 }
@@ -256,6 +260,56 @@ void check_kernel_width(int lanes) {
 TEST(Gemm, FourLaneKernelAgreesWithNaive) { check_kernel_width(4); }
 
 TEST(Gemm, EightLaneKernelAgreesWithNaive) { check_kernel_width(8); }
+
+TEST(Gemm, SixteenLaneKernelAgreesWithNaive) { check_kernel_width(16); }
+
+/// The overwrite seed and the bias epilogue against what the convolution
+/// did before them: zero-fill C, accumulate, then add the bias in a separate
+/// pass. C starts as NaN, so a seed that read it would show.
+void check_overwrite_with_bias(detail::GemmKernel kernel) {
+  // k = 257 puts the bias after a second depth chunk; n = 33 and 65 leave a
+  // tail at every width, and k = 0 is a bias-only (or all-zero) result.
+  const GemmShape shapes[] = {{6, 54, 256}, {12, 108, 64}, {5, 257, 33},
+                              {24, 216, 16}, {3, 9, 65},   {7, 0, 20}};
+  Rng rng(12);
+  for (const GemmShape& sh : shapes) {
+    for (const bool with_bias : {true, false}) {
+      SCOPED_TRACE(testing::Message() << "m=" << sh.m << " k=" << sh.k
+                                      << " n=" << sh.n << " bias=" << with_bias);
+      Tensor at = Tensor::randn({sh.k, sh.m}, rng);  // A^T, as a conv weight
+      Tensor b = Tensor::randn({sh.k, sh.n}, rng);
+      Tensor bias = Tensor::randn({sh.m}, rng);
+      const float* bias_ptr = with_bias ? bias.data() : nullptr;
+
+      Tensor want = naive_gemm_accumulate(ops::transpose(at), b,
+                                          Tensor({sh.m, sh.n}));
+      for (std::int64_t i = 0; i < sh.m && with_bias; ++i)
+        for (std::int64_t j = 0; j < sh.n; ++j) want[i * sh.n + j] += bias[i];
+
+      Tensor c = Tensor::full({sh.m, sh.n}, std::nanf(""));
+      kernel(at.data(), /*a_row=*/1, /*a_depth=*/sh.m, b.data(), c.data(),
+             sh.m, sh.k, sh.n, /*overwrite=*/true, bias_ptr);
+      expect_bit_identical(c, want);
+
+      // The same through the row-major A layout.
+      Tensor a = ops::transpose(at);
+      Tensor c_nn = Tensor::full({sh.m, sh.n}, std::nanf(""));
+      kernel(a.data(), /*a_row=*/sh.k, /*a_depth=*/1, b.data(), c_nn.data(),
+             sh.m, sh.k, sh.n, /*overwrite=*/true, bias_ptr);
+      expect_bit_identical(c_nn, want);
+    }
+  }
+}
+
+TEST(Gemm, OverwriteWithBiasEqualsZeroFillThenBiasPass) {
+  for (const int lanes : {4, 8, 16}) {
+    SCOPED_TRACE(testing::Message() << lanes << " lanes");
+    // Widths this CPU cannot run are covered on the hosts that can.
+    if (const detail::GemmKernel kernel = detail::gemm_kernel(lanes)) {
+      check_overwrite_with_bias(kernel);
+    }
+  }
+}
 
 TEST(Ops, SoftmaxRowsSumToOne) {
   Rng rng(3);
@@ -345,6 +399,54 @@ TEST(Im2Col, Col2ImIsAdjoint) {
   for (std::int64_t i = 0; i < cx.numel(); ++i) lhs += cx[i] * y[i];
   for (std::int64_t i = 0; i < x.numel(); ++i) rhs += x[i] * aty[i];
   EXPECT_NEAR(lhs, rhs, 1e-3);
+}
+
+/// im2col by its definition: row (ch, ky, kx), column (oy, ox) holds input
+/// pixel (oy * stride + ky - pad, ox * stride + kx - pad), or 0 outside.
+Tensor naive_im2col(const Tensor& x, std::int64_t kernel, std::int64_t stride,
+                    std::int64_t pad) {
+  const std::int64_t n = x.dim(0), c = x.dim(1), h = x.dim(2), w = x.dim(3);
+  const std::int64_t ho = conv_out_dim(h, kernel, stride, pad);
+  const std::int64_t wo = conv_out_dim(w, kernel, stride, pad);
+  Tensor cols({n, c * kernel * kernel, ho * wo});
+  for (std::int64_t img = 0; img < n; ++img)
+    for (std::int64_t ch = 0; ch < c; ++ch)
+      for (std::int64_t ky = 0; ky < kernel; ++ky)
+        for (std::int64_t kx = 0; kx < kernel; ++kx)
+          for (std::int64_t oy = 0; oy < ho; ++oy)
+            for (std::int64_t ox = 0; ox < wo; ++ox) {
+              const std::int64_t y = oy * stride + ky - pad;
+              const std::int64_t xx = ox * stride + kx - pad;
+              const bool inside = y >= 0 && y < h && xx >= 0 && xx < w;
+              cols.at(img, (ch * kernel + ky) * kernel + kx, oy * wo + ox) =
+                  inside ? x.at(img, ch, y, xx) : 0.0f;
+            }
+  return cols;
+}
+
+TEST(Im2Col, MatchesNaiveReference) {
+  // Square and non-square inputs; 2 x 2 with k = 5, pad 2 has taps whose
+  // valid range is empty, so their rows are all padding.
+  const Shape inputs[] = {{2, 3, 7, 7}, {1, 2, 5, 8}, {1, 1, 2, 2},
+                          {1, 2, 16, 16}};
+  Rng rng(14);
+  for (const Shape& shape : inputs) {
+    const Tensor x = Tensor::randn(shape, rng);
+    for (const std::int64_t kernel : {1, 3, 5}) {
+      for (const std::int64_t stride : {1, 2}) {
+        for (const std::int64_t pad : {0, 1, 2}) {
+          if (shape[2] + 2 * pad < kernel || shape[3] + 2 * pad < kernel) {
+            continue;  // no output pixel
+          }
+          SCOPED_TRACE(testing::Message()
+                       << shape_to_string(shape) << " k=" << kernel
+                       << " s=" << stride << " p=" << pad);
+          expect_bit_identical(im2col(x, kernel, stride, pad),
+                               naive_im2col(x, kernel, stride, pad));
+        }
+      }
+    }
+  }
 }
 
 TEST(Im2Col, ConvOutDim) {
