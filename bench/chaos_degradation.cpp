@@ -37,7 +37,6 @@ int main_impl(int argc, char** argv) {
   // deadline plus probation/rejoin only.
   sim::ResilienceConfig base;
   base.faults.seed = 42;
-  base.health = false;
   base.drop_expired = false;
   const double rates[] = {0.0, 0.05, 0.1, 0.2, 0.3};
   for (double rate : rates) {

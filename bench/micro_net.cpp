@@ -1,6 +1,7 @@
 // Microbenchmarks for the networking layer: message encode/decode, in-proc
 // channel round trips, collective primitives, and weight serialization —
-// the real byte-shuffling costs behind the simulated links.
+// the real byte-shuffling costs behind the simulated links — plus what the
+// protocol's trace and timeline sites cost while tracing is off.
 #include <benchmark/benchmark.h>
 
 #include "micro_common.hpp"
@@ -12,6 +13,8 @@
 #include "net/transport.hpp"
 #include "nn/mlp.hpp"
 #include "nn/serialize.hpp"
+#include "obs/timeline.hpp"
+#include "obs/trace.hpp"
 
 namespace teamnet {
 namespace {
@@ -97,6 +100,39 @@ void BM_Allreduce(benchmark::State& state) {
   peer.join();
 }
 BENCHMARK(BM_Allreduce);
+
+// Disabled instrumentation: nothing in this binary turns the tracer or the
+// timeline recorder on, so each site below takes its "off" branch. Compare
+// both rows against BM_EmptyLoop, the bare loop they run in.
+void BM_EmptyLoop(benchmark::State& state) {
+  std::int64_t qid = 0;
+  for (auto _ : state) benchmark::DoNotOptimize(++qid);
+}
+BENCHMARK(BM_EmptyLoop);
+
+// A protocol trace site: the args lambda must never run while off.
+void BM_TraceInstantDisabled(benchmark::State& state) {
+  std::int64_t qid = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(++qid);
+    obs::trace_instant("hedge_dispatch", [&] {
+      return obs::TraceArgs().arg("worker", std::int64_t{1}).arg("qid", qid);
+    });
+  }
+}
+BENCHMARK(BM_TraceInstantDisabled);
+
+// A per-worker timeline mark, gated the way MasterCore gates it.
+void BM_QtlWorkerMarkDisabled(benchmark::State& state) {
+  std::int64_t qid = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(++qid);
+    if (obs::qtl_active()) {
+      obs::qtl_worker_mark(qid, 0, obs::WorkerMark::sent, 0.0);
+    }
+  }
+}
+BENCHMARK(BM_QtlWorkerMarkDisabled);
 
 }  // namespace
 }  // namespace teamnet

@@ -1,14 +1,14 @@
 // Degradation-plane bench (DESIGN.md §13): p50/p99/max latency and the
 // degradation-level mix vs injected drop rate, with the full gather
 // (quorum 0, no hedging) side by side against the SLO-aware mode
-// (quorum gather + hedged dispatch to backup replicas + circuit
-// breakers). The headline shape: at >= 20% drops the full gather's
-// slowest query pins at the gather deadline (a single lost reply burns
-// the whole SLO) while quorum + hedging keeps even the max below it,
-// trading a recorded fraction of quorum/local-only gathers for the
-// latency win. Each row states its sample count `n`; a percentile with
-// fewer than ten samples beyond it is null (and "-" in the table), so at
-// --quick (n = 20) p99 is not published and the max is the tail number.
+// (quorum gather + hedged dispatch to backup replicas). The headline
+// shape: at >= 20% drops the full gather's slowest query pins at the
+// gather deadline (a single lost reply burns the whole SLO) while
+// quorum + hedging keeps even the max below it, trading a recorded
+// fraction of quorum/local-only gathers for the latency win. Each row
+// states its sample count `n`; a percentile with fewer than ten samples
+// beyond it is null (and "-" in the table), so at --quick (n = 20) p99 is
+// not published and the max is the tail number.
 // On the discrete-event clock every number is bit-reproducible, so --json
 // output is byte-stable across same-seed runs; the checked-in
 // BENCH_resilience.json is the frozen --quick snapshot of this sweep (the
@@ -44,7 +44,6 @@ std::vector<std::pair<std::string, double>> extras(
           {"hedges_sent", static_cast<double>(r.hedges_sent)},
           {"hedge_wins", static_cast<double>(r.hedge_wins)},
           {"hedge_duplicates", static_cast<double>(r.hedge_duplicates)},
-          {"breaker_opens", static_cast<double>(r.breaker_opens)},
           {"expired_drops", static_cast<double>(r.expired_drops)},
           {"faults_injected", static_cast<double>(r.faults_injected)}};
 }
@@ -65,7 +64,7 @@ int main_impl(int argc, char** argv) {
   JsonReport report(opts, "resilience_sweep");
   Table table({"mode", "drop rate", "p50 (ms)", "p99 (ms)", "max (ms)",
                "accuracy (%)", "full/quorum/local", "hedges (sent/win/dup)",
-               "opens", "expired"});
+               "expired"});
   const double rates[] = {0.0, 0.1, 0.2, 0.3};
   for (double rate : rates) {
     for (int degraded = 0; degraded <= 1; ++degraded) {
@@ -95,7 +94,6 @@ int main_impl(int argc, char** argv) {
                      std::to_string(r.hedges_sent) + "/" +
                          std::to_string(r.hedge_wins) + "/" +
                          std::to_string(r.hedge_duplicates),
-                     std::to_string(r.breaker_opens),
                      std::to_string(r.expired_drops)});
       // The acceptance property the suite also asserts (resilience_test)
       // on p99: with drops at or above 20%, the degraded mode's slowest

@@ -95,7 +95,6 @@ std::vector<core::InferenceResult> reference_answers(
 
 ResilienceConfig ExploreScenarioOptions::default_explore_chaos() {
   ResilienceConfig chaos;
-  chaos.health = false;
   chaos.drop_expired = false;
   chaos.faults.drop_prob = 0.2;
   chaos.faults.corrupt_prob = 0.1;
@@ -174,9 +173,8 @@ std::string discrete_bytes(const ResilienceResult& result) {
       result.full_gathers >= 0 && result.quorum_gathers >= 0 &&
       result.local_only_gathers >= 0 && result.hedges_sent >= 0 &&
       result.hedge_wins >= 0 && result.hedge_duplicates >= 0 &&
-      result.breaker_opens >= 0 && result.rejoins >= 0 &&
-      result.stale_replies >= 0 && result.expired_drops >= 0 &&
-      result.faults_injected >= 0;
+      result.rejoins >= 0 && result.stale_replies >= 0 &&
+      result.expired_drops >= 0 && result.faults_injected >= 0;
   std::ostringstream out;
   out << "approach=" << result.scenario.approach << "\n"
       << "num_nodes=" << result.scenario.num_nodes << "\n"

@@ -57,9 +57,9 @@ struct ExploreScenarioOptions {
   /// duplicates, plus a scripted partition/heal of worker 0 — the mix that
   /// exercises every stale-reply and rejoin path.
   static ResilienceConfig default_explore_chaos();
-  /// The default resilience fixture: drops + duplicates with quorum gather,
-  /// hedging and the circuit breaker all enabled — the full degradation
-  /// plane under schedule perturbation.
+  /// The default resilience fixture: drops + duplicates with quorum gather
+  /// and hedging enabled — the full degradation plane under schedule
+  /// perturbation.
   static ResilienceConfig default_explore_resilience();
 };
 

@@ -233,8 +233,8 @@ CollaborativeMaster::Result CollaborativeMaster::complete(std::int64_t qid) {
   result.predictions = ops::argmax_rows(result.probs);
   result.answered = q.answers;
   // Degradation level is fleet-relative (DESIGN.md §13): `full` means every
-  // expert contributed — a worker skipped at broadcast (probation, open
-  // breaker) degrades the query exactly like one that missed the deadline.
+  // expert contributed — a worker skipped at broadcast (probation)
+  // degrades the query exactly like one that missed the deadline.
   if (result.answered == num_nodes() || workers_.empty()) {
     result.degradation = DegradationLevel::full;
     ++full_gathers_;

@@ -13,8 +13,8 @@
 // each node's FLOP count so a simulation can advance that clock; real
 // deployments leave it unset.
 //
-// Steps 2 and 4 — query ids, the shared deadline, probation, quorum,
-// health gating and hedging — live in net::MasterCore (net/master_core.hpp);
+// Steps 2 and 4 — query ids, the shared deadline, probation, quorum and
+// hedging — live in net::MasterCore (net/master_core.hpp);
 // CollaborativeMaster adds the broadcast policy, the local expert, the
 // argmin and the degradation accounting.
 #pragma once

@@ -51,11 +51,6 @@ void MasterCore::set_gather_quorum(int answers) {
   quorum_ = answers;
 }
 
-void MasterCore::enable_health() {
-  health_ = std::make_unique<HealthTracker>(static_cast<int>(workers_.size()),
-                                            [this] { return now(); });
-}
-
 void MasterCore::set_hedging(std::vector<Channel*> backups) {
   TEAMNET_CHECK_MSG(backups.size() == workers_.size(),
                     "need one backup entry (possibly null) per worker");
@@ -77,8 +72,12 @@ bool MasterCore::worker_alive(int worker_index) const {
 }
 
 bool MasterCore::dispatchable(std::size_t w) const {
-  return !slots_[w].failed &&
-         (!health_ || health_->allow_dispatch(static_cast<int>(w)));
+  return !slots_[w].failed;
+}
+
+double MasterCore::expected_latency_s(std::size_t w) const {
+  const WorkerSlot& slot = slots_[w];
+  return slot.has_latency ? slot.latency_ewma_s : kInitialLatencyS;
 }
 
 void MasterCore::fail(std::size_t w, const std::string& why) {
@@ -92,7 +91,6 @@ void MasterCore::fail(std::size_t w, const std::string& why) {
 void MasterCore::mark_failed(std::size_t w) {
   WorkerSlot& slot = slots_[w];
   if (slot.failed) return;
-  if (health_) health_->record_failure(static_cast<int>(w));
   slot.failed = true;
   slot.probe_id = 0;
   slot.probe_interval = probe_interval_;
@@ -125,17 +123,6 @@ void MasterCore::probe_failed_workers() {
         }
         if (msg.type == MsgType::Pong && !msg.ints.empty() &&
             msg.ints[0] == slot.probe_id) {
-          if (health_) health_->record_probe_success(static_cast<int>(w));
-          if (health_ && !health_->allow_dispatch(static_cast<int>(w))) {
-            // The worker answers probes but its breaker is still inside the
-            // cooldown: stay in probation (the cadence keeps pinging) until
-            // a later Pong lands after the cooldown and opens half_open.
-            slot.probe_id = 0;
-            LOG_INFO("worker " << w + 1
-                               << " answered probe but its breaker is open; "
-                                  "staying in probation");
-            break;
-          }
           slot.failed = false;
           slot.probe_id = 0;
           ++rejoins_;
@@ -429,8 +416,17 @@ MasterCore::Query* MasterCore::accept(const std::string& raw, std::size_t w,
           .arg("worker", static_cast<std::int64_t>(w) + 1)
           .arg("qid", q.qid);
     });
-  } else if (health_) {
-    health_->record_success(static_cast<int>(w), now() - q.t_sent);
+  } else {
+    // Only primary replies time the worker: a backup's latency says
+    // nothing about the primary the next hedge delay is waiting on.
+    WorkerSlot& slot = slots_[w];
+    const double latency_s = now() - q.t_sent;
+    if (slot.has_latency) {
+      slot.latency_ewma_s += kLatencyAlpha * (latency_s - slot.latency_ewma_s);
+    } else {
+      slot.latency_ewma_s = latency_s;
+      slot.has_latency = true;
+    }
   }
   return &q;
 }
@@ -472,14 +468,13 @@ void MasterCore::fire_hedge(int round) {
   const std::vector<Flight>& flights = current().flights;
   if (round == 1) {
     // First round: cover only the slowest still-outstanding worker (by
-    // health EWMA; lowest index breaks ties deterministically) with its
+    // latency EWMA; lowest index breaks ties deterministically) with its
     // backup — the classic single tail hedge.
     std::size_t target = workers_.size();
     double slowest = -1.0;
     for (std::size_t w = 0; w < backups_.size(); ++w) {
       if (!flights[w].pending || backups_[w] == nullptr) continue;
-      const double expect =
-          health_ ? health_->expected_latency_s(static_cast<int>(w)) : 0.0;
+      const double expect = expected_latency_s(w);
       if (expect > slowest) {
         slowest = expect;
         target = w;
@@ -520,17 +515,12 @@ int MasterCore::gather(std::int64_t classes) {
   double hedge_interval = 0.0;
   if (can_hedge) {
     // Adaptive hedge delay: kHedgeLatencyFactor times the slowest
-    // outstanding worker's expected latency (half the SLO budget when no
-    // health tracker is observing), floored at kHedgeMinDelayS. The same
-    // interval paces the later escalation rounds.
-    double slowest = worker_timeout_s_ > 0.0 ? worker_timeout_s_ / 2 : 0.0;
-    if (health_) {
-      slowest = 0.0;
-      for (std::size_t w = 0; w < backups_.size(); ++w) {
-        if (!flights[w].pending || backups_[w] == nullptr) continue;
-        slowest = std::max(slowest,
-                           health_->expected_latency_s(static_cast<int>(w)));
-      }
+    // outstanding worker's expected latency, floored at kHedgeMinDelayS.
+    // The same interval paces the later escalation rounds.
+    double slowest = 0.0;
+    for (std::size_t w = 0; w < backups_.size(); ++w) {
+      if (!flights[w].pending || backups_[w] == nullptr) continue;
+      slowest = std::max(slowest, expected_latency_s(w));
     }
     hedge_interval =
         std::max(kHedgeMinDelayS, kHedgeLatencyFactor * slowest);

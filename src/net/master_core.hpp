@@ -21,28 +21,25 @@
 // answer IS the answer) throws NetworkError instead of failing the worker.
 //
 // Clock: the master reads its channels' clock (Channel::now), so a master
-// over DES channels runs its deadlines, hedges and breaker cooldowns on
-// its node's virtual time and one over TCP on the steady clock, with no
-// clock wired in. Master-side receives are bounded by the query's one
-// deadline and go through recv_timeout; tools/analyze.py (rule
-// `unbounded-wait`) rejects bare blocking Channel::recv() calls here.
+// over DES channels runs its deadlines and hedges on its node's virtual
+// time and one over TCP on the steady clock, with no clock wired in.
+// Master-side receives are bounded by the query's one deadline and go
+// through recv_timeout; tools/analyze.py (rule `unbounded-wait`) rejects
+// bare blocking Channel::recv() calls here.
 //
 // Degradation plane (DESIGN.md §13): the Infer frame propagates the
 // query's absolute deadline; the gather can complete at a quorum of
-// answers; a per-worker circuit breaker (net/health.hpp) removes flapping
-// workers from dispatch; and a hedged re-issue covers the slowest
-// outstanding worker with its designated backup replica.
+// answers; and a hedged re-issue covers the slowest outstanding worker
+// (by its reply-latency EWMA) with its designated backup replica.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <limits>
 #include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "net/health.hpp"
 #include "net/message.hpp"
 #include "net/transport.hpp"
 #include "nn/module.hpp"
@@ -102,22 +99,14 @@ class MasterCore {
   /// for every asked worker; values above 1 + #asked clamp to that.
   void set_gather_quorum(int answers);
 
-  /// Per-worker health scoring + circuit breaker (net/health.hpp): an open
-  /// breaker puts the worker in probation (skipped at dispatch, probed via
-  /// Ping/Pong) and an answered probe readmits it only after the breaker's
-  /// cooldown, measured on now().
-  void enable_health();
-  /// The tracker enabled by enable_health (nullptr before).
-  const HealthTracker* health() const { return health_.get(); }
-
   /// Hedged dispatch (DESIGN.md §13): `backups[w]` is the channel to the
   /// static backup replica serving worker w's expert (nullptr = none).
   /// After an adaptive delay — max of kHedgeMinDelayS and
-  /// kHedgeLatencyFactor × the health EWMA of the slowest outstanding
-  /// worker (worker_timeout/2 without health) — the query is re-issued to
-  /// that worker's backup with the hedge flag set; each further interval
-  /// re-issues to every pending worker's backup. Whichever replica answers
-  /// first wins and the duplicate is reconciled via the query-id echo.
+  /// kHedgeLatencyFactor × the reply-latency EWMA of the slowest
+  /// outstanding worker — the query is re-issued to that worker's backup
+  /// with the hedge flag set; each further interval re-issues to every
+  /// pending worker's backup. Whichever replica answers first wins and the
+  /// duplicate is reconciled via the query-id echo.
   void set_hedging(std::vector<Channel*> backups);
 
   /// TEST-ONLY: re-introduces the gather from before the query-id echo.
@@ -153,6 +142,10 @@ class MasterCore {
   /// slowest outstanding worker's expected latency (see set_hedging).
   static constexpr double kHedgeMinDelayS = 0.002;
   static constexpr double kHedgeLatencyFactor = 1.5;
+  /// Smoothing of the per-worker reply-latency EWMA (primary replies only).
+  static constexpr double kLatencyAlpha = 0.3;
+  /// A worker's expected latency before its first primary reply.
+  static constexpr double kInitialLatencyS = 0.01;
 
  protected:
   /// Gather state of one worker for one in-flight query.
@@ -173,7 +166,7 @@ class MasterCore {
     bool timeline = false;  ///< marks are recorded for this query
     /// The shared deadline: absolute, on now(); +infinity = none.
     double expiry = std::numeric_limits<double>::infinity();
-    double t_sent = 0.0;      ///< end of dispatch (anchors health latency)
+    double t_sent = 0.0;      ///< end of dispatch (anchors reply latency)
     std::int64_t classes = 0;  ///< answer width accepted replies must have
     int target = 1;   ///< answers that complete the gather, local included
     int answers = 1;  ///< answers in so far; the local expert always counts
@@ -191,14 +184,14 @@ class MasterCore {
   /// issues its id, runs the probation pass and anchors the shared
   /// deadline. Returns the id.
   std::int64_t begin_query(const Tensor& x);
-  /// Whether worker `w` may be asked this query (live, breaker closed).
+  /// Whether worker `w` may be asked this query (live, not in probation).
   bool dispatchable(std::size_t w) const;
   /// The current query's Infer frame carrying `payload`.
   std::string request_frame(const Tensor& payload, bool hedged = false);
   /// Step 2 for one worker: sends `frame` (which carries `payload`).
   void send_request(std::size_t w, const Tensor& payload,
                     const std::string& frame);
-  /// Closes the dispatch phase: its end anchors health latencies, and the
+  /// Closes the dispatch phase: its end anchors reply latencies, and the
   /// gather target becomes 1 + the asked workers, or the quorum.
   void end_dispatch();
   /// Step 3's local share: `expert` on `x` under the compute hook.
@@ -249,20 +242,26 @@ class MasterCore {
   ComputeHook on_compute_;
 
  private:
-  /// Per-worker fault-tolerance state machine: live <-> probation.
+  /// Per-worker fault-tolerance state machine (live <-> probation) and
+  /// the reply-latency EWMA that sets the hedge delay.
   struct WorkerSlot {
     bool failed = false;
     int probe_countdown = 0;  ///< queries until the next probe action
     int probe_interval = 0;   ///< current backoff interval (queries)
     std::int64_t probe_id = 0;  ///< in-flight Ping id (0 = none)
+    double latency_ewma_s = 0.0;  ///< valid once has_latency
+    bool has_latency = false;     ///< a primary reply has been timed
   };
 
   void bump(const char* counter) const;
   /// The master's clock, in seconds: its first worker channel's
   /// Channel::now (every channel of a master belongs to one node), the
   /// steady clock when it has none. Deadlines, timeline marks, hedge
-  /// times and health latencies all read it.
+  /// times and reply latencies all read it.
   double now() const;
+  /// Worker `w`'s reply-latency EWMA, kInitialLatencyS before its first
+  /// primary reply: the hedge-delay estimate.
+  double expected_latency_s(std::size_t w) const;
   /// Whether `q`'s deadline has passed on now().
   bool expired(const Query& q) const { return now() >= q.expiry; }
   /// A miss: strict masters throw NetworkError, others fail the worker.
@@ -288,7 +287,6 @@ class MasterCore {
   double worker_timeout_s_ = 0.0;
   int probe_interval_ = 4;
   int quorum_ = 0;  ///< 0 = every asked worker
-  std::unique_ptr<HealthTracker> health_;
   std::vector<Channel*> backups_;  ///< empty = hedging disabled
   bool flow_trace_ = false;
   bool test_pre_qid_gather_ = false;  ///< test-only mutation hook

@@ -17,16 +17,12 @@
 // does not reads the steady clock even over DES.
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
 #include <utility>
 
 namespace teamnet::net {
-
-/// Monotonic time source in seconds.
-using TimeSource = std::function<double()>;
 
 /// Seconds since an arbitrary epoch on the steady (monotonic) clock.
 double steady_seconds();

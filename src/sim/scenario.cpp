@@ -10,7 +10,6 @@
 #include "mpi/decentralized.hpp"
 #include "mpi/partitioned.hpp"
 #include "net/collab.hpp"
-#include "net/health.hpp"
 #include "nn/loss.hpp"
 #include "obs/percentile.hpp"
 #include "obs/trace.hpp"
@@ -97,7 +96,6 @@ ResilienceResult run_teamnet_resilience(const std::vector<nn::Module*>& experts,
   fleet.attach(master);
   master.set_worker_timeout(res.worker_timeout_s);
   master.set_probe_interval(res.probe_interval);
-  if (res.health) master.enable_health();
   master.set_gather_quorum(res.quorum);
   if (res.hedging) master.set_hedging(fleet.backup_channels());
   if (res.test_pre_qid_gather) master.set_test_pre_qid_gather(true);
@@ -141,8 +139,6 @@ ResilienceResult run_teamnet_resilience(const std::vector<nn::Module*>& experts,
   result.hedges_sent = master.hedges_sent();
   result.hedge_wins = master.hedge_wins();
   result.hedge_duplicates = master.hedge_duplicates();
-  result.breaker_opens =
-      master.health() != nullptr ? master.health()->breaker_opens() : 0;
   result.rejoins = master.rejoins();
   result.stale_replies = master.stale_replies_discarded();
   for (const auto& w : fleet.workers()) {

@@ -117,10 +117,10 @@ ScenarioResult run_sg_moe(moe::SgMoe& model, const data::Dataset& test,
 /// link is wrapped in a net::FaultyChannel whose seed is forked per link
 /// from `faults.seed`, so one seed reproduces the whole fleet's fault
 /// schedule. On top sits the SLO machinery — deadline propagation with
-/// expired-request drops, quorum gather, per-worker circuit breakers and
-/// (optionally) one backup replica per worker for hedged dispatch. With
-/// health, drop_expired and hedging off and quorum 0 this is the plain
-/// chaos run: a gather deadline plus probation/rejoin.
+/// expired-request drops, quorum gather and (optionally) one backup
+/// replica per worker for hedged dispatch. With drop_expired and hedging
+/// off and quorum 0 this is the plain chaos run: a gather deadline plus
+/// probation/rejoin.
 struct ResilienceConfig {
   net::FaultProfile faults;  ///< per-link fault model (seed forked per link)
 
@@ -132,7 +132,8 @@ struct ResilienceConfig {
   /// Spawn one backup replica node per worker expert and hedge to it. The
   /// backup links run the same fault model (independent streams).
   bool hedging = false;
-  /// Per-worker health scoring + circuit breaker (net/health.hpp).
+  /// Nothing reads this; it stays only because perfbench/driver.cpp
+  /// still names it (ROADMAP item 14(c)).
   bool health = true;
   /// Workers drop Infer frames whose propagated deadline already expired.
   bool drop_expired = true;
@@ -173,6 +174,8 @@ struct ResilienceResult {
   std::int64_t hedges_sent = 0;
   std::int64_t hedge_wins = 0;
   std::int64_t hedge_duplicates = 0;
+  /// Nothing sets this (it reads 0); it stays only because
+  /// perfbench/driver.cpp still names it (ROADMAP item 14(c)).
   std::int64_t breaker_opens = 0;
   std::int64_t rejoins = 0;
   std::int64_t stale_replies = 0;

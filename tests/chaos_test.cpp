@@ -436,11 +436,10 @@ std::vector<nn::Module*> expert_ptrs(
   return ptrs;
 }
 
-/// A chaos run: the resilience scenario with health scoring and expired-
-/// request drops off (quorum 0 and no hedging are already the defaults).
+/// A chaos run: the resilience scenario with expired-request drops off
+/// (quorum 0 and no hedging are already the defaults).
 sim::ResilienceConfig chaos_config() {
   sim::ResilienceConfig chaos;
-  chaos.health = false;
   chaos.drop_expired = false;
   return chaos;
 }

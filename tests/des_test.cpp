@@ -555,11 +555,9 @@ TEST(DesReference, SgMoeMatchesInProcessModel) {
   EXPECT_GT(des.bytes_per_query, 0.0);
 }
 
-/// A chaos run: resilience with health scoring and expired-request drops
-/// off.
+/// A chaos run: resilience with expired-request drops off.
 sim::ResilienceConfig chaos_config() {
   sim::ResilienceConfig chaos;
-  chaos.health = false;
   chaos.drop_expired = false;
   return chaos;
 }

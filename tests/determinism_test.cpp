@@ -65,8 +65,8 @@ std::string result_bytes(const sim::ResilienceResult& r) {
   out += r.fault_schedule;
   for (std::int64_t v :
        {r.full_gathers, r.quorum_gathers, r.local_only_gathers,
-        r.hedges_sent, r.hedge_wins, r.hedge_duplicates, r.breaker_opens,
-        r.rejoins, r.stale_replies, r.expired_drops, r.faults_injected}) {
+        r.hedges_sent, r.hedge_wins, r.hedge_duplicates, r.rejoins,
+        r.stale_replies, r.expired_drops, r.faults_injected}) {
     out += '\0';
     out += std::to_string(v);
   }
@@ -237,7 +237,6 @@ TEST(Determinism, TeamNetChaos) {
   const auto ptrs = expert_ptrs(experts);
   const auto test = blob_test_set();
   sim::ResilienceConfig chaos;
-  chaos.health = false;
   chaos.drop_expired = false;
   chaos.faults.seed = determinism_seed();
   chaos.faults.drop_prob = 0.2;
@@ -254,7 +253,7 @@ TEST(Determinism, TeamNetChaos) {
 }
 
 /// The full degradation plane — drops, duplicates, quorum gather, hedged
-/// dispatch to backup replicas, circuit breakers, expired-request drops —
+/// dispatch to backup replicas, expired-request drops —
 /// must still be bit-stable under the discrete-event scheduler, per-query
 /// latencies included.
 TEST(Determinism, TeamNetResilience) {

@@ -1,6 +1,6 @@
 // Degradation-plane suite (ctest label: chaos): deadline propagation with
-// expired-request drops, quorum gather, hedged dispatch and the per-worker
-// circuit breaker, from protocol units over in-proc channels up to full
+// expired-request drops, quorum gather, hedged dispatch and its
+// reply-latency EWMA, from protocol units over in-proc channels up to full
 // run_teamnet_resilience scenarios under the discrete-event scheduler.
 //
 // CI runs this binary under ASan+UBSan and TSan across several values of
@@ -9,11 +9,13 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdlib>
 #include <memory>
 #include <optional>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "data/blobs.hpp"
 #include "net/collab.hpp"
@@ -219,7 +221,6 @@ TEST(DuplicateReconciliation, BothReplicasAnsweringIsReconciledOnce) {
   net::CollaborativeMaster master(
       master_expert, {b_master.get(), c_master.get(), d_master.get()});
   master.set_worker_timeout(0.5);
-  master.enable_health();
   // Only C has a backup, so the hedge (after ~15ms of C pending) must pick
   // C — D pending without a backup never hedges.
   master.set_hedging({nullptr, cb_master.get(), nullptr});
@@ -273,7 +274,6 @@ TEST(HedgedDispatch, HedgeWinsUnderPartitionThenHeal) {
 
   net::CollaborativeMaster master(master_expert, {faulty.get()});
   master.set_worker_timeout(2.0);
-  master.enable_health();
   master.set_hedging({backup_master_ch.get()});
 
   Tensor x = Tensor::randn({1, 6}, rng);
@@ -296,59 +296,115 @@ TEST(HedgedDispatch, HedgeWinsUnderPartitionThenHeal) {
   backup_thread.join();
 }
 
-// ---- circuit breaker --------------------------------------------------------
+/// One scripted query for hedge_offsets: how long the primary computes
+/// before it answers (< 0 = never) and whether the backup answers a hedge.
+struct HedgeStep {
+  double primary_delay_s = -1.0;
+  bool backup_answers = true;
+};
 
-/// The breaker's cooldown runs on the master's clock with nothing wired
-/// in: over DES channels, enable_health() measures kCooldownS in virtual
-/// time, so an answered probe kCooldownS of virtual time after the breaker
-/// opened moves it to half_open, however little wall time has passed.
-TEST(CircuitBreaker, CooldownRunsOnTheMastersVirtualClock) {
-  sim::SimNet net(2, net::LinkProfile{0.0005, 0.0, 0.0});
-  // Node 1 answers probes and never an Infer.
-  std::thread worker([&net] {
-    net::Channel& channel = net.channel(1, 0);
+/// Runs `steps` as consecutive queries of a master with one worker and its
+/// backup replica over DES channels with 0.5 ms links, and returns for
+/// each query when its first hedge left the master, in virtual seconds
+/// after its dispatch ended — NaN when no hedge went out. A primary reply
+/// after `primary_delay_s` of compute lands primary_delay_s + 1 ms after
+/// dispatch: that is the latency the master times.
+std::vector<double> hedge_offsets(const std::vector<HedgeStep>& steps) {
+  constexpr double kLinkS = 0.0005;
+  sim::SimNet net(3, net::LinkProfile{kLinkS, 0.0, 0.0});
+  auto reply_to = [](const net::Message& request) {
+    net::Message reply;
+    reply.type = net::MsgType::Result;
+    reply.ints = request.ints;  // echo qid/deadline/flags
+    Tensor probs({1, 3});
+    probs.fill(1.0f / 3.0f);
+    Tensor entropy({1});
+    entropy.fill(1.0f);
+    reply.tensors = {probs, entropy};
+    return reply.encode();
+  };
+  // Serves node `node`'s Infer frames until Shutdown; `act` sees each
+  // frame with its query index (qid - 1).
+  auto serve = [&](int node, auto act) {
+    net::Channel& channel = net.channel(node, 0);
     try {
       for (;;) {
         const net::Message msg = net::Message::decode(channel.recv());
         if (msg.type == net::MsgType::Shutdown) break;
-        if (msg.type == net::MsgType::Ping) {
-          net::Message pong;
-          pong.type = net::MsgType::Pong;
-          pong.ints = msg.ints;
-          channel.send(pong.encode());
-        }
+        if (msg.type != net::MsgType::Infer) continue;
+        const auto i = static_cast<std::size_t>(net::infer_info(msg).qid - 1);
+        act(channel, msg, i);
       }
     } catch (const Error&) {
     }
-    net.retire(1);
+    net.retire(node);
+  };
+  std::thread primary([&] {
+    serve(1, [&](net::Channel& channel, const net::Message& msg,
+                 std::size_t i) {
+      if (steps[i].primary_delay_s < 0.0) return;
+      net.advance(1, steps[i].primary_delay_s);
+      channel.send(reply_to(msg));
+    });
+  });
+  std::vector<double> hedge_landed(steps.size(), std::nan(""));
+  std::thread backup([&] {
+    serve(2, [&](net::Channel& channel, const net::Message& msg,
+                 std::size_t i) {
+      if (std::isnan(hedge_landed[i])) hedge_landed[i] = channel.now();
+      if (steps[i].backup_answers) channel.send(reply_to(msg));
+    });
   });
 
-  Rng rng(19);
+  Rng rng(23);
   nn::MlpNet expert(tiny_mlp(), rng);
   net::CollaborativeMaster master(expert, {&net.channel(0, 1)});
-  master.set_worker_timeout(0.01);
-  master.set_probe_interval(1);
-  master.enable_health();
+  master.set_worker_timeout(0.2);
+  master.set_hedging({&net.channel(0, 2)});
   const Tensor x = Tensor::randn({1, 6}, rng);
-
-  master.infer(x);  // the worker misses the deadline: failed, one miss
-  ASSERT_FALSE(master.worker_alive(0));
-  // A failure episode records one miss and three open the breaker; the
-  // other two go to the tracker directly.
-  auto& tracker = const_cast<net::HealthTracker&>(*master.health());
-  tracker.record_failure(0);
-  tracker.record_failure(0);
-  ASSERT_EQ(tracker.state(0), net::BreakerState::open);
-
-  net.advance(0, net::HealthTracker::kCooldownS);
-  master.infer(x);   // probation sends a Ping
-  master.submit(x);  // its Pong lands: half_open, and the worker rejoins
-  EXPECT_EQ(tracker.state(0), net::BreakerState::half_open);
-  EXPECT_EQ(master.rejoins(), 1);
-
+  std::vector<double> dispatched;
+  for (std::size_t i = 0; i < steps.size(); ++i) {
+    dispatched.push_back(net.node_time(0));  // dispatch takes no time here
+    master.infer(x);
+  }
   master.shutdown();
   net.retire(0);
-  worker.join();
+  primary.join();
+  backup.join();
+  std::vector<double> offsets;
+  for (std::size_t i = 0; i < steps.size(); ++i) {
+    offsets.push_back(hedge_landed[i] - kLinkS - dispatched[i]);
+  }
+  return offsets;
+}
+
+/// The hedge delay is max(2 ms, 1.5 x the worker's reply-latency EWMA),
+/// seeded at 10 ms before the first primary reply, with alpha = 0.3; a
+/// reply won by the backup does not feed it. A hedge is timed only on
+/// queries whose primary stays silent, so no primary reply is in flight
+/// when it is due. The expected offsets are literals on purpose: a changed
+/// alpha or seed must fail here.
+TEST(HedgedDispatch, HedgeDelayFollowsPrimaryReplyLatencyEwma) {
+  constexpr double kTol = 1e-5;  // the gather's 1 us minimum wait, with room
+  const auto seeded = hedge_offsets({
+      {-1.0, true},    // no reply timed yet: 1.5 x 10 ms, backup wins
+      {-1.0, true},    // the backup's win was not timed: 15 ms again
+      {0.003, true},   // primary answers in 4 ms: EWMA = 4 ms
+      {-1.0, true},    // 1.5 x 4 = 6 ms
+      {0.007, false},  // primary answers in 8 ms: EWMA = 4 + 0.3 x 4
+      {-1.0, true},    // 1.5 x 5.2 = 7.8 ms
+  });
+  ASSERT_EQ(seeded.size(), 6u);
+  EXPECT_NEAR(seeded[0], 0.015, kTol);
+  EXPECT_NEAR(seeded[1], 0.015, kTol);
+  EXPECT_TRUE(std::isnan(seeded[2])) << seeded[2];
+  EXPECT_NEAR(seeded[3], 0.006, kTol);
+  EXPECT_NEAR(seeded[5], 0.0078, kTol);
+
+  // A 1 ms worker would hedge at 1.5 ms; the floor holds it at 2 ms.
+  const auto floored = hedge_offsets({{0.0, true}, {-1.0, true}});
+  EXPECT_TRUE(std::isnan(floored[0])) << floored[0];
+  EXPECT_NEAR(floored[1], 0.002, kTol);
 }
 
 // ---- whole-scenario ---------------------------------------------------------
@@ -393,7 +449,7 @@ sim::ScenarioConfig des_config(int num_queries) {
 
 /// Every query must land in exactly one degradation bucket, every per-query
 /// vector must be complete, and the hedge counters must stay consistent —
-/// under drops, duplicates, quorum, hedging and breakers all at once.
+/// under drops, duplicates, quorum and hedging all at once.
 TEST(ResilienceScenario, DegradationAccountingIsExhaustive) {
   auto experts = make_experts(3);
   auto test = blobs();
@@ -458,11 +514,10 @@ TEST(ResilienceScenario, FullQuorumMatchesLegacyGatherWithoutFaults) {
   EXPECT_EQ(b.full_gathers, 12);
   EXPECT_EQ(a.local_only_gathers + a.quorum_gathers, 0);
   EXPECT_EQ(a.expired_drops, 0);
-  EXPECT_EQ(a.breaker_opens, 0);
 }
 
 /// The acceptance property: under heavy drop rates the degradation plane
-/// (quorum + hedging + breakers) must bound the latency distribution below
+/// (quorum + hedging) must bound the latency distribution below
 /// the full-gather configuration, which burns its whole deadline whenever
 /// any reply goes missing.
 TEST(ResilienceScenario, QuorumAndHedgingBoundLatencyUnderDrops) {
@@ -526,7 +581,6 @@ TEST(ResilienceScenario, SameSeedSameEverything) {
   EXPECT_EQ(a.hedges_sent, b.hedges_sent);
   EXPECT_EQ(a.hedge_wins, b.hedge_wins);
   EXPECT_EQ(a.hedge_duplicates, b.hedge_duplicates);
-  EXPECT_EQ(a.breaker_opens, b.breaker_opens);
   EXPECT_EQ(a.rejoins, b.rejoins);
   EXPECT_EQ(a.stale_replies, b.stale_replies);
   EXPECT_EQ(a.expired_drops, b.expired_drops);
