@@ -75,8 +75,12 @@ bool MasterCore::dispatchable(std::size_t w) const {
   return !slots_[w].failed;
 }
 
-double MasterCore::expected_latency_s(std::size_t w) const {
-  const WorkerSlot& slot = slots_[w];
+double MasterCore::expected_latency_s(int worker_index) const {
+  TEAMNET_CHECK_MSG(
+      worker_index >= 0 && worker_index < static_cast<int>(slots_.size()),
+      "worker index " << worker_index << " out of range [0, " << slots_.size()
+                      << ")");
+  const WorkerSlot& slot = slots_[static_cast<std::size_t>(worker_index)];
   return slot.has_latency ? slot.latency_ewma_s : kInitialLatencyS;
 }
 
@@ -474,7 +478,7 @@ void MasterCore::fire_hedge(int round) {
     double slowest = -1.0;
     for (std::size_t w = 0; w < backups_.size(); ++w) {
       if (!flights[w].pending || backups_[w] == nullptr) continue;
-      const double expect = expected_latency_s(w);
+      const double expect = expected_latency_s(static_cast<int>(w));
       if (expect > slowest) {
         slowest = expect;
         target = w;
@@ -520,7 +524,7 @@ int MasterCore::gather(std::int64_t classes) {
     double slowest = 0.0;
     for (std::size_t w = 0; w < backups_.size(); ++w) {
       if (!flights[w].pending || backups_[w] == nullptr) continue;
-      slowest = std::max(slowest, expected_latency_s(w));
+      slowest = std::max(slowest, expected_latency_s(static_cast<int>(w)));
     }
     hedge_interval =
         std::max(kHedgeMinDelayS, kHedgeLatencyFactor * slowest);

@@ -125,6 +125,10 @@ class MasterCore {
   /// Whether `worker_index` (0-based) is in the live set. Out-of-range
   /// indices throw InvariantError.
   bool worker_alive(int worker_index) const;
+  /// Worker `worker_index`'s (0-based) reply-latency EWMA in seconds,
+  /// kInitialLatencyS before its first primary reply: the estimate the
+  /// hedge delay is set from. Out-of-range indices throw InvariantError.
+  double expected_latency_s(int worker_index) const;
   /// Replies discarded because their query id named no in-flight query
   /// (late answers from timed-out workers, injected duplicates).
   std::int64_t stale_replies_discarded() const { return stale_discarded_; }
@@ -259,9 +263,6 @@ class MasterCore {
   /// steady clock when it has none. Deadlines, timeline marks, hedge
   /// times and reply latencies all read it.
   double now() const;
-  /// Worker `w`'s reply-latency EWMA, kInitialLatencyS before its first
-  /// primary reply: the hedge-delay estimate.
-  double expected_latency_s(std::size_t w) const;
   /// Whether `q`'s deadline has passed on now().
   bool expired(const Query& q) const { return now() >= q.expiry; }
   /// A miss: strict masters throw NetworkError, others fail the worker.

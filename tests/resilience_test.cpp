@@ -407,6 +407,84 @@ TEST(HedgedDispatch, HedgeDelayFollowsPrimaryReplyLatencyEwma) {
   EXPECT_NEAR(floored[1], 0.002, kTol);
 }
 
+// ---- per-worker health record ----------------------------------------------
+
+/// Runs one query per entry of `primary_delays_s` on a master with one
+/// worker over DES channels with 0.5 ms links, the worker computing that
+/// long before it answers, and returns the master's expected latency for
+/// the worker after each query. A reply after `d` of compute is timed at
+/// d + 1 ms.
+std::vector<double> latency_estimates(
+    const std::vector<double>& primary_delays_s) {
+  sim::SimNet net(2, net::LinkProfile{0.0005, 0.0, 0.0});
+  std::thread worker([&] {
+    net::Channel& channel = net.channel(1, 0);
+    std::size_t i = 0;
+    try {
+      for (;;) {
+        const net::Message msg = net::Message::decode(channel.recv());
+        if (msg.type == net::MsgType::Shutdown) break;
+        if (msg.type != net::MsgType::Infer) continue;
+        net.advance(1, primary_delays_s.at(i++));
+        net::Message reply;
+        reply.type = net::MsgType::Result;
+        reply.ints = msg.ints;  // echo qid/deadline/flags
+        Tensor probs({1, 3});
+        probs.fill(1.0f / 3.0f);
+        Tensor entropy({1});
+        entropy.fill(1.0f);
+        reply.tensors = {probs, entropy};
+        channel.send(reply.encode());
+      }
+    } catch (const Error&) {
+    }
+    net.retire(1);
+  });
+
+  Rng rng(29);
+  nn::MlpNet expert(tiny_mlp(), rng);
+  net::CollaborativeMaster master(expert, {&net.channel(0, 1)});
+  master.set_worker_timeout(1.0);
+  const Tensor x = Tensor::randn({1, 6}, rng);
+  std::vector<double> estimates;
+  for (std::size_t i = 0; i < primary_delays_s.size(); ++i) {
+    master.infer(x);
+    estimates.push_back(master.expected_latency_s(0));
+  }
+  master.shutdown();
+  net.retire(0);
+  worker.join();
+  return estimates;
+}
+
+/// Before any reply every worker is live and expected at the 10 ms seed.
+TEST(HealthTracker, StartsClosedWithSeedLatency) {
+  auto a = net::make_inproc_pair();
+  auto b = net::make_inproc_pair();
+  auto c = net::make_inproc_pair();
+  Rng rng(31);
+  nn::MlpNet expert(tiny_mlp(), rng);
+  net::CollaborativeMaster master(
+      expert, {a.first.get(), b.first.get(), c.first.get()});
+  EXPECT_EQ(master.failed_workers(), 0);
+  for (int w = 0; w < 3; ++w) {
+    EXPECT_TRUE(master.worker_alive(w));
+    EXPECT_DOUBLE_EQ(master.expected_latency_s(w),
+                     net::MasterCore::kInitialLatencyS);
+  }
+  EXPECT_THROW(master.expected_latency_s(-1), InvariantError);
+  EXPECT_THROW(master.expected_latency_s(3), InvariantError);
+}
+
+/// The first timed reply seeds the EWMA outright (no pull toward the
+/// prior); later ones move it by alpha = 0.3 toward the new sample.
+TEST(HealthTracker, LatencyEwmaSeedsThenSmooths) {
+  const auto est = latency_estimates({0.099, 0.199});
+  ASSERT_EQ(est.size(), 2u);
+  EXPECT_DOUBLE_EQ(est[0], 0.100);
+  EXPECT_DOUBLE_EQ(est[1], 0.100 + 0.3 * (0.200 - 0.100));
+}
+
 // ---- whole-scenario ---------------------------------------------------------
 
 std::vector<std::unique_ptr<nn::MlpNet>> make_experts(int k) {
