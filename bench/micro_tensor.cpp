@@ -82,6 +82,7 @@ void BM_ConvGemm(benchmark::State& state) {
 }
 BENCHMARK(BM_ConvGemm)->Args({6, 54, 256})->Args({12, 108, 64});
 
+// im2col alone, which only the conv backward still runs.
 void BM_Im2Col(benchmark::State& state) {
   const std::int64_t s = state.range(0);
   Rng rng(3);
@@ -109,6 +110,24 @@ void BM_Conv2dForward(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 2 * s * s * c * 9 * c);
 }
 BENCHMARK(BM_Conv2dForward)->Args({6, 16})->Args({12, 8});
+
+// The SS-14 strided block entry (batch 1, 6 -> 12 channels, 16 x 16 ->
+// 8 x 8): arg 3 is the branch's 3x3, pad-1, stride-2 conv, arg 1 the
+// skip's 1x1, pad-0, stride-2 conv. Items are FLOPs.
+void BM_Conv2dStrided(benchmark::State& state) {
+  const std::int64_t k = state.range(0), cin = 6, cout = 12, s = 16;
+  Rng rng(12);
+  ag::Var x = ag::constant(Tensor::randn({1, cin, s, s}, rng));
+  ag::Var w = ag::constant(Tensor::randn({cin * k * k, cout}, rng, 0.0f, 0.1f));
+  ag::Var b = ag::constant(Tensor::randn({cout}, rng));
+  for (auto _ : state) {
+    ag::Var y = ag::conv2d(x, w, b, k, 2, k / 2);
+    benchmark::DoNotOptimize(y.value().data());
+  }
+  state.SetItemsProcessed(state.iterations() * 2 * (s / 2) * (s / 2) * cin *
+                          k * k * cout);
+}
+BENCHMARK(BM_Conv2dStrided)->Arg(3)->Arg(1);
 
 // ReLU over one SS-14 activation (batch 1, 6 channels at 16 x 16) and a
 // larger map. Items are elements.

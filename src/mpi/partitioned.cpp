@@ -2,7 +2,6 @@
 
 #include <cstring>
 
-#include "tensor/gemm.hpp"
 #include "tensor/im2col.hpp"
 #include "tensor/ops.hpp"
 
@@ -82,23 +81,19 @@ Tensor distributed_conv(const Tensor& x, nn::Conv2d& layer, Communicator& comm,
   const auto [c0, c1] = share_of(cout, comm.rank(), comm.size());
   const std::int64_t my_c = c1 - c0;
 
-  // This rank's output channels via im2col + sliced GEMM, one per image,
-  // written straight into the NCHW slice [n, my_c, ho, wo].
-  Tensor cols = im2col(x, layer.kernel(), layer.stride(), layer.pad());
-  const std::int64_t kk = cols.dim(1), hw = cols.dim(2);
+  // This rank's output channels through the conv forward itself (one GEMM
+  // per image, bias included), so each channel's bits are the ones Conv2d's
+  // own forward computes; the result is the NCHW slice [n, my_c, ho, wo].
+  const std::int64_t kk = layer.in_channels() * layer.kernel() * layer.kernel();
   const std::int64_t ho =
       conv_out_dim(x.dim(2), layer.kernel(), layer.stride(), layer.pad());
   const std::int64_t wo =
       conv_out_dim(x.dim(3), layer.kernel(), layer.stride(), layer.pad());
   Tensor w_slice = col_block(layer.weight().value(), c0, c1);
-  charge(on_compute, 2 * n * hw * kk * my_c);
-  // Bias included, exactly as Conv2d's own forward computes these channels.
-  const float* bias = layer.bias().value().data() + c0;
-  Tensor slice({n, my_c, ho, wo}, uninitialized);
-  for (std::int64_t img = 0; img < n; ++img) {
-    gemm_tn(w_slice.data(), cols.data() + img * kk * hw, bias,
-            slice.data() + img * my_c * hw, my_c, kk, hw);
-  }
+  charge(on_compute, 2 * n * ho * wo * kk * my_c);
+  Tensor slice = conv2d_forward(x, w_slice.data(), my_c,
+                                layer.bias().value().data() + c0,
+                                layer.kernel(), layer.stride(), layer.pad());
 
   // Allgather the channel slices — the per-conv-layer WiFi exchange.
   std::vector<Tensor> slices = comm.allgather(slice);

@@ -31,7 +31,8 @@ Tensor distributed_linear(const Tensor& x, nn::Linear& layer,
                           Communicator& comm, const ComputeHook& on_compute);
 
 /// Output-channel-partitioned Conv2d: rank r computes channels [c0_r, c1_r)
-/// via im2col + sliced GEMM; slices are allgathered and concatenated.
+/// with conv2d_forward over its weight columns; slices are allgathered and
+/// concatenated.
 Tensor distributed_conv(const Tensor& x, nn::Conv2d& layer, Communicator& comm,
                         const ComputeHook& on_compute);
 

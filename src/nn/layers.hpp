@@ -31,7 +31,8 @@ class Linear : public Module {
 };
 
 /// 2-D convolution over NCHW inputs; weight stored as [Cin*k*k, Cout] so the
-/// forward pass is an im2col plus one W^T · cols GEMM per image.
+/// forward pass is one W^T · taps GEMM per image, reading the taps from a
+/// padded copy of the input (conv2d_forward, tensor/im2col.hpp).
 class Conv2d : public Module {
  public:
   Conv2d(std::int64_t in_channels, std::int64_t out_channels,

@@ -48,7 +48,8 @@ class Module {
   virtual std::string name() const = 0;
 
   /// Forward pass on a plain tensor with no autograd graph: runs under an
-  /// ag::NoGradGuard, so no node keeps parents, closures or im2col buffers.
+  /// ag::NoGradGuard, so no node keeps parents, closures or the inputs a
+  /// conv closure would capture.
   /// The result is bit-identical to forward(ag::constant(input)).value(),
   /// and training-mode side effects (batch-norm running stats, shake-shake
   /// draws) still happen.

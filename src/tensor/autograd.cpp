@@ -180,10 +180,13 @@ Var relu(const Var& a) {
   return make_node(
       ops::relu(a.value()), {a.node()},
       [](Node& n) {
-        Tensor dx(n.grad.shape());
-        const Tensor& x = n.parents[0]->value;
+        // One pass writes every element, so dx is not zero-filled first.
+        Tensor dx(n.grad.shape(), uninitialized);
+        const float* x = n.parents[0]->value.data();
+        const float* g = n.grad.data();
+        float* d = dx.data();
         for (std::int64_t i = 0; i < dx.numel(); ++i) {
-          dx[i] = x[i] > 0.0f ? n.grad[i] : 0.0f;
+          d[i] = x[i] > 0.0f ? g[i] : 0.0f;
         }
         n.parents[0]->accumulate_grad(dx);
       },
@@ -380,39 +383,34 @@ Var conv2d(const Var& input, const Var& weight, const Var& bias,
   const std::int64_t ho = conv_out_dim(h, kernel, stride, pad);
   const std::int64_t wo = conv_out_dim(wdim, kernel, stride, pad);
 
-  // cols: [N, Cin*k*k, Ho*Wo]; one GEMM per image writes NCHW directly,
-  // each element once: out[img] = W^T · cols[img] + b, the taps summed from
-  // zero and the bias added last.
-  Tensor cols = im2col(x, kernel, stride, pad);
-  const std::int64_t kk = cols.dim(1), hw = ho * wo;
+  // One GEMM per image writes NCHW directly, each element once, reading
+  // the taps from a padded copy of the input (conv2d_forward).
   const float* b = nullptr;
   if (bias.defined()) {
     TEAMNET_CHECK(bias.value().numel() == cout);
     b = bias.value().data();
   }
-  Tensor out({n, cout, ho, wo}, uninitialized);
-  for (std::int64_t img = 0; img < n; ++img) {
-    gemm_tn(w.data(), cols.data() + img * kk * hw, b,
-            out.data() + img * cout * hw, cout, kk, hw);
-  }
+  Tensor out = conv2d_forward(x, w.data(), cout, b, kernel, stride, pad);
+  const std::int64_t kk = cin * kernel * kernel, hw = ho * wo;
 
   std::vector<NodePtr> parents =
       bias.defined()
           ? std::vector<NodePtr>{input.node(), weight.node(), bias.node()}
           : std::vector<NodePtr>{input.node(), weight.node()};
-  const Shape x_shape = x.shape();
   return make_node(
       std::move(out), std::move(parents),
-      [cols, x_shape, kernel, stride, pad, n, cout, kk, hw](Node& node) {
+      [x, kernel, stride, pad, n, cout, kk, hw](Node& node) {
         // Every sum below runs over (img, s) or co in ascending order — the
         // order of the row-per-patch lowering, so gradients are unchanged
-        // bit for bit (im2col.hpp).
+        // bit for bit (im2col.hpp). Only training reaches this closure, so
+        // only training builds the im2col matrix.
         const float* g = node.grad.data();
         Node& px = *node.parents[0];
         Node& pw = *node.parents[1];
         if (pw.requires_grad) {
           if (!pw.grad.defined()) pw.grad = Tensor(pw.value.shape());
           // dW += cols[img] · g[img]^T, image by image.
+          const Tensor cols = im2col(x, kernel, stride, pad);
           Tensor g_t({hw, cout});
           for (std::int64_t img = 0; img < n; ++img) {
             const float* g_img = g + img * cout * hw;
@@ -435,12 +433,12 @@ Var conv2d(const Var& input, const Var& weight, const Var& bias,
         }
         if (px.requires_grad) {
           // dcols[img] = W · g[img], then fold back to the image.
-          Tensor dcols(cols.shape());
+          Tensor dcols({n, kk, hw});
           for (std::int64_t img = 0; img < n; ++img) {
             gemm_accumulate(pw.value.data(), g + img * cout * hw,
                             dcols.data() + img * kk * hw, kk, cout, hw);
           }
-          px.accumulate_grad(col2im(dcols, x_shape, kernel, stride, pad));
+          px.accumulate_grad(col2im(dcols, x.shape(), kernel, stride, pad));
         }
       },
       "conv2d");

@@ -12,8 +12,9 @@
 //
 // Inference runs under a `NoGradGuard`: every node built on that thread is a
 // constant with no parents and no closure, so an intermediate (and the
-// im2col buffer a conv closure would capture) is freed as soon as the next
-// op has read it. Values are computed by the same kernels either way.
+// input a conv closure would capture to build its im2col matrix in
+// backward) is freed as soon as the next op has read it. Values are
+// computed by the same kernels either way.
 #pragma once
 
 #include <functional>

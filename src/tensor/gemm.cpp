@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <memory>
 
 #include "tensor/vec4.hpp"
 
@@ -32,18 +33,47 @@ constexpr std::int64_t kDepthChunk = 256;
 // calls it (SSE2/NEON for f32x4, AVX2 for f32x8, AVX-512F for f32x16).
 #define TEAMNET_GEMM_INLINE inline __attribute__((always_inline))
 
+/// B's rows come in two layouts, each its own instantiation of the kernel,
+/// so the dense loop pays nothing for the offset table.
+/// DenseRows: a row-major matrix, rows `ld` floats apart.
+struct DenseRows {
+  const float* b;
+  std::int64_t ld;
+
+  TEAMNET_GEMM_INLINE const float* row(std::int64_t p) const {
+    return b + p * ld;
+  }
+  /// The same rows from row p0 on, starting at column j0.
+  TEAMNET_GEMM_INLINE DenseRows from(std::int64_t p0, std::int64_t j0) const {
+    return {b + p0 * ld + j0, ld};
+  }
+};
+
+/// OffsetRows: row p at b + offsets[p]. Rows may overlap — a convolution's
+/// kernel taps read in place from its padded input (conv2d_forward).
+struct OffsetRows {
+  const float* b;
+  const std::int64_t* offsets;
+
+  TEAMNET_GEMM_INLINE const float* row(std::int64_t p) const {
+    return b + offsets[p];
+  }
+  TEAMNET_GEMM_INLINE OffsetRows from(std::int64_t p0, std::int64_t j0) const {
+    return {b + j0, offsets + p0};
+  }
+};
+
 /// C[R, NV*w] += A(R, k) * B[k, NV*w] for V of w lanes, where
-/// A(r, p) = a[r * a_row + p * a_depth], B rows are `ldb` apart and C rows
-/// `ldc` apart. Each accumulator is seeded from C, or with +0 when `zero`
-/// is set (C is then write-only), and adds its products in ascending p, one
-/// rounded multiply and one rounded add per lane — the scalar `c += a * b`
-/// loop bit for bit, whatever the width. A non-null `bias` then adds
+/// A(r, p) = a[r * a_row + p * a_depth], B row p starts at b.row(p) and C
+/// rows are `ldc` apart. Each accumulator is seeded from C, or with +0 when
+/// `zero` is set (C is then write-only), and adds its products in ascending
+/// p, one rounded multiply and one rounded add per lane — the scalar
+/// `c += a * b` loop bit for bit, whatever the width. A non-null `bias` then adds
 /// bias[r] to row r, one more rounded add. The loops are unrolled so the
 /// R*NV accumulators live in registers.
-template <class V, int R, int NV>
+template <class V, int R, int NV, class Rows>
 TEAMNET_GEMM_INLINE void micro_tile(const float* a, std::int64_t a_row,
-                                    std::int64_t a_depth, const float* b,
-                                    std::int64_t ldb, float* c,
+                                    std::int64_t a_depth, Rows b, float* c,
                                     std::int64_t ldc, std::int64_t k, bool zero,
                                     const float* bias) {
   constexpr std::int64_t w = kLanes<V>;
@@ -61,9 +91,10 @@ TEAMNET_GEMM_INLINE void micro_tile(const float* a, std::int64_t a_row,
   }
   for (std::int64_t p = 0; p < k; ++p) {
     V bv[NV];
+    const float* bp = b.row(p);
 #pragma GCC unroll 2
     for (int v = 0; v < NV; ++v) {
-      std::memcpy(&bv[v], b + p * ldb + v * w, sizeof(V));
+      std::memcpy(&bv[v], bp + v * w, sizeof(V));
     }
     const float* ap = a + p * a_depth;
 #pragma GCC unroll 4
@@ -89,30 +120,29 @@ TEAMNET_GEMM_INLINE void micro_tile(const float* a, std::int64_t a_row,
   }
 }
 
-template <class V, int NV>
+template <class V, int NV, class Rows>
 TEAMNET_GEMM_INLINE void tile(std::int64_t rows, const float* a,
                               std::int64_t a_row, std::int64_t a_depth,
-                              const float* b, std::int64_t ldb, float* c,
-                              std::int64_t ldc, std::int64_t k, bool zero,
-                              const float* bias) {
+                              Rows b, float* c, std::int64_t ldc,
+                              std::int64_t k, bool zero, const float* bias) {
   switch (rows) {
     case 4:
-      micro_tile<V, 4, NV>(a, a_row, a_depth, b, ldb, c, ldc, k, zero, bias);
+      micro_tile<V, 4, NV>(a, a_row, a_depth, b, c, ldc, k, zero, bias);
       break;
     case 3:
-      micro_tile<V, 3, NV>(a, a_row, a_depth, b, ldb, c, ldc, k, zero, bias);
+      micro_tile<V, 3, NV>(a, a_row, a_depth, b, c, ldc, k, zero, bias);
       break;
     case 2:
-      micro_tile<V, 2, NV>(a, a_row, a_depth, b, ldb, c, ldc, k, zero, bias);
+      micro_tile<V, 2, NV>(a, a_row, a_depth, b, c, ldc, k, zero, bias);
       break;
     default:
-      micro_tile<V, 1, NV>(a, a_row, a_depth, b, ldb, c, ldc, k, zero, bias);
+      micro_tile<V, 1, NV>(a, a_row, a_depth, b, c, ldc, k, zero, bias);
       break;
   }
 }
 
 /// C[m,n] (+)= A(m,k) * B[k,n] (+ bias[i] on row i) with
-/// A(i,p) = a[i * a_row + p * a_depth] and B, C row-major
+/// A(i,p) = a[i * a_row + p * a_depth], B row p at b.row(p) and C row-major
 /// (detail::GemmKernel).
 ///
 /// C is cut into 4 x 2w register tiles for V of w lanes; column strips run
@@ -120,14 +150,15 @@ TEAMNET_GEMM_INLINE void tile(std::int64_t rows, const float* a,
 /// past it. A remainder of at least w columns takes one strip of 4 x w
 /// tiles, so a 16-column GEMM runs on 16-lane vectors without padding. The
 /// last n % w columns are copied into a zero-padded w-wide panel of B and a
-/// scratch C tile, and only their real columns are written back.
+/// scratch C tile, and only their real columns are written back, so no
+/// vector load reads past column n - 1 of a B row.
 /// `overwrite` seeds the first depth chunk with +0 instead of C, and the
 /// bias joins after the last chunk, so every C[i,j] is
 /// (seed + products in ascending p) + bias[i]. The chunk loop runs once even
 /// when k == 0, so C is still written.
-template <class V>
+template <class V, class Rows>
 TEAMNET_GEMM_INLINE void tiled_accumulate(const float* a, std::int64_t a_row,
-                                          std::int64_t a_depth, const float* b,
+                                          std::int64_t a_depth, Rows b,
                                           float* c, std::int64_t m,
                                           std::int64_t k, std::int64_t n,
                                           bool overwrite, const float* bias) {
@@ -139,7 +170,6 @@ TEAMNET_GEMM_INLINE void tiled_accumulate(const float* a, std::int64_t a_row,
   for (std::int64_t p0 = 0; p0 == 0 || p0 < k; p0 += kDepthChunk) {
     const std::int64_t kc = std::min(kDepthChunk, k - p0);
     const float* a_chunk = a + p0 * a_depth;
-    const float* b_chunk = b + p0 * n;
     const bool zero = overwrite && p0 == 0;
     const float* chunk_bias = p0 + kc >= k ? bias : nullptr;
     auto row_bias = [&](std::int64_t i0) {
@@ -148,15 +178,15 @@ TEAMNET_GEMM_INLINE void tiled_accumulate(const float* a, std::int64_t a_row,
     for (std::int64_t j0 = 0; j0 < n_full; j0 += 2 * w) {
       for (std::int64_t i0 = 0; i0 < m; i0 += kTileRows) {
         tile<V, 2>(std::min(kTileRows, m - i0), a_chunk + i0 * a_row, a_row,
-                   a_depth, b_chunk + j0, n, c + i0 * n + j0, n, kc, zero,
+                   a_depth, b.from(p0, j0), c + i0 * n + j0, n, kc, zero,
                    row_bias(i0));
       }
     }
     if (n_half > n_full) {
       for (std::int64_t i0 = 0; i0 < m; i0 += kTileRows) {
         tile<V, 1>(std::min(kTileRows, m - i0), a_chunk + i0 * a_row, a_row,
-                   a_depth, b_chunk + n_full, n, c + i0 * n + n_full, n, kc,
-                   zero, row_bias(i0));
+                   a_depth, b.from(p0, n_full), c + i0 * n + n_full, n,
+                   kc, zero, row_bias(i0));
       }
     }
     if (tail == 0) continue;
@@ -164,7 +194,7 @@ TEAMNET_GEMM_INLINE void tiled_accumulate(const float* a, std::int64_t a_row,
     float panel[kDepthChunk * w];
     std::memset(panel, 0, static_cast<std::size_t>(kc * w) * sizeof(float));
     for (std::int64_t p = 0; p < kc; ++p) {
-      std::memcpy(panel + p * w, b_chunk + p * n + n_half, tail_bytes);
+      std::memcpy(panel + p * w, b.row(p0 + p) + n_half, tail_bytes);
     }
     for (std::int64_t i0 = 0; i0 < m; i0 += kTileRows) {
       const std::int64_t rows = std::min(kTileRows, m - i0);
@@ -174,8 +204,8 @@ TEAMNET_GEMM_INLINE void tiled_accumulate(const float* a, std::int64_t a_row,
           std::memcpy(c_tile + r * w, c + (i0 + r) * n + n_half, tail_bytes);
         }
       }
-      tile<V, 1>(rows, a_chunk + i0 * a_row, a_row, a_depth, panel, w, c_tile,
-                 w, kc, zero, row_bias(i0));
+      tile<V, 1>(rows, a_chunk + i0 * a_row, a_row, a_depth,
+                 DenseRows{panel, w}, c_tile, w, kc, zero, row_bias(i0));
       for (std::int64_t r = 0; r < rows; ++r) {
         std::memcpy(c + (i0 + r) * n + n_half, c_tile + r * w, tail_bytes);
       }
@@ -183,11 +213,30 @@ TEAMNET_GEMM_INLINE void tiled_accumulate(const float* a, std::int64_t a_row,
   }
 }
 
+/// One width's kernel: the offset-table or the dense instantiation.
+template <class V>
+TEAMNET_GEMM_INLINE void dispatch_rows(const float* a, std::int64_t a_row,
+                                       std::int64_t a_depth, const float* b,
+                                       const std::int64_t* b_rows, float* c,
+                                       std::int64_t m, std::int64_t k,
+                                       std::int64_t n, bool overwrite,
+                                       const float* bias) {
+  if (b_rows != nullptr) {
+    tiled_accumulate<V>(a, a_row, a_depth, OffsetRows{b, b_rows}, c, m, k, n,
+                        overwrite, bias);
+  } else {
+    tiled_accumulate<V>(a, a_row, a_depth, DenseRows{b, n}, c, m, k, n,
+                        overwrite, bias);
+  }
+}
+
 void tiled_accumulate_4(const float* a, std::int64_t a_row,
-                        std::int64_t a_depth, const float* b, float* c,
-                        std::int64_t m, std::int64_t k, std::int64_t n,
-                        bool overwrite, const float* bias) {
-  tiled_accumulate<f32x4>(a, a_row, a_depth, b, c, m, k, n, overwrite, bias);
+                        std::int64_t a_depth, const float* b,
+                        const std::int64_t* b_rows, float* c, std::int64_t m,
+                        std::int64_t k, std::int64_t n, bool overwrite,
+                        const float* bias) {
+  dispatch_rows<f32x4>(a, a_row, a_depth, b, b_rows, c, m, k, n, overwrite,
+                       bias);
 }
 
 #if defined(__x86_64__) || defined(__i386__)
@@ -197,16 +246,18 @@ void tiled_accumulate_4(const float* a, std::int64_t a_row,
 // but avx512f does, and GCC would otherwise fuse `acc += av * bv`.
 __attribute__((target("avx2"))) void tiled_accumulate_8(
     const float* a, std::int64_t a_row, std::int64_t a_depth, const float* b,
-    float* c, std::int64_t m, std::int64_t k, std::int64_t n, bool overwrite,
-    const float* bias) {
-  tiled_accumulate<f32x8>(a, a_row, a_depth, b, c, m, k, n, overwrite, bias);
+    const std::int64_t* b_rows, float* c, std::int64_t m, std::int64_t k,
+    std::int64_t n, bool overwrite, const float* bias) {
+  dispatch_rows<f32x8>(a, a_row, a_depth, b, b_rows, c, m, k, n, overwrite,
+                       bias);
 }
 
 __attribute__((target("avx512f"))) void tiled_accumulate_16(
     const float* a, std::int64_t a_row, std::int64_t a_depth, const float* b,
-    float* c, std::int64_t m, std::int64_t k, std::int64_t n, bool overwrite,
-    const float* bias) {
-  tiled_accumulate<f32x16>(a, a_row, a_depth, b, c, m, k, n, overwrite, bias);
+    const std::int64_t* b_rows, float* c, std::int64_t m, std::int64_t k,
+    std::int64_t n, bool overwrite, const float* bias) {
+  dispatch_rows<f32x16>(a, a_row, a_depth, b, b_rows, c, m, k, n, overwrite,
+                        bias);
 }
 #endif
 
@@ -243,43 +294,45 @@ GemmKernel gemm_kernel(int lanes) {
 
 void gemm_accumulate(const float* a, const float* b, float* c, std::int64_t m,
                      std::int64_t k, std::int64_t n) {
-  host_kernel()(a, /*a_row=*/k, /*a_depth=*/1, b, c, m, k, n,
-                /*overwrite=*/false, /*bias=*/nullptr);
+  host_kernel()(a, /*a_row=*/k, /*a_depth=*/1, b, /*b_rows=*/nullptr, c, m, k,
+                n, /*overwrite=*/false, /*bias=*/nullptr);
 }
 
 void gemm(const float* a, const float* b, float* c, std::int64_t m,
           std::int64_t k, std::int64_t n) {
-  host_kernel()(a, /*a_row=*/k, /*a_depth=*/1, b, c, m, k, n,
-                /*overwrite=*/true, /*bias=*/nullptr);
+  host_kernel()(a, /*a_row=*/k, /*a_depth=*/1, b, /*b_rows=*/nullptr, c, m, k,
+                n, /*overwrite=*/true, /*bias=*/nullptr);
 }
 
 void gemm_tn_accumulate(const float* a, const float* b, float* c, std::int64_t m,
                         std::int64_t k, std::int64_t n) {
-  host_kernel()(a, /*a_row=*/1, /*a_depth=*/m, b, c, m, k, n,
-                /*overwrite=*/false, /*bias=*/nullptr);
+  host_kernel()(a, /*a_row=*/1, /*a_depth=*/m, b, /*b_rows=*/nullptr, c, m, k,
+                n, /*overwrite=*/false, /*bias=*/nullptr);
 }
 
-void gemm_tn(const float* a, const float* b, const float* bias, float* c,
-             std::int64_t m, std::int64_t k, std::int64_t n) {
-  host_kernel()(a, /*a_row=*/1, /*a_depth=*/m, b, c, m, k, n,
+void gemm_tn(const float* a, const float* b, const std::int64_t* b_rows,
+             const float* bias, float* c, std::int64_t m, std::int64_t k,
+             std::int64_t n) {
+  host_kernel()(a, /*a_row=*/1, /*a_depth=*/m, b, b_rows, c, m, k, n,
                 /*overwrite=*/true, bias);
 }
 
 void gemm_nt_accumulate(const float* a, const float* b, float* c, std::int64_t m,
                         std::int64_t k, std::int64_t n) {
-  // C[i,j] += dot(A[i,:], B[j,:]) — both operands row-contiguous. The dot
-  // product starts from zero and is added to C once, so this kernel rounds
-  // differently from the two above; matmul's backward relies on that order.
-  for (std::int64_t i = 0; i < m; ++i) {
-    const float* arow = a + i * k;
-    float* crow = c + i * n;
-    for (std::int64_t j = 0; j < n; ++j) {
-      const float* brow = b + j * k;
-      float acc = 0.0f;
-      for (std::int64_t p = 0; p < k; ++p) acc += arow[p] * brow[p];
-      crow[j] += acc;
-    }
-  }
+  // C[i,j] += dot(A[i,:], B[j,:]): each dot product is summed from +0 in
+  // ascending p and then added to C once, so this rounds differently from
+  // the kernels above; matmul's backward relies on that order. The tiled
+  // kernel with an overwrite seed computes exactly those dot products, from
+  // B^T, into a scratch matrix that is then added to C.
+  const auto bt = std::make_unique_for_overwrite<float[]>(
+      static_cast<std::size_t>(k * n));
+  for (std::int64_t j = 0; j < n; ++j)
+    for (std::int64_t p = 0; p < k; ++p) bt[p * n + j] = b[j * k + p];
+  const auto dots = std::make_unique_for_overwrite<float[]>(
+      static_cast<std::size_t>(m * n));
+  host_kernel()(a, /*a_row=*/k, /*a_depth=*/1, bt.get(), /*b_rows=*/nullptr,
+                dots.get(), m, k, n, /*overwrite=*/true, /*bias=*/nullptr);
+  for (std::int64_t i = 0; i < m * n; ++i) c[i] += dots[i];
 }
 
 }  // namespace teamnet

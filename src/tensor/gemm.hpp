@@ -12,10 +12,13 @@
 // C is only written), adds A·B products in ascending p, one rounded
 // multiply and one rounded add per term, and then adds gemm_tn's bias once.
 // That is exactly the order of the textbook triple loop followed by a bias
-// pass, so results depend on neither the tiling nor the width. No width may
-// use FMA, which rounds once: the build passes -ffp-contract=off, because
-// GCC fuses `c += a * b` by default wherever the target has an FMA
-// instruction (avx512f does). Trained checkpoints rely on this (DESIGN.md,
+// pass, so results depend on neither the tiling nor the width. gemm_tn can
+// also read B through a table of row offsets instead of a dense matrix:
+// that is how a convolution reads its kernel taps straight out of a padded
+// copy of its input, with no im2col matrix (im2col.hpp, conv2d_forward).
+// No width may use FMA, which rounds once: the build passes
+// -ffp-contract=off, because GCC fuses `c += a * b` by default wherever the
+// target has an FMA instruction (avx512f does). Trained checkpoints rely on this (DESIGN.md,
 // "Convolution lowering").
 #pragma once
 
@@ -36,11 +39,14 @@ void gemm_tn_accumulate(const float* a, const float* b, float* c, std::int64_t m
                         std::int64_t k, std::int64_t n);
 
 /// C[m,n] = A^T * B + bias where A is [k,m], B is [k,n] and bias[i] is added
-/// to row i (null: no bias). C is overwritten, and each element is exactly
-/// a zero-filled gemm_tn_accumulate followed by a separate bias pass — the
-/// convolution forward, written once.
-void gemm_tn(const float* a, const float* b, const float* bias, float* c,
-             std::int64_t m, std::int64_t k, std::int64_t n);
+/// to row i (null: no bias). Row p of B is the n floats at b + b_rows[p];
+/// a null `b_rows` means a dense B, rows n apart. Rows may overlap. C is
+/// overwritten, and each element is exactly a zero-filled
+/// gemm_tn_accumulate over the same rows followed by a separate bias pass —
+/// the convolution forward, written once.
+void gemm_tn(const float* a, const float* b, const std::int64_t* b_rows,
+             const float* bias, float* c, std::int64_t m, std::int64_t k,
+             std::int64_t n);
 
 /// C[m,n] += A * B^T where A is [m,k], B is [n,k]. Unlike the kernels above,
 /// each dot product is summed from zero and then added to C.
@@ -51,12 +57,15 @@ namespace detail {
 
 /// The tiled kernel behind gemm / gemm_accumulate (a_row = k, a_depth = 1)
 /// and gemm_tn / gemm_tn_accumulate (a_row = 1, a_depth = m):
-/// C[m,n] = seed + A(m,k) * B[k,n] + bias with A(i,p) = a[i * a_row +
-/// p * a_depth], B and C row-major. The seed is C itself, or +0 when
-/// `overwrite` is set (C is then never read); a non-null `bias` adds bias[i]
-/// to row i after the last product.
+/// C[m,n] = seed + A(m,k) * B(k,n) + bias with A(i,p) = a[i * a_row +
+/// p * a_depth] and C row-major. B(p,j) = b[b_rows[p] + j], or
+/// b[p * n + j] (row-major) when `b_rows` is null; the kernel reads only
+/// those n floats of each row. The seed is C itself, or +0 when `overwrite`
+/// is set (C is then never read); a non-null `bias` adds bias[i] to row i
+/// after the last product.
 using GemmKernel = void (*)(const float* a, std::int64_t a_row,
-                            std::int64_t a_depth, const float* b, float* c,
+                            std::int64_t a_depth, const float* b,
+                            const std::int64_t* b_rows, float* c,
                             std::int64_t m, std::int64_t k, std::int64_t n,
                             bool overwrite, const float* bias);
 

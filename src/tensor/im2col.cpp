@@ -5,6 +5,8 @@
 #include <utility>
 #include <vector>
 
+#include "tensor/gemm.hpp"
+
 namespace teamnet {
 
 namespace {
@@ -38,6 +40,93 @@ std::int64_t conv_out_dim(std::int64_t in, std::int64_t kernel,
   TEAMNET_CHECK_MSG(out > 0, "conv output dim <= 0 (in=" << in << " k=" << kernel
                                                          << " s=" << stride
                                                          << " p=" << pad << ")");
+  return out;
+}
+
+Tensor conv2d_forward(const Tensor& input, const float* weight,
+                      std::int64_t cout, const float* bias,
+                      std::int64_t kernel, std::int64_t stride,
+                      std::int64_t pad) {
+  TEAMNET_CHECK(input.rank() == 4);
+  const std::int64_t n = input.dim(0), c = input.dim(1), h = input.dim(2),
+                     w = input.dim(3);
+  const std::int64_t ho = conv_out_dim(h, kernel, stride, pad);
+  const std::int64_t wo = conv_out_dim(w, kernel, stride, pad);
+  // Each channel is copied into `phases` x `kernel` planes of hq x wo
+  // floats: plane (py, kx) holds padded pixel (a * stride + py,
+  // ox * stride + kx) at (a, ox). Tap (ky, kx) of output (oy, ox) reads
+  // padded pixel (oy * stride + ky, ox * stride + kx), which is pixel
+  // (oy + ky / stride, ox) of plane (ky % stride, kx): a GEMM B row of
+  // Hout * Wout contiguous floats, starting ky / stride rows into the plane.
+  // The rows of one plane serve every ky of its phase, so the copy is
+  // kernel / phases times smaller than an im2col matrix.
+  const std::int64_t phases = std::min(stride, kernel);
+  const std::int64_t hq = ho + (kernel - 1) / stride;
+  const std::int64_t plane = hq * wo, chan = phases * kernel * plane;
+  const std::int64_t kk = c * kernel * kernel;
+
+  std::vector<std::int64_t> rows(static_cast<std::size_t>(kk));
+  for (std::int64_t ky = 0, p = 0; ky < kernel; ++ky)
+    for (std::int64_t kx = 0; kx < kernel; ++kx, ++p) {
+      rows[static_cast<std::size_t>(p)] =
+          ((ky % stride) * kernel + kx) * plane + (ky / stride) * wo;
+    }
+  const std::int64_t taps = kernel * kernel;
+  for (std::int64_t p = taps; p < kk; ++p) {
+    rows[static_cast<std::size_t>(p)] =
+        rows[static_cast<std::size_t>(p - taps)] + chan;
+  }
+  // Every plane float is written below, the padding included.
+  Tensor planes({c * chan}, uninitialized);
+
+  // The plane rows (for phase py) and columns (for kx) that hold an input
+  // pixel; the rest is padding.
+  const std::vector<Range> ys = valid_ranges(h, hq, phases, stride, pad);
+  const std::vector<Range> xs = valid_ranges(w, wo, kernel, stride, pad);
+  Tensor out({n, cout, ho, wo}, uninitialized);
+  for (std::int64_t img = 0; img < n; ++img) {
+    float* dst = planes.data();
+    for (std::int64_t ch = 0; ch < c; ++ch) {
+      const float* src = input.data() + (img * c + ch) * h * w;
+      for (std::int64_t py = 0; py < phases; ++py) {
+        const auto [a0, a1] = ys[static_cast<std::size_t>(py)];
+        for (std::int64_t kx = 0; kx < kernel; ++kx, dst += plane) {
+          const auto [b0, b1] = xs[static_cast<std::size_t>(kx)];
+          if (a0 == a1 || b0 == b1) {
+            std::fill_n(dst, plane, 0.0f);  // the plane holds only padding
+            continue;
+          }
+          std::fill(dst, dst + a0 * wo, 0.0f);
+          std::fill(dst + a1 * wo, dst + plane, 0.0f);
+          if (stride == 1 && wo == w) {
+            // Plane float j is input float j + delta, so the whole plane is
+            // one copy; the padding columns it wraps across are zeroed below.
+            const std::int64_t delta = kx - pad - pad * w;
+            const std::int64_t j0 = a0 * wo + b0, j1 = (a1 - 1) * wo + b1;
+            std::memcpy(dst + j0, src + (j0 + delta),
+                        static_cast<std::size_t>(j1 - j0) * sizeof(float));
+          } else {
+            for (std::int64_t a = a0; a < a1; ++a) {
+              // Input index of plane column ox is base + ox * stride.
+              const std::int64_t base = (a * stride + py - pad) * w + kx - pad;
+              for (std::int64_t ox = b0; ox < b1; ++ox) {
+                dst[a * wo + ox] = src[base + ox * stride];
+              }
+            }
+          }
+          // Column by column: a row holds only a few padding columns, which
+          // would otherwise become one memset call each.
+          auto zero_column = [&](std::int64_t ox) {
+            for (std::int64_t a = a0; a < a1; ++a) dst[a * wo + ox] = 0.0f;
+          };
+          for (std::int64_t ox = 0; ox < b0; ++ox) zero_column(ox);
+          for (std::int64_t ox = b1; ox < wo; ++ox) zero_column(ox);
+        }
+      }
+    }
+    gemm_tn(weight, planes.data(), rows.data(), bias,
+            out.data() + img * cout * ho * wo, cout, kk, ho * wo);
+  }
   return out;
 }
 

@@ -1,18 +1,23 @@
-// im2col / col2im transforms: convolution is lowered to GEMM, which is how
-// the Conv2d autograd op computes both forward and backward passes.
+// Convolution lowering. A convolution is one GEMM per image,
+// out[n] = W^T · cols[n] + b, whose B operand is the channel-major im2col
+// matrix [N, C*k*k, Hout*Wout]: row (c, ky, kx) of image n is one kernel
+// tap — the input plane c shifted by (ky - pad, kx - pad) and sampled at
+// the stride — so the GEMM writes NCHW directly and runs its inner loop
+// over the Hout*Wout output pixels.
 //
-// Layout is channel-major: columns are [N, C*k*k, Hout*Wout]. Row
-// (c, ky, kx) of image n is one kernel tap — the input plane c shifted by
-// (ky - pad, kx - pad) and sampled at the stride — so a convolution is one
-// GEMM per image, out[n] = W^T · cols[n], that writes NCHW directly and
-// runs its inner loop over the Hout*Wout output pixels.
+// The forward pass (conv2d_forward) never builds that matrix. It copies
+// each image once into zero-padded planes, shifted by kx and split by
+// stride phase along y, and hands the GEMM one offset per tap, so every B
+// row is read in place; the products and their order are the ones the
+// im2col GEMM computes, so the output is bit-identical to it. im2col and col2im are the backward pass's: the
+// weight gradient multiplies by cols, and col2im folds the input gradient.
 //
 // Summation order is part of the contract. Conv2d's forward and backward
 // add their terms in exactly the order of the older row-per-patch lowering
 // ([N*Hout*Wout, C*k*k]); col2im keeps it by folding taps in descending
 // (ky, kx), so every pixel still receives its patches in ascending
 // (oy, ox). Trained checkpoints are therefore byte-identical across the
-// two lowerings (DESIGN.md, "Convolution lowering").
+// lowerings (DESIGN.md, "Convolution lowering").
 #pragma once
 
 #include <cstdint>
@@ -24,6 +29,15 @@ namespace teamnet {
 /// Output spatial size of a convolution along one axis.
 std::int64_t conv_out_dim(std::int64_t in, std::int64_t kernel,
                           std::int64_t stride, std::int64_t pad);
+
+/// Convolution forward: input [N, C, H, W] -> [N, cout, Hout, Wout], with
+/// out[n] = W^T · im2col(input)[n] + bias bit for bit, but no im2col
+/// matrix. `weight` is [C * k * k, cout] row-major; `bias` holds cout
+/// values, or is null for none.
+Tensor conv2d_forward(const Tensor& input, const float* weight,
+                      std::int64_t cout, const float* bias,
+                      std::int64_t kernel, std::int64_t stride,
+                      std::int64_t pad);
 
 /// Unfolds input [N, C, H, W] into columns [N, C * k * k, Hout * Wout].
 /// Each row holds one kernel tap over every output pixel; zero padding is

@@ -334,6 +334,11 @@ TEST(Autograd, Conv2dBitIdenticalToDirectReference) {
       {2, 7, 7, 3, 2, 1},   // 3x3, pad 1, stride 2, odd input
       {4, 6, 5, 1, 1, 0},   // 1x1, pad 0
       {6, 6, 16, 3, 1, 1},  // SS-14 block shape
+      {12, 12, 8, 3, 1, 1},  // SS-14 stage-2 shape
+      {6, 12, 16, 3, 2, 1},  // SS-14 strided block entry
+      {6, 12, 16, 1, 2, 0},  // SS-14 1x1 stride-2 skip
+      {3, 5, 9, 5, 1, 2},    // 5x5, pad 2
+      {3, 5, 9, 3, 2, 0},    // 3x3, pad 0, stride 2
   };
   Rng rng(21);
   for (const ConvCase& c : cases) {

@@ -4,6 +4,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "tensor/gemm.hpp"
@@ -245,14 +246,16 @@ void check_kernel_width(int lanes) {
     const Tensor want = naive_gemm_accumulate(a, b, c0.clone());
 
     Tensor c = c0.clone();
-    kernel(a.data(), /*a_row=*/sh.k, /*a_depth=*/1, b.data(), c.data(), sh.m,
-           sh.k, sh.n, /*overwrite=*/false, /*bias=*/nullptr);
+    kernel(a.data(), /*a_row=*/sh.k, /*a_depth=*/1, b.data(),
+           /*b_rows=*/nullptr, c.data(), sh.m, sh.k, sh.n, /*overwrite=*/false,
+           /*bias=*/nullptr);
     expect_bit_identical(c, want);
 
     Tensor at = ops::transpose(a);
     Tensor c_tn = c0.clone();
-    kernel(at.data(), /*a_row=*/1, /*a_depth=*/sh.m, b.data(), c_tn.data(),
-           sh.m, sh.k, sh.n, /*overwrite=*/false, /*bias=*/nullptr);
+    kernel(at.data(), /*a_row=*/1, /*a_depth=*/sh.m, b.data(),
+           /*b_rows=*/nullptr, c_tn.data(), sh.m, sh.k, sh.n,
+           /*overwrite=*/false, /*bias=*/nullptr);
     expect_bit_identical(c_tn, want);
   }
 }
@@ -287,15 +290,17 @@ void check_overwrite_with_bias(detail::GemmKernel kernel) {
         for (std::int64_t j = 0; j < sh.n; ++j) want[i * sh.n + j] += bias[i];
 
       Tensor c = Tensor::full({sh.m, sh.n}, std::nanf(""));
-      kernel(at.data(), /*a_row=*/1, /*a_depth=*/sh.m, b.data(), c.data(),
-             sh.m, sh.k, sh.n, /*overwrite=*/true, bias_ptr);
+      kernel(at.data(), /*a_row=*/1, /*a_depth=*/sh.m, b.data(),
+             /*b_rows=*/nullptr, c.data(), sh.m, sh.k, sh.n,
+             /*overwrite=*/true, bias_ptr);
       expect_bit_identical(c, want);
 
       // The same through the row-major A layout.
       Tensor a = ops::transpose(at);
       Tensor c_nn = Tensor::full({sh.m, sh.n}, std::nanf(""));
-      kernel(a.data(), /*a_row=*/sh.k, /*a_depth=*/1, b.data(), c_nn.data(),
-             sh.m, sh.k, sh.n, /*overwrite=*/true, bias_ptr);
+      kernel(a.data(), /*a_row=*/sh.k, /*a_depth=*/1, b.data(),
+             /*b_rows=*/nullptr, c_nn.data(), sh.m, sh.k, sh.n,
+             /*overwrite=*/true, bias_ptr);
       expect_bit_identical(c_nn, want);
     }
   }
@@ -310,6 +315,68 @@ TEST(Gemm, OverwriteWithBiasEqualsZeroFillThenBiasPass) {
     }
   }
 }
+
+/// B rows read through a table of overlapping offsets, the way a
+/// convolution reads its 3x3 taps out of a padded input with pitch `pitch`,
+/// against the dense kernel on the same rows copied into a matrix. Both the
+/// overwrite-with-bias and the accumulate seeds are checked, bitwise.
+void check_row_offsets(int lanes) {
+  const detail::GemmKernel kernel = detail::gemm_kernel(lanes);
+  if (kernel == nullptr) {
+    GTEST_SKIP() << lanes << "-lane kernel needs "
+                 << (lanes == 16 ? "AVX-512F" : "AVX2");
+  }
+  struct Case {
+    std::int64_t m, channels, pitch, out_rows;
+  };
+  // SS-14's three stride-1 shapes (n = 288, 80, 24), a second depth chunk
+  // (k = 270) with n = 33 leaving a tail at every width, and a tail-only n.
+  const Case cases[] = {
+      {6, 6, 18, 16}, {12, 12, 10, 8}, {24, 24, 6, 4}, {5, 30, 11, 3},
+      {3, 1, 7, 1}};
+  Rng rng(13);
+  for (const Case& cs : cases) {
+    const std::int64_t k = cs.channels * 9, n = cs.out_rows * cs.pitch;
+    const std::int64_t chan = (cs.out_rows + 2) * cs.pitch;
+    SCOPED_TRACE(testing::Message() << lanes << " lanes, m=" << cs.m
+                                    << " k=" << k << " n=" << n);
+    // Two floats of slack: the last tap's last row runs past its plane.
+    Tensor padded = Tensor::randn({cs.channels * chan + 2}, rng);
+    std::vector<std::int64_t> rows;
+    for (std::int64_t ch = 0; ch < cs.channels; ++ch)
+      for (std::int64_t ky = 0; ky < 3; ++ky)
+        for (std::int64_t kx = 0; kx < 3; ++kx)
+          rows.push_back(ch * chan + ky * cs.pitch + kx);
+    Tensor dense({k, n});
+    for (std::int64_t p = 0; p < k; ++p)
+      for (std::int64_t j = 0; j < n; ++j)
+        dense[p * n + j] = padded[rows[static_cast<std::size_t>(p)] + j];
+
+    Tensor at = Tensor::randn({k, cs.m}, rng);
+    Tensor bias = Tensor::randn({cs.m}, rng);
+    Tensor want = Tensor::full({cs.m, n}, std::nanf(""));
+    kernel(at.data(), 1, cs.m, dense.data(), nullptr, want.data(), cs.m, k, n,
+           /*overwrite=*/true, bias.data());
+    Tensor got = Tensor::full({cs.m, n}, std::nanf(""));
+    kernel(at.data(), 1, cs.m, padded.data(), rows.data(), got.data(), cs.m, k,
+           n, /*overwrite=*/true, bias.data());
+    expect_bit_identical(got, want);
+
+    const Tensor c0 = Tensor::randn({cs.m, n}, rng);
+    Tensor want_acc = c0.clone(), got_acc = c0.clone();
+    kernel(at.data(), 1, cs.m, dense.data(), nullptr, want_acc.data(), cs.m, k,
+           n, /*overwrite=*/false, nullptr);
+    kernel(at.data(), 1, cs.m, padded.data(), rows.data(), got_acc.data(),
+           cs.m, k, n, /*overwrite=*/false, nullptr);
+    expect_bit_identical(got_acc, want_acc);
+  }
+}
+
+TEST(Gemm, FourLaneRowOffsetsMatchDenseRows) { check_row_offsets(4); }
+
+TEST(Gemm, EightLaneRowOffsetsMatchDenseRows) { check_row_offsets(8); }
+
+TEST(Gemm, SixteenLaneRowOffsetsMatchDenseRows) { check_row_offsets(16); }
 
 TEST(Ops, SoftmaxRowsSumToOne) {
   Rng rng(3);
