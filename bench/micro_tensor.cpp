@@ -1,7 +1,7 @@
 // Microbenchmarks for the tensor substrate: GEMM variants, convolution
-// lowering, ReLU, eval BatchNorm, softmax/entropy kernels — the primitives
-// whose FLOP counts feed the edge-latency model — plus one whole expert
-// forward.
+// lowering, ReLU, eval BatchNorm, the fused conv -> BatchNorm -> ReLU,
+// softmax/entropy kernels — the primitives whose FLOP counts feed the
+// edge-latency model — plus one whole expert forward.
 #include <benchmark/benchmark.h>
 
 #include <memory>
@@ -11,7 +11,9 @@
 #include "common/rng.hpp"
 #include "core/entropy.hpp"
 #include "nn/batchnorm.hpp"
+#include "nn/layers.hpp"
 #include "nn/mlp.hpp"
+#include "nn/sequential.hpp"
 #include "nn/shake_shake.hpp"
 #include "tensor/autograd.hpp"
 #include "tensor/gemm.hpp"
@@ -140,7 +142,7 @@ void BM_Relu(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_Relu)->Arg(6 * 16 * 16)->Arg(1 << 16);
+BENCHMARK(BM_Relu)->Arg(6 * 16 * 16)->Arg(12 * 8 * 8)->Arg(1 << 16);
 
 // Eval BatchNorm through Module::predict at the SS-14 expert's two widest
 // activations (batch 1, C channels at S x S), with non-trivial running
@@ -161,6 +163,31 @@ void BM_BatchNormEval(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * c * s * s);
 }
 BENCHMARK(BM_BatchNormEval)->Args({6, 16})->Args({12, 8});
+
+// The serving form of BM_Conv2dForward + BM_BatchNormEval + BM_Relu at the
+// same shapes: an eval Conv2d -> BatchNorm -> ReLU Sequential through
+// Module::predict, which runs them as one conv whose GEMM applies the
+// BatchNorm and the ReLU before its store. Items are the conv's FLOPs, as in
+// BM_Conv2dForward.
+void BM_ConvBnRelu(benchmark::State& state) {
+  const std::int64_t c = state.range(0), s = state.range(1);
+  Rng rng(13);
+  nn::Sequential seq;
+  seq.emplace<nn::Conv2d>(c, c, 3, 1, 1, rng);
+  seq.emplace<nn::BatchNorm>(c);
+  seq.emplace<nn::ReLU>();
+  for (Tensor* buffer : seq.buffers()) {
+    for (float& v : buffer->values()) v = rng.uniform(0.5f, 2.0f);
+  }
+  seq.set_training(false);
+  Tensor x = Tensor::randn({1, c, s, s}, rng);
+  for (auto _ : state) {
+    Tensor y = seq.predict(x);
+    benchmark::DoNotOptimize(y.data());
+  }
+  state.SetItemsProcessed(state.iterations() * 2 * s * s * c * 9 * c);
+}
+BENCHMARK(BM_ConvBnRelu)->Args({6, 16})->Args({12, 8});
 
 // One batch-1 eval forward through Module::predict, the call every serving
 // path makes: arg 0 is the tcp_cnn_k2 expert (SS-14, 6 base channels,

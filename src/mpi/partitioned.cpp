@@ -92,7 +92,7 @@ Tensor distributed_conv(const Tensor& x, nn::Conv2d& layer, Communicator& comm,
   Tensor w_slice = col_block(layer.weight().value(), c0, c1);
   charge(on_compute, 2 * n * ho * wo * kk * my_c);
   Tensor slice = conv2d_forward(x, w_slice.data(), my_c,
-                                layer.bias().value().data() + c0,
+                                {.bias = layer.bias().value().data() + c0},
                                 layer.kernel(), layer.stride(), layer.pad());
 
   // Allgather the channel slices — the per-conv-layer WiFi exchange.

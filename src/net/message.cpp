@@ -1,7 +1,5 @@
 #include "net/message.hpp"
 
-#include <sstream>
-
 #include "common/error.hpp"
 #include "common/raw_bytes.hpp"
 #include "nn/serialize.hpp"
@@ -16,11 +14,7 @@ std::string Message::encode() const {
   write_raw(out, checked_narrow<std::uint32_t>(ints.size()));
   for (std::int64_t v : ints) write_raw(out, v);
   write_raw(out, checked_narrow<std::uint32_t>(tensors.size()));
-  for (const Tensor& t : tensors) {
-    std::ostringstream os(std::ios::binary);
-    nn::write_tensor(os, t);
-    out += os.str();
-  }
+  for (const Tensor& t : tensors) nn::write_tensor(out, t);
   return out;
 }
 
@@ -37,9 +31,8 @@ Message Message::decode(const std::string& bytes) {
   }
   const auto n_tensors = read_raw<std::uint32_t>(bytes, offset);
   if (n_tensors > (1u << 16)) throw SerializationError("implausible tensor count");
-  std::istringstream is(bytes.substr(offset), std::ios::binary);
   for (std::uint32_t i = 0; i < n_tensors; ++i) {
-    msg.tensors.push_back(nn::read_tensor(is));
+    msg.tensors.push_back(nn::read_tensor(bytes, offset));
   }
   return msg;
 }

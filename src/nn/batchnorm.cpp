@@ -92,10 +92,7 @@ ag::Var BatchNorm::forward(const ag::Var& input) {
     var = batch_var.data();
   }
 
-  Tensor inv_std({channels_});
-  for (std::int64_t c = 0; c < channels_; ++c) {
-    inv_std[c] = 1.0f / std::sqrt(var[c] + eps_);
-  }
+  const Tensor inv_std = inv_std_of(var);
   Tensor out(x.shape(), uninitialized);
   const float* g = gamma_.value().data();
   const float* b = beta_.value().data();
@@ -170,6 +167,19 @@ ag::Var BatchNorm::forward(const ag::Var& input) {
         }
       },
       "batchnorm");
+}
+
+Tensor BatchNorm::inv_std_of(const float* var) const {
+  Tensor inv_std({channels_}, uninitialized);
+  for (std::int64_t c = 0; c < channels_; ++c) {
+    inv_std[c] = 1.0f / std::sqrt(var[c] + eps_);
+  }
+  return inv_std;
+}
+
+BatchNorm::EvalAffine BatchNorm::eval_affine() const {
+  return {inv_std_of(running_var_.data()), running_mean_.data(),
+          gamma_.value().data(), beta_.value().data()};
 }
 
 std::string BatchNorm::name() const {

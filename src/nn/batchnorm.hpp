@@ -2,6 +2,13 @@
 // convolutional ([N, C, H, W]) activations. Training mode normalizes by the
 // batch statistics and maintains exponential running averages that eval mode
 // uses instead.
+//
+// Eval mode is one per-channel affine map, y = gamma * ((x - mean) *
+// inv_std) + beta. A serving forward (grad mode off) of a Conv2d followed by
+// an eval BatchNorm does not call forward() at all: nn::Sequential hands
+// eval_affine() to the conv's GEMM epilogue (gemm.hpp, GemmEpilogue), which
+// applies the same rounded operations in the same order to each finished
+// conv output, so the fused activations equal this module's bit for bit.
 #pragma once
 
 #include "nn/module.hpp"
@@ -26,7 +33,21 @@ class BatchNorm : public Module {
 
   const Tensor& running_mean() const { return running_mean_; }
 
+  /// Eval-mode constants per channel: y = gamma * ((x - mean) * inv_std) +
+  /// beta. The pointers alias this module's running mean, gamma and beta;
+  /// inv_std is computed exactly as forward() computes it.
+  struct EvalAffine {
+    Tensor inv_std;
+    const float* mean;
+    const float* gamma;
+    const float* beta;
+  };
+  EvalAffine eval_affine() const;
+
  private:
+  /// 1 / sqrt(var[c] + eps) per channel.
+  Tensor inv_std_of(const float* var) const;
+
   std::int64_t channels_;
   float momentum_;
   float eps_;

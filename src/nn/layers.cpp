@@ -3,6 +3,7 @@
 #include <cmath>
 #include <sstream>
 
+#include "nn/batchnorm.hpp"
 #include "tensor/im2col.hpp"
 
 namespace teamnet::nn {
@@ -51,6 +52,26 @@ Conv2d::Conv2d(std::int64_t in_channels, std::int64_t out_channels,
 
 ag::Var Conv2d::forward(const ag::Var& input) {
   return ag::conv2d(input, weight_, bias_, kernel_, stride_, pad_);
+}
+
+ag::Var Conv2d::forward_fused(const ag::Var& input, const BatchNorm& bn,
+                              bool relu) {
+  TEAMNET_CHECK(!ag::grad_enabled() && !bn.training());
+  const Tensor& x = input.value();
+  TEAMNET_CHECK_MSG(x.rank() == 4 && x.dim(1) == cin_,
+                    "Conv2d expects [N," << cin_ << ",H,W], got "
+                                         << shape_to_string(x.shape()));
+  const BatchNorm::EvalAffine affine = bn.eval_affine();
+  TEAMNET_CHECK_MSG(affine.inv_std.numel() == cout_,
+                    "BatchNorm channels mismatch");
+  const GemmEpilogue epilogue{.bias = bias_.value().data(),
+                              .mean = affine.mean,
+                              .inv_std = affine.inv_std.data(),
+                              .gamma = affine.gamma,
+                              .beta = affine.beta,
+                              .relu = relu};
+  return ag::constant(conv2d_forward(x, weight_.value().data(), cout_,
+                                     epilogue, kernel_, stride_, pad_));
 }
 
 Analysis Conv2d::analyze(const Shape& input_shape) const {

@@ -8,6 +8,8 @@
 
 namespace teamnet::nn {
 
+class BatchNorm;
+
 /// Fully connected layer: y = x W + b, x is [N, in].
 class Linear : public Module {
  public:
@@ -42,6 +44,13 @@ class Conv2d : public Module {
   std::vector<ag::Var> parameters() override { return {weight_, bias_}; }
   Analysis analyze(const Shape& input_shape) const override;
   std::string name() const override;
+
+  /// Serving forward of this conv, the eval-mode `bn` after it and, when
+  /// `relu`, a ReLU after that, as one GEMM whose epilogue applies the
+  /// BatchNorm and the ReLU (GemmEpilogue): bit-identical to the three
+  /// forwards in turn, but only the final activations are written. Needs
+  /// grad mode off; nn::Sequential calls it.
+  ag::Var forward_fused(const ag::Var& input, const BatchNorm& bn, bool relu);
 
   std::int64_t in_channels() const { return cin_; }
   std::int64_t out_channels() const { return cout_; }

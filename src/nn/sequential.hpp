@@ -1,4 +1,11 @@
 // Ordered container of modules; also the unit the MPI baselines partition.
+//
+// With grad mode off (Module::predict, every serving path), forward() runs
+// each Conv2d that is followed by an eval-mode BatchNorm, and the ReLU after
+// that if there is one, as one fused call (Conv2d::forward_fused): the conv's
+// GEMM applies the BatchNorm and the ReLU to each output before its one
+// store, bit-identical to running the layers in turn. With grad on (training
+// or forward on a graph) every layer runs on its own.
 #pragma once
 
 #include <memory>
@@ -24,11 +31,7 @@ class Sequential : public Module {
 
   void append(ModulePtr layer) { layers_.push_back(std::move(layer)); }
 
-  ag::Var forward(const ag::Var& input) override {
-    ag::Var h = input;
-    for (auto& layer : layers_) h = layer->forward(h);
-    return h;
-  }
+  ag::Var forward(const ag::Var& input) override;
 
   std::vector<ag::Var> parameters() override {
     std::vector<ag::Var> params;

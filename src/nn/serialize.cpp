@@ -53,6 +53,30 @@ Tensor read_tensor(std::istream& is) {
   return t;
 }
 
+void write_tensor(std::string& out, const Tensor& t) {
+  write_raw(out, checked_narrow<std::uint32_t>(t.rank()));
+  for (std::int64_t d = 0; d < t.rank(); ++d) write_raw(out, t.dim(d));
+  write_raw_array(out, t.data(), static_cast<std::size_t>(t.numel()));
+}
+
+Tensor read_tensor(const std::string& in, std::size_t& offset) {
+  const auto rank = read_raw<std::uint32_t>(in, offset);
+  if (rank > 8) throw SerializationError("implausible tensor rank");
+  Shape shape(rank);
+  for (auto& d : shape) {
+    d = read_raw<std::int64_t>(in, offset);
+    if (d < 0 || d > (1 << 28)) throw SerializationError("implausible dim");
+  }
+  // Reject overflow, oversize and a short frame before allocating.
+  const auto numel = static_cast<std::size_t>(checked_decode_numel(shape));
+  if ((in.size() - offset) / sizeof(float) < numel) {
+    throw SerializationError("truncated buffer: tensor data");
+  }
+  Tensor t(std::move(shape), uninitialized);
+  read_raw_array(in, offset, t.data(), numel);
+  return t;
+}
+
 void save_tensors(std::ostream& os, const std::vector<Tensor>& tensors) {
   write_raw_array(os, kMagic, sizeof(kMagic));
   write_raw(os, kVersion);

@@ -32,6 +32,14 @@ std::int64_t checked_decode_numel(const Shape& shape);
 void write_tensor(std::ostream& os, const Tensor& t);
 Tensor read_tensor(std::istream& is);
 
+/// The same tensor format appended to, or parsed in place from, an
+/// in-memory frame (net::Message), with no stream object. read_tensor
+/// starts at `offset`, advances it past the tensor and rejects exactly
+/// what the stream form rejects (SerializationError); the tensor's data is
+/// written once, straight from the frame.
+void write_tensor(std::string& out, const Tensor& t);
+Tensor read_tensor(const std::string& in, std::size_t& offset);
+
 /// Serializes all tensors in order.
 void save_tensors(std::ostream& os, const std::vector<Tensor>& tensors);
 std::vector<Tensor> load_tensors(std::istream& is);

@@ -2,9 +2,44 @@
 
 #include <sstream>
 
+#include "tensor/vec4.hpp"
+
 namespace teamnet::nn {
 
 namespace {
+
+/// relu((a * alpha + b * (1 - alpha)) + skip) in one pass over one output:
+/// element by element the roundings of ag::shake_combine, then ops::add,
+/// then ops::relu (NaN and -0 become +0), so the result is bit-identical to
+/// the three ops in turn.
+Tensor shake_tail(const Tensor& a, const Tensor& b, const Tensor& skip,
+                  float alpha) {
+  TEAMNET_CHECK_MSG(b.shape() == a.shape() && skip.shape() == a.shape(),
+                    "shake block outputs differ: "
+                        << shape_to_string(a.shape()) << ", "
+                        << shape_to_string(b.shape()) << ", skip "
+                        << shape_to_string(skip.shape()));
+  Tensor out(a.shape(), uninitialized);
+  const float* pa = a.data();
+  const float* pb = b.data();
+  const float* ps = skip.data();
+  float* po = out.data();
+  const float one_minus_alpha = 1.0f - alpha;
+  const std::int64_t n = out.numel();
+  const f32x4 zero = {};
+  std::int64_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    const f32x4 v =
+        (load4(pa + i) * alpha + load4(pb + i) * one_minus_alpha) +
+        load4(ps + i);
+    store4(po + i, v > zero ? v : zero);
+  }
+  for (; i < n; ++i) {
+    const float v = (pa[i] * alpha + pb[i] * one_minus_alpha) + ps[i];
+    po[i] = v > 0.0f ? v : 0.0f;
+  }
+  return out;
+}
 
 std::unique_ptr<Sequential> make_branch(std::int64_t cin, std::int64_t cout,
                                         std::int64_t stride, Rng& rng) {
@@ -39,6 +74,12 @@ ag::Var ShakeBlock::forward(const ag::Var& input) {
   if (training_) {
     alpha = shake_rng_.uniform(0.0f, 1.0f);
     beta = shake_rng_.uniform(0.0f, 1.0f);
+  }
+  // A serving forward needs no graph, so the mix, the residual add and the
+  // ReLU write one tensor instead of three.
+  if (!ag::grad_enabled()) {
+    return ag::constant(
+        shake_tail(b0.value(), b1.value(), skip.value(), alpha));
   }
   ag::Var mixed = ag::shake_combine(b0, b1, alpha, beta);
   return ag::relu(ag::add(mixed, skip));

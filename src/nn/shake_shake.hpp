@@ -30,7 +30,9 @@ struct ShakeShakeConfig {
 };
 
 /// One two-branch residual block. Exposed so MPI-Branch can execute the
-/// branches on different ranks.
+/// branches on different ranks. With grad mode off, forward() computes the
+/// tail relu(mix + skip) in one pass, bit-identical to shake_combine, add
+/// and relu in turn (DESIGN.md §2.3).
 class ShakeBlock : public Module {
  public:
   ShakeBlock(std::int64_t in_channels, std::int64_t out_channels,

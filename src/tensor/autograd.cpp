@@ -385,12 +385,12 @@ Var conv2d(const Var& input, const Var& weight, const Var& bias,
 
   // One GEMM per image writes NCHW directly, each element once, reading
   // the taps from a padded copy of the input (conv2d_forward).
-  const float* b = nullptr;
+  GemmEpilogue epilogue;
   if (bias.defined()) {
     TEAMNET_CHECK(bias.value().numel() == cout);
-    b = bias.value().data();
+    epilogue.bias = bias.value().data();
   }
-  Tensor out = conv2d_forward(x, w.data(), cout, b, kernel, stride, pad);
+  Tensor out = conv2d_forward(x, w.data(), cout, epilogue, kernel, stride, pad);
   const std::int64_t kk = cin * kernel * kernel, hw = ho * wo;
 
   std::vector<NodePtr> parents =

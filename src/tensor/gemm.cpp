@@ -68,14 +68,15 @@ struct OffsetRows {
 /// rows are `ldc` apart. Each accumulator is seeded from C, or with +0 when
 /// `zero` is set (C is then write-only), and adds its products in ascending
 /// p, one rounded multiply and one rounded add per lane — the scalar
-/// `c += a * b` loop bit for bit, whatever the width. A non-null `bias` then adds
-/// bias[r] to row r, one more rounded add. The loops are unrolled so the
-/// R*NV accumulators live in registers.
+/// `c += a * b` loop bit for bit, whatever the width. A non-null `ep` then
+/// runs on every accumulator of row r as row i0 + r of the whole C, step by
+/// step as GemmEpilogue says, before the one store. The loops are unrolled
+/// so the R*NV accumulators live in registers.
 template <class V, int R, int NV, class Rows>
 TEAMNET_GEMM_INLINE void micro_tile(const float* a, std::int64_t a_row,
                                     std::int64_t a_depth, Rows b, float* c,
                                     std::int64_t ldc, std::int64_t k, bool zero,
-                                    const float* bias) {
+                                    const GemmEpilogue* ep, std::int64_t i0) {
   constexpr std::int64_t w = kLanes<V>;
   V acc[R][NV];
 #pragma GCC unroll 4
@@ -104,11 +105,28 @@ TEAMNET_GEMM_INLINE void micro_tile(const float* a, std::int64_t a_row,
       for (int v = 0; v < NV; ++v) acc[r][v] += av * bv[v];
     }
   }
-  if (bias != nullptr) {
+  if (ep != nullptr) {
 #pragma GCC unroll 4
     for (int r = 0; r < R; ++r) {
+      const std::int64_t i = i0 + r;
+      if (ep->bias != nullptr) {
 #pragma GCC unroll 2
-      for (int v = 0; v < NV; ++v) acc[r][v] += bias[r];
+        for (int v = 0; v < NV; ++v) acc[r][v] += ep->bias[i];
+      }
+      if (ep->mean != nullptr) {
+        const float m = ep->mean[i], is = ep->inv_std[i], g = ep->gamma[i],
+                    bt = ep->beta[i];
+#pragma GCC unroll 2
+        for (int v = 0; v < NV; ++v) {
+          acc[r][v] = g * ((acc[r][v] - m) * is) + bt;
+        }
+      }
+      if (ep->relu) {
+#pragma GCC unroll 2
+        for (int v = 0; v < NV; ++v) {
+          acc[r][v] = acc[r][v] > V{} ? acc[r][v] : V{};
+        }
+      }
     }
   }
 #pragma GCC unroll 4
@@ -124,24 +142,25 @@ template <class V, int NV, class Rows>
 TEAMNET_GEMM_INLINE void tile(std::int64_t rows, const float* a,
                               std::int64_t a_row, std::int64_t a_depth,
                               Rows b, float* c, std::int64_t ldc,
-                              std::int64_t k, bool zero, const float* bias) {
+                              std::int64_t k, bool zero,
+                              const GemmEpilogue* ep, std::int64_t i0) {
   switch (rows) {
     case 4:
-      micro_tile<V, 4, NV>(a, a_row, a_depth, b, c, ldc, k, zero, bias);
+      micro_tile<V, 4, NV>(a, a_row, a_depth, b, c, ldc, k, zero, ep, i0);
       break;
     case 3:
-      micro_tile<V, 3, NV>(a, a_row, a_depth, b, c, ldc, k, zero, bias);
+      micro_tile<V, 3, NV>(a, a_row, a_depth, b, c, ldc, k, zero, ep, i0);
       break;
     case 2:
-      micro_tile<V, 2, NV>(a, a_row, a_depth, b, c, ldc, k, zero, bias);
+      micro_tile<V, 2, NV>(a, a_row, a_depth, b, c, ldc, k, zero, ep, i0);
       break;
     default:
-      micro_tile<V, 1, NV>(a, a_row, a_depth, b, c, ldc, k, zero, bias);
+      micro_tile<V, 1, NV>(a, a_row, a_depth, b, c, ldc, k, zero, ep, i0);
       break;
   }
 }
 
-/// C[m,n] (+)= A(m,k) * B[k,n] (+ bias[i] on row i) with
+/// C[m,n] = epilogue(seed + A(m,k) * B[k,n]) with
 /// A(i,p) = a[i * a_row + p * a_depth], B row p at b.row(p) and C row-major
 /// (detail::GemmKernel).
 ///
@@ -153,15 +172,16 @@ TEAMNET_GEMM_INLINE void tile(std::int64_t rows, const float* a,
 /// scratch C tile, and only their real columns are written back, so no
 /// vector load reads past column n - 1 of a B row.
 /// `overwrite` seeds the first depth chunk with +0 instead of C, and the
-/// bias joins after the last chunk, so every C[i,j] is
-/// (seed + products in ascending p) + bias[i]. The chunk loop runs once even
+/// epilogue runs after the last chunk, so every C[i,j] is
+/// epilogue(seed + products in ascending p). The chunk loop runs once even
 /// when k == 0, so C is still written.
 template <class V, class Rows>
 TEAMNET_GEMM_INLINE void tiled_accumulate(const float* a, std::int64_t a_row,
                                           std::int64_t a_depth, Rows b,
                                           float* c, std::int64_t m,
                                           std::int64_t k, std::int64_t n,
-                                          bool overwrite, const float* bias) {
+                                          bool overwrite,
+                                          const GemmEpilogue* ep) {
   constexpr std::int64_t w = kLanes<V>;
   const std::int64_t n_full = n - n % (2 * w);
   const std::int64_t n_half = n - n % w;  // n_full, or n_full + w
@@ -171,22 +191,19 @@ TEAMNET_GEMM_INLINE void tiled_accumulate(const float* a, std::int64_t a_row,
     const std::int64_t kc = std::min(kDepthChunk, k - p0);
     const float* a_chunk = a + p0 * a_depth;
     const bool zero = overwrite && p0 == 0;
-    const float* chunk_bias = p0 + kc >= k ? bias : nullptr;
-    auto row_bias = [&](std::int64_t i0) {
-      return chunk_bias != nullptr ? chunk_bias + i0 : nullptr;
-    };
+    const GemmEpilogue* chunk_ep = p0 + kc >= k ? ep : nullptr;
     for (std::int64_t j0 = 0; j0 < n_full; j0 += 2 * w) {
       for (std::int64_t i0 = 0; i0 < m; i0 += kTileRows) {
         tile<V, 2>(std::min(kTileRows, m - i0), a_chunk + i0 * a_row, a_row,
                    a_depth, b.from(p0, j0), c + i0 * n + j0, n, kc, zero,
-                   row_bias(i0));
+                   chunk_ep, i0);
       }
     }
     if (n_half > n_full) {
       for (std::int64_t i0 = 0; i0 < m; i0 += kTileRows) {
         tile<V, 1>(std::min(kTileRows, m - i0), a_chunk + i0 * a_row, a_row,
                    a_depth, b.from(p0, n_full), c + i0 * n + n_full, n,
-                   kc, zero, row_bias(i0));
+                   kc, zero, chunk_ep, i0);
       }
     }
     if (tail == 0) continue;
@@ -205,7 +222,7 @@ TEAMNET_GEMM_INLINE void tiled_accumulate(const float* a, std::int64_t a_row,
         }
       }
       tile<V, 1>(rows, a_chunk + i0 * a_row, a_row, a_depth,
-                 DenseRows{panel, w}, c_tile, w, kc, zero, row_bias(i0));
+                 DenseRows{panel, w}, c_tile, w, kc, zero, chunk_ep, i0);
       for (std::int64_t r = 0; r < rows; ++r) {
         std::memcpy(c + (i0 + r) * n + n_half, c_tile + r * w, tail_bytes);
       }
@@ -220,13 +237,13 @@ TEAMNET_GEMM_INLINE void dispatch_rows(const float* a, std::int64_t a_row,
                                        const std::int64_t* b_rows, float* c,
                                        std::int64_t m, std::int64_t k,
                                        std::int64_t n, bool overwrite,
-                                       const float* bias) {
+                                       const GemmEpilogue* ep) {
   if (b_rows != nullptr) {
     tiled_accumulate<V>(a, a_row, a_depth, OffsetRows{b, b_rows}, c, m, k, n,
-                        overwrite, bias);
+                        overwrite, ep);
   } else {
     tiled_accumulate<V>(a, a_row, a_depth, DenseRows{b, n}, c, m, k, n,
-                        overwrite, bias);
+                        overwrite, ep);
   }
 }
 
@@ -234,9 +251,9 @@ void tiled_accumulate_4(const float* a, std::int64_t a_row,
                         std::int64_t a_depth, const float* b,
                         const std::int64_t* b_rows, float* c, std::int64_t m,
                         std::int64_t k, std::int64_t n, bool overwrite,
-                        const float* bias) {
+                        const GemmEpilogue* ep) {
   dispatch_rows<f32x4>(a, a_row, a_depth, b, b_rows, c, m, k, n, overwrite,
-                       bias);
+                       ep);
 }
 
 #if defined(__x86_64__) || defined(__i386__)
@@ -247,17 +264,17 @@ void tiled_accumulate_4(const float* a, std::int64_t a_row,
 __attribute__((target("avx2"))) void tiled_accumulate_8(
     const float* a, std::int64_t a_row, std::int64_t a_depth, const float* b,
     const std::int64_t* b_rows, float* c, std::int64_t m, std::int64_t k,
-    std::int64_t n, bool overwrite, const float* bias) {
+    std::int64_t n, bool overwrite, const GemmEpilogue* ep) {
   dispatch_rows<f32x8>(a, a_row, a_depth, b, b_rows, c, m, k, n, overwrite,
-                       bias);
+                       ep);
 }
 
 __attribute__((target("avx512f"))) void tiled_accumulate_16(
     const float* a, std::int64_t a_row, std::int64_t a_depth, const float* b,
     const std::int64_t* b_rows, float* c, std::int64_t m, std::int64_t k,
-    std::int64_t n, bool overwrite, const float* bias) {
+    std::int64_t n, bool overwrite, const GemmEpilogue* ep) {
   dispatch_rows<f32x16>(a, a_row, a_depth, b, b_rows, c, m, k, n, overwrite,
-                        bias);
+                        ep);
 }
 #endif
 
@@ -295,26 +312,26 @@ GemmKernel gemm_kernel(int lanes) {
 void gemm_accumulate(const float* a, const float* b, float* c, std::int64_t m,
                      std::int64_t k, std::int64_t n) {
   host_kernel()(a, /*a_row=*/k, /*a_depth=*/1, b, /*b_rows=*/nullptr, c, m, k,
-                n, /*overwrite=*/false, /*bias=*/nullptr);
+                n, /*overwrite=*/false, /*epilogue=*/nullptr);
 }
 
 void gemm(const float* a, const float* b, float* c, std::int64_t m,
           std::int64_t k, std::int64_t n) {
   host_kernel()(a, /*a_row=*/k, /*a_depth=*/1, b, /*b_rows=*/nullptr, c, m, k,
-                n, /*overwrite=*/true, /*bias=*/nullptr);
+                n, /*overwrite=*/true, /*epilogue=*/nullptr);
 }
 
 void gemm_tn_accumulate(const float* a, const float* b, float* c, std::int64_t m,
                         std::int64_t k, std::int64_t n) {
   host_kernel()(a, /*a_row=*/1, /*a_depth=*/m, b, /*b_rows=*/nullptr, c, m, k,
-                n, /*overwrite=*/false, /*bias=*/nullptr);
+                n, /*overwrite=*/false, /*epilogue=*/nullptr);
 }
 
 void gemm_tn(const float* a, const float* b, const std::int64_t* b_rows,
-             const float* bias, float* c, std::int64_t m, std::int64_t k,
-             std::int64_t n) {
+             const GemmEpilogue& epilogue, float* c, std::int64_t m,
+             std::int64_t k, std::int64_t n) {
   host_kernel()(a, /*a_row=*/1, /*a_depth=*/m, b, b_rows, c, m, k, n,
-                /*overwrite=*/true, bias);
+                /*overwrite=*/true, &epilogue);
 }
 
 void gemm_nt_accumulate(const float* a, const float* b, float* c, std::int64_t m,
@@ -331,7 +348,7 @@ void gemm_nt_accumulate(const float* a, const float* b, float* c, std::int64_t m
   const auto dots = std::make_unique_for_overwrite<float[]>(
       static_cast<std::size_t>(m * n));
   host_kernel()(a, /*a_row=*/k, /*a_depth=*/1, bt.get(), /*b_rows=*/nullptr,
-                dots.get(), m, k, n, /*overwrite=*/true, /*bias=*/nullptr);
+                dots.get(), m, k, n, /*overwrite=*/true, /*epilogue=*/nullptr);
   for (std::int64_t i = 0; i < m * n; ++i) c[i] += dots[i];
 }
 

@@ -44,7 +44,7 @@ std::int64_t conv_out_dim(std::int64_t in, std::int64_t kernel,
 }
 
 Tensor conv2d_forward(const Tensor& input, const float* weight,
-                      std::int64_t cout, const float* bias,
+                      std::int64_t cout, const GemmEpilogue& epilogue,
                       std::int64_t kernel, std::int64_t stride,
                       std::int64_t pad) {
   TEAMNET_CHECK(input.rank() == 4);
@@ -124,7 +124,7 @@ Tensor conv2d_forward(const Tensor& input, const float* weight,
         }
       }
     }
-    gemm_tn(weight, planes.data(), rows.data(), bias,
+    gemm_tn(weight, planes.data(), rows.data(), epilogue,
             out.data() + img * cout * ho * wo, cout, kk, ho * wo);
   }
   return out;

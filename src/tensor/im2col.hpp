@@ -9,8 +9,12 @@
 // each image once into zero-padded planes, shifted by kx and split by
 // stride phase along y, and hands the GEMM one offset per tap, so every B
 // row is read in place; the products and their order are the ones the
-// im2col GEMM computes, so the output is bit-identical to it. im2col and col2im are the backward pass's: the
-// weight gradient multiplies by cols, and col2im folds the input gradient.
+// im2col GEMM computes, so the output is bit-identical to it. The GEMM's
+// epilogue (GemmEpilogue, gemm.hpp) adds the bias and, for a serving
+// forward, also applies the eval BatchNorm and ReLU that follow the conv,
+// so those activations are written once too (nn::Sequential). im2col and
+// col2im are the backward pass's: the weight gradient multiplies by cols,
+// and col2im folds the input gradient.
 //
 // Summation order is part of the contract. Conv2d's forward and backward
 // add their terms in exactly the order of the older row-per-patch lowering
@@ -22,6 +26,7 @@
 
 #include <cstdint>
 
+#include "tensor/gemm.hpp"
 #include "tensor/tensor.hpp"
 
 namespace teamnet {
@@ -31,11 +36,12 @@ std::int64_t conv_out_dim(std::int64_t in, std::int64_t kernel,
                           std::int64_t stride, std::int64_t pad);
 
 /// Convolution forward: input [N, C, H, W] -> [N, cout, Hout, Wout], with
-/// out[n] = W^T · im2col(input)[n] + bias bit for bit, but no im2col
-/// matrix. `weight` is [C * k * k, cout] row-major; `bias` holds cout
-/// values, or is null for none.
+/// out[n] = epilogue(W^T · im2col(input)[n]) bit for bit, but no im2col
+/// matrix. `weight` is [C * k * k, cout] row-major; every pointer in
+/// `epilogue` holds cout per-channel values (a bias, or a bias followed by
+/// an eval BatchNorm and optionally ReLU), or is null.
 Tensor conv2d_forward(const Tensor& input, const float* weight,
-                      std::int64_t cout, const float* bias,
+                      std::int64_t cout, const GemmEpilogue& epilogue,
                       std::int64_t kernel, std::int64_t stride,
                       std::int64_t pad);
 

@@ -327,6 +327,105 @@ TEST(Predict, TrainingStepAfterPredictHasSameGradients) {
   }
 }
 
+/// Standard-normal input with every seventh element and the last one -0,
+/// and one NaN.
+Tensor special_input(const Shape& shape, Rng& rng) {
+  Tensor x = Tensor::randn(shape, rng);
+  for (std::int64_t i = 0; i < x.numel(); i += 7) x[i] = -0.0f;
+  x[x.numel() - 1] = -0.0f;
+  x[x.numel() / 2] = std::nanf("");
+  return x;
+}
+
+/// Every SS-14 conv shape (stem, stage-1 branch, strided 3x3 branch and
+/// 1x1 skip, stage-2 branch) and a 32 -> 8 conv deeper than one GEMM depth
+/// chunk, as eval-mode Conv2d -> BatchNorm (-> ReLU) Sequentials: predict
+/// runs the fused conv, forward on a graph runs the three layers in turn,
+/// and the two agree bit for bit. Output channel 0 has zero weights and a
+/// running mean equal to its bias, gamma < 0 and beta = -0, so before any
+/// ReLU it lands exactly on -0.
+TEST(FusedServing, ConvBatchNormReluEqualsLayerByLayer) {
+  struct Case {
+    std::int64_t cin, cout, size, kernel, stride;
+  };
+  const Case cases[] = {{3, 6, 16, 3, 1},  {6, 6, 16, 3, 1},
+                        {6, 12, 16, 3, 2}, {6, 12, 16, 1, 2},
+                        {12, 12, 8, 3, 1}, {32, 8, 8, 3, 1}};
+  Rng rng(35);
+  for (const Case& cs : cases) {
+    for (const bool relu : {false, true}) {
+      nn::Sequential seq;
+      auto& conv = seq.emplace<nn::Conv2d>(cs.cin, cs.cout, cs.kernel,
+                                           cs.stride, cs.kernel / 2, rng);
+      auto& bn = seq.emplace<nn::BatchNorm>(cs.cout);
+      if (relu) seq.emplace<nn::ReLU>();
+      perturb_state(seq, {4, cs.cin, cs.size, cs.size}, rng);
+      Tensor& weight = conv.weight().mutable_value();
+      for (std::int64_t p = 0; p < weight.dim(0); ++p) {
+        weight[p * cs.cout] = 0.0f;
+      }
+      (*bn.buffers()[0])[0] = conv.bias().value()[0];  // running mean
+      bn.parameters()[0].mutable_value()[0] = -1.25f;  // gamma
+      bn.parameters()[1].mutable_value()[0] = -0.0f;   // beta
+      for (const std::int64_t batch : {1, 4}) {
+        SCOPED_TRACE(testing::Message()
+                     << cs.cin << "->" << cs.cout << " k=" << cs.kernel
+                     << " s=" << cs.stride << " relu=" << relu
+                     << " batch=" << batch);
+        const Tensor x = special_input({batch, cs.cin, cs.size, cs.size}, rng);
+        expect_bit_identical(seq.predict(x),
+                             seq.forward(ag::constant(x)).value());
+      }
+    }
+  }
+}
+
+/// The eval ShakeBlock's one-pass tail against ag::shake_combine, then
+/// ag::add, then ag::relu on the branch and skip outputs, for an identity
+/// skip (also on 5 x 5 maps: 150 floats per image leave a scalar tail after
+/// the 4-lane loop at batch 1 and 3) and a strided 1x1 conv skip. In both
+/// branches the last output channel of the last conv has zero weights and
+/// lands exactly on -0 after its BatchNorm (mean = bias, gamma < 0,
+/// beta = -0), so with an identity skip the tail there, scalar tail
+/// included, is relu(-0 + x) for an input holding -0 and a NaN.
+TEST(FusedServing, ShakeBlockEvalTailEqualsCombineAddRelu) {
+  struct Case {
+    std::int64_t cin, cout, stride, size;
+  };
+  Rng rng(36);
+  for (const Case& cs : {Case{6, 6, 1, 16}, Case{6, 6, 1, 5},
+                         Case{6, 12, 2, 16}}) {
+    nn::ShakeBlock block(cs.cin, cs.cout, cs.stride, rng);
+    perturb_state(block, {4, cs.cin, cs.size, cs.size}, rng);
+    for (int b = 0; b < 2; ++b) {
+      auto& conv = dynamic_cast<nn::Conv2d&>(block.branch_seq(b).layer(3));
+      auto& bn = dynamic_cast<nn::BatchNorm&>(block.branch_seq(b).layer(4));
+      const std::int64_t last = cs.cout - 1;
+      Tensor& weight = conv.weight().mutable_value();
+      for (std::int64_t p = 0; p < weight.dim(0); ++p) {
+        weight[p * cs.cout + last] = 0.0f;
+      }
+      (*bn.buffers()[0])[last] = conv.bias().value()[last];  // running mean
+      bn.parameters()[0].mutable_value()[last] = -1.25f;     // gamma
+      bn.parameters()[1].mutable_value()[last] = -0.0f;      // beta
+    }
+    for (const std::int64_t batch : {1, 3, 4}) {
+      SCOPED_TRACE(testing::Message() << cs.cin << "->" << cs.cout << " at "
+                                      << cs.size << " batch=" << batch);
+      const Tensor x = special_input({batch, cs.cin, cs.size, cs.size}, rng);
+      const Tensor b0 = block.branch_seq(0).predict(x);
+      const Tensor b1 = block.branch_seq(1).predict(x);
+      const Tensor skip =
+          block.skip_seq() != nullptr ? block.skip_seq()->predict(x) : x;
+      const ag::Var mixed = ag::shake_combine(
+          ag::constant(b0), ag::constant(b1), 0.5f, 0.5f);
+      const Tensor want =
+          ag::relu(ag::add(mixed, ag::constant(skip))).value();
+      expect_bit_identical(block.predict(x), want);
+    }
+  }
+}
+
 TEST(Optim, SgdDescendsQuadratic) {
   ag::Var w(Tensor({1}, {4.0f}), true);
   nn::SgdConfig cfg;

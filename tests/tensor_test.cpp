@@ -248,14 +248,14 @@ void check_kernel_width(int lanes) {
     Tensor c = c0.clone();
     kernel(a.data(), /*a_row=*/sh.k, /*a_depth=*/1, b.data(),
            /*b_rows=*/nullptr, c.data(), sh.m, sh.k, sh.n, /*overwrite=*/false,
-           /*bias=*/nullptr);
+           /*epilogue=*/nullptr);
     expect_bit_identical(c, want);
 
     Tensor at = ops::transpose(a);
     Tensor c_tn = c0.clone();
     kernel(at.data(), /*a_row=*/1, /*a_depth=*/sh.m, b.data(),
            /*b_rows=*/nullptr, c_tn.data(), sh.m, sh.k, sh.n,
-           /*overwrite=*/false, /*bias=*/nullptr);
+           /*overwrite=*/false, /*epilogue=*/nullptr);
     expect_bit_identical(c_tn, want);
   }
 }
@@ -282,7 +282,8 @@ void check_overwrite_with_bias(detail::GemmKernel kernel) {
       Tensor at = Tensor::randn({sh.k, sh.m}, rng);  // A^T, as a conv weight
       Tensor b = Tensor::randn({sh.k, sh.n}, rng);
       Tensor bias = Tensor::randn({sh.m}, rng);
-      const float* bias_ptr = with_bias ? bias.data() : nullptr;
+      const GemmEpilogue bias_only{.bias = bias.data()};
+      const GemmEpilogue* bias_ptr = with_bias ? &bias_only : nullptr;
 
       Tensor want = naive_gemm_accumulate(ops::transpose(at), b,
                                           Tensor({sh.m, sh.n}));
@@ -354,12 +355,13 @@ void check_row_offsets(int lanes) {
 
     Tensor at = Tensor::randn({k, cs.m}, rng);
     Tensor bias = Tensor::randn({cs.m}, rng);
+    const GemmEpilogue bias_only{.bias = bias.data()};
     Tensor want = Tensor::full({cs.m, n}, std::nanf(""));
     kernel(at.data(), 1, cs.m, dense.data(), nullptr, want.data(), cs.m, k, n,
-           /*overwrite=*/true, bias.data());
+           /*overwrite=*/true, &bias_only);
     Tensor got = Tensor::full({cs.m, n}, std::nanf(""));
     kernel(at.data(), 1, cs.m, padded.data(), rows.data(), got.data(), cs.m, k,
-           n, /*overwrite=*/true, bias.data());
+           n, /*overwrite=*/true, &bias_only);
     expect_bit_identical(got, want);
 
     const Tensor c0 = Tensor::randn({cs.m, n}, rng);
@@ -377,6 +379,167 @@ TEST(Gemm, FourLaneRowOffsetsMatchDenseRows) { check_row_offsets(4); }
 TEST(Gemm, EightLaneRowOffsetsMatchDenseRows) { check_row_offsets(8); }
 
 TEST(Gemm, SixteenLaneRowOffsetsMatchDenseRows) { check_row_offsets(16); }
+
+/// The convolutions of the SS-14 expert — the stem, the stage-1 branches,
+/// the strided stage-2 entry's 3x3 branch and 1x1 skip, the stage-2
+/// branches — and a 32 -> 8 one whose depth (288) puts the epilogue after a
+/// second 256-deep chunk. Padding is kernel / 2.
+struct ConvCase {
+  std::int64_t cin, cout, size, kernel, stride;
+};
+const ConvCase kConvCases[] = {{3, 6, 16, 3, 1},  {6, 6, 16, 3, 1},
+                               {6, 12, 16, 3, 2}, {6, 12, 16, 1, 2},
+                               {12, 12, 8, 3, 1}, {32, 8, 8, 3, 1}};
+
+/// A conv's weight and bias and the eval BatchNorm after it. Channels 0
+/// and 1 have all-zero weights and a running mean equal to their bias, so
+/// every output of theirs away from the NaN lands exactly on beta after the
+/// BatchNorm: -0 on channel 0 (gamma < 0, beta = -0), +0 on channel 1.
+struct ConvBn {
+  Tensor weight, bias, mean, inv_std, gamma, beta;
+
+  ConvBn(const ConvCase& cs, Rng& rng)
+      : weight(Tensor::randn({cs.cin * cs.kernel * cs.kernel, cs.cout}, rng,
+                             0.0f, 0.3f)),
+        bias(Tensor::randn({cs.cout}, rng)),
+        mean(Tensor::randn({cs.cout}, rng)),
+        inv_std(Tensor::uniform({cs.cout}, rng, 0.5f, 2.0f)),
+        gamma(Tensor::uniform({cs.cout}, rng, -1.5f, 1.5f)),
+        beta(Tensor::randn({cs.cout}, rng)) {
+    for (std::int64_t p = 0; p < weight.dim(0); ++p) {
+      weight[p * cs.cout] = 0.0f;
+      weight[p * cs.cout + 1] = 0.0f;
+    }
+    mean[0] = bias[0];
+    gamma[0] = -1.25f;
+    beta[0] = -0.0f;
+    mean[1] = bias[1];
+    beta[1] = 0.0f;
+  }
+
+  GemmEpilogue fused(bool relu) const {
+    return {bias.data(), mean.data(), inv_std.data(), gamma.data(),
+            beta.data(), relu};
+  }
+
+  /// The passes the epilogue replaces, on a conv output that already
+  /// carries its bias: nn::BatchNorm's eval formula element by element,
+  /// then ops::relu.
+  Tensor bn_then_relu(const Tensor& conv, bool relu) const {
+    Tensor out(conv.shape(), uninitialized);
+    const std::int64_t c = conv.dim(1), hw = conv.dim(2) * conv.dim(3);
+    for (std::int64_t i = 0; i < conv.numel(); ++i) {
+      const std::int64_t ch = (i / hw) % c;
+      out[i] = gamma[ch] * ((conv[i] - mean[ch]) * inv_std[ch]) + beta[ch];
+    }
+    return relu ? ops::relu(out) : out;
+  }
+};
+
+/// Standard-normal input with every seventh element -0 and one NaN.
+Tensor conv_input(const ConvCase& cs, std::int64_t batch, Rng& rng) {
+  Tensor x = Tensor::randn({batch, cs.cin, cs.size, cs.size}, rng);
+  for (std::int64_t i = 0; i < x.numel(); i += 7) x[i] = -0.0f;
+  x[x.numel() / 2] = std::nanf("");
+  return x;
+}
+
+/// True if `t` holds a NaN, a -0 and a +0 — what the reference must show
+/// before a ReLU for the comparison to pin the ReLU's rule.
+bool has_special_values(const Tensor& t) {
+  bool nan = false, neg_zero = false, pos_zero = false;
+  for (const float v : t.values()) {
+    nan = nan || std::isnan(v);
+    neg_zero = neg_zero || std::bit_cast<std::uint32_t>(v) == 0x80000000u;
+    pos_zero = pos_zero || std::bit_cast<std::uint32_t>(v) == 0u;
+  }
+  return nan && neg_zero && pos_zero;
+}
+
+/// The fused conv -> eval BatchNorm (-> ReLU) epilogue of the `lanes`-wide
+/// kernel against the same kernel with only the bias, followed by a
+/// separate BatchNorm pass and ops::relu, bit for bit. B is the conv's
+/// im2col matrix, one GEMM per image as the forward runs it.
+void check_conv_bn_relu_epilogue(int lanes) {
+  const detail::GemmKernel kernel = detail::gemm_kernel(lanes);
+  if (kernel == nullptr) {
+    GTEST_SKIP() << lanes << "-lane kernel needs "
+                 << (lanes == 16 ? "AVX-512F" : "AVX2");
+  }
+  Rng rng(14);
+  for (const ConvCase& cs : kConvCases) {
+    const ConvBn conv(cs, rng);
+    const std::int64_t pad = cs.kernel / 2;
+    const std::int64_t ho = conv_out_dim(cs.size, cs.kernel, cs.stride, pad);
+    const std::int64_t hw = ho * ho, m = cs.cout;
+    const std::int64_t kk = cs.cin * cs.kernel * cs.kernel;
+    for (const std::int64_t batch : {1, 4}) {
+      const Tensor cols =
+          im2col(conv_input(cs, batch, rng), cs.kernel, cs.stride, pad);
+      const GemmEpilogue bias_only{.bias = conv.bias.data()};
+      Tensor biased({batch, m, ho, ho}, uninitialized);
+      for (std::int64_t img = 0; img < batch; ++img) {
+        kernel(conv.weight.data(), 1, m, cols.data() + img * kk * hw, nullptr,
+               biased.data() + img * m * hw, m, kk, hw, /*overwrite=*/true,
+               &bias_only);
+      }
+      ASSERT_TRUE(has_special_values(conv.bn_then_relu(biased, false)));
+      for (const bool relu : {false, true}) {
+        SCOPED_TRACE(testing::Message()
+                     << lanes << " lanes, " << cs.cin << "->" << cs.cout
+                     << " k=" << cs.kernel << " s=" << cs.stride
+                     << " batch=" << batch << " relu=" << relu);
+        const GemmEpilogue fused = conv.fused(relu);
+        Tensor got = Tensor::full({batch, m, ho, ho}, std::nanf(""));
+        for (std::int64_t img = 0; img < batch; ++img) {
+          kernel(conv.weight.data(), 1, m, cols.data() + img * kk * hw,
+                 nullptr, got.data() + img * m * hw, m, kk, hw,
+                 /*overwrite=*/true, &fused);
+        }
+        expect_bit_identical(got, conv.bn_then_relu(biased, relu));
+      }
+    }
+  }
+}
+
+TEST(GemmEpilogue, FourLaneConvBnReluEqualsSeparatePasses) {
+  check_conv_bn_relu_epilogue(4);
+}
+
+TEST(GemmEpilogue, EightLaneConvBnReluEqualsSeparatePasses) {
+  check_conv_bn_relu_epilogue(8);
+}
+
+TEST(GemmEpilogue, SixteenLaneConvBnReluEqualsSeparatePasses) {
+  check_conv_bn_relu_epilogue(16);
+}
+
+/// conv2d_forward (taps read in place, the host's widest kernel) with the
+/// whole epilogue against conv2d_forward with the bias only, followed by
+/// the BatchNorm and ReLU passes.
+TEST(GemmEpilogue, Conv2dForwardFusedEqualsSeparatePasses) {
+  Rng rng(15);
+  for (const ConvCase& cs : kConvCases) {
+    const ConvBn conv(cs, rng);
+    const std::int64_t pad = cs.kernel / 2;
+    for (const std::int64_t batch : {1, 4}) {
+      const Tensor x = conv_input(cs, batch, rng);
+      const Tensor biased =
+          conv2d_forward(x, conv.weight.data(), cs.cout,
+                         {.bias = conv.bias.data()}, cs.kernel, cs.stride, pad);
+      for (const bool relu : {false, true}) {
+        SCOPED_TRACE(testing::Message()
+                     << cs.cin << "->" << cs.cout << " k=" << cs.kernel
+                     << " s=" << cs.stride << " batch=" << batch
+                     << " relu=" << relu);
+        expect_bit_identical(
+            conv2d_forward(x, conv.weight.data(), cs.cout, conv.fused(relu),
+                           cs.kernel, cs.stride, pad),
+            conv.bn_then_relu(biased, relu));
+      }
+    }
+  }
+}
 
 TEST(Ops, SoftmaxRowsSumToOne) {
   Rng rng(3);

@@ -26,6 +26,7 @@ and runs three interprocedural passes over it:
                     forward/infer, Message encode/decode, the serving
                     loops) are audited for allocation: new, malloc,
                     make_unique/make_shared, growing container ops,
+                    sized container declarations (`std::vector<T> v(n)`),
                     string materialization. The checked-in baseline is
                     the burn-down list for ROADMAP item 4's pooled-buffer work.
 
@@ -142,6 +143,11 @@ ALLOC_EXTERNAL = {
 ALLOC_MEMBER_GROWTH = {
     "push_back", "emplace_back", "emplace", "insert", "resize", "reserve",
     "push", "append", "assign", "emplace_front", "push_front",
+}
+# std containers whose `Type name(args)` declaration allocates its storage
+# up front, as surely as a resize() on an empty one.
+ALLOC_SIZED_CONTAINERS = {
+    "vector", "string", "deque", "list", "forward_list", "basic_string",
 }
 
 # Unbounded blocking waits for the protocol-layer discipline pass.
@@ -1040,6 +1046,9 @@ class _BodyScanner:
         if name in ALLOC_MEMBER_GROWTH and receiver is not None:
             self.fn.allocs.append(AllocSite("container-grow", name, line,
                                             held))
+        elif decl_ctor and name in ALLOC_SIZED_CONTAINERS and first_arg:
+            self.fn.allocs.append(AllocSite("container-sized", name, line,
+                                            held))
         elif name in ALLOC_EXTERNAL:
             self.fn.allocs.append(AllocSite(ALLOC_EXTERNAL[name], name, line,
                                             held))
@@ -1656,6 +1665,14 @@ def build_program_clang(paths: list[pathlib.Path],
                     continue
                 fn.locals[child.spelling] = \
                     child.type.spelling.rsplit("::", 1)[-1].rstrip(" &*")
+                base = re.sub(r"<.*", "", child.type.spelling)
+                ctor = [c for c in child.get_children()
+                        if c.kind == K.CALL_EXPR]
+                if base.rsplit("::", 1)[-1] in ALLOC_SIZED_CONTAINERS and \
+                        ctor and any(True for _ in ctor[0].get_arguments()):
+                    fn.allocs.append(AllocSite(
+                        "container-sized", base.rsplit("::", 1)[-1],
+                        child.location.line, held))
             if kind == K.CXX_NEW_EXPR:
                 fn.allocs.append(AllocSite("new", "new",
                                            child.location.line, held))
@@ -1760,8 +1777,9 @@ SELF_TEST_CASES = [
         "must": [
             ("hot-alloc", "hot_entry|new"),
             ("hot-alloc", "hot_helper|container-grow"),
+            ("hot-alloc", "hot_offsets|container-sized"),
         ],
-        "must_not": [("hot-alloc", "cold_path")],
+        "must_not": [("hot-alloc", "cold_path"), ("hot-alloc", "hot_view")],
     },
 ]
 
