@@ -6,6 +6,7 @@
 #include <cstring>
 #include <fstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "obs/json.hpp"
@@ -107,12 +108,23 @@ int write_json(const std::string& path, const std::string& experiment,
 
 int micro_main(int argc, char** argv) {
   // Strip `--json PATH` before benchmark::Initialize sees (and rejects) it.
+  // The console reporter is fixed, so another --benchmark_format would be
+  // silently ignored: reject it instead.
   std::string json_path;
   std::vector<char*> args;
   for (int i = 0; i < argc; ++i) {
     if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
       json_path = argv[++i];
       continue;
+    }
+    const std::string_view arg = argv[i];
+    if (arg.starts_with("--benchmark_format=") &&
+        arg != "--benchmark_format=console") {
+      std::fprintf(stderr,
+                   "%s: unsupported %s: results print to the console; "
+                   "use --json PATH for machine-readable rows\n",
+                   argv[0], argv[i]);
+      return 1;
     }
     args.push_back(argv[i]);
   }

@@ -15,7 +15,8 @@ namespace teamnet::bench {
 /// Drop-in replacement for BENCHMARK_MAIN()'s body: strips `--json PATH`,
 /// forwards everything else to benchmark::Initialize, runs the registered
 /// benchmarks with a console+collecting reporter, and writes the JSON
-/// sink if requested. Returns the process exit code.
+/// sink if requested. Returns the process exit code: 1 for an unrecognized
+/// argument or a --benchmark_format other than console.
 int micro_main(int argc, char** argv);
 
 }  // namespace teamnet::bench

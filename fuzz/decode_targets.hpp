@@ -24,7 +24,6 @@
 #include "common/rng.hpp"
 #include "core/gate_policy.hpp"
 #include "net/message.hpp"
-#include "nn/quantize.hpp"
 #include "nn/serialize.hpp"
 
 namespace teamnet::fuzz {
@@ -46,17 +45,6 @@ inline bool checkpoint_decode(const std::string& bytes) {
   std::istringstream is(bytes, std::ios::binary);
   try {
     (void)nn::load_tensors(is);
-    return true;
-  } catch (const Error&) {
-    return false;
-  }
-}
-
-/// Quantized-snapshot decoder (nn::dequantize_snapshot — the ~4x-smaller
-/// expert-weight transfer format).
-inline bool quantize_decode(const std::string& bytes) {
-  try {
-    (void)nn::dequantize_snapshot(bytes);
     return true;
   } catch (const Error&) {
     return false;

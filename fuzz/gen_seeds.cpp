@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "decode_targets.hpp"
-#include "nn/mlp.hpp"
 
 namespace {
 
@@ -147,48 +146,6 @@ void gen_checkpoint(const std::filesystem::path& dir) {
   std::printf("checkpoint_decode: %d seeds\n", n);
 }
 
-void gen_quantize(const std::filesystem::path& dir) {
-  const auto c = teamnet::fuzz::quantize_decode;
-  int n = 0;
-  const auto add = [&](const std::string& bytes) {
-    char name[32];
-    std::snprintf(name, sizeof(name), "seed_%02d", n++);
-    write_seed(dir, name, bytes, c);
-  };
-  Rng rng(7);
-  const auto snapshot = [&rng](teamnet::nn::MlpConfig config) {
-    teamnet::nn::MlpNet mlp(config, rng);
-    return teamnet::nn::serialize_parameters_quantized(mlp);
-  };
-  add(snapshot({8, 4, 2, 6}));
-  add(snapshot({16, 3, 3, 8}));
-  add(snapshot({4, 2, 2, 4}));
-  add(snapshot({28, 10, 4, 12}));
-  add(snapshot({6, 6, 2, 6}));
-  // Constant tensors hit the scale == 0 branch.
-  {
-    teamnet::nn::MlpNet mlp({5, 2, 2, 3}, rng);
-    for (auto& p : mlp.parameters()) p.mutable_value().fill(1.25f);
-    add(teamnet::nn::serialize_parameters_quantized(mlp));
-  }
-  const std::string base = snapshot({10, 4, 2, 8});
-  add(base.substr(0, 0));
-  add(base.substr(0, 2));                                       // inside magic
-  add(base.substr(0, 4));                                       // magic only
-  add(base.substr(0, 12));                                      // count only
-  add(base.substr(0, 20));                                      // inside header
-  add(base.substr(0, base.size() / 2));
-  add(base.substr(0, base.size() - 1));
-  add(corrupt(base, 0, 0x20));                                  // bad magic
-  add(corrupt(base, 4, 0xFF));                                  // wild count
-  add(corrupt(base, 12, 0xFF));                                 // wild rank
-  add(corrupt(base, 16, 0x7F));                                 // wild dim
-  add(corrupt(base, 24, 0xFF));                                 // min/scale bits
-  add(base + std::string(9, '\x55'));                           // trailing junk
-  add(std::string("TNQ1") + std::string(32, '\xff'));           // hostile body
-  std::printf("quantize_decode: %d seeds\n", n);
-}
-
 void gen_gate(const std::filesystem::path& dir) {
   const auto c = teamnet::fuzz::gate_policy_decide;
   int n = 0;
@@ -252,7 +209,6 @@ int main(int argc, char** argv) {
   } targets[] = {
       {"message_decode", gen_message},
       {"checkpoint_decode", gen_checkpoint},
-      {"quantize_decode", gen_quantize},
       {"gate_policy", gen_gate},
   };
   for (const auto& target : targets) {

@@ -8,7 +8,7 @@
 // corrupt input surfaces as SerializationError, never as UB.
 //
 // Two flavors mirror the two buffer styles used in the tree:
-//   * std::string + offset cursor   (wire messages, quantized snapshots)
+//   * std::string + offset cursor   (wire messages)
 //   * std::ostream / std::istream   (checkpoint files, tensor streams)
 #pragma once
 

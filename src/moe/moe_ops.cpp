@@ -3,29 +3,8 @@
 #include <cstring>
 
 #include "common/error.hpp"
-#include "tensor/ops.hpp"
 
 namespace teamnet::moe {
-
-ag::Var gather_rows(const ag::Var& src, const std::vector<int>& rows) {
-  Tensor out = ops::take_rows(src.value(), rows);
-  const Shape src_shape = src.value().shape();
-  return ag::make_node(
-      std::move(out), {src.node()},
-      [rows, src_shape](ag::Node& node) {
-        const std::int64_t row_size =
-            shape_numel(src_shape) / src_shape[0];
-        Tensor dsrc(src_shape);
-        for (std::size_t r = 0; r < rows.size(); ++r) {
-          const float* g = node.grad.data() +
-                           static_cast<std::int64_t>(r) * row_size;
-          float* d = dsrc.data() + rows[r] * row_size;
-          for (std::int64_t j = 0; j < row_size; ++j) d[j] += g[j];
-        }
-        node.parents[0]->accumulate_grad(dsrc);
-      },
-      "gather_rows");
-}
 
 ag::Var scatter_add_rows(const ag::Var& src, const std::vector<int>& rows,
                          std::int64_t n) {

@@ -1,5 +1,5 @@
 // Row-routing autograd ops needed by sparsely-gated mixture-of-experts:
-// gather a sub-batch, scatter expert outputs back, and pick each row's gate
+// scatter expert outputs back into the batch and pick each row's gate
 // weight. Built on ag::make_node — the autograd extension point.
 #pragma once
 
@@ -8,9 +8,6 @@
 #include "tensor/autograd.hpp"
 
 namespace teamnet::moe {
-
-/// out[r, :] = src[rows[r], :]  (src rank >= 2; backward scatter-adds).
-ag::Var gather_rows(const ag::Var& src, const std::vector<int>& rows);
 
 /// out is [n, C] zeros with out[rows[r], :] += src[r, :] (backward gathers).
 ag::Var scatter_add_rows(const ag::Var& src, const std::vector<int>& rows,

@@ -13,10 +13,7 @@ DecentralizedResult decentralized_infer(Communicator& comm,
   const std::int64_t n = x.dim(0);
   const int world = comm.size();
 
-  if (on_compute) {
-    Shape sample_shape(x.shape().begin() + 1, x.shape().end());
-    on_compute(local_expert.analyze(sample_shape).flops * n);
-  }
+  if (on_compute) on_compute(net::batch_flops(local_expert, x));
   Tensor probs = ops::softmax_rows(local_expert.predict(x));
   Tensor entropy = core::predictive_entropy(probs);
   const auto local_predictions = ops::argmax_rows(probs);

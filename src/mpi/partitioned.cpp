@@ -50,8 +50,7 @@ void charge(const ComputeHook& hook, std::int64_t flops) {
 /// batch-norm that every rank performs on the full map).
 Tensor local_forward(nn::Module& module, const Tensor& x,
                      const ComputeHook& hook) {
-  Shape sample_shape(x.shape().begin() + 1, x.shape().end());
-  charge(hook, module.analyze(sample_shape).flops * x.dim(0));
+  charge(hook, net::batch_flops(module, x));
   return module.predict(x);
 }
 
@@ -172,8 +171,7 @@ Tensor MpiKernelShakeShake::infer(const Tensor& x) {
     Tensor skip = block.skip_seq() ? run(*block.skip_seq(), h) : h;
     // Eval-time combine (0.5/0.5 mix + residual + ReLU) on every rank.
     charge(on_compute_, 3 * b0.numel());
-    h = ops::relu(ops::add(
-        ops::add(ops::mul_scalar(b0, 0.5f), ops::mul_scalar(b1, 0.5f)), skip));
+    h = nn::shake_tail(b0, b1, skip, 0.5f);
   }
   // The head (GAP + tiny Linear) is cheap; every rank runs it locally.
   for (std::size_t i = 0; i < model_.head().size(); ++i) {
@@ -218,9 +216,7 @@ Tensor MpiBranchShakeShake::infer(const Tensor& x) {
       TEAMNET_CHECK(msg.type == net::MsgType::Result && msg.tensors.size() == 1);
       const Tensor& b1 = msg.tensors[0];
       charge(on_compute_, 3 * b0.numel());
-      h = ops::relu(ops::add(
-          ops::add(ops::mul_scalar(b0, 0.5f), ops::mul_scalar(b1, 0.5f)),
-          skip));
+      h = nn::shake_tail(b0, b1, skip, 0.5f);
     } else {
       Tensor b1 = local(block.branch_seq(1), h);
       net::Message msg;

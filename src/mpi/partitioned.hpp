@@ -11,9 +11,11 @@
 //     maps are exchanged once per residual block (Table II, 2 nodes only).
 //
 // All executors perform REAL distributed computation: every rank computes
-// only its slice from the shared model parameters, and results are
-// bit-identical to single-node inference (verified in tests). The optional
-// compute hook reports each rank's FLOP share to the simulator.
+// only its slice from the shared model parameters. MPI-Kernel and
+// MPI-Branch are bit-identical to single-node inference; MPI-Matrix agrees
+// within 1e-4, because the allreduce sums the partial products in a
+// different order (all verified in tests). The optional compute hook
+// reports each rank's FLOP share to the simulator.
 #pragma once
 
 #include "mpi/communicator.hpp"

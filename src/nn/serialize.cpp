@@ -127,6 +127,10 @@ std::vector<Tensor> load_tensors(const std::string& path) {
   return load_tensors(is);
 }
 
+namespace {
+
+/// Snapshot of a module's full state: parameters() followed by buffers()
+/// (batch-norm running statistics etc.), all deep copies.
 std::vector<Tensor> snapshot_parameters(Module& module) {
   std::vector<Tensor> values;
   for (const auto& p : module.parameters()) values.push_back(p.value().clone());
@@ -135,6 +139,8 @@ std::vector<Tensor> snapshot_parameters(Module& module) {
   return values;
 }
 
+/// Copies `values` back into the module's parameters and buffers; counts
+/// and shapes must match.
 void restore_parameters(Module& module, const std::vector<Tensor>& values) {
   auto params = module.parameters();
   auto buffers = module.buffers();
@@ -156,6 +162,8 @@ void restore_parameters(Module& module, const std::vector<Tensor>& values) {
                 static_cast<std::size_t>(src.numel()) * sizeof(float));
   }
 }
+
+}  // namespace
 
 void save_module(const std::string& path, Module& module) {
   save_tensors(path, snapshot_parameters(module));

@@ -20,8 +20,8 @@ namespace teamnet::nn {
 /// Largest element count a DECODER will accept for one tensor (16M floats
 /// = 64 MiB). Encoding is unbounded; the bound only rejects wire/checkpoint
 /// input whose header promises more data than any TeamNet model ships,
-/// before the decoder allocates for it. Shared by the checkpoint, message
-/// and quantized decoders so the fuzz harnesses test one contract.
+/// before the decoder allocates for it. Shared by the checkpoint and message
+/// decoders so the fuzz harnesses test one contract.
 constexpr std::int64_t kMaxDecodeTensorElems = std::int64_t{1} << 24;
 
 /// Overflow-safe shape_numel for decoders: throws SerializationError when
@@ -50,14 +50,6 @@ std::vector<Tensor> load_tensors(std::istream& is);
 /// one, never a partial write.
 void save_tensors(const std::string& path, const std::vector<Tensor>& tensors);
 std::vector<Tensor> load_tensors(const std::string& path);
-
-/// Snapshot of a module's full state: parameters() followed by buffers()
-/// (batch-norm running statistics etc.), all deep copies.
-std::vector<Tensor> snapshot_parameters(Module& module);
-
-/// Copies `values` back into the module's parameters and buffers; counts
-/// and shapes must match.
-void restore_parameters(Module& module, const std::vector<Tensor>& values);
 
 /// File-based convenience wrappers over the path forms above.
 void save_module(const std::string& path, Module& module);

@@ -6,12 +6,6 @@
 
 namespace teamnet::nn {
 
-namespace {
-
-/// relu((a * alpha + b * (1 - alpha)) + skip) in one pass over one output:
-/// element by element the roundings of ag::shake_combine, then ops::add,
-/// then ops::relu (NaN and -0 become +0), so the result is bit-identical to
-/// the three ops in turn.
 Tensor shake_tail(const Tensor& a, const Tensor& b, const Tensor& skip,
                   float alpha) {
   TEAMNET_CHECK_MSG(b.shape() == a.shape() && skip.shape() == a.shape(),
@@ -40,6 +34,8 @@ Tensor shake_tail(const Tensor& a, const Tensor& b, const Tensor& skip,
   }
   return out;
 }
+
+namespace {
 
 std::unique_ptr<Sequential> make_branch(std::int64_t cin, std::int64_t cout,
                                         std::int64_t stride, Rng& rng) {

@@ -29,10 +29,17 @@ struct ShakeShakeConfig {
   std::int64_t base_channels = 8;  // stage-2 doubles this
 };
 
+/// relu((a * alpha + b * (1 - alpha)) + skip) in one pass over one output:
+/// element by element the roundings of ag::shake_combine, then ops::add,
+/// then ops::relu (NaN and -0 become +0), so the result is bit-identical to
+/// the three ops in turn. The serving tail of every ShakeBlock, local or
+/// partitioned across MPI ranks.
+Tensor shake_tail(const Tensor& a, const Tensor& b, const Tensor& skip,
+                  float alpha);
+
 /// One two-branch residual block. Exposed so MPI-Branch can execute the
 /// branches on different ranks. With grad mode off, forward() computes the
-/// tail relu(mix + skip) in one pass, bit-identical to shake_combine, add
-/// and relu in turn (DESIGN.md §2.3).
+/// tail with shake_tail in one pass (DESIGN.md §2.3).
 class ShakeBlock : public Module {
  public:
   ShakeBlock(std::int64_t in_channels, std::int64_t out_channels,

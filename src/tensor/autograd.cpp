@@ -245,17 +245,6 @@ Var matmul(const Var& a, const Var& b) {
       "matmul");
 }
 
-Var reshape(const Var& a, Shape shape) {
-  Tensor out = a.value().reshape(std::move(shape));
-  Shape in_shape = a.value().shape();
-  return make_node(
-      out.clone(), {a.node()},
-      [in_shape](Node& n) {
-        n.parents[0]->accumulate_grad(n.grad.reshape(in_shape).clone());
-      },
-      "reshape");
-}
-
 Var sum_all(const Var& a) {
   Tensor out({1});
   out[0] = ops::sum_all(a.value());

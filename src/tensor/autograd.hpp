@@ -110,7 +110,6 @@ Var square(const Var& a);
 
 // ---- linear algebra --------------------------------------------------------
 Var matmul(const Var& a, const Var& b);
-Var reshape(const Var& a, Shape shape);
 
 // ---- reductions ------------------------------------------------------------
 /// Sum of all elements -> shape [1].

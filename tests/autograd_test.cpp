@@ -188,15 +188,6 @@ TEST(Autograd, SumAxisGrad) {
       Tensor::randn({3, 2}, rng));
 }
 
-TEST(Autograd, ReshapeGrad) {
-  Rng rng(13);
-  expect_grad_matches_fd(
-      [](const ag::Var& x) {
-        return ag::sum_all(ag::square(ag::reshape(x, {2, 6})));
-      },
-      Tensor::randn({3, 4}, rng));
-}
-
 TEST(Autograd, Conv2dGradInputWeightBias) {
   Rng rng(14);
   Tensor w = Tensor::randn({2 * 3 * 3, 2}, rng, 0.0f, 0.3f);

@@ -28,14 +28,6 @@ moe::ExpertFactory blob_expert_factory(std::int64_t dims, int classes) {
   };
 }
 
-TEST(MoeOps, GatherRowsForwardAndGrad) {
-  ag::Var src(Tensor({3, 2}, {0, 1, 2, 3, 4, 5}), true);
-  ag::Var out = moe::gather_rows(src, {2, 0});
-  EXPECT_TRUE(out.value().allclose(Tensor({2, 2}, {4, 5, 0, 1})));
-  ag::backward(ag::sum_all(out));
-  EXPECT_TRUE(src.grad().allclose(Tensor({3, 2}, {1, 1, 0, 0, 1, 1})));
-}
-
 TEST(MoeOps, ScatterAddRowsForwardAndGrad) {
   ag::Var src(Tensor({2, 2}, {1, 2, 3, 4}), true);
   ag::Var out = moe::scatter_add_rows(src, {1, 1}, 3);

@@ -169,33 +169,6 @@ TEST(CheckpointFuzz, OverflowingShapeProductIsRejected) {
   EXPECT_FALSE(fuzz::checkpoint_decode(os.str()));
 }
 
-TEST(QuantizeFuzz, MutationSweepHoldsDecodeContract) {
-  // A hand-built two-tensor quantized snapshot (module-free, mirroring
-  // serialize_parameters_quantized's writer).
-  std::string bytes;
-  bytes.append("TNQ1", 4);
-  write_raw(bytes, std::uint64_t{2});
-  for (const std::int64_t dim : {std::int64_t{6}, std::int64_t{3}}) {
-    write_raw(bytes, std::uint32_t{1});       // rank
-    write_raw(bytes, dim);
-    write_raw(bytes, -1.0f);                  // min
-    write_raw(bytes, 0.01f);                  // scale
-    for (std::int64_t i = 0; i < dim; ++i) {
-      write_raw(bytes, static_cast<std::uint8_t>(40 * i));
-    }
-  }
-  exhaust_mutations(fuzz::quantize_decode, bytes, 13);
-}
-
-TEST(QuantizeFuzz, OverflowingShapeProductIsRejected) {
-  std::string bytes;
-  bytes.append("TNQ1", 4);
-  write_raw(bytes, std::uint64_t{1});
-  write_raw(bytes, std::uint32_t{8});         // rank
-  for (int d = 0; d < 8; ++d) write_raw(bytes, std::int64_t{1} << 28);
-  EXPECT_FALSE(fuzz::quantize_decode(bytes));
-}
-
 TEST(GatePolicyFuzz, MutationSweepHoldsDecodeContract) {
   // K=4, learned gate, n=8, finite entropies — then mutated every which way.
   std::string bytes("\x03\x00\x07", 3);

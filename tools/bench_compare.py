@@ -1,33 +1,26 @@
 #!/usr/bin/env python3
-"""Tolerance gate for checked-in bench baselines (DESIGN.md §14).
+"""Exact gate for checked-in bench baselines (DESIGN.md §14).
 
 The repo keeps frozen --quick snapshots of the sweep benches
-(BENCH_resilience.json, BENCH_loadgen.json). Byte identity across
-same-seed runs is enforced separately (the determinism gates `cmp` two
-fresh runs); THIS tool answers the softer question a baseline exists for:
+(BENCH_resilience.json, BENCH_loadgen.json, BENCH_breakdown.json). Their
+numbers come off the discrete-event clock, so a same-seed run reproduces
+them byte for byte; THIS tool answers the question a baseline exists for:
 did a code change move the numbers? It re-runs (or is handed) a fresh
---quick --json file and compares it row by row against the snapshot with
-per-metric tolerance bands, so a legitimate perf change fails loudly and
-points at exactly which cell moved, instead of a reviewer eyeballing a
-10 kB JSON diff.
+--quick --json file and compares it row by row against the snapshot, every
+field exactly, so a change that moves any cell fails loudly and points at
+exactly which cell moved, instead of leaving a 10 kB JSON diff to be
+read by eye.
 
-Matching and bands:
+Matching:
   * rows are matched by their "label" string; a missing or extra row is a
-    failure (a sweep that silently dropped a cell is not "within
-    tolerance"),
-  * string fields (approach, scheduler) must match exactly,
-  * "nodes" and other structural integers must match exactly — "n", the
-    samples behind a row's percentiles, among them: a row with a different
-    sample count is a different experiment, not a perf move,
-  * accuracy_pct-style metrics get an ABSOLUTE band (quick-mode models are
-    tiny; a fraction of the queries flipping is noise),
-  * everything else (latencies, rates, counters) gets a RELATIVE band with
-    an absolute floor, so near-zero baselines don't demand infinite
-    precision.
+    failure (a sweep that silently dropped a cell is a different sweep),
+  * every field of every row must be present on both sides and equal:
+    strings, integers, floats and nulls alike (json_number()'s null is a
+    non-finite value); a metric only the fresh run has is a failure too.
 
-Exit status: 0 in tolerance, 1 out of tolerance (or structurally
-different), 2 usage error. --self-test exercises every failure mode on
-inline fixtures and exits 0 only if each fires correctly.
+Exit status: 0 identical, 1 different (in any field or structurally), 2
+usage error. --self-test exercises every failure mode on inline fixtures
+and exits 0 only if each fires correctly.
 
 Usage:
   bench_compare.py --baseline BENCH_x.json --fresh fresh.json
@@ -45,16 +38,6 @@ import subprocess
 import sys
 import tempfile
 
-# Structural integers: a drifting value means the sweep changed shape, not
-# that performance moved.
-EXACT_KEYS = {"nodes", "warmup_queries", "n"}
-# Absolute bands (units of the metric itself).
-ABSOLUTE_BANDS = {"accuracy_pct": 10.0}
-# Relative band for everything else, with an absolute floor below which
-# differences are ignored outright.
-DEFAULT_REL = 0.35
-DEFAULT_ABS_FLOOR = 1.0
-
 
 def load_report(path):
     with open(path, "r", encoding="utf-8") as fh:
@@ -64,36 +47,8 @@ def load_report(path):
     return doc
 
 
-def compare_value(key, base, fresh, rel, abs_floor):
-    """Returns None if in tolerance, else a human-readable complaint."""
-    if isinstance(base, str) or isinstance(fresh, str):
-        if base != fresh:
-            return f"{key}: {base!r} != {fresh!r}"
-        return None
-    if base is None or fresh is None:  # json_number() null = non-finite
-        if base is not fresh:
-            return f"{key}: {base} != {fresh}"
-        return None
-    if key in EXACT_KEYS:
-        if base != fresh:
-            return f"{key}: expected exactly {base}, got {fresh}"
-        return None
-    if key in ABSOLUTE_BANDS:
-        band = ABSOLUTE_BANDS[key]
-        if abs(fresh - base) > band:
-            return (f"{key}: {fresh:g} outside {base:g} "
-                    f"± {band:g} (absolute)")
-        return None
-    band = max(rel * abs(base), abs_floor)
-    if abs(fresh - base) > band:
-        return (f"{key}: {fresh:g} outside {base:g} ± {band:g} "
-                f"(rel {rel:g}, floor {abs_floor:g})")
-    return None
-
-
-def compare_reports(baseline, fresh, rel=DEFAULT_REL,
-                    abs_floor=DEFAULT_ABS_FLOOR):
-    """Returns a list of complaint strings; empty means in tolerance."""
+def compare_reports(baseline, fresh):
+    """Returns a list of complaint strings; empty means identical."""
     problems = []
     for key in ("experiment", "scheduler"):
         if baseline.get(key) != fresh.get(key):
@@ -112,15 +67,14 @@ def compare_reports(baseline, fresh, rel=DEFAULT_REL,
         if fresh_row is None:
             continue
         for key, base_val in base_row.items():
-            if key == "label":
-                continue
             if key not in fresh_row:
                 problems.append(f"[{label}] metric missing: {key}")
-                continue
-            complaint = compare_value(key, base_val, fresh_row[key], rel,
-                                      abs_floor)
-            if complaint is not None:
-                problems.append(f"[{label}] {complaint}")
+            elif fresh_row[key] != base_val:
+                problems.append(
+                    f"[{label}] {key}: {base_val!r} != {fresh_row[key]!r}")
+        for key in fresh_row:
+            if key not in base_row:
+                problems.append(f"[{label}] unexpected new metric: {key}")
     return problems
 
 
@@ -156,16 +110,20 @@ def _fixture(**overrides):
 def self_test():
     cases = [
         ("identical passes", _fixture(), _fixture(), True),
-        ("drift inside band passes", _fixture(),
-         _fixture(latency_ms=12.0, p99_ms=25.0), True),
-        ("latency outside band fails", _fixture(),
+        ("latency drift fails", _fixture(),
+         _fixture(latency_ms=12.0, p99_ms=25.0), False),
+        ("large latency drift fails", _fixture(),
          _fixture(latency_ms=20.0), False),
-        ("small absolute drift under floor passes", _fixture(),
-         _fixture(latency_ms=10.9), True),
-        ("accuracy inside absolute band passes", _fixture(),
-         _fixture(accuracy_pct=82.0), True),
-        ("accuracy outside absolute band fails", _fixture(),
+        ("small absolute drift fails", _fixture(),
+         _fixture(latency_ms=10.9), False),
+        ("last-bit drift fails", _fixture(),
+         _fixture(latency_ms=10.000000000000002), False),
+        ("small accuracy drift fails", _fixture(),
+         _fixture(accuracy_pct=82.0), False),
+        ("large accuracy drift fails", _fixture(),
          _fixture(accuracy_pct=75.0), False),
+        ("null must match null", _fixture(p99_ms=None),
+         _fixture(p99_ms=20.0), False),
         ("node count must match exactly", _fixture(),
          _fixture(nodes=4), False),
         ("sample count must match exactly", _fixture(n=32),
@@ -174,6 +132,8 @@ def self_test():
          _fixture(approach="SG-MoE"), False),
         ("missing metric fails", _fixture(p99_ms=20.0),
          _fixture_without("p99_ms"), False),
+        ("extra metric fails", _fixture_without("p99_ms"), _fixture(),
+         False),
         ("missing row fails", _fixture(),
          {"experiment": "loadgen_sweep", "scheduler": "discrete_event",
           "results": []}, False),
@@ -208,17 +168,12 @@ def _fixture_without(key):
 def main(argv):
     parser = argparse.ArgumentParser(
         description="compare a fresh bench --json run against a checked-in "
-                    "baseline with per-metric tolerance bands")
+                    "baseline, every field exactly")
     parser.add_argument("--baseline", help="checked-in BENCH_*.json")
     parser.add_argument("--fresh", help="fresh --json output to compare")
     parser.add_argument("--run", metavar="BIN",
                         help="run BIN --quick --json <tmp> (plus args after "
                              "--) and compare its output")
-    parser.add_argument("--rel", type=float, default=DEFAULT_REL,
-                        help="relative tolerance band (default %(default)s)")
-    parser.add_argument("--abs-floor", type=float, default=DEFAULT_ABS_FLOOR,
-                        help="absolute floor under which drift is ignored "
-                             "(default %(default)s)")
     parser.add_argument("--self-test", action="store_true",
                         help="run the fixture suite and exit")
     if "--" in argv:
@@ -237,10 +192,9 @@ def main(argv):
     fresh = run_bench(args.run, extra_args) if args.run \
         else load_report(args.fresh)
 
-    problems = compare_reports(baseline, fresh, rel=args.rel,
-                               abs_floor=args.abs_floor)
+    problems = compare_reports(baseline, fresh)
     if problems:
-        print(f"OUT OF TOLERANCE vs {args.baseline} "
+        print(f"DIFFERS from {args.baseline} "
               f"({len(problems)} problem(s)):")
         for p in problems:
             print(f"  {p}")
@@ -248,7 +202,7 @@ def main(argv):
               "--quick --json run and commit it")
         return 1
     n = len(baseline["results"])
-    print(f"in tolerance vs {args.baseline} ({n} rows)")
+    print(f"identical to {args.baseline} ({n} rows)")
     return 0
 
 
