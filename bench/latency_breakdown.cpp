@@ -81,6 +81,8 @@ int main_impl(int argc, char** argv) {
   load::LoadConfig base;
   base.num_queries = opts.quick ? 40 : 200;
   base.warmup_queries = opts.quick ? 8 : 20;
+  // Unicast broadcast: the frozen BENCH_breakdown.json rows.
+  base.multicast = false;
 
   JsonReport report(opts, "latency_breakdown");
   BreakdownReport breakdown(opts, "latency_breakdown");

@@ -120,7 +120,8 @@ ResilienceConfig ExploreScenarioOptions::default_explore_resilience() {
 
 const std::vector<std::string>& explore_scenario_names() {
   static const std::vector<std::string> names = {
-      "teamnet", "mpi", "sg-moe", "chaos", "resilience", "load"};
+      "teamnet", "mpi", "sg-moe", "chaos", "resilience", "load",
+      "multicast"};
   return names;
 }
 
@@ -189,8 +190,9 @@ std::string discrete_bytes(const ResilienceResult& result) {
 /// The pipelined load run's invariants: every query is answered exactly as
 /// the oracle answers its row, both attribution partitions telescope to
 /// the measured latency, and each query's traffic is its broadcast and
-/// gather. Which query waits for the medium behind which is the schedule's
-/// business, so latencies stay out.
+/// gather, delivered and on the air (an Infer frame per worker unicast,
+/// one per query multicast). Which query waits for the medium behind
+/// which is the schedule's business, so latencies stay out.
 std::string discrete_bytes(const load::LoadResult& result,
                            const std::vector<core::InferenceResult>& oracle) {
   int answered_right = 0;
@@ -217,7 +219,8 @@ std::string discrete_bytes(const load::LoadResult& result,
       << "full_gathers_matching_oracle=" << answered_right << "\n"
       << "attributions_reconciled=" << reconciled << "\n"
       << "bytes_per_query=" << result.bytes_per_query << "\n"
-      << "messages_per_query=" << result.messages_per_query << "\n";
+      << "messages_per_query=" << result.messages_per_query << "\n"
+      << "air_bytes_per_query=" << result.air_bytes_per_query << "\n";
   return out.str();
 }
 
@@ -306,11 +309,14 @@ des::ScheduleRunner make_explore_runner(const std::string& scenario,
       });
     };
   }
-  if (scenario == "load") {
+  if (scenario == "load" || scenario == "multicast") {
     auto fixture = std::make_shared<TeamNetFixture>();
     auto oracle = std::make_shared<std::vector<core::InferenceResult>>(
         reference_answers(*fixture));
     load::LoadConfig load;
+    // "load" keeps the unicast broadcast its pinned digests were taken
+    // with; "multicast" is the same run with one group frame per query.
+    load.multicast = scenario == "multicast";
     load.arrival.kind = load::ArrivalKind::open_poisson;
     // Open-loop Poisson at a rate where the default link keeps several
     // queries in flight at once.
@@ -331,7 +337,7 @@ des::ScheduleRunner make_explore_runner(const std::string& scenario,
   }
   throw InvalidArgument(
       "unknown explore scenario: " + scenario +
-      " (expected teamnet|mpi|sg-moe|chaos|resilience|load)");
+      " (expected teamnet|mpi|sg-moe|chaos|resilience|load|multicast)");
 }
 
 }  // namespace teamnet::sim

@@ -13,7 +13,8 @@
 //     accuracy, traffic and even the fault draws) legally vary by schedule;
 //   * per-query answers against an in-process arg-min-entropy oracle and
 //     exact attribution reconciliation — the load scenario, the pipelined
-//     driver with several queries in flight.
+//     driver with several queries in flight, and the multicast scenario,
+//     the same run with each query's Infer broadcast as one group frame.
 //
 // Latency and utilisation are deliberately ABSENT: they derive from the
 // schedule (who waited for whom) and legitimately vary across legal
@@ -64,7 +65,7 @@ struct ExploreScenarioOptions {
 };
 
 /// Names accepted by make_explore_runner: "teamnet", "mpi", "sg-moe",
-/// "chaos", "resilience", "load".
+/// "chaos", "resilience", "load", "multicast".
 const std::vector<std::string>& explore_scenario_names();
 
 /// Builds the fixture for `scenario` ONCE (models are trained/seeded up

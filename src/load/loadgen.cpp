@@ -39,7 +39,9 @@ LoadResult run_teamnet_load(const std::vector<nn::Module*>& experts,
       "warmup_queries must be in [0, num_queries)");
 
   sim::Fleet fleet("TeamNet-load", config,
-                   {.experts = experts, .num_queries = load.num_queries});
+                   {.experts = experts,
+                    .num_queries = load.num_queries,
+                    .multicast = load.multicast});
   net::CollaborativeMaster master(*experts[0], fleet.worker_channels());
   fleet.attach(master);
   master.set_worker_timeout(load.worker_timeout_s);
@@ -153,6 +155,8 @@ LoadResult run_teamnet_load(const std::vector<nn::Module*>& experts,
       static_cast<double>(fleet.bytes()) / load.num_queries;
   result.messages_per_query =
       static_cast<double>(fleet.messages()) / load.num_queries;
+  result.air_bytes_per_query =
+      static_cast<double>(fleet.air_bytes()) / load.num_queries;
   registry.gauge("load.achieved_qps").set(result.achieved_qps);
   registry.gauge("load.offered_qps").set(result.offered_qps);
   registry.gauge("load.mean_inflight").set(result.mean_inflight);

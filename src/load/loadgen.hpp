@@ -46,6 +46,10 @@ struct LoadConfig {
   /// the stragglers' replies are then stale. 0 = full gather; negative
   /// throws.
   int gather_quorum = 0;
+  /// The master broadcasts each query as one group frame on the shared
+  /// medium, the paper's "one broadcast" (sim::FleetSpec::multicast).
+  /// Off = one unicast Infer per worker, as the paper tables' TCP sockets.
+  bool multicast = true;
 };
 
 struct LoadResult {
@@ -69,8 +73,11 @@ struct LoadResult {
   double mean_inflight = 0.0;
 
   double accuracy_pct = 0.0;  ///< over every issued query (warmup included)
+  /// Payload delivered per query: a group frame counts once per receiver.
   double bytes_per_query = 0.0;
   double messages_per_query = 0.0;
+  /// Payload put on the medium per query: a group frame counts once.
+  double air_bytes_per_query = 0.0;
 
   PhaseStats warmup;
   PhaseStats steady;

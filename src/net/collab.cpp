@@ -181,17 +181,18 @@ std::int64_t CollaborativeMaster::submit(const Tensor& x) {
 
 void CollaborativeMaster::dispatch(const Tensor& x) {
   Query& q = current();
-  // Step 2: broadcast the sensor data to every live worker. Channel errors
-  // mark the worker failed rather than aborting the query.
+  // Step 2: broadcast the sensor data to every live worker — one group
+  // frame on the air when the transport offers a group send (a fault-free
+  // multicast fleet on the simulated medium), else one unicast per worker
+  // (TCP, the paper tables, fault-wrapped links). Channel errors mark the
+  // worker failed rather than aborting the query.
   const std::string frame = request_frame(x);
   {
     obs::TraceSpan span("broadcast", [&] {
       return obs::TraceArgs().arg("qid", q.qid).arg("bytes_per_worker",
                                                     frame.size());
     });
-    for (std::size_t w = 0; w < workers_.size(); ++w) {
-      if (dispatchable(w)) send_request(w, x, frame);
-    }
+    broadcast(x, frame);
   }
   end_dispatch();
 

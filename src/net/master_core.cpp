@@ -51,6 +51,12 @@ void MasterCore::set_gather_quorum(int answers) {
   quorum_ = answers;
 }
 
+void MasterCore::set_group_send(GroupSend send) {
+  group_send_ = std::move(send);
+  group_.resize(workers_.size());
+  members_.resize(workers_.size());
+}
+
 void MasterCore::set_hedging(std::vector<Channel*> backups) {
   TEAMNET_CHECK_MSG(backups.size() == workers_.size(),
                     "need one backup entry (possibly null) per worker");
@@ -225,6 +231,47 @@ void MasterCore::send_request(std::size_t w, const Tensor& payload,
     fail(w, std::string("failed on send: ") + e.what());
     return;
   }
+  note_asked(w, payload);
+}
+
+void MasterCore::broadcast(const Tensor& payload, const std::string& frame) {
+  if (!group_send_) {
+    for (std::size_t w = 0; w < workers_.size(); ++w) {
+      if (dispatchable(w)) send_request(w, payload, frame);
+    }
+    return;
+  }
+  std::size_t n = 0;
+  for (std::size_t w = 0; w < workers_.size(); ++w) {
+    if (!dispatchable(w)) continue;
+    group_[n] = workers_[w];
+    members_[n] = w;
+    ++n;
+  }
+  if (n == 0) return;
+  std::vector<std::size_t> closed;
+  try {
+    closed = group_send_(std::span(group_.data(), n), frame);
+  } catch (const Error& e) {
+    // The frame never went out: each member fails as its unicast would.
+    for (std::size_t i = 0; i < n; ++i) {
+      fail(members_[i], std::string("failed on send: ") + e.what());
+    }
+    return;
+  }
+  // A closed member fails alone; every other member was asked.
+  auto refused = closed.begin();
+  for (std::size_t i = 0; i < n; ++i) {
+    if (refused != closed.end() && *refused == i) {
+      ++refused;
+      fail(members_[i], "failed on send: channel closed");
+      continue;
+    }
+    note_asked(members_[i], payload);
+  }
+}
+
+void MasterCore::note_asked(std::size_t w, const Tensor& payload) {
   Query& q = current();
   Flight& f = q.flights[w];
   f.asked = f.pending = f.primary_out = true;

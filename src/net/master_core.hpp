@@ -31,12 +31,22 @@
 // query's absolute deadline; the gather can complete at a quorum of
 // answers; and a hedged re-issue covers the slowest outstanding worker
 // (by its reply-latency EWMA) with its designated backup replica.
+//
+// Broadcast (DESIGN.md §9): a broadcast of one frame to the K-1 workers is
+// K-1 unicast sends, in worker order, unless the transport offers a group
+// send (set_group_send). Then it is ONE group frame, on the air once for
+// every dispatchable worker — the paper's "one broadcast". Only the
+// simulated shared medium offers one, and only a fault-free fleet that
+// asks for it installs it (sim::FleetSpec::multicast). TCP, hedged
+// re-issues, probes, Shutdown and MoeMaster's per-expert rows are always
+// unicast.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <limits>
 #include <map>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -48,6 +58,12 @@
 namespace teamnet::net {
 
 using ComputeHook = std::function<void(std::int64_t flops)>;
+
+/// Puts `frame` on the air once for several of a master's worker channels
+/// (a transport's group frame). Returns the positions in `channels` whose
+/// channel was closed, ascending; the frame reached every other one.
+using GroupSend = std::function<std::vector<std::size_t>(
+    std::span<Channel* const> channels, std::string frame)>;
 
 /// FLOPs of one forward of `model` over the batch `x` (the compute hook's
 /// unit): the per-sample analysis times the batch size.
@@ -68,6 +84,13 @@ class MasterCore {
   void shutdown();
 
   void set_compute_hook(ComputeHook hook) { on_compute_ = std::move(hook); }
+
+  /// Group dispatch: once set, broadcast() sends its frame as ONE group
+  /// frame to every dispatchable worker instead of one unicast per worker.
+  /// Per-worker bookkeeping (flights, `sent` marks, flow events) is
+  /// unchanged, and a member whose channel is closed fails alone. Hedges,
+  /// probes and Shutdown stay unicast. Unset (default) = unicast.
+  void set_group_send(GroupSend send);
 
   /// When > 0, ONE shared deadline of `seconds` bounds the whole query —
   /// it anchors before dispatch and covers send + compute + gather, so
@@ -195,6 +218,10 @@ class MasterCore {
   /// Step 2 for one worker: sends `frame` (which carries `payload`).
   void send_request(std::size_t w, const Tensor& payload,
                     const std::string& frame);
+  /// Step 2 for every dispatchable worker: `frame` (which carries
+  /// `payload`) as one group frame when a group send is set, else
+  /// send_request to each in worker order.
+  void broadcast(const Tensor& payload, const std::string& frame);
   /// Closes the dispatch phase: its end anchors reply latencies, and the
   /// gather target becomes 1 + the asked workers, or the quorum.
   void end_dispatch();
@@ -258,6 +285,9 @@ class MasterCore {
   };
 
   void bump(const char* counter) const;
+  /// Books worker `w` as asked `payload` by the current query once its
+  /// request is on the way: its flight, `sent` mark and flow start.
+  void note_asked(std::size_t w, const Tensor& payload);
   /// The master's clock, in seconds: its first worker channel's
   /// Channel::now (every channel of a master belongs to one node), the
   /// steady clock when it has none. Deadlines, timeline marks, hedge
@@ -289,6 +319,10 @@ class MasterCore {
   int probe_interval_ = 4;
   int quorum_ = 0;  ///< 0 = every asked worker
   std::vector<Channel*> backups_;  ///< empty = hedging disabled
+  GroupSend group_send_;  ///< empty = unicast broadcast
+  /// broadcast()'s group: the channels and worker indices it reaches.
+  std::vector<Channel*> group_;
+  std::vector<std::size_t> members_;
   bool flow_trace_ = false;
   bool test_pre_qid_gather_ = false;  ///< test-only mutation hook
 

@@ -49,6 +49,10 @@ DesChannel::DesChannel(Engine& engine, int self, std::shared_ptr<Mailbox> in,
 void DesChannel::send(std::string bytes) {
   const auto payload = static_cast<std::int64_t>(bytes.size());
   engine_.send(self_, out_, std::move(bytes), link_);
+  note_sent(payload);
+}
+
+void DesChannel::note_sent(std::int64_t payload) {
   // Wire-level accounting lives here, in the layer that knows the
   // endpoints; decorators above never double-count.
   WireCounters::instance().bytes_sent.add(payload);
@@ -74,25 +78,52 @@ std::optional<std::string> DesChannel::recv_timeout(double seconds) {
   return bytes;
 }
 
-std::optional<std::pair<std::size_t, std::string>> DesChannel::recv_any(
-    std::span<net::Channel* const> channels, double until) {
-  TEAMNET_CHECK_MSG(!channels.empty(), "recv_any needs at least one channel");
+std::vector<DesChannel*> DesChannel::legs_of(
+    std::span<net::Channel* const> channels, const char* what) {
+  TEAMNET_CHECK_MSG(!channels.empty(), what << " needs at least one channel");
   std::vector<DesChannel*> legs;
-  std::vector<Mailbox*> inboxes;
   for (net::Channel* c : channels) {
     auto* leg = dynamic_cast<DesChannel*>(c);
-    TEAMNET_CHECK_MSG(leg != nullptr, "recv_any reads DES channels only");
+    TEAMNET_CHECK_MSG(leg != nullptr, what << " takes DES channels only");
     TEAMNET_CHECK_MSG(legs.empty() || (&leg->engine_ == &legs[0]->engine_ &&
                                        leg->self_ == legs[0]->self_),
-                      "recv_any channels must share one node and engine");
+                      what << " channels must share one node and engine");
     legs.push_back(leg);
-    inboxes.push_back(leg->in_.get());
   }
+  return legs;
+}
+
+std::optional<std::pair<std::size_t, std::string>> DesChannel::recv_any(
+    std::span<net::Channel* const> channels, double until) {
+  const std::vector<DesChannel*> legs = legs_of(channels, "recv_any");
+  std::vector<Mailbox*> inboxes;
+  for (DesChannel* leg : legs) inboxes.push_back(leg->in_.get());
   net::WireTiming timing;
   auto got =
       legs[0]->engine_.recv_any(legs[0]->self_, inboxes, until, &timing);
   if (got) legs[got->first]->note_received(timing, got->second.size());
   return got;
+}
+
+std::vector<std::size_t> DesChannel::send_group(
+    std::span<net::Channel* const> channels, std::string bytes) {
+  const std::vector<DesChannel*> legs = legs_of(channels, "send_group");
+  std::vector<std::shared_ptr<Mailbox>> outboxes;
+  for (DesChannel* leg : legs) outboxes.push_back(leg->out_);
+  const auto payload = static_cast<std::int64_t>(bytes.size());
+  std::vector<std::size_t> closed = legs[0]->engine_.send(
+      legs[0]->self_, outboxes, std::move(bytes), legs[0]->link_);
+  // Each member that got the frame books it like a unicast send, so the
+  // wire counters keep counting payload per leg.
+  auto refused = closed.begin();
+  for (std::size_t i = 0; i < legs.size(); ++i) {
+    if (refused != closed.end() && *refused == i) {
+      ++refused;
+      continue;
+    }
+    legs[i]->note_sent(payload);
+  }
+  return closed;
 }
 
 void DesChannel::note_received(const net::WireTiming& timing,

@@ -55,8 +55,21 @@ class DesChannel final : public net::Channel {
   /// the channel it came in on, or nullopt at the wake-up.
   static std::optional<std::pair<std::size_t, std::string>> recv_any(
       std::span<net::Channel* const> channels, double until);
+  /// Engine::send of one group frame over `channels` — DesChannel
+  /// endpoints of one node on one engine: the frame is on the air once, at
+  /// the first channel's LinkProfile (a mesh shares one), and lands at
+  /// every peer at the same instant. Returns the positions in `channels`
+  /// whose peer inbox was closed; the frame reached every other one.
+  static std::vector<std::size_t> send_group(
+      std::span<net::Channel* const> channels, std::string bytes);
 
  private:
+  /// Resolves `channels` to DesChannel endpoints of one node on one
+  /// engine (what recv_any and send_group accept).
+  static std::vector<DesChannel*> legs_of(
+      std::span<net::Channel* const> channels, const char* what);
+  /// Books a frame this channel sent on the wire counters.
+  void note_sent(std::int64_t payload);
   /// The three reads' one helper: books a frame this channel read (its
   /// timing and the wire counters).
   void note_received(const net::WireTiming& timing, std::size_t payload);

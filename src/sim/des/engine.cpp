@@ -67,6 +67,16 @@ std::int64_t Engine::messages_delivered() const {
   return messages_;
 }
 
+std::int64_t Engine::air_bytes() const {
+  MutexLock lock(mutex_);
+  return air_bytes_;
+}
+
+std::int64_t Engine::air_frames() const {
+  MutexLock lock(mutex_);
+  return air_frames_;
+}
+
 void Engine::throw_if_deadlocked_locked() const {
   if (deadlocked_) throw DeadlockError(deadlock_msg_);
 }
@@ -271,50 +281,73 @@ std::shared_ptr<Mailbox> Engine::make_mailbox(int owner) {
   return std::make_shared<Mailbox>(owner);
 }
 
-void Engine::send(int from, const std::shared_ptr<Mailbox>& to,
-                  std::string bytes, const net::LinkProfile& link) {
+std::vector<std::size_t> Engine::send(
+    int from, std::span<const std::shared_ptr<Mailbox>> to, std::string bytes,
+    const net::LinkProfile& link) {
   check_node(from);
-  TEAMNET_CHECK_MSG(to != nullptr, "send to null mailbox");
+  TEAMNET_CHECK_MSG(!to.empty(), "send needs at least one mailbox");
+  for (const auto& mb : to) {
+    TEAMNET_CHECK_MSG(mb != nullptr, "send to null mailbox");
+  }
   MutexLock lock(mutex_);
-  // A closed mailbox stays closed, so a send that would fail at its turn
-  // fails now instead of waiting for the baton.
-  if (to->closed_) throw NetworkError("channel closed");
+  std::vector<std::size_t> closed;
+  const auto refused_by_all = [&] {
+    closed.clear();
+    for (std::size_t i = 0; i < to.size(); ++i) {
+      if (to[i]->closed_) closed.push_back(i);
+    }
+    return closed.size() == to.size();
+  };
+  // A closed mailbox stays closed, so a send every member would refuse at
+  // its turn is refused now instead of waiting for the baton.
+  if (refused_by_all()) return closed;
   NodeSlot& slot = enter_locked(from);
   while (holder_ != from && !deadlocked_) slot.baton.wait(mutex_);
   throw_if_deadlocked_locked();
-  if (to->closed_) throw NetworkError("channel closed");
+  if (refused_by_all()) return closed;
   // Medium arbitration: the transmission occupies the shared half-duplex
   // medium from max(send_time, medium_free) for its airtime, and arrives
   // one propagation latency after it leaves the medium. The sender's clock
-  // does not advance.
+  // does not advance. A group frame pays this once.
+  const auto size = static_cast<std::int64_t>(bytes.size());
   const double send_time = slot.time;
   const double start = std::max(send_time, medium_free_);
-  medium_free_ =
-      start + link.airtime(static_cast<std::int64_t>(bytes.size()));
+  medium_free_ = start + link.airtime(size);
   const double arrival = medium_free_ + link.latency_s;
   // Causality invariant the explorer leans on: no delivery may ever be
   // scheduled before its send left the sender's clock.
   TEAMNET_CHECK_MSG(arrival >= send_time,
                     "delivery scheduled before its send: arrival="
                         << arrival << " send_time=" << send_time);
-  to->pending_events_ += 1;
-  record_locked('S', from, arrival,
-                mix64(static_cast<std::uint64_t>(to->owner()) ^
-                      static_cast<std::uint64_t>(bytes.size())));
-  policy_->note_step(from);
-  if (obs::Tracer::active() && obs::Tracer::scheduler_events()) {
-    // Under `mutex_` — must use the explicit-timestamp API; a bound
-    // TimeSource would call node_time() and self-deadlock on `mutex_`.
-    obs::Tracer::instance().instant_at(
-        from, send_time, "des.schedule",
-        obs::TraceArgs()
-            .arg("dest", to->owner())
-            .arg("arrival", arrival)
-            .arg("bytes", static_cast<std::int64_t>(bytes.size())));
+  air_bytes_ += size;
+  ++air_frames_;
+  std::size_t last = to.size();
+  while (to[last - 1]->closed_) --last;  // the last member to get the frame
+  for (std::size_t i = 0; i < last; ++i) {
+    const std::shared_ptr<Mailbox>& mb = to[i];
+    if (mb->closed_) continue;
+    mb->pending_events_ += 1;
+    record_locked('S', from, arrival,
+                  mix64(static_cast<std::uint64_t>(mb->owner()) ^
+                        static_cast<std::uint64_t>(size)));
+    if (obs::Tracer::active() && obs::Tracer::scheduler_events()) {
+      // Under `mutex_` — must use the explicit-timestamp API; a bound
+      // TimeSource would call node_time() and self-deadlock on `mutex_`.
+      obs::Tracer::instance().instant_at(
+          from, send_time, "des.schedule",
+          obs::TraceArgs()
+              .arg("dest", mb->owner())
+              .arg("arrival", arrival)
+              .arg("bytes", size));
+    }
+    // Every member but the last gets its own copy of the frame.
+    events_.push(Event{EventKey{arrival, mb->owner(), next_seq_++}, mb,
+                       i + 1 == last ? std::move(bytes) : std::string(bytes),
+                       send_time, start});
   }
-  events_.push(Event{EventKey{arrival, to->owner(), next_seq_++}, to,
-                     std::move(bytes), send_time, start});
+  policy_->note_step(from);
   hand_off_locked();
+  return closed;
 }
 
 std::optional<std::pair<std::size_t, std::string>> Engine::await_read(

@@ -15,7 +15,10 @@
 //     simulator does: start at max(send_time, medium_free), occupy
 //     LinkProfile::airtime) and enqueues a delivery event keyed by
 //     (arrival_time, destination_node, schedule_seq) — the global
-//     tie-break rule that makes event order total and deterministic.
+//     tie-break rule that makes event order total and deterministic. A
+//     send names a group of destination mailboxes: the frame is on the
+//     air once and every member gets its own delivery at the same
+//     arrival. A unicast is a group of one.
 //   * The hand-off first fires (moves into its mailbox) every event due at
 //     or before the earliest running clock — no running node can still
 //     schedule an earlier one. It then picks the minimum key: a running
@@ -174,8 +177,14 @@ class Engine {
   /// Advances `node` by `seconds` of local work, in virtual-time order:
   /// waits for the baton. Returns the new time.
   double advance(int node, double seconds);
+  /// Payload bytes and frames read by their receivers: a group frame
+  /// counts once per member that read it.
   std::int64_t bytes_delivered() const;
   std::int64_t messages_delivered() const;
+  /// Payload bytes and frames put on the medium: a group frame counts
+  /// once, however many members it reached.
+  std::int64_t air_bytes() const;
+  std::int64_t air_frames() const;
 
   // -- node lifecycle -------------------------------------------------------
   /// Marks `node` permanently done with virtual time, at its turn of the
@@ -188,11 +197,27 @@ class Engine {
 
   // -- channel surface (used by DesChannel) ---------------------------------
   std::shared_ptr<Mailbox> make_mailbox(int owner);
-  /// Transmits `bytes` from `from` into `to` with the baton: arbitrates
-  /// the shared medium at the sender's current clock (the sender's clock
-  /// does not advance) and schedules the delivery.
+  /// Transmits `bytes` from `from` to every mailbox in `to` as ONE frame,
+  /// with the baton: one medium arbitration at the sender's current clock
+  /// (the sender's clock does not advance), one LinkProfile::airtime, and
+  /// one delivery per member at the same arrival, keyed like any other
+  /// (arrival, member node, seq) and recorded as one 'S' per member. A
+  /// closed member is skipped; the others still get the frame. Returns
+  /// the positions in `to` of the closed members, ascending: empty when
+  /// every member got it, all of them when none did (nothing was sent and
+  /// no airtime charged). A send every member refuses returns without
+  /// waiting for the baton.
+  std::vector<std::size_t> send(int from,
+                                std::span<const std::shared_ptr<Mailbox>> to,
+                                std::string bytes,
+                                const net::LinkProfile& link);
+  /// send to a group of one: throws NetworkError when `to` is closed.
   void send(int from, const std::shared_ptr<Mailbox>& to, std::string bytes,
-            const net::LinkProfile& link);
+            const net::LinkProfile& link) {
+    if (!send(from, std::span(&to, 1), std::move(bytes), link).empty()) {
+      throw NetworkError("channel closed");
+    }
+  }
   /// The one blocking read: `node` waits on its mailboxes `mbs` and reads
   /// the earliest delivery (EventKey order) landing at or before `until`,
   /// returned with its index in `mbs`. The read happens once the baton
@@ -298,6 +323,8 @@ class Engine {
   std::uint64_t next_seq_ TN_GUARDED_BY(mutex_) = 0;
   std::int64_t bytes_ TN_GUARDED_BY(mutex_) = 0;
   std::int64_t messages_ TN_GUARDED_BY(mutex_) = 0;
+  std::int64_t air_bytes_ TN_GUARDED_BY(mutex_) = 0;
+  std::int64_t air_frames_ TN_GUARDED_BY(mutex_) = 0;
   std::uint64_t digest_ TN_GUARDED_BY(mutex_) = 0;
   bool deadlocked_ TN_GUARDED_BY(mutex_) = false;
   std::string deadlock_msg_ TN_GUARDED_BY(mutex_);

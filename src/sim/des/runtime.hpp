@@ -52,6 +52,8 @@ class SimNet {
   std::int64_t messages_delivered() const {
     return engine_.messages_delivered();
   }
+  /// Payload bytes put on the medium (a group frame counts once).
+  std::int64_t air_bytes() const { return engine_.air_bytes(); }
 
   /// Declares `node` done with virtual time (see Engine::retire). Every
   /// driver must retire a node when its protocol role ends — workers when

@@ -119,9 +119,13 @@ Tensor query_row_tensor(const data::Dataset& test, int row) {
 
 Fleet::Fleet(const std::string& epoch, const ScenarioConfig& config,
              FleetSpec spec)
-    : num_queries_(spec.num_queries), devices_(std::move(spec.devices)) {
+    : num_queries_(spec.num_queries),
+      devices_(std::move(spec.devices)),
+      multicast_(spec.multicast) {
   const int k = static_cast<int>(spec.experts.size());
   TEAMNET_CHECK(k >= 2);
+  TEAMNET_CHECK_MSG(!multicast_ || spec.faults == nullptr,
+                    "multicast needs a fault-free fleet");
   if (devices_.empty()) devices_.assign(spec.experts.size(), config.device);
   TEAMNET_CHECK(devices_.size() == spec.experts.size());
   master_expert_ = spec.experts[0];
@@ -194,6 +198,7 @@ std::uint64_t Fleet::finish_with(const std::function<void()>& shutdown) {
   } else {
     bytes_ = net_->bytes_delivered();
     messages_ = net_->messages_delivered();
+    air_bytes_ = net_->air_bytes();
   }
   shutdown();
   net_->retire(0);
@@ -202,6 +207,7 @@ std::uint64_t Fleet::finish_with(const std::function<void()>& shutdown) {
   if (faulty) {
     bytes_ = net_->bytes_delivered();
     messages_ = net_->messages_delivered();
+    air_bytes_ = net_->air_bytes();
   }
   if (recording_) {
     obs::TimelineRecorder::instance().stop();

@@ -23,6 +23,7 @@
 #include "net/fault.hpp"
 #include "obs/timeline.hpp"
 #include "obs/trace.hpp"
+#include "sim/des/des_channel.hpp"
 #include "sim/scenario.hpp"
 
 namespace teamnet::sim {
@@ -66,6 +67,10 @@ struct FleetSpec {
   /// Node k-1+i also serves experts[i], as worker i's hedging replica.
   bool backups = false;
   bool drop_expired = false;  ///< CollaborativeWorker::set_drop_expired
+  /// The master broadcasts each query as one group frame on the shared
+  /// medium (net::MasterCore::set_group_send), not one unicast per worker.
+  /// Fault-free fleets only: a fault-wrapped link has no group send.
+  bool multicast = false;
 };
 
 /// A TeamNet/SG-MoE serving fleet on one SimNet: spawns the serving nodes,
@@ -106,13 +111,19 @@ class Fleet {
   }
 
   /// Gives `master` the master node's compute hook, flow tracing when
-  /// fault-free, and binds the calling thread's trace track. The master
-  /// reads its clock from its channels, all node 0's.
+  /// fault-free, the group send of a multicast fleet, and binds the
+  /// calling thread's trace track. The master reads its clock from its
+  /// channels, all node 0's.
   template <typename Master>
   void attach(Master& master) {
     master.set_compute_hook(make_compute_hook(*net_, 0, devices_[0],
                                               &master_compute_));
     if (links_.empty()) master.set_flow_trace(true);
+    if constexpr (requires { master.set_group_send(net::GroupSend()); }) {
+      if (multicast_) master.set_group_send(&des::DesChannel::send_group);
+    } else {
+      TEAMNET_CHECK_MSG(!multicast_, "this master has no group dispatch");
+    }
     track_.emplace(0, [net = net_.get()] { return net->node_time(0); },
                    "master");
   }
@@ -129,8 +140,12 @@ class Fleet {
     return finish_with([&master] { master.shutdown(); });
   }
 
+  /// Payload bytes and frames delivered (a group frame counts once per
+  /// receiver), and payload bytes put on the air (a group frame counts
+  /// once).
   std::int64_t bytes() const { return bytes_; }
   std::int64_t messages() const { return messages_; }
+  std::int64_t air_bytes() const { return air_bytes_; }
   std::vector<obs::QueryTimeline> take_timelines() {
     return std::move(timelines_);
   }
@@ -155,8 +170,10 @@ class Fleet {
   std::vector<net::Channel*> primaries_;
   std::vector<net::Channel*> backups_;
   std::optional<obs::TraceTrack> track_;
+  bool multicast_ = false;
   std::int64_t bytes_ = 0;
   std::int64_t messages_ = 0;
+  std::int64_t air_bytes_ = 0;
   std::uint64_t digest_ = 0;
   bool recording_ = false;
   bool joined_ = false;

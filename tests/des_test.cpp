@@ -405,6 +405,158 @@ TEST(DesChannel, CloseWakesPeerRecv) {
   t1.join();
 }
 
+// ---- Group frames ------------------------------------------------------------
+
+/// What each of nodes 1..3 read from one group frame node 0 sent them.
+struct GroupRead {
+  std::vector<net::WireTiming> timing;  ///< per receiver, node order
+  std::vector<std::string> bytes;
+};
+
+/// Node 0 sends `payload` as one group frame to nodes 1..3, skipping the
+/// mailboxes listed in `closed_nodes` (closed before the send), then one
+/// unicast `follow_up` to node 1. Receivers read on their own threads.
+/// Returns what the send reported and what every open receiver read.
+GroupRead run_group_of_three(Engine& engine, const std::string& payload,
+                             const net::LinkProfile& link,
+                             const std::string& follow_up,
+                             const std::vector<int>& closed_nodes,
+                             std::vector<std::size_t>* refused) {
+  std::vector<std::shared_ptr<sim::des::Mailbox>> group;
+  for (int node = 1; node <= 3; ++node) {
+    group.push_back(engine.make_mailbox(node));
+  }
+  auto extra = engine.make_mailbox(1);
+  for (int node : closed_nodes) {
+    engine.close(*group[static_cast<std::size_t>(node - 1)]);
+  }
+  GroupRead out;
+  out.timing.resize(3);
+  out.bytes.resize(3);
+  std::vector<std::thread> receivers;
+  for (int node = 1; node <= 3; ++node) {
+    receivers.emplace_back([&, node] {
+      const auto i = static_cast<std::size_t>(node - 1);
+      try {
+        out.bytes[i] = engine.recv(node, *group[i], &out.timing[i]);
+        if (node == 1 && !follow_up.empty()) engine.recv(node, *extra);
+      } catch (const NetworkError&) {
+        // A closed member reads nothing.
+      }
+      engine.retire(node);
+    });
+  }
+  *refused = engine.send(0, group, payload, link);
+  if (!follow_up.empty()) engine.send(0, extra, follow_up, link);
+  engine.retire(0);
+  for (auto& t : receivers) t.join();
+  return out;
+}
+
+TEST(DesGroupFrame, OccupiesTheMediumForOneAirtime) {
+  // A group of three pays one airtime: a unicast sent right behind it
+  // waits for one frame's worth of medium, not three.
+  const net::LinkProfile link{0.001, 8e6, 0.0};  // 1 us of airtime per byte
+  Engine engine(4);
+  std::vector<std::size_t> refused;
+  run_group_of_three(engine, std::string(1000, 'g'), link,
+                     std::string(1000, 'u'), {}, &refused);
+  EXPECT_TRUE(refused.empty());
+  // The follow-up left the medium after two airtimes and landed one
+  // propagation latency later.
+  EXPECT_NEAR(engine.node_time(1), 0.001 + 0.001 + 0.001, 1e-12);
+  // On the air: two frames, 2000 bytes. Read: four frames, 4000 bytes.
+  EXPECT_EQ(engine.air_frames(), 2);
+  EXPECT_EQ(engine.air_bytes(), 2000);
+  EXPECT_EQ(engine.messages_delivered(), 4);
+  EXPECT_EQ(engine.bytes_delivered(), 4000);
+}
+
+TEST(DesGroupFrame, EveryReceiverSeesTheSameOnAirAndArrival) {
+  const net::LinkProfile link = test_link();
+  Engine engine(4);
+  engine.advance(0, 0.25);
+  std::vector<std::size_t> refused;
+  const GroupRead read =
+      run_group_of_three(engine, "frame", link, "", {}, &refused);
+  EXPECT_TRUE(refused.empty());
+  const double landed = 0.25 + link.airtime(5) + link.latency_s;
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(read.bytes[i], "frame") << "node " << i + 1;
+    EXPECT_EQ(read.timing[i].on_air, 0.25) << "node " << i + 1;
+    EXPECT_EQ(read.timing[i].landed, landed) << "node " << i + 1;
+    EXPECT_EQ(engine.node_time(static_cast<int>(i) + 1), landed);
+  }
+}
+
+TEST(DesGroupFrame, ClosedMemberFailsOnlyItself) {
+  const net::LinkProfile link = test_link();
+  Engine engine(4);
+  std::vector<std::size_t> refused;
+  const GroupRead read =
+      run_group_of_three(engine, "frame", link, "", {2}, &refused);
+  EXPECT_EQ(refused, std::vector<std::size_t>{1});
+  EXPECT_EQ(read.bytes[0], "frame");
+  EXPECT_EQ(read.bytes[1], "");
+  EXPECT_EQ(read.bytes[2], "frame");
+  EXPECT_EQ(read.timing[0].landed, read.timing[2].landed);
+  EXPECT_EQ(engine.air_frames(), 1);
+  EXPECT_EQ(engine.messages_delivered(), 2);
+
+  // A group every member refuses sends nothing and charges no airtime.
+  Engine idle(4);
+  run_group_of_three(idle, "frame", link, "", {1, 2, 3}, &refused);
+  EXPECT_EQ(refused, (std::vector<std::size_t>{0, 1, 2}));
+  EXPECT_EQ(idle.air_frames(), 0);
+  EXPECT_EQ(idle.air_bytes(), 0);
+  EXPECT_EQ(idle.messages_delivered(), 0);
+}
+
+TEST(DesGroupFrame, GroupOfOneIsAUnicast) {
+  // The same exchange — request, reply, a second request queued behind
+  // the first on the medium — once over Channel::send and once over
+  // DesChannel::send_group with a group of one: same digest, same clocks,
+  // same traffic, and on a unicast run air bytes are delivered bytes.
+  struct Run {
+    std::uint64_t digest = 0;
+    double t0 = 0.0;
+    double t1 = 0.0;
+    std::int64_t delivered = 0;
+    std::int64_t air = 0;
+  };
+  auto run = [](bool group) {
+    Engine engine(2);
+    auto [master, worker] = sim::des::make_des_pair(engine, 0, 1, test_link());
+    std::thread serve([&, w = worker.get()] {
+      for (int i = 0; i < 2; ++i) w->send("re:" + w->recv());
+      engine.retire(1);
+    });
+    net::Channel* legs[] = {master.get()};
+    for (const char* request : {"first", "second"}) {
+      if (group) {
+        EXPECT_TRUE(sim::des::DesChannel::send_group(legs, request).empty());
+      } else {
+        master->send(request);
+      }
+    }
+    EXPECT_EQ(master->recv(), "re:first");
+    EXPECT_EQ(master->recv(), "re:second");
+    engine.retire(0);
+    serve.join();
+    return Run{engine.schedule_digest(), engine.node_time(0),
+               engine.node_time(1), engine.bytes_delivered(),
+               engine.air_bytes()};
+  };
+  const Run unicast = run(false);
+  const Run group = run(true);
+  EXPECT_EQ(group.digest, unicast.digest);
+  EXPECT_EQ(group.t0, unicast.t0);
+  EXPECT_EQ(group.t1, unicast.t1);
+  EXPECT_EQ(group.delivered, unicast.delivered);
+  EXPECT_EQ(unicast.air, unicast.delivered);
+  EXPECT_EQ(group.air, group.delivered);
+}
+
 // ---- Reference agreement ---------------------------------------------------
 
 data::Dataset blob_test_set() {
@@ -482,6 +634,32 @@ double reference_accuracy_pct(const std::vector<nn::Module*>& experts,
     if (reference_correct(experts, team, test, row)) ++ok;
   }
   return 100.0 * static_cast<double>(ok) / static_cast<double>(rows.size());
+}
+
+TEST(DesGroupFrame, MasterGroupDispatchFailsOnlyTheClosedWorker) {
+  // A multicast fleet's master sends each Infer as one group frame. With
+  // worker 2's link closed, the frame still reaches workers 1 and 3:
+  // worker 2 alone is failed, and the query degrades to a quorum whose
+  // answer is the arg-min over the experts that answered.
+  const auto experts = make_experts(4);
+  const auto ptrs = expert_ptrs(experts);
+  const auto test = blob_test_set();
+  sim::Fleet fleet("group-dispatch", fast_config(),
+                   {.experts = ptrs, .num_queries = 1, .multicast = true});
+  net::CollaborativeMaster master(*ptrs[0], fleet.worker_channels());
+  fleet.attach(master);
+  fleet.worker_channels()[1]->close();
+  const Tensor x = sim::query_row_tensor(test, 5);
+  const auto res = master.infer(x);
+  EXPECT_EQ(master.failed_workers(), 1);
+  EXPECT_FALSE(master.worker_alive(1));
+  EXPECT_EQ(res.answered, 3);
+  EXPECT_EQ(res.degradation, net::DegradationLevel::quorum);
+  EXPECT_EQ(res.predictions[0], reference_prediction(ptrs, {0, 1, 3}, x));
+  // Two Infers and two Results were read; one Infer went on the air.
+  EXPECT_EQ(fleet.net().messages_delivered(), 4);
+  EXPECT_LT(fleet.net().air_bytes(), fleet.net().bytes_delivered());
+  fleet.finish(master);
 }
 
 /// Every field two same-seed runs must reproduce bit for bit.

@@ -221,6 +221,37 @@ TEST(ExploreScenarios, UnmutatedScenariosAreScheduleInvariant) {
   }
 }
 
+TEST(ExploreScenarios, LoadScenariosAnswerEveryQueryLikeTheOracle) {
+  // The pipelined scenarios' invariants are only worth comparing across
+  // schedules if the canonical run meets them: every query a full gather
+  // equal to the oracle, every attribution reconciled. The multicast run
+  // delivers what the unicast one delivers and puts less on the air.
+  ExploreScenarioOptions options;
+  std::map<std::string, std::string> discrete;
+  for (const std::string name : {"load", "multicast"}) {
+    const RunOutcome out = make_explore_runner(name, options)(ScheduleCase{});
+    ASSERT_TRUE(out.error.empty()) << name << ": " << out.error;
+    const std::string n = std::to_string(options.num_queries);
+    EXPECT_NE(out.discrete.find("full_gathers_matching_oracle=" + n + "\n"),
+              std::string::npos)
+        << name << ":\n" << out.discrete;
+    EXPECT_NE(out.discrete.find("attributions_reconciled=" + n + "\n"),
+              std::string::npos)
+        << name << ":\n" << out.discrete;
+    discrete[name] = out.discrete;
+  }
+  const auto field = [](const std::string& text, const std::string& key) {
+    const auto at = text.find(key + "=");
+    return std::stod(text.substr(at + key.size() + 1));
+  };
+  EXPECT_EQ(field(discrete["multicast"], "bytes_per_query"),
+            field(discrete["load"], "bytes_per_query"));
+  EXPECT_EQ(field(discrete["load"], "air_bytes_per_query"),
+            field(discrete["load"], "bytes_per_query"));
+  EXPECT_LT(field(discrete["multicast"], "air_bytes_per_query"),
+            field(discrete["load"], "air_bytes_per_query"));
+}
+
 TEST(ExploreScenarios, PerturbationIsNotVacuous) {
   // Guard against the failure mode where every "perturbed" schedule is
   // secretly the canonical one (e.g. a contention-free link): across a few

@@ -364,7 +364,7 @@ std::string result_bytes(const load::LoadResult& r) {
   for (double v : {r.offered_qps, r.achieved_qps, r.p50_ms, r.p90_ms,
                    r.p99_ms, r.p999_ms, r.mean_ms, r.max_ms,
                    r.mean_inflight, r.accuracy_pct, r.bytes_per_query,
-                   r.messages_per_query}) {
+                   r.messages_per_query, r.air_bytes_per_query}) {
     put_double(out, v);
   }
   for (const auto& rec : r.records) {
@@ -432,7 +432,13 @@ TEST(LoadGen, RecordsAreCoherent) {
   EXPECT_EQ(r.warmup.queries, r.warmup_queries);
 }
 
-TEST(LoadGen, PipelinedFullGathersMatchTheArgMinEntropyOracle) {
+/// A k=4 open-loop run at `rate_qps` on a link whose frames cost airtime,
+/// unicast or multicast: queries overlap (most are still gathering when
+/// the next is dispatched, so their replies are read after n+1 went out),
+/// and every full gather answers what an in-process arg-min-entropy over
+/// the same experts answers, ties going to the lowest node.
+void expect_pipelined_full_gathers_match_oracle(bool multicast,
+                                                double rate_qps) {
   const auto experts = make_experts(4);
   const auto ptrs = expert_ptrs(experts);
   const auto test = blob_test_set();
@@ -440,14 +446,13 @@ TEST(LoadGen, PipelinedFullGathersMatchTheArgMinEntropyOracle) {
   auto config = des_config();
   config.link.per_message_overhead_s = 0.0002;
   auto load_cfg = small_load(load::ArrivalKind::open_poisson);
-  load_cfg.arrival.rate_qps = 600.0;
+  load_cfg.arrival.rate_qps = rate_qps;
   load_cfg.num_queries = 40;
   load_cfg.warmup_queries = 4;
+  load_cfg.multicast = multicast;
   const auto r = load::run_teamnet_load(ptrs, test, config, load_cfg);
   ASSERT_EQ(static_cast<int>(r.records.size()), load_cfg.num_queries);
 
-  // Queries overlap: for most of them the next query is dispatched before
-  // they complete, so their replies are read after n+1 went out.
   ASSERT_EQ(r.attributions.size(), r.records.size());
   int overlapped = 0;
   for (std::size_t q = 0; q + 1 < r.attributions.size(); ++q) {
@@ -459,8 +464,6 @@ TEST(LoadGen, PipelinedFullGathersMatchTheArgMinEntropyOracle) {
   }
   EXPECT_GT(2 * overlapped, load_cfg.num_queries);
 
-  // Every full gather answers what an in-process arg-min-entropy over the
-  // same experts answers, ties going to the lowest node.
   int checked = 0;
   for (const auto& rec : r.records) {
     if (rec.degradation != 0) continue;
@@ -471,6 +474,75 @@ TEST(LoadGen, PipelinedFullGathersMatchTheArgMinEntropyOracle) {
     EXPECT_EQ(rec.prediction, want.predictions[0]) << "row " << rec.row;
   }
   EXPECT_EQ(checked, load_cfg.num_queries);
+}
+
+TEST(LoadGen, PipelinedFullGathersMatchTheArgMinEntropyOracle) {
+  expect_pipelined_full_gathers_match_oracle(/*multicast=*/false, 600.0);
+}
+
+TEST(LoadGen, MulticastFullGathersMatchTheArgMinEntropyOracle) {
+  // One group frame per query leaves more of the medium free, so it takes
+  // a higher rate to keep most queries overlapping.
+  expect_pipelined_full_gathers_match_oracle(/*multicast=*/true, 900.0);
+}
+
+TEST(LoadGen, MulticastRunsAreByteIdenticalPerSeed) {
+  const auto experts = make_experts(4);
+  const auto ptrs = expert_ptrs(experts);
+  const auto test = blob_test_set();
+  auto config = des_config();
+  config.link.per_message_overhead_s = 0.0002;
+  for (const auto kind :
+       {load::ArrivalKind::open_poisson, load::ArrivalKind::closed_loop,
+        load::ArrivalKind::bursty}) {
+    auto load_cfg = small_load(kind);
+    load_cfg.multicast = true;
+    const auto a = load::run_teamnet_load(ptrs, test, config, load_cfg);
+    const auto b = load::run_teamnet_load(ptrs, test, config, load_cfg);
+    EXPECT_EQ(result_bytes(a), result_bytes(b)) << load::to_string(kind);
+    EXPECT_EQ(a.schedule_digest, b.schedule_digest);
+    // Not the unicast run under another name: the schedule differs.
+    load_cfg.multicast = false;
+    const auto unicast = load::run_teamnet_load(ptrs, test, config, load_cfg);
+    EXPECT_NE(a.schedule_digest, unicast.schedule_digest);
+  }
+}
+
+TEST(LoadGen, AirBytesCountEachGroupFrameOnce) {
+  // MNIST-shaped frames: a [1, 784] Infer is 3,192 B and a 10-class Result
+  // 112 B. A k=4 unicast query puts 3 Infers and 3 Results on the air and
+  // delivers the same; a multicast query puts ONE Infer on the air and
+  // still delivers three.
+  data::BlobsConfig data_cfg;
+  data_cfg.num_samples = 40;
+  data_cfg.num_classes = 10;
+  data_cfg.dims = 784;
+  data_cfg.seed = 21;
+  const auto test = data::make_blobs(data_cfg);
+  std::vector<std::unique_ptr<nn::MlpNet>> experts;
+  for (int i = 0; i < 4; ++i) {
+    nn::MlpConfig cfg;
+    cfg.in_features = 784;
+    cfg.num_classes = 10;
+    cfg.depth = 2;
+    cfg.hidden = 12;
+    Rng rng(100 + i);
+    experts.push_back(std::make_unique<nn::MlpNet>(cfg, rng));
+  }
+  const auto ptrs = expert_ptrs(experts);
+  auto load_cfg = small_load(load::ArrivalKind::open_poisson);
+  load_cfg.multicast = false;
+  const auto unicast = load::run_teamnet_load(ptrs, test, des_config(), load_cfg);
+  EXPECT_EQ(unicast.bytes_per_query, 3 * 3192 + 3 * 112);
+  EXPECT_EQ(unicast.air_bytes_per_query, unicast.bytes_per_query);
+  EXPECT_EQ(unicast.messages_per_query, 6);
+  load_cfg.multicast = true;
+  const auto multicast =
+      load::run_teamnet_load(ptrs, test, des_config(), load_cfg);
+  EXPECT_EQ(multicast.air_bytes_per_query, 3192 + 3 * 112);
+  EXPECT_EQ(multicast.bytes_per_query, unicast.bytes_per_query);
+  EXPECT_EQ(multicast.messages_per_query, unicast.messages_per_query);
+  EXPECT_EQ(multicast.accuracy_pct, unicast.accuracy_pct);
 }
 
 TEST(LoadGen, QuorumOfOneCompletesEveryQueryAtDispatch) {
