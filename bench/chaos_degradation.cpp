@@ -38,6 +38,7 @@ int main_impl(int argc, char** argv) {
   sim::ResilienceConfig base;
   base.faults.seed = 42;
   base.drop_expired = false;
+  base.multicast = false;  // the unicast dispatch these rows were taken with
   const double rates[] = {0.0, 0.05, 0.1, 0.2, 0.3};
   for (double rate : rates) {
     sim::ResilienceConfig chaos = base;

@@ -8,7 +8,9 @@
 // fraction of quorum/local-only gathers for the latency win. Each row
 // states its sample count `n`; a percentile with fewer than ten samples
 // beyond it is null (and "-" in the table), so at --quick (n = 20) p99 is
-// not published and the max is the tail number.
+// not published and the max is the tail number. The "multicast " rows
+// repeat quorum+hedge with each Infer as one group frame, every receiver
+// rolling its own link's faults (DESIGN.md §9), and add the air bytes.
 // On the discrete-event clock every number is bit-reproducible, so --json
 // output is byte-stable across same-seed runs; the checked-in
 // BENCH_resilience.json is the frozen --quick snapshot of this sweep (the
@@ -65,46 +67,58 @@ int main_impl(int argc, char** argv) {
   Table table({"mode", "drop rate", "p50 (ms)", "p99 (ms)", "max (ms)",
                "accuracy (%)", "full/quorum/local", "hedges (sent/win/dup)",
                "expired"});
-  const double rates[] = {0.0, 0.1, 0.2, 0.3};
-  for (double rate : rates) {
-    for (int degraded = 0; degraded <= 1; ++degraded) {
-      sim::ResilienceConfig res;
-      res.faults.seed = 42;
-      res.faults.drop_prob = rate;
-      res.faults.duplicate_prob = rate / 4;
-      res.worker_timeout_s = 0.05;
-      res.probe_interval = 2;
-      if (degraded != 0) {
-        res.quorum = 3;  // local expert + any 2 of the 3 remote answers
-        res.hedging = true;
-      }
-      const auto r = sim::run_teamnet_resilience(team4.expert_ptrs(),
-                                                 setup.test, cfg, res);
-      const std::string mode = degraded != 0 ? "quorum+hedge" : "full gather";
-      const std::size_t n = r.latency_ms.size();
-      report.add(mode + " drop " + Table::num(rate, 2), r.scenario,
-                 extras(r));
-      table.add_row({mode, Table::num(rate, 2),
-                     Table::num(
-                         obs::published_percentile(r.p50_ms, n, 50.0), 2),
-                     Table::num(
-                         obs::published_percentile(r.p99_ms, n, 99.0), 2),
-                     Table::num(r.max_ms, 2),
-                     Table::num(r.scenario.accuracy_pct, 1), mix(r),
-                     std::to_string(r.hedges_sent) + "/" +
-                         std::to_string(r.hedge_wins) + "/" +
-                         std::to_string(r.hedge_duplicates),
-                     std::to_string(r.expired_drops)});
-      // The acceptance property the suite also asserts (resilience_test)
-      // on p99: with drops at or above 20%, the degraded mode's slowest
-      // query stays under the gather SLO while the full gather burns it
-      // on lost replies.
-      if (degraded != 0 && rate >= 0.2) {
-        std::printf("drop %.2f: quorum+hedge max %.2f ms vs SLO %.0f ms — %s\n",
-                    rate, r.max_ms, slo_ms,
-                    r.max_ms < slo_ms ? "bounded" : "NOT bounded");
-      }
+  // One row: quorum+hedge (`degraded`) or the full gather at `rate`.
+  auto run_row = [&](double rate, bool degraded, bool multicast) {
+    sim::ResilienceConfig res;
+    res.faults.seed = 42;
+    res.faults.drop_prob = rate;
+    res.faults.duplicate_prob = rate / 4;
+    res.worker_timeout_s = 0.05;
+    res.probe_interval = 2;
+    res.multicast = multicast;
+    if (degraded) {
+      res.quorum = 3;  // local expert + any 2 of the 3 remote answers
+      res.hedging = true;
     }
+    const auto r =
+        sim::run_teamnet_resilience(team4.expert_ptrs(), setup.test, cfg, res);
+    const std::string mode = std::string(multicast ? "multicast " : "") +
+                             (degraded ? "quorum+hedge" : "full gather");
+    const std::size_t n = r.latency_ms.size();
+    auto row = extras(r);
+    if (multicast) {
+      row.emplace_back("air_bytes_per_query", r.air_bytes_per_query);
+    }
+    report.add(mode + " drop " + Table::num(rate, 2), r.scenario, row);
+    table.add_row({mode, Table::num(rate, 2),
+                   Table::num(obs::published_percentile(r.p50_ms, n, 50.0), 2),
+                   Table::num(obs::published_percentile(r.p99_ms, n, 99.0), 2),
+                   Table::num(r.max_ms, 2),
+                   Table::num(r.scenario.accuracy_pct, 1), mix(r),
+                   std::to_string(r.hedges_sent) + "/" +
+                       std::to_string(r.hedge_wins) + "/" +
+                       std::to_string(r.hedge_duplicates),
+                   std::to_string(r.expired_drops)});
+    // The acceptance property the suite also asserts (resilience_test)
+    // on p99: with drops at or above 20%, the degraded mode's slowest
+    // query stays under the gather SLO while the full gather burns it
+    // on lost replies.
+    if (degraded && rate >= 0.2) {
+      std::printf("drop %.2f: %s max %.2f ms vs SLO %.0f ms — %s\n", rate,
+                  mode.c_str(), r.max_ms, slo_ms,
+                  r.max_ms < slo_ms ? "bounded" : "NOT bounded");
+    }
+  };
+  const double rates[] = {0.0, 0.1, 0.2, 0.3};
+  // The unicast rows are the frozen baseline; the "multicast " rows repeat
+  // quorum+hedge at every drop rate with each Infer as one group frame,
+  // every receiver rolling its own link's faults.
+  for (double rate : rates) {
+    run_row(rate, /*degraded=*/false, /*multicast=*/false);
+    run_row(rate, /*degraded=*/true, /*multicast=*/false);
+  }
+  for (double rate : rates) {
+    run_row(rate, /*degraded=*/true, /*multicast=*/true);
   }
   std::printf("%s", table.to_string().c_str());
   report.write();

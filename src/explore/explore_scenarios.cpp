@@ -104,6 +104,7 @@ ResilienceConfig ExploreScenarioOptions::default_explore_chaos() {
   chaos.partition_worker = 0;
   chaos.partition_from_query = 3;
   chaos.heal_at_query = 6;
+  chaos.multicast = false;  // the unicast dispatch its pins were taken with
   return chaos;
 }
 
@@ -115,13 +116,14 @@ ResilienceConfig ExploreScenarioOptions::default_explore_resilience() {
   res.probe_interval = 2;
   res.quorum = 2;  // master + one worker completes the gather
   res.hedging = true;
+  res.multicast = false;  // "resilience-multicast" turns it on
   return res;
 }
 
 const std::vector<std::string>& explore_scenario_names() {
   static const std::vector<std::string> names = {
       "teamnet", "mpi", "sg-moe", "chaos", "resilience", "load",
-      "multicast"};
+      "multicast", "resilience-multicast"};
   return names;
 }
 
@@ -295,10 +297,14 @@ des::ScheduleRunner make_explore_runner(const std::string& scenario,
       });
     };
   }
-  if (scenario == "resilience") {
+  if (scenario == "resilience" || scenario == "resilience-multicast") {
     auto fixture = std::make_shared<TeamNetFixture>();
     ResilienceConfig res = options.resilience;
     res.faults.seed = options.seed;
+    // "resilience" keeps the unicast dispatch its pinned digests were
+    // taken with; "resilience-multicast" is the same fixture with one
+    // group frame per query, every receiver rolling its own faults.
+    if (scenario == "resilience-multicast") res.multicast = true;
     return [fixture, options, res](const des::ScheduleCase& c) {
       return guarded_run([&](des::RunOutcome& out) {
         const auto result =
@@ -337,7 +343,8 @@ des::ScheduleRunner make_explore_runner(const std::string& scenario,
   }
   throw InvalidArgument(
       "unknown explore scenario: " + scenario +
-      " (expected teamnet|mpi|sg-moe|chaos|resilience|load|multicast)");
+      " (expected teamnet|mpi|sg-moe|chaos|resilience|load|multicast|"
+      "resilience-multicast)");
 }
 
 }  // namespace teamnet::sim

@@ -10,7 +10,9 @@
 //     totals and the fault schedule — the chaos scenario;
 //   * the degradation accounting invariants alone — the resilience
 //     scenario, whose quorum membership and hedge firing (and with them
-//     accuracy, traffic and even the fault draws) legally vary by schedule;
+//     accuracy, traffic and even the fault draws) legally vary by schedule,
+//     and resilience-multicast, the same fixture with each Infer as one
+//     group frame whose receivers roll their own faults;
 //   * per-query answers against an in-process arg-min-entropy oracle and
 //     exact attribution reconciliation — the load scenario, the pipelined
 //     driver with several queries in flight, and the multicast scenario,
@@ -52,6 +54,7 @@ struct ExploreScenarioOptions {
   /// to arm the mutation gate.
   ResilienceConfig chaos = default_explore_chaos();
   /// Resilience-scenario tuning (degradation plane; same seed override).
+  /// "resilience-multicast" runs it with `multicast` on.
   ResilienceConfig resilience = default_explore_resilience();
 
   /// The chaos fault model the explorer runs by default: drops, corruption,
@@ -65,7 +68,7 @@ struct ExploreScenarioOptions {
 };
 
 /// Names accepted by make_explore_runner: "teamnet", "mpi", "sg-moe",
-/// "chaos", "resilience", "load", "multicast".
+/// "chaos", "resilience", "load", "multicast", "resilience-multicast".
 const std::vector<std::string>& explore_scenario_names();
 
 /// Builds the fixture for `scenario` ONCE (models are trained/seeded up

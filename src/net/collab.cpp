@@ -182,10 +182,10 @@ std::int64_t CollaborativeMaster::submit(const Tensor& x) {
 void CollaborativeMaster::dispatch(const Tensor& x) {
   Query& q = current();
   // Step 2: broadcast the sensor data to every live worker — one group
-  // frame on the air when the transport offers a group send (a fault-free
-  // multicast fleet on the simulated medium), else one unicast per worker
-  // (TCP, the paper tables, fault-wrapped links). Channel errors mark the
-  // worker failed rather than aborting the query.
+  // frame on the air when the transport offers a group send (a multicast
+  // fleet on the simulated medium, faulty or not), else one unicast per
+  // worker (TCP, the paper tables). Channel errors mark the worker failed
+  // rather than aborting the query.
   const std::string frame = request_frame(x);
   {
     obs::TraceSpan span("broadcast", [&] {

@@ -1,7 +1,9 @@
 #include "net/fault.hpp"
 
 #include <cstdio>
+#include <span>
 #include <utility>
+#include <vector>
 
 #include "common/error.hpp"
 #include "obs/metrics.hpp"
@@ -117,6 +119,7 @@ FaultyChannel::Fate FaultyChannel::fault_step_locked(bool tx,
     const unsigned mask = 1u << rng_.randint(0, 7);
     bytes[pos] =
         static_cast<char>(static_cast<unsigned char>(bytes[pos]) ^ mask);
+    fate.corrupted = true;
     record_locked(dir, seq, format_corrupt(pos, mask));
   }
   if (profile_.duplicate_prob > 0.0 &&
@@ -127,20 +130,25 @@ FaultyChannel::Fate FaultyChannel::fault_step_locked(bool tx,
   return fate;
 }
 
-void FaultyChannel::send(std::string bytes) {
-  Fate fate;
-  {
-    MutexLock lock(mutex_);
-    const std::int64_t seq = ++tx_seq_;
-    check_crash_locked("tx", seq);
-    fate = fault_step_locked(/*tx=*/true, seq, bytes);
-  }
+FaultyChannel::Fate FaultyChannel::tx_step(std::string& bytes) {
+  MutexLock lock(mutex_);
+  const std::int64_t seq = ++tx_seq_;
+  check_crash_locked("tx", seq);
+  return fault_step_locked(/*tx=*/true, seq, bytes);
+}
+
+void FaultyChannel::forward(const Fate& fate, std::string bytes) {
   if (fate.lost) return;
-  // Delay and forwarding happen outside the lock: inner sleep() may
-  // advance a virtual clock (the engine's lock) and inner send may block.
+  // Outside the lock: inner sleep() may advance a virtual clock (the
+  // engine's lock) and inner send may block.
   if (fate.delay_s > 0.0) inner_->sleep(fate.delay_s);
   if (fate.duplicate) inner_->send(bytes);
   inner_->send(std::move(bytes));
+}
+
+void FaultyChannel::send(std::string bytes) {
+  const Fate fate = tx_step(bytes);
+  forward(fate, std::move(bytes));
 }
 
 std::optional<std::string> FaultyChannel::pending_rx() {
@@ -155,8 +163,12 @@ std::optional<std::string> FaultyChannel::pending_rx() {
 bool FaultyChannel::admit_rx(std::string& bytes) {
   MutexLock lock(mutex_);
   const Fate fate = fault_step_locked(/*tx=*/false, ++rx_seq_, bytes);
+  if (fate.lost) return false;
+  // A duplicate is replayed before the next inner read, so it reports
+  // this timing too.
+  last_timing_ = inner_->last_recv_timing();
   if (fate.duplicate) pending_rx_.push_back(bytes);
-  return !fate.lost;
+  return true;
 }
 
 std::string FaultyChannel::recv() {
@@ -206,6 +218,87 @@ std::int64_t FaultyChannel::faults_injected() const {
 
 ChannelPtr make_faulty_channel(ChannelPtr inner, FaultProfile profile) {
   return std::make_unique<FaultyChannel>(std::move(inner), profile);
+}
+
+namespace {
+
+/// with_faults' group send. Its member buffers live across frames, as
+/// MasterCore's group_/members_ do, so a steady broadcast allocates only
+/// what the inner send and the unicast copies take.
+class FaultyGroupSend {
+ public:
+  explicit FaultyGroupSend(GroupSend inner) : inner_(std::move(inner)) {}
+
+  std::vector<std::size_t> operator()(std::span<Channel* const> channels,
+                                      std::string frame) {
+    const std::size_t n = channels.size();
+    if (members_.size() < n) members_.resize(n);
+    legs_.clear();
+    shared_.clear();
+    // Every member's fate first, in order: each link draws what its
+    // unicast would, whatever the other members drew.
+    for (std::size_t i = 0; i < n; ++i) {
+      Member& m = members_[i];
+      m.link = dynamic_cast<FaultyChannel*>(channels[i]);
+      TEAMNET_CHECK_MSG(m.link != nullptr,
+                        "with_faults takes FaultyChannel members only");
+      m.closed = false;
+      m.bytes.assign(frame);
+      try {
+        m.fate = m.link->tx_step(m.bytes);
+      } catch (const NetworkError&) {
+        m.closed = true;  // past its crash point
+        continue;
+      }
+      if (!m.fate.lost && m.fate.delay_s == 0.0 && !m.fate.corrupted) {
+        legs_.push_back(&m.link->inner());
+        shared_.push_back(i);
+      }
+    }
+    if (!legs_.empty()) {
+      for (std::size_t pos : inner_(std::span(legs_), std::move(frame))) {
+        members_[shared_[pos]].closed = true;
+      }
+    }
+    // Then each member's own unicasts, behind the group frame.
+    std::vector<std::size_t> closed;
+    for (std::size_t i = 0; i < n; ++i) {
+      Member& m = members_[i];
+      if (!m.closed) {
+        try {
+          if (m.fate.delay_s > 0.0 || m.fate.corrupted) {
+            m.link->forward(m.fate, std::move(m.bytes));
+          } else if (m.fate.duplicate) {  // a lost frame draws no copy
+            m.link->inner().send(std::move(m.bytes));
+          }
+        } catch (const NetworkError&) {
+          m.closed = true;
+        }
+      }
+      if (m.closed) closed.push_back(i);
+    }
+    return closed;
+  }
+
+ private:
+  struct Member {
+    FaultyChannel* link = nullptr;
+    FaultyChannel::Fate fate;
+    std::string bytes;  ///< the member's copy of the frame, as tx_step left it
+    bool closed = false;
+  };
+
+  GroupSend inner_;
+  std::vector<Member> members_;
+  std::vector<Channel*> legs_;       ///< the shared frame's inner legs
+  std::vector<std::size_t> shared_;  ///< their positions among the members
+};
+
+}  // namespace
+
+GroupSend with_faults(GroupSend inner) {
+  TEAMNET_CHECK(inner != nullptr);
+  return FaultyGroupSend(std::move(inner));
 }
 
 }  // namespace teamnet::net

@@ -18,7 +18,14 @@
 // Time is the inner channel's: now() and sleep() forward to it, recv
 // budgets are measured on inner now(), and a delay fault holds the sender
 // with inner sleep() — a real sleep over TCP, a virtual-clock advance of
-// the sending node over DES.
+// the sending node over DES. So is a received frame's WireTiming: a
+// replayed duplicate reports its original's.
+//
+// A send is the tx fault step (tx_step: crash check, then partition, drop,
+// delay, corruption and duplication draws) plus the forward past the
+// injector. with_faults runs that same step per member of a group frame
+// (DESIGN.md §9): each receiver rolls its own faults, drawing exactly the
+// random numbers its unicast would, and the clean members share one frame.
 #pragma once
 
 #include <cstdint>
@@ -59,12 +66,36 @@ class FaultyChannel final : public Channel {
   /// Takes ownership of `inner`.
   FaultyChannel(ChannelPtr inner, FaultProfile profile);
 
+  /// What the fault step decided for one frame.
+  struct Fate {
+    bool lost = false;       ///< partitioned or dropped
+    double delay_s = 0.0;    ///< hold before sending (tx only)
+    bool corrupted = false;  ///< one byte of the frame was flipped
+    bool duplicate = false;  ///< deliver twice
+  };
+
+  /// tx_step, then forward.
   void send(std::string bytes) override;
   std::string recv() override;
   std::optional<std::string> recv_timeout(double seconds) override;
   void close() override;
+  /// The inner channel's timing of the frame the last recv returned; a
+  /// replayed duplicate reports its original's.
+  std::optional<WireTiming> last_recv_timing() const override {
+    return last_timing_;
+  }
   double now() const override { return inner_->now(); }
   void sleep(double seconds) override { inner_->sleep(seconds); }
+
+  /// The tx fault step: counts one outbound frame through the endpoint and
+  /// decides its fate without sending it — flipping a byte of `bytes` in
+  /// place when it draws a corruption. Throws NetworkError at the crash
+  /// point. Every send's fault decisions come from here.
+  Fate tx_step(std::string& bytes);
+  /// The rest of a send: unless `fate` lost the frame, holds the sender
+  /// for its delay and puts `bytes` on the inner channel, twice for a
+  /// duplicate.
+  void forward(const Fate& fate, std::string bytes);
 
   /// Runtime partition control for crash/heal patterns: `send_lost` drops
   /// every outbound message, `recv_lost` every inbound one.
@@ -82,8 +113,8 @@ class FaultyChannel final : public Channel {
   /// The chaos scenario uses it to quiesce workers (Ping over the inner
   /// channel, wait for the Pong) before tearing down, so trailing
   /// fault-induced traffic is fully counted instead of racing close().
-  /// Bypasses the fault schedule AND the crash state — never use it for
-  /// traffic that is supposed to be under test.
+  /// Bypasses the fault schedule AND the crash state — traffic under test
+  /// reaches it only after tx_step decided its fate (with_faults).
   Channel& inner() { return *inner_; }
 
  private:
@@ -94,12 +125,6 @@ class FaultyChannel final : public Channel {
   void record_locked(const char* dir, std::int64_t seq, const std::string& what)
       TN_REQUIRES(mutex_);
 
-  /// What the fault step decided for one frame.
-  struct Fate {
-    bool lost = false;       ///< partitioned or dropped
-    double delay_s = 0.0;    ///< hold before sending (tx only)
-    bool duplicate = false;  ///< deliver twice
-  };
   /// The one fault step, tx and rx alike: counts frame `seq` through the
   /// endpoint, then draws partition, drop, delay (tx only), corruption
   /// (applied to `bytes` in place) and duplication, in that order.
@@ -109,7 +134,8 @@ class FaultyChannel final : public Channel {
   /// point, else pops the duplicate the last received frame left, if any.
   std::optional<std::string> pending_rx();
   /// Receive side, after the inner channel delivered `bytes`: the rx fault
-  /// step. Returns false when the frame is lost; queues a duplicate.
+  /// step. Returns false when the frame is lost; otherwise keeps the inner
+  /// channel's timing of it and queues a duplicate.
   bool admit_rx(std::string& bytes);
 
   ChannelPtr inner_;
@@ -127,9 +153,22 @@ class FaultyChannel final : public Channel {
   bool partition_recv_ TN_GUARDED_BY(mutex_);
   /// Duplicate of the last received message, replayed on the next recv.
   std::deque<std::string> pending_rx_ TN_GUARDED_BY(mutex_);
+  std::optional<WireTiming> last_timing_;  ///< receiving thread only
 };
 
 /// Convenience factory for callers that only need the Channel interface.
 ChannelPtr make_faulty_channel(ChannelPtr inner, FaultProfile profile);
+
+/// A group send over fault-wrapped links: every channel handed to the
+/// result must be a FaultyChannel. Runs each member's tx_step in order —
+/// the draws its unicast would make — then routes it:
+///   * members with a clean fate share ONE `inner` group frame over their
+///     inner() legs; a duplicated one also gets one unicast copy;
+///   * a member that drew a delay or a corruption gets its own unicast
+///     (its frame differs in time or bytes), via FaultyChannel::forward;
+///   * a lost member is still asked (the sender cannot know), and a member
+///     past its crash point, or whose leg is closed, comes back as closed.
+/// When every member is lost, nothing goes on the air.
+GroupSend with_faults(GroupSend inner);
 
 }  // namespace teamnet::net

@@ -36,10 +36,11 @@
 // K-1 unicast sends, in worker order, unless the transport offers a group
 // send (set_group_send). Then it is ONE group frame, on the air once for
 // every dispatchable worker — the paper's "one broadcast". Only the
-// simulated shared medium offers one, and only a fault-free fleet that
-// asks for it installs it (sim::FleetSpec::multicast). TCP, hedged
-// re-issues, probes, Shutdown and MoeMaster's per-expert rows are always
-// unicast.
+// simulated shared medium offers one, and a fleet that asks for it
+// installs it (sim::FleetSpec::multicast); over fault-wrapped links it goes
+// through net::with_faults, which rolls every receiver's faults as its
+// unicast would. TCP, hedged re-issues, probes, Shutdown and MoeMaster's
+// per-expert rows are always unicast.
 #pragma once
 
 #include <cstdint>
@@ -58,12 +59,6 @@
 namespace teamnet::net {
 
 using ComputeHook = std::function<void(std::int64_t flops)>;
-
-/// Puts `frame` on the air once for several of a master's worker channels
-/// (a transport's group frame). Returns the positions in `channels` whose
-/// channel was closed, ascending; the frame reached every other one.
-using GroupSend = std::function<std::vector<std::size_t>(
-    std::span<Channel* const> channels, std::string frame)>;
 
 /// FLOPs of one forward of `model` over the batch `x` (the compute hook's
 /// unit): the per-sample analysis times the batch size.

@@ -17,10 +17,13 @@
 // does not reads the steady clock even over DES.
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <utility>
+#include <vector>
 
 namespace teamnet::net {
 
@@ -68,6 +71,12 @@ class Channel {
 };
 
 using ChannelPtr = std::unique_ptr<Channel>;
+
+/// Puts `frame` on the air once for several channels of one node (a
+/// transport's group frame). Returns the positions in `channels` whose
+/// channel was closed, ascending; the frame reached every other one.
+using GroupSend = std::function<std::vector<std::size_t>(
+    std::span<Channel* const> channels, std::string frame)>;
 
 /// Creates a connected in-process channel pair: bytes sent on `first` are
 /// received on `second` and vice versa.

@@ -124,8 +124,6 @@ Fleet::Fleet(const std::string& epoch, const ScenarioConfig& config,
       multicast_(spec.multicast) {
   const int k = static_cast<int>(spec.experts.size());
   TEAMNET_CHECK(k >= 2);
-  TEAMNET_CHECK_MSG(!multicast_ || spec.faults == nullptr,
-                    "multicast needs a fault-free fleet");
   if (devices_.empty()) devices_.assign(spec.experts.size(), config.device);
   TEAMNET_CHECK(devices_.size() == spec.experts.size());
   master_expert_ = spec.experts[0];

@@ -69,7 +69,8 @@ struct FleetSpec {
   bool drop_expired = false;  ///< CollaborativeWorker::set_drop_expired
   /// The master broadcasts each query as one group frame on the shared
   /// medium (net::MasterCore::set_group_send), not one unicast per worker.
-  /// Fault-free fleets only: a fault-wrapped link has no group send.
+  /// On a faulty fleet each receiver rolls its own link's faults
+  /// (net::with_faults).
   bool multicast = false;
 };
 
@@ -111,7 +112,8 @@ class Fleet {
   }
 
   /// Gives `master` the master node's compute hook, flow tracing when
-  /// fault-free, the group send of a multicast fleet, and binds the
+  /// fault-free, the group send of a multicast fleet (through
+  /// net::with_faults when faulty), and binds the
   /// calling thread's trace track. The master reads its clock from its
   /// channels, all node 0's.
   template <typename Master>
@@ -120,7 +122,11 @@ class Fleet {
                                               &master_compute_));
     if (links_.empty()) master.set_flow_trace(true);
     if constexpr (requires { master.set_group_send(net::GroupSend()); }) {
-      if (multicast_) master.set_group_send(&des::DesChannel::send_group);
+      if (multicast_) {
+        net::GroupSend send = &des::DesChannel::send_group;
+        if (!links_.empty()) send = net::with_faults(std::move(send));
+        master.set_group_send(std::move(send));
+      }
     } else {
       TEAMNET_CHECK_MSG(!multicast_, "this master has no group dispatch");
     }

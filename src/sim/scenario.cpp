@@ -91,7 +91,8 @@ ResilienceResult run_teamnet_resilience(const std::vector<nn::Module*>& experts,
                .num_queries = config.num_queries,
                .faults = &res.faults,
                .backups = res.hedging,
-               .drop_expired = res.drop_expired});
+               .drop_expired = res.drop_expired,
+               .multicast = res.multicast});
   net::CollaborativeMaster master(*experts[0], fleet.worker_channels());
   fleet.attach(master);
   master.set_worker_timeout(res.worker_timeout_s);
@@ -130,6 +131,8 @@ ResilienceResult run_teamnet_resilience(const std::vector<nn::Module*>& experts,
       fleet.result("TeamNet-Resilience", total_latency, test.sample_shape());
   result.scenario.accuracy_pct = 100.0 * static_cast<double>(n_correct) /
                                  static_cast<double>(rows.size());
+  result.air_bytes_per_query = static_cast<double>(fleet.air_bytes()) /
+                               static_cast<double>(rows.size());
   result.p50_ms = obs::nearest_rank_percentile(result.latency_ms, 50.0);
   result.p99_ms = obs::nearest_rank_percentile(result.latency_ms, 99.0);
   result.max_ms = obs::nearest_rank_percentile(result.latency_ms, 100.0);

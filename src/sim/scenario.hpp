@@ -137,6 +137,12 @@ struct ResilienceConfig {
   bool health = true;
   /// Workers drop Infer frames whose propagated deadline already expired.
   bool drop_expired = true;
+  /// The master broadcasts each Infer as one group frame; every receiver
+  /// rolls its own link's faults on it (FleetSpec::multicast). Hedges,
+  /// probes, quiesce and Shutdown stay unicast. Off = one unicast Infer
+  /// per worker, the dispatch every frozen chaos/resilience output was
+  /// taken with.
+  bool multicast = true;
 
   /// Optional scripted two-way partition of one worker (0-based index) over
   /// a query window — the crash/heal pattern the rejoin machinery targets.
@@ -182,6 +188,9 @@ struct ResilienceResult {
   std::int64_t expired_drops = 0;  ///< summed over workers and backups
   std::int64_t faults_injected = 0;
   std::string fault_schedule;  ///< concatenated per-link schedules
+  /// Payload bytes put on the air per query (Fleet::air_bytes): a group
+  /// frame counts once, however many workers it reaches.
+  double air_bytes_per_query = 0.0;
 };
 
 /// TeamNet's Figure-1 protocol under fault injection with the degradation

@@ -1,7 +1,8 @@
 // Discrete-event engine tests: event-queue tie-breaking, the link math
 // (compute advances, link delay, shared-medium arbitration, transfer
-// time), quiescence / deadlock detection, virtual timeouts, FaultyChannel
-// composition over DesChannel, and the reference contract — every
+// time), quiescence / deadlock detection, virtual timeouts, group frames,
+// FaultyChannel composition over DesChannel (recv timing, and group frames
+// whose receivers roll their own faults), and the reference contract — every
 // simulated fleet is bit-stable for a seed and answers exactly what an
 // in-process arg-min-entropy selection over the same rows answers.
 
@@ -9,6 +10,7 @@
 
 #include <limits>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -379,6 +381,43 @@ TEST(DesChannel, ComposesUnderFaultyChannelWithDeterministicSchedule) {
   EXPECT_EQ(engine.bytes_delivered(), 14);
 }
 
+TEST(DesChannel, FaultyChannelForwardsRecvTiming) {
+  // The fault layer reports the DES leg's timing of every frame it hands
+  // over, and a replayed duplicate reports its original's.
+  const net::LinkProfile link = test_link();
+  Engine engine(2);
+  auto [c0, c1] = sim::des::make_des_pair(engine, 0, 1, link);
+  net::FaultProfile profile;
+  profile.seed = 7;
+  profile.duplicate_prob = 1.0;
+  net::FaultyChannel faulty(std::move(c1), profile);
+  EXPECT_FALSE(faulty.last_recv_timing().has_value());
+  std::vector<std::string> frames;
+  std::vector<std::optional<net::WireTiming>> timing;
+  std::thread reader([&] {
+    for (int i = 0; i < 4; ++i) {
+      frames.push_back(faulty.recv());
+      timing.push_back(faulty.last_recv_timing());
+    }
+    engine.retire(1);
+  });
+  c0->send("first");
+  engine.advance(0, 0.5);
+  c0->send("second");
+  engine.retire(0);
+  reader.join();
+  const double first_landed = link.airtime(5) + link.latency_s;
+  const double second_landed = 0.5 + link.airtime(6) + link.latency_s;
+  EXPECT_EQ(frames, (std::vector<std::string>{"first", "first", "second",
+                                              "second"}));
+  ASSERT_EQ(timing.size(), 4u);
+  for (std::size_t i = 0; i < 4; ++i) {  // each original, then its duplicate
+    ASSERT_TRUE(timing[i].has_value()) << i;
+    EXPECT_EQ(timing[i]->on_air, i < 2 ? 0.0 : 0.5) << i;
+    EXPECT_EQ(timing[i]->landed, i < 2 ? first_landed : second_landed) << i;
+  }
+}
+
 TEST(DesChannel, AccountsBytesAndTime) {
   net::LinkProfile link{0.01, 0.0, 0.0};
   Engine engine(2);
@@ -555,6 +594,209 @@ TEST(DesGroupFrame, GroupOfOneIsAUnicast) {
   EXPECT_EQ(group.delivered, unicast.delivered);
   EXPECT_EQ(unicast.air, unicast.delivered);
   EXPECT_EQ(group.air, group.delivered);
+}
+
+// ---- Group frames over fault-wrapped links ----------------------------------
+
+/// What a master (node 0) dispatching `frames` to workers 1..n through
+/// FaultyChannels saw, and what each worker read.
+struct FaultyDispatch {
+  std::vector<std::string> schedules;                ///< per link
+  std::vector<std::vector<std::size_t>> closed;      ///< per frame
+  std::vector<std::vector<std::string>> received;    ///< per worker, in order
+  std::vector<std::vector<net::WireTiming>> timing;  ///< per worker, in order
+  std::int64_t air_frames = 0;
+  std::int64_t air_bytes = 0;
+  std::int64_t delivered = 0;
+};
+
+/// Dispatches every frame to every link — one FaultyChannel::send per
+/// link in order (unicast), or one net::with_faults group send (group) —
+/// with worker i's link faulted by `profiles[i]`. Workers read until their
+/// link closes.
+FaultyDispatch run_faulty_dispatch(
+    const std::vector<net::FaultProfile>& profiles,
+    const std::vector<std::string>& frames, bool group) {
+  const auto n = profiles.size();
+  Engine engine(static_cast<int>(n) + 1);
+  FaultyDispatch out;
+  out.received.resize(n);
+  out.timing.resize(n);
+  std::vector<std::unique_ptr<net::FaultyChannel>> links;
+  std::vector<net::Channel*> members;
+  std::vector<std::thread> workers;
+  for (std::size_t w = 0; w < n; ++w) {
+    const int node = static_cast<int>(w) + 1;
+    auto [master_end, worker_end] =
+        sim::des::make_des_pair(engine, 0, node, test_link());
+    links.push_back(std::make_unique<net::FaultyChannel>(
+        std::move(master_end), profiles[w]));
+    members.push_back(links.back().get());
+    workers.emplace_back([&, w, node, end = std::move(worker_end)] {
+      try {
+        for (;;) {
+          out.received[w].push_back(end->recv());
+          out.timing[w].push_back(*end->last_recv_timing());
+        }
+      } catch (const NetworkError&) {
+        // The master closed the link.
+      }
+      engine.retire(node);
+    });
+  }
+  const net::GroupSend send =
+      net::with_faults(&sim::des::DesChannel::send_group);
+  for (const std::string& frame : frames) {
+    std::vector<std::size_t> closed;
+    if (group) {
+      closed = send(members, frame);
+    } else {
+      for (std::size_t w = 0; w < n; ++w) {
+        try {
+          members[w]->send(frame);
+        } catch (const NetworkError&) {
+          closed.push_back(w);
+        }
+      }
+    }
+    out.closed.push_back(closed);
+  }
+  for (auto& link : links) {
+    out.schedules.push_back(link->fault_schedule());
+    link->close();
+  }
+  engine.retire(0);
+  for (auto& t : workers) t.join();
+  out.air_frames = engine.air_frames();
+  out.air_bytes = engine.air_bytes();
+  out.delivered = engine.messages_delivered();
+  return out;
+}
+
+/// Distinct, equally sized Infer-like frames.
+std::vector<std::string> scripted_frames(int count) {
+  std::vector<std::string> frames;
+  for (int i = 0; i < count; ++i) {
+    frames.push_back("infer#" + std::to_string(100 + i) + std::string(40, 'x'));
+  }
+  return frames;
+}
+
+net::FaultProfile clean_profile(std::uint64_t seed) {
+  net::FaultProfile p;
+  p.seed = seed;
+  return p;
+}
+
+TEST(FaultyGroupSend, EveryLinkDrawsItsUnicastSchedule) {
+  // Drops, delays, corruption and duplicates all on: each link's fault
+  // schedule — and what its worker reads, byte for byte and in order — is
+  // the same whether the master sends unicasts or group frames.
+  std::vector<net::FaultProfile> profiles;
+  for (std::uint64_t seed : {11, 12, 13}) {
+    net::FaultProfile p = clean_profile(seed);
+    p.drop_prob = 0.25;
+    p.delay_prob = 0.25;
+    p.delay_min_s = 0.001;
+    p.delay_max_s = 0.003;
+    p.corrupt_prob = 0.25;
+    p.duplicate_prob = 0.25;
+    profiles.push_back(p);
+  }
+  const auto frames = scripted_frames(24);
+  const FaultyDispatch unicast = run_faulty_dispatch(profiles, frames, false);
+  const FaultyDispatch group = run_faulty_dispatch(profiles, frames, true);
+  for (std::size_t w = 0; w < profiles.size(); ++w) {
+    EXPECT_FALSE(unicast.schedules[w].empty()) << "link " << w;
+    EXPECT_EQ(group.schedules[w], unicast.schedules[w]) << "link " << w;
+    EXPECT_EQ(group.received[w], unicast.received[w]) << "worker " << w;
+  }
+  EXPECT_EQ(group.closed, unicast.closed);
+  EXPECT_EQ(group.delivered, unicast.delivered);
+  // Whatever survived clean on two or more links went out once.
+  EXPECT_LT(group.air_frames, unicast.air_frames);
+  EXPECT_LT(group.air_bytes, unicast.air_bytes);
+}
+
+TEST(FaultyGroupSend, CleanMembersShareOneFrameOthersGetTheirOwn) {
+  // Five links: two clean, one duplicating, one corrupting, one delaying.
+  // The clean and duplicated members share one group frame; the duplicate
+  // adds one unicast copy, and the corrupted and delayed members each get
+  // their own unicast.
+  std::vector<net::FaultProfile> profiles(5);
+  for (std::size_t w = 0; w < profiles.size(); ++w) {
+    profiles[w] = clean_profile(20 + w);
+  }
+  profiles[2].duplicate_prob = 1.0;
+  profiles[3].corrupt_prob = 1.0;
+  profiles[4].delay_prob = 1.0;
+  profiles[4].delay_min_s = 0.5;
+  profiles[4].delay_max_s = 0.5;
+  const std::string frame = scripted_frames(1)[0];
+  const FaultyDispatch group = run_faulty_dispatch(profiles, {frame}, true);
+  const auto size = static_cast<std::int64_t>(frame.size());
+  EXPECT_EQ(group.closed, std::vector<std::vector<std::size_t>>{{}});
+  EXPECT_EQ(group.air_frames, 4);  // shared, duplicate, corrupt, delay
+  EXPECT_EQ(group.air_bytes, 4 * size);
+  EXPECT_EQ(group.delivered, 6);
+  // The sharers read the same frame at the same instant.
+  for (std::size_t w : {0, 1, 2}) {
+    EXPECT_EQ(group.received[w][0], frame) << "worker " << w;
+    EXPECT_EQ(group.timing[w][0].on_air, 0.0) << "worker " << w;
+    EXPECT_EQ(group.timing[w][0].landed, group.timing[0][0].landed);
+  }
+  EXPECT_EQ(group.received[0].size(), 1u);
+  EXPECT_EQ(group.received[2], (std::vector<std::string>{frame, frame}));
+  // The corrupted member reads its own bytes: one flipped bit.
+  ASSERT_EQ(group.received[3].size(), 1u);
+  EXPECT_NE(group.received[3][0], frame);
+  EXPECT_EQ(group.received[3][0].size(), frame.size());
+  // The delayed member's frame went on the air after its hold.
+  ASSERT_EQ(group.received[4].size(), 1u);
+  EXPECT_EQ(group.received[4][0], frame);
+  EXPECT_GE(group.timing[4][0].on_air, 0.5);
+
+  // Unicast puts every copy on the air: 2 + 2 + 1 + 1.
+  const FaultyDispatch unicast = run_faulty_dispatch(profiles, {frame}, false);
+  EXPECT_EQ(unicast.air_frames, 6);
+  EXPECT_EQ(unicast.delivered, group.delivered);
+}
+
+TEST(FaultyGroupSend, EveryMemberLostPutsNothingOnTheAir) {
+  std::vector<net::FaultProfile> profiles;
+  for (std::uint64_t seed : {31, 32, 33}) {
+    net::FaultProfile p = clean_profile(seed);
+    p.drop_prob = 1.0;
+    profiles.push_back(p);
+  }
+  const FaultyDispatch group =
+      run_faulty_dispatch(profiles, scripted_frames(3), true);
+  // Every member was asked (the sender cannot know its frame was lost)...
+  for (const auto& closed : group.closed) EXPECT_TRUE(closed.empty());
+  // ...and nothing was sent.
+  EXPECT_EQ(group.air_frames, 0);
+  EXPECT_EQ(group.air_bytes, 0);
+  EXPECT_EQ(group.delivered, 0);
+  for (const auto& schedule : group.schedules) {
+    EXPECT_EQ(schedule, "tx#1 drop\ntx#2 drop\ntx#3 drop\n");
+  }
+}
+
+TEST(FaultyGroupSend, CrashedMemberFailsAlone) {
+  // Worker 1's link dies after one message: from the second frame on it
+  // comes back closed, while workers 0 and 2 still share every frame.
+  std::vector<net::FaultProfile> profiles = {
+      clean_profile(41), clean_profile(42), clean_profile(43)};
+  profiles[1].crash_after_messages = 1;
+  const auto frames = scripted_frames(3);
+  const FaultyDispatch group = run_faulty_dispatch(profiles, frames, true);
+  EXPECT_EQ(group.closed, (std::vector<std::vector<std::size_t>>{
+                              {}, {1}, {1}}));
+  EXPECT_EQ(group.received[0], frames);
+  EXPECT_EQ(group.received[1], std::vector<std::string>{frames[0]});
+  EXPECT_EQ(group.received[2], frames);
+  EXPECT_EQ(group.air_frames, 3);
+  EXPECT_EQ(group.schedules[1], "tx#2 crash\n");
 }
 
 // ---- Reference agreement ---------------------------------------------------
@@ -833,6 +1075,49 @@ TEST(DesReference, ChaosUnderDuplicationMatchesReference) {
                 ptrs, test,
                 sim::sample_query_rows(test, cfg.num_queries, cfg.seed)));
   expect_answers_match_reference(ptrs, test, cfg, des);
+}
+
+TEST(DesReference, MulticastResilienceUnderDropsMatchesReference) {
+  // The resilience driver's default dispatch — one group frame per query,
+  // each receiver rolling its own faults — under 20% drops with quorum and
+  // hedging: every query is accounted for, every full gather answers what
+  // the in-process reference answers, and on a medium with airtime the
+  // mean latency beats the unicast dispatch's.
+  const auto experts = make_experts(4);
+  const auto ptrs = expert_ptrs(experts);
+  const auto test = blob_test_set();
+  sim::ScenarioConfig cfg;
+  cfg.num_queries = 40;
+  cfg.link = net::LinkProfile{0.0005, 2e6, 0.001};
+  sim::ResilienceConfig res;
+  res.faults.seed = 42;
+  res.faults.drop_prob = 0.2;
+  res.faults.duplicate_prob = 0.05;
+  res.worker_timeout_s = 0.05;
+  res.quorum = 3;
+  res.hedging = true;
+  ASSERT_TRUE(res.multicast);  // the default
+  const auto multicast = sim::run_teamnet_resilience(ptrs, test, cfg, res);
+  res.multicast = false;
+  const auto unicast = sim::run_teamnet_resilience(ptrs, test, cfg, res);
+
+  EXPECT_EQ(multicast.full_gathers + multicast.quorum_gathers +
+                multicast.local_only_gathers,
+            cfg.num_queries);
+  EXPECT_GT(multicast.faults_injected, 0);
+  const auto rows = sim::sample_query_rows(test, cfg.num_queries, cfg.seed);
+  ASSERT_EQ(multicast.degradation.size(), rows.size());
+  int full = 0;
+  for (std::size_t q = 0; q < rows.size(); ++q) {
+    if (multicast.degradation[q] != 0) continue;
+    ++full;
+    EXPECT_EQ(multicast.correct[q] != 0,
+              reference_correct(ptrs, all_nodes(4), test, rows[q]))
+        << "query " << q;
+  }
+  EXPECT_GT(full, 0);
+  EXPECT_LT(multicast.scenario.latency_ms, unicast.scenario.latency_ms);
+  EXPECT_LT(multicast.air_bytes_per_query, unicast.air_bytes_per_query);
 }
 
 }  // namespace

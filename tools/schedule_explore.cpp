@@ -54,7 +54,7 @@ struct Cli {
   std::cerr << "error: " << error << "\n\n"
             << "usage: schedule_explore --scenario=NAME [options]\n"
             << "  --scenario=NAME       teamnet|mpi|sg-moe|chaos|resilience|load|\n"
-            << "                        multicast\n"
+            << "                        multicast|resilience-multicast\n"
             << "  --seed=N              scenario seed (default 123)\n"
             << "  --queries=N           queries per run, >= 1 (default 8)\n"
             << "  --schedules=N         perturbed schedules, >= 1 (default 50)\n"
