@@ -1,9 +1,6 @@
-# Convenience targets for the whole-program static analyzer
-# (tools/analyze.py, DESIGN.md §12). The default lexical frontend needs
-# only python3; the optional clang frontend additionally needs the
-# python3-clang bindings plus libclang, and reads the
-# compile_commands.json this project always exports
-# (CMAKE_EXPORT_COMPILE_COMMANDS is ON in the top-level CMakeLists).
+# Convenience targets for the static checker (tools/analyze.py, DESIGN.md
+# §6, §12): its whole-program passes and its line rules. It needs only
+# python3.
 #
 #   cmake --build build --target analyze                 # gate: 0 new findings
 #   cmake --build build --target analyze-write-baseline  # intentional refresh
@@ -17,7 +14,7 @@ if(Python3_FOUND)
   add_custom_target(analyze
     COMMAND ${Python3_EXECUTABLE} ${CMAKE_SOURCE_DIR}/tools/analyze.py
     WORKING_DIRECTORY ${CMAKE_SOURCE_DIR}
-    COMMENT "analyze.py: lock-order / block-under-lock / hot-alloc audit"
+    COMMENT "analyze.py: whole-program passes and line rules"
     VERBATIM)
   add_custom_target(analyze-write-baseline
     COMMAND ${Python3_EXECUTABLE} ${CMAKE_SOURCE_DIR}/tools/analyze.py

@@ -16,8 +16,9 @@
 //   * Any TN_NO_THREAD_SAFETY_ANALYSIS escape hatch must sit next to a
 //     written invariant explaining why the analysis cannot see the proof.
 //
-// tools/lint.py enforces the funnel: raw std::mutex / std::lock_guard /
-// std::condition_variable are forbidden in src/** outside this header.
+// tools/analyze.py (rule `raw-mutex`) enforces the funnel: raw std::mutex /
+// std::lock_guard / std::condition_variable are forbidden in src/** outside
+// this header.
 #pragma once
 
 #include <chrono>

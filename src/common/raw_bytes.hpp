@@ -1,7 +1,7 @@
 // Checked byte-level (de)serialization primitives.
 //
 // Every raw byte copy between typed values and byte streams in TeamNet goes
-// through these helpers (tools/lint.py rule `raw-cast` bans char-pointer
+// through these helpers (tools/analyze.py rule `raw-cast` bans char-pointer
 // reinterpret_casts elsewhere). They guarantee, at compile time, that only
 // trivially copyable types ever cross a memcpy boundary, and at run time
 // that reads never step past the end of a buffer or stream — a truncated or

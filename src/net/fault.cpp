@@ -229,6 +229,7 @@ class FaultyGroupSend {
  public:
   explicit FaultyGroupSend(GroupSend inner) : inner_(std::move(inner)) {}
 
+  // analyze:hot  (per-query path: hot-path allocation audit root)
   std::vector<std::size_t> operator()(std::span<Channel* const> channels,
                                       std::string frame) {
     const std::size_t n = channels.size();

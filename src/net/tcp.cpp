@@ -22,7 +22,7 @@ namespace teamnet::net {
 
 namespace {
 
-// errno discipline (tools/lint.py rule `errno-capture`): every syscall
+// errno discipline (tools/analyze.py rule `errno-capture`): every syscall
 // failure path saves errno into a local before doing anything else — string
 // building, close(), setsockopt() and even allocation may clobber it.
 [[noreturn]] void throw_errno(const std::string& what, int err) {

@@ -55,8 +55,8 @@ const char* to_string(QueryPhase phase);
 /// Per-worker lane marks. `sent` and `reply_recv` are master-clock
 /// observations; request_recv..reply_sent are worker-clock. The on_air and
 /// landed marks are the link model's own instants for the frame, read by
-/// its receiver; transports without a link model (TCP, fault-wrapped
-/// links) leave them unobserved.
+/// its receiver (a fault-wrapped link forwards its inner leg's); a
+/// transport without a link model (TCP) leaves them unobserved.
 enum class WorkerMark : int {
   sent = 0,        ///< master finished sending this worker's request
   request_on_air,  ///< the request got the shared medium

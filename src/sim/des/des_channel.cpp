@@ -78,50 +78,52 @@ std::optional<std::string> DesChannel::recv_timeout(double seconds) {
   return bytes;
 }
 
-std::vector<DesChannel*> DesChannel::legs_of(
-    std::span<net::Channel* const> channels, const char* what) {
+DesChannel& DesChannel::check_legs(std::span<net::Channel* const> channels,
+                                   const char* what) {
   TEAMNET_CHECK_MSG(!channels.empty(), what << " needs at least one channel");
-  std::vector<DesChannel*> legs;
+  auto* first = dynamic_cast<DesChannel*>(channels[0]);
   for (net::Channel* c : channels) {
     auto* leg = dynamic_cast<DesChannel*>(c);
     TEAMNET_CHECK_MSG(leg != nullptr, what << " takes DES channels only");
-    TEAMNET_CHECK_MSG(legs.empty() || (&leg->engine_ == &legs[0]->engine_ &&
-                                       leg->self_ == legs[0]->self_),
-                      what << " channels must share one node and engine");
-    legs.push_back(leg);
+    TEAMNET_CHECK_MSG(
+        &leg->engine_ == &first->engine_ && leg->self_ == first->self_,
+        what << " channels must share one node and engine");
   }
-  return legs;
+  return *first;
 }
 
+// analyze:hot  (per-query path: hot-path allocation audit root)
 std::optional<std::pair<std::size_t, std::string>> DesChannel::recv_any(
     std::span<net::Channel* const> channels, double until) {
-  const std::vector<DesChannel*> legs = legs_of(channels, "recv_any");
+  const DesChannel& first = check_legs(channels, "recv_any");
   std::vector<Mailbox*> inboxes;
-  for (DesChannel* leg : legs) inboxes.push_back(leg->in_.get());
+  for (net::Channel* c : channels) inboxes.push_back(leg(c).in_.get());
   net::WireTiming timing;
-  auto got =
-      legs[0]->engine_.recv_any(legs[0]->self_, inboxes, until, &timing);
-  if (got) legs[got->first]->note_received(timing, got->second.size());
+  auto got = first.engine_.recv_any(first.self_, inboxes, until, &timing);
+  if (got) {
+    leg(channels[got->first]).note_received(timing, got->second.size());
+  }
   return got;
 }
 
+// analyze:hot  (per-query path: hot-path allocation audit root)
 std::vector<std::size_t> DesChannel::send_group(
     std::span<net::Channel* const> channels, std::string bytes) {
-  const std::vector<DesChannel*> legs = legs_of(channels, "send_group");
+  const DesChannel& first = check_legs(channels, "send_group");
   std::vector<std::shared_ptr<Mailbox>> outboxes;
-  for (DesChannel* leg : legs) outboxes.push_back(leg->out_);
+  for (net::Channel* c : channels) outboxes.push_back(leg(c).out_);
   const auto payload = static_cast<std::int64_t>(bytes.size());
-  std::vector<std::size_t> closed = legs[0]->engine_.send(
-      legs[0]->self_, outboxes, std::move(bytes), legs[0]->link_);
+  std::vector<std::size_t> closed = first.engine_.send(
+      first.self_, outboxes, std::move(bytes), first.link_);
   // Each member that got the frame books it like a unicast send, so the
   // wire counters keep counting payload per leg.
   auto refused = closed.begin();
-  for (std::size_t i = 0; i < legs.size(); ++i) {
+  for (std::size_t i = 0; i < channels.size(); ++i) {
     if (refused != closed.end() && *refused == i) {
       ++refused;
       continue;
     }
-    legs[i]->note_sent(payload);
+    leg(channels[i]).note_sent(payload);
   }
   return closed;
 }

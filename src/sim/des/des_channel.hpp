@@ -64,10 +64,14 @@ class DesChannel final : public net::Channel {
       std::span<net::Channel* const> channels, std::string bytes);
 
  private:
-  /// Resolves `channels` to DesChannel endpoints of one node on one
-  /// engine (what recv_any and send_group accept).
-  static std::vector<DesChannel*> legs_of(
-      std::span<net::Channel* const> channels, const char* what);
+  /// Checks, in place, that `channels` are DesChannel endpoints of one
+  /// node on one engine (what recv_any and send_group accept), and returns
+  /// the first; leg() then reads each one without a cast check.
+  static DesChannel& check_legs(std::span<net::Channel* const> channels,
+                                const char* what);
+  static DesChannel& leg(net::Channel* c) {
+    return static_cast<DesChannel&>(*c);
+  }
   /// Books a frame this channel sent on the wire counters.
   void note_sent(std::int64_t payload);
   /// The three reads' one helper: books a frame this channel read (its

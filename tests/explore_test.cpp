@@ -277,8 +277,10 @@ ExploreScenarioOptions mutation_gate_options(bool mutate) {
   return options;
 }
 
-TEST(ExploreScenarios, MutationGateCatchesPreQidGather) {
-  const auto runner = make_explore_runner("chaos", mutation_gate_options(true));
+/// The gate: the armed mutant diverges within 16 schedules, and every
+/// counterexample replays bit-exactly.
+void expect_gate_catches_mutant(const ExploreScenarioOptions& options) {
+  const auto runner = make_explore_runner("chaos", options);
   const auto report = explore_schedules(runner, small_budget(16));
   EXPECT_FALSE(report.passed())
       << "the explorer failed to catch the pre-query-id gather mutant "
@@ -293,13 +295,40 @@ TEST(ExploreScenarios, MutationGateCatchesPreQidGather) {
   EXPECT_TRUE(divergence);
 }
 
-TEST(ExploreScenarios, MutationGateConfigPassesUnmutated) {
-  // The same fixture with the real (query-id-echo) gather must be clean —
-  // otherwise the gate above would "catch" noise, not the mutant.
-  const auto runner =
-      make_explore_runner("chaos", mutation_gate_options(false));
+/// The gate's twin: the same fixture with the real (query-id-echo) gather
+/// must be clean — otherwise the gate would "catch" noise, not the mutant.
+void expect_gate_config_passes(const ExploreScenarioOptions& options) {
+  const auto runner = make_explore_runner("chaos", options);
   const auto report = explore_schedules(runner, small_budget(16));
   EXPECT_TRUE(report.passed()) << format_report(report);
+}
+
+TEST(ExploreScenarios, MutationGateCatchesPreQidGather) {
+  expect_gate_catches_mutant(mutation_gate_options(true));
+}
+
+TEST(ExploreScenarios, MutationGateConfigPassesUnmutated) {
+  expect_gate_config_passes(mutation_gate_options(false));
+}
+
+// The same gate with one group frame per query. Seed 1 stops catching the
+// mutant under group frames (0 violations in 16 schedules). Found by
+// sweeping seeds 1-32 x deadlines {3, 6, 12} ms, seed-major: seed 2 at
+// 6 ms is the first config whose mutant diverges within 16 schedules
+// while the unmutated twin passes. Every hit of the sweep sits at 6 ms.
+ExploreScenarioOptions group_frame_gate_options(bool mutate) {
+  ExploreScenarioOptions options = mutation_gate_options(mutate);
+  options.seed = 2;
+  options.chaos.multicast = true;
+  return options;
+}
+
+TEST(ExploreScenarios, MutationGateCatchesPreQidGatherWithGroupFrames) {
+  expect_gate_catches_mutant(group_frame_gate_options(true));
+}
+
+TEST(ExploreScenarios, MutationGateConfigPassesUnmutatedWithGroupFrames) {
+  expect_gate_config_passes(group_frame_gate_options(false));
 }
 
 // ---- scheduler-event trace (schedule_explore --replay --trace-sched) -------

@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
-"""TeamNet whole-program static analyzer (deep tier; DESIGN.md §12).
+"""TeamNet static checker (DESIGN.md §6, §12): whole-program passes plus
+per-line repo rules, over one file walk.
 
-Where tools/lint.py is the fast token-level tier, this tool parses every
-translation unit in src/** into a structural IR (functions, lock scopes,
-call sites, allocation sites), links them into a whole-program call graph,
-and runs three interprocedural passes over it:
+The whole-program passes parse every translation unit in src/** into a
+structural IR (functions, lock scopes, call sites, allocation sites) with a
+dependency-free C++ scope/token parser, link them into a call graph, and
+run four interprocedural passes over it:
 
   lock-cycle        Build the acquired-while-holding digraph over every
                     MutexLock / MutexPairLock site — including locks
@@ -32,27 +33,45 @@ and runs three interprocedural passes over it:
 
   unbounded-wait    Direct calls to unbounded recv()/pop() in the protocol
                     layers (src/net/**, src/moe/** minus the channel
-                    implementations) — the AST-aware successor of
-                    lint.py's retired token-level `naked-recv` rule: it
-                    sees through comments/strings, knows the *_timeout
-                    variants, and pairs with block-under-lock's
-                    interprocedural coverage of wrapper functions.
+                    implementations): it sees through comments/strings,
+                    knows the *_timeout variants, and pairs with
+                    block-under-lock's interprocedural coverage of wrapper
+                    functions.
 
-Findings are gated through tools/analyze_baseline.json: each finding has a
-stable fingerprint (no line numbers, so code motion does not churn it) and
-the CI gate is zero NON-BASELINED findings, not zero findings. Baselined
-entries carry a justification; stale entries are reported and fail
---check-baseline.
+Their findings are gated through tools/analyze_baseline.json: each finding
+has a stable fingerprint (no line numbers, so code motion does not churn
+it) and the gate is zero NON-BASELINED findings, not zero findings.
+Baselined entries carry a justification; stale entries are reported and
+fail --check-baseline.
 
-Frontends: the default `lexical` frontend is a dependency-free C++
-scope/token parser — deterministic everywhere, including containers with
-no libclang — and is what CI gates on. The `clang` frontend builds the
-same IR from clang.cindex over the CMake-exported compile_commands.json
-when python3-clang/libclang are installed, and is run as a non-gating
-cross-check.
+The line rules are decided by lines of text alone; DESIGN.md §6 gives
+each one's reason. They run over src/** unless a scope is named, their
+findings never enter the baseline, and `// lint:allow(<rule>)` on the
+offending line suppresses one:
+
+  raw-cast             byte-pointer reinterpret_cast outside
+                       src/common/raw_bytes.hpp (use write_raw/read_raw)
+  module-deps          an #include of a module the includer's CMake target
+                       does not link (MODULE_DEPS mirrors the graph)
+  errno-capture        errno read anywhere but `const int err = errno;`
+  raw-mutex            raw std synchronization primitives outside
+                       src/common/annotations.hpp
+  thread-detach        .detach(), repo-wide (src, tests, bench, examples,
+                       fuzz)
+  wall-clock-in-sim    wall-clock reads and real sleeps in the virtual-time
+                       surfaces: src/{sim,obs,load}/**, src/net/link.*,
+                       bench/**
+  unordered-iteration  unordered containers in the byte-stable writers:
+                       src/obs/**, src/nn/serialize.*, bench/bench_common.*
+  no-raw-stdio         printf/puts/std::cout-style stream writes outside
+                       src/common/{logging,table}.*
+  orphan-header        a src/**/*.hpp no file under src, bench, perfbench,
+                       examples, tools or fuzz includes, besides its own .cpp
 
 Usage:
-  tools/analyze.py                          analyze src/** against the baseline
+  tools/analyze.py                          check the tree (passes against
+                                            the baseline, plus line rules)
+  tools/analyze.py FILE...                  check specific files
   tools/analyze.py --format github          GitHub Actions ::error annotations
   tools/analyze.py --write-baseline         refresh the baseline (keeps
                                             justifications for existing entries)
@@ -61,13 +80,15 @@ Usage:
                                             stability gate)
   tools/analyze.py --json-out FILE          machine-readable findings + graph
   tools/analyze.py --self-test              prove each pass on tools/fixtures/
-  tools/analyze.py --frontend clang         use the libclang frontend
+                                            and each line rule on seeded lines
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+from collections.abc import Callable
+import functools
 import hashlib
 import json
 import pathlib
@@ -117,8 +138,8 @@ BLOCKING_EXTERNAL = {
     "fflush": "stdio",
 }
 
-# The LOG_* macros funnel into log::detail::emit; the lexical frontend
-# never expands macros, so alias the macro names onto the sink so
+# The LOG_* macros funnel into log::detail::emit; the parser never
+# expands macros, so alias the macro names onto the sink so
 # lock-held logging is visible to the interprocedural pass.
 CALL_ALIASES = {
     "LOG_DEBUG": "emit",
@@ -154,8 +175,6 @@ ALLOC_SIZED_CONTAINERS = {
 UNBOUNDED_WAIT_NAMES = {"recv", "pop"}
 PROTOCOL_MODULES = {"net", "moe"}
 PROTOCOL_EXEMPT_STEMS = {"transport", "fault", "tcp"}
-
-RULES = ("lock-cycle", "block-under-lock", "unbounded-wait", "hot-alloc")
 
 # Receivers whose declared type is one of these are std-library values:
 # their methods (pop, push, insert, ...) follow std semantics, are never
@@ -271,18 +290,23 @@ class Finding:
             f"{self.rule}|{self.subject}".encode()).hexdigest()
         return digest[:12]
 
+    def tagged(self) -> str:
+        # A line-rule finding is never baselined, so it shows no fingerprint.
+        fp = "" if self.rule in LINE_RULES else f" [fp {self.fingerprint}]"
+        return f"[{self.rule}] {self.message}{fp}"
+
     def __str__(self) -> str:
-        return (f"{self.file}:{self.line}: [{self.rule}] {self.message} "
-                f"[fp {self.fingerprint}]")
+        return f"{self.file}:{self.line}: {self.tagged()}"
 
     def github(self) -> str:
-        msg = f"[{self.rule}] {self.message} [fp {self.fingerprint}]"
+        # GitHub Actions workflow-command annotation: a newline would end
+        # the command, so flatten defensively.
         return f"::error file={self.file},line={self.line}::" + \
-            msg.replace("\n", " ")
+            self.tagged().replace("\n", " ")
 
 
 # ---------------------------------------------------------------------------
-# Tokenizer (lexical frontend)
+# Tokenizer
 # ---------------------------------------------------------------------------
 
 TOKEN_RE = re.compile(
@@ -335,7 +359,7 @@ def tokenize(text: str) -> tuple[list[Tok], dict[int, set[str]]]:
     return toks, markers
 
 # ---------------------------------------------------------------------------
-# Lexical frontend: scope/declaration parser producing the IR
+# Scope/declaration parser producing the IR
 # ---------------------------------------------------------------------------
 
 POST_PARAM_QUALIFIERS = {"const", "noexcept", "override", "final", "mutable",
@@ -1074,12 +1098,11 @@ def split_args(toks: list[Tok]) -> list[str]:
     return [a for a in out if a]
 
 
-def build_program_lexical(paths: list[pathlib.Path]) -> Program:
+def build_program(paths: list[pathlib.Path]) -> Program:
     program = Program()
     for path in paths:
-        try:
-            text = path.read_text(encoding="utf-8")
-        except (OSError, UnicodeDecodeError):
+        text = read_source(path)
+        if text is None:
             continue
         toks, markers = tokenize(text)
         rel = rel_path(path)
@@ -1583,7 +1606,6 @@ def render_baseline(findings: list[Finding],
     doc = {
         "version": 1,
         "tool": "teamnet-analyze",
-        "frontend": "lexical",
         "lock_order": {
             "nodes": nodes,
             "edges": [
@@ -1608,148 +1630,252 @@ def split_by_baseline(findings: list[Finding],
 
 
 # ---------------------------------------------------------------------------
-# clang.cindex frontend (optional cross-check; not the gating frontend)
+# Line rules (DESIGN.md §6): decided by lines of text, never baselined
 # ---------------------------------------------------------------------------
 
+CPP_SUFFIXES = (".cpp", ".hpp", ".h", ".cc")
+# src/** gets every line rule; the other trees are walked for the rules
+# whose scope reaches them (thread-detach everywhere, two bench/ rules).
+LINE_RULE_ROOTS = ("src", "tests", "bench", "examples", "fuzz")
+# Trees whose #includes keep a src/ header alive (tests/ does not count).
+PROGRAM_ROOTS = ("src", "bench", "perfbench", "examples", "tools", "fuzz")
 
-def build_program_clang(paths: list[pathlib.Path],
-                        build_dir: pathlib.Path) -> Program:
-    """Best-effort IR construction via libclang over the CMake-exported
-    compile_commands.json. Used as a CI cross-check where python3-clang is
-    installed; the lexical frontend is the deterministic gating one."""
+# Mirrors target_link_libraries() in src/*/CMakeLists.txt. A module may
+# include headers from itself and from any module listed here.
+MODULE_DEPS = {
+    "common": set(),
+    "obs": {"common"},
+    "tensor": {"common"},
+    "nn": {"tensor", "common"},
+    "data": {"tensor", "common"},
+    "core": {"obs", "nn", "data", "tensor", "common"},
+    "net": {"obs", "core", "nn", "tensor", "common"},
+    "moe": {"obs", "net", "nn", "data", "tensor", "common"},
+    "mpi": {"net", "core", "nn", "tensor", "common"},
+    "sim": {"obs", "mpi", "moe", "net", "core", "nn", "data", "tensor",
+            "common"},
+    "load": {"sim", "net", "nn", "data", "obs", "common"},
+    "explore": {"load", "sim", "moe", "core", "nn", "data", "tensor", "obs",
+                "common"},
+}
+
+INCLUDE_RE = re.compile(r'^\s*#\s*include\s+"([^"]+)"')
+SUPPRESS_RE = re.compile(r"//\s*lint:allow\(([a-z-]+)\)")
+LINE_COMMENT_RE = re.compile(r"//.*$")
+BLOCK_COMMENT_RE = re.compile(r"/\*.*?\*/", re.DOTALL)
+STRING_RE = re.compile(r'"(?:[^"\\]|\\.)*"')
+
+
+@dataclasses.dataclass(frozen=True)
+class LineRule:
+    """A rule that fires on every in-scope line its pattern matches."""
+    name: str
+    pattern: re.Pattern
+    scope: Callable[[pathlib.PurePosixPath], bool]   # repo-relative path
+    message: str
+    exempt: re.Pattern | None = None   # a matching line is not a finding
+
+
+def _in(rel: pathlib.PurePosixPath, *prefix: str) -> bool:
+    return rel.parts[:len(prefix)] == prefix
+
+
+LINE_CHECKS = (
+    LineRule(
+        "raw-cast",
+        re.compile(r"reinterpret_cast<\s*(?:const\s+)?(?:unsigned\s+)?"
+                   r"(?:char|signed\s+char|std::byte|std::uint8_t|uint8_t)"
+                   r"\s*\*\s*>"),
+        lambda rel: _in(rel, "src") and
+        rel.as_posix() != "src/common/raw_bytes.hpp",
+        "byte-pointer reinterpret_cast outside common/raw_bytes.hpp; use "
+        "write_raw/read_raw (static_assert + bounds checks)"),
+    LineRule(
+        "errno-capture", re.compile(r"\berrno\b"),
+        lambda rel: _in(rel, "src"),
+        "errno must be captured with `const int err = errno;` right after "
+        "the failing call, not read later (intervening calls clobber it)",
+        exempt=re.compile(r"(?:int|auto)\s+\w+\s*=\s*errno\s*;|#include")),
+    LineRule(
+        "raw-mutex",
+        re.compile(r"std::(?:mutex|timed_mutex|recursive_mutex|shared_mutex|"
+                   r"lock_guard|unique_lock|scoped_lock|shared_lock|"
+                   r"condition_variable(?:_any)?)\b"),
+        lambda rel: _in(rel, "src") and
+        rel.as_posix() != "src/common/annotations.hpp",
+        "raw std synchronization primitive outside common/annotations.hpp; "
+        "use the annotated Mutex/MutexLock/CondVar wrappers "
+        "(TEAMNET_THREAD_SAFETY analysis)"),
+    LineRule(
+        "thread-detach", re.compile(r"\.\s*detach\s*\(\s*\)"),
+        lambda rel: True,             # repo-wide: tests/bench/... too
+        "std::thread::detach() is forbidden repo-wide; keep the handle and "
+        "join (close channels first to unblock peers)"),
+    LineRule(
+        "wall-clock-in-sim",
+        re.compile(r"std::chrono::\w*_clock::now|\bsleep_for\b|"
+                   r"\bsleep_until\b"),
+        lambda rel: _in(rel, "bench") or _in(rel, "src", "sim") or
+        _in(rel, "src", "obs") or _in(rel, "src", "load") or
+        (_in(rel, "src", "net") and rel.stem == "link"),
+        "wall-clock read/sleep in a virtual-time surface; this breaks the "
+        "bit-stability the determinism gate enforces — take time from "
+        "des::Engine (or an injected time source)"),
+    # Unordered containers iterate in an implementation-defined order; in
+    # the byte-stable writers that is a determinism bug waiting for a
+    # range-for, so the containers themselves are banned there.
+    LineRule(
+        "unordered-iteration",
+        re.compile(r"std::unordered_(?:multi)?(?:map|set)\b"),
+        lambda rel: (_in(rel, "bench") and rel.stem == "bench_common") or
+        _in(rel, "src", "obs") or
+        (_in(rel, "src", "nn") and rel.stem == "serialize"),
+        "unordered container in a byte-stable serialization surface; "
+        "iteration order is implementation-defined and breaks "
+        "byte-identical JSON/trace output — use std::map/std::set or sort "
+        "before emitting"),
+    # Stream-writing stdio only; snprintf/sscanf (string formatting) are
+    # fine.
+    LineRule(
+        "no-raw-stdio",
+        re.compile(r"\b(?:std::)?(?:printf|fprintf|vfprintf|puts|fputs|"
+                   r"putchar|fputc)\s*\(|std::(?:cout|cerr|clog)\b"),
+        lambda rel: _in(rel, "src") and not (
+            _in(rel, "src", "common") and rel.stem in ("logging", "table")),
+        "raw stdout/stderr write outside common/logging.* and "
+        "common/table.*; use LOG_* (severity-filtered, thread-safe) or an "
+        "obs sink"),
+)
+LINE_RULES = {"module-deps", "orphan-header"} | {r.name for r in LINE_CHECKS}
+
+
+@functools.cache
+def read_source(path: pathlib.Path) -> str | None:
     try:
-        from clang import cindex
-    except ImportError as exc:
-        raise SystemExit(
-            "analyze: --frontend clang requires the python3-clang package "
-            f"and libclang ({exc}); the default --frontend lexical has no "
-            "dependencies")
-    try:
-        cdb = cindex.CompilationDatabase.fromDirectory(str(build_dir))
-    except cindex.CompilationDatabaseError as exc:
-        raise SystemExit(
-            f"analyze: no compile_commands.json under {build_dir} "
-            f"(configure with cmake first): {exc}")
-    index = cindex.Index.create()
-    program = Program()
-    wanted = {p.resolve() for p in paths}
-    K = cindex.CursorKind
+        return path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError):
+        return None
 
-    def qname_of(cur) -> str:
-        parts = []
-        c = cur
-        while c is not None and c.kind != K.TRANSLATION_UNIT:
-            if c.spelling:
-                parts.append(c.spelling)
-            c = c.semantic_parent
-        return "::".join(reversed(parts))
 
-    def scan_body(fn: Function, cur, held: tuple[str, ...],
-                  deferred: bool) -> None:
-        for child in cur.get_children():
-            kind = child.kind
-            if kind == K.LAMBDA_EXPR:
-                scan_body(fn, child, (), True)
-                continue
-            if kind == K.VAR_DECL:
-                tname = child.type.spelling.rsplit("::", 1)[-1]
-                if tname in SCOPED_LOCK_TYPES:
-                    args = [t.spelling for t in child.get_children()
-                            if t.kind.is_expression()]
-                    exprs = tuple(a for a in args if a) or ("<unknown>",)
-                    fn.acquires.append(AcquireSite(
-                        lock_exprs=exprs,
-                        kind="scoped" if tname == "MutexLock" else "pair",
-                        line=child.location.line, held=held))
-                    held = held + exprs
-                    continue
-                fn.locals[child.spelling] = \
-                    child.type.spelling.rsplit("::", 1)[-1].rstrip(" &*")
-                base = re.sub(r"<.*", "", child.type.spelling)
-                ctor = [c for c in child.get_children()
-                        if c.kind == K.CALL_EXPR]
-                if base.rsplit("::", 1)[-1] in ALLOC_SIZED_CONTAINERS and \
-                        ctor and any(True for _ in ctor[0].get_arguments()):
-                    fn.allocs.append(AllocSite(
-                        "container-sized", base.rsplit("::", 1)[-1],
-                        child.location.line, held))
-            if kind == K.CXX_NEW_EXPR:
-                fn.allocs.append(AllocSite("new", "new",
-                                           child.location.line, held))
-            if kind == K.CALL_EXPR and child.spelling:
-                name = child.spelling
-                fn.calls.append(CallSite(
-                    callee=name, receiver=None, first_arg="",
-                    line=child.location.line, held=held,
-                    deferred=deferred))
-                if name in ALLOC_MEMBER_GROWTH:
-                    fn.allocs.append(AllocSite("container-grow", name,
-                                               child.location.line, held))
-                elif name in ALLOC_EXTERNAL:
-                    fn.allocs.append(AllocSite(ALLOC_EXTERNAL[name], name,
-                                               child.location.line, held))
-            scan_body(fn, child, held, deferred)
+@functools.cache
+def stripped_lines(text: str) -> tuple[str, ...]:
+    """Source lines with block/line comments and string literals blanked
+    (line count preserved, so indices keep matching the original file)."""
+    text = BLOCK_COMMENT_RE.sub(lambda m: "\n" * m.group(0).count("\n"), text)
+    out = []
+    for line in text.split("\n"):
+        if not INCLUDE_RE.match(line):  # include paths are quoted strings
+            line = STRING_RE.sub('""', line)
+        out.append(LINE_COMMENT_RE.sub("", line))
+    return tuple(out)
 
-    def visit(cur, file_rel: str, markers: dict[int, set[str]]) -> None:
-        for child in cur.get_children():
-            if child.location.file is None:
-                continue
-            floc = pathlib.Path(str(child.location.file)).resolve()
-            if floc not in wanted:
-                continue
-            kind = child.kind
-            if kind in (K.CLASS_DECL, K.STRUCT_DECL) and \
-                    child.is_definition():
-                q = qname_of(child)
-                info = program.classes.setdefault(
-                    q, ClassInfo(qname=q, file=file_rel))
-                for m in child.get_children():
-                    if m.kind == K.FIELD_DECL:
-                        tname = m.type.spelling.rsplit("::", 1)[-1]
-                        info.members.setdefault(m.spelling, tname)
-                        if tname == MUTEX_TYPE:
-                            info.mutex_members.add(m.spelling)
-                visit(child, file_rel, markers)
-                continue
-            if kind in (K.NAMESPACE, K.LINKAGE_SPEC):
-                visit(child, file_rel, markers)
-                continue
-            if kind in (K.CXX_METHOD, K.FUNCTION_DECL, K.CONSTRUCTOR,
-                        K.DESTRUCTOR, K.FUNCTION_TEMPLATE) and \
-                    child.is_definition():
-                q = qname_of(child)
-                parent = child.semantic_parent
-                cls = qname_of(parent) if parent is not None and \
-                    parent.kind in (K.CLASS_DECL, K.STRUCT_DECL) else None
-                fn = Function(qname=q, name=child.spelling, file=file_rel,
-                              line=child.location.line, cls=cls)
-                line = child.location.line
-                for probe in range(max(1, line - 3), line + 1):
-                    if "hot" in markers.get(probe, set()):
-                        fn.hot = True
-                scan_body(fn, child, (), False)
-                program.add_function(fn)
 
-    for path in sorted(wanted):
-        cmds = cdb.getCompileCommands(str(path))
-        cmd_args = []
-        if cmds:
-            cmd_args = [a for a in list(cmds[0].arguments)[1:-1]
-                        if a not in ("-c", "-o")]
-        try:
-            tu = index.parse(str(path), args=cmd_args)
-        except cindex.TranslationUnitLoadError:
+def suppressions(text: str) -> dict[int, set[str]]:
+    allowed: dict[int, set[str]] = {}
+    for i, line in enumerate(text.split("\n"), start=1):
+        for m in SUPPRESS_RE.finditer(line):
+            allowed.setdefault(i, set()).add(m.group(1))
+    return allowed
+
+
+def check_module_deps(rel: pathlib.PurePosixPath,
+                      code: tuple[str, ...]) -> list[Finding]:
+    if not _in(rel, "src") or len(rel.parts) < 3 or \
+            rel.parts[1] not in MODULE_DEPS:
+        return []
+    module = rel.parts[1]
+    findings = []
+    for i, line in enumerate(code, start=1):
+        m = INCLUDE_RE.match(line)
+        if not m:
             continue
-        _, markers = tokenize(path.read_text(encoding="utf-8"))
-        rel = rel_path(path)
-        if any("protocol-scope" in ms for ms in markers.values()):
-            program.protocol_files.add(rel)
-        visit(tu.cursor, rel, markers)
-    return program
+        target = m.group(1).split("/")[0]
+        if target in MODULE_DEPS and target != module and \
+                target not in MODULE_DEPS[module]:
+            findings.append(Finding(
+                "module-deps", rel.as_posix(), i, "",
+                f"src/{module} must not include \"{m.group(1)}\": "
+                f"{target} is not a linked dependency of teamnet_{module}"))
+    return findings
 
+
+def line_findings(path: pathlib.Path, text: str) -> list[Finding]:
+    """Every per-file line rule over one file, minus its lint:allow lines."""
+    rel = pathlib.PurePosixPath(rel_path(path))
+    code = stripped_lines(text)
+    whole = "\n".join(code)
+    found = check_module_deps(rel, code)
+    for rule in LINE_CHECKS:
+        if not rule.scope(rel) or not rule.pattern.search(whole):
+            continue
+        found += [Finding(rule.name, rel.as_posix(), i, "", rule.message)
+                  for i, line in enumerate(code, start=1)
+                  if rule.pattern.search(line) and not
+                  (rule.exempt and rule.exempt.search(line))]
+    allowed = suppressions(text) if found else {}
+    return [f for f in found if f.rule not in allowed.get(f.line, ())]
+
+
+def orphan_findings(headers: dict[pathlib.Path, str],
+                    includes: dict[pathlib.Path, set[str]]
+                    ) -> list[Finding]:
+    """`headers` maps each src/ header to check to its text; `includes`
+    maps each scanned file to the quoted #include paths it names. A header
+    is alive when some file under a PROGRAM_ROOTS tree, other than the
+    header's own .cpp, includes it by its module-qualified path (the only
+    include form src/ uses)."""
+    includers: dict[str, list[pathlib.Path]] = {}
+    for path, names in includes.items():
+        if path.relative_to(REPO).parts[0] in PROGRAM_ROOTS:
+            for name in names:
+                includers.setdefault(name, []).append(path)
+    findings = []
+    for header, text in headers.items():
+        key = header.relative_to(SRC).as_posix()
+        own_cpp = header.with_suffix(".cpp")
+        if any(p != own_cpp for p in includers.get(key, ())) or \
+                "orphan-header" in suppressions(text).get(1, ()):
+            continue
+        findings.append(Finding(
+            "orphan-header", rel_path(header), 1, "",
+            f"src/{key} is #included by no program file (src, bench, "
+            f"perfbench, examples, tools, fuzz) besides its own .cpp; only "
+            f"tests reach it — delete it with its tests, or use it"))
+    return findings
+
+
+def tree_files(roots: tuple[str, ...]) -> list[pathlib.Path]:
+    return sorted(p for root in roots if (REPO / root).is_dir()
+                  for p in (REPO / root).rglob("*")
+                  if p.suffix in CPP_SUFFIXES)
+
+
+def check_lines(paths: list[pathlib.Path]) -> list[Finding]:
+    """The line rules over `paths`, orphan-header over the src/ headers
+    among them against the #includes of every PROGRAM_ROOTS file."""
+    findings = []
+    headers = {}
+    for path in paths:
+        text = read_source(path)
+        if text is None:
+            continue
+        findings += line_findings(path, text)
+        if path.suffix == ".hpp" and path.is_relative_to(SRC):
+            headers[path] = text
+    if headers:
+        includes = {}
+        for path in tree_files(PROGRAM_ROOTS):
+            text = read_source(path)
+            if text is not None:
+                includes[path] = {m.group(1) for line in stripped_lines(text)
+                                  if (m := INCLUDE_RE.match(line))}
+        findings += orphan_findings(headers, includes)
+    findings.sort(key=lambda f: (f.file, f.line, f.rule))
+    return findings
 
 # ---------------------------------------------------------------------------
-# Self-test over tools/fixtures/
+# Self-test: each pass on its tools/fixtures/ TU, each line rule on seeded
+# lines
 # ---------------------------------------------------------------------------
 
 # Each entry: fixture file, findings that MUST fire (rule + subject
@@ -1783,22 +1909,144 @@ SELF_TEST_CASES = [
     },
 ]
 
+# (rule, file, seeded text, must fire): each rule fires on a seeded
+# violation and stays quiet on the fix and outside its scope.
+LINE_CASES = [
+    ("raw-cast", SRC / "nn" / "seeded.cpp",
+     "out.append(reinterpret_cast<const char*>(&v), sizeof(v));\n", True),
+    ("raw-cast", SRC / "nn" / "seeded.cpp",
+     "write_raw(out, v);\n", False),
+    ("raw-cast", SRC / "common" / "raw_bytes.hpp",
+     "out.append(reinterpret_cast<const char*>(&v), sizeof(v));\n", False),
+    ("module-deps", SRC / "nn" / "seeded.cpp",
+     '#include "net/tcp.hpp"\n', True),
+    ("module-deps", SRC / "nn" / "seeded.cpp",
+     '#include "tensor/tensor.hpp"\n', False),
+    ("module-deps", SRC / "load" / "seeded.cpp",
+     '#include "mpi/collective.hpp"\n', True),
+    ("module-deps", SRC / "load" / "seeded.cpp",
+     '#include "sim/scenario.hpp"\n', False),
+    ("errno-capture", SRC / "net" / "seeded.cpp",
+     "if (errno == EAGAIN) return;\n", True),
+    ("errno-capture", SRC / "net" / "seeded.cpp",
+     "const int err = errno;\n", False),
+    ("errno-capture", SRC / "net" / "seeded.cpp",
+     "// errno is mentioned in prose only\n", False),
+    ("raw-mutex", SRC / "net" / "seeded.cpp",
+     "std::lock_guard<std::mutex> lock(mutex_);\n", True),
+    ("raw-mutex", SRC / "core" / "seeded.cpp",
+     "std::condition_variable cv_;\n", True),
+    ("raw-mutex", SRC / "net" / "seeded.cpp",
+     "MutexLock lock(mutex_);\n", False),
+    ("raw-mutex", SRC / "common" / "annotations.hpp",
+     "std::mutex m_;\n", False),
+    ("raw-mutex", REPO / "tests" / "seeded.cpp",
+     "std::mutex mu;\n", False),  # src-only rule
+    ("thread-detach", SRC / "sim" / "seeded.cpp",
+     "worker.detach();\n", True),
+    ("thread-detach", REPO / "tests" / "seeded.cpp",
+     "std::thread([] {}).detach();\n", True),  # repo-wide rule
+    ("thread-detach", SRC / "sim" / "seeded.cpp",
+     "worker.join();\n", False),
+    ("thread-detach", SRC / "core" / "seeded.cpp",
+     "// delta is detached here; the meta-estimator owns it\n", False),
+    ("wall-clock-in-sim", SRC / "sim" / "seeded.cpp",
+     "const auto t0 = std::chrono::steady_clock::now();\n", True),
+    ("wall-clock-in-sim", SRC / "sim" / "des" / "seeded.cpp",
+     "std::this_thread::sleep_for(std::chrono::milliseconds(5));\n", True),
+    ("wall-clock-in-sim", SRC / "net" / "link.cpp",
+     "return std::chrono::system_clock::now();\n", True),
+    ("wall-clock-in-sim", REPO / "bench" / "seeded.cpp",
+     "std::this_thread::sleep_until(deadline);\n", True),
+    ("wall-clock-in-sim", SRC / "load" / "seeded.cpp",
+     "const auto t0 = std::chrono::steady_clock::now();\n", True),
+    ("wall-clock-in-sim", SRC / "load" / "seeded.cpp",
+     "const double t = process->next_arrival(now);\n", False),
+    ("wall-clock-in-sim", SRC / "net" / "tcp.cpp",
+     "const auto t0 = std::chrono::steady_clock::now();\n", False),
+    ("wall-clock-in-sim", SRC / "sim" / "seeded.cpp",
+     "const double t = net->node_time(0);\n", False),
+    ("wall-clock-in-sim", REPO / "tests" / "seeded.cpp",
+     "std::this_thread::sleep_for(std::chrono::milliseconds(5));\n",
+     False),  # tests are out of scope
+    ("wall-clock-in-sim", SRC / "sim" / "des" / "seeded.cpp",
+     "const double t = engine.node_time(node);\n", False),
+    ("unordered-iteration", SRC / "obs" / "seeded.cpp",
+     "std::unordered_map<std::string, Counter> counters_;\n", True),
+    ("unordered-iteration", SRC / "nn" / "serialize.cpp",
+     "std::unordered_set<std::string> seen;\n", True),
+    ("unordered-iteration", REPO / "bench" / "bench_common.cpp",
+     "std::unordered_map<std::string, double> cells;\n", True),
+    ("unordered-iteration", SRC / "obs" / "seeded.cpp",
+     "std::map<std::string, Counter> counters_;\n", False),
+    ("unordered-iteration", SRC / "net" / "seeded.cpp",
+     "std::unordered_map<int, int> routes;\n", False),  # out of scope
+    ("unordered-iteration", SRC / "nn" / "mlp.cpp",
+     "std::unordered_map<int, int> cache;\n", False),  # serialize.* only
+    ("unordered-iteration", REPO / "bench" / "seeded.cpp",
+     "std::unordered_set<int> ids;\n", False),  # bench_common.* only
+    ("no-raw-stdio", SRC / "net" / "seeded.cpp",
+     'std::printf("gather done\\n");\n', True),
+    ("no-raw-stdio", SRC / "core" / "seeded.cpp",
+     'fprintf(stderr, "bad gate\\n");\n', True),
+    ("no-raw-stdio", SRC / "sim" / "seeded.cpp",
+     'std::cout << "latency " << ms;\n', True),
+    ("no-raw-stdio", SRC / "obs" / "seeded.cpp",
+     'std::cerr << "dropped";\n', True),  # obs writes files, not streams
+    ("no-raw-stdio", SRC / "common" / "logging.cpp",
+     'std::fprintf(out, "[%s] %s\\n", tag, msg);\n', False),
+    ("no-raw-stdio", SRC / "common" / "table.hpp",
+     'std::printf("%s", row.c_str());\n', False),
+    ("no-raw-stdio", SRC / "obs" / "seeded.cpp",
+     "std::snprintf(buf, sizeof(buf), \"%.17g\", v);\n", False),
+    ("no-raw-stdio", REPO / "bench" / "seeded.cpp",
+     'std::printf("table row\\n");\n', False),  # src-only rule
+    ("no-raw-stdio", SRC / "moe" / "seeded.cpp",
+     "// printf-style formatting documented here\n", False),
+    # The suppression comment: one seeded violation is silenced only by
+    # lint:allow naming its own rule, on its own line.
+    ("raw-mutex", SRC / "net" / "seeded.cpp",
+     "std::mutex mu;  // lint:allow(raw-mutex)\n", False),
+    ("raw-mutex", SRC / "net" / "seeded.cpp",
+     "std::mutex mu;  // lint:allow(raw-cast)\n", True),
+    ("raw-mutex", SRC / "net" / "seeded.cpp",
+     "std::mutex mu;\n// lint:allow(raw-mutex)\n", True),
+    ("thread-detach", REPO / "tests" / "seeded.cpp",
+     "t.detach();  // lint:allow(thread-detach)\n", False),
+]
 
-def run_self_test(frontend: str, build_dir: pathlib.Path) -> int:
+# orphan-header is whole-tree: each case is the seeded header's text plus
+# the include map of the files that name it.
+ORPHAN_CASES = [
+    ("own .cpp only", "", {SRC / "nn" / "seeded.cpp": {"nn/seeded.hpp"}},
+     True),
+    ("tests only", "", {SRC / "nn" / "seeded.cpp": {"nn/seeded.hpp"},
+                        REPO / "tests" / "nn_test.cpp": {"nn/seeded.hpp"}},
+     True),
+    ("no includer", "", {}, True),
+    ("another src file", "",
+     {SRC / "core" / "teamnet.cpp": {"nn/seeded.hpp"}}, False),
+    ("a bench", "", {REPO / "bench" / "seeded.cpp": {"nn/seeded.hpp"}},
+     False),
+    ("perfbench", "", {REPO / "perfbench" / "driver.cpp": {"nn/seeded.hpp"}},
+     False),
+    ("no includer, allowed on line 1",
+     "// lint:allow(orphan-header)\n#pragma once\n", {}, False),
+    ("no includer, allowed on line 2",
+     "#pragma once\n// lint:allow(orphan-header)\n", {}, True),
+]
+
+
+def run_self_test() -> int:
     failures: list[str] = []
     checks = 0
-
-    def build(paths: list[pathlib.Path]) -> Program:
-        if frontend == "clang":
-            return build_program_clang(paths, build_dir)
-        return build_program_lexical(paths)
 
     for case in SELF_TEST_CASES:
         path = FIXTURES / case["fixture"]
         if not path.is_file():
             failures.append(f"{case['fixture']}: fixture missing")
             continue
-        findings, _ = run_passes(build([path]))
+        findings, _ = run_passes(build_program([path]))
         got = [(f.rule, f.subject) for f in findings]
         for rule, substr in case["must"]:
             checks += 1
@@ -1818,7 +2066,7 @@ def run_self_test(frontend: str, build_dir: pathlib.Path) -> int:
     fx = FIXTURES / "fixture_baseline_ok.cpp"
     bl_path = FIXTURES / "fixture_baseline.json"
     if fx.is_file() and bl_path.is_file():
-        findings, _ = run_passes(build([fx]))
+        findings, _ = run_passes(build_program([fx]))
         baseline = load_baseline(bl_path)
         new, old, stale = split_by_baseline(findings, baseline)
         checks += 3
@@ -1836,12 +2084,27 @@ def run_self_test(frontend: str, build_dir: pathlib.Path) -> int:
         failures.append("fixture_baseline_ok.cpp / fixture_baseline.json "
                         "missing")
 
+    def expect(label: str, fired: bool, should_fire: bool) -> None:
+        if fired != should_fire:
+            failures.append(f"{label} -> {'fired' if fired else 'quiet'} "
+                            f"(expected to "
+                            f"{'fire' if should_fire else 'stay quiet'})")
+
+    for rule, path, snippet, should_fire in LINE_CASES:
+        fired = any(f.rule == rule for f in line_findings(path, snippet))
+        expect(f"[{rule}] {snippet.strip()[:60]!r} in {rel_path(path)}",
+               fired, should_fire)
+    header = SRC / "nn" / "seeded.hpp"
+    for label, text, includes, should_fire in ORPHAN_CASES:
+        fired = bool(orphan_findings({header: text}, includes))
+        expect(f"[orphan-header] included by {label}", fired, should_fire)
+
     if failures:
         for msg in failures:
             print(f"self-test FAIL: {msg}")
         return 1
-    print(f"analyze self-test: {checks} checks passed "
-          f"({frontend} frontend)")
+    print(f"analyze self-test: {checks} pass checks and "
+          f"{len(LINE_CASES) + len(ORPHAN_CASES)} line-rule cases passed")
     return 0
 
 
@@ -1850,18 +2113,15 @@ def run_self_test(frontend: str, build_dir: pathlib.Path) -> int:
 # ---------------------------------------------------------------------------
 
 
-def default_files() -> list[pathlib.Path]:
-    out = [p for p in sorted(SRC.rglob("*"))
-           if p.suffix in (".cpp", ".hpp") and p not in EXCLUDED_FILES]
-    return out
-
-
 def main(argv: list[str]) -> int:
     ap = argparse.ArgumentParser(
         prog="analyze.py",
-        description="TeamNet whole-program static analyzer (deep tier)")
+        description="TeamNet static checker: whole-program passes and "
+                    "line rules")
     ap.add_argument("files", nargs="*", type=pathlib.Path,
-                    help="files to analyze (default: src/**/*.{cpp,hpp})")
+                    help="files to check (default: src/** for the passes, "
+                         "src, tests, bench, examples, fuzz for the line "
+                         "rules)")
     ap.add_argument("--format", choices=("plain", "github"),
                     default="plain")
     ap.add_argument("--baseline", type=pathlib.Path,
@@ -1873,54 +2133,26 @@ def main(argv: list[str]) -> int:
                     help="fail if rerunning would change the baseline file")
     ap.add_argument("--json-out", type=pathlib.Path,
                     help="write findings + lock-order graph as JSON")
-    ap.add_argument("--frontend", choices=("lexical", "clang"),
-                    default="lexical")
-    ap.add_argument("--build-dir", type=pathlib.Path,
-                    default=REPO / "build",
-                    help="build dir with compile_commands.json "
-                         "(clang frontend only)")
     ap.add_argument("--self-test", action="store_true")
     args = ap.parse_args(argv)
 
     if args.self_test:
-        return run_self_test(args.frontend, args.build_dir)
+        return run_self_test()
 
-    paths = [p.resolve() for p in args.files] if args.files \
-        else default_files()
-    if not paths:
+    if args.files:
+        line_paths = pass_paths = [p.resolve() for p in args.files]
+    else:
+        line_paths = tree_files(LINE_RULE_ROOTS)
+        pass_paths = [p for p in tree_files(("src",))
+                      if p.suffix in (".cpp", ".hpp")
+                      and p not in EXCLUDED_FILES]
+    if not pass_paths:
         print("analyze: no input files", file=sys.stderr)
         return 2
-    if args.frontend == "clang":
-        program = build_program_clang(paths, args.build_dir)
-    else:
-        program = build_program_lexical(paths)
+    program = build_program(pass_paths)
     findings, edges = run_passes(program)
     baseline = load_baseline(args.baseline)
     new, old, stale = split_by_baseline(findings, baseline)
-
-    if args.json_out:
-        known = baseline.get("findings", {})
-        doc = {
-            "findings": [
-                {
-                    "rule": f.rule, "file": f.file, "line": f.line,
-                    "fingerprint": f.fingerprint, "subject": f.subject,
-                    "message": f.message,
-                    "baselined": f.fingerprint in known,
-                }
-                for f in findings
-            ],
-            "lock_order": {
-                "nodes": sorted({n for e in edges for n in e}),
-                "edges": [{"from": a, "to": b, "witness": w}
-                          for (a, b), w in sorted(edges.items())],
-            },
-            "summary": {"total": len(findings), "new": len(new),
-                        "baselined": len(old), "stale": len(stale)},
-        }
-        args.json_out.write_text(
-            json.dumps(doc, indent=2, sort_keys=True) + "\n",
-            encoding="utf-8")
 
     if args.write_baseline:
         text = render_baseline(findings, edges, baseline)
@@ -1947,7 +2179,37 @@ def main(argv: list[str]) -> int:
               f"{len(edges)} lock-order edge(s))")
         return 0
 
-    for f in new:
+    lines = check_lines(line_paths)
+    if args.json_out:
+        known = baseline.get("findings", {})
+        doc = {
+            "findings": [
+                {
+                    "rule": f.rule, "file": f.file, "line": f.line,
+                    "fingerprint": f.fingerprint, "subject": f.subject,
+                    "message": f.message,
+                    "baselined": f.fingerprint in known,
+                }
+                for f in findings
+            ] + [
+                {"rule": f.rule, "file": f.file, "line": f.line,
+                 "message": f.message, "baselined": False}
+                for f in lines
+            ],
+            "lock_order": {
+                "nodes": sorted({n for e in edges for n in e}),
+                "edges": [{"from": a, "to": b, "witness": w}
+                          for (a, b), w in sorted(edges.items())],
+            },
+            "summary": {"total": len(findings), "new": len(new),
+                        "baselined": len(old), "stale": len(stale),
+                        "line": len(lines)},
+        }
+        args.json_out.write_text(
+            json.dumps(doc, indent=2, sort_keys=True) + "\n",
+            encoding="utf-8")
+
+    for f in new + lines:
         print(f.github() if args.format == "github" else str(f))
     for fp in stale:
         entry = baseline["findings"][fp]
@@ -1956,8 +2218,9 @@ def main(argv: list[str]) -> int:
               f"--write-baseline", file=sys.stderr)
     print(f"analyze: {len(program.functions)} function(s), "
           f"{len(edges)} lock-order edge(s), {len(findings)} finding(s): "
-          f"{len(old)} baselined, {len(new)} new", file=sys.stderr)
-    return 1 if new else 0
+          f"{len(old)} baselined, {len(new)} new; {len(lines)} line-rule "
+          f"violation(s)", file=sys.stderr)
+    return 1 if new or lines else 0
 
 
 if __name__ == "__main__":

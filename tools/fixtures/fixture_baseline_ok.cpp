@@ -8,7 +8,6 @@
 // scheme or hashing shows up here as both a new and a stale entry.
 //
 // analyze:protocol-scope
-#include "fixture_prelude.hpp"
 
 struct Cache {
   Mutex m_;

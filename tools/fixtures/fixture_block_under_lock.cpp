@@ -10,7 +10,6 @@
 // rule enabled by the marker below.
 //
 // analyze:protocol-scope
-#include "fixture_prelude.hpp"
 
 struct Proto {
   Mutex m_;

@@ -7,7 +7,6 @@
 // hot_view only declares an empty vector and a span-like view, which
 // allocate nothing. cold_path allocates too but is unreachable from any
 // root and must stay silent.
-#include "fixture_prelude.hpp"
 
 struct Batch {
   std::vector<int> items_;

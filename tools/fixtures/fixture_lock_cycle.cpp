@@ -7,7 +7,6 @@
 //
 // PairTaker uses MutexPairLock in both argument orders; std::lock orders
 // the pair atomically, so this must contribute no edges and no cycle.
-#include "fixture_prelude.hpp"
 
 struct B;
 
