@@ -16,26 +16,27 @@ MoeMaster::MoeMaster(SgMoe& model, std::vector<net::Channel*> workers)
 
 // analyze:hot  (per-query path: hot-path allocation audit root)
 MoeMaster::Result MoeMaster::infer(const Tensor& x) {
-  const std::int64_t qid = begin_query(x);
+  Query& q = begin_query(x);
+  const std::int64_t qid = q.qid;
   try {
-    return serve(qid, x);
+    return serve(q, x);
   } catch (...) {
     abandon(qid);  // its late replies are stale
     throw;
   }
 }
 
-MoeMaster::Result MoeMaster::serve(std::int64_t qid, const Tensor& x) {
+MoeMaster::Result MoeMaster::serve(Query& q, const Tensor& x) {
   const std::int64_t n = x.dim(0);
   obs::TraceSpan query_span("query", [&] {
-    return obs::TraceArgs().arg("qid", qid).arg("batch", n);
+    return obs::TraceArgs().arg("qid", q.qid).arg("batch", n);
   });
 
   // Gate evaluation on the master (tiny linear layer).
   Result result;
   {
     obs::TraceSpan span("route", [&] {
-      return obs::TraceArgs().arg("qid", qid);
+      return obs::TraceArgs().arg("qid", q.qid);
     });
     if (on_compute_) {
       on_compute_(2 * x.numel() / n * model_.num_experts() * n);
@@ -52,23 +53,24 @@ MoeMaster::Result MoeMaster::serve(std::int64_t qid, const Tensor& x) {
         .push_back(static_cast<int>(r));
   }
 
-  // Dispatch remote requests first so the remote nodes compute while the
-  // master handles its local group.
+  // Dispatch remote requests first, each a group send of one, so the
+  // remote nodes compute while the master handles its local group.
   {
     obs::TraceSpan span("dispatch", [&] {
-      return obs::TraceArgs().arg("qid", qid);
+      return obs::TraceArgs().arg("qid", q.qid);
     });
     for (std::size_t i = 1; i < groups.size(); ++i) {
       if (groups[i].empty()) continue;
       const Tensor rows = ops::take_rows(x, groups[i]);
-      send_request(i - 1, rows, request_frame(rows));
+      broadcast(q, rows, request_frame(q, rows), i - 1, i);
     }
   }
-  end_dispatch();
+  end_dispatch(q);
 
   Shape sample_shape(x.shape().begin() + 1, x.shape().end());
   const std::int64_t c =
       model_.expert(0).analyze(sample_shape).output_shape.back();
+  q.classes = c;
   result.probs = Tensor({n, c});
   auto place = [&](const std::vector<int>& rows, const Tensor& pi) {
     for (std::size_t r = 0; r < rows.size(); ++r) {
@@ -79,16 +81,16 @@ MoeMaster::Result MoeMaster::serve(std::int64_t qid, const Tensor& x) {
   };
   if (!groups[0].empty()) {
     place(groups[0],
-          local_forward(model_.expert(0), ops::take_rows(x, groups[0])));
+          local_forward(q, model_.expert(0), ops::take_rows(x, groups[0])));
   }
-  mark(obs::QueryPhase::local_compute_end);
+  mark(q, obs::QueryPhase::local_compute_end);
 
-  gather(c);  // strict: throws unless every routed expert answered
+  gather(q);  // strict: throws unless every routed expert answered
   for (std::size_t i = 1; i < groups.size(); ++i) {
-    if (!groups[i].empty()) place(groups[i], flight(i - 1).probs);
+    if (!groups[i].empty()) place(groups[i], q.flights[i - 1].probs);
   }
   result.predictions = ops::argmax_rows(result.probs);
-  end_query(0);
+  end_query(q, 0);
   return result;
 }
 

@@ -7,10 +7,11 @@
 // Workers reuse net::CollaborativeWorker — the Infer/Result protocol is the
 // same. Dispatch, query ids, the shared deadline and the gather are
 // net::MasterCore's (net/master_core.hpp); MoeMaster keeps only the gate
-// routing, the per-expert row dispatch and the row placement. Its gather
-// waits for every asked expert and its contract is strict: a routed
-// expert's answer IS the answer, so a miss, a send or receive error, or a
-// malformed reply throws NetworkError — there is no degraded mode.
+// routing, the row split (each routed expert's rows are one group send of
+// one) and the row placement. Its gather waits for every asked expert and
+// its contract is strict: a routed expert's answer IS the answer, so a
+// miss, a send or receive error, or a malformed reply throws NetworkError
+// — there is no degraded mode, and no later expert is asked.
 #pragma once
 
 #include <vector>
@@ -40,8 +41,8 @@ class MoeMaster : private net::MasterCore {
   using MasterCore::shutdown;
 
  private:
-  /// infer() for the query begun as `qid`.
-  Result serve(std::int64_t qid, const Tensor& x);
+  /// infer() for the query `q`, begun on `x`.
+  Result serve(Query& q, const Tensor& x);
 
   SgMoe& model_;
 };

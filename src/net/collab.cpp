@@ -158,14 +158,15 @@ CollaborativeMaster::CollaborativeMaster(nn::Module& local_expert,
 
 // analyze:hot  (per-query path: hot-path allocation audit root)
 CollaborativeMaster::Result CollaborativeMaster::infer(const Tensor& x) {
-  const std::int64_t qid = begin_query(x);
+  Query& q = begin_query(x);
+  const std::int64_t qid = q.qid;
   obs::TraceSpan query_span("query", [&] {
     return obs::TraceArgs().arg("qid", qid).arg("batch", x.dim(0));
   });
   try {
-    dispatch(x);
+    dispatch(q, x);
     // Step 4: whatever answers arrive before the shared deadline.
-    gather(current().classes);
+    gather(q);
   } catch (...) {
     abandon(qid);
     throw;
@@ -174,31 +175,30 @@ CollaborativeMaster::Result CollaborativeMaster::infer(const Tensor& x) {
 }
 
 std::int64_t CollaborativeMaster::submit(const Tensor& x) {
-  const std::int64_t qid = begin_query(x);
-  dispatch(x);
-  return qid;
+  Query& q = begin_query(x);
+  dispatch(q, x);
+  return q.qid;
 }
 
-void CollaborativeMaster::dispatch(const Tensor& x) {
-  Query& q = current();
-  // Step 2: broadcast the sensor data to every live worker — one group
-  // frame on the air when the transport offers a group send (a multicast
-  // fleet on the simulated medium, faulty or not), else one unicast per
-  // worker (TCP, the paper tables). Channel errors mark the worker failed
-  // rather than aborting the query.
-  const std::string frame = request_frame(x);
+void CollaborativeMaster::dispatch(Query& q, const Tensor& x) {
+  // Step 2: broadcast the sensor data to every live worker through the
+  // core's one group send — one group frame on the air when the transport
+  // offers one (a multicast fleet on the simulated medium, faulty or not),
+  // else one unicast per worker (TCP, the paper tables). Channel errors
+  // mark the worker failed rather than aborting the query.
+  const std::string frame = request_frame(q, x);
   {
     obs::TraceSpan span("broadcast", [&] {
       return obs::TraceArgs().arg("qid", q.qid).arg("bytes_per_worker",
                                                     frame.size());
     });
-    broadcast(x, frame);
+    broadcast(q, x, frame, 0, workers_.size());
   }
-  end_dispatch();
+  end_dispatch(q);
 
   // Step 3 (local share): the master evaluates its own expert while the
   // workers evaluate theirs.
-  q.local_probs = local_forward(expert_, x);
+  q.local_probs = local_forward(q, expert_, x);
   q.local_entropy = core::predictive_entropy(q.local_probs);
   q.classes = q.local_probs.dim(1);
   mark(q, obs::QueryPhase::local_compute_end);

@@ -13,10 +13,10 @@
 // each node's FLOP count so a simulation can advance that clock; real
 // deployments leave it unset.
 //
-// Steps 2 and 4 — query ids, the shared deadline, probation, quorum and
-// hedging — live in net::MasterCore (net/master_core.hpp);
-// CollaborativeMaster adds the broadcast policy, the local expert, the
-// argmin and the degradation accounting.
+// Steps 2 and 4 — the one group send, query ids, the shared deadline,
+// probation, quorum and hedging — live in net::MasterCore
+// (net/master_core.hpp); CollaborativeMaster adds the broadcast policy,
+// the local expert, the argmin and the degradation accounting.
 #pragma once
 
 #include <vector>
@@ -135,8 +135,8 @@ class CollaborativeMaster : public MasterCore {
   std::int64_t local_only_gathers() const { return local_only_gathers_; }
 
  private:
-  /// Steps 2–3 for the current query.
-  void dispatch(const Tensor& x);
+  /// Steps 2–3 for `q`, begun on `x`.
+  void dispatch(Query& q, const Tensor& x);
 
   nn::Module& expert_;
   std::int64_t full_gathers_ = 0;

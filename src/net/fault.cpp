@@ -92,7 +92,7 @@ void FaultyChannel::record_locked(const char* dir, std::int64_t seq,
 
 FaultyChannel::Fate FaultyChannel::fault_step_locked(bool tx,
                                                      std::int64_t seq,
-                                                     std::string& bytes) {
+                                                     std::size_t size) {
   const char* dir = tx ? "tx" : "rx";
   Fate fate;
   ++messages_seen_;
@@ -113,14 +113,12 @@ FaultyChannel::Fate FaultyChannel::fault_step_locked(bool tx,
     record_locked(dir, seq, format_delay(fate.delay_s));
   }
   if (profile_.corrupt_prob > 0.0 && rng_.bernoulli(profile_.corrupt_prob) &&
-      !bytes.empty()) {
-    const auto pos = static_cast<std::size_t>(
-        rng_.randint(0, static_cast<int>(bytes.size()) - 1));
-    const unsigned mask = 1u << rng_.randint(0, 7);
-    bytes[pos] =
-        static_cast<char>(static_cast<unsigned char>(bytes[pos]) ^ mask);
-    fate.corrupted = true;
-    record_locked(dir, seq, format_corrupt(pos, mask));
+      size > 0) {
+    fate.corrupt_pos = static_cast<std::size_t>(
+        rng_.randint(0, static_cast<int>(size) - 1));
+    fate.corrupt_mask = 1u << rng_.randint(0, 7);
+    record_locked(dir, seq,
+                  format_corrupt(fate.corrupt_pos, fate.corrupt_mask));
   }
   if (profile_.duplicate_prob > 0.0 &&
       rng_.bernoulli(profile_.duplicate_prob)) {
@@ -130,15 +128,16 @@ FaultyChannel::Fate FaultyChannel::fault_step_locked(bool tx,
   return fate;
 }
 
-FaultyChannel::Fate FaultyChannel::tx_step(std::string& bytes) {
+FaultyChannel::Fate FaultyChannel::tx_step(std::size_t size) {
   MutexLock lock(mutex_);
   const std::int64_t seq = ++tx_seq_;
   check_crash_locked("tx", seq);
-  return fault_step_locked(/*tx=*/true, seq, bytes);
+  return fault_step_locked(/*tx=*/true, seq, size);
 }
 
 void FaultyChannel::forward(const Fate& fate, std::string bytes) {
   if (fate.lost) return;
+  fate.corrupt(bytes);
   // Outside the lock: inner sleep() may advance a virtual clock (the
   // engine's lock) and inner send may block.
   if (fate.delay_s > 0.0) inner_->sleep(fate.delay_s);
@@ -147,7 +146,7 @@ void FaultyChannel::forward(const Fate& fate, std::string bytes) {
 }
 
 void FaultyChannel::send(std::string bytes) {
-  const Fate fate = tx_step(bytes);
+  const Fate fate = tx_step(bytes.size());
   forward(fate, std::move(bytes));
 }
 
@@ -162,8 +161,9 @@ std::optional<std::string> FaultyChannel::pending_rx() {
 
 bool FaultyChannel::admit_rx(std::string& bytes) {
   MutexLock lock(mutex_);
-  const Fate fate = fault_step_locked(/*tx=*/false, ++rx_seq_, bytes);
+  const Fate fate = fault_step_locked(/*tx=*/false, ++rx_seq_, bytes.size());
   if (fate.lost) return false;
+  fate.corrupt(bytes);
   // A duplicate is replayed before the next inner read, so it reports
   // this timing too.
   last_timing_ = inner_->last_recv_timing();
@@ -223,8 +223,8 @@ ChannelPtr make_faulty_channel(ChannelPtr inner, FaultProfile profile) {
 namespace {
 
 /// with_faults' group send. Its member buffers live across frames, as
-/// MasterCore's group_/members_ do, so a steady broadcast allocates only
-/// what the inner send and the unicast copies take.
+/// MasterCore's group_/members_ do, and only a member whose fate needs
+/// bytes of its own (a delay, a corruption, a duplicate) copies the frame.
 class FaultyGroupSend {
  public:
   explicit FaultyGroupSend(GroupSend inner) : inner_(std::move(inner)) {}
@@ -244,14 +244,16 @@ class FaultyGroupSend {
       TEAMNET_CHECK_MSG(m.link != nullptr,
                         "with_faults takes FaultyChannel members only");
       m.closed = false;
-      m.bytes.assign(frame);
       try {
-        m.fate = m.link->tx_step(m.bytes);
+        m.fate = m.link->tx_step(frame.size());
       } catch (const NetworkError&) {
         m.closed = true;  // past its crash point
         continue;
       }
-      if (!m.fate.lost && m.fate.delay_s == 0.0 && !m.fate.corrupted) {
+      if (m.fate.lost) continue;
+      const bool own = m.fate.delay_s > 0.0 || m.fate.corrupt_mask != 0;
+      if (own || m.fate.duplicate) m.bytes.assign(frame);
+      if (!own) {
         legs_.push_back(&m.link->inner());
         shared_.push_back(i);
       }
@@ -267,7 +269,7 @@ class FaultyGroupSend {
       Member& m = members_[i];
       if (!m.closed) {
         try {
-          if (m.fate.delay_s > 0.0 || m.fate.corrupted) {
+          if (m.fate.delay_s > 0.0 || m.fate.corrupt_mask != 0) {
             m.link->forward(m.fate, std::move(m.bytes));
           } else if (m.fate.duplicate) {  // a lost frame draws no copy
             m.link->inner().send(std::move(m.bytes));
@@ -285,7 +287,7 @@ class FaultyGroupSend {
   struct Member {
     FaultyChannel* link = nullptr;
     FaultyChannel::Fate fate;
-    std::string bytes;  ///< the member's copy of the frame, as tx_step left it
+    std::string bytes;  ///< the member's copy of the frame, when it needs one
     bool closed = false;
   };
 

@@ -70,8 +70,13 @@ class FaultyChannel final : public Channel {
   struct Fate {
     bool lost = false;       ///< partitioned or dropped
     double delay_s = 0.0;    ///< hold before sending (tx only)
-    bool corrupted = false;  ///< one byte of the frame was flipped
+    std::size_t corrupt_pos = 0;  ///< the byte corrupt_mask flips
+    unsigned corrupt_mask = 0;    ///< nonzero = corrupted
     bool duplicate = false;  ///< deliver twice
+
+    void corrupt(std::string& b) const {  ///< applies the corruption, if any
+      if (corrupt_mask != 0) b[corrupt_pos] ^= static_cast<char>(corrupt_mask);
+    }
   };
 
   /// tx_step, then forward.
@@ -87,14 +92,14 @@ class FaultyChannel final : public Channel {
   double now() const override { return inner_->now(); }
   void sleep(double seconds) override { inner_->sleep(seconds); }
 
-  /// The tx fault step: counts one outbound frame through the endpoint and
-  /// decides its fate without sending it — flipping a byte of `bytes` in
-  /// place when it draws a corruption. Throws NetworkError at the crash
+  /// The tx fault step: counts one outbound frame of `size` bytes through
+  /// the endpoint and decides its fate without touching or sending it — a
+  /// corruption is reported, not applied. Throws NetworkError at the crash
   /// point. Every send's fault decisions come from here.
-  Fate tx_step(std::string& bytes);
-  /// The rest of a send: unless `fate` lost the frame, holds the sender
-  /// for its delay and puts `bytes` on the inner channel, twice for a
-  /// duplicate.
+  Fate tx_step(std::size_t size);
+  /// The rest of a send: unless `fate` lost the frame, applies its
+  /// corruption, holds the sender for its delay and puts `bytes` on the
+  /// inner channel, twice for a duplicate.
   void forward(const Fate& fate, std::string bytes);
 
   /// Runtime partition control for crash/heal patterns: `send_lost` drops
@@ -125,10 +130,10 @@ class FaultyChannel final : public Channel {
   void record_locked(const char* dir, std::int64_t seq, const std::string& what)
       TN_REQUIRES(mutex_);
 
-  /// The one fault step, tx and rx alike: counts frame `seq` through the
-  /// endpoint, then draws partition, drop, delay (tx only), corruption
-  /// (applied to `bytes` in place) and duplication, in that order.
-  Fate fault_step_locked(bool tx, std::int64_t seq, std::string& bytes)
+  /// The one fault step, tx and rx alike: counts frame `seq` (`size`
+  /// bytes) through the endpoint, then draws partition, drop, delay (tx
+  /// only), corruption and duplication, in that order.
+  Fate fault_step_locked(bool tx, std::int64_t seq, std::size_t size)
       TN_REQUIRES(mutex_);
   /// Receive side, before reading the inner channel: throws at the crash
   /// point, else pops the duplicate the last received frame left, if any.

@@ -22,7 +22,9 @@ MasterCore::MasterCore(std::vector<Channel*> workers,
     : workers_(std::move(workers)),
       counters_(counters + "."),
       strict_(strict),
-      slots_(workers_.size()) {
+      slots_(workers_.size()),
+      group_(workers_.size()),
+      members_(workers_.size()) {
   for (auto* w : workers_) TEAMNET_CHECK(w != nullptr);
 }
 
@@ -49,12 +51,6 @@ void MasterCore::set_probe_interval(int queries) {
 void MasterCore::set_gather_quorum(int answers) {
   TEAMNET_CHECK_MSG(answers >= 0, "gather quorum must be >= 0");
   quorum_ = answers;
-}
-
-void MasterCore::set_group_send(GroupSend send) {
-  group_send_ = std::move(send);
-  group_.resize(workers_.size());
-  members_.resize(workers_.size());
 }
 
 void MasterCore::set_hedging(std::vector<Channel*> backups) {
@@ -189,7 +185,7 @@ MasterCore::Query& MasterCore::query(std::int64_t qid) {
   return it->second;
 }
 
-std::int64_t MasterCore::begin_query(const Tensor& x) {
+MasterCore::Query& MasterCore::begin_query(const Tensor& x) {
   TEAMNET_CHECK_MSG(x.rank() >= 2 && x.dim(0) >= 1,
                     "a query needs a non-empty [n, ...] batch");
   ++qid_;
@@ -206,11 +202,11 @@ std::int64_t MasterCore::begin_query(const Tensor& x) {
   // rides in every Infer frame so workers can drop requests that outlive
   // it (deadline propagation, DESIGN.md §13).
   if (worker_timeout_s_ > 0.0) q.expiry = now() + worker_timeout_s_;
-  return qid_;
+  return q;
 }
 
-std::string MasterCore::request_frame(const Tensor& payload, bool hedged) {
-  const Query& q = current();
+std::string MasterCore::request_frame(const Query& q, const Tensor& payload,
+                                      bool hedged) const {
   Message request;
   request.type = MsgType::Infer;
   InferInfo info;
@@ -223,26 +219,11 @@ std::string MasterCore::request_frame(const Tensor& payload, bool hedged) {
   return request.encode();
 }
 
-void MasterCore::send_request(std::size_t w, const Tensor& payload,
-                              const std::string& frame) {
-  try {
-    workers_[w]->send(frame);
-  } catch (const Error& e) {
-    fail(w, std::string("failed on send: ") + e.what());
-    return;
-  }
-  note_asked(w, payload);
-}
-
-void MasterCore::broadcast(const Tensor& payload, const std::string& frame) {
-  if (!group_send_) {
-    for (std::size_t w = 0; w < workers_.size(); ++w) {
-      if (dispatchable(w)) send_request(w, payload, frame);
-    }
-    return;
-  }
+void MasterCore::broadcast(Query& q, const Tensor& payload,
+                           const std::string& frame, std::size_t first,
+                           std::size_t last) {
   std::size_t n = 0;
-  for (std::size_t w = 0; w < workers_.size(); ++w) {
+  for (std::size_t w = first; w < last; ++w) {
     if (!dispatchable(w)) continue;
     group_[n] = workers_[w];
     members_[n] = w;
@@ -267,12 +248,11 @@ void MasterCore::broadcast(const Tensor& payload, const std::string& frame) {
       fail(members_[i], "failed on send: channel closed");
       continue;
     }
-    note_asked(members_[i], payload);
+    note_asked(q, members_[i], payload);
   }
 }
 
-void MasterCore::note_asked(std::size_t w, const Tensor& payload) {
-  Query& q = current();
+void MasterCore::note_asked(Query& q, std::size_t w, const Tensor& payload) {
   Flight& f = q.flights[w];
   f.asked = f.pending = f.primary_out = true;
   f.request = payload;
@@ -289,8 +269,7 @@ void MasterCore::note_asked(std::size_t w, const Tensor& payload) {
   }
 }
 
-void MasterCore::end_dispatch() {
-  Query& q = current();
+void MasterCore::end_dispatch(Query& q) {
   q.t_sent = now();
   if (q.timeline) {
     obs::qtl_master_mark(q.qid, obs::QueryPhase::broadcast_end, q.t_sent);
@@ -300,16 +279,13 @@ void MasterCore::end_dispatch() {
   q.target = quorum_ > 0 ? std::min(quorum_, full_total) : full_total;
 }
 
-Tensor MasterCore::local_forward(nn::Module& expert, const Tensor& x) {
+Tensor MasterCore::local_forward(const Query& q, nn::Module& expert,
+                                 const Tensor& x) {
   obs::TraceSpan span("expert_forward", [&] {
-    return obs::TraceArgs().arg("qid", qid_).arg("rows", x.dim(0));
+    return obs::TraceArgs().arg("qid", q.qid).arg("rows", x.dim(0));
   });
   if (on_compute_) on_compute_(batch_flops(expert, x));
   return ops::softmax_rows(expert.predict(x));
-}
-
-void MasterCore::end_query(int degradation) {
-  end_query(current(), degradation);
 }
 
 void MasterCore::end_query(Query& q, int degradation) {
@@ -385,11 +361,13 @@ MasterCore::Query* MasterCore::accept(const std::string& raw, std::size_t w,
       "worker " << w + 1 << " sent malformed reply type "
                 << static_cast<int>(reply.type));
   Query* found = nullptr;
-  if (test_pre_qid_gather_) {
+  if (test_pre_qid_gather_ && !inflight_.empty()) {
     // TEST-ONLY mutant (see set_test_pre_qid_gather): no id echo — the
-    // deadline reading is the only stale filter, so whether a reply is
-    // trusted or treated as a miss races its arrival against the clock.
-    found = &current();
+    // newest in-flight query (the one a blocking gather serves) takes the
+    // reply, and the deadline reading is the only stale filter, so whether
+    // a reply is trusted or treated as a miss races its arrival against
+    // the clock.
+    found = &inflight_.rbegin()->second;
     if (expired(*found)) {
       throw NetworkError("answered past the deadline reading (pre-qid mutant)");
     }
@@ -482,8 +460,9 @@ MasterCore::Query* MasterCore::accept(const std::string& raw, std::size_t w,
   return &q;
 }
 
-void MasterCore::lost(std::size_t w, bool from_backup, const Error& e) {
-  Flight& f = current().flights[w];
+void MasterCore::lost(Query& q, std::size_t w, bool from_backup,
+                      const Error& e) {
+  Flight& f = q.flights[w];
   if (from_backup) {
     LOG_WARN("worker " << w + 1 << "'s backup failed on recv: " << e.what());
     f.backup_out = 0;
@@ -496,10 +475,10 @@ void MasterCore::lost(std::size_t w, bool from_backup, const Error& e) {
   }
 }
 
-void MasterCore::hedge_to(std::size_t w) {
-  Query& q = current();
+void MasterCore::hedge_to(Query& q, std::size_t w) {
   try {
-    backups_[w]->send(request_frame(q.flights[w].request, /*hedged=*/true));
+    backups_[w]->send(
+        request_frame(q, q.flights[w].request, /*hedged=*/true));
   } catch (const Error& e) {
     LOG_WARN("hedge to worker " << w + 1 << "'s backup failed on send: "
                                 << e.what());
@@ -515,8 +494,8 @@ void MasterCore::hedge_to(std::size_t w) {
   });
 }
 
-void MasterCore::fire_hedge(int round) {
-  const std::vector<Flight>& flights = current().flights;
+void MasterCore::fire_hedge(Query& q, int round) {
+  const std::vector<Flight>& flights = q.flights;
   if (round == 1) {
     // First round: cover only the slowest still-outstanding worker (by
     // latency EWMA; lowest index breaks ties deterministically) with its
@@ -531,7 +510,7 @@ void MasterCore::fire_hedge(int round) {
         target = w;
       }
     }
-    if (target < workers_.size()) hedge_to(target);
+    if (target < workers_.size()) hedge_to(q, target);
     return;
   }
   // Escalation rounds: the first hedge did not close the gather within
@@ -540,7 +519,7 @@ void MasterCore::fire_hedge(int round) {
   // lost hedge is indistinguishable from a slow one; retrying is what
   // bounds p99 under message loss, DESIGN.md §13).
   for (std::size_t w = 0; w < backups_.size(); ++w) {
-    if (flights[w].pending && backups_[w] != nullptr) hedge_to(w);
+    if (flights[w].pending && backups_[w] != nullptr) hedge_to(q, w);
   }
 }
 
@@ -549,9 +528,7 @@ void MasterCore::fire_hedge(int round) {
 // deterministic select over the outstanding channels; the bounded
 // no-progress wait at the bottom paces the loop (and burns deadline
 // budget, virtual time included) when every outstanding source is silent.
-int MasterCore::gather(std::int64_t classes) {
-  Query& q = current();
-  q.classes = classes;
+int MasterCore::gather(Query& q) {
   std::vector<Flight>& flights = q.flights;
   obs::TraceSpan span("gather", [&] {
     return obs::TraceArgs().arg("qid", q.qid);
@@ -590,7 +567,7 @@ int MasterCore::gather(std::int64_t classes) {
         accept(*raw, w, backup);
       }
     } catch (const Error& e) {
-      lost(w, backup, e);
+      lost(q, w, backup, e);
     }
     return progress;
   };
@@ -625,7 +602,7 @@ int MasterCore::gather(std::int64_t classes) {
     }
     if (q.answers >= q.target) break;
     if (can_hedge && now() >= hedge_at) {
-      fire_hedge(++hedge_round);
+      fire_hedge(q, ++hedge_round);
       hedge_at += hedge_interval;  // pace the next escalation round
       progress = true;  // a hedged reply may land on the next pass
     }
@@ -661,7 +638,7 @@ int MasterCore::gather(std::int64_t classes) {
         accept(*raw, source, backup);
       }
     } catch (const Error& e) {
-      lost(source, backup, e);
+      lost(q, source, backup, e);
     }
   }
   mark(q, obs::QueryPhase::gather_end);

@@ -11,7 +11,7 @@
 // in-flight query it names — so several queries can be in flight at once
 // (the pipelined load driver) and a late reply for query n still answers
 // n after n+1 was dispatched. A blocking infer() is one such query,
-// submitted and gathered on the same core.
+// submitted and gathered on the same core; every step takes its Query&.
 //
 // Fault model (DESIGN.md §8): replies naming a completed, abandoned or
 // never-issued id are stale and discarded. A
@@ -32,15 +32,14 @@
 // answers; and a hedged re-issue covers the slowest outstanding worker
 // (by its reply-latency EWMA) with its designated backup replica.
 //
-// Broadcast (DESIGN.md §9): a broadcast of one frame to the K-1 workers is
-// K-1 unicast sends, in worker order, unless the transport offers a group
-// send (set_group_send). Then it is ONE group frame, on the air once for
-// every dispatchable worker — the paper's "one broadcast". Only the
-// simulated shared medium offers one, and a fleet that asks for it
-// installs it (sim::FleetSpec::multicast); over fault-wrapped links it goes
-// through net::with_faults, which rolls every receiver's faults as its
-// unicast would. TCP, hedged re-issues, probes, Shutdown and MoeMaster's
-// per-expert rows are always unicast.
+// Dispatch (DESIGN.md §9): every Infer goes out through broadcast()'s ONE
+// group send: net::send_each (one unicast per worker, in worker order)
+// unless the transport offers group frames (set_group_send). Only the
+// simulated shared medium does, when a fleet asks (FleetSpec::multicast);
+// then the frame is on the air once — the paper's "one broadcast" — and
+// over fault-wrapped links net::with_faults rolls every receiver's faults
+// as its unicast would. MoeMaster's routed rows are groups of one; hedges,
+// probes and Shutdown are plain unicasts.
 #pragma once
 
 #include <cstdint>
@@ -65,9 +64,9 @@ using ComputeHook = std::function<void(std::int64_t flops)>;
 std::int64_t batch_flops(nn::Module& model, const Tensor& x);
 
 /// Owns the worker channels and the per-qid state of every in-flight
-/// query. A blocking query runs begin_query -> send_request... ->
-/// end_dispatch -> gather -> end_query; a pipelined caller instead reads
-/// the workers itself and feeds each frame to deliver().
+/// query. A blocking query runs begin_query -> broadcast... ->
+/// end_dispatch -> gather -> end_query on the returned Query&; a pipelined
+/// caller instead reads the workers itself and feeds deliver().
 class MasterCore {
  public:
   MasterCore(const MasterCore&) = delete;
@@ -80,12 +79,14 @@ class MasterCore {
 
   void set_compute_hook(ComputeHook hook) { on_compute_ = std::move(hook); }
 
-  /// Group dispatch: once set, broadcast() sends its frame as ONE group
-  /// frame to every dispatchable worker instead of one unicast per worker.
-  /// Per-worker bookkeeping (flights, `sent` marks, flow events) is
-  /// unchanged, and a member whose channel is closed fails alone. Hedges,
-  /// probes and Shutdown stay unicast. Unset (default) = unicast.
-  void set_group_send(GroupSend send);
+  /// Replaces broadcast()'s group send (net::send_each, one unicast per
+  /// worker) with a transport's group frame. Per-worker bookkeeping
+  /// (flights, `sent` marks, flow events) is unchanged, and a member whose
+  /// channel is closed fails alone.
+  void set_group_send(GroupSend send) {
+    TEAMNET_CHECK(send != nullptr);
+    group_send_ = std::move(send);
+  }
 
   /// When > 0, ONE shared deadline of `seconds` bounds the whole query —
   /// it anchors before dispatch and covers send + compute + gather, so
@@ -130,8 +131,9 @@ class MasterCore {
   /// TEST-ONLY: re-introduces the gather from before the query-id echo.
   /// Its only stale-reply defense was the deadline clock reading: a Result
   /// accepted while the deadline still reads unexpired is trusted as the
-  /// current query's answer (whichever query it actually answers), and one
-  /// read after it is treated as a miss. That makes acceptance a
+  /// newest in-flight query's answer (whichever query it actually
+  /// answers), and one read after it is treated as a miss. That makes
+  /// acceptance a
   /// time-of-check race — the outcome depends on arrival order against the
   /// deadline, i.e. on the schedule. Exists so the schedule explorer's
   /// mutation gate can prove the detector catches a real bug; never enable
@@ -202,48 +204,36 @@ class MasterCore {
              bool strict);
   ~MasterCore() = default;
 
-  /// Starts a query on `x` ([n >= 1, ...]) and makes it the current one:
-  /// issues its id, runs the probation pass and anchors the shared
-  /// deadline. Returns the id.
-  std::int64_t begin_query(const Tensor& x);
+  /// Starts a query on `x` ([n >= 1, ...]): issues its id, runs the
+  /// probation pass and anchors the shared deadline. The returned state
+  /// lives until end_query or abandon; every later step takes it.
+  Query& begin_query(const Tensor& x);
   /// Whether worker `w` may be asked this query (live, not in probation).
   bool dispatchable(std::size_t w) const;
-  /// The current query's Infer frame carrying `payload`.
-  std::string request_frame(const Tensor& payload, bool hedged = false);
-  /// Step 2 for one worker: sends `frame` (which carries `payload`).
-  void send_request(std::size_t w, const Tensor& payload,
-                    const std::string& frame);
-  /// Step 2 for every dispatchable worker: `frame` (which carries
-  /// `payload`) as one group frame when a group send is set, else
-  /// send_request to each in worker order.
-  void broadcast(const Tensor& payload, const std::string& frame);
-  /// Closes the dispatch phase: its end anchors reply latencies, and the
+  /// `q`'s Infer frame carrying `payload`.
+  std::string request_frame(const Query& q, const Tensor& payload,
+                            bool hedged = false) const;
+  /// Step 2: `frame` (which carries `payload`) to every dispatchable worker
+  /// in [first, last), through the one group send (set_group_send). A
+  /// member whose send fails is failed; every other one is asked.
+  void broadcast(Query& q, const Tensor& payload, const std::string& frame,
+                 std::size_t first, std::size_t last);
+  /// Closes `q`'s dispatch phase: its end anchors reply latencies, and the
   /// gather target becomes 1 + the asked workers, or the quorum.
-  void end_dispatch();
-  /// Step 3's local share: `expert` on `x` under the compute hook.
-  Tensor local_forward(nn::Module& expert, const Tensor& x);
-  /// Step 4 for the current query: polls every outstanding source until
-  /// its answers reach the target or the deadline expires. A Result is
-  /// accepted only with probs [rows asked, classes] and entropy [rows
-  /// asked]. Returns the answer count, local included; the answers are in
-  /// flight(w).
-  int gather(std::int64_t classes);
-  const Flight& flight(std::size_t w) const {
-    return current().flights[w];
-  }
-  /// Records the current query's degradation level and completion
-  /// (timeline) and retires its state.
-  void end_query(int degradation);
+  void end_dispatch(Query& q);
+  /// Step 3's local share for `q`: `expert` on `x` under the compute hook.
+  Tensor local_forward(const Query& q, nn::Module& expert, const Tensor& x);
+  /// Step 4 for `q`: polls every outstanding source until its answers
+  /// reach the target or the deadline expires. A Result is accepted only
+  /// with probs [rows asked, q.classes] and entropy [rows asked]. Returns
+  /// the answer count, local included; the answers are in q.flights.
+  int gather(Query& q);
   /// Drops query `qid`'s state without completing it — a blocking caller
   /// that threw mid-query — so its late replies count as stale.
   void abandon(std::int64_t qid) { inflight_.erase(qid); }
-  /// Master-side timeline mark for the current query.
-  void mark(obs::QueryPhase phase) { mark(current(), phase); }
+  /// Master-side timeline mark for `q`.
   void mark(const Query& q, obs::QueryPhase phase);
 
-  /// The most recently begun query: the one a blocking caller serves.
-  Query& current() { return inflight_.at(qid_); }
-  const Query& current() const { return inflight_.at(qid_); }
   /// In-flight query `qid`; throws InvariantError for any other id.
   Query& query(std::int64_t qid);
   /// Pipelined gather: accepts one frame read from worker `w`'s (0-based)
@@ -280,9 +270,9 @@ class MasterCore {
   };
 
   void bump(const char* counter) const;
-  /// Books worker `w` as asked `payload` by the current query once its
-  /// request is on the way: its flight, `sent` mark and flow start.
-  void note_asked(std::size_t w, const Tensor& payload);
+  /// Books worker `w` as asked `payload` by `q` once its request is on
+  /// the way: its flight, `sent` mark and flow start.
+  void note_asked(Query& q, std::size_t w, const Tensor& payload);
   /// The master's clock, in seconds: its first worker channel's
   /// Channel::now (every channel of a master belongs to one node), the
   /// steady clock when it has none. Deadlines, timeline marks, hedge
@@ -302,10 +292,10 @@ class MasterCore {
   Query* accept(const std::string& raw, std::size_t w, bool from_backup);
   /// Counts and traces one discarded reply.
   void stale(std::size_t w, bool from_backup, const Message& reply);
-  /// A receive from `w`'s primary or backup errored.
-  void lost(std::size_t w, bool from_backup, const Error& e);
-  void hedge_to(std::size_t w);
-  void fire_hedge(int round);
+  /// A receive from `w`'s primary or backup errored during `q`'s gather.
+  void lost(Query& q, std::size_t w, bool from_backup, const Error& e);
+  void hedge_to(Query& q, std::size_t w);
+  void fire_hedge(Query& q, int round);
 
   const std::string counters_;
   const bool strict_;
@@ -314,14 +304,14 @@ class MasterCore {
   int probe_interval_ = 4;
   int quorum_ = 0;  ///< 0 = every asked worker
   std::vector<Channel*> backups_;  ///< empty = hedging disabled
-  GroupSend group_send_;  ///< empty = unicast broadcast
+  GroupSend group_send_ = send_each;
   /// broadcast()'s group: the channels and worker indices it reaches.
   std::vector<Channel*> group_;
   std::vector<std::size_t> members_;
   bool flow_trace_ = false;
   bool test_pre_qid_gather_ = false;  ///< test-only mutation hook
 
-  std::int64_t qid_ = 0;  ///< the latest issued id: the current query
+  std::int64_t qid_ = 0;  ///< the latest issued id
   std::map<std::int64_t, Query> inflight_;
 
   std::int64_t probe_seq_ = 0;

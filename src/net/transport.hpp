@@ -78,6 +78,12 @@ using ChannelPtr = std::unique_ptr<Channel>;
 using GroupSend = std::function<std::vector<std::size_t>(
     std::span<Channel* const> channels, std::string frame)>;
 
+/// The group send of a transport without group frames: one unicast per
+/// channel, in order. A channel whose send throws comes back as closed;
+/// every other channel still gets the frame.
+std::vector<std::size_t> send_each(std::span<Channel* const> channels,
+                                   std::string frame);
+
 /// Creates a connected in-process channel pair: bytes sent on `first` are
 /// received on `second` and vice versa.
 std::pair<ChannelPtr, ChannelPtr> make_inproc_pair();

@@ -257,6 +257,35 @@ TEST(MoeServing, WrongShapedResultThrows) {
   worker.join();
 }
 
+/// A send failure is strict too: expert 1's channel is closed, so infer
+/// throws at its dispatch and expert 2, routed after it, is never asked.
+TEST(MoeServing, ClosedExpertChannelThrowsBeforeLaterExpertsAreAsked) {
+  moe::SgMoeConfig cfg;
+  cfg.num_experts = 3;
+  moe::SgMoe model(cfg, 8, blob_expert_factory(8, 4));
+  // Gate weight is [in, experts]: feature 0 votes for expert 1 when
+  // positive and for expert 2 when negative; expert 0 never wins.
+  Tensor& weight = model.gate().weight().mutable_value();
+  weight.fill(0.0f);
+  weight[1] = 100.0f;
+  weight[2] = -100.0f;
+  Tensor& bias = model.gate().bias().mutable_value();
+  bias.fill(0.0f);
+  bias[0] = -100.0f;
+  Tensor x({2, 8});
+  x[0] = 1.0f;   // row 0 -> expert 1
+  x[8] = -1.0f;  // row 1 -> expert 2
+  ASSERT_EQ(model.route(x), (std::vector<int>{1, 2}));
+
+  auto [m1, w1] = net::make_inproc_pair();
+  auto [m2, w2] = net::make_inproc_pair();
+  m1->close();
+  moe::MoeMaster master(model, {m1.get(), m2.get()});
+  master.set_worker_timeout(0.5);  // bounds a gather nobody will answer
+  EXPECT_THROW(master.infer(x), NetworkError);
+  EXPECT_FALSE(w2->recv_timeout(0.0).has_value());
+}
+
 TEST(MoeServing, EmptyBatchIsRejected) {
   auto model = remote_routed_moe();
   auto [master_ch, worker_ch] = net::make_inproc_pair();

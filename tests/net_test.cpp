@@ -6,7 +6,11 @@
 
 #include <algorithm>
 #include <chrono>
+#include <memory>
+#include <optional>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "core/teamnet.hpp"
 #include "data/blobs.hpp"
@@ -59,6 +63,54 @@ TEST(InProc, PreservesOrderAcrossThreads) {
   });
   for (int i = 0; i < 100; ++i) EXPECT_EQ(b->recv(), std::to_string(i));
   producer.join();
+}
+
+/// An endpoint that logs which channel each send was attempted on, then
+/// forwards to the wrapped one.
+class LoggedSend final : public net::Channel {
+ public:
+  LoggedSend(net::ChannelPtr inner, int id, std::vector<int>& log)
+      : inner_(std::move(inner)), id_(id), log_(log) {}
+  void send(std::string bytes) override {
+    log_.push_back(id_);
+    inner_->send(std::move(bytes));
+  }
+  std::string recv() override { return inner_->recv(); }
+  std::optional<std::string> recv_timeout(double seconds) override {
+    return inner_->recv_timeout(seconds);
+  }
+  void close() override { inner_->close(); }
+
+ private:
+  net::ChannelPtr inner_;
+  int id_;
+  std::vector<int>& log_;
+};
+
+/// The default group send is one unicast per member, in order: a member
+/// whose send throws comes back by its position, and every other member
+/// still gets the frame exactly once.
+TEST(SendEach, ClosedMemberComesBackByPositionOthersGetTheFrame) {
+  std::vector<int> log;
+  std::vector<std::unique_ptr<LoggedSend>> ends;
+  std::vector<net::ChannelPtr> peers;
+  std::vector<net::Channel*> group;
+  for (int i = 0; i < 4; ++i) {
+    auto [end, peer] = net::make_inproc_pair();
+    ends.push_back(std::make_unique<LoggedSend>(std::move(end), i, log));
+    peers.push_back(std::move(peer));
+    group.push_back(ends.back().get());
+  }
+  ends[1]->close();  // its send throws NetworkError
+
+  EXPECT_EQ(net::send_each(group, "frame"), std::vector<std::size_t>{1});
+  EXPECT_EQ(log, (std::vector<int>{0, 1, 2, 3}));
+  for (std::size_t i : {0u, 2u, 3u}) {
+    auto got = peers[i]->recv_timeout(0.0);
+    ASSERT_TRUE(got.has_value()) << "member " << i;
+    EXPECT_EQ(*got, "frame");
+    EXPECT_FALSE(peers[i]->recv_timeout(0.0).has_value()) << "member " << i;
+  }
 }
 
 TEST(Tcp, LoopbackRoundTrip) {

@@ -458,7 +458,7 @@ std::vector<double> latency_estimates(
 }
 
 /// Before any reply every worker is live and expected at the 10 ms seed.
-TEST(HealthTracker, StartsClosedWithSeedLatency) {
+TEST(WorkerSlots, StartLiveWithSeedLatency) {
   auto a = net::make_inproc_pair();
   auto b = net::make_inproc_pair();
   auto c = net::make_inproc_pair();
@@ -478,7 +478,7 @@ TEST(HealthTracker, StartsClosedWithSeedLatency) {
 
 /// The first timed reply seeds the EWMA outright (no pull toward the
 /// prior); later ones move it by alpha = 0.3 toward the new sample.
-TEST(HealthTracker, LatencyEwmaSeedsThenSmooths) {
+TEST(WorkerSlots, LatencyEwmaSeedsThenSmooths) {
   const auto est = latency_estimates({0.099, 0.199});
   ASSERT_EQ(est.size(), 2u);
   EXPECT_DOUBLE_EQ(est[0], 0.100);

@@ -28,8 +28,10 @@ run four interprocedural passes over it:
                     loops) are audited for allocation: new, malloc,
                     make_unique/make_shared, growing container ops,
                     sized container declarations (`std::vector<T> v(n)`),
-                    string materialization. The checked-in baseline is
-                    the burn-down list for ROADMAP item 4's pooled-buffer work.
+                    string materialization. One finding per allocation
+                    site, so a site added to an already baselined function
+                    is a new finding. The checked-in baseline is the
+                    burn-down list for ROADMAP item 4's pooled-buffer work.
 
   unbounded-wait    Direct calls to unbounded recv()/pop() in the protocol
                     layers (src/net/**, src/moe/** minus the channel
@@ -1098,10 +1100,12 @@ def split_args(toks: list[Tok]) -> list[str]:
     return [a for a in out if a]
 
 
-def build_program(paths: list[pathlib.Path]) -> Program:
+def build_program(paths: list[pathlib.Path],
+                  texts: dict[pathlib.Path, str] | None = None) -> Program:
+    """Parses `paths`; `texts` stands in for the contents of any of them."""
     program = Program()
     for path in paths:
-        text = read_source(path)
+        text = texts[path] if texts and path in texts else read_source(path)
         if text is None:
             continue
         toks, markers = tokenize(text)
@@ -1539,25 +1543,20 @@ def run_passes(program: Program) -> tuple[list[Finding],
     reach = hot_reachable(program)
     for fkey in sorted(reach):
         fn = program.functions[fkey]
-        if not fn.allocs:
-            continue
         root, via = reach[fkey]
-        by_kind: dict[str, list[AllocSite]] = {}
+        hop = f" via {via}" if via != root else ""
+        # One finding per site, named by kind, call and ordinal among the
+        # function's sites of that call (no line number, so code motion
+        # does not churn it): a site added to a baselined function is new.
+        seen: dict[tuple[str, str], int] = {}
         for al in fn.allocs:
-            by_kind.setdefault(al.kind, []).append(al)
-        for kind in sorted(by_kind):
-            sites = by_kind[kind]
-            line = min(s.line for s in sites)
-            whats = ",".join(sorted({s.what for s in sites}))
-            locked = any(s.held_locks for s in sites)
-            note = "; some under a held lock" if locked else ""
-            hop = f" via {via}" if via != root else ""
+            n = seen[al.kind, al.what] = seen.get((al.kind, al.what), 0) + 1
+            note = " under a held lock" if al.held_locks else ""
             findings.append(Finding(
-                rule="hot-alloc", file=fn.file, line=line,
-                subject=f"{fn.qname}|{kind}",
-                message=(f"{fn.qname} (hot: root {root}{hop}) has "
-                         f"{len(sites)} {kind} allocation site(s) "
-                         f"[{whats}]{note}")))
+                rule="hot-alloc", file=fn.file, line=al.line,
+                subject=f"{fn.qname}|{al.kind}|{al.what}#{n}",
+                message=(f"{fn.qname} (hot: root {root}{hop}) allocates: "
+                         f"{al.what} ({al.kind}){note}")))
 
     findings.sort(key=lambda f: (f.file, f.line, f.rule, f.subject))
     return findings, edges
@@ -1566,10 +1565,6 @@ def run_passes(program: Program) -> tuple[list[Finding],
 # Baseline
 # ---------------------------------------------------------------------------
 
-DEFAULT_JUSTIFICATIONS = {
-    "hot-alloc": ("pre-arena hot-path allocation baseline (ROADMAP item 4):"
-                  " burn down, do not extend"),
-}
 PLACEHOLDER_JUSTIFICATION = "REVIEW: justify this entry"
 
 
@@ -1588,15 +1583,15 @@ def render_baseline(findings: list[Finding],
                     edges: dict[tuple[str, str], str],
                     old: dict) -> str:
     """Canonical baseline text: every current finding (keeping the old
-    justification when the fingerprint already existed) plus the lock-order
-    graph. Byte-stable: fully sorted, fixed indentation."""
+    justification when the fingerprint already existed, a placeholder to
+    replace by hand when it is new) plus the lock-order graph. Byte-stable:
+    fully sorted, fixed indentation."""
     old_findings = old.get("findings", {})
     entries: dict[str, dict] = {}
     for f in findings:
         fp = f.fingerprint
         prev = old_findings.get(fp, {})
-        justification = prev.get("justification") or \
-            DEFAULT_JUSTIFICATIONS.get(f.rule, PLACEHOLDER_JUSTIFICATION)
+        justification = prev.get("justification") or PLACEHOLDER_JUSTIFICATION
         entries[fp] = {
             "rule": f.rule,
             "subject": f.subject,
@@ -2084,6 +2079,25 @@ def run_self_test() -> int:
         failures.append("fixture_baseline_ok.cpp / fixture_baseline.json "
                         "missing")
 
+    # A site added to a function whose sites are all baselined is a new
+    # finding: hot_helper grows a second push_back.
+    path = FIXTURES / "fixture_hot_alloc.cpp"
+    text = read_source(path)
+    if text is not None:
+        findings, edges = run_passes(build_program([path]))
+        baseline = json.loads(render_baseline(findings, edges, {}))
+        grown = text.replace("items_.push_back(v);",
+                             "items_.push_back(v);\n    items_.push_back(-v);")
+        findings, _ = run_passes(build_program([path], {path: grown}))
+        new, _, stale = split_by_baseline(findings, baseline)
+        checks += 1
+        if len(new) != 1 or new[0].rule != "hot-alloc" or \
+                "hot_helper|container-grow" not in new[0].subject or stale:
+            failures.append(
+                "fixture_hot_alloc.cpp + one push_back: expected exactly one "
+                "new hot-alloc finding in hot_helper, got new "
+                f"{[(f.rule, f.subject) for f in new]}, stale {stale}")
+
     def expect(label: str, fired: bool, should_fire: bool) -> None:
         if fired != should_fire:
             failures.append(f"{label} -> {'fired' if fired else 'quiet'} "
@@ -2165,6 +2179,14 @@ def main(argv: list[str]) -> int:
         want = render_baseline(findings, edges, baseline)
         have = args.baseline.read_text(encoding="utf-8") \
             if args.baseline.is_file() else ""
+        unjustified = sorted(
+            fp for fp, e in baseline["findings"].items()
+            if e.get("justification") == PLACEHOLDER_JUSTIFICATION)
+        if unjustified:
+            print("analyze: baseline entries still carry the placeholder "
+                  "justification: " + ", ".join(unjustified),
+                  file=sys.stderr)
+            return 1
         if want != have:
             print("analyze: baseline is out of date (stale entries, new "
                   "findings, or lock-order drift); rerun with "
