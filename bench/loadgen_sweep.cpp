@@ -142,9 +142,10 @@ int main_impl(int argc, char** argv) {
       "the closed loop self-limits (in-flight <= population) and at c=8\n"
       "its achieved rate approaches the medium cap; the bursty wave lands\n"
       "between its trough and crest. Larger teams put more frames on the\n"
-      "air per query, so p50 rises with k. The multicast rows put each\n"
-      "Infer on the air once (air_bytes_per_query: one Infer plus k-1\n"
-      "Results), which lifts the caps to ~664 q/s at k=4 and ~418 at k=8;\n"
+      "air per query, so p50 rises with k. The multicast rows run the\n"
+      "airtime-first wire: each Infer goes on the air once, in the lossless\n"
+      "compact coding (air_bytes_per_query: one compact Infer plus k-1\n"
+      "Results), which lifts the caps to ~754 q/s at k=4 and ~451 at k=8;\n"
       "every multicast cell sits under its cap.\n");
   write_observability_outputs(opts);
   return 0;

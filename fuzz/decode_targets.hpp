@@ -39,6 +39,47 @@ inline bool message_decode(const std::string& bytes) {
   }
 }
 
+/// A compact-coded Infer (net::TensorCoding::compact) over a [1, 60] input
+/// whose only non-zero elements are 3, 17 and 50: the valid frame the
+/// compact seeds and tests mutate from. Its rank word is at byte
+/// kCompactRankAt and its 8-byte bitmap at kCompactBitmapAt (60 bits, then
+/// 4 padding bits).
+inline constexpr std::size_t kCompactRankAt = 4 + 4 + 3 * 8 + 4;
+inline constexpr std::size_t kCompactBitmapAt = kCompactRankAt + 4 + 2 * 8;
+
+inline std::string compact_infer_frame() {
+  net::Message msg;
+  msg.type = net::MsgType::Infer;
+  net::set_infer_info(msg, {7, 1'000'000, false});
+  Tensor x({1, 60});
+  x[3] = 0.5f;
+  x[17] = -1.25f;
+  x[50] = 3.0f;
+  msg.tensors = {x};
+  return msg.encode(net::TensorCoding::compact);
+}
+
+/// compact_infer_frame() broken in each way the decoder must reject with
+/// SerializationError before it allocates the tensor: a truncated bitmap,
+/// a set padding bit, a flagged rank above 8, and a bitmap claiming more
+/// floats than remain.
+inline std::vector<std::string> malformed_compact_frames() {
+  const std::string valid = compact_infer_frame();
+  // Element 50's bit moved to padding bit 63: the bitmap still claims the
+  // three floats the frame holds, so only the padding check rejects it.
+  std::string padding = valid;
+  padding[kCompactBitmapAt + 6] = static_cast<char>(
+      static_cast<unsigned char>(padding[kCompactBitmapAt + 6]) ^ 0x04);
+  padding[kCompactBitmapAt + 7] = static_cast<char>(
+      static_cast<unsigned char>(padding[kCompactBitmapAt + 7]) | 0x80);
+  std::string rank = valid;
+  rank[kCompactRankAt] = 9;  // the flag byte (kCompactRankAt + 3) stays set
+  std::string overclaim = valid;
+  for (std::size_t b = 0; b < 7; ++b) overclaim[kCompactBitmapAt + b] = '\xff';
+  overclaim[kCompactBitmapAt + 7] = '\x0f';
+  return {valid.substr(0, kCompactBitmapAt + 4), padding, rank, overclaim};
+}
+
 /// Checkpoint decoder (nn::load_tensors — model snapshots and the weight
 /// deployment path).
 inline bool checkpoint_decode(const std::string& bytes) {

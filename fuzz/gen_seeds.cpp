@@ -102,6 +102,13 @@ void gen_message(const std::filesystem::path& dir) {
   add(infer_frame(9'000'000'000'000LL,
                   std::numeric_limits<std::int64_t>::max(), true, 14));
   add(corrupt(infer_frame(5, 777, false, 15), 12, 0xFF));       // mangled stamp
+  // The airtime-first wire's compact Infer (DESIGN.md §9), and each
+  // malformed variant, which must be rejected.
+  add(teamnet::fuzz::compact_infer_frame());
+  for (const std::string& bad : teamnet::fuzz::malformed_compact_frames()) {
+    if (c(bad)) throw std::runtime_error("a malformed compact frame decoded");
+    add(bad);
+  }
   std::printf("message_decode: %d seeds\n", n);
 }
 

@@ -18,7 +18,7 @@
 namespace teamnet::load {
 
 /// The TeamNet fleet's master event loop on the discrete-event clock.
-/// Node 0 waits in DesChannel::recv_any on its own worker channels for
+/// Node 0 waits in DesGroup::recv_any on its own worker channels for
 /// whichever comes first: a worker reply, the next arrival, or the earliest
 /// query deadline. A reply goes to the query it names and completes it
 /// once its gather target is met; an arrival is dispatched at once — or,
@@ -90,14 +90,14 @@ LoadResult run_teamnet_load(const std::vector<nn::Module*>& experts,
       rows.size() * fleet.worker_channels().size();
   std::size_t replies = 0;
   std::size_t issued = 0;
+  sim::des::DesGroup workers(fleet.worker_channels());
   while (completed < rows.size() || replies < replies_due) {
     const double arrival = issued < rows.size()
                                ? process->peek_arrival()
                                : std::numeric_limits<double>::infinity();
     const double until =
         std::max(fleet.now(), std::min(arrival, master.next_due()));
-    if (auto got =
-            sim::des::DesChannel::recv_any(fleet.worker_channels(), until)) {
+    if (auto got = workers.recv_any(until)) {
       ++replies;
       if (const std::int64_t qid = master.deliver(got->first, got->second)) {
         complete(qid);

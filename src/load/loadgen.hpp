@@ -46,9 +46,11 @@ struct LoadConfig {
   /// the stragglers' replies are then stale. 0 = full gather; negative
   /// throws.
   int gather_quorum = 0;
-  /// The master broadcasts each query as one group frame on the shared
-  /// medium, the paper's "one broadcast" (sim::FleetSpec::multicast).
-  /// Off = one unicast Infer per worker, as the paper tables' TCP sockets.
+  /// The airtime-first wire (sim::FleetSpec::multicast): the master
+  /// broadcasts each query as one group frame on the shared medium, the
+  /// paper's "one broadcast", in the lossless compact input coding. Off =
+  /// one raw-float unicast Infer per worker, as the paper tables' TCP
+  /// sockets.
   bool multicast = true;
 };
 

@@ -216,7 +216,7 @@ std::string MasterCore::request_frame(const Query& q, const Tensor& payload,
   info.hedged = hedged;
   set_infer_info(request, info);
   request.tensors = {payload};
-  return request.encode();
+  return request.encode(infer_coding_);
 }
 
 void MasterCore::broadcast(Query& q, const Tensor& payload,

@@ -36,10 +36,11 @@
 // group send: net::send_each (one unicast per worker, in worker order)
 // unless the transport offers group frames (set_group_send). Only the
 // simulated shared medium does, when a fleet asks (FleetSpec::multicast);
-// then the frame is on the air once — the paper's "one broadcast" — and
-// over fault-wrapped links net::with_faults rolls every receiver's faults
-// as its unicast would. MoeMaster's routed rows are groups of one; hedges,
-// probes and Shutdown are plain unicasts.
+// then the frame is on the air once — the paper's "one broadcast" — in
+// the lossless compact tensor coding, and over fault-wrapped links
+// net::with_faults rolls every receiver's faults as its unicast would.
+// MoeMaster's routed rows are groups of one; hedges, probes and Shutdown
+// are plain unicasts.
 #pragma once
 
 #include <cstdint>
@@ -79,13 +80,16 @@ class MasterCore {
 
   void set_compute_hook(ComputeHook hook) { on_compute_ = std::move(hook); }
 
-  /// Replaces broadcast()'s group send (net::send_each, one unicast per
-  /// worker) with a transport's group frame. Per-worker bookkeeping
+  /// Puts the master on the airtime-first wire (DESIGN.md §9): replaces
+  /// broadcast()'s group send (net::send_each, one unicast per worker)
+  /// with a transport's group frame, and codes every Infer, hedges
+  /// included, with TensorCoding::compact. Per-worker bookkeeping
   /// (flights, `sent` marks, flow events) is unchanged, and a member whose
   /// channel is closed fails alone.
   void set_group_send(GroupSend send) {
     TEAMNET_CHECK(send != nullptr);
     group_send_ = std::move(send);
+    infer_coding_ = TensorCoding::compact;
   }
 
   /// When > 0, ONE shared deadline of `seconds` bounds the whole query —
@@ -210,7 +214,8 @@ class MasterCore {
   Query& begin_query(const Tensor& x);
   /// Whether worker `w` may be asked this query (live, not in probation).
   bool dispatchable(std::size_t w) const;
-  /// `q`'s Infer frame carrying `payload`.
+  /// `q`'s Infer frame carrying `payload`: raw floats, or the compact
+  /// coding on the airtime-first wire (set_group_send).
   std::string request_frame(const Query& q, const Tensor& payload,
                             bool hedged = false) const;
   /// Step 2: `frame` (which carries `payload`) to every dispatchable worker
@@ -305,6 +310,7 @@ class MasterCore {
   int quorum_ = 0;  ///< 0 = every asked worker
   std::vector<Channel*> backups_;  ///< empty = hedging disabled
   GroupSend group_send_ = send_each;
+  TensorCoding infer_coding_ = TensorCoding::dense;
   /// broadcast()'s group: the channels and worker indices it reaches.
   std::vector<Channel*> group_;
   std::vector<std::size_t> members_;

@@ -1,10 +1,22 @@
 // Wire message: a small typed envelope carrying tensors and integers.
 //
 // Encoding (little-endian):
-//   u32 type | u32 n_ints | i64 ints[] | u32 n_tensors | tensor[] (nn format)
+//   u32 type | u32 n_ints | i64 ints[] | u32 n_tensors | tensor[]
 // The byte string produced here is what flows through every Channel
 // implementation (in-proc, TCP, simulated), so byte counts seen by the
 // virtual clock equal real serialized sizes.
+//
+// A tensor has two codings (DESIGN.md §9). The dense one is the nn
+// checkpoint format, `u32 rank | i64 dims[rank] | f32 data[numel]`, and is
+// the paper's raw-float wire. The compact one is lossless and skips exact
+// +0.0f elements:
+//   u32 rank | 0x80000000 | i64 dims[rank] | u8 bitmap[ceil(numel / 8)] |
+//   f32 data[popcount(bitmap)]
+// Bit i of the bitmap (LSB first) is set when element i's bit pattern is
+// not +0.0f, padding bits are 0, and the marked elements follow in index
+// order — so -0.0f, NaN payloads and denormals round-trip bit for bit.
+// encode(TensorCoding::compact) writes a tensor compactly only when that
+// is strictly smaller; decode reads either coding.
 #pragma once
 
 #include <cstdint>
@@ -50,16 +62,22 @@ enum class MsgType : std::uint32_t {
   Pong = 8,        ///< worker -> master: probe answer (echoes the Ping ints)
 };
 
+/// How encode writes each tensor: always dense, or compact wherever that
+/// is strictly smaller (layouts above).
+enum class TensorCoding { dense, compact };
+
 struct Message {
   MsgType type = MsgType::Ack;
   std::vector<std::int64_t> ints;
   std::vector<Tensor> tensors;
 
-  std::string encode() const;
+  std::string encode(TensorCoding coding = TensorCoding::dense) const;
+  /// Reads both tensor codings. A header whose payload the frame cannot
+  /// hold is rejected (SerializationError) before the tensor is allocated.
   static Message decode(const std::string& bytes);
 
   /// Serialized size in bytes without materializing the string.
-  std::int64_t encoded_size() const;
+  std::int64_t encoded_size(TensorCoding coding = TensorCoding::dense) const;
 };
 
 /// `Infer` ints[1] value meaning "no deadline": the gather is unbounded.

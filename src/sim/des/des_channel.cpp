@@ -92,42 +92,6 @@ DesChannel& DesChannel::check_legs(std::span<net::Channel* const> channels,
   return *first;
 }
 
-// analyze:hot  (per-query path: hot-path allocation audit root)
-std::optional<std::pair<std::size_t, std::string>> DesChannel::recv_any(
-    std::span<net::Channel* const> channels, double until) {
-  const DesChannel& first = check_legs(channels, "recv_any");
-  std::vector<Mailbox*> inboxes;
-  for (net::Channel* c : channels) inboxes.push_back(leg(c).in_.get());
-  net::WireTiming timing;
-  auto got = first.engine_.recv_any(first.self_, inboxes, until, &timing);
-  if (got) {
-    leg(channels[got->first]).note_received(timing, got->second.size());
-  }
-  return got;
-}
-
-// analyze:hot  (per-query path: hot-path allocation audit root)
-std::vector<std::size_t> DesChannel::send_group(
-    std::span<net::Channel* const> channels, std::string bytes) {
-  const DesChannel& first = check_legs(channels, "send_group");
-  std::vector<std::shared_ptr<Mailbox>> outboxes;
-  for (net::Channel* c : channels) outboxes.push_back(leg(c).out_);
-  const auto payload = static_cast<std::int64_t>(bytes.size());
-  std::vector<std::size_t> closed = first.engine_.send(
-      first.self_, outboxes, std::move(bytes), first.link_);
-  // Each member that got the frame books it like a unicast send, so the
-  // wire counters keep counting payload per leg.
-  auto refused = closed.begin();
-  for (std::size_t i = 0; i < channels.size(); ++i) {
-    if (refused != closed.end() && *refused == i) {
-      ++refused;
-      continue;
-    }
-    leg(channels[i]).note_sent(payload);
-  }
-  return closed;
-}
-
 void DesChannel::note_received(const net::WireTiming& timing,
                                std::size_t payload) {
   last_timing_ = timing;
@@ -145,6 +109,55 @@ void DesChannel::note_received(const net::WireTiming& timing,
 void DesChannel::close() {
   engine_.close(*in_);
   engine_.close(*out_);
+}
+
+DesGroup::DesGroup(std::span<net::Channel* const> legs) {
+  DesChannel::check_legs(legs, "DesGroup");
+  for (net::Channel* c : legs) {
+    DesChannel& leg = DesChannel::leg(c);
+    legs_.push_back(&leg);
+    inboxes_.push_back(leg.in_.get());
+  }
+  outboxes_.resize(legs.size());
+}
+
+// analyze:hot  (per-query path: hot-path allocation audit root)
+std::optional<std::pair<std::size_t, std::string>> DesGroup::recv_any(
+    double until) {
+  const DesChannel& first = *legs_[0];
+  net::WireTiming timing;
+  auto got = first.engine_.recv_any(first.self_, inboxes_, until, &timing);
+  if (got) legs_[got->first]->note_received(timing, got->second.size());
+  return got;
+}
+
+// analyze:hot  (per-query path: hot-path allocation audit root)
+std::vector<std::size_t> DesGroup::operator()(
+    std::span<net::Channel* const> members, std::string bytes) {
+  const DesChannel& first = DesChannel::check_legs(members, "a group send");
+  TEAMNET_CHECK_MSG(&first.engine_ == &legs_[0]->engine_ &&
+                        first.self_ == legs_[0]->self_ &&
+                        members.size() <= outboxes_.size(),
+                    "a group send takes at most the group's legs, from its "
+                    "node");
+  for (std::size_t i = 0; i < members.size(); ++i) {
+    outboxes_[i] = DesChannel::leg(members[i]).out_;
+  }
+  const auto payload = static_cast<std::int64_t>(bytes.size());
+  std::vector<std::size_t> closed = first.engine_.send(
+      first.self_, std::span(outboxes_.data(), members.size()),
+      std::move(bytes), first.link_);
+  // Each member that got the frame books it like a unicast send, so the
+  // wire counters keep counting payload per leg.
+  auto refused = closed.begin();
+  for (std::size_t i = 0; i < members.size(); ++i) {
+    if (refused != closed.end() && *refused == i) {
+      ++refused;
+      continue;
+    }
+    DesChannel::leg(members[i]).note_sent(payload);
+  }
+  return closed;
 }
 
 std::pair<net::ChannelPtr, net::ChannelPtr> make_des_pair(

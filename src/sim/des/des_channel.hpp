@@ -50,23 +50,12 @@ class DesChannel final : public net::Channel {
   double now() const override { return engine_.node_time(self_); }
   void sleep(double seconds) override { engine_.advance(self_, seconds); }
 
-  /// Engine::recv_any over `channels` — DesChannel endpoints of one node
-  /// on one engine: the earliest frame landing by `until` and the index of
-  /// the channel it came in on, or nullopt at the wake-up.
-  static std::optional<std::pair<std::size_t, std::string>> recv_any(
-      std::span<net::Channel* const> channels, double until);
-  /// Engine::send of one group frame over `channels` — DesChannel
-  /// endpoints of one node on one engine: the frame is on the air once, at
-  /// the first channel's LinkProfile (a mesh shares one), and lands at
-  /// every peer at the same instant. Returns the positions in `channels`
-  /// whose peer inbox was closed; the frame reached every other one.
-  static std::vector<std::size_t> send_group(
-      std::span<net::Channel* const> channels, std::string bytes);
-
  private:
+  friend class DesGroup;
+
   /// Checks, in place, that `channels` are DesChannel endpoints of one
-  /// node on one engine (what recv_any and send_group accept), and returns
-  /// the first; leg() then reads each one without a cast check.
+  /// node on one engine (what DesGroup's calls take), and returns the
+  /// first; leg() then reads each one without a cast check.
   static DesChannel& check_legs(std::span<net::Channel* const> channels,
                                 const char* what);
   static DesChannel& leg(net::Channel* c) {
@@ -88,6 +77,36 @@ class DesChannel final : public net::Channel {
   std::atomic<std::int64_t> tx_bytes_{0};
   std::atomic<std::int64_t> rx_bytes_{0};
   std::optional<net::WireTiming> last_timing_;  ///< receiving thread only
+};
+
+/// One node's DES legs to a fixed set of peers (a fleet master's worker
+/// channels), for the engine's group calls. The mailbox lists those calls
+/// take are built with the group and reused by every read and every
+/// frame. A DesGroup is a net::GroupSend; a copy keeps its own lists.
+class DesGroup {
+ public:
+  /// `legs`: DesChannel endpoints of one node on one engine.
+  explicit DesGroup(std::span<net::Channel* const> legs);
+
+  /// Engine::recv_any over every leg: the earliest frame landing by
+  /// `until` and the position of the leg it came in on, or nullopt at the
+  /// wake-up.
+  std::optional<std::pair<std::size_t, std::string>> recv_any(double until);
+
+  /// Engine::send of one group frame over `members`: DES legs of the
+  /// group's node, at most as many as the group has. The frame is on the
+  /// air once, at the first member's LinkProfile (a mesh shares one), and
+  /// lands at every peer at the same instant. Returns the positions in
+  /// `members` whose peer inbox was closed; the frame reached every other
+  /// one.
+  std::vector<std::size_t> operator()(std::span<net::Channel* const> members,
+                                      std::string bytes);
+
+ private:
+  std::vector<DesChannel*> legs_;
+  std::vector<Mailbox*> inboxes_;  ///< legs_' inboxes, in order
+  /// The current frame's peer inboxes, overwritten in place per frame.
+  std::vector<std::shared_ptr<Mailbox>> outboxes_;
 };
 
 /// Connected DES channel pair between nodes `a` and `b`.

@@ -215,6 +215,15 @@ std::uint64_t Fleet::finish_with(const std::function<void()>& shutdown) {
   return digest_;
 }
 
+net::GroupSend Fleet::group_send() const {
+  std::vector<net::Channel*> legs;
+  for (std::size_t w = 0; w < primaries_.size(); ++w) {
+    legs.push_back(links_.empty() ? primaries_[w] : &links_[w]->inner());
+  }
+  net::GroupSend send = des::DesGroup(legs);
+  return links_.empty() ? send : net::with_faults(std::move(send));
+}
+
 ScenarioResult Fleet::result(const std::string& approach,
                              double total_latency_s,
                              const Shape& sample_shape) const {

@@ -67,10 +67,11 @@ struct FleetSpec {
   /// Node k-1+i also serves experts[i], as worker i's hedging replica.
   bool backups = false;
   bool drop_expired = false;  ///< CollaborativeWorker::set_drop_expired
-  /// The master broadcasts each query as one group frame on the shared
-  /// medium (net::MasterCore::set_group_send), not one unicast per worker.
-  /// On a faulty fleet each receiver rolls its own link's faults
-  /// (net::with_faults).
+  /// The airtime-first wire (net::MasterCore::set_group_send): the master
+  /// broadcasts each query as one group frame on the shared medium, not
+  /// one unicast per worker, in the lossless compact input coding
+  /// (net::TensorCoding::compact). On a faulty fleet each receiver rolls
+  /// its own link's faults (net::with_faults).
   bool multicast = false;
 };
 
@@ -112,8 +113,8 @@ class Fleet {
   }
 
   /// Gives `master` the master node's compute hook, flow tracing when
-  /// fault-free, the group send of a multicast fleet (through
-  /// net::with_faults when faulty), and binds the
+  /// fault-free, the airtime-first wire of a multicast fleet (its group
+  /// send, through net::with_faults when faulty), and binds the
   /// calling thread's trace track. The master reads its clock from its
   /// channels, all node 0's.
   template <typename Master>
@@ -122,11 +123,7 @@ class Fleet {
                                               &master_compute_));
     if (links_.empty()) master.set_flow_trace(true);
     if constexpr (requires { master.set_group_send(net::GroupSend()); }) {
-      if (multicast_) {
-        net::GroupSend send = &des::DesChannel::send_group;
-        if (!links_.empty()) send = net::with_faults(std::move(send));
-        master.set_group_send(std::move(send));
-      }
+      if (multicast_) master.set_group_send(group_send());
     } else {
       TEAMNET_CHECK_MSG(!multicast_, "this master has no group dispatch");
     }
@@ -163,6 +160,9 @@ class Fleet {
                         const Shape& sample_shape) const;
 
  private:
+  /// One group frame over the workers' DES legs, whose faults, on a
+  /// faulty fleet, net::with_faults rolls per member.
+  net::GroupSend group_send() const;
   std::uint64_t finish_with(const std::function<void()>& shutdown);
   void teardown();
 

@@ -554,7 +554,7 @@ TEST(DesGroupFrame, ClosedMemberFailsOnlyItself) {
 TEST(DesGroupFrame, GroupOfOneIsAUnicast) {
   // The same exchange — request, reply, a second request queued behind
   // the first on the medium — once over Channel::send and once over
-  // DesChannel::send_group with a group of one: same digest, same clocks,
+  // a DesGroup's group send with a group of one: same digest, same clocks,
   // same traffic, and on a unicast run air bytes are delivered bytes.
   struct Run {
     std::uint64_t digest = 0;
@@ -571,9 +571,10 @@ TEST(DesGroupFrame, GroupOfOneIsAUnicast) {
       engine.retire(1);
     });
     net::Channel* legs[] = {master.get()};
+    sim::des::DesGroup send(legs);
     for (const char* request : {"first", "second"}) {
       if (group) {
-        EXPECT_TRUE(sim::des::DesChannel::send_group(legs, request).empty());
+        EXPECT_TRUE(send(legs, request).empty());
       } else {
         master->send(request);
       }
@@ -624,6 +625,7 @@ FaultyDispatch run_faulty_dispatch(
   out.timing.resize(n);
   std::vector<std::unique_ptr<net::FaultyChannel>> links;
   std::vector<net::Channel*> members;
+  std::vector<net::Channel*> legs;  ///< the DES channels under the faults
   std::vector<std::thread> workers;
   for (std::size_t w = 0; w < n; ++w) {
     const int node = static_cast<int>(w) + 1;
@@ -632,6 +634,7 @@ FaultyDispatch run_faulty_dispatch(
     links.push_back(std::make_unique<net::FaultyChannel>(
         std::move(master_end), profiles[w]));
     members.push_back(links.back().get());
+    legs.push_back(&links.back()->inner());
     workers.emplace_back([&, w, node, end = std::move(worker_end)] {
       try {
         for (;;) {
@@ -644,8 +647,7 @@ FaultyDispatch run_faulty_dispatch(
       engine.retire(node);
     });
   }
-  const net::GroupSend send =
-      net::with_faults(&sim::des::DesChannel::send_group);
+  const net::GroupSend send = net::with_faults(sim::des::DesGroup(legs));
   for (const std::string& frame : frames) {
     std::vector<std::size_t> closed;
     if (group) {

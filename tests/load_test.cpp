@@ -20,10 +20,12 @@
 #include "common/error.hpp"
 #include "core/teamnet.hpp"
 #include "data/blobs.hpp"
+#include "data/synthetic_mnist.hpp"
 #include "load/arrival.hpp"
 #include "load/loadgen.hpp"
 #include "load/stats.hpp"
 #include "net/collab.hpp"
+#include "net/message.hpp"
 #include "nn/mlp.hpp"
 #include "obs/percentile.hpp"
 #include "sim/driver_util.hpp"
@@ -543,6 +545,59 @@ TEST(LoadGen, AirBytesCountEachGroupFrameOnce) {
   EXPECT_EQ(multicast.bytes_per_query, unicast.bytes_per_query);
   EXPECT_EQ(multicast.messages_per_query, unicast.messages_per_query);
   EXPECT_EQ(multicast.accuracy_pct, unicast.accuracy_pct);
+}
+
+TEST(LoadGen, CompactInferFramesAreLossless) {
+  // Synthetic-MNIST rows have exact +0.0 pixels, so on the airtime-first
+  // wire their Infers go out compact. Every query must still get the
+  // class, winning node and degradation the raw-float unicast run gives.
+  data::MnistConfig data_cfg;
+  data_cfg.num_samples = 40;
+  data_cfg.seed = 21;
+  const auto test = data::make_synthetic_mnist(data_cfg);
+  std::vector<std::unique_ptr<nn::MlpNet>> experts;
+  for (int i = 0; i < 4; ++i) {
+    nn::MlpConfig cfg;
+    cfg.in_features = 784;
+    cfg.num_classes = 10;
+    cfg.depth = 2;
+    cfg.hidden = 12;
+    Rng rng(100 + i);
+    experts.push_back(std::make_unique<nn::MlpNet>(cfg, rng));
+  }
+  const auto ptrs = expert_ptrs(experts);
+  auto load_cfg = small_load(load::ArrivalKind::open_poisson);
+  load_cfg.multicast = false;
+  const auto raw = load::run_teamnet_load(ptrs, test, des_config(), load_cfg);
+  load_cfg.multicast = true;
+  const auto compact =
+      load::run_teamnet_load(ptrs, test, des_config(), load_cfg);
+  ASSERT_EQ(compact.records.size(), raw.records.size());
+  for (std::size_t q = 0; q < raw.records.size(); ++q) {
+    EXPECT_EQ(compact.records[q].row, raw.records[q].row) << "qid " << q + 1;
+    EXPECT_EQ(compact.records[q].prediction, raw.records[q].prediction)
+        << "qid " << q + 1;
+    EXPECT_EQ(compact.records[q].chosen, raw.records[q].chosen)
+        << "qid " << q + 1;
+    EXPECT_EQ(compact.records[q].degradation, raw.records[q].degradation)
+        << "qid " << q + 1;
+  }
+  EXPECT_EQ(compact.accuracy_pct, raw.accuracy_pct);
+  // On the air: one compact Infer per query, as the master codes it, and
+  // three raw-float 112 B Results.
+  std::int64_t infers = 0;
+  for (const auto& rec : compact.records) {
+    net::Message infer;
+    infer.type = net::MsgType::Infer;
+    net::set_infer_info(infer, {});
+    infer.tensors = {sim::query_row_tensor(test, rec.row)};
+    infers += infer.encoded_size(net::TensorCoding::compact);
+  }
+  const auto n = static_cast<double>(compact.records.size());
+  EXPECT_EQ(compact.air_bytes_per_query,
+            static_cast<double>(infers + 3 * 112 * compact.num_queries) / n);
+  EXPECT_LT(compact.air_bytes_per_query, 3192 + 3 * 112);
+  EXPECT_EQ(raw.air_bytes_per_query, 3 * 3192 + 3 * 112);
 }
 
 TEST(LoadGen, QuorumOfOneCompletesEveryQueryAtDispatch) {

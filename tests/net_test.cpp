@@ -5,7 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
+#include <cstdint>
+#include <cstring>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
@@ -46,6 +50,134 @@ TEST(Message, DecodeRejectsTruncated) {
   std::string bytes = msg.encode();
   bytes.resize(bytes.size() / 2);
   EXPECT_THROW(net::Message::decode(bytes), SerializationError);
+}
+
+/// Whether `a` and `b` have one shape and the same bits in every element.
+bool same_bits(const Tensor& a, const Tensor& b) {
+  if (a.shape() != b.shape()) return false;
+  return a.numel() == 0 ||
+         std::memcmp(a.data(), b.data(),
+                     static_cast<std::size_t>(a.numel()) * sizeof(float)) == 0;
+}
+
+/// `shape` filled by cycling through `values`.
+Tensor cycled(const Shape& shape, const std::vector<float>& values) {
+  Tensor t(shape);
+  for (std::int64_t i = 0; i < t.numel(); ++i) {
+    t[i] = values[static_cast<std::size_t>(i) % values.size()];
+  }
+  return t;
+}
+
+/// Lower-case hex of `bytes`, for pinned frames.
+std::string hex(const std::string& bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (const char c : bytes) {
+    const auto b = static_cast<unsigned char>(c);
+    out += kDigits[b >> 4];
+    out += kDigits[b & 15];
+  }
+  return out;
+}
+
+TEST(Message, BothCodingsRoundTripEveryBitPattern) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const std::vector<float> specials = {
+      0.0f,
+      -0.0f,
+      std::bit_cast<float>(0x7fc00001u),  // quiet NaN with a payload
+      std::bit_cast<float>(0xffa00005u),  // negative signalling NaN payload
+      inf,
+      -inf,
+      std::bit_cast<float>(0x00000001u),  // smallest denormal
+      std::bit_cast<float>(0x807fffffu),  // largest negative denormal
+      1.0f,
+      0.0f,
+      0.0f};
+  std::vector<float> no_zero;
+  for (const float v : specials) {
+    if (std::bit_cast<std::uint32_t>(v) != 0) no_zero.push_back(v);
+  }
+  // Ranks 0-4; every element count but the scalar's is not a multiple of 8.
+  for (const Shape& shape : {Shape{}, Shape{11}, Shape{3, 5}, Shape{2, 3, 7},
+                             Shape{1, 2, 3, 5}}) {
+    for (const auto& fill : {specials, no_zero, std::vector<float>{0.0f}}) {
+      net::Message msg;
+      msg.type = net::MsgType::Infer;
+      msg.ints = {3};
+      msg.tensors = {cycled(shape, fill), cycled({2, 2}, {-0.0f})};
+      for (const auto coding :
+           {net::TensorCoding::dense, net::TensorCoding::compact}) {
+        const std::string bytes = msg.encode(coding);
+        EXPECT_EQ(static_cast<std::int64_t>(bytes.size()),
+                  msg.encoded_size(coding));
+        const net::Message back = net::Message::decode(bytes);
+        EXPECT_EQ(back.ints, msg.ints);
+        ASSERT_EQ(back.tensors.size(), 2u);
+        EXPECT_TRUE(same_bits(back.tensors[0], msg.tensors[0]))
+            << shape_to_string(shape);
+        EXPECT_TRUE(same_bits(back.tensors[1], msg.tensors[1]));
+      }
+    }
+  }
+}
+
+TEST(Message, CompactOnlyWhenStrictlySmaller) {
+  // 32 floats: the bitmap is 4 B, so one +0.0 saves exactly what the
+  // bitmap costs (a tie, which stays dense) and two save 4 B.
+  const auto frame = [](int zeros, net::TensorCoding coding) {
+    std::vector<float> values(32, 1.5f);
+    // 7 is coprime with 32, so the zeros land on distinct elements.
+    for (int i = 0; i < zeros; ++i) {
+      values[static_cast<std::size_t>(7 * i % 32)] = 0.0f;
+    }
+    net::Message msg;
+    msg.tensors = {Tensor({32}, values)};
+    EXPECT_EQ(static_cast<std::int64_t>(msg.encode(coding).size()),
+              msg.encoded_size(coding));
+    return msg.encode(coding);
+  };
+  // The rank word follows type and the two counts; its top bit flags the
+  // compact form.
+  const auto compact = [](const std::string& bytes) {
+    return (static_cast<unsigned char>(bytes.at(15)) & 0x80) != 0;
+  };
+  const std::string dense = frame(1, net::TensorCoding::dense);
+  EXPECT_FALSE(compact(dense));
+  EXPECT_EQ(frame(1, net::TensorCoding::compact), dense);
+  const std::string two = frame(2, net::TensorCoding::compact);
+  EXPECT_TRUE(compact(two));
+  EXPECT_EQ(two.size() + 4, dense.size());
+  EXPECT_FALSE(compact(frame(2, net::TensorCoding::dense)));
+  EXPECT_TRUE(compact(frame(32, net::TensorCoding::compact)));
+  EXPECT_FALSE(compact(frame(0, net::TensorCoding::compact)));
+}
+
+TEST(Message, WireBytesArePinned) {
+  // The paper wire: a hedged Infer and its Result in the raw-float coding.
+  net::Message infer;
+  infer.type = net::MsgType::Infer;
+  net::set_infer_info(infer, {7, 1'000'000, true});
+  infer.tensors = {Tensor({1, 3}, {1.0f, 0.0f, -2.5f})};
+  EXPECT_EQ(hex(infer.encode()),
+            "0100000003000000070000000000000040420f00000000000100000000000000"
+            "0100000002000000010000000000000003000000000000000000803f00000000"
+            "000020c0");
+  net::Message result;
+  result.type = net::MsgType::Result;
+  result.ints = infer.ints;
+  result.tensors = {Tensor({1, 2}, {0.25f, 0.75f}), Tensor({1}, {0.5f})};
+  EXPECT_EQ(hex(result.encode()),
+            "0200000003000000070000000000000040420f00000000000100000000000000"
+            "0200000002000000010000000000000002000000000000000000803e0000403f"
+            "0100000001000000000000000000003f");
+  // The airtime-first wire's Infer: flagged rank, bitmap 0b101, the two
+  // kept floats. Results never go compact, so theirs is the line above.
+  EXPECT_EQ(hex(infer.encode(net::TensorCoding::compact)),
+            "0100000003000000070000000000000040420f00000000000100000000000000"
+            "010000000200008001000000000000000300000000000000050000803f000020"
+            "c0");
 }
 
 TEST(InProc, PairDeliversBothDirections) {

@@ -1,15 +1,19 @@
 // Property-based sweeps (TEST_P / INSTANTIATE_TEST_SUITE_P) over the
 // mathematical invariants the system relies on: entropy bounds, softmax
 // normalization, gate bookkeeping, controller-target feasibility, autograd
-// linearity, and serialization robustness under random corruption.
+// linearity, serialization robustness under random corruption, and the
+// wire's lossless compact tensor coding.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstring>
 #include <sstream>
 
 #include "core/entropy.hpp"
 #include "core/gate.hpp"
 #include "core/soft_ops.hpp"
+#include "net/message.hpp"
 #include "nn/mlp.hpp"
 #include "nn/serialize.hpp"
 #include "tensor/autograd.hpp"
@@ -213,6 +217,86 @@ TEST_P(CorruptionSweep, HeaderCorruptionIsRejected) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CorruptionSweep,
                          ::testing::Range<std::uint64_t>(1, 17));
+
+// ---- compact tensor coding ---------------------------------------------------
+
+class CompactCodingSweep : public ::testing::TestWithParam<std::uint64_t> {};
+
+/// A random tensor of rank 0-4 (dims 0-9) whose elements mix +0.0, other
+/// special bit patterns and normal values in a seeded proportion.
+Tensor random_wire_tensor(Rng& rng) {
+  Shape shape(static_cast<std::size_t>(rng.randint(0, 4)));
+  for (auto& d : shape) d = rng.randint(0, 9);
+  Tensor t(shape);
+  const float zero_share = rng.uniform(0.0f, 1.0f);
+  const std::uint32_t specials[] = {0x80000000u, 0x7fc00123u, 0xff800000u,
+                                    0x00000003u, 0x7f800000u};
+  for (std::int64_t i = 0; i < t.numel(); ++i) {
+    if (rng.uniform(0.0f, 1.0f) < zero_share) continue;  // stays +0.0
+    t[i] = rng.uniform(0.0f, 1.0f) < 0.2f
+               ? std::bit_cast<float>(specials[rng.randint(0, 4)])
+               : rng.uniform(-2.0f, 2.0f);
+  }
+  return t;
+}
+
+TEST_P(CompactCodingSweep, RoundTripIsBitExactAndSizesAgree) {
+  Rng rng(GetParam());
+  net::Message msg;
+  msg.type = net::MsgType::Infer;
+  msg.ints = {static_cast<std::int64_t>(GetParam())};
+  for (int i = rng.randint(1, 3); i > 0; --i) {
+    msg.tensors.push_back(random_wire_tensor(rng));
+  }
+  for (const auto coding :
+       {net::TensorCoding::dense, net::TensorCoding::compact}) {
+    const std::string bytes = msg.encode(coding);
+    ASSERT_EQ(static_cast<std::int64_t>(bytes.size()),
+              msg.encoded_size(coding));
+    const net::Message back = net::Message::decode(bytes);
+    ASSERT_EQ(back.tensors.size(), msg.tensors.size());
+    for (std::size_t i = 0; i < msg.tensors.size(); ++i) {
+      const Tensor& want = msg.tensors[i];
+      ASSERT_EQ(back.tensors[i].shape(), want.shape());
+      if (want.numel() > 0) {
+        EXPECT_EQ(std::memcmp(back.tensors[i].data(), want.data(),
+                              static_cast<std::size_t>(want.numel()) * 4),
+                  0);
+      }
+    }
+  }
+}
+
+TEST_P(CompactCodingSweep, CompactExactlyWhenStrictlySmaller) {
+  Rng rng(GetParam() + 100);
+  net::Message msg;
+  msg.tensors = {random_wire_tensor(rng)};
+  const Tensor& t = msg.tensors[0];
+  std::int64_t kept = 0;
+  for (const float v : t.values()) kept += std::bit_cast<std::uint32_t>(v) != 0;
+  const bool smaller = (t.numel() + 7) / 8 + 4 * kept < 4 * t.numel();
+  const std::string bytes = msg.encode(net::TensorCoding::compact);
+  // The rank word follows type and the two counts; its top bit flags the
+  // compact form.
+  EXPECT_EQ((static_cast<unsigned char>(bytes.at(15)) & 0x80) != 0, smaller);
+  EXPECT_EQ(bytes.size() < msg.encode().size(), smaller);
+}
+
+TEST_P(CompactCodingSweep, EveryTruncationThrowsSerializationError) {
+  Rng rng(GetParam() + 200);
+  net::Message msg;
+  msg.type = net::MsgType::Infer;
+  msg.tensors = {random_wire_tensor(rng), random_wire_tensor(rng)};
+  const std::string bytes = msg.encode(net::TensorCoding::compact);
+  for (std::size_t len = 0; len < bytes.size(); ++len) {
+    EXPECT_THROW(net::Message::decode(bytes.substr(0, len)),
+                 SerializationError)
+        << "truncation to " << len << " of " << bytes.size();
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, CompactCodingSweep,
+                         ::testing::Range<std::uint64_t>(1, 33));
 
 }  // namespace
 }  // namespace teamnet

@@ -137,6 +137,22 @@ TEST(MessageFuzz, EveryTruncationIsRejected) {
   }
 }
 
+/// The airtime-first wire's compact Infer (DESIGN.md §9) through the same
+/// sweep; each of its truncations and malformed variants is rejected with
+/// SerializationError.
+TEST(MessageFuzz, CompactInferFrameHoldsDecodeContract) {
+  const std::string bytes = fuzz::compact_infer_frame();
+  exhaust_mutations(fuzz::message_decode, bytes, 31);
+  for (std::size_t len = 0; len < bytes.size(); ++len) {
+    EXPECT_THROW(net::Message::decode(bytes.substr(0, len)),
+                 SerializationError)
+        << "truncation to " << len << " of " << bytes.size();
+  }
+  for (const std::string& bad : fuzz::malformed_compact_frames()) {
+    EXPECT_THROW(net::Message::decode(bad), SerializationError);
+  }
+}
+
 TEST(CheckpointFuzz, MutationSweepHoldsDecodeContract) {
   Rng rng(3);
   std::ostringstream os(std::ios::binary);
