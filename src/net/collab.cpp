@@ -153,6 +153,8 @@ CollaborativeMaster::CollaborativeMaster(nn::Module& local_expert,
                                          std::vector<Channel*> workers)
     : MasterCore(std::move(workers), "collab", /*strict=*/false),
       expert_(local_expert) {
+  TEAMNET_CHECK_MSG(num_nodes() <= 64,
+                    "Result::combined has one bit per node: at most 64");
   expert_.set_training(false);
 }
 
@@ -233,6 +235,9 @@ CollaborativeMaster::Result CollaborativeMaster::complete(std::int64_t qid) {
   }
   result.predictions = ops::argmax_rows(result.probs);
   result.answered = q.answers;
+  for (std::size_t w = 0; w < workers_.size(); ++w) {
+    if (q.flights[w].answered) result.combined |= std::uint64_t{1} << (w + 1);
+  }
   // Degradation level is fleet-relative (DESIGN.md §13): `full` means every
   // expert contributed — a worker skipped at broadcast (probation)
   // degrades the query exactly like one that missed the deadline.

@@ -19,6 +19,7 @@
 // the local expert, the argmin and the degradation accounting.
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "net/master_core.hpp"
@@ -97,6 +98,9 @@ class CollaborativeMaster : public MasterCore {
     std::vector<int> predictions;  ///< argmax class per sample
     std::vector<int> chosen;       ///< winning node (0 = master, 1.. = workers)
     int answered = 1;              ///< experts in the argmin (local included)
+    /// The nodes whose answers the argmin combined: bit i = node i (bit 0,
+    /// the master, is always set); `answered` bits in all.
+    std::uint64_t combined = 1;
     DegradationLevel degradation = DegradationLevel::full;
   };
 

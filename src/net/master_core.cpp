@@ -57,6 +57,8 @@ void MasterCore::set_hedging(std::vector<Channel*> backups) {
   TEAMNET_CHECK_MSG(backups.size() == workers_.size(),
                     "need one backup entry (possibly null) per worker");
   backups_ = std::move(backups);
+  hedge_delay_ms_ = &obs::MetricsRegistry::instance().histogram(
+      counters_ + "hedge_delay_ms", {1.0, 2.0, 5.0, 10.0, 20.0, 50.0});
 }
 
 int MasterCore::failed_workers() const {
@@ -82,8 +84,7 @@ double MasterCore::expected_latency_s(int worker_index) const {
       worker_index >= 0 && worker_index < static_cast<int>(slots_.size()),
       "worker index " << worker_index << " out of range [0, " << slots_.size()
                       << ")");
-  const WorkerSlot& slot = slots_[static_cast<std::size_t>(worker_index)];
-  return slot.has_latency ? slot.latency_ewma_s : kInitialLatencyS;
+  return slots_[static_cast<std::size_t>(worker_index)].latency_ewma_s;
 }
 
 void MasterCore::fail(std::size_t w, const std::string& why) {
@@ -447,13 +448,19 @@ MasterCore::Query* MasterCore::accept(const std::string& raw, std::size_t w,
     });
   } else {
     // Only primary replies time the worker: a backup's latency says
-    // nothing about the primary the next hedge delay is waiting on.
+    // nothing about the primary the next hedge timer is waiting on. The
+    // deviation moves first, against the mean before this sample (RFC 6298
+    // §2.3); the first sample S seeds the mean at S and the deviation at
+    // S/8, so the first timer is 1.5·S.
     WorkerSlot& slot = slots_[w];
     const double latency_s = now() - q.t_sent;
     if (slot.has_latency) {
+      const double miss_s = std::abs(latency_s - slot.latency_ewma_s);
+      slot.deviation_s += kDeviationBeta * (miss_s - slot.deviation_s);
       slot.latency_ewma_s += kLatencyAlpha * (latency_s - slot.latency_ewma_s);
     } else {
       slot.latency_ewma_s = latency_s;
+      slot.deviation_s = latency_s / 8;
       slot.has_latency = true;
     }
   }
@@ -475,7 +482,7 @@ void MasterCore::lost(Query& q, std::size_t w, bool from_backup,
   }
 }
 
-void MasterCore::hedge_to(Query& q, std::size_t w) {
+void MasterCore::hedge_to(Query& q, std::size_t w, double delay_s) {
   try {
     backups_[w]->send(
         request_frame(q, q.flights[w].request, /*hedged=*/true));
@@ -490,11 +497,12 @@ void MasterCore::hedge_to(Query& q, std::size_t w) {
   obs::trace_instant("hedge_dispatch", [&] {
     return obs::TraceArgs()
         .arg("worker", static_cast<std::int64_t>(w) + 1)
-        .arg("qid", q.qid);
+        .arg("qid", q.qid)
+        .arg("delay_ms", 1e3 * delay_s);
   });
 }
 
-void MasterCore::fire_hedge(Query& q, int round) {
+void MasterCore::fire_hedge(Query& q, int round, double delay_s) {
   const std::vector<Flight>& flights = q.flights;
   if (round == 1) {
     // First round: cover only the slowest still-outstanding worker (by
@@ -510,7 +518,7 @@ void MasterCore::fire_hedge(Query& q, int round) {
         target = w;
       }
     }
-    if (target < workers_.size()) hedge_to(q, target);
+    if (target < workers_.size()) hedge_to(q, target, delay_s);
     return;
   }
   // Escalation rounds: the first hedge did not close the gather within
@@ -519,7 +527,7 @@ void MasterCore::fire_hedge(Query& q, int round) {
   // lost hedge is indistinguishable from a slow one; retrying is what
   // bounds p99 under message loss, DESIGN.md §13).
   for (std::size_t w = 0; w < backups_.size(); ++w) {
-    if (flights[w].pending && backups_[w] != nullptr) hedge_to(q, w);
+    if (flights[w].pending && backups_[w] != nullptr) hedge_to(q, w, delay_s);
   }
 }
 
@@ -542,17 +550,18 @@ int MasterCore::gather(Query& q) {
   double hedge_at = std::numeric_limits<double>::infinity();
   double hedge_interval = 0.0;
   if (can_hedge) {
-    // Adaptive hedge delay: kHedgeLatencyFactor times the slowest
-    // outstanding worker's expected latency, floored at kHedgeMinDelayS.
-    // The same interval paces the later escalation rounds.
-    double slowest = 0.0;
+    // The retransmission timer (SRTT + 4·RTTVAR) of the slowest
+    // outstanding worker, floored at kHedgeMinDelayS. The same interval
+    // paces the later escalation rounds.
+    hedge_interval = kHedgeMinDelayS;
     for (std::size_t w = 0; w < backups_.size(); ++w) {
       if (!flights[w].pending || backups_[w] == nullptr) continue;
-      slowest = std::max(slowest, expected_latency_s(static_cast<int>(w)));
+      const WorkerSlot& slot = slots_[w];
+      hedge_interval = std::max(hedge_interval,
+                                slot.latency_ewma_s + 4 * slot.deviation_s);
     }
-    hedge_interval =
-        std::max(kHedgeMinDelayS, kHedgeLatencyFactor * slowest);
     hedge_at = q.t_sent + hedge_interval;
+    hedge_delay_ms_->observe(1e3 * hedge_interval);
   }
 
   // Reads one source until it runs dry or its request settles.
@@ -602,7 +611,7 @@ int MasterCore::gather(Query& q) {
     }
     if (q.answers >= q.target) break;
     if (can_hedge && now() >= hedge_at) {
-      fire_hedge(q, ++hedge_round);
+      fire_hedge(q, ++hedge_round, hedge_interval);
       hedge_at += hedge_interval;  // pace the next escalation round
       progress = true;  // a hedged reply may land on the next pass
     }

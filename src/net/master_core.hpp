@@ -30,7 +30,9 @@
 // Degradation plane (DESIGN.md §13): the Infer frame propagates the
 // query's absolute deadline; the gather can complete at a quorum of
 // answers; and a hedged re-issue covers the slowest outstanding worker
-// (by its reply-latency EWMA) with its designated backup replica.
+// (by its reply-latency EWMA) with its designated backup replica, once a
+// per-worker retransmission timer (mean + 4 mean deviations, RFC 6298)
+// runs out.
 //
 // Dispatch (DESIGN.md §9): every Infer goes out through broadcast()'s ONE
 // group send: net::send_each (one unicast per worker, in worker order)
@@ -55,6 +57,10 @@
 #include "net/transport.hpp"
 #include "nn/module.hpp"
 #include "obs/timeline.hpp"
+
+namespace teamnet::obs {
+class Histogram;
+}  // namespace teamnet::obs
 
 namespace teamnet::net {
 
@@ -124,12 +130,17 @@ class MasterCore {
 
   /// Hedged dispatch (DESIGN.md §13): `backups[w]` is the channel to the
   /// static backup replica serving worker w's expert (nullptr = none).
-  /// After an adaptive delay — max of kHedgeMinDelayS and
-  /// kHedgeLatencyFactor × the reply-latency EWMA of the slowest
-  /// outstanding worker — the query is re-issued to that worker's backup
-  /// with the hedge flag set; each further interval re-issues to every
-  /// pending worker's backup. Whichever replica answers first wins and the
-  /// duplicate is reconciled via the query-id echo.
+  /// Each gather arms one interval: the largest retransmission timer
+  /// among its pending workers that have a backup, floored at
+  /// kHedgeMinDelayS. A worker's timer is RFC 6298's SRTT + 4·RTTVAR: its
+  /// reply-latency EWMA plus four times the mean deviation of its primary
+  /// replies from it (15 ms before the first one is timed). When the
+  /// interval runs out, the query is re-issued to the backup of the
+  /// pending worker with the largest latency EWMA, with the hedge flag
+  /// set; each further interval re-issues to every pending worker's
+  /// backup. Whichever replica answers first wins and the duplicate is
+  /// reconciled via the query-id echo. Each armed interval is observed
+  /// in the `<counters>.hedge_delay_ms` histogram.
   void set_hedging(std::vector<Channel*> backups);
 
   /// TEST-ONLY: re-introduces the gather from before the query-id echo.
@@ -166,13 +177,15 @@ class MasterCore {
 
   /// Probe backoff never exceeds this many queries between Pings.
   static constexpr int kMaxProbeInterval = 64;
-  /// Hedge delay: at least kHedgeMinDelayS, else kHedgeLatencyFactor × the
-  /// slowest outstanding worker's expected latency (see set_hedging).
+  /// Floor of a gather's hedge interval (see set_hedging).
   static constexpr double kHedgeMinDelayS = 0.002;
-  static constexpr double kHedgeLatencyFactor = 1.5;
   /// Smoothing of the per-worker reply-latency EWMA (primary replies only).
   static constexpr double kLatencyAlpha = 0.3;
-  /// A worker's expected latency before its first primary reply.
+  /// Smoothing of the per-worker mean deviation (RFC 6298's beta).
+  static constexpr double kDeviationBeta = 0.25;
+  /// A worker's expected latency before its first primary reply. Its
+  /// deviation starts at one eighth of it, so the timer reads
+  /// 1.5 × kInitialLatencyS = 15 ms until a reply is timed.
   static constexpr double kInitialLatencyS = 0.01;
 
  protected:
@@ -264,14 +277,15 @@ class MasterCore {
 
  private:
   /// Per-worker fault-tolerance state machine (live <-> probation) and
-  /// the reply-latency EWMA that sets the hedge delay.
+  /// the reply-latency estimates that set the hedge timer.
   struct WorkerSlot {
     bool failed = false;
     int probe_countdown = 0;  ///< queries until the next probe action
     int probe_interval = 0;   ///< current backoff interval (queries)
     std::int64_t probe_id = 0;  ///< in-flight Ping id (0 = none)
-    double latency_ewma_s = 0.0;  ///< valid once has_latency
-    bool has_latency = false;     ///< a primary reply has been timed
+    double latency_ewma_s = kInitialLatencyS;  ///< SRTT
+    double deviation_s = kInitialLatencyS / 8;  ///< RTTVAR
+    bool has_latency = false;  ///< a primary reply has been timed
   };
 
   void bump(const char* counter) const;
@@ -299,8 +313,10 @@ class MasterCore {
   void stale(std::size_t w, bool from_backup, const Message& reply);
   /// A receive from `w`'s primary or backup errored during `q`'s gather.
   void lost(Query& q, std::size_t w, bool from_backup, const Error& e);
-  void hedge_to(Query& q, std::size_t w);
-  void fire_hedge(Query& q, int round);
+  /// Re-issues `q`'s request to worker `w`'s backup; `delay_s` is the
+  /// hedge interval that armed it (traced).
+  void hedge_to(Query& q, std::size_t w, double delay_s);
+  void fire_hedge(Query& q, int round, double delay_s);
 
   const std::string counters_;
   const bool strict_;
@@ -309,6 +325,8 @@ class MasterCore {
   int probe_interval_ = 4;
   int quorum_ = 0;  ///< 0 = every asked worker
   std::vector<Channel*> backups_;  ///< empty = hedging disabled
+  /// `<counters>.hedge_delay_ms`: each hedged gather's armed interval.
+  obs::Histogram* hedge_delay_ms_ = nullptr;
   GroupSend group_send_ = send_each;
   TensorCoding infer_coding_ = TensorCoding::dense;
   /// broadcast()'s group: the channels and worker indices it reaches.

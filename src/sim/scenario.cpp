@@ -124,6 +124,8 @@ ResilienceResult run_teamnet_resilience(const std::vector<nn::Module*>& experts,
     if (ok) ++n_correct;
     result.correct.push_back(ok ? 1 : 0);
     result.live_nodes.push_back(k - master.failed_workers());
+    result.combined.push_back(r.combined);
+    result.winner.push_back(r.chosen[0]);
   }
   fleet.finish(master);
 

@@ -12,6 +12,7 @@
 // size 1, matching the paper's per-inference measurements.
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -175,6 +176,10 @@ struct ResilienceResult {
   std::vector<int> degradation;  ///< per query: net::DegradationLevel as int
   std::vector<char> correct;     ///< per query: 1 = prediction was correct
   std::vector<int> live_nodes;  ///< per query: master + workers in the live set
+  /// Per query: the nodes whose answers the argmin combined
+  /// (net::CollaborativeMaster::Result::combined, bit i = node i).
+  std::vector<std::uint64_t> combined;
+  std::vector<int> winner;  ///< per query: the winning node (0 = master)
   std::int64_t full_gathers = 0;
   std::int64_t quorum_gathers = 0;
   std::int64_t local_only_gathers = 0;

@@ -17,13 +17,16 @@
 #include <thread>
 #include <vector>
 
+#include "core/teamnet.hpp"
 #include "data/blobs.hpp"
 #include "net/collab.hpp"
 #include "net/fault.hpp"
 #include "net/message.hpp"
 #include "net/transport.hpp"
 #include "nn/mlp.hpp"
+#include "obs/metrics.hpp"
 #include "sim/des/runtime.hpp"
+#include "sim/driver_util.hpp"
 #include "sim/scenario.hpp"
 
 namespace teamnet {
@@ -378,30 +381,44 @@ std::vector<double> hedge_offsets(const std::vector<HedgeStep>& steps) {
   return offsets;
 }
 
-/// The hedge delay is max(2 ms, 1.5 x the worker's reply-latency EWMA),
-/// seeded at 10 ms before the first primary reply, with alpha = 0.3; a
-/// reply won by the backup does not feed it. A hedge is timed only on
-/// queries whose primary stays silent, so no primary reply is in flight
-/// when it is due. The expected offsets are literals on purpose: a changed
-/// alpha or seed must fail here.
-TEST(HedgedDispatch, HedgeDelayFollowsPrimaryReplyLatencyEwma) {
+/// The hedge timer is max(2 ms, SRTT + 4 x RTTVAR) (RFC 6298): SRTT is
+/// the reply-latency EWMA (alpha = 0.3, 10 ms before the first primary
+/// reply) and RTTVAR the mean deviation from it (beta = 1/4, updated
+/// first), seeded at one eighth of the first sample; a reply won by the
+/// backup feeds neither. A hedge is timed only on queries whose primary
+/// stays silent, so no primary reply is in flight when it is due. The
+/// expected offsets are literals on purpose: a changed gain or seed must
+/// fail here.
+TEST(HedgedDispatch, HedgeTimerIsMeanPlusFourDeviations) {
   constexpr double kTol = 1e-5;  // the gather's 1 us minimum wait, with room
-  const auto seeded = hedge_offsets({
-      {-1.0, true},    // no reply timed yet: 1.5 x 10 ms, backup wins
+  const auto offsets = hedge_offsets({
+      {-1.0, true},    // no reply timed yet: 10 + 4 x 1.25 = 15 ms
       {-1.0, true},    // the backup's win was not timed: 15 ms again
-      {0.003, true},   // primary answers in 4 ms: EWMA = 4 ms
-      {-1.0, true},    // 1.5 x 4 = 6 ms
-      {0.007, false},  // primary answers in 8 ms: EWMA = 4 + 0.3 x 4
-      {-1.0, true},    // 1.5 x 5.2 = 7.8 ms
+      {0.003, true},   // primary answers in 4 ms: SRTT 4, RTTVAR 0.5
+      {-1.0, true},    // 4 + 4 x 0.5 = 6 ms
+      {0.003, true},   // 4 ms again: RTTVAR 0.5 x 3/4 = 0.375
+      {-1.0, true},    // 4 + 4 x 0.375 = 5.5 ms: tightens toward SRTT
+      {0.005, false},  // 6 ms, 2 ms off: RTTVAR 0.28125 + 2/4, SRTT 4.6
+      {-1.0, true},    // 4.6 + 4 x 0.78125 = 7.725 ms
   });
-  ASSERT_EQ(seeded.size(), 6u);
-  EXPECT_NEAR(seeded[0], 0.015, kTol);
-  EXPECT_NEAR(seeded[1], 0.015, kTol);
-  EXPECT_TRUE(std::isnan(seeded[2])) << seeded[2];
-  EXPECT_NEAR(seeded[3], 0.006, kTol);
-  EXPECT_NEAR(seeded[5], 0.0078, kTol);
+  ASSERT_EQ(offsets.size(), 8u);
+  EXPECT_NEAR(offsets[0], 0.015, kTol);
+  EXPECT_NEAR(offsets[1], 0.015, kTol);
+  EXPECT_TRUE(std::isnan(offsets[2])) << offsets[2];
+  EXPECT_NEAR(offsets[3], 0.006, kTol);
+  EXPECT_TRUE(std::isnan(offsets[4])) << offsets[4];
+  EXPECT_NEAR(offsets[5], 0.0055, kTol);
+  EXPECT_NEAR(offsets[7], 0.0077250, kTol);
+  // The deviating sample's share: against an equal sample, RTTVAR gains
+  // exactly |dev| / 4, so the timer's deviation term widens by 4 x 1/4 x
+  // |dev| = 2 ms on top of SRTT's alpha x dev move.
+  const double srtt_ms = 4.0 + 0.3 * 2.0;
+  const double equal_deviation_term_ms = 4 * 0.375 * 0.75;
+  EXPECT_NEAR(1e3 * offsets[7] - srtt_ms - equal_deviation_term_ms,
+              4 * 0.25 * 2.0, 1e3 * kTol);
 
-  // A 1 ms worker would hedge at 1.5 ms; the floor holds it at 2 ms.
+  // A 1 ms worker would hedge at 1 + 4 x 0.125 = 1.5 ms; the floor holds
+  // it at 2 ms.
   const auto floored = hedge_offsets({{0.0, true}, {-1.0, true}});
   EXPECT_TRUE(std::isnan(floored[0])) << floored[0];
   EXPECT_NEAR(floored[1], 0.002, kTol);
@@ -483,6 +500,27 @@ TEST(WorkerSlots, LatencyEwmaSeedsThenSmooths) {
   ASSERT_EQ(est.size(), 2u);
   EXPECT_DOUBLE_EQ(est[0], 0.100);
   EXPECT_DOUBLE_EQ(est[1], 0.100 + 0.3 * (0.200 - 0.100));
+}
+
+/// Observations of the `collab.hedge_delay_ms` histogram so far (the
+/// registry is process-wide, so tests read deltas).
+std::int64_t hedge_delay_observations() {
+  const auto snap = obs::MetricsRegistry::instance().snapshot();
+  const auto it = snap.histograms.find("collab.hedge_delay_ms");
+  return it == snap.histograms.end() ? 0 : it->second.count;
+}
+
+/// Every gather that arms a hedge observes its interval once; a master
+/// without hedging never does.
+TEST(HedgedDispatch, HedgeDelayHistogramOnlyWithHedging) {
+  const std::int64_t before = hedge_delay_observations();
+  const auto timed = hedge_offsets({{-1.0, true}, {0.003, true}, {-1.0, true}});
+  ASSERT_EQ(timed.size(), 3u);
+  EXPECT_EQ(hedge_delay_observations() - before, 3);
+
+  const std::int64_t unhedged = hedge_delay_observations();
+  latency_estimates({0.001, 0.002});
+  EXPECT_EQ(hedge_delay_observations(), unhedged);
 }
 
 // ---- whole-scenario ---------------------------------------------------------
@@ -664,6 +702,67 @@ TEST(ResilienceScenario, SameSeedSameEverything) {
   EXPECT_EQ(a.expired_drops, b.expired_drops);
   EXPECT_EQ(a.faults_injected, b.faults_injected);
   EXPECT_EQ(a.scenario.schedule_digest, b.scenario.schedule_digest);
+}
+
+/// Quorum and hedged answers are TeamNet's answers: under drops, with a
+/// quorum of 3 out of 4 experts and hedging, every query's winner must be
+/// the in-process arg-min-entropy's over exactly the experts it combined
+/// (ties to the lowest node), and its correctness that of the reference's
+/// prediction, whichever replica carried each answer — over unicast and
+/// group-frame dispatch, two fault seeds and two drop rates.
+TEST(ResilienceScenario, QuorumAndHedgedAnswersMatchReferenceOverCombinedSet) {
+  auto experts = make_experts(4);
+  const auto ptrs = expert_ptrs(experts);
+  auto test = blobs();
+  const auto cfg = des_config(20);
+  const auto rows = sim::sample_query_rows(test, cfg.num_queries, cfg.seed);
+  std::int64_t subsets = 0;
+  std::int64_t hedge_wins = 0;
+  for (std::uint64_t seed : {chaos_seed(), chaos_seed() + 1}) {
+    for (bool multicast : {false, true}) {
+      for (double drop : {0.1, 0.3}) {
+        SCOPED_TRACE(testing::Message()
+                     << "fault seed " << seed
+                     << (multicast ? " multicast" : " unicast") << " drop "
+                     << drop);
+        sim::ResilienceConfig res;
+        res.faults.seed = seed;
+        res.faults.drop_prob = drop;
+        res.worker_timeout_s = 0.05;
+        res.quorum = 3;
+        res.hedging = true;
+        res.multicast = multicast;
+        const auto r = sim::run_teamnet_resilience(ptrs, test, cfg, res);
+        ASSERT_EQ(r.combined.size(), rows.size());
+        ASSERT_EQ(r.winner.size(), rows.size());
+        hedge_wins += r.hedge_wins;
+        for (std::size_t q = 0; q < rows.size(); ++q) {
+          std::vector<nn::Module*> team;
+          std::vector<int> nodes;
+          for (int node = 0; node < 4; ++node) {
+            if ((r.combined[q] >> node) & 1U) {
+              team.push_back(ptrs[static_cast<std::size_t>(node)]);
+              nodes.push_back(node);
+            }
+          }
+          ASSERT_FALSE(nodes.empty()) << "query " << q;
+          EXPECT_EQ(nodes.front(), 0) << "the master always answers";
+          if (nodes.size() < 4) ++subsets;
+          const auto ref =
+              core::infer_experts(team, sim::query_row_tensor(test, rows[q]));
+          EXPECT_EQ(r.winner[q], nodes[static_cast<std::size_t>(ref.chosen[0])])
+              << "query " << q;
+          const int label = test.labels[static_cast<std::size_t>(rows[q])];
+          EXPECT_EQ(r.correct[q] != 0, ref.predictions[0] == label)
+              << "query " << q;
+        }
+      }
+    }
+  }
+  // The sweep must reach what it checks: answers over a strict subset of
+  // the team, and answers a backup replica carried.
+  EXPECT_GT(subsets, 0);
+  EXPECT_GT(hedge_wins, 0);
 }
 
 }  // namespace
