@@ -8,6 +8,7 @@
 
 #include <thread>
 
+#include "data/synthetic_mnist.hpp"
 #include "mpi/communicator.hpp"
 #include "net/message.hpp"
 #include "net/transport.hpp"
@@ -44,6 +45,28 @@ BENCHMARK(BM_MessageEncodeDecode)
     ->Args({784, 0})
     ->Args({16384, 0})
     ->Args({784, 325});
+
+// One Infer carrying a rendered quick-MNIST digit ([1, 784], the
+// synthetic MNIST defaults), encoded and decoded dense (range(0) = 0) or
+// compact (1): the pixels, zeros and top bytes the fleet wire's compact
+// Infers carry, where the rows above time seeded randn values.
+void BM_MessageEncodeDecodeDigit(benchmark::State& state) {
+  Rng rng(1);
+  const data::MnistConfig mnist;
+  net::Message msg;
+  msg.type = net::MsgType::Infer;
+  msg.tensors = {data::render_digit(3, mnist.image_size, rng,
+                                    mnist.noise_stddev, mnist.max_jitter)
+                     .reshape({1, mnist.image_size * mnist.image_size})};
+  const auto coding =
+      state.range(0) != 0 ? net::TensorCoding::compact : net::TensorCoding::dense;
+  for (auto _ : state) {
+    net::Message back = net::Message::decode(msg.encode(coding));
+    benchmark::DoNotOptimize(back.tensors.data());
+  }
+  state.SetBytesProcessed(state.iterations() * msg.encoded_size(coding));
+}
+BENCHMARK(BM_MessageEncodeDecodeDigit)->Arg(0)->Arg(1);
 
 void BM_InprocRoundTrip(benchmark::State& state) {
   auto [a, b] = net::make_inproc_pair();

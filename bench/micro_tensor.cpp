@@ -96,6 +96,20 @@ void BM_Im2Col(benchmark::State& state) {
 }
 BENCHMARK(BM_Im2Col)->Arg(8)->Arg(16)->Arg(32);
 
+// col2im alone: the conv backward's input-gradient fold of the same
+// columns back into the [8, 8, S, S] image.
+void BM_Col2Im(benchmark::State& state) {
+  const std::int64_t s = state.range(0);
+  Rng rng(3);
+  const Shape image{8, 8, s, s};
+  Tensor cols = Tensor::randn({8, 8 * 9, s * s}, rng);
+  for (auto _ : state) {
+    Tensor folded = col2im(cols, image, 3, 1, 1);
+    benchmark::DoNotOptimize(folded.data());
+  }
+}
+BENCHMARK(BM_Col2Im)->Arg(8)->Arg(16)->Arg(32);
+
 // One 3x3, pad-1 convolution at the SS-14 expert's shapes (batch 1,
 // C -> C channels at S x S): the kernel-level number behind the
 // tcp_cnn_k2 latency. Items are FLOPs, so items/s reads as FLOP/s.

@@ -18,6 +18,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
@@ -78,6 +79,60 @@ inline std::vector<std::string> malformed_compact_frames() {
   for (std::size_t b = 0; b < 7; ++b) overclaim[kCompactBitmapAt + b] = '\xff';
   overclaim[kCompactBitmapAt + 7] = '\x0f';
   return {valid.substr(0, kCompactBitmapAt + 4), padding, rank, overclaim};
+}
+
+/// A compact Infer over a [1, 60] input whose 45 kept elements (every
+/// fourth element is +0.0) take three top bytes, 0x3f, 0x40 and 0xbf: the
+/// palette frame the seeds and tests mutate from. Its palette size byte is
+/// at kPaletteSizeAt, then the 3-byte palette, the 12-byte index run (90
+/// bits of 2-bit indices, then 6 padding bits) and 135 low bytes.
+inline constexpr std::size_t kPaletteSizeAt = kCompactBitmapAt + 8;
+inline constexpr std::size_t kIndexRunAt = kPaletteSizeAt + 1 + 3;
+
+inline std::string palette_infer_frame() {
+  net::Message msg;
+  msg.type = net::MsgType::Infer;
+  net::set_infer_info(msg, {8, 1'000'000, false});
+  Tensor x({1, 60});
+  for (std::int64_t i = 0; i < 60; ++i) {
+    if (i % 4 == 3) continue;
+    const float step = static_cast<float>(i) / 128.0f;
+    x[i] = i % 3 == 0 ? 0.5f + step : i % 3 == 1 ? 2.0f + 4 * step : -0.5f - step;
+  }
+  msg.tensors = {x};
+  return msg.encode(net::TensorCoding::compact);
+}
+
+/// palette_infer_frame() broken in each way the decoder must reject with
+/// SerializationError before it allocates the tensor: a palette of 17, an
+/// index equal to p, a set padding bit in the index run, a truncated
+/// low-byte run, a palette that is not ascending, and a palette with no
+/// kept element.
+inline std::vector<std::string> malformed_palette_frames() {
+  const std::string valid = palette_infer_frame();
+  const auto with_bits = [&valid](std::size_t at, unsigned char bits) {
+    std::string bytes = valid;
+    bytes[at] = static_cast<char>(static_cast<unsigned char>(bytes[at]) | bits);
+    return bytes;
+  };
+  std::string wide = valid;
+  wide[kPaletteSizeAt] = 17;
+  std::string unordered = valid;
+  std::swap(unordered[kPaletteSizeAt + 1], unordered[kPaletteSizeAt + 2]);
+  // An all-zero input codes as a bare bitmap and p = 0; claim a palette.
+  net::Message zeros;
+  zeros.type = net::MsgType::Infer;
+  net::set_infer_info(zeros, {9, 1'000'000, false});
+  zeros.tensors = {Tensor({1, 60})};
+  std::string empty = zeros.encode(net::TensorCoding::compact);
+  empty[kPaletteSizeAt] = 1;
+  empty += '\x3f';
+  return {wide,
+          with_bits(kIndexRunAt, 0x03),       // element 0's index is 3
+          with_bits(kIndexRunAt + 11, 0x80),  // padding bit 95
+          valid.substr(0, valid.size() - 4),
+          unordered,
+          empty};
 }
 
 /// Checkpoint decoder (nn::load_tensors — model snapshots and the weight

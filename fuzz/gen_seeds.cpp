@@ -109,6 +109,13 @@ void gen_message(const std::filesystem::path& dir) {
     if (c(bad)) throw std::runtime_error("a malformed compact frame decoded");
     add(bad);
   }
+  // The palette payload (top bytes, packed indices, low bytes), and each
+  // malformed variant, which must be rejected.
+  add(teamnet::fuzz::palette_infer_frame());
+  for (const std::string& bad : teamnet::fuzz::malformed_palette_frames()) {
+    if (c(bad)) throw std::runtime_error("a malformed palette frame decoded");
+    add(bad);
+  }
   std::printf("message_decode: %d seeds\n", n);
 }
 

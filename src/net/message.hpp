@@ -11,12 +11,21 @@
 // the paper's raw-float wire. The compact one is lossless and skips exact
 // +0.0f elements:
 //   u32 rank | 0x80000000 | i64 dims[rank] | u8 bitmap[ceil(numel / 8)] |
-//   f32 data[popcount(bitmap)]
+//   u8 p | payload
 // Bit i of the bitmap (LSB first) is set when element i's bit pattern is
-// not +0.0f, padding bits are 0, and the marked elements follow in index
-// order — so -0.0f, NaN payloads and denormals round-trip bit for bit.
-// encode(TensorCoding::compact) writes a tensor compactly only when that
-// is strictly smaller; decode reads either coding.
+// not +0.0f, padding bits are 0, and the payload holds the marked ("kept")
+// elements in index order. With p = 0 it is `f32 kept[popcount(bitmap)]`.
+// With 1 <= p <= 16 it splits each kept float into its top byte (the sign
+// and the 7 high exponent bits) and its low three bytes:
+//   u8 palette[p] | index run | u8 low[3 * popcount(bitmap)]
+// where the palette lists the distinct top bytes in ascending order and
+// the index run holds each kept element's palette index in ceil(log2 p)
+// bits, LSB first, its last byte zero-padded. Every bit pattern survives,
+// so -0.0f, NaN payloads, infinities and denormals round-trip bit for bit.
+// encode(TensorCoding::compact) writes whichever of dense, raw-payload
+// compact and palette compact is smallest, compact only when strictly
+// smaller than dense and the palette only when strictly smaller than raw;
+// decode reads every form.
 #pragma once
 
 #include <cstdint>
@@ -63,7 +72,8 @@ enum class MsgType : std::uint32_t {
 };
 
 /// How encode writes each tensor: always dense, or compact wherever that
-/// is strictly smaller (layouts above).
+/// is strictly smaller, with the smaller of its two payloads (layouts
+/// above).
 enum class TensorCoding { dense, compact };
 
 struct Message {
@@ -73,7 +83,9 @@ struct Message {
 
   std::string encode(TensorCoding coding = TensorCoding::dense) const;
   /// Reads both tensor codings. A header whose payload the frame cannot
-  /// hold is rejected (SerializationError) before the tensor is allocated.
+  /// hold, and a compact tensor whose palette, indices or padding bits
+  /// break the layout, are rejected (SerializationError) before the tensor
+  /// is allocated.
   static Message decode(const std::string& bytes);
 
   /// Serialized size in bytes without materializing the string.

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "tensor/gemm.hpp"
+#include "tensor/vec4.hpp"
 
 namespace teamnet {
 
@@ -30,6 +31,14 @@ std::vector<Range> valid_ranges(std::int64_t in, std::int64_t out,
     ranges[static_cast<std::size_t>(t)] = {lo, std::max(lo, hi)};
   }
   return ranges;
+}
+
+/// dst[i] += src[i] for i in [lo, hi), four lanes at a time: each element
+/// still gets the one rounded add the scalar loop gives it.
+void add_span(float* dst, const float* src, std::int64_t lo, std::int64_t hi) {
+  std::int64_t i = lo;
+  for (; i + 4 <= hi; i += 4) store4(dst + i, load4(dst + i) + load4(src + i));
+  for (; i < hi; ++i) dst[i] += src[i];
 }
 
 }  // namespace
@@ -215,7 +224,9 @@ Tensor col2im(const Tensor& cols, const Shape& input_shape, std::int64_t kernel,
       float* plane = out + (img * c + ch) * h * w;
       const float* taps = in + (img * c + ch) * kernel * kernel * ho * wo;
       // Taps in descending (ky, kx): a pixel's patches then arrive in
-      // ascending (oy, ox), the order of the row-per-patch lowering.
+      // ascending (oy, ox), the order of the row-per-patch lowering. A
+      // stride-1 row writes distinct contiguous pixels, so it is one vector
+      // add and every pixel keeps that order.
       for (std::int64_t ky = kernel - 1; ky >= 0; --ky) {
         const auto [oy0, oy1] = ys[static_cast<std::size_t>(ky)];
         for (std::int64_t kx = kernel - 1; kx >= 0; --kx) {
@@ -224,8 +235,12 @@ Tensor col2im(const Tensor& cols, const Shape& input_shape, std::int64_t kernel,
           for (std::int64_t oy = oy0; oy < oy1; ++oy) {
             const std::int64_t base = (oy * stride + ky - pad) * w + kx - pad;
             const float* src = row + oy * wo;
-            for (std::int64_t ox = ox0; ox < ox1; ++ox) {
-              plane[base + ox * stride] += src[ox];
+            if (stride == 1) {
+              add_span(plane + base, src, ox0, ox1);
+            } else {
+              for (std::int64_t ox = ox0; ox < ox1; ++ox) {
+                plane[base + ox * stride] += src[ox];
+              }
             }
           }
         }

@@ -511,10 +511,12 @@ TEST(LoadGen, MulticastRunsAreByteIdenticalPerSeed) {
 }
 
 TEST(LoadGen, AirBytesCountEachGroupFrameOnce) {
-  // MNIST-shaped frames: a [1, 784] Infer is 3,192 B and a 10-class Result
-  // 112 B. A k=4 unicast query puts 3 Infers and 3 Results on the air and
-  // delivers the same; a multicast query puts ONE Infer on the air and
-  // still delivers three.
+  // MNIST-shaped frames: a raw-float [1, 784] Infer is 3,192 B and a
+  // 10-class Result 112 B. A k=4 unicast query puts 3 Infers and 3 Results
+  // on the air and delivers the same; a multicast query puts ONE Infer on
+  // the air, in the compact coding the master gives group frames (the
+  // blobs rows take few enough top bytes for its palette), and still
+  // delivers three.
   data::BlobsConfig data_cfg;
   data_cfg.num_samples = 40;
   data_cfg.num_classes = 10;
@@ -541,8 +543,19 @@ TEST(LoadGen, AirBytesCountEachGroupFrameOnce) {
   load_cfg.multicast = true;
   const auto multicast =
       load::run_teamnet_load(ptrs, test, des_config(), load_cfg);
-  EXPECT_EQ(multicast.air_bytes_per_query, 3192 + 3 * 112);
-  EXPECT_EQ(multicast.bytes_per_query, unicast.bytes_per_query);
+  std::int64_t infers = 0;
+  for (const auto& rec : multicast.records) {
+    net::Message infer;
+    infer.type = net::MsgType::Infer;
+    net::set_infer_info(infer, {});
+    infer.tensors = {sim::query_row_tensor(test, rec.row)};
+    infers += infer.encoded_size(net::TensorCoding::compact);
+  }
+  const auto n = static_cast<double>(multicast.num_queries);
+  EXPECT_EQ(multicast.air_bytes_per_query,
+            static_cast<double>(infers + 3 * 112 * multicast.num_queries) / n);
+  EXPECT_EQ(multicast.bytes_per_query,
+            static_cast<double>(3 * infers + 3 * 112 * multicast.num_queries) / n);
   EXPECT_EQ(multicast.messages_per_query, unicast.messages_per_query);
   EXPECT_EQ(multicast.accuracy_pct, unicast.accuracy_pct);
 }

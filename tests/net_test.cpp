@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <bit>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <limits>
@@ -124,16 +125,20 @@ TEST(Message, BothCodingsRoundTripEveryBitPattern) {
 }
 
 TEST(Message, CompactOnlyWhenStrictlySmaller) {
-  // 32 floats: the bitmap is 4 B, so one +0.0 saves exactly what the
-  // bitmap costs (a tie, which stays dense) and two save 4 B.
+  // 24 floats with 24 distinct top bytes (2^-24, 2^-22, ..., 2^22), so no
+  // palette fits: the bitmap and the palette size byte take 3 + 1 B, one
+  // +0.0 saves exactly that (a tie, which stays dense) and two save 4 B.
   const auto frame = [](int zeros, net::TensorCoding coding) {
-    std::vector<float> values(32, 1.5f);
-    // 7 is coprime with 32, so the zeros land on distinct elements.
+    std::vector<float> values(24);
+    for (int i = 0; i < 24; ++i) {
+      values[static_cast<std::size_t>(i)] = std::ldexp(1.0f, 2 * i - 24);
+    }
+    // 7 is coprime with 24, so the zeros land on distinct elements.
     for (int i = 0; i < zeros; ++i) {
-      values[static_cast<std::size_t>(7 * i % 32)] = 0.0f;
+      values[static_cast<std::size_t>(7 * i % 24)] = 0.0f;
     }
     net::Message msg;
-    msg.tensors = {Tensor({32}, values)};
+    msg.tensors = {Tensor({24}, values)};
     EXPECT_EQ(static_cast<std::int64_t>(msg.encode(coding).size()),
               msg.encoded_size(coding));
     return msg.encode(coding);
@@ -150,8 +155,28 @@ TEST(Message, CompactOnlyWhenStrictlySmaller) {
   EXPECT_TRUE(compact(two));
   EXPECT_EQ(two.size() + 4, dense.size());
   EXPECT_FALSE(compact(frame(2, net::TensorCoding::dense)));
-  EXPECT_TRUE(compact(frame(32, net::TensorCoding::compact)));
+  EXPECT_TRUE(compact(frame(24, net::TensorCoding::compact)));
   EXPECT_FALSE(compact(frame(0, net::TensorCoding::compact)));
+
+  // The palette only when strictly smaller than raw floats: one kept float
+  // costs a palette byte and three low bytes, a tie that stays raw (p = 0);
+  // two sharing a top byte take 1 + 6 B against 8.
+  net::Message sparse;
+  sparse.tensors = {Tensor({16})};
+  sparse.tensors[0][3] = 1.5f;
+  // The palette size byte follows the dims and the 2-byte bitmap.
+  constexpr std::size_t kPaletteSizeAt = 16 + 8 + 2;
+  const std::string one = sparse.encode(net::TensorCoding::compact);
+  EXPECT_EQ(one.at(kPaletteSizeAt), 0);
+  EXPECT_EQ(one.size(), kPaletteSizeAt + 1 + 4);
+  sparse.tensors[0][9] = 1.25f;
+  const std::string shared = sparse.encode(net::TensorCoding::compact);
+  EXPECT_EQ(shared.at(kPaletteSizeAt), 1);
+  EXPECT_EQ(shared.size(), kPaletteSizeAt + 1 + 1 + 6);
+  EXPECT_EQ(static_cast<std::int64_t>(shared.size()),
+            sparse.encoded_size(net::TensorCoding::compact));
+  EXPECT_TRUE(same_bits(net::Message::decode(shared).tensors.at(0),
+                        sparse.tensors[0]));
 }
 
 TEST(Message, WireBytesArePinned) {
@@ -172,12 +197,22 @@ TEST(Message, WireBytesArePinned) {
             "0200000003000000070000000000000040420f00000000000100000000000000"
             "0200000002000000010000000000000002000000000000000000803e0000403f"
             "0100000001000000000000000000003f");
-  // The airtime-first wire's Infer: flagged rank, bitmap 0b101, the two
+  // The airtime-first wire's Infer: flagged rank, bitmap 0b101, palette
+  // size 0 (two kept floats: a palette would take 9 B against 8), the two
   // kept floats. Results never go compact, so theirs is the line above.
   EXPECT_EQ(hex(infer.encode(net::TensorCoding::compact)),
             "0100000003000000070000000000000040420f00000000000100000000000000"
-            "010000000200008001000000000000000300000000000000050000803f000020"
-            "c0");
+            "01000000020000800100000000000000030000000000000005000000803f0000"
+            "20c0");
+  // A palette Infer: bitmap 0b11101101, palette size 3, top bytes 3f 40
+  // c0, the six 2-bit indices 0 0 2 0 1 0 in two bytes, then each kept
+  // float's low three bytes.
+  infer.tensors = {
+      Tensor({1, 8}, {1.0f, 0.0f, 1.5f, -2.5f, 0.0f, 1.25f, 3.0f, 1.75f})};
+  EXPECT_EQ(hex(infer.encode(net::TensorCoding::compact)),
+            "0100000003000000070000000000000040420f00000000000100000000000000"
+            "010000000200008001000000000000000800000000000000ed033f40c0200100"
+            "00800000c00000200000a00000400000e0");
 }
 
 TEST(InProc, PairDeliversBothDirections) {

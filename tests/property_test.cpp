@@ -5,9 +5,11 @@
 // wire's lossless compact tensor coding.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstring>
+#include <iterator>
 #include <sstream>
 
 #include "core/entropy.hpp"
@@ -267,19 +269,44 @@ TEST_P(CompactCodingSweep, RoundTripIsBitExactAndSizesAgree) {
   }
 }
 
+/// The compact payload of `t` by the layout's arithmetic: the bitmap, the
+/// palette size byte and the smaller of raw kept floats and, with 1-16
+/// distinct top bytes, the palette, the ceil(log2 p)-bit indices and three
+/// low bytes per kept float.
+std::int64_t compact_payload(const Tensor& t) {
+  std::int64_t kept = 0;
+  bool top[256] = {};
+  for (const float v : t.values()) {
+    const auto bits = std::bit_cast<std::uint32_t>(v);
+    if (bits == 0) continue;
+    ++kept;
+    top[bits >> 24] = true;
+  }
+  const int p = static_cast<int>(std::count(std::begin(top), std::end(top), true));
+  std::int64_t payload = 4 * kept;
+  if (p >= 1 && p <= 16) {
+    int index_bits = 0;
+    while ((1 << index_bits) < p) ++index_bits;
+    payload = std::min(payload, p + (kept * index_bits + 7) / 8 + 3 * kept);
+  }
+  return (t.numel() + 7) / 8 + 1 + payload;
+}
+
 TEST_P(CompactCodingSweep, CompactExactlyWhenStrictlySmaller) {
   Rng rng(GetParam() + 100);
   net::Message msg;
   msg.tensors = {random_wire_tensor(rng)};
   const Tensor& t = msg.tensors[0];
-  std::int64_t kept = 0;
-  for (const float v : t.values()) kept += std::bit_cast<std::uint32_t>(v) != 0;
-  const bool smaller = (t.numel() + 7) / 8 + 4 * kept < 4 * t.numel();
+  const bool smaller = compact_payload(t) < 4 * t.numel();
   const std::string bytes = msg.encode(net::TensorCoding::compact);
   // The rank word follows type and the two counts; its top bit flags the
   // compact form.
   EXPECT_EQ((static_cast<unsigned char>(bytes.at(15)) & 0x80) != 0, smaller);
   EXPECT_EQ(bytes.size() < msg.encode().size(), smaller);
+  if (smaller) {
+    EXPECT_EQ(static_cast<std::int64_t>(bytes.size()),
+              16 + 8 * t.rank() + compact_payload(t));
+  }
 }
 
 TEST_P(CompactCodingSweep, EveryTruncationThrowsSerializationError) {
@@ -297,6 +324,71 @@ TEST_P(CompactCodingSweep, EveryTruncationThrowsSerializationError) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CompactCodingSweep,
                          ::testing::Range<std::uint64_t>(1, 33));
+
+// ---- compact palette payload -------------------------------------------------
+
+/// Tensors whose kept elements take exactly GetParam() distinct top bytes.
+class PaletteSweep : public ::testing::TestWithParam<int> {};
+
+/// 203 elements, a third of them +0.0, the rest cycling through
+/// `distinct` top bytes with seeded low bytes. The first four top bytes
+/// are the special patterns' own, and the first kept elements are those
+/// patterns exactly: -0.0f (0x80), a NaN payload and +inf (0x7f), -inf
+/// (0xff) and a denormal (0x00).
+Tensor palette_tensor(int distinct, Rng& rng) {
+  const std::uint32_t specials[] = {0x80000000u, 0x7fc00123u, 0xff800000u,
+                                    0x00000003u};
+  const auto top_of = [](int slot) {
+    constexpr std::uint32_t kSpecialTops[] = {0x80, 0x7f, 0xff, 0x00};
+    return slot < 4 ? kSpecialTops[slot] : 0x30u + static_cast<std::uint32_t>(slot);
+  };
+  Tensor t({203});
+  if (distinct == 0) return t;
+  int kept = 0;
+  for (std::int64_t i = 0; i < t.numel(); ++i) {
+    if (i % 3 == 1) continue;  // stays +0.0
+    const int slot = kept % distinct;
+    std::uint32_t bits =
+        top_of(slot) << 24 |
+        static_cast<std::uint32_t>(rng.randint(1, (1 << 24) - 1));
+    if (kept < std::min(distinct, 4)) bits = specials[kept];  // its own slot
+    if (distinct > 1 && kept == distinct + 1) bits = 0x7f800000u;  // slot 1
+    t[i] = std::bit_cast<float>(bits);
+    ++kept;
+  }
+  return t;
+}
+
+TEST_P(PaletteSweep, RoundTripIsBitExactAndPicksTheSmallerPayload) {
+  const int distinct = GetParam();
+  Rng rng(static_cast<std::uint64_t>(distinct) + 7);
+  net::Message msg;
+  msg.type = net::MsgType::Infer;
+  msg.tensors = {palette_tensor(distinct, rng)};
+  const Tensor& t = msg.tensors[0];
+  const std::string bytes = msg.encode(net::TensorCoding::compact);
+  ASSERT_EQ(static_cast<std::int64_t>(bytes.size()),
+            msg.encoded_size(net::TensorCoding::compact));
+  ASSERT_EQ(static_cast<std::int64_t>(bytes.size()), 16 + 8 + compact_payload(t));
+  // The palette size byte follows the dims and the 26-byte bitmap: a
+  // palette of every distinct top byte up to 16, raw floats past that.
+  const auto p = static_cast<unsigned char>(bytes.at(16 + 8 + 26));
+  EXPECT_EQ(p, distinct <= 16 ? distinct : 0);
+  const net::Message back = net::Message::decode(bytes);
+  ASSERT_EQ(back.tensors.size(), 1u);
+  ASSERT_EQ(back.tensors[0].shape(), t.shape());
+  EXPECT_EQ(std::memcmp(back.tensors[0].data(), t.data(),
+                        static_cast<std::size_t>(t.numel()) * sizeof(float)),
+            0);
+  for (std::size_t len = 0; len < bytes.size(); len += 7) {
+    EXPECT_THROW(net::Message::decode(bytes.substr(0, len)),
+                 SerializationError)
+        << "truncation to " << len << " of " << bytes.size();
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(DistinctTopBytes, PaletteSweep,
+                         ::testing::Values(0, 1, 2, 16, 17));
 
 }  // namespace
 }  // namespace teamnet

@@ -153,6 +153,23 @@ TEST(MessageFuzz, CompactInferFrameHoldsDecodeContract) {
   }
 }
 
+/// The compact palette payload through the same sweep; each truncation and
+/// each malformed palette, index run or low-byte run is rejected with
+/// SerializationError.
+TEST(MessageFuzz, PaletteInferFrameHoldsDecodeContract) {
+  const std::string bytes = fuzz::palette_infer_frame();
+  ASSERT_EQ(bytes.at(fuzz::kPaletteSizeAt), 3);
+  exhaust_mutations(fuzz::message_decode, bytes, 37);
+  for (std::size_t len = 0; len < bytes.size(); ++len) {
+    EXPECT_THROW(net::Message::decode(bytes.substr(0, len)),
+                 SerializationError)
+        << "truncation to " << len << " of " << bytes.size();
+  }
+  for (const std::string& bad : fuzz::malformed_palette_frames()) {
+    EXPECT_THROW(net::Message::decode(bad), SerializationError);
+  }
+}
+
 TEST(CheckpointFuzz, MutationSweepHoldsDecodeContract) {
   Rng rng(3);
   std::ostringstream os(std::ios::binary);
