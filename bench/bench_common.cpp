@@ -53,8 +53,9 @@ core::ConvergenceTelemetry decode_telemetry(const std::vector<Tensor>& tensors) 
 }
 
 /// The Baseline recipe both datasets share: one Net built from `init_seed`
-/// and trained by plain supervised SGD (batch order seeded by `seed`). It
-/// trains a fresh model, never a load target a failed load partly wrote.
+/// and trained by plain supervised SGD (batch order seeded by `seed`). The
+/// cached model loads into a zero-built load target; a miss trains a fresh
+/// seeded model, never the target a failed load partly wrote.
 template <class Net, class NetConfig>
 std::unique_ptr<Net> cached_baseline(const Options& opts,
                                      const std::string& stem,
@@ -63,13 +64,10 @@ std::unique_ptr<Net> cached_baseline(const Options& opts,
                                      const data::Dataset& train, int epochs,
                                      std::int64_t batch_size, float lr,
                                      std::uint64_t seed) {
-  const auto make = [&cfg, init_seed] {
-    Rng rng(init_seed);
-    return std::make_unique<Net>(cfg, rng);
-  };
-  auto model = make();
+  auto model = std::make_unique<Net>(cfg);
   load_or_train(opts.cache_dir, {stem, {{"", model.get()}}}, [&] {
-    model = make();
+    Rng init(init_seed);
+    model = std::make_unique<Net>(cfg, init);
     model->set_training(true);
     nn::SgdConfig sgd;
     sgd.lr = lr;
@@ -100,21 +98,22 @@ CacheEntry team_entry(const std::string& stem, TrainedTeam& team) {
 }
 
 /// The TeamNet recipe both datasets share: `cfg.num_experts` experts of
-/// type Net, built from `init_seed` when the entry is cached and trained
-/// by core::TeamNetTrainer (seeded by `cfg.seed`) when it is not.
+/// type Net, loaded into zero-built load targets when the entry is cached
+/// and trained by core::TeamNetTrainer (seeded by `cfg.seed`, which draws
+/// each expert's init) when it is not.
 template <class Net, class NetConfig>
 TrainedTeam cached_team(const Options& opts, const std::string& stem,
                         const NetConfig& expert_cfg,
                         const core::TeamNetConfig& cfg,
-                        const data::Dataset& train, std::uint64_t init_seed) {
-  const core::ExpertFactory make = [&expert_cfg](int, Rng& rng) {
-    return nn::ModulePtr(std::make_unique<Net>(expert_cfg, rng));
-  };
+                        const data::Dataset& train) {
   TrainedTeam team;
-  Rng rng(init_seed);
-  for (int i = 0; i < cfg.num_experts; ++i) team.experts.push_back(make(i, rng));
+  for (int i = 0; i < cfg.num_experts; ++i) {
+    team.experts.push_back(std::make_unique<Net>(expert_cfg));
+  }
   load_or_train(opts.cache_dir, team_entry(stem, team), [&] {
-    core::TeamNetTrainer trainer(cfg, make);
+    core::TeamNetTrainer trainer(cfg, [&expert_cfg](int, Rng& rng) {
+      return nn::ModulePtr(std::make_unique<Net>(expert_cfg, rng));
+    });
     team.experts = trainer.train(train).release_experts();
     team.telemetry = trainer.telemetry();
     return team_entry(stem, team);
@@ -342,7 +341,7 @@ TrainedTeam train_mnist_teamnet(const MnistSetup& setup, int num_experts,
       "mnist_teamnet_k" + std::to_string(num_experts) + "_h" +
           std::to_string(expert_cfg.hidden) + "_n" +
           std::to_string(setup.train.size()) + "_" + core::to_string(gate),
-      expert_cfg, cfg, setup.train, 31);
+      expert_cfg, cfg, setup.train);
 }
 
 std::unique_ptr<moe::SgMoe> train_mnist_sgmoe(const MnistSetup& setup,
@@ -391,7 +390,7 @@ TrainedTeam train_cifar_teamnet(const CifarSetup& setup, int num_experts,
           std::to_string(expert_cfg.depth) + "_c" +
           std::to_string(expert_cfg.base_channels) + "_n" +
           std::to_string(setup.train.size()),
-      expert_cfg, cfg, setup.train, 51);
+      expert_cfg, cfg, setup.train);
 }
 
 std::unique_ptr<moe::SgMoe> train_cifar_sgmoe(const CifarSetup& setup,

@@ -1,7 +1,8 @@
 // Microbenchmarks for the tensor substrate: GEMM variants, convolution
 // lowering, ReLU, eval BatchNorm, the fused conv -> BatchNorm -> ReLU,
 // softmax/entropy kernels — the primitives whose FLOP counts feed the
-// edge-latency model — plus one whole expert forward.
+// edge-latency model — plus one whole expert forward, and the synthetic
+// MNIST renderer that a team's bring-up spends most of its set-up in.
 #include <benchmark/benchmark.h>
 
 #include <memory>
@@ -10,6 +11,7 @@
 
 #include "common/rng.hpp"
 #include "core/entropy.hpp"
+#include "data/synthetic_mnist.hpp"
 #include "nn/batchnorm.hpp"
 #include "nn/layers.hpp"
 #include "nn/mlp.hpp"
@@ -187,7 +189,7 @@ void BM_ConvBnRelu(benchmark::State& state) {
   const std::int64_t c = state.range(0), s = state.range(1);
   Rng rng(13);
   nn::Sequential seq;
-  seq.emplace<nn::Conv2d>(c, c, 3, 1, 1, rng);
+  seq.emplace<nn::Conv2d>(c, c, 3, 1, 1, &rng);
   seq.emplace<nn::BatchNorm>(c);
   seq.emplace<nn::ReLU>();
   for (Tensor* buffer : seq.buffers()) {
@@ -268,6 +270,35 @@ void BM_BroadcastMul(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BroadcastMul)->Arg(256)->Arg(4096);
+
+// One 28x28 digit as make_synthetic_mnist draws it, the ten glyphs in
+// turn; the stream runs on across iterations, so each renders a fresh
+// sample.
+void BM_RenderDigit(benchmark::State& state) {
+  const data::MnistConfig cfg;
+  Rng rng(cfg.seed);
+  int digit = 0;
+  for (auto _ : state) {
+    Tensor img = data::render_digit(digit, cfg.image_size, rng,
+                                    cfg.noise_stddev, cfg.max_jitter);
+    benchmark::DoNotOptimize(img.data());
+    digit = (digit + 1) % 10;
+  }
+}
+BENCHMARK(BM_RenderDigit);
+
+// The benches' --quick MNIST set (1,200 digits, seed 11): renders, the
+// in-place shuffle and validation, the dataset half of a fleet's set-up.
+void BM_SyntheticMnist(benchmark::State& state) {
+  data::MnistConfig cfg;
+  cfg.num_samples = 1200;
+  cfg.seed = 11;
+  for (auto _ : state) {
+    data::Dataset ds = data::make_synthetic_mnist(cfg);
+    benchmark::DoNotOptimize(ds.images.data());
+  }
+}
+BENCHMARK(BM_SyntheticMnist)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace teamnet

@@ -152,8 +152,7 @@ int cmd_train(int experts, const std::string& out_dir) {
 }
 
 int cmd_worker(std::uint16_t port, const std::string& weights) {
-  Rng rng(1);
-  nn::MlpNet expert(expert_config(), rng);
+  nn::MlpNet expert(expert_config());
   nn::load_module(weights, expert);
   net::TcpListener listener(port);
   std::printf("worker: serving %s on 127.0.0.1:%u\n", weights.c_str(),
@@ -169,8 +168,7 @@ int cmd_worker(std::uint16_t port, const std::string& weights) {
 int cmd_master(const std::vector<std::string>& workers,
                const std::string& weights, std::uint64_t chaos_seed,
                double chaos_drop) {
-  Rng rng(2);
-  nn::MlpNet expert(expert_config(), rng);
+  nn::MlpNet expert(expert_config());
   nn::load_module(weights, expert);
 
   std::vector<net::ChannelPtr> channels;
@@ -239,8 +237,7 @@ int cmd_demo() {
     // Same steady-clock epoch as the master track, so the demo trace shows
     // both roles on one consistent timeline.
     obs::TraceTrack track(1, steady_seconds(), "worker");
-    Rng rng(1);
-    nn::MlpNet expert(expert_config(), rng);
+    nn::MlpNet expert(expert_config());
     nn::load_module(dir + "/expert1.tnet", expert);
     auto channel = listener.accept();
     net::CollaborativeWorker w(expert, *channel);

@@ -67,11 +67,10 @@ int main() {
   // 5. Ship an expert to an edge device: serialize + restore its weights.
   std::string wire = nn::serialize_parameters(ensemble.expert(0));
   std::printf("expert 1 weights serialize to %zu bytes\n", wire.size());
-  Rng rng(99);
   nn::MlpConfig mlp;
   mlp.depth = 4;
   mlp.hidden = 64;
-  nn::MlpNet restored(mlp, rng);
+  nn::MlpNet restored(mlp);  // a load target: its weights come off the wire
   nn::deserialize_parameters(wire, restored);
   restored.set_training(false);
   Tensor a = ensemble.expert(0).predict(test.images);

@@ -21,9 +21,9 @@ GateTrainer::GateTrainer(int num_experts, const GateTrainerConfig& config,
                         config.capacity_weights.size() ==
                             static_cast<std::size_t>(num_experts),
                     "capacity_weights must have one entry per expert");
-  w_.emplace<nn::Linear>(config.latent_dim, config.hidden_dim, rng_);
+  w_.emplace<nn::Linear>(config.latent_dim, config.hidden_dim, &rng_);
   w_.emplace<nn::Tanh>();
-  w_.emplace<nn::Linear>(config.hidden_dim, num_experts, rng_);
+  w_.emplace<nn::Linear>(config.hidden_dim, num_experts, &rng_);
   nn::SgdConfig opt;
   opt.lr = config.lr;
   opt.momentum = 0.0f;

@@ -34,19 +34,45 @@ Dataset Dataset::take(std::int64_t n) const {
 }
 
 void Dataset::shuffle(Rng& rng) {
+  TEAMNET_CHECK(images.rank() >= 1 && images.dim(0) == size());
   std::vector<int> perm = rng.permutation(static_cast<int>(size()));
-  *this = subset(perm);
+  const std::int64_t row = size() == 0 ? 0 : images.numel() / size();
+  const auto row_at = [this, row](int i) { return images.data() + i * row; };
+  const auto slot = [](int i) { return static_cast<std::size_t>(i); };
+  // Follow each cycle of the permutation once: carry its first row, pull
+  // every later row into the slot before it, then drop the carried row
+  // into the last slot. A placed slot becomes a fixed point of `perm`.
+  std::vector<float> carry(static_cast<std::size_t>(row));
+  for (int start = 0; start < size(); ++start) {
+    if (perm[slot(start)] == start) continue;
+    std::copy_n(row_at(start), row, carry.data());
+    const int carry_label = labels[slot(start)];
+    int i = start;
+    while (perm[slot(i)] != start) {
+      const int next = perm[slot(i)];
+      std::copy_n(row_at(next), row, row_at(i));
+      labels[slot(i)] = labels[slot(next)];
+      perm[slot(i)] = i;
+      i = next;
+    }
+    std::copy_n(carry.data(), row, row_at(i));
+    labels[slot(i)] = carry_label;
+    perm[slot(i)] = i;
+  }
 }
 
 std::pair<Dataset, Dataset> Dataset::split(double frac) const {
   TEAMNET_CHECK(frac >= 0.0 && frac <= 1.0);
   const std::int64_t n_first = static_cast<std::int64_t>(
       static_cast<double>(size()) * frac);
-  std::vector<int> first(static_cast<std::size_t>(n_first));
-  std::iota(first.begin(), first.end(), 0);
-  std::vector<int> second(static_cast<std::size_t>(size() - n_first));
-  std::iota(second.begin(), second.end(), static_cast<int>(n_first));
-  return {subset(first), subset(second)};
+  const auto part = [this](std::int64_t begin, std::int64_t end) {
+    Dataset out;
+    out.images = images.slice_rows(begin, end);
+    out.labels.assign(labels.begin() + begin, labels.begin() + end);
+    out.num_classes = num_classes;
+    return out;
+  };
+  return {part(0, n_first), part(n_first, size())};
 }
 
 std::vector<int> Dataset::class_counts() const {

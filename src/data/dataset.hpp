@@ -25,11 +25,15 @@ struct Dataset {
   /// First `n` samples after the dataset's current order.
   Dataset take(std::int64_t n) const;
 
-  /// Randomly reorders samples in place.
+  /// Randomly reorders samples in place: row i becomes row
+  /// rng.permutation(size())[i], with one row of scratch. Like any write to
+  /// a Tensor, a copy that shares `images`' buffer sees the rows move.
   void shuffle(Rng& rng);
 
   /// Splits into (first `frac` of samples, rest). Call shuffle first for a
-  /// random split.
+  /// random split. Each half's images are a view of this dataset's buffer
+  /// (Tensor::slice_rows), so splitting never holds the images twice; like
+  /// any Tensor copy, a write through a half shows in this dataset.
   std::pair<Dataset, Dataset> split(double frac) const;
 
   /// Number of samples per class.

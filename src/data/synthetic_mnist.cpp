@@ -3,8 +3,11 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <cstring>
+#include <limits>
 
 #include "common/error.hpp"
+#include "tensor/vec4.hpp"
 
 namespace teamnet::data {
 
@@ -41,20 +44,44 @@ constexpr std::array<std::uint8_t, 10> kDigitMask = {
     0b1101111,  // 9: ABCDFG
 };
 
-float point_segment_distance(float px, float py, const Segment& s) {
-  const float dx = s.x1 - s.x0, dy = s.y1 - s.y0;
-  const float len2 = dx * dx + dy * dy;
-  float t = len2 > 0.0f ? ((px - s.x0) * dx + (py - s.y0) * dy) / len2 : 0.0f;
-  t = std::clamp(t, 0.0f, 1.0f);
-  const float cx = s.x0 + t * dx, cy = s.y0 + t * dy;
-  return std::sqrt((px - cx) * (px - cx) + (py - cy) * (py - cy));
+// One active segment of a glyph: its start point, and the direction and
+// squared length that projecting a point onto it divides by. Every segment
+// in kSegments has positive length, so the projection never divides 0 by 0.
+struct SegmentGeometry {
+  float x0, y0, dx, dy, len2;
+};
+
+// Minimum squared distance from four glyph-space points (gx, gy) to the
+// segments `g[0, count)`. Each lane rounds exactly as the scalar
+// statements t = clamp(((px - x0) * dx + (py - y0) * dy) / len2, 0, 1),
+// c = (x0 + t * dx, y0 + t * dy), |p - c|^2 would; the clamp keeps
+// std::clamp's -0.
+f32x4 min_distance2(f32x4 gx, float gy, const SegmentGeometry* g,
+                    std::size_t count) {
+  const f32x4 zero = {};
+  const f32x4 one = zero + 1.0f;
+  f32x4 best = zero + std::numeric_limits<float>::infinity();
+  for (std::size_t s = 0; s < count; ++s) {
+    f32x4 t = ((gx - g[s].x0) * g[s].dx + (gy - g[s].y0) * g[s].dy) / g[s].len2;
+    t = t < zero ? zero : (one < t ? one : t);
+    const f32x4 ex = gx - (g[s].x0 + t * g[s].dx);
+    const f32x4 ey = gy - (g[s].y0 + t * g[s].dy);
+    const f32x4 d2 = ex * ex + ey * ey;
+    best = d2 < best ? d2 : best;
+  }
+  return best;
 }
 
-}  // namespace
-
-Tensor render_digit(int digit, std::int64_t image_size, Rng& rng,
-                    float noise_stddev, float max_jitter) {
-  TEAMNET_CHECK(digit >= 0 && digit <= 9 && image_size >= 12);
+// render_digit into `out` ([image_size, image_size], every pixel written),
+// for a digit and size render_digit has checked.
+// The stroke distance is sqrt(min d^2) over the glyph's segments: sqrt is
+// correctly rounded and monotone, so that is min(sqrt(d^2)) bit for bit,
+// with one square root per pixel instead of one per segment. A row's
+// geometry is computed four pixels at a time (the last group's spare lanes
+// are dropped) and then its noise is drawn in pixel order, so the Rng
+// stream is the per-pixel loop's.
+void render_digit_into(float* out, int digit, std::int64_t image_size,
+                       Rng& rng, float noise_stddev, float max_jitter) {
   const float size = static_cast<float>(image_size);
 
   // Per-sample glyph transform.
@@ -65,19 +92,30 @@ Tensor render_digit(int digit, std::int64_t image_size, Rng& rng,
   const float intensity = rng.uniform(0.75f, 1.0f);
   const float slant = rng.uniform(-0.12f, 0.12f);  // horizontal shear
 
+  std::array<SegmentGeometry, kSegments.size()> glyph{};
+  std::size_t count = 0;
   const std::uint8_t mask = kDigitMask[static_cast<std::size_t>(digit)];
-  Tensor image({image_size, image_size});
-  for (std::int64_t y = 0; y < image_size; ++y) {
+  for (std::size_t s = 0; s < kSegments.size(); ++s) {
+    if (!(mask >> s & 1)) continue;
+    const Segment& seg = kSegments[s];
+    const float dx = seg.x1 - seg.x0, dy = seg.y1 - seg.y0;
+    glyph[count++] = {seg.x0, seg.y0, dx, dy, dx * dx + dy * dy};
+  }
+
+  const f32x4 lane = {0.0f, 1.0f, 2.0f, 3.0f};
+  for (std::int64_t y = 0; y < image_size; ++y, out += image_size) {
+    // Map pixels back into glyph coordinates (inverse shear + scale).
+    const float gy = (static_cast<float>(y) - oy) / scale;
+    const float shear = slant * (gy - 0.5f);
+    for (std::int64_t x = 0; x < image_size; x += 4) {
+      const f32x4 gx = (lane + static_cast<float>(x) - ox) / scale - shear;
+      const f32x4 d2 = min_distance2(gx, gy, glyph.data(), count);
+      std::memcpy(out + x, &d2,
+                  sizeof(float) * static_cast<std::size_t>(
+                                      std::min<std::int64_t>(4, image_size - x)));
+    }
     for (std::int64_t x = 0; x < image_size; ++x) {
-      // Map pixel back into glyph coordinates (inverse shear + scale).
-      const float gy = (static_cast<float>(y) - oy) / scale;
-      const float gx =
-          (static_cast<float>(x) - ox) / scale - slant * (gy - 0.5f);
-      float best = 1e9f;
-      for (std::size_t s = 0; s < kSegments.size(); ++s) {
-        if (!(mask >> s & 1)) continue;
-        best = std::min(best, point_segment_distance(gx, gy, kSegments[s]));
-      }
+      const float best = std::sqrt(out[x]);
       // Smooth stroke falloff.
       float v = 0.0f;
       if (best < thickness) {
@@ -86,30 +124,39 @@ Tensor render_digit(int digit, std::int64_t image_size, Rng& rng,
         v = intensity * (2.0f - best / thickness);
       }
       v += rng.normal(0.0f, noise_stddev);
-      image[y * image_size + x] = std::clamp(v, 0.0f, 1.0f);
+      out[x] = std::clamp(v, 0.0f, 1.0f);
     }
   }
+}
+
+}  // namespace
+
+Tensor render_digit(int digit, std::int64_t image_size, Rng& rng,
+                    float noise_stddev, float max_jitter) {
+  TEAMNET_CHECK(digit >= 0 && digit <= 9 && image_size >= 12);
+  Tensor image({image_size, image_size}, uninitialized);
+  render_digit_into(image.data(), digit, image_size, rng, noise_stddev,
+                    max_jitter);
   return image;
 }
 
 Dataset make_synthetic_mnist(const MnistConfig& config) {
-  TEAMNET_CHECK(config.num_samples > 0);
+  TEAMNET_CHECK(config.num_samples > 0 && config.image_size >= 12);
   Rng rng(config.seed);
   const std::int64_t n = config.num_samples;
   const std::int64_t features = config.image_size * config.image_size;
 
   Dataset out;
   out.num_classes = 10;
-  out.images = Tensor({n, features});
+  out.images = Tensor({n, features}, uninitialized);
   out.labels.resize(static_cast<std::size_t>(n));
   for (std::int64_t i = 0; i < n; ++i) {
     const int digit = config.balanced ? static_cast<int>(i % 10)
                                       : rng.randint(0, 9);
     out.labels[static_cast<std::size_t>(i)] = digit;
-    Tensor img = render_digit(digit, config.image_size, rng,
-                              config.noise_stddev, config.max_jitter);
-    std::copy(img.values().begin(), img.values().end(),
-              out.images.data() + i * features);
+    render_digit_into(out.images.data() + i * features, digit,
+                      config.image_size, rng, config.noise_stddev,
+                      config.max_jitter);
   }
   out.shuffle(rng);
   out.validate();

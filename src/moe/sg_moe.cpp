@@ -30,7 +30,7 @@ SgMoe::SgMoe(const SgMoeConfig& config, std::int64_t gate_in_features,
   TEAMNET_CHECK(config.num_experts >= 2);
   TEAMNET_CHECK(config.top_k >= 1 && config.top_k <= config.num_experts);
   TEAMNET_CHECK(factory != nullptr);
-  gate_ = std::make_unique<nn::Linear>(gate_in_, config.num_experts, rng_);
+  gate_ = std::make_unique<nn::Linear>(gate_in_, config.num_experts, &rng_);
   for (int i = 0; i < config.num_experts; ++i) {
     Rng expert_rng = rng_.fork(static_cast<std::uint64_t>(i) + 500);
     experts_.push_back(factory(i, expert_rng));

@@ -8,12 +8,15 @@
 
 namespace teamnet::nn {
 
-Linear::Linear(std::int64_t in_features, std::int64_t out_features, Rng& rng)
+Linear::Linear(std::int64_t in_features, std::int64_t out_features, Rng* rng)
     : in_(in_features), out_(out_features) {
   TEAMNET_CHECK(in_features > 0 && out_features > 0);
   // He initialization: suits the ReLU activations used throughout.
   const float stddev = std::sqrt(2.0f / static_cast<float>(in_features));
-  weight_ = ag::Var(Tensor::randn({in_, out_}, rng, 0.0f, stddev), true);
+  weight_ = ag::Var(rng != nullptr
+                        ? Tensor::randn({in_, out_}, *rng, 0.0f, stddev)
+                        : Tensor::zeros({in_, out_}),
+                    true);
   bias_ = ag::Var(Tensor::zeros({1, out_}), true);
 }
 
@@ -36,7 +39,7 @@ std::string Linear::name() const {
 
 Conv2d::Conv2d(std::int64_t in_channels, std::int64_t out_channels,
                std::int64_t kernel, std::int64_t stride, std::int64_t pad,
-               Rng& rng)
+               Rng* rng)
     : cin_(in_channels),
       cout_(out_channels),
       kernel_(kernel),
@@ -46,7 +49,10 @@ Conv2d::Conv2d(std::int64_t in_channels, std::int64_t out_channels,
                 pad >= 0);
   const std::int64_t fan_in = cin_ * kernel_ * kernel_;
   const float stddev = std::sqrt(2.0f / static_cast<float>(fan_in));
-  weight_ = ag::Var(Tensor::randn({fan_in, cout_}, rng, 0.0f, stddev), true);
+  weight_ = ag::Var(rng != nullptr
+                        ? Tensor::randn({fan_in, cout_}, *rng, 0.0f, stddev)
+                        : Tensor::zeros({fan_in, cout_}),
+                    true);
   bias_ = ag::Var(Tensor::zeros({cout_}), true);
 }
 

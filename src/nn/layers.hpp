@@ -13,7 +13,10 @@ class BatchNorm;
 /// Fully connected layer: y = x W + b, x is [N, in].
 class Linear : public Module {
  public:
-  Linear(std::int64_t in_features, std::int64_t out_features, Rng& rng);
+  /// He-initialized weight drawn from `rng`, zero bias. A null `rng` leaves
+  /// the weight at zero too, for a load target (nn::load_module overwrites
+  /// every parameter).
+  Linear(std::int64_t in_features, std::int64_t out_features, Rng* rng);
 
   ag::Var forward(const ag::Var& input) override;
   std::vector<ag::Var> parameters() override { return {weight_, bias_}; }
@@ -37,8 +40,10 @@ class Linear : public Module {
 /// padded copy of the input (conv2d_forward, tensor/im2col.hpp).
 class Conv2d : public Module {
  public:
+  /// He-initialized from `rng`; a null `rng` leaves the weight at zero, as
+  /// Linear's does.
   Conv2d(std::int64_t in_channels, std::int64_t out_channels,
-         std::int64_t kernel, std::int64_t stride, std::int64_t pad, Rng& rng);
+         std::int64_t kernel, std::int64_t stride, std::int64_t pad, Rng* rng);
 
   ag::Var forward(const ag::Var& input) override;
   std::vector<ag::Var> parameters() override { return {weight_, bias_}; }

@@ -4,7 +4,7 @@
 
 namespace teamnet::nn {
 
-MlpNet::MlpNet(const MlpConfig& config, Rng& rng) : config_(config) {
+MlpNet::MlpNet(const MlpConfig& config, Rng* rng) : config_(config) {
   TEAMNET_CHECK_MSG(config.depth >= 1, "MLP depth must be >= 1");
   std::int64_t in = config.in_features;
   for (std::int64_t layer = 0; layer + 1 < config.depth; ++layer) {

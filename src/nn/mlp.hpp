@@ -23,7 +23,11 @@ struct MlpConfig {
 /// the weight matrices across edge nodes.
 class MlpNet : public Sequential {
  public:
-  MlpNet(const MlpConfig& config, Rng& rng);
+  /// He-initialized from `rng`, one Linear after another.
+  MlpNet(const MlpConfig& config, Rng& rng) : MlpNet(config, &rng) {}
+  /// A load target: every parameter zero, for nn::load_module or
+  /// deserialize_parameters to fill. Draws nothing.
+  explicit MlpNet(const MlpConfig& config) : MlpNet(config, nullptr) {}
 
   const MlpConfig& config() const { return config_; }
   /// The Linear layers in forward order (non-owning).
@@ -32,6 +36,8 @@ class MlpNet : public Sequential {
   std::string name() const override;
 
  private:
+  MlpNet(const MlpConfig& config, Rng* rng);
+
   MlpConfig config_;
   std::vector<Linear*> linears_;
 };

@@ -38,7 +38,7 @@ Tensor shake_tail(const Tensor& a, const Tensor& b, const Tensor& skip,
 namespace {
 
 std::unique_ptr<Sequential> make_branch(std::int64_t cin, std::int64_t cout,
-                                        std::int64_t stride, Rng& rng) {
+                                        std::int64_t stride, Rng* rng) {
   auto branch = std::make_unique<Sequential>();
   branch->emplace<Conv2d>(cin, cout, 3, stride, 1, rng);
   branch->emplace<BatchNorm>(cout);
@@ -51,8 +51,8 @@ std::unique_ptr<Sequential> make_branch(std::int64_t cin, std::int64_t cout,
 }  // namespace
 
 ShakeBlock::ShakeBlock(std::int64_t in_channels, std::int64_t out_channels,
-                       std::int64_t stride, Rng& rng)
-    : shake_rng_(rng.fork(0xb10c)) {
+                       std::int64_t stride, Rng* rng)
+    : shake_rng_(rng != nullptr ? rng->fork(0xb10c) : Rng(0xb10c)) {
   branch0_ = make_branch(in_channels, out_channels, stride, rng);
   branch1_ = make_branch(in_channels, out_channels, stride, rng);
   if (in_channels != out_channels || stride != 1) {
@@ -126,7 +126,7 @@ std::int64_t ShakeShakeNet::blocks_for_depth(std::int64_t depth) {
   return (depth - 2) / 2;
 }
 
-ShakeShakeNet::ShakeShakeNet(const ShakeShakeConfig& config, Rng& rng)
+ShakeShakeNet::ShakeShakeNet(const ShakeShakeConfig& config, Rng* rng)
     : config_(config) {
   const std::int64_t total_blocks = blocks_for_depth(config.depth);
   // Split blocks across two stages; stage 2 doubles channels and halves the

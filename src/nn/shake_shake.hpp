@@ -42,8 +42,11 @@ Tensor shake_tail(const Tensor& a, const Tensor& b, const Tensor& skip,
 /// tail with shake_tail in one pass (DESIGN.md §2.3).
 class ShakeBlock : public Module {
  public:
+  /// Convs drawn from `rng`, shake mixing seeded from rng->fork(). A null
+  /// `rng` builds a load target: convs at zero (Conv2d) and a fixed
+  /// shake-mixing seed, which only a training forward draws from.
   ShakeBlock(std::int64_t in_channels, std::int64_t out_channels,
-             std::int64_t stride, Rng& rng);
+             std::int64_t stride, Rng* rng);
 
   ag::Var forward(const ag::Var& input) override;
   std::vector<ag::Var> parameters() override;
@@ -70,7 +73,12 @@ class ShakeBlock : public Module {
 
 class ShakeShakeNet : public Module {
  public:
-  ShakeShakeNet(const ShakeShakeConfig& config, Rng& rng);
+  /// He-initialized from `rng`.
+  ShakeShakeNet(const ShakeShakeConfig& config, Rng& rng)
+      : ShakeShakeNet(config, &rng) {}
+  /// A load target (see MlpNet's): draws nothing.
+  explicit ShakeShakeNet(const ShakeShakeConfig& config)
+      : ShakeShakeNet(config, nullptr) {}
 
   ag::Var forward(const ag::Var& input) override;
   std::vector<ag::Var> parameters() override;
@@ -89,6 +97,8 @@ class ShakeShakeNet : public Module {
   static std::int64_t blocks_for_depth(std::int64_t depth);
 
  private:
+  ShakeShakeNet(const ShakeShakeConfig& config, Rng* rng);
+
   ShakeShakeConfig config_;
   std::unique_ptr<Sequential> stem_;
   std::vector<std::unique_ptr<ShakeBlock>> blocks_;

@@ -136,6 +136,20 @@ Tensor Tensor::reshape(Shape shape) const {
   return view;
 }
 
+Tensor Tensor::slice_rows(std::int64_t begin, std::int64_t end) const {
+  TEAMNET_CHECK_MSG(rank() >= 1 && 0 <= begin && begin <= end &&
+                        end <= shape_[0],
+                    "rows [" << begin << ", " << end << ") of "
+                             << shape_to_string(shape_));
+  const std::int64_t row = shape_[0] == 0 ? 0 : numel_ / shape_[0];
+  Tensor view;
+  view.shape_ = shape_;
+  view.shape_[0] = end - begin;
+  view.numel_ = (end - begin) * row;
+  view.data_ = std::shared_ptr<float[]>(data_, data_.get() + begin * row);
+  return view;
+}
+
 Tensor Tensor::clone() const {
   Tensor copy(shape_);
   if (numel_ > 0) {

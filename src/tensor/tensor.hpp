@@ -94,6 +94,10 @@ class Tensor {
   /// -1 dimension is inferred).
   Tensor reshape(Shape shape) const;
 
+  /// View of rows [begin, end) along dim 0 over the same buffer, nothing
+  /// copied (like reshape(), a write through one shows in the other).
+  Tensor slice_rows(std::int64_t begin, std::int64_t end) const;
+
   /// Deep copy.
   Tensor clone() const;
 

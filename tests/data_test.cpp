@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <numeric>
+#include <span>
 
 #include "data/blobs.hpp"
 #include "data/dataset.hpp"
@@ -58,6 +61,32 @@ double nearest_centroid_accuracy(const data::Dataset& train,
     if (best == test.labels[static_cast<std::size_t>(i)]) ++correct;
   }
   return static_cast<double>(correct) / static_cast<double>(test.size());
+}
+
+
+/// FNV-1a over the bit patterns of `values`: a pin that moves when any bit
+/// of any element does.
+std::uint64_t fnv1a(std::span<const float> values,
+                    std::uint64_t h = 14695981039346656037ull) {
+  for (float v : values) {
+    std::uint32_t bits;
+    std::memcpy(&bits, &v, sizeof bits);
+    for (int b = 0; b < 4; ++b) {
+      h ^= (bits >> (8 * b)) & 0xffu;
+      h *= 1099511628211ull;
+    }
+  }
+  return h;
+}
+
+/// Images, then labels, of `d`.
+std::uint64_t digest(const data::Dataset& d) {
+  std::uint64_t h = fnv1a(d.images.values());
+  for (int y : d.labels) {
+    h ^= static_cast<std::uint32_t>(y);
+    h *= 1099511628211ull;
+  }
+  return h;
 }
 
 TEST(Dataset, SubsetSplitAndCounts) {
@@ -217,6 +246,92 @@ TEST(Blobs, SeparableByConstruction) {
   auto ds = data::make_blobs(cfg);
   auto [test, train] = ds.split(0.25);
   EXPECT_GT(nearest_centroid_accuracy(train, test), 0.95);
+}
+
+// The pins below were taken from the per-segment-sqrt renderer and the
+// copying shuffle/split, so any change to the synthetic data's bits,
+// including its Rng draw count, fails here first.
+TEST(SyntheticMnist, RenderDigitBitsArePinned) {
+  const std::pair<std::int64_t, std::uint64_t> pins[] = {
+      {12, 0x098fec9a6e778990ull},
+      {13, 0x6bf3479ca054cbb8ull},
+      {28, 0xfc1e9b5b203e1346ull},
+      {30, 0xdc1cba004cd2d31full}};
+  for (const auto& [size, pin] : pins) {
+    Rng rng(static_cast<std::uint64_t>(size));
+    std::uint64_t h = 14695981039346656037ull;
+    for (int digit = 0; digit < 10; ++digit) {
+      const Tensor img = data::render_digit(digit, size, rng, 0.08f, 2.0f);
+      ASSERT_EQ(img.shape(), (Shape{size, size}));
+      h = fnv1a(img.values(), h);
+    }
+    const float next = rng.uniform();  // the renders' draw count
+    h = fnv1a({&next, 1}, h);
+    EXPECT_EQ(h, pin) << "size " << size;
+  }
+}
+
+TEST(SyntheticMnist, DatasetBitsArePinned) {
+  const data::Dataset full = data::make_synthetic_mnist({});
+  EXPECT_EQ(full.images.shape(), (Shape{4096, 28 * 28}));
+  EXPECT_EQ(digest(full), 0x00212aa1c5314db5ull);
+  data::MnistConfig quick;
+  quick.num_samples = 1200;
+  quick.seed = 11;
+  const data::Dataset small = data::make_synthetic_mnist(quick);
+  EXPECT_EQ(digest(small), 0xb27c5db6932cae1full);
+}
+
+TEST(SyntheticCifar, QuickDatasetBitsArePinned) {
+  data::CifarConfig quick;
+  quick.num_samples = 800;
+  quick.image_size = 16;
+  quick.seed = 13;
+  const data::Dataset ds = data::make_synthetic_cifar(quick);
+  EXPECT_EQ(ds.images.shape(), (Shape{800, 3, 16, 16}));
+  EXPECT_EQ(digest(ds), 0x998f116dc92c47d1ull);
+}
+
+TEST(Dataset, ShuffleAndSplitBitsArePinned) {
+  data::BlobsConfig cfg;
+  cfg.num_samples = 101;
+  data::Dataset ds = data::make_blobs(cfg);
+  EXPECT_EQ(digest(ds), 0x2891e21c00f377f0ull);
+  const data::Dataset before = ds.subset(Rng(9).permutation(101));
+  Rng rng(9);
+  ds.shuffle(rng);
+  EXPECT_EQ(digest(ds), 0x92c19bf4a90fc008ull);
+  EXPECT_EQ(digest(ds), digest(before)) << "in place == subset(permutation)";
+  const auto [head, tail] = ds.split(0.2);
+  EXPECT_EQ(head.size(), 20);
+  EXPECT_EQ(tail.size(), 81);
+  EXPECT_EQ(digest(head), 0x0b65952fed0872b4ull);
+  EXPECT_EQ(digest(tail), 0x08859ec19ab1e6c7ull);
+}
+
+TEST(Dataset, SplitHalvesAreViewsEqualToSubsets) {
+  data::MnistConfig quick;
+  quick.num_samples = 1200;
+  quick.seed = 11;
+  const data::Dataset all = data::make_synthetic_mnist(quick);
+  std::vector<int> first(240), second(960);
+  std::iota(first.begin(), first.end(), 0);
+  std::iota(second.begin(), second.end(), 240);
+  const data::Dataset test_copy = all.subset(first);
+  const data::Dataset train_copy = all.subset(second);
+  auto [test, train] = all.split(0.2);
+  EXPECT_EQ(test.images.shape(), test_copy.images.shape());
+  EXPECT_EQ(train.images.shape(), train_copy.images.shape());
+  EXPECT_EQ(digest(test), digest(test_copy));
+  EXPECT_EQ(digest(train), digest(train_copy));
+  EXPECT_EQ(test.num_classes, 10);
+  EXPECT_EQ(train.num_classes, 10);
+  // Views of the one buffer, not copies.
+  EXPECT_EQ(test.images.data(), all.images.data());
+  EXPECT_EQ(train.images.data(), all.images.data() + 240 * 28 * 28);
+  // Writing through one half leaves the other alone.
+  test.images.fill(0.5f);
+  EXPECT_EQ(digest(train), digest(train_copy));
 }
 
 TEST(Dataset, ValidateCatchesBadLabels) {

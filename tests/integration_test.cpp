@@ -222,9 +222,8 @@ TEST(Pipeline, CheckpointRoundTripPreservesEnsembleBehaviour) {
                     ensemble.expert(i));
   }
   std::vector<nn::ModulePtr> restored;
-  Rng rng(7);
   for (int i = 0; i < 2; ++i) {
-    auto expert = std::make_unique<nn::MlpNet>(blob_mlp(), rng);
+    auto expert = std::make_unique<nn::MlpNet>(blob_mlp());
     nn::load_module(dir + "/expert" + std::to_string(i) + ".tnet", *expert);
     restored.push_back(std::move(expert));
   }

@@ -6,6 +6,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <sstream>
 
@@ -25,7 +26,7 @@ namespace {
 
 TEST(Linear, ForwardShapeAndBias) {
   Rng rng(1);
-  nn::Linear layer(3, 2, rng);
+  nn::Linear layer(3, 2, &rng);
   layer.bias().mutable_value()[0] = 10.0f;
   Tensor x({2, 3}, {1, 0, 0, 0, 1, 0});
   Tensor y = layer.predict(x);
@@ -35,7 +36,7 @@ TEST(Linear, ForwardShapeAndBias) {
 
 TEST(Linear, AnalyzeReportsFlops) {
   Rng rng(2);
-  nn::Linear layer(784, 64, rng);
+  nn::Linear layer(784, 64, &rng);
   auto analysis = layer.analyze({784});
   EXPECT_EQ(analysis.output_shape, (Shape{64}));
   EXPECT_EQ(analysis.flops, 2 * 784 * 64);
@@ -44,7 +45,7 @@ TEST(Linear, AnalyzeReportsFlops) {
 
 TEST(Conv2d, MatchesDirectConvolution) {
   Rng rng(3);
-  nn::Conv2d conv(1, 1, 3, 1, 1, rng);
+  nn::Conv2d conv(1, 1, 3, 1, 1, &rng);
   // Identity-ish check: set kernel to a delta -> output equals input.
   conv.weight().mutable_value().fill(0.0f);
   conv.weight().mutable_value()[4] = 1.0f;  // center tap of the 3x3 kernel
@@ -55,7 +56,7 @@ TEST(Conv2d, MatchesDirectConvolution) {
 
 TEST(Conv2d, StrideHalvesSpatialDims) {
   Rng rng(4);
-  nn::Conv2d conv(3, 8, 3, 2, 1, rng);
+  nn::Conv2d conv(3, 8, 3, 2, 1, &rng);
   auto analysis = conv.analyze({3, 16, 16});
   EXPECT_EQ(analysis.output_shape, (Shape{8, 8, 8}));
   Tensor y = conv.predict(Tensor::randn({2, 3, 16, 16}, rng));
@@ -356,7 +357,7 @@ TEST(FusedServing, ConvBatchNormReluEqualsLayerByLayer) {
     for (const bool relu : {false, true}) {
       nn::Sequential seq;
       auto& conv = seq.emplace<nn::Conv2d>(cs.cin, cs.cout, cs.kernel,
-                                           cs.stride, cs.kernel / 2, rng);
+                                           cs.stride, cs.kernel / 2, &rng);
       auto& bn = seq.emplace<nn::BatchNorm>(cs.cout);
       if (relu) seq.emplace<nn::ReLU>();
       perturb_state(seq, {4, cs.cin, cs.size, cs.size}, rng);
@@ -395,7 +396,7 @@ TEST(FusedServing, ShakeBlockEvalTailEqualsCombineAddRelu) {
   Rng rng(36);
   for (const Case& cs : {Case{6, 6, 1, 16}, Case{6, 6, 1, 5},
                          Case{6, 12, 2, 16}}) {
-    nn::ShakeBlock block(cs.cin, cs.cout, cs.stride, rng);
+    nn::ShakeBlock block(cs.cin, cs.cout, cs.stride, &rng);
     perturb_state(block, {4, cs.cin, cs.size, cs.size}, rng);
     for (int b = 0; b < 2; ++b) {
       auto& conv = dynamic_cast<nn::Conv2d&>(block.branch_seq(b).layer(3));
@@ -592,6 +593,129 @@ TEST(Serialize, OverwriteReplacesCheckpointAtomically) {
   EXPECT_EQ(nn::serialize_parameters(loaded), nn::serialize_parameters(second));
   EXPECT_NE(nn::serialize_parameters(loaded), nn::serialize_parameters(first));
   fs::remove_all(dir);
+}
+
+/// Same shape and the same bits in every element.
+bool same_bits(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data(), b.data(),
+                     static_cast<std::size_t>(a.numel()) * sizeof(float)) == 0;
+}
+
+/// Saves `twin` to a checkpoint, loads it into `target`, and checks that
+/// `target` then equals `twin` in every parameter, buffer and logit.
+void expect_loads_bit_identical(nn::Module& twin, nn::Module& target,
+                                const Tensor& x, const std::string& name) {
+  // Every weight the Rng constructor draws (Linear's and Conv2d's, the
+  // rank-2 parameters) starts at zero; the biases are zero and BatchNorm's
+  // gamma and beta start at one and zero in both constructors.
+  for (const auto& p : target.parameters()) {
+    if (p.value().rank() != 2) continue;
+    for (float v : p.value().values()) ASSERT_EQ(v, 0.0f) << name;
+  }
+  const std::string path = ::testing::TempDir() + "/load_target_" + name +
+                           "_" + std::to_string(::getpid()) + ".tnet";
+  nn::save_module(path, twin);
+  nn::load_module(path, target);
+  std::filesystem::remove(path);
+  const auto want = twin.parameters(), got = target.parameters();
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_TRUE(same_bits(got[i].value(), want[i].value()))
+        << name << " parameter " << i;
+  }
+  const auto want_buffers = twin.buffers(), got_buffers = target.buffers();
+  ASSERT_EQ(got_buffers.size(), want_buffers.size());
+  for (std::size_t i = 0; i < want_buffers.size(); ++i) {
+    EXPECT_TRUE(same_bits(*got_buffers[i], *want_buffers[i]))
+        << name << " buffer " << i;
+  }
+  twin.set_training(false);
+  target.set_training(false);
+  EXPECT_TRUE(same_bits(target.predict(x), twin.predict(x))) << name;
+}
+
+TEST(LoadTarget, ZeroBuiltNetsLoadBitIdenticalToTheirTwins) {
+  Rng rng(20);
+  nn::MlpConfig mlp_cfg;
+  mlp_cfg.in_features = 16;
+  mlp_cfg.depth = 3;
+  mlp_cfg.hidden = 8;
+  nn::MlpNet mlp(mlp_cfg, rng);
+  nn::MlpNet mlp_target(mlp_cfg);
+  expect_loads_bit_identical(mlp, mlp_target,
+                             Tensor::randn({4, mlp_cfg.in_features}, rng),
+                             "mlp");
+
+  nn::ShakeShakeConfig ss_cfg;
+  ss_cfg.depth = 8;
+  ss_cfg.base_channels = 4;
+  ss_cfg.image_size = 8;
+  nn::ShakeShakeNet ss(ss_cfg, rng);
+  // Training forwards move the BatchNorm running statistics off their
+  // initial values, so the buffers the load must carry are not defaults.
+  ss.set_training(true);
+  for (int i = 0; i < 3; ++i) {
+    ss.forward(ag::constant(Tensor::randn({4, 3, 8, 8}, rng, 1.0f, 2.0f)));
+  }
+  nn::ShakeShakeNet ss_target(ss_cfg);
+  expect_loads_bit_identical(ss, ss_target,
+                             Tensor::randn({2, 3, 8, 8}, rng), "shake");
+}
+
+TEST(LoadTarget, WrongShapeStillThrows) {
+  Rng rng(21);
+  nn::MlpConfig cfg;
+  cfg.in_features = 16;
+  cfg.depth = 2;
+  cfg.hidden = 8;
+  nn::MlpNet twin(cfg, rng);
+  nn::MlpConfig wider = cfg;
+  wider.hidden = 9;
+  nn::MlpNet wrong_width(wider);
+  EXPECT_THROW(
+      nn::deserialize_parameters(nn::serialize_parameters(twin), wrong_width),
+      InvariantError);
+
+  nn::ShakeShakeConfig ss_cfg;
+  ss_cfg.depth = 8;
+  ss_cfg.base_channels = 4;
+  ss_cfg.image_size = 8;
+  nn::ShakeShakeNet ss(ss_cfg, rng);
+  nn::ShakeShakeConfig deeper = ss_cfg;
+  deeper.depth = 14;
+  nn::ShakeShakeNet wrong_depth(deeper);
+  EXPECT_THROW(
+      nn::deserialize_parameters(nn::serialize_parameters(ss), wrong_depth),
+      InvariantError);
+}
+
+TEST(LoadTarget, RngBuiltNetsKeepTheirDrawOrder) {
+  // The Rng& constructors draw what they drew before the load-target path
+  // existed: the pins were taken from that code, and the stream is left
+  // where the next draw continues from.
+  const auto fnv1a = [](const std::string& bytes) {
+    std::uint64_t h = 14695981039346656037ull;
+    for (unsigned char c : bytes) {
+      h ^= c;
+      h *= 1099511628211ull;
+    }
+    return h;
+  };
+  nn::MlpConfig mlp_cfg;
+  mlp_cfg.in_features = 16;
+  mlp_cfg.depth = 3;
+  mlp_cfg.hidden = 8;
+  nn::ShakeShakeConfig ss_cfg;
+  ss_cfg.depth = 8;
+  ss_cfg.base_channels = 4;
+  ss_cfg.image_size = 8;
+  Rng rng(22);
+  nn::MlpNet mlp(mlp_cfg, rng);
+  nn::ShakeShakeNet ss(ss_cfg, rng);
+  EXPECT_EQ(fnv1a(nn::serialize_parameters(mlp)), 0x877e93bb42ccdc72ull);
+  EXPECT_EQ(fnv1a(nn::serialize_parameters(ss)), 0xa92e5701aa340cc1ull);
+  EXPECT_EQ(rng.uniform(), 0x1.49a0a4p-1f);
 }
 
 }  // namespace

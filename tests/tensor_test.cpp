@@ -54,6 +54,21 @@ TEST(Tensor, ReshapeInfersDimension) {
   EXPECT_THROW(t.reshape({5, -1}), InvariantError);
 }
 
+TEST(Tensor, SliceRowsSharesBuffer) {
+  Tensor t({3, 2, 2}, {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11});
+  Tensor tail = t.slice_rows(1, 3);
+  EXPECT_EQ(tail.shape(), (Shape{2, 2, 2}));
+  EXPECT_EQ(tail.numel(), 8);
+  EXPECT_EQ(tail[0], 4.0f);
+  EXPECT_EQ(tail[7], 11.0f);
+  tail[0] = 42.0f;
+  EXPECT_EQ(t[4], 42.0f);
+  EXPECT_EQ(t.slice_rows(3, 3).numel(), 0);
+  EXPECT_THROW(t.slice_rows(2, 4), InvariantError);
+  EXPECT_THROW(t.slice_rows(2, 1), InvariantError);
+  EXPECT_THROW(Tensor().slice_rows(0, 0), InvariantError);
+}
+
 TEST(Tensor, CloneIsDeep) {
   Tensor t({2}, {1, 2});
   Tensor c = t.clone();
