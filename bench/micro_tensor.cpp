@@ -2,7 +2,8 @@
 // lowering, ReLU, eval BatchNorm, the fused conv -> BatchNorm -> ReLU,
 // softmax/entropy kernels — the primitives whose FLOP counts feed the
 // edge-latency model — plus one whole expert forward, and the synthetic
-// MNIST renderer that a team's bring-up spends most of its set-up in.
+// MNIST and CIFAR sets and the normal draws that a team's bring-up spends
+// most of its set-up in.
 #include <benchmark/benchmark.h>
 
 #include <memory>
@@ -11,6 +12,7 @@
 
 #include "common/rng.hpp"
 #include "core/entropy.hpp"
+#include "data/synthetic_cifar.hpp"
 #include "data/synthetic_mnist.hpp"
 #include "nn/batchnorm.hpp"
 #include "nn/layers.hpp"
@@ -299,6 +301,34 @@ void BM_SyntheticMnist(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SyntheticMnist)->Unit(benchmark::kMillisecond);
+
+// The benches' --quick CIFAR set (800 16x16x3 images, seed 13): the
+// dataset half of tcp_cnn_k2's set-up.
+void BM_SyntheticCifar(benchmark::State& state) {
+  data::CifarConfig cfg;
+  cfg.num_samples = 800;
+  cfg.image_size = 16;
+  cfg.seed = 13;
+  for (auto _ : state) {
+    data::Dataset ds = data::make_synthetic_cifar(cfg);
+    benchmark::DoNotOptimize(ds.images.data());
+  }
+}
+BENCHMARK(BM_SyntheticCifar)->Unit(benchmark::kMillisecond);
+
+// As many normal draws as the --quick MNIST set's pixel noise (1,200
+// digits of 28x28): the stream that sets most of a fleet's set-up.
+void BM_RngNormal(benchmark::State& state) {
+  constexpr int kDraws = 1200 * 28 * 28;
+  Rng rng(11);
+  for (auto _ : state) {
+    float sum = 0.0f;
+    for (int i = 0; i < kDraws; ++i) sum += rng.normal(0.0f, 0.08f);
+    benchmark::DoNotOptimize(sum);
+  }
+  state.SetItemsProcessed(state.iterations() * kDraws);
+}
+BENCHMARK(BM_RngNormal)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace teamnet

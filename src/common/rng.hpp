@@ -6,14 +6,80 @@
 // run-to-run. `Rng::fork` derives an independent child stream, which lets a
 // parent seed fan out to per-expert / per-worker streams without
 // correlation.
+//
+// The stream is std::mt19937_64's, word for word, and `normal`, `uniform`
+// and `bernoulli` return what libstdc++ 12's std::normal_distribution,
+// std::uniform_real_distribution and std::bernoulli_distribution would
+// return from a fresh object on that engine (DESIGN.md §1.1, "The random
+// stream"). Those values are part of every pinned dataset, checkpoint and
+// bench row, so this file is the only place the std engine and
+// distributions may appear (analyzer rule `std-random`).
 #pragma once
 
 #include <algorithm>
+#include <array>
+#include <bit>
+#include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <random>
 #include <vector>
 
+#include "common/error.hpp"
+
 namespace teamnet {
+
+/// std::mt19937_64's output words, bit for bit, made 312 at a time: the
+/// twist has no branch per word and the tempering runs over the whole
+/// block, so a draw is one load. It is a UniformRandomBitGenerator with
+/// std::mt19937_64's range, so std::shuffle and
+/// std::uniform_int_distribution consume the same words from it.
+class Mt64Engine {
+ public:
+  using result_type = std::uint64_t;
+  static constexpr std::size_t kBlockWords = 312;
+
+  explicit Mt64Engine(std::uint64_t seed);
+
+  static constexpr result_type min() { return 0; }
+  static constexpr result_type max() { return ~result_type{0}; }
+
+  result_type operator()() {
+    if (next_ == kBlockWords) refill();
+    return block_[next_++];
+  }
+
+ private:
+  /// Twists `state_` into the next 312 words and tempers them into
+  /// `block_`.
+  void refill();
+
+  std::array<std::uint64_t, kBlockWords> state_{};
+  std::array<std::uint64_t, kBlockWords> block_{};
+  std::size_t next_ = kBlockWords;
+};
+
+/// std::generate_canonical<float, 24> of one engine word: float(w) / 2^64,
+/// held below 1. x86-64 below AVX-512 converts only signed 64-bit
+/// integers, so the compiler's float(uint64_t) branches on the top bit,
+/// which is random here. Instead a word with the top bit set is halved
+/// with its low bit kept as a sticky bit, which rounds the same, and the
+/// halving moves into the power-of-two scale.
+inline float canonical_float(std::uint64_t w) {
+  const std::uint64_t top = w >> 63;
+  const auto h = static_cast<std::int64_t>((w >> top) | (w & top));
+  const float scale =  // 2^-64, or 2^-63 for a halved word
+      std::bit_cast<float>(0x1f80'0000u + (static_cast<std::uint32_t>(top) << 23));
+  return std::min(static_cast<float>(h) * scale, 0x1.fffffep-1f);
+}
+
+/// std::generate_canonical<double, 53> of one engine word, the same way.
+inline double canonical_double(std::uint64_t w) {
+  const std::uint64_t top = w >> 63;
+  const auto h = static_cast<std::int64_t>((w >> top) | (w & top));
+  const double scale = std::bit_cast<double>(0x3bf0'0000'0000'0000ULL + (top << 52));
+  return std::min(static_cast<double>(h) * scale, 0x1.fffffffffffffp-1);
+}
 
 class Rng {
  public:
@@ -21,14 +87,24 @@ class Rng {
 
   /// Uniform float in [lo, hi).
   float uniform(float lo = 0.0f, float hi = 1.0f) {
-    std::uniform_real_distribution<float> dist(lo, hi);
-    return dist(engine_);
+    TEAMNET_CHECK(lo <= hi);
+    return canonical_float(engine_()) * (hi - lo) + lo;
   }
 
-  /// Standard normal (or scaled/shifted) float.
+  /// Standard normal (or scaled/shifted) float, by the polar method. The
+  /// method makes a pair; this returns y·m and drops x·m, the value a
+  /// fresh std::normal_distribution would save for a second call.
   float normal(float mean = 0.0f, float stddev = 1.0f) {
-    std::normal_distribution<float> dist(mean, stddev);
-    return dist(engine_);
+    TEAMNET_CHECK(stddev > 0.0f);
+    float y = 0.0f;
+    float r2 = 0.0f;
+    do {
+      // 2u - 1 is taken in double and rounded to float, as libstdc++ does.
+      const float x = static_cast<float>(2.0f * canonical_float(engine_()) - 1.0);
+      y = static_cast<float>(2.0f * canonical_float(engine_()) - 1.0);
+      r2 = x * x + y * y;
+    } while (r2 > 1.0f || r2 == 0.0f);
+    return y * std::sqrt(-2.0f * std::log(r2) / r2) * stddev + mean;
   }
 
   /// Uniform integer in [lo, hi] inclusive.
@@ -39,8 +115,8 @@ class Rng {
 
   /// Bernoulli draw with probability `p` of true.
   bool bernoulli(double p) {
-    std::bernoulli_distribution dist(p);
-    return dist(engine_);
+    TEAMNET_CHECK(p >= 0.0 && p <= 1.0);
+    return canonical_double(engine_()) < p;
   }
 
   /// In-place Fisher-Yates shuffle.
@@ -69,10 +145,10 @@ class Rng {
     return Rng(x);
   }
 
-  std::mt19937_64& engine() { return engine_; }
+  Mt64Engine& engine() { return engine_; }
 
  private:
-  std::mt19937_64 engine_;
+  Mt64Engine engine_;
 };
 
 }  // namespace teamnet

@@ -14,7 +14,7 @@ constexpr double kTwoPi = 6.283185307179586476925286766559;
 
 /// Uniform in [0, 1) from the top 53 bits of one engine draw — fixed
 /// mapping, so the value sequence is byte-identical across standard
-/// libraries (std::uniform_real_distribution is not).
+/// libraries (a standard-library real distribution is not).
 double uniform01(Rng& rng) {
   return static_cast<double>(rng.engine()() >> 11) * 0x1.0p-53;
 }

@@ -18,9 +18,9 @@
 //                 the generator sweeps through under- and over-load within
 //                 one run.
 //
-// Every random draw comes from a hand-rolled uniform over the process's
-// own mt19937_64 stream (no std::*_distribution — their value sequences
-// are implementation-defined, and the arrival sequence must be
+// Every random draw comes from a hand-rolled uniform over the words of the
+// process's own Rng (not a standard-library distribution: their value
+// sequences are implementation-defined, and the arrival sequence must be
 // byte-identical for a seed across standard libraries). Wall-clock never
 // appears: `now` is virtual time supplied by the caller, so the whole
 // plane runs on the DES clock and full runs stay bit-identical per seed.

@@ -67,6 +67,9 @@ offending line suppresses one:
                        src/obs/**, src/nn/serialize.*, bench/bench_common.*
   no-raw-stdio         printf/puts/std::cout-style stream writes outside
                        src/common/{logging,table}.*
+  std-random           std::mt19937*, std::*_distribution and
+                       generate_canonical outside src/common/rng.hpp:
+                       src/**, bench/**
   orphan-header        a src/**/*.hpp no file under src, bench, perfbench,
                        examples, tools or fuzz includes, besides its own .cpp
 
@@ -1740,6 +1743,18 @@ LINE_CHECKS = (
         "raw stdout/stderr write outside common/logging.* and "
         "common/table.*; use LOG_* (severity-filtered, thread-safe) or an "
         "obs sink"),
+    # Every draw's bits are pinned (datasets, checkpoints, bench rows), and
+    # Rng is the one place that reproduces them; a std engine or
+    # distribution elsewhere is a second, unpinned stream.
+    LineRule(
+        "std-random",
+        re.compile(r"std::(?:\w+_distribution|mt19937(?:_64)?)\b|"
+                   r"\bgenerate_canonical\b"),
+        lambda rel: (_in(rel, "src") or _in(rel, "bench")) and
+        rel.as_posix() != "src/common/rng.hpp",
+        "std::mt19937 or std distribution outside common/rng.hpp; draw "
+        "from teamnet::Rng (normal/uniform/bernoulli/randint/shuffle), "
+        "whose stream and values are pinned bit for bit"),
 )
 LINE_RULES = {"module-deps", "orphan-header"} | {r.name for r in LINE_CHECKS}
 
@@ -1998,6 +2013,20 @@ LINE_CASES = [
      'std::printf("table row\\n");\n', False),  # src-only rule
     ("no-raw-stdio", SRC / "moe" / "seeded.cpp",
      "// printf-style formatting documented here\n", False),
+    ("std-random", SRC / "data" / "seeded.cpp",
+     "std::normal_distribution<float> dist(0.0f, stddev);\n", True),
+    ("std-random", REPO / "bench" / "seeded.cpp",
+     "std::mt19937_64 engine(seed);\n", True),
+    ("std-random", SRC / "load" / "seeded.cpp",
+     "const float u = std::generate_canonical<float, 24>(engine);\n", True),
+    ("std-random", SRC / "data" / "seeded.cpp",
+     "v += rng.normal(0.0f, stddev);\n", False),
+    ("std-random", SRC / "common" / "rng.hpp",
+     "std::uniform_int_distribution<int> dist(lo, hi);\n", False),
+    ("std-random", REPO / "tests" / "seeded.cpp",
+     "std::mt19937_64 twin(seed);\n", False),  # tests are out of scope
+    ("std-random", SRC / "load" / "seeded.cpp",
+     "// not a std::uniform_real_distribution: its values vary\n", False),
     # The suppression comment: one seeded violation is silenced only by
     # lint:allow naming its own rule, on its own line.
     ("raw-mutex", SRC / "net" / "seeded.cpp",
