@@ -14,6 +14,7 @@
 #include "net/transport.hpp"
 #include "nn/mlp.hpp"
 #include "nn/serialize.hpp"
+#include "obs/critpath.hpp"
 #include "obs/timeline.hpp"
 #include "obs/trace.hpp"
 
@@ -169,6 +170,39 @@ void BM_QtlWorkerMarkDisabled(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_QtlWorkerMarkDisabled);
+
+// One k=4 query's timeline, recorded and attributed: the master's marks
+// and three fully marked worker lanes go through the TimelineRecorder,
+// then take() and attribute(), as the load driver runs them per query.
+void BM_AttributeQuery(benchmark::State& state) {
+  constexpr int kWorkers = 3;
+  auto& recorder = obs::TimelineRecorder::instance();
+  std::vector<std::int64_t> slack;
+  for (auto _ : state) {
+    recorder.start(kWorkers);
+    recorder.note_arrival(0.0);
+    recorder.mark(1, obs::QueryPhase::dispatch, 0.001);
+    recorder.mark(1, obs::QueryPhase::broadcast_end, 0.0011);
+    recorder.mark(1, obs::QueryPhase::local_compute_end, 0.0012);
+    // Later lanes read later: worker 2 releases the gather, 0 and 1 are
+    // stragglers.
+    double t = 0.0012;
+    for (int w = 0; w < kWorkers; ++w) {
+      for (int m = 0; m < obs::kNumWorkerMarks; ++m) {
+        recorder.mark_worker(1, w, static_cast<obs::WorkerMark>(m),
+                             t += 1e-4);
+      }
+    }
+    recorder.mark(1, obs::QueryPhase::gather_end, t += 1e-4);
+    recorder.mark(1, obs::QueryPhase::complete, t + 1e-4);
+    recorder.stop();
+    const std::vector<obs::QueryTimeline> timelines = recorder.take();
+    slack.clear();
+    benchmark::DoNotOptimize(obs::attribute(timelines[0], slack));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_AttributeQuery);
 
 }  // namespace
 }  // namespace teamnet

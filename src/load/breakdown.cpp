@@ -72,7 +72,7 @@ std::int64_t BreakdownSummary::crit_total_ns() const {
 }
 
 BreakdownSummary summarize_attributions(
-    const std::vector<obs::QueryAttribution>& attrs, std::size_t skip_warmup) {
+    const obs::AttributionSet& attrs, std::size_t skip_warmup) {
   BreakdownSummary s;
 
   for (std::size_t i = skip_warmup; i < attrs.size(); ++i) {
@@ -95,10 +95,10 @@ BreakdownSummary summarize_attributions(
     s.dominant_kind_queries[static_cast<int>(a.dominant_kind())] += 1;
     const double latency_ms = static_cast<double>(a.total_ns) / kNsPerMs;
     s.latency_ms.push_back(latency_ms);
-    for (std::int64_t slack : a.straggler_slack_ns) {
+    for (std::int64_t slack : attrs.straggler_slack_ns(a)) {
       s.straggler_slack_ms.push_back(static_cast<double>(slack) / kNsPerMs);
     }
-    const int level = std::clamp(a.degradation, 0, 2);
+    const int level = std::clamp<int>(a.degradation, 0, 2);
     s.levels[level].queries += 1;
     s.levels[level].latency_ms.push_back(latency_ms);
   }

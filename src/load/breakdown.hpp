@@ -73,7 +73,7 @@ struct BreakdownSummary {
 /// Folds `attrs[skip_warmup..]` into a summary. Samples keep query order
 /// (and, within a query, worker order for the straggler slack).
 BreakdownSummary summarize_attributions(
-    const std::vector<obs::QueryAttribution>& attrs, std::size_t skip_warmup);
+    const obs::AttributionSet& attrs, std::size_t skip_warmup);
 
 /// Appends `summary` as a JSON object onto `out`; each distribution is
 /// written as count, mean (summed in sample order), p50/p95/p99 by

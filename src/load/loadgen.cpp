@@ -134,17 +134,20 @@ LoadResult run_teamnet_load(const std::vector<nn::Module*>& experts,
   // sequence starting at 1, so records[q] is qid q+1; a qid the recorder
   // never saw (cannot happen on the in-process paths) degrades to an
   // all-zero attribution rather than misaligning the join.
-  result.attributions.reserve(result.records.size());
+  // Each query has at most one slack per worker: the count the recorder
+  // sized each query's lanes at.
+  result.attributions = obs::AttributionSet(
+      result.records.size(), result.records.size() * fleet.workers().size());
   std::size_t ti = 0;
   for (std::size_t q = 0; q < result.records.size(); ++q) {
     const auto qid = static_cast<std::int64_t>(q) + 1;
     while (ti < timelines.size() && timelines[ti].qid < qid) ++ti;
     if (ti < timelines.size() && timelines[ti].qid == qid) {
-      result.attributions.push_back(obs::attribute(timelines[ti]));
+      result.attributions.add_query(timelines[ti]);
     } else {
       obs::QueryAttribution missing;
       missing.qid = qid;
-      result.attributions.push_back(missing);
+      result.attributions.add_query(missing);
     }
   }
 

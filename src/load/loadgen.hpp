@@ -87,9 +87,10 @@ struct LoadResult {
   /// material for determinism tests and offline analysis.
   std::vector<QueryRecord> records;
   /// Exact latency attribution per query (same order as `records`;
-  /// records[i] is query id i+1). Under discrete_event both partitions of
-  /// every entry telescope bit-exactly to the record's latency.
-  std::vector<obs::QueryAttribution> attributions;
+  /// records[i] is query id i+1), straggler slacks in one run-wide arena.
+  /// Under discrete_event both partitions of every entry telescope
+  /// bit-exactly to the record's latency.
+  obs::AttributionSet attributions;
   std::uint64_t schedule_digest = 0;  ///< discrete_event only, 0 otherwise
 };
 

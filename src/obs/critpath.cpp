@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+
+#include "common/error.hpp"
 
 namespace teamnet::obs {
 
@@ -23,34 +26,49 @@ ChainPoint point(const WorkerLane& lane, WorkerMark mark, AttrPhase attr) {
   return {lane.has(mark) ? lane.at(mark) : 0.0, lane.has(mark), attr};
 }
 
+/// A chain's points, held on the stack: the longest chain (a fully
+/// marked worker lane) has 13.
+constexpr std::size_t kMaxChainPoints = 13;
+struct Chain {
+  template <typename... Points>
+  Chain(Points... p) : points{p...}, size(sizeof...(Points)) {
+    static_assert(sizeof...(Points) <= kMaxChainPoints);
+  }
+
+  std::array<ChainPoint, kMaxChainPoints> points;
+  std::size_t size;
+};
+
+/// Adds `ns` to `phase`'s slot of either partition's storage.
+void add_ns(std::array<std::int64_t, kNumAttrPhases>& out, AttrPhase phase,
+            std::int64_t ns) {
+  out[static_cast<std::size_t>(phase)] += ns;
+}
+void add_ns(E2ePartition& out, AttrPhase phase, std::int64_t ns) {
+  out.at(phase) += ns;
+}
+
 /// Folds a chain of points into per-phase nanosecond slices. Points are
 /// clamped monotone into [begin_ns, end_ns], so the slice sum telescopes
 /// to exactly end_ns - begin_ns; the interval ending at a missing point is
 /// absorbed by the next present one. The final chain point must be the
 /// `complete` mark (clamps to end_ns), which closes the telescope.
-void fold_chain(const std::vector<ChainPoint>& points, std::int64_t begin_ns,
-                std::int64_t end_ns,
-                std::array<std::int64_t, kNumAttrPhases>& out,
-                std::vector<PhaseSlice>* slices) {
+template <typename Partition>
+void fold_chain(const Chain& chain, std::int64_t begin_ns, std::int64_t end_ns,
+                Partition& out) {
   std::int64_t prev = begin_ns;
-  for (const ChainPoint& p : points) {
+  for (std::size_t i = 0; i < chain.size; ++i) {
+    const ChainPoint& p = chain.points[i];
     if (!p.present) continue;
     std::int64_t t = to_ns(p.t);
     t = std::clamp(t, prev, end_ns);
-    const std::int64_t ns = t - prev;
-    out[static_cast<std::size_t>(p.phase)] += ns;
-    if (slices != nullptr) slices->push_back({p.phase, ns});
+    add_ns(out, p.phase, t - prev);
     prev = t;
   }
   // Anything between the last present point and `end_ns` is unaccounted
   // master time; callers end chains on `complete` so this only fires when
   // that mark itself is missing.
-  if (prev < end_ns) {
-    out[static_cast<std::size_t>(AttrPhase::unattributed)] += end_ns - prev;
-    if (slices != nullptr) {
-      slices->push_back({AttrPhase::unattributed, end_ns - prev});
-    }
-  }
+  if (prev < end_ns) add_ns(out, AttrPhase::unattributed, end_ns - prev);
 }
 
 }  // namespace
@@ -140,6 +158,14 @@ std::int64_t to_ns(double seconds) {
   return std::llround(seconds * 1e9);
 }
 
+std::int64_t& E2ePartition::at(AttrPhase phase) {
+  const std::size_t s = slot(static_cast<std::size_t>(phase));
+  TEAMNET_CHECK_MSG(s < kSlots, "phase " << to_string(phase)
+                                         << " is not in the end-to-end "
+                                            "partition");
+  return ns_[s];
+}
+
 std::int64_t QueryAttribution::e2e_sum() const {
   std::int64_t sum = 0;
   for (std::int64_t ns : e2e_ns) sum += ns;
@@ -152,10 +178,15 @@ std::int64_t QueryAttribution::crit_sum() const {
   return sum;
 }
 
-QueryAttribution attribute(const QueryTimeline& tl) {
+QueryAttribution attribute(const QueryTimeline& tl,
+                           std::vector<std::int64_t>& slack_arena) {
   QueryAttribution a;
   a.qid = tl.qid;
-  a.degradation = tl.degradation;
+  a.degradation = static_cast<std::int8_t>(tl.degradation);
+  TEAMNET_CHECK_MSG(
+      slack_arena.size() <= std::numeric_limits<std::uint32_t>::max(),
+      "straggler-slack arena outgrew 32-bit offsets");
+  a.slack_begin = static_cast<std::uint32_t>(slack_arena.size());
 
   const bool has_arrival = tl.has(QueryPhase::arrival);
   const bool has_dispatch = tl.has(QueryPhase::dispatch);
@@ -172,14 +203,14 @@ QueryAttribution attribute(const QueryTimeline& tl) {
   a.total_ns = a.complete_ns - a.arrival_ns;
 
   // -- end-to-end partition: the master's own five consecutive slices --
-  std::vector<ChainPoint> e2e{
+  const Chain e2e{
       point(tl, QueryPhase::dispatch, AttrPhase::master_queue),
       point(tl, QueryPhase::broadcast_end, AttrPhase::broadcast),
       point(tl, QueryPhase::local_compute_end, AttrPhase::local_compute),
       point(tl, QueryPhase::gather_end, AttrPhase::gather_wait),
       point(tl, QueryPhase::complete, AttrPhase::argmin),
   };
-  fold_chain(e2e, a.arrival_ns, a.complete_ns, a.e2e_ns, nullptr);
+  fold_chain(e2e, a.arrival_ns, a.complete_ns, a.e2e_ns);
 
   // -- the gather's releaser: the chain whose last event the gather's
   // completion actually waited on. Candidates are the master's own expert
@@ -189,18 +220,22 @@ QueryAttribution attribute(const QueryTimeline& tl) {
   double release = tl.has(QueryPhase::local_compute_end)
                        ? tl.at(QueryPhase::local_compute_end)
                        : t_arrival;
-  a.critical_worker = -1;
+  int critical_worker = -1;
   for (const WorkerLane& lane : tl.lanes) {
     if (!lane.has(WorkerMark::reply_recv)) continue;
     if (lane.at(WorkerMark::reply_recv) > release) {
       release = lane.at(WorkerMark::reply_recv);
-      a.critical_worker = lane.worker;
+      critical_worker = lane.worker;
     }
   }
+  TEAMNET_CHECK_MSG(
+      critical_worker <= std::numeric_limits<std::int16_t>::max(),
+      "worker index " << critical_worker << " outgrew 16 bits");
+  a.critical_worker = static_cast<std::int16_t>(critical_worker);
 
   // -- critical-path partition --
-  std::vector<ChainPoint> crit;
-  if (a.critical_worker < 0) {
+  Chain crit;
+  if (critical_worker < 0) {
     // The master's own expert released the gather: the critical chain is
     // the e2e chain with the post-compute wait labeled as slack.
     crit = {
@@ -211,7 +246,7 @@ QueryAttribution attribute(const QueryTimeline& tl) {
         point(tl, QueryPhase::complete, AttrPhase::argmin),
     };
   } else {
-    const WorkerLane& lane = *tl.find_lane(a.critical_worker);
+    const WorkerLane& lane = *tl.find_lane(critical_worker);
     const bool full_lane =
         lane.has(WorkerMark::request_recv) &&
         lane.has(WorkerMark::compute_begin) &&
@@ -254,7 +289,7 @@ QueryAttribution attribute(const QueryTimeline& tl) {
       };
     }
   }
-  fold_chain(crit, a.arrival_ns, a.complete_ns, a.crit_ns, &a.critical);
+  fold_chain(crit, a.arrival_ns, a.complete_ns, a.crit_ns);
 
   // Dominant slice: largest critical contribution, ties to the lowest
   // phase value (master_queue first — the serial-master phases win ties).
@@ -274,14 +309,53 @@ QueryAttribution attribute(const QueryTimeline& tl) {
                        a.complete_ns)
           : a.complete_ns;
   for (const WorkerLane& lane : tl.lanes) {
-    if (!lane.has(WorkerMark::reply_recv) || lane.worker == a.critical_worker)
+    if (!lane.has(WorkerMark::reply_recv) || lane.worker == critical_worker)
       continue;
     const std::int64_t reply =
         std::clamp(to_ns(lane.at(WorkerMark::reply_recv)), a.arrival_ns,
                    a.complete_ns);
-    a.straggler_slack_ns.push_back(std::max<std::int64_t>(0, gather_ns - reply));
+    slack_arena.push_back(std::max<std::int64_t>(0, gather_ns - reply));
   }
+  a.slack_count = static_cast<std::uint32_t>(slack_arena.size() -
+                                             a.slack_begin);
   return a;
+}
+
+AttributionSet::AttributionSet(std::size_t queries, std::size_t slacks) {
+  queries_.reserve(queries);
+  slack_ns_.reserve(slacks);
+}
+
+const QueryAttribution& AttributionSet::add_query(
+    const QueryTimeline& timeline) {
+  queries_.push_back(attribute(timeline, slack_ns_));
+  return queries_.back();
+}
+
+const QueryAttribution& AttributionSet::add_query(
+    QueryAttribution attribution,
+    std::span<const std::int64_t> straggler_slack_ns) {
+  TEAMNET_CHECK_MSG(
+      slack_ns_.size() + straggler_slack_ns.size() <=
+          std::numeric_limits<std::uint32_t>::max(),
+      "straggler-slack arena outgrew 32-bit offsets");
+  attribution.slack_begin = static_cast<std::uint32_t>(slack_ns_.size());
+  attribution.slack_count =
+      static_cast<std::uint32_t>(straggler_slack_ns.size());
+  slack_ns_.insert(slack_ns_.end(), straggler_slack_ns.begin(),
+                   straggler_slack_ns.end());
+  queries_.push_back(attribution);
+  return queries_.back();
+}
+
+std::span<const std::int64_t> AttributionSet::straggler_slack_ns(
+    const QueryAttribution& a) const {
+  TEAMNET_CHECK_MSG(
+      std::size_t{a.slack_begin} + a.slack_count <= slack_ns_.size(),
+      "query " << a.qid << "'s slacks [" << a.slack_begin << ", +"
+               << a.slack_count << ") lie outside this set's "
+               << slack_ns_.size() << "-slack arena");
+  return {slack_ns_.data() + a.slack_begin, a.slack_count};
 }
 
 }  // namespace teamnet::obs

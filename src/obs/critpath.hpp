@@ -24,7 +24,9 @@
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "obs/timeline.hpp"
@@ -33,7 +35,7 @@ namespace teamnet::obs {
 
 /// Attribution phases. The first five form the end-to-end partition; the
 /// rest appear only on critical-path chains.
-enum class AttrPhase : int {
+enum class AttrPhase : std::uint8_t {
   // -- end-to-end partition (master-side slices) --
   master_queue = 0,  ///< arrival → dispatch: waiting for the master's CPU
   broadcast,         ///< dispatch → broadcast_end: encode + all sends
@@ -80,34 +82,57 @@ CritKind kind_of(AttrPhase phase);
 /// attribution sum is computed in so partitions telescope exactly.
 std::int64_t to_ns(double seconds);
 
-struct PhaseSlice {
-  AttrPhase phase = AttrPhase::unattributed;
-  std::int64_t ns = 0;
+/// The end-to-end partition's storage: one slot per phase that partition
+/// can touch (master_queue..argmin, then unattributed). Indexed by AttrPhase
+/// value like a full per-phase array, so `e2e_ns[p]` reads 0 for every
+/// critical-path-only phase.
+class E2ePartition {
+ public:
+  static constexpr std::size_t kSlots = 6;
+
+  std::int64_t operator[](std::size_t phase) const {
+    const std::size_t s = slot(phase);
+    return s < kSlots ? ns_[s] : 0;
+  }
+  /// Writable slot of an end-to-end phase; throws for a
+  /// critical-path-only one.
+  std::int64_t& at(AttrPhase phase);
+  const std::int64_t* begin() const { return ns_.data(); }
+  const std::int64_t* end() const { return ns_.data() + kSlots; }
+
+ private:
+  static constexpr std::size_t slot(std::size_t phase) {
+    constexpr auto kArgmin = static_cast<std::size_t>(AttrPhase::argmin);
+    constexpr auto kUnattributed =
+        static_cast<std::size_t>(AttrPhase::unattributed);
+    if (phase <= kArgmin) return phase;
+    return phase == kUnattributed ? kSlots - 1 : kSlots;
+  }
+
+  std::array<std::int64_t, kSlots> ns_{};
 };
 
-/// One query's exact latency decomposition.
+/// One query's exact latency decomposition: a fixed-size record with no
+/// heap storage. Its straggler slacks live in the run's
+/// AttributionSet arena, at [slack_begin, slack_begin + slack_count).
 struct QueryAttribution {
   std::int64_t qid = 0;
-  int degradation = 0;  ///< net::DegradationLevel as int
   std::int64_t arrival_ns = 0;
   std::int64_t complete_ns = 0;
   std::int64_t total_ns = 0;  ///< complete_ns - arrival_ns
-  /// Worker index whose reply released the gather; -1 = the master's own
-  /// expert finished last (or no counted worker reply).
-  int critical_worker = -1;
   /// End-to-end partition: e2e_ns sums to total_ns exactly.
-  std::array<std::int64_t, kNumAttrPhases> e2e_ns{};
+  E2ePartition e2e_ns;
   /// Critical-path partition: crit_ns sums to total_ns exactly.
   std::array<std::int64_t, kNumAttrPhases> crit_ns{};
-  /// The critical chain in causal order (zero-length slices included, so
-  /// the chain shape is stable across queries).
-  std::vector<PhaseSlice> critical;
+  /// Straggler slacks of this query in the arena (see AttributionSet).
+  std::uint32_t slack_begin = 0;
+  std::uint32_t slack_count = 0;
+  /// Worker index whose reply released the gather; -1 = the master's own
+  /// expert finished last (or no counted worker reply).
+  std::int16_t critical_worker = -1;
+  std::int8_t degradation = 0;  ///< net::DegradationLevel as an integer
   /// Largest critical-path slice (ties: lowest AttrPhase value).
   AttrPhase dominant = AttrPhase::unattributed;
-  /// Per non-critical counted worker: gather_end - its reply_recv
-  /// (>= 0) — how much earlier than needed the straggler margin absorbed
-  /// that reply.
-  std::vector<std::int64_t> straggler_slack_ns;
 
   std::int64_t e2e_sum() const;
   std::int64_t crit_sum() const;
@@ -117,7 +142,43 @@ struct QueryAttribution {
 /// Reconstructs the query's DAG from its timeline and attributes its
 /// latency. Requires the arrival (or dispatch) and complete marks; any
 /// other missing mark degrades to an `unattributed` slice, never to a
-/// broken sum.
-QueryAttribution attribute(const QueryTimeline& timeline);
+/// broken sum. Appends one straggler slack per non-critical counted
+/// worker, in lane order, to `slack_arena` — gather_end minus its
+/// reply_recv (>= 0): how much earlier than needed the straggler margin
+/// absorbed that reply — and records where they start and how many.
+QueryAttribution attribute(const QueryTimeline& timeline,
+                           std::vector<std::int64_t>& slack_arena);
+
+/// A run's attributions in query order, their straggler slacks in one
+/// shared arena rather than a heap block per query.
+class AttributionSet {
+ public:
+  AttributionSet() = default;
+  /// Reserves room for `queries` attributions and `slacks` slacks.
+  AttributionSet(std::size_t queries, std::size_t slacks);
+
+  /// Attributes `timeline` and appends the result.
+  const QueryAttribution& add_query(const QueryTimeline& timeline);
+  /// Appends an already-built attribution with the given slacks; its own
+  /// slack_begin/slack_count are overwritten.
+  const QueryAttribution& add_query(
+      QueryAttribution attribution,
+      std::span<const std::int64_t> straggler_slack_ns = {});
+
+  std::size_t size() const { return queries_.size(); }
+  const QueryAttribution& operator[](std::size_t i) const {
+    return queries_[i];
+  }
+  auto begin() const { return queries_.begin(); }
+  auto end() const { return queries_.end(); }
+  /// Straggler slacks of `a`, one of this set's entries, in lane order.
+  /// Throws if `a`'s slack range does not lie in this set's arena.
+  std::span<const std::int64_t> straggler_slack_ns(
+      const QueryAttribution& a) const;
+
+ private:
+  std::vector<QueryAttribution> queries_;
+  std::vector<std::int64_t> slack_ns_;
+};
 
 }  // namespace teamnet::obs

@@ -4,6 +4,8 @@
 #include <cmath>
 #include <limits>
 
+#include "common/error.hpp"
+
 namespace teamnet::obs {
 
 namespace {
@@ -95,9 +97,10 @@ TimelineRecorder& TimelineRecorder::instance() {
   return *recorder;
 }
 
-void TimelineRecorder::start() {
+void TimelineRecorder::start(std::size_t workers) {
   MutexLock lock(mutex_);
   queries_.clear();
+  workers_ = workers;
   have_pending_arrival_ = false;
   detail::g_timeline_active.store(true, std::memory_order_relaxed);
 }
@@ -124,6 +127,12 @@ QueryTimeline& TimelineRecorder::query(std::int64_t qid) {
   if (it != queries_.end() && it->qid == qid) return *it;
   QueryTimeline fresh;
   fresh.qid = qid;
+  // One lane per worker, allocated once and indexed by worker, so marking
+  // a lane never inserts or grows.
+  fresh.lanes.resize(workers_);
+  for (std::size_t w = 0; w < workers_; ++w) {
+    fresh.lanes[w].worker = static_cast<int>(w);
+  }
   return *queries_.insert(it, std::move(fresh));
 }
 
@@ -148,8 +157,13 @@ void TimelineRecorder::mark(std::int64_t qid, QueryPhase phase, double t_s) {
 void TimelineRecorder::mark_worker(std::int64_t qid, int worker,
                                    WorkerMark mark, double t_s) {
   MutexLock lock(mutex_);
-  WorkerLane& lane = query(qid).lane(worker);
-  double& slot = lane.t[static_cast<std::size_t>(mark)];
+  std::vector<WorkerLane>& lanes = query(qid).lanes;
+  TEAMNET_CHECK_MSG(
+      worker >= 0 && static_cast<std::size_t>(worker) < lanes.size(),
+      "worker " << worker << " is outside the recorder's " << lanes.size()
+                << " lanes");
+  double& slot =
+      lanes[static_cast<std::size_t>(worker)].t[static_cast<std::size_t>(mark)];
   if (!is_set(slot)) slot = t_s;
 }
 

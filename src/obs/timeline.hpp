@@ -87,7 +87,9 @@ struct WorkerLane {
 };
 
 /// Everything recorded about one query: master marks, worker lanes (sorted
-/// by worker index) and the degradation level the gather completed at.
+/// by worker index) and the degradation level the gather completed at. A
+/// recorded query has one lane per team worker, lanes[w] being worker w's
+/// (all unset until marked); a hand-built one has the lanes lane() added.
 struct QueryTimeline {
   std::int64_t qid = 0;
   /// net::DegradationLevel as an int (0 full / 1 quorum / 2 local_only);
@@ -123,8 +125,11 @@ class TimelineRecorder {
     return detail::g_timeline_active.load(std::memory_order_relaxed);
   }
 
-  /// Clears any previous run's records and starts recording.
-  void start();
+  /// Clears any previous run's records and starts recording for a team of
+  /// `workers` workers. Each query's lanes are allocated once, one per
+  /// worker, when its record is created; marking a worker index outside
+  /// [0, workers) throws.
+  void start(std::size_t workers);
   /// Stops recording (records stay readable until take()).
   void stop();
   /// Returns every recorded timeline in ascending-qid order and clears the
@@ -151,6 +156,7 @@ class TimelineRecorder {
   Mutex mutex_;
   /// Sorted by qid; queries arrive in qid order so appends dominate.
   std::vector<QueryTimeline> queries_ TN_GUARDED_BY(mutex_);
+  std::size_t workers_ TN_GUARDED_BY(mutex_) = 0;
   bool have_pending_arrival_ TN_GUARDED_BY(mutex_) = false;
   double pending_arrival_s_ TN_GUARDED_BY(mutex_) = 0.0;
 };

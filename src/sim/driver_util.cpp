@@ -185,7 +185,7 @@ void Fleet::teardown() {
 }
 
 void Fleet::record_timelines() {
-  obs::TimelineRecorder::instance().start();
+  obs::TimelineRecorder::instance().start(workers_.size());
   recording_ = true;
 }
 

@@ -131,7 +131,8 @@ class Fleet {
                    "master");
   }
 
-  /// Records per-query timelines until finish(), which returns them.
+  /// Records per-query timelines until finish(), which returns them; each
+  /// query gets one lane per serving node (workers().size()).
   void record_timelines();
 
   /// Shuts `master` down, joins every node and returns the schedule

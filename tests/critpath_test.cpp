@@ -18,8 +18,10 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
+#include "common/error.hpp"
 #include "common/rng.hpp"
 #include "data/blobs.hpp"
 #include "load/breakdown.hpp"
@@ -95,7 +97,8 @@ obs::QueryTimeline worked_example() {
 }
 
 TEST(Attribute, WorkedExampleSlicesAreExact) {
-  const auto a = obs::attribute(worked_example());
+  obs::AttributionSet set;
+  const auto& a = set.add_query(worked_example());
   EXPECT_EQ(a.qid, 7);
   EXPECT_EQ(a.total_ns, 11 * kMs);
   EXPECT_EQ(a.critical_worker, 0);
@@ -126,12 +129,14 @@ TEST(Attribute, WorkedExampleSlicesAreExact) {
   EXPECT_EQ(a.dominant_kind(), obs::CritKind::transit);
 
   // Worker 1's reply was read 3 ms before the gather released.
-  ASSERT_EQ(a.straggler_slack_ns.size(), 1u);
-  EXPECT_EQ(a.straggler_slack_ns[0], 3 * kMs);
+  const auto slack = set.straggler_slack_ns(a);
+  ASSERT_EQ(slack.size(), 1u);
+  EXPECT_EQ(slack[0], 3 * kMs);
 }
 
 TEST(Attribute, CriticalPathSliceNeverExceedsTotal) {
-  const auto a = obs::attribute(worked_example());
+  obs::AttributionSet set;
+  const auto& a = set.add_query(worked_example());
   std::int64_t max_slice = 0;
   for (int p = 0; p < obs::kNumAttrPhases; ++p) {
     const std::int64_t v = a.crit_ns[static_cast<std::size_t>(p)];
@@ -149,7 +154,8 @@ TEST(Attribute, LocalReleaserChargesWaitAsGatherSlack) {
   auto tl = worked_example();
   tl.t[static_cast<int>(obs::QueryPhase::local_compute_end)] = 0.0095;
   tl.lane(0).t[static_cast<int>(obs::WorkerMark::reply_recv)] = 0.005;
-  const auto a = obs::attribute(tl);
+  obs::AttributionSet set;
+  const auto& a = set.add_query(tl);
   EXPECT_EQ(a.critical_worker, -1);
   EXPECT_EQ(ns(a, obs::AttrPhase::local_compute), 6'500'000);
   // local_compute_end -> gather_end is slack, not gather_wait, on this
@@ -157,7 +163,7 @@ TEST(Attribute, LocalReleaserChargesWaitAsGatherSlack) {
   EXPECT_EQ(ns(a, obs::AttrPhase::gather_slack), kMs / 2);
   EXPECT_EQ(a.crit_sum(), a.total_ns);
   // Both workers were stragglers relative to the local expert.
-  EXPECT_EQ(a.straggler_slack_ns.size(), 2u);
+  EXPECT_EQ(set.straggler_slack_ns(a).size(), 2u);
 }
 
 TEST(Attribute, MissingInteriorMarksCollapseToUnattributed) {
@@ -170,7 +176,8 @@ TEST(Attribute, MissingInteriorMarksCollapseToUnattributed) {
   w0.worker = 0;
   w0.t[static_cast<int>(obs::WorkerMark::sent)] = 0.002;
   w0.t[static_cast<int>(obs::WorkerMark::reply_recv)] = 0.010;
-  const auto a = obs::attribute(tl);
+  obs::AttributionSet set;
+  const auto& a = set.add_query(tl);
   EXPECT_EQ(a.critical_worker, 0);
   EXPECT_EQ(ns(a, obs::AttrPhase::broadcast_serial), 1 * kMs);
   EXPECT_EQ(ns(a, obs::AttrPhase::unattributed), 8 * kMs);
@@ -184,7 +191,8 @@ TEST(Attribute, MissingAnchorsYieldEmptyAttribution) {
   tl.qid = 3;
   tl.t[static_cast<int>(obs::QueryPhase::dispatch)] = 0.001;
   // No `complete` mark: nothing to anchor on.
-  const auto a = obs::attribute(tl);
+  obs::AttributionSet set;
+  const auto& a = set.add_query(tl);
   EXPECT_EQ(a.total_ns, 0);
   EXPECT_EQ(a.e2e_sum(), 0);
   EXPECT_EQ(a.crit_sum(), 0);
@@ -215,10 +223,143 @@ TEST(Attribute, AwkwardDoublesStillTelescopeExactly) {
     w0.t[static_cast<int>(obs::WorkerMark::reply_recv)] = step();
     tl.t[static_cast<int>(obs::QueryPhase::gather_end)] = step();
     tl.t[static_cast<int>(obs::QueryPhase::complete)] = step();
-    const auto a = obs::attribute(tl);
+    obs::AttributionSet set;
+    const auto& a = set.add_query(tl);
     ASSERT_EQ(a.e2e_sum(), a.total_ns) << "trial " << trial;
     ASSERT_EQ(a.crit_sum(), a.total_ns) << "trial " << trial;
   }
+}
+
+TEST(Attribute, EightNodeQueryKeepsEveryStragglerSlackInLaneOrder) {
+  // An 8-node team has 7 workers. Worker 3's reply released the gather at
+  // 20 ms; the other six were read 1..6 ms earlier, out of lane order.
+  obs::QueryTimeline tl;
+  tl.qid = 11;
+  tl.t[static_cast<int>(obs::QueryPhase::arrival)] = 0.000;
+  tl.t[static_cast<int>(obs::QueryPhase::dispatch)] = 0.001;
+  tl.t[static_cast<int>(obs::QueryPhase::broadcast_end)] = 0.002;
+  tl.t[static_cast<int>(obs::QueryPhase::local_compute_end)] = 0.003;
+  tl.t[static_cast<int>(obs::QueryPhase::gather_end)] = 0.020;
+  tl.t[static_cast<int>(obs::QueryPhase::complete)] = 0.021;
+  const double reply_ms[7] = {14, 19, 15, 20, 17, 16, 18};
+  for (int w = 0; w < 7; ++w) {
+    obs::WorkerLane& lane = tl.lane(w);
+    lane.t[static_cast<int>(obs::WorkerMark::sent)] = 0.0015;
+    lane.t[static_cast<int>(obs::WorkerMark::reply_recv)] = reply_ms[w] / 1e3;
+  }
+  obs::AttributionSet set;
+  const auto& a = set.add_query(tl);
+  EXPECT_EQ(a.critical_worker, 3);
+  EXPECT_EQ(a.crit_sum(), a.total_ns);
+  const auto slack = set.straggler_slack_ns(a);
+  const std::vector<std::int64_t> want{6 * kMs, 1 * kMs, 5 * kMs,
+                                       3 * kMs, 4 * kMs, 2 * kMs};
+  EXPECT_EQ(std::vector<std::int64_t>(slack.begin(), slack.end()), want);
+
+  // A second query's slacks follow in the shared arena without moving the
+  // first query's.
+  const auto& b = set.add_query(worked_example());
+  ASSERT_EQ(set.straggler_slack_ns(b).size(), 1u);
+  EXPECT_EQ(set.straggler_slack_ns(b)[0], 3 * kMs);
+  const auto again = set.straggler_slack_ns(set[0]);
+  EXPECT_EQ(std::vector<std::int64_t>(again.begin(), again.end()), want);
+}
+
+TEST(Attribute, EndToEndPartitionReadsZeroOnCriticalPathOnlyPhases) {
+  obs::AttributionSet set;
+  obs::QueryAttribution a = set.add_query(worked_example());
+  for (int p = 0; p < obs::kNumAttrPhases; ++p) {
+    const auto phase = static_cast<obs::AttrPhase>(p);
+    if (phase <= obs::AttrPhase::argmin ||
+        phase == obs::AttrPhase::unattributed) {
+      continue;
+    }
+    EXPECT_EQ(a.e2e_ns[static_cast<std::size_t>(p)], 0)
+        << obs::to_string(phase);
+    EXPECT_THROW(a.e2e_ns.at(phase), Error) << obs::to_string(phase);
+  }
+  // The worked example's critical path does run through such phases.
+  EXPECT_GT(ns(a, obs::AttrPhase::reply_transit), 0);
+}
+
+TEST(Attribute, RecordIsFixedSizeWithoutHeapStorage) {
+  EXPECT_LE(sizeof(obs::QueryAttribution), 256u);
+  EXPECT_TRUE(std::is_trivially_copyable_v<obs::QueryAttribution>);
+}
+
+TEST(TimelineRecorder, LanesAllocatedOnceAreIndexedByWorker) {
+  auto& recorder = obs::TimelineRecorder::instance();
+  const std::vector<std::vector<int>> orders{
+      {0}, {2, 0, 1}, {5, 1, 6, 0, 3, 2, 4}};
+  for (const auto& order : orders) {
+    const auto workers = order.size();
+    recorder.start(workers);
+    for (std::size_t i = 0; i < workers; ++i) {
+      recorder.mark_worker(1, order[i], obs::WorkerMark::sent,
+                           0.001 * static_cast<double>(i + 1));
+    }
+    recorder.stop();
+    const auto timelines = recorder.take();
+    ASSERT_EQ(timelines.size(), 1u);
+    const obs::QueryTimeline& tl = timelines[0];
+    ASSERT_EQ(tl.lanes.size(), workers);
+    // One allocation at the team's size: a lane-by-lane growth would have
+    // left capacity 4 for 3 workers and 8 for 7.
+    EXPECT_EQ(tl.lanes.capacity(), workers);
+    // A hand-built timeline whose lanes are added in the same order keeps
+    // the same lane order and lookups.
+    obs::QueryTimeline built;
+    for (const int w : order) built.lane(w);
+    ASSERT_EQ(built.lanes.size(), workers);
+    for (std::size_t i = 0; i < workers; ++i) {
+      const int w = order[i];
+      EXPECT_EQ(tl.lanes[static_cast<std::size_t>(w)].worker, w);
+      EXPECT_EQ(built.lanes[static_cast<std::size_t>(w)].worker, w);
+      const obs::WorkerLane* lane = tl.find_lane(w);
+      ASSERT_EQ(lane, &tl.lanes[static_cast<std::size_t>(w)]);
+      EXPECT_EQ(lane->at(obs::WorkerMark::sent),
+                0.001 * static_cast<double>(i + 1));
+      EXPECT_EQ(built.find_lane(w), &built.lanes[static_cast<std::size_t>(w)]);
+    }
+    EXPECT_EQ(tl.find_lane(-1), nullptr);
+    EXPECT_EQ(tl.find_lane(static_cast<int>(workers)), nullptr);
+    EXPECT_EQ(built.find_lane(static_cast<int>(workers)), nullptr);
+  }
+}
+
+TEST(TimelineRecorder, UnmarkedLanesStayUnsetAndForeignWorkersThrow) {
+  auto& recorder = obs::TimelineRecorder::instance();
+  recorder.start(3);
+  recorder.mark_worker(1, 2, obs::WorkerMark::reply_recv, 0.004);
+  EXPECT_THROW(recorder.mark_worker(1, 3, obs::WorkerMark::sent, 0.001),
+               Error);
+  EXPECT_THROW(recorder.mark_worker(1, -1, obs::WorkerMark::sent, 0.001),
+               Error);
+  recorder.stop();
+  const auto timelines = recorder.take();
+  ASSERT_EQ(timelines.size(), 1u);
+  const obs::QueryTimeline& tl = timelines[0];
+  ASSERT_EQ(tl.lanes.size(), 3u);
+  for (int m = 0; m < obs::kNumWorkerMarks; ++m) {
+    const auto mark = static_cast<obs::WorkerMark>(m);
+    EXPECT_FALSE(tl.lanes[0].has(mark)) << obs::to_string(mark);
+    EXPECT_FALSE(tl.lanes[1].has(mark)) << obs::to_string(mark);
+    EXPECT_EQ(tl.lanes[2].has(mark), mark == obs::WorkerMark::reply_recv)
+        << obs::to_string(mark);
+  }
+}
+
+TEST(AttributionSet, SlackRangeOutsideTheArenaThrows) {
+  obs::AttributionSet set;
+  set.add_query(worked_example());
+  const obs::QueryAttribution& a = set[0];
+  ASSERT_EQ(set.straggler_slack_ns(a).size(), 1u);
+  // The same record read against another set's (empty) arena, and a
+  // hand-made record whose range runs one past this arena's end.
+  EXPECT_THROW(obs::AttributionSet().straggler_slack_ns(a), Error);
+  obs::QueryAttribution past = a;
+  past.slack_count = 2;
+  EXPECT_THROW(set.straggler_slack_ns(past), Error);
 }
 
 // ---- full drivers: exact reconciliation -------------------------------------
@@ -317,15 +458,15 @@ TEST(Breakdown, JsonPercentilesAreExactNearestRank) {
   // 25 synthetic queries in shuffled order, latencies 1.000..1.888 ms in
   // 37 us steps: none sits on a round bucket edge, so any bucketed
   // estimate would miss the exact nearest-rank answer.
-  std::vector<obs::QueryAttribution> attrs;
+  obs::AttributionSet attrs;
   std::vector<double> latencies_ms;
   for (int q = 0; q < 25; ++q) {
     obs::QueryAttribution a;
     a.qid = q + 1;
     a.total_ns = 1'000'000 + 37'000 * ((q * 7) % 25);
-    a.e2e_ns[static_cast<int>(obs::AttrPhase::gather_wait)] = a.total_ns;
+    a.e2e_ns.at(obs::AttrPhase::gather_wait) = a.total_ns;
     a.crit_ns[static_cast<int>(obs::AttrPhase::request_transit)] = a.total_ns;
-    attrs.push_back(a);
+    attrs.add_query(a);
     latencies_ms.push_back(static_cast<double>(a.total_ns) / 1e6);
   }
   const auto s = load::summarize_attributions(attrs, 0);
@@ -369,7 +510,7 @@ TEST(LoadDriver, OverloadPutsQueueingAheadOfCompute) {
 // ---- fault injection: attribution under delays and partitions ---------------
 
 struct FaultRun {
-  std::vector<obs::QueryAttribution> attributions;
+  obs::AttributionSet attributions;
   std::vector<int> degradation;  ///< per query, from the master's Result
 };
 
@@ -413,7 +554,7 @@ FaultRun run_with_faulty_last_worker(const net::FaultProfile& profile,
 
   FaultRun out;
   auto& recorder = obs::TimelineRecorder::instance();
-  recorder.start();
+  recorder.start(k - 1);
   for (int q = 0; q < num_queries; ++q) {
     recorder.note_arrival(netp->node_time(0));
     const auto res =
@@ -427,7 +568,7 @@ FaultRun run_with_faulty_last_worker(const net::FaultProfile& profile,
   for (auto& t : threads) t.join();
   recorder.stop();
   for (const auto& tl : recorder.take()) {
-    out.attributions.push_back(obs::attribute(tl));
+    out.attributions.add_query(tl);
   }
   net->finish();
   return out;
@@ -475,9 +616,10 @@ TEST(FaultAttribution, DelayedLinkLandsOutsideCompute) {
     // and the master only polls after the delayed broadcast completes —
     // so the hold is charged to broadcast_serial above, not double-counted
     // as straggler slack.
-    ASSERT_EQ(a.straggler_slack_ns.size(), 1u) << "qid " << a.qid;
-    EXPECT_GE(a.straggler_slack_ns[0], 0) << "qid " << a.qid;
-    EXPECT_LT(a.straggler_slack_ns[0], 50 * kMs) << "qid " << a.qid;
+    const auto slack = faulted.attributions.straggler_slack_ns(a);
+    ASSERT_EQ(slack.size(), 1u) << "qid " << a.qid;
+    EXPECT_GE(slack[0], 0) << "qid " << a.qid;
+    EXPECT_LT(slack[0], 50 * kMs) << "qid " << a.qid;
   }
 }
 

@@ -15,6 +15,7 @@
 #include <cstring>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
@@ -22,6 +23,7 @@
 #include "data/blobs.hpp"
 #include "data/synthetic_mnist.hpp"
 #include "load/arrival.hpp"
+#include "load/breakdown.hpp"
 #include "load/loadgen.hpp"
 #include "load/stats.hpp"
 #include "net/collab.hpp"
@@ -432,6 +434,99 @@ TEST(LoadGen, RecordsAreCoherent) {
   EXPECT_GE(r.p999_ms, r.p99_ms);
   EXPECT_EQ(r.steady.queries, r.num_queries - r.warmup_queries);
   EXPECT_EQ(r.warmup.queries, r.warmup_queries);
+}
+
+TEST(LoadGen, EightNodeRunKeepsEveryStragglerSlack) {
+  // Seven workers, every gather full: a query has six stragglers when a
+  // worker's reply released it and seven when the master's expert did.
+  const auto experts = make_experts(8);
+  const auto r = load::run_teamnet_load(
+      expert_ptrs(experts), blob_test_set(), des_config(),
+      small_load(load::ArrivalKind::open_poisson));
+  ASSERT_EQ(r.attributions.size(), r.records.size());
+  for (const auto& a : r.attributions) {
+    EXPECT_EQ(a.crit_sum(), a.total_ns) << "qid " << a.qid;
+    EXPECT_EQ(r.attributions.straggler_slack_ns(a).size(),
+              a.critical_worker < 0 ? 7u : 6u)
+        << "qid " << a.qid;
+  }
+}
+
+TEST(Breakdown, HandBuiltSetGivesTheCensus) {
+  // Four queries, the first one warmup. Its slack (9 ms) and level must
+  // not reach the summary; the others' slacks keep query then lane order.
+  struct Row {
+    std::int64_t total_ms;
+    std::vector<std::pair<obs::AttrPhase, std::int64_t>> e2e_ms;
+    std::vector<std::pair<obs::AttrPhase, std::int64_t>> crit_ms;
+    obs::AttrPhase dominant;
+    int degradation;
+    std::vector<std::int64_t> slack_ms;
+  };
+  constexpr std::int64_t kMs = 1'000'000;
+  using P = obs::AttrPhase;
+  const std::vector<Row> rows{
+      {4, {{P::gather_wait, 4}}, {{P::worker_compute, 4}}, P::worker_compute,
+       2, {9}},
+      {10,
+       {{P::master_queue, 2}, {P::gather_wait, 8}},
+       {{P::reply_transit, 6}, {P::worker_compute, 4}},
+       P::reply_transit,
+       0,
+       {1, 2}},
+      {5, {{P::master_queue, 5}}, {{P::master_queue, 5}}, P::master_queue, 1,
+       {}},
+      // e2e falls 1 ms short of the total: not reconciled.
+      {7, {{P::argmin, 6}}, {{P::local_compute, 7}}, P::local_compute, 2,
+       {3}},
+  };
+  obs::AttributionSet set;
+  for (std::size_t q = 0; q < rows.size(); ++q) {
+    const Row& row = rows[q];
+    obs::QueryAttribution a;
+    a.qid = static_cast<std::int64_t>(q) + 1;
+    a.total_ns = row.total_ms * kMs;
+    for (const auto& [phase, ms] : row.e2e_ms) a.e2e_ns.at(phase) = ms * kMs;
+    for (const auto& [phase, ms] : row.crit_ms) {
+      a.crit_ns[static_cast<std::size_t>(phase)] = ms * kMs;
+    }
+    a.dominant = row.dominant;
+    a.degradation = static_cast<std::int8_t>(row.degradation);
+    std::vector<std::int64_t> slack;
+    for (std::int64_t ms : row.slack_ms) slack.push_back(ms * kMs);
+    set.add_query(a, slack);
+  }
+
+  const auto s = load::summarize_attributions(set, 1);
+  EXPECT_EQ(s.queries, 3);
+  EXPECT_EQ(s.reconciled, 2);
+  EXPECT_EQ(s.max_residual_ns, 1 * kMs);
+  EXPECT_EQ(s.latency_ms, (std::vector<double>{10.0, 5.0, 7.0}));
+  EXPECT_EQ(s.straggler_slack_ms, (std::vector<double>{1.0, 2.0, 3.0}));
+  for (int level = 0; level < 3; ++level) {
+    EXPECT_EQ(s.levels[static_cast<std::size_t>(level)].queries, 1);
+  }
+  EXPECT_EQ(s.levels[2].latency_ms, (std::vector<double>{7.0}));
+  const auto phase = [&s](P p) -> const load::PhaseBreakdown& {
+    return s.phases[static_cast<std::size_t>(p)];
+  };
+  EXPECT_EQ(phase(P::master_queue).e2e_sum_ns, 7 * kMs);
+  EXPECT_EQ(phase(P::gather_wait).e2e_sum_ns, 8 * kMs);
+  EXPECT_EQ(phase(P::argmin).e2e_sum_ns, 6 * kMs);
+  EXPECT_EQ(phase(P::worker_compute).crit_sum_ns, 4 * kMs);
+  EXPECT_EQ(phase(P::worker_compute).crit_ms, (std::vector<double>{4.0}));
+  EXPECT_EQ(phase(P::reply_transit).dominant_queries, 1);
+  EXPECT_EQ(phase(P::master_queue).dominant_queries, 1);
+  EXPECT_EQ(phase(P::local_compute).dominant_queries, 1);
+  EXPECT_EQ(phase(P::worker_compute).dominant_queries, 0);
+  EXPECT_EQ(s.dominant_kind_queries[static_cast<int>(obs::CritKind::transit)],
+            1);
+  EXPECT_EQ(
+      s.dominant_kind_queries[static_cast<int>(obs::CritKind::queueing)], 1);
+  EXPECT_EQ(s.dominant_kind_queries[static_cast<int>(obs::CritKind::compute)],
+            1);
+  EXPECT_EQ(s.crit_total_ns(), 22 * kMs);
+  EXPECT_EQ(s.dominant_phase, P::local_compute);
 }
 
 /// A k=4 open-loop run at `rate_qps` on a link whose frames cost airtime,
