@@ -3,13 +3,17 @@
 // softmax/entropy kernels — the primitives whose FLOP counts feed the
 // edge-latency model — plus one whole expert forward, and the synthetic
 // MNIST and CIFAR sets and the normal draws that a team's bring-up spends
-// most of its set-up in.
+// most of its set-up in, the random engine's block refill, and the
+// fork-join handoff the serving forward splits each Shake-Shake block
+// with.
 #include <benchmark/benchmark.h>
 
+#include <atomic>
 #include <memory>
 
 #include "micro_common.hpp"
 
+#include "common/fork_join.hpp"
 #include "common/rng.hpp"
 #include "core/entropy.hpp"
 #include "data/synthetic_cifar.hpp"
@@ -242,6 +246,31 @@ void BM_ExpertForward(benchmark::State& state) {
 }
 BENCHMARK(BM_ExpertForward)->Arg(0)->Arg(1);
 
+// One fork_join of two empty halves, back to back so the first helper
+// stays hot. Arg 0 lets the halves race: the caller usually takes g back
+// before the helper sees it, so the row is the fork's fixed cost. Arg 1
+// holds f until g has run on the helper, so the row is a full handoff:
+// offer, claim, run, done, join.
+void BM_ForkJoin(benchmark::State& state) {
+  const bool handoff = state.range(0) == 1;
+  if (handoff && fork_helpers() == 0) {
+    state.SkipWithError("no fork-join helper on this core set");
+    return;
+  }
+  for (auto _ : state) {
+    std::atomic<bool> ran{false};
+    fork_join(
+        [&] {
+          while (handoff && !ran.load(std::memory_order_acquire)) {
+          }
+        },
+        [&] { ran.store(true, std::memory_order_release); });
+    benchmark::DoNotOptimize(ran);
+  }
+  state.SetLabel(handoff ? "handoff" : "race");
+}
+BENCHMARK(BM_ForkJoin)->Arg(0)->Arg(1);
+
 void BM_SoftmaxRows(benchmark::State& state) {
   Rng rng(4);
   Tensor logits = Tensor::randn({state.range(0), 10}, rng);
@@ -329,6 +358,18 @@ void BM_RngNormal(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * kDraws);
 }
 BENCHMARK(BM_RngNormal)->Unit(benchmark::kMillisecond);
+
+// One refill alone: the twist and tempering that make the engine's next
+// 312 words, which every draw amortizes.
+void BM_RngRefill(benchmark::State& state) {
+  Mt64Engine engine(11);
+  for (auto _ : state) {
+    engine.refill();
+    benchmark::DoNotOptimize(engine());
+  }
+  state.SetItemsProcessed(state.iterations() * Mt64Engine::kBlockWords);
+}
+BENCHMARK(BM_RngRefill);
 
 }  // namespace
 }  // namespace teamnet

@@ -31,9 +31,14 @@ Mt64Engine::Mt64Engine(std::uint64_t seed) {
 void Mt64Engine::refill() {
   std::uint64_t* x = state_.data();
   for (std::size_t k = 0; k < kN - kM; ++k) x[k] = twist(x[k], x[k + 1], x[k + kM]);
-  for (std::size_t k = kN - kM; k < kN - 1; ++k) {
-    x[k] = twist(x[k], x[k + 1], x[k + kM - kN]);
+  // Words 156..310 read words 0..154, rewritten above. That is an odd trip
+  // count, and GCC's -O2 vectorizer takes no loop that needs a scalar
+  // epilogue, so the loop stops one word short and the last word runs on
+  // its own.
+  for (std::size_t k = kN - kM; k < kN - 2; ++k) {
+    x[k] = twist(x[k], x[k + 1], x[k - (kN - kM)]);
   }
+  x[kN - 2] = twist(x[kN - 2], x[kN - 1], x[kM - 2]);
   x[kN - 1] = twist(x[kN - 1], x[0], x[kM - 1]);
   for (std::size_t k = 0; k < kN; ++k) {
     std::uint64_t z = x[k];

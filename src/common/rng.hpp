@@ -49,11 +49,12 @@ class Mt64Engine {
     return block_[next_++];
   }
 
- private:
-  /// Twists `state_` into the next 312 words and tempers them into
-  /// `block_`.
+  /// Twists the state into the next 312 words and tempers them into the
+  /// block; the next draw is its first word. Draws call it when a block
+  /// runs out, so calling it early skips the rest of the current block.
   void refill();
 
+ private:
   std::array<std::uint64_t, kBlockWords> state_{};
   std::array<std::uint64_t, kBlockWords> block_{};
   std::size_t next_ = kBlockWords;

@@ -2,6 +2,7 @@
 
 #include <sstream>
 
+#include "common/fork_join.hpp"
 #include "tensor/vec4.hpp"
 
 namespace teamnet::nn {
@@ -63,9 +64,26 @@ ShakeBlock::ShakeBlock(std::int64_t in_channels, std::int64_t out_channels,
 }
 
 ag::Var ShakeBlock::forward(const ag::Var& input) {
-  ag::Var b0 = branch0_->forward(input);
-  ag::Var b1 = branch1_->forward(input);
-  ag::Var skip = skip_ ? skip_->forward(input) : input;
+  ag::Var b0, b1, skip;
+  const auto second_half = [&] {
+    b1 = branch1_->forward(input);
+    skip = skip_ ? skip_->forward(input) : input;
+  };
+  if (ag::grad_enabled()) {
+    b0 = branch0_->forward(input);
+    second_half();
+  } else {
+    // A serving forward builds no graph, so the branches share nothing but
+    // the input: branch 1 and the skip may run on an idle core, under
+    // their own guard since grad mode is per thread. Each keeps its serial
+    // code and the tail mixes them after the join, so the output is
+    // bit-identical wherever they ran (DESIGN.md §2.3).
+    fork_join([&] { b0 = branch0_->forward(input); },
+              [&] {
+                ag::NoGradGuard no_grad;
+                second_half();
+              });
+  }
   float alpha = 0.5f, beta = 0.5f;
   if (training_) {
     alpha = shake_rng_.uniform(0.0f, 1.0f);

@@ -1,16 +1,22 @@
 // Tests for the common utilities: error macros, logging levels, seeded RNG
 // (fork independence, and its stream and draws pinned bit for bit to
-// std::mt19937_64 and libstdc++'s distributions), and the table printer.
+// std::mt19937_64 and libstdc++'s distributions), the table printer, and
+// the fork-join helpers (each half exactly once, the inline fallback, a
+// helper's exception in the caller).
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <bit>
+#include <chrono>
 #include <cstdint>
 #include <numeric>
 #include <random>
 #include <set>
+#include <thread>
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/fork_join.hpp"
 #include "common/logging.hpp"
 #include "common/rng.hpp"
 #include "common/table.hpp"
@@ -370,6 +376,152 @@ TEST(Table, AlignsColumnsAndValidatesRows) {
 TEST(Table, NumFormatsDigits) {
   EXPECT_EQ(Table::num(3.14159, 2), "3.14");
   EXPECT_EQ(Table::num(2.0, 0), "2");
+}
+
+/// Spins until `flag` is set or 10 s pass; false on the timeout. A free
+/// helper claims an offer within microseconds, so only a broken protocol
+/// waits that long.
+bool await_flag(const std::atomic<bool>& flag) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!flag.load()) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::yield();
+  }
+  return true;
+}
+
+TEST(ForkJoin, EachHalfRunsExactlyOnce) {
+  std::atomic<int> f_runs{0};
+  std::atomic<int> g_runs{0};
+  for (int i = 0; i < 2000; ++i) {
+    fork_join([&] { f_runs.fetch_add(1); }, [&] { g_runs.fetch_add(1); });
+    ASSERT_EQ(f_runs.load(), i + 1);
+    ASSERT_EQ(g_runs.load(), i + 1);
+  }
+  // Four callers contending for the helpers at once.
+  constexpr int kCallers = 4;
+  constexpr int kRounds = 2000;
+  std::vector<std::thread> callers;
+  std::vector<std::atomic<int>> f_counts(kCallers);
+  std::vector<std::atomic<int>> g_counts(kCallers);
+  for (int c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&, c] {
+      for (int r = 0; r < kRounds; ++r) {
+        fork_join([&] { f_counts[c].fetch_add(1); },
+                  [&] { g_counts[c].fetch_add(1); });
+      }
+    });
+  }
+  for (auto& t : callers) t.join();
+  for (int c = 0; c < kCallers; ++c) {
+    EXPECT_EQ(f_counts[c].load(), kRounds) << "caller " << c;
+    EXPECT_EQ(g_counts[c].load(), kRounds) << "caller " << c;
+  }
+}
+
+/// Holds one more helper per level in a g that waits for `release`; with
+/// every helper held, forks a probe, records where its g ran, and releases
+/// them all.
+void fork_with_helpers_held(int level, std::atomic<bool>& release,
+                            std::thread::id* probe_ran, bool* claimed_all) {
+  if (level == fork_helpers()) {
+    fork_join([] {}, [&] { *probe_ran = std::this_thread::get_id(); });
+    release = true;
+    return;
+  }
+  std::atomic<bool> held{false};
+  fork_join(
+      [&] {
+        if (await_flag(held)) {
+          fork_with_helpers_held(level + 1, release, probe_ran, claimed_all);
+        } else {
+          *claimed_all = false;  // g is taken back and runs inline
+          release = true;
+        }
+      },
+      [&] {
+        held = true;
+        while (!release.load()) std::this_thread::yield();
+      });
+}
+
+TEST(ForkJoin, SecondHalfRunsInlineWhenNoHelperIsFree) {
+  // With no helper (a one-core affinity mask) the probe runs inline at
+  // once; otherwise every helper is first held by a nested fork.
+  std::atomic<bool> release{false};
+  std::thread::id probe_ran;
+  bool claimed_all = true;
+  fork_with_helpers_held(0, release, &probe_ran, &claimed_all);
+  EXPECT_TRUE(claimed_all) << "a free helper never claimed its offer";
+  EXPECT_EQ(probe_ran, std::this_thread::get_id())
+      << "with all " << fork_helpers() << " helpers held, g left the caller";
+}
+
+TEST(ForkJoin, HelperExceptionIsRethrownAfterTheJoin) {
+  const std::thread::id caller = std::this_thread::get_id();
+  for (int i = 0; i < 50; ++i) {
+    std::atomic<bool> g_started{false};
+    std::atomic<bool> g_finished_unwinding{false};
+    std::thread::id g_ran;
+    bool f_done = false;
+    try {
+      fork_join(
+          [&] {
+            // Hold f until g runs, so g throws on a helper when there is one.
+            if (fork_helpers() > 0) {
+              ASSERT_TRUE(await_flag(g_started));
+            }
+            f_done = true;
+          },
+          [&] {
+            g_ran = std::this_thread::get_id();
+            g_started = true;
+            struct Unwound {
+              std::atomic<bool>* flag;
+              ~Unwound() { *flag = true; }
+            } unwound{&g_finished_unwinding};
+            throw InvariantError("g failed on purpose " + std::to_string(i));
+          });
+      FAIL() << "fork_join returned normally";
+    } catch (const InvariantError& e) {
+      EXPECT_NE(std::string(e.what()).find("g failed on purpose " +
+                                           std::to_string(i)),
+                std::string::npos);
+    }
+    EXPECT_TRUE(f_done);
+    // The join came first: g had unwound completely before the rethrow.
+    EXPECT_TRUE(g_finished_unwinding.load());
+    if (fork_helpers() > 0) {
+      EXPECT_NE(g_ran, caller) << "g ran inline, not on a helper";
+    } else {
+      EXPECT_EQ(g_ran, caller);
+    }
+  }
+  // The helper that threw serves the next fork as usual.
+  int g_runs = 0;
+  fork_join([] {}, [&] { ++g_runs; });
+  EXPECT_EQ(g_runs, 1);
+}
+
+TEST(ForkJoin, CallerExceptionWaitsForTheClaimedHalf) {
+  std::atomic<bool> g_started{false};
+  std::atomic<bool> g_done{false};
+  EXPECT_THROW(
+      fork_join(
+          [&] {
+            if (fork_helpers() > 0) await_flag(g_started);
+            throw InvalidArgument("f failed");
+          },
+          [&] {
+            g_started = true;
+            std::this_thread::sleep_for(std::chrono::milliseconds(2));
+            g_done = true;
+          }),
+      InvalidArgument);
+  // g was claimed before f threw, so fork_join waited for it; without a
+  // helper it was taken back and never ran.
+  EXPECT_EQ(g_done.load(), fork_helpers() > 0);
 }
 
 }  // namespace

@@ -3,13 +3,19 @@
 
 #include <unistd.h>
 
+#include <atomic>
 #include <bit>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
+#include <memory>
+#include <optional>
 #include <sstream>
+#include <thread>
 
+#include "common/fork_join.hpp"
 #include "common/rng.hpp"
 #include "nn/batchnorm.hpp"
 #include "nn/layers.hpp"
@@ -273,6 +279,97 @@ TEST(Predict, BitIdenticalToForwardOnConstant) {
     Tensor digits = Tensor::randn({batch, 784}, rng);
     expect_bit_identical(mlp2.predict(digits),
                          mlp2.forward(ag::constant(digits)).value());
+  }
+
+  // Three experts serving at once, as a master and its in-process workers
+  // do: every block forks, the callers contend for the helpers, and each
+  // logit still equals the graph-building forward's.
+  constexpr int kExperts = 3;
+  constexpr int kRounds = 20;
+  std::vector<std::unique_ptr<nn::ShakeShakeNet>> experts;
+  std::vector<Tensor> images, want;
+  for (int e = 0; e < kExperts; ++e) {
+    experts.push_back(std::make_unique<nn::ShakeShakeNet>(ss14_c6(), rng));
+    perturb_state(*experts.back(), {4, 3, 16, 16}, rng);
+    images.push_back(Tensor::randn({1 + e, 3, 16, 16}, rng));
+    want.push_back(
+        experts.back()->forward(ag::constant(images.back())).value());
+  }
+  std::vector<std::vector<Tensor>> got(kExperts);
+  std::vector<std::thread> callers;
+  for (int e = 0; e < kExperts; ++e) {
+    callers.emplace_back([&, e] {
+      for (int r = 0; r < kRounds; ++r) {
+        got[e].push_back(experts[e]->predict(images[e]));
+      }
+    });
+  }
+  for (auto& t : callers) t.join();
+  for (int e = 0; e < kExperts; ++e) {
+    for (int r = 0; r < kRounds; ++r) {
+      SCOPED_TRACE(testing::Message() << "expert " << e << " round " << r);
+      expect_bit_identical(got[e][r], want[e]);
+    }
+  }
+}
+
+TEST(Predict, WrongShapeThrowsThroughTheFork) {
+  Rng rng(37);
+  nn::ShakeShakeNet ss14(ss14_c6(), rng);
+  ss14.set_training(false);
+  ASSERT_TRUE(ag::grad_enabled());
+  EXPECT_THROW(ss14.predict(Tensor({1, 4, 16, 16})), InvariantError);
+  EXPECT_THROW(ss14.predict(Tensor({3, 16, 16})), InvariantError);
+  EXPECT_TRUE(ag::grad_enabled()) << "a throwing predict left grad mode off";
+
+  // A block handed the wrong channel count throws in both branches, the
+  // forked one included, and the join rethrows the caller's.
+  nn::ShakeBlock& block = ss14.block(3);  // 6 -> 12 channels, stride 2
+  const Tensor x = Tensor::randn({1, 6, 16, 16}, rng);
+  const Tensor good = block.forward(ag::constant(x)).value();
+  {
+    ag::NoGradGuard no_grad;
+    EXPECT_THROW(block.forward(ag::constant(Tensor({1, 5, 16, 16}))),
+                 InvariantError);
+    EXPECT_FALSE(ag::grad_enabled());
+  }
+  EXPECT_TRUE(ag::grad_enabled());
+  expect_bit_identical(block.predict(x), good);
+}
+
+TEST(Predict, HelperGradModeIsRestoredAfterAThrowingHalf) {
+  // Holds f until g is running, so g runs on a helper when there is one.
+  const auto on_helper = [](const std::atomic<bool>& g_started) {
+    if (fork_helpers() == 0) return;
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (!g_started.load() && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+    ASSERT_TRUE(g_started.load()) << "no helper claimed the offer";
+  };
+  for (const bool caller_grad : {true, false}) {
+    SCOPED_TRACE(testing::Message() << "caller grad mode " << caller_grad);
+    std::optional<ag::NoGradGuard> caller_guard;
+    if (!caller_grad) caller_guard.emplace();
+    std::atomic<bool> started{false};
+    EXPECT_THROW(fork_join([&] { on_helper(started); },
+                           [&] {
+                             ag::NoGradGuard no_grad;
+                             started = true;
+                             throw InvariantError("branch failed");
+                           }),
+                 InvariantError);
+    EXPECT_EQ(ag::grad_enabled(), caller_grad);
+    // The helper's guard unwound too: its own mode is back to the default.
+    std::atomic<bool> probe_started{false};
+    bool helper_grad = false;
+    fork_join([&] { on_helper(probe_started); },
+              [&] {
+                helper_grad = ag::grad_enabled();
+                probe_started = true;
+              });
+    EXPECT_EQ(helper_grad, fork_helpers() > 0 ? true : caller_grad);
   }
 }
 

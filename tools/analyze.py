@@ -228,6 +228,9 @@ class CallSite:
     held: tuple[str, ...]         # raw lock exprs held at this point
     deferred: bool                # inside a lambda body (runs later)
     is_decl_ctor: bool = False    # `Type name(args);` declaration
+    # The whole member chain ending at `receiver`: ("a", "b") for a.b.f()
+    # or a->b.f(); empty when its head is not a plain name (g().b.f()).
+    receiver_path: tuple[str, ...] = ()
     held_locks: tuple[str, ...] = ()   # canonical (resolution pass)
     targets: tuple[str, ...] = ()      # resolved callee function ids
 
@@ -1000,11 +1003,13 @@ class _BodyScanner:
             prev = self.prev_significant(prev_idx)
             receiver = None
             decl_ctor = False
+            receiver_path: tuple[str, ...] = ()
             if prev is not None and prev.text in (".", "->"):
                 recv_tok = self.p.toks[self.tok_index_before(prev_idx)] \
                     if self.tok_index_before(prev_idx) >= 0 else None
                 if recv_tok is not None and recv_tok.kind == "ident":
                     receiver = recv_tok.text
+                    receiver_path = self.receiver_path_before(prev_idx)
             elif prev is not None and (prev.kind == "ident"
                                        or prev.text in (">", "&", "*")) \
                     and len(chain) == 1 and self.pending_type is not None:
@@ -1013,7 +1018,8 @@ class _BodyScanner:
                 self.fn.locals[chain[0]] = self.pending_type
                 callee = self.pending_type
             first_arg = self.peek_first_arg()
-            self.record_call(callee, receiver, first_arg, line, decl_ctor)
+            self.record_call(callee, receiver, first_arg, line, decl_ctor,
+                             receiver_path)
             self.pending_type = None
             self.stmt_start = False
             return
@@ -1035,6 +1041,29 @@ class _BodyScanner:
 
     def tok_index_before(self, idx: int) -> int:
         return idx - 1
+
+    def receiver_path_before(self, dot_idx: int) -> tuple[str, ...]:
+        """The member chain whose last name precedes the '.'/'->' at
+        `dot_idx`: ("a", "b") for `a.b` or `this->a.b`; () when the chain
+        starts at anything but a plain name (a call result, a subscript,
+        a qualified name)."""
+        toks = self.p.toks
+        path: list[str] = []
+        i = dot_idx - 1
+        while True:
+            if i < 0 or toks[i].kind != "ident":
+                return ()
+            path.append(toks[i].text)
+            if i >= 2 and toks[i - 1].text in (".", "->"):
+                i -= 2
+                continue
+            if i >= 1 and toks[i - 1].text == "::":
+                return ()
+            break
+        path.reverse()
+        if path and path[0] == "this":
+            path = path[1:]
+        return tuple(path)
 
     def prev_significant(self, idx: int) -> Tok | None:
         return self.p.toks[idx] if 0 <= idx < len(self.p.toks) else None
@@ -1062,7 +1091,8 @@ class _BodyScanner:
         return "".join(out)
 
     def record_call(self, callee: str, receiver: str | None, first_arg: str,
-                    line: int, decl_ctor: bool) -> None:
+                    line: int, decl_ctor: bool,
+                    receiver_path: tuple[str, ...] = ()) -> None:
         if self.suppress_call:
             self.suppress_call = False
             return
@@ -1071,7 +1101,8 @@ class _BodyScanner:
         name = callee.rsplit("::", 1)[-1]
         self.fn.calls.append(CallSite(
             callee=callee, receiver=receiver, first_arg=first_arg, line=line,
-            held=held, deferred=deferred, is_decl_ctor=decl_ctor))
+            held=held, deferred=deferred, is_decl_ctor=decl_ctor,
+            receiver_path=receiver_path))
         if name in ALLOC_MEMBER_GROWTH and receiver is not None:
             self.fn.allocs.append(AllocSite("container-grow", name, line,
                                             held))
@@ -1182,6 +1213,27 @@ def receiver_type(program: Program, fn: Function,
     return None
 
 
+def call_receiver_type(program: Program, fn: Function,
+                       call: CallSite) -> str | None:
+    """Declared type of a member call's receiver. A chain `a.b.f()` is
+    followed member by member from `a`'s type, so `b` is looked up in that
+    class, not in the caller's scope; a link that is not a parsed class
+    (a std value, an unknown name) leaves the type unknown."""
+    path = call.receiver_path
+    if len(path) < 2:
+        return receiver_type(program, fn, call.receiver) \
+            if call.receiver is not None else None
+    rtype = receiver_type(program, fn, path[0])
+    for member in path[1:]:
+        if rtype is None or rtype in EXTERNAL_RECEIVER_TYPES:
+            return None
+        info = find_class_by_name(program, rtype, fn)
+        if info is None:
+            return None
+        rtype = info.members.get(member)
+    return rtype
+
+
 _EXPR_SPLIT_RE = re.compile(r"->|\.")
 
 
@@ -1240,7 +1292,7 @@ def resolve_targets(program: Program, name_index: dict[str, list[str]],
                      if program.functions[k].qname == callee
                      or program.functions[k].qname.endswith(suffix))
     if call.receiver is not None:
-        rtype = receiver_type(program, fn, call.receiver)
+        rtype = call_receiver_type(program, fn, call)
         if rtype is not None:
             if rtype in EXTERNAL_RECEIVER_TYPES:
                 return ()
@@ -1511,8 +1563,7 @@ def run_passes(program: Program) -> tuple[list[Finding],
             kind, via = b
             held = set(c.held_locks)
             name = CALL_ALIASES.get(c.callee, c.callee).rsplit("::", 1)[-1]
-            cv_recv = c.receiver is not None and \
-                receiver_type(program, fn, c.receiver) == "CondVar"
+            cv_recv = call_receiver_type(program, fn, c) == "CondVar"
             if kind == "condvar-wait" and name in ("wait", "wait_until") \
                     and (not c.targets or cv_recv) and c.first_arg:
                 # cv.wait(m) holding only m is the sanctioned wait loop.
@@ -1916,6 +1967,14 @@ SELF_TEST_CASES = [
             ("hot-alloc", "hot_offsets|container-sized"),
         ],
         "must_not": [("hot-alloc", "cold_path"), ("hot-alloc", "hot_view")],
+    },
+    {
+        "fixture": "fixture_chained_receiver.cpp",
+        "must": [
+            ("hot-alloc", "Recorder::query|container-grow|reserve"),
+            ("hot-alloc", "Arena::reserve|container-grow|resize"),
+        ],
+        "must_not": [("hot-alloc", "Pool::reserve")],
     },
 ]
 
