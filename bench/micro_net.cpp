@@ -1,7 +1,8 @@
 // Microbenchmarks for the networking layer: message encode/decode, in-proc
-// channel round trips, collective primitives, and weight serialization —
-// the real byte-shuffling costs behind the simulated links — plus what the
-// protocol's trace and timeline sites cost while tracing is off.
+// and loopback TCP round trips, collective primitives, and weight
+// serialization — the real byte-shuffling costs behind the simulated links —
+// plus what the protocol's trace and timeline sites cost while tracing is
+// off.
 #include <benchmark/benchmark.h>
 
 #include "micro_common.hpp"
@@ -11,6 +12,7 @@
 #include "data/synthetic_mnist.hpp"
 #include "mpi/communicator.hpp"
 #include "net/message.hpp"
+#include "net/tcp.hpp"
 #include "net/transport.hpp"
 #include "nn/mlp.hpp"
 #include "nn/serialize.hpp"
@@ -87,6 +89,30 @@ void BM_InprocRoundTrip(benchmark::State& state) {
   echo.join();
 }
 BENCHMARK(BM_InprocRoundTrip)->Arg(64)->Arg(4096);
+
+// The same echo over a loopback TCP pair: framing, the socket calls, and
+// each read's spin-then-sleep wait. 3,256 B is tcp_cnn_k2's bytes per
+// query (one Infer and one Result).
+void BM_TcpRoundTrip(benchmark::State& state) {
+  net::TcpListener listener(0);
+  auto a = net::tcp_connect("127.0.0.1", listener.port());
+  auto b = listener.accept();
+  std::thread echo([&b] {
+    for (;;) {
+      std::string m = b->recv();
+      if (m == "quit") return;
+      b->send(std::move(m));
+    }
+  });
+  std::string payload(static_cast<std::size_t>(state.range(0)), 'x');
+  for (auto _ : state) {
+    a->send(payload);
+    benchmark::DoNotOptimize(a->recv().size());
+  }
+  a->send("quit");
+  echo.join();
+}
+BENCHMARK(BM_TcpRoundTrip)->Arg(64)->Arg(3256);
 
 void BM_ParameterSerialization(benchmark::State& state) {
   Rng rng(2);

@@ -2,26 +2,17 @@
 
 #include <algorithm>
 #include <array>
-#include <chrono>
 #include <cstdint>
 #include <system_error>
 #include <thread>
 
-#if defined(__linux__)
-#include <sched.h>
-#endif
+#include "common/spin.hpp"
 
 namespace teamnet {
 
 namespace {
 
 using detail::ForkTask;
-
-/// How long an idle helper keeps polling its slot before it parks, and a
-/// caller polls for its claimed half before it sleeps: longer than the gap
-/// between one Shake-Shake block's fork and the next and between
-/// back-to-back queries, so a serving forward finds its helper awake.
-constexpr auto kSpinWindow = std::chrono::microseconds(200);
 
 /// Upper bound on helper threads, whatever the core count.
 constexpr int kMaxForkHelpers = 63;
@@ -34,64 +25,6 @@ ForkTask g_stop_sentinel;
 ForkTask* const kTaken = &g_taken_sentinel;  // claimed, being run
 ForkTask* const kStop = &g_stop_sentinel;    // pool shutting down
 
-inline void cpu_relax() {
-#if defined(__x86_64__) || defined(__i386__)
-  __builtin_ia32_pause();
-#elif defined(__aarch64__)
-  asm volatile("yield");
-#endif
-}
-
-/// Polls `done` for kSpinWindow, calling `between` after every 64 polls;
-/// true as soon as `done` holds.
-template <class Done, class Between>
-bool spin_until(const Done& done, const Between& between) {
-  const auto until = std::chrono::steady_clock::now() + kSpinWindow;
-  for (;;) {
-    for (int i = 0; i < 64; ++i) {
-      if (done()) return true;
-      cpu_relax();
-    }
-    between();
-    if (std::chrono::steady_clock::now() >= until) return done();
-  }
-}
-
-/// Cores this process may run on: the affinity mask where there is one, so
-/// a run pinned to one core gets no helpers.
-int usable_cores() {
-#if defined(__linux__)
-  cpu_set_t set;
-  if (sched_getaffinity(0, sizeof(set), &set) == 0) return CPU_COUNT(&set);
-#endif
-  return static_cast<int>(std::thread::hardware_concurrency());
-}
-
-int current_cpu() {
-#if defined(__linux__)
-  return sched_getcpu();
-#else
-  return -1;
-#endif
-}
-
-/// Moves the calling thread off `cpu`: leaving it out of the thread's
-/// affinity mask migrates the thread at once, and the full mask comes
-/// straight back.
-void step_off(int cpu) {
-#if defined(__linux__)
-  cpu_set_t allowed;
-  if (cpu < 0 || sched_getaffinity(0, sizeof(allowed), &allowed) != 0) return;
-  cpu_set_t others = allowed;
-  CPU_CLR(cpu, &others);
-  if (CPU_COUNT(&others) == 0) return;
-  sched_setaffinity(0, sizeof(others), &others);
-  sched_setaffinity(0, sizeof(allowed), &allowed);
-#else
-  (void)cpu;
-#endif
-}
-
 /// One helper thread and the words a forking caller shares with it, on a
 /// cache line of their own.
 struct alignas(64) Helper {
@@ -101,23 +34,16 @@ struct alignas(64) Helper {
   std::atomic<std::uint32_t> parked{0};
   /// Tasks finished; a caller whose half was claimed sleeps on it.
   std::atomic<std::uint32_t> finished{0};
-  /// The core the latest offer came from (-1 when unknown).
-  std::atomic<int> poster_cpu{-1};
+  /// The thread and core the latest offer came from. A helper that shares
+  /// its poster's core can only claim while that caller is preempted, and
+  /// its spinning takes the caller's time. The scheduler puts it there
+  /// readily (a woken thread lands on its waker's core on hosts whose idle
+  /// cores look busy), so it steps off.
+  CoreMark poster;
   std::thread thread;
 
   void wake() {
     if (parked.exchange(0) == 1) parked.notify_one();
-  }
-
-  /// A helper that shares its poster's core can only claim while that
-  /// caller is preempted, and its spinning takes the caller's time. The
-  /// scheduler puts it there readily (a woken thread lands on its waker's
-  /// core on hosts whose idle cores look busy), so it steps off.
-  void keep_off_poster() {
-    const int cpu = current_cpu();
-    if (cpu >= 0 && cpu == poster_cpu.load(std::memory_order_relaxed)) {
-      step_off(cpu);
-    }
   }
 
   /// The helper thread's loop: claim what is offered, run it, repeat;
@@ -129,11 +55,11 @@ struct alignas(64) Helper {
         const auto offered = [&] {
           return slot.load(std::memory_order_acquire) != nullptr;
         };
-        if (!spin_until(offered, [&] { keep_off_poster(); })) {
+        if (!spin_until(offered, [&] { poster.step_off_if_on(); })) {
           parked.store(1);
           if (slot.load() == nullptr) parked.wait(1);
           parked.store(0, std::memory_order_relaxed);
-          keep_off_poster();
+          poster.step_off_if_on();
         }
         continue;
       }
@@ -213,7 +139,7 @@ int fork_offer(ForkTask& task) noexcept {
     ForkTask* expected = nullptr;
     if (h.slot.load(std::memory_order_relaxed) == nullptr &&
         h.slot.compare_exchange_strong(expected, &task)) {
-      h.poster_cpu.store(current_cpu(), std::memory_order_relaxed);
+      h.poster.mark();
       h.wake();
       return i;
     }

@@ -9,6 +9,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -17,6 +18,7 @@
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "common/spin.hpp"
 
 namespace teamnet::net {
 
@@ -73,27 +75,77 @@ void recv_all(int fd, char* data, std::size_t len) {
   }
 }
 
-/// ppoll(2) until `fd` is readable (a frame, EOF or an error) or `seconds`
-/// pass; false on timeout. Restarts after a signal with the time that is
-/// left.
-bool wait_readable(int fd, double seconds) {
-  const auto until = std::chrono::steady_clock::now() +
-                     std::chrono::duration_cast<std::chrono::nanoseconds>(
-                         std::chrono::duration<double>(seconds));
+using Clock = std::chrono::steady_clock;
+
+/// The thread and core of the latest TcpChannel::send in this process. A
+/// peer in another process never marks it.
+CoreMark g_latest_send;
+
+/// Set once two threads of this process have sent over TCP, as when a
+/// master and a worker share it (`edge_node demo`, perfbench's tcp_cnn_k2):
+/// a reply can then come from a thread computing beside the reader. A
+/// process at one end of its links only, like `edge_node master` or
+/// `edge_node worker` on its own, never sets it.
+std::atomic<bool> g_two_senders{false};
+
+/// Whether reads poll before they sleep: only with a peer thread in this
+/// process, and a second usable core for it to run on.
+bool spin_reads() {
+  static const bool spare_core = usable_cores() > 1;
+  return spare_core && g_two_senders.load(std::memory_order_relaxed);
+}
+
+/// One look that does not sleep: true when `fd` is readable (a frame, EOF
+/// or an error).
+bool readable_now(int fd) {
+  pollfd pfd{fd, POLLIN, 0};
+  const int ready = ::poll(&pfd, 1, 0);
+  if (ready >= 0) return ready > 0;
+  const int err = errno;
+  if (err != EINTR) throw_errno("poll", err);
+  return false;
+}
+
+/// ppoll(2) until `fd` is readable or `until` passes (never, at
+/// Clock::time_point::max()); false on timeout. Restarts after a signal
+/// with the time that is left.
+bool sleep_until_readable(int fd, Clock::time_point until) {
   for (;;) {
-    const auto left = until - std::chrono::steady_clock::now();
-    if (left <= std::chrono::nanoseconds::zero()) return false;
-    const auto ns =
-        std::chrono::duration_cast<std::chrono::nanoseconds>(left).count();
-    const timespec ts{static_cast<time_t>(ns / 1'000'000'000),
-                      static_cast<long>(ns % 1'000'000'000)};
+    timespec ts{};
+    const timespec* timeout = nullptr;
+    if (until != Clock::time_point::max()) {
+      const auto left = until - Clock::now();
+      if (left <= Clock::duration::zero()) return false;
+      const auto ns =
+          std::chrono::duration_cast<std::chrono::nanoseconds>(left).count();
+      ts = {static_cast<time_t>(ns / 1'000'000'000),
+            static_cast<long>(ns % 1'000'000'000)};
+      timeout = &ts;
+    }
     pollfd pfd{fd, POLLIN, 0};
-    const int ready = ::ppoll(&pfd, 1, &ts, nullptr);
+    const int ready = ::ppoll(&pfd, 1, timeout, nullptr);
     if (ready > 0) return true;
     if (ready == 0) return false;
     const int err = errno;
     if (err != EINTR) throw_errno("poll", err);
   }
+}
+
+/// Waits until `fd` is readable or `until` passes; false on timeout. Where
+/// spin_reads() holds it first polls without sleeping for kSpinWindow (or
+/// what is left of the budget, if less), so a reply that comes within
+/// microseconds costs no wake-up. A reader that slept and is woken onto the
+/// core of another thread's latest send steps off it: a sync wake-up puts a
+/// loopback reader on its sender's core, where the two would otherwise
+/// take turns.
+bool wait_readable(int fd, Clock::time_point until) {
+  if (spin_reads() && spin_until([fd] { return readable_now(fd); }, [] {},
+                                 until - Clock::now())) {
+    return true;
+  }
+  if (!sleep_until_readable(fd, until)) return false;
+  g_latest_send.step_off_if_on();
+  return true;
 }
 
 /// Length-prefixed framing over a connected socket.
@@ -105,6 +157,13 @@ class TcpChannel final : public Channel {
     std::string bytes(len, '\0');
     recv_all(fd_, bytes.data(), bytes.size());
     return bytes;
+  }
+
+  /// Reads one whole frame, blocking until all of it is in.
+  std::string read_frame() {
+    char header[8];
+    recv_all(fd_, header, sizeof(header));
+    return recv_body(header);
   }
 
  public:
@@ -123,19 +182,31 @@ class TcpChannel final : public Channel {
     if (fd_ >= 0) ::shutdown(fd_, SHUT_RDWR);
   }
 
-  void send(std::string bytes) override { send_frame(fd_, bytes); }
+  void send(std::string bytes) override {
+    if (!g_two_senders.load(std::memory_order_relaxed) &&
+        g_latest_send.marked_by_other()) {
+      g_two_senders.store(true, std::memory_order_relaxed);
+    }
+    // Marked before the write, so a reader this send wakes sees the mark.
+    g_latest_send.mark();
+    send_frame(fd_, bytes);
+  }
 
   std::string recv() override {
-    char header[8];
-    recv_all(fd_, header, sizeof(header));
-    return recv_body(header);
+    // Without the spin, the read sleeps in recv(2) itself.
+    if (spin_reads()) wait_readable(fd_, Clock::time_point::max());
+    return read_frame();
   }
 
   std::optional<std::string> recv_timeout(double seconds) override {
     // Wait for the frame header only; once it arrives the body is assumed
     // to follow promptly (send_frame writes a frame with one syscall). A
     // budget <= 0 is a poll: one non-blocking peek.
-    if (seconds > 0.0 && !wait_readable(fd_, seconds)) return std::nullopt;
+    if (seconds > 0.0) {
+      const auto budget = std::chrono::duration_cast<Clock::duration>(
+          std::chrono::duration<double>(seconds));
+      if (!wait_readable(fd_, Clock::now() + budget)) return std::nullopt;
+    }
     char header[8];
     const ssize_t n =
         ::recv(fd_, header, sizeof(header), MSG_PEEK | MSG_DONTWAIT);
@@ -145,7 +216,7 @@ class TcpChannel final : public Channel {
       throw_errno("recv", err);
     }
     if (n == 0) throw NetworkError("peer closed connection");
-    return recv();
+    return read_frame();
   }
 
  private:

@@ -1,8 +1,9 @@
 // Tests for the common utilities: error macros, logging levels, seeded RNG
 // (fork independence, and its stream and draws pinned bit for bit to
-// std::mt19937_64 and libstdc++'s distributions), the table printer, and
-// the fork-join helpers (each half exactly once, the inline fallback, a
-// helper's exception in the caller).
+// std::mt19937_64 and libstdc++'s distributions), the table printer, the
+// fork-join helpers (each half exactly once, the inline fallback, a
+// helper's exception in the caller), and step_off and CoreMark, which move
+// a waiter off a core another thread is using.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -15,10 +16,15 @@
 #include <thread>
 #include <vector>
 
+#if defined(__linux__)
+#include <sched.h>
+#endif
+
 #include "common/error.hpp"
 #include "common/fork_join.hpp"
 #include "common/logging.hpp"
 #include "common/rng.hpp"
+#include "common/spin.hpp"
 #include "common/table.hpp"
 
 namespace teamnet {
@@ -523,6 +529,74 @@ TEST(ForkJoin, CallerExceptionWaitsForTheClaimedHalf) {
   // helper it was taken back and never ran.
   EXPECT_EQ(g_done.load(), fork_helpers() > 0);
 }
+
+#if defined(__linux__)
+TEST(Spin, StepOffLeavesTheCoreAndKeepsTheMask) {
+  cpu_set_t full;
+  ASSERT_EQ(sched_getaffinity(0, sizeof(full), &full), 0);
+  if (usable_cores() < 2) GTEST_SKIP() << "needs two usable cores";
+  int stepped = 0;
+  for (int c = 0; c < CPU_SETSIZE; ++c) {
+    if (!CPU_ISSET(c, &full)) continue;
+    // Put the thread on c, then widen its mask again: it stays on c until
+    // something moves it.
+    cpu_set_t only;
+    CPU_ZERO(&only);
+    CPU_SET(c, &only);
+    ASSERT_EQ(sched_setaffinity(0, sizeof(only), &only), 0);
+    ASSERT_EQ(current_cpu(), c);
+    ASSERT_EQ(sched_setaffinity(0, sizeof(full), &full), 0);
+    if (current_cpu() != c) continue;  // the scheduler moved it first
+    step_off(c);
+    EXPECT_NE(current_cpu(), c) << "still on core " << c;
+    cpu_set_t after;
+    ASSERT_EQ(sched_getaffinity(0, sizeof(after), &after), 0);
+    EXPECT_TRUE(CPU_EQUAL(&after, &full)) << "mask narrowed after core " << c;
+    ++stepped;
+  }
+  EXPECT_GT(stepped, 0);
+}
+
+TEST(Spin, OnlyAnotherThreadsMarkStepsAThreadOff) {
+  cpu_set_t full;
+  ASSERT_EQ(sched_getaffinity(0, sizeof(full), &full), 0);
+  if (usable_cores() < 2) GTEST_SKIP() << "needs two usable cores";
+  int checked = 0;
+  for (int c = 0; c < CPU_SETSIZE; ++c) {
+    if (!CPU_ISSET(c, &full)) continue;
+    cpu_set_t only;
+    CPU_ZERO(&only);
+    CPU_SET(c, &only);
+    CoreMark mark;
+    EXPECT_FALSE(mark.marked_by_other());
+    std::thread other([&] {
+      ASSERT_EQ(sched_setaffinity(0, sizeof(only), &only), 0);
+      mark.mark();
+    });
+    other.join();
+    EXPECT_TRUE(mark.marked_by_other());
+    // Another thread marked c: a thread on c leaves it, mask intact.
+    ASSERT_EQ(sched_setaffinity(0, sizeof(only), &only), 0);
+    ASSERT_EQ(sched_setaffinity(0, sizeof(full), &full), 0);
+    if (current_cpu() != c) continue;  // the scheduler moved it first
+    mark.step_off_if_on();
+    EXPECT_NE(current_cpu(), c) << "still on core " << c;
+    cpu_set_t after;
+    ASSERT_EQ(sched_getaffinity(0, sizeof(after), &after), 0);
+    EXPECT_TRUE(CPU_EQUAL(&after, &full)) << "mask narrowed after core " << c;
+    // This thread's own mark on c keeps it there.
+    ASSERT_EQ(sched_setaffinity(0, sizeof(only), &only), 0);
+    mark.mark();
+    ASSERT_EQ(sched_setaffinity(0, sizeof(full), &full), 0);
+    EXPECT_FALSE(mark.marked_by_other());
+    if (current_cpu() != c) continue;
+    mark.step_off_if_on();
+    EXPECT_EQ(current_cpu(), c) << "own mark moved it off core " << c;
+    ++checked;
+  }
+  EXPECT_GT(checked, 0);
+}
+#endif
 
 }  // namespace
 }  // namespace teamnet

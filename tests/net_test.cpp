@@ -5,17 +5,27 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <optional>
 #include <string>
 #include <thread>
 #include <vector>
+
+#if defined(__linux__)
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sched.h>
+#include <sys/socket.h>
+#include <unistd.h>
+#endif
 
 #include "core/teamnet.hpp"
 #include "data/blobs.hpp"
@@ -331,6 +341,151 @@ TEST(Tcp, ZeroBudgetRecvDoesNotBlock) {
   client->send("");
   EXPECT_EQ(server->recv_timeout(1.0).value_or("missing"), "");
 }
+
+/// Sends one frame each way over `a` and `b`, from this thread and from
+/// another. Two threads of this process have then sent over TCP, so from
+/// here on its reads spin before they sleep (DESIGN.md §7).
+void send_from_two_threads(net::Channel& a, net::Channel& b) {
+  std::thread peer([&b] { b.send(b.recv()); });
+  a.send("ping");
+  EXPECT_EQ(a.recv(), "ping");
+  peer.join();
+}
+
+/// Reads with `read` (recv, or recv_timeout with a budget that holds the
+/// gap) while a peer sends a tcp_cnn_k2-sized frame 50 µs into the read's
+/// spin and a second 5 ms later, when the reader has gone to sleep.
+void expect_spin_and_sleep_frames_whole(
+    const std::function<std::string(net::Channel&)>& read) {
+  net::TcpListener listener(0);
+  auto client = net::tcp_connect("127.0.0.1", listener.port());
+  auto server = listener.accept();
+  send_from_two_threads(*server, *client);
+  const std::string first(3256, 'a');
+  std::string second(3256, 'b');
+  second.front() = 'c';
+  second.back() = 'd';
+  std::atomic<bool> reading{false};
+  std::thread sender([&] {
+    while (!reading.load()) std::this_thread::yield();
+    std::this_thread::sleep_for(std::chrono::microseconds(50));
+    client->send(first);
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    client->send(second);
+  });
+  reading = true;
+  EXPECT_EQ(read(*server), first);
+  EXPECT_EQ(read(*server), second);
+  sender.join();
+}
+
+TEST(Tcp, FramesDuringAndAfterTheSpinComeBackWhole) {
+  expect_spin_and_sleep_frames_whole(
+      [](net::Channel& ch) { return ch.recv(); });
+  expect_spin_and_sleep_frames_whole([](net::Channel& ch) {
+    return ch.recv_timeout(1.0).value_or("missing");
+  });
+}
+
+/// A positive budget on a silent channel waits for all of it and not much
+/// more: the spin is part of the budget, never added on top of it.
+TEST(Tcp, TimedRecvSpinsWithinTheBudget) {
+  net::TcpListener listener(0);
+  auto client = net::tcp_connect("127.0.0.1", listener.port());
+  auto server = listener.accept();
+  send_from_two_threads(*server, *client);
+  using Clock = std::chrono::steady_clock;
+  for (const auto budget :
+       {std::chrono::microseconds(100), std::chrono::microseconds(1000)}) {
+    const double seconds = std::chrono::duration<double>(budget).count();
+    auto fastest = Clock::duration::max();
+    for (int i = 0; i < 5; ++i) {
+      const auto t0 = Clock::now();
+      EXPECT_FALSE(server->recv_timeout(seconds).has_value());
+      const auto took = Clock::now() - t0;
+      EXPECT_GE(took, budget);
+      fastest = std::min(fastest, took);
+    }
+    // A spin of 200 µs before a sleep of the whole budget takes at least
+    // budget + 200 µs.
+    EXPECT_LT(fastest, budget + std::chrono::microseconds(200))
+        << "budget " << budget.count() << " us";
+  }
+}
+
+#if defined(__linux__)
+/// A thread whose own send is the latest in the process, and which then
+/// sleeps in a read that a peer in another process wakes, keeps its core:
+/// only another thread's send marks a core to step off. Raw socket writes
+/// stand in for the other process, whose sends never mark this one's core.
+TEST(Tcp, ReaderWokenFromOutsideKeepsItsCoreAfterItsOwnSend) {
+  cpu_set_t full;
+  ASSERT_EQ(sched_getaffinity(0, sizeof(full), &full), 0);
+  std::vector<int> cores;
+  for (int c = 0; c < CPU_SETSIZE; ++c) {
+    if (CPU_ISSET(c, &full)) cores.push_back(c);
+  }
+  if (cores.size() < 2) GTEST_SKIP() << "needs two usable cores";
+  {
+    // Reads spin and may step off from here on (two threads have sent).
+    net::TcpListener listener(0);
+    auto client = net::tcp_connect("127.0.0.1", listener.port());
+    auto server = listener.accept();
+    send_from_two_threads(*server, *client);
+  }
+  net::TcpListener listener(0);
+  const int raw = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(raw, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(listener.port());
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  ASSERT_EQ(::connect(raw, reinterpret_cast<const sockaddr*>(&addr),
+                      sizeof(addr)),
+            0);
+  auto server = listener.accept();
+  const std::string body = "result";
+  const std::uint64_t len = body.size();
+  std::string frame(sizeof(len), '\0');
+  std::memcpy(frame.data(), &len, sizeof(len));
+  frame += body;
+
+  // The reader runs on cores[0] with cores[1] to step off to; the writer
+  // runs elsewhere where it can, so the reader's own core is idle when the
+  // frame wakes it.
+  const int home = cores[0];
+  const int writer_core = cores[cores.size() > 2 ? 2 : 1];
+  cpu_set_t only_home;
+  CPU_ZERO(&only_home);
+  CPU_SET(home, &only_home);
+  cpu_set_t two;
+  CPU_ZERO(&two);
+  CPU_SET(cores[0], &two);
+  CPU_SET(cores[1], &two);
+  int stayed = 0;
+  for (int trial = 0; trial < 20; ++trial) {
+    ASSERT_EQ(sched_setaffinity(0, sizeof(only_home), &only_home), 0);
+    ASSERT_EQ(sched_setaffinity(0, sizeof(two), &two), 0);
+    server->send("infer");  // the latest send in the process, from home
+    std::thread writer([&] {
+      cpu_set_t mine;
+      CPU_ZERO(&mine);
+      CPU_SET(writer_core, &mine);
+      sched_setaffinity(0, sizeof(mine), &mine);
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+      ::send(raw, frame.data(), frame.size(), MSG_NOSIGNAL);
+    });
+    EXPECT_EQ(server->recv(), body);
+    if (sched_getcpu() == home) ++stayed;
+    writer.join();
+  }
+  ASSERT_EQ(sched_setaffinity(0, sizeof(full), &full), 0);
+  ::close(raw);
+  // A reader that stepped off its own send's core would never be on home
+  // after a read: it either woke elsewhere or was moved to cores[1].
+  EXPECT_GT(stayed, 0);
+}
+#endif
 
 TEST(Tcp, ConnectToDeadPortFails) {
   EXPECT_THROW(net::tcp_connect("127.0.0.1", 1), NetworkError);

@@ -242,6 +242,9 @@ class AllocSite:
     line: int
     held: tuple[str, ...]
     held_locks: tuple[str, ...] = ()
+    # The member call a "container-grow" site was named after; the
+    # resolution pass drops the site when that call binds to a repo method.
+    call: CallSite | None = None
 
 
 @dataclasses.dataclass
@@ -1099,13 +1102,15 @@ class _BodyScanner:
         deferred = any(blk["lambda"] for blk in self.blocks)
         held = self.held_raw()
         name = callee.rsplit("::", 1)[-1]
-        self.fn.calls.append(CallSite(
+        call = CallSite(
             callee=callee, receiver=receiver, first_arg=first_arg, line=line,
             held=held, deferred=deferred, is_decl_ctor=decl_ctor,
-            receiver_path=receiver_path))
+            receiver_path=receiver_path)
+        self.fn.calls.append(call)
         if name in ALLOC_MEMBER_GROWTH and receiver is not None:
+            # Only a guess by name until receivers are resolved.
             self.fn.allocs.append(AllocSite("container-grow", name, line,
-                                            held))
+                                            held, call=call))
         elif decl_ctor and name in ALLOC_SIZED_CONTAINERS and first_arg:
             self.fn.allocs.append(AllocSite("container-sized", name, line,
                                             held))
@@ -1314,6 +1319,18 @@ def resolve_targets(program: Program, name_index: dict[str, list[str]],
     return tuple(union)
 
 
+def binds_repo_method(program: Program, fn: Function,
+                      call: CallSite) -> bool:
+    """True when `call_receiver_type` types the call's receiver to a
+    parsed class and the call resolved to that class's own method."""
+    rtype = call_receiver_type(program, fn, call)
+    if rtype is None or rtype in EXTERNAL_RECEIVER_TYPES:
+        return False
+    info = find_class_by_name(program, rtype, fn)
+    return info is not None and any(
+        program.functions[k].cls == info.qname for k in call.targets)
+
+
 def resolve_program(program: Program) -> None:
     name_index: dict[str, list[str]] = {}
     for key in sorted(program.functions):
@@ -1326,6 +1343,11 @@ def resolve_program(program: Program) -> None:
         for c in fn.calls:
             c.held_locks = canon_held(program, fn, c.held)
             c.targets = resolve_targets(program, name_index, fn, c)
+        # A growth-named call whose receiver types it to a repo class calls
+        # that class's method, whose own body is scanned: no site here.
+        fn.allocs = [al for al in fn.allocs
+                     if al.call is None
+                     or not binds_repo_method(program, fn, al.call)]
         for al in fn.allocs:
             al.held_locks = canon_held(program, fn, al.held)
 
@@ -1975,6 +1997,16 @@ SELF_TEST_CASES = [
             ("hot-alloc", "Arena::reserve|container-grow|resize"),
         ],
         "must_not": [("hot-alloc", "Pool::reserve")],
+    },
+    {
+        # A growth-named call that binds to a repo method is that method's
+        # call: its growth is counted once, in the method's own body.
+        "fixture": "fixture_chained_receiver.cpp",
+        "must": [("hot-alloc", "Recorder::reset|container-grow|reserve#1")],
+        "must_not": [
+            ("hot-alloc", "Recorder::grow|container-grow"),
+            ("hot-alloc", "Recorder::reset|container-grow|reserve#2"),
+        ],
     },
 ]
 

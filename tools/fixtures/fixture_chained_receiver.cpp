@@ -7,7 +7,10 @@
 // were followed, the bare name bound it to every repo `reserve`, and
 // Pool::reserve's growth showed up as hot. Recorder::grow's
 // `holder.arena.reserve(4)` goes through repo members to Arena::reserve,
-// and to that one alone.
+// and to that one alone; it is that method's call, not a container's, so
+// it is no growth site of its own. The same holds for Recorder::reset's
+// one-link `arena_.reserve(2)`, while its `scratch_.reserve(2)` on a
+// std::vector member is a growth site.
 
 struct Lane {
   int worker = 0;
@@ -48,4 +51,14 @@ class Recorder {
 
   // analyze:hot
   void grow(Holder& holder) { holder.arena.reserve(4); }
+
+  // analyze:hot
+  void reset() {
+    arena_.reserve(2);
+    scratch_.reserve(2);
+  }
+
+ private:
+  Arena arena_;
+  std::vector<int> scratch_;
 };
