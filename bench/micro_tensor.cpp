@@ -5,7 +5,7 @@
 // MNIST and CIFAR sets and the normal draws that a team's bring-up spends
 // most of its set-up in, the random engine's block refill, and the
 // fork-join handoff the serving forward splits each Shake-Shake block
-// with.
+// with, and one such block forked and in series.
 #include <benchmark/benchmark.h>
 
 #include <atomic>
@@ -245,6 +245,41 @@ void BM_ExpertForward(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * expert->analyze(sample).flops);
 }
 BENCHMARK(BM_ExpertForward)->Arg(0)->Arg(1);
+
+// One batch-1 serving forward of a stage-1 block of BM_ExpertForward/0's
+// expert (6 -> 6 channels at 16 x 16, identity skip). Arg 0 is
+// ShakeBlock::forward, which forks branch 1 onto a helper; arg 1 runs the
+// same three pieces in series on the calling thread (branch 0, branch 1,
+// the tail into a kept output), which is the code a fork nobody claims
+// runs. Their difference is what a fork costs or saves at block level.
+void BM_ShakeBlockForward(benchmark::State& state) {
+  const bool serial = state.range(0) == 1;
+  Rng rng(21);
+  nn::ShakeBlock block(6, 6, 1, &rng);
+  for (Tensor* buffer : block.buffers()) {
+    for (float& v : buffer->values()) v = rng.uniform(0.5f, 2.0f);
+  }
+  block.set_training(false);
+  const ag::Var x = ag::constant(Tensor::randn({1, 6, 16, 16}, rng));
+  ag::NoGradGuard no_grad;
+  KeptOutput tail;
+  for (auto _ : state) {
+    Tensor y;
+    if (serial) {
+      const ag::Var b0 = block.branch_seq(0).forward(x);
+      const ag::Var b1 = block.branch_seq(1).forward(x);
+      y = nn::shake_tail(b0.value(), b1.value(), x.value(), 0.5f,
+                         tail.take(b0.value().shape()));
+    } else {
+      y = block.forward(x).value();
+    }
+    benchmark::DoNotOptimize(y.data());
+  }
+  state.SetLabel(serial ? "serial" : "fork");
+  state.SetItemsProcessed(state.iterations() *
+                          block.analyze({6, 16, 16}).flops);
+}
+BENCHMARK(BM_ShakeBlockForward)->Arg(0)->Arg(1);
 
 // One fork_join of two empty halves, back to back so the first helper
 // stays hot. Arg 0 lets the halves race: the caller usually takes g back

@@ -92,7 +92,8 @@ ag::Var BatchNorm::forward(const ag::Var& input) {
     var = batch_var.data();
   }
 
-  const Tensor inv_std = inv_std_of(var);
+  Tensor inv_std({channels_}, uninitialized);
+  inv_std_of(var, inv_std.data());
   Tensor out(x.shape(), uninitialized);
   const float* g = gamma_.value().data();
   const float* b = beta_.value().data();
@@ -169,17 +170,16 @@ ag::Var BatchNorm::forward(const ag::Var& input) {
       "batchnorm");
 }
 
-Tensor BatchNorm::inv_std_of(const float* var) const {
-  Tensor inv_std({channels_}, uninitialized);
+void BatchNorm::inv_std_of(const float* var, float* out) const {
   for (std::int64_t c = 0; c < channels_; ++c) {
-    inv_std[c] = 1.0f / std::sqrt(var[c] + eps_);
+    out[c] = 1.0f / std::sqrt(var[c] + eps_);
   }
-  return inv_std;
 }
 
-BatchNorm::EvalAffine BatchNorm::eval_affine() const {
-  return {inv_std_of(running_var_.data()), running_mean_.data(),
-          gamma_.value().data(), beta_.value().data()};
+BatchNorm::EvalAffine BatchNorm::eval_affine(float* inv_std_out) const {
+  inv_std_of(running_var_.data(), inv_std_out);
+  return {inv_std_out, running_mean_.data(), gamma_.value().data(),
+          beta_.value().data()};
 }
 
 std::string BatchNorm::name() const {

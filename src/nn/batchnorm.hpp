@@ -34,19 +34,22 @@ class BatchNorm : public Module {
   const Tensor& running_mean() const { return running_mean_; }
 
   /// Eval-mode constants per channel: y = gamma * ((x - mean) * inv_std) +
-  /// beta. The pointers alias this module's running mean, gamma and beta;
-  /// inv_std is computed exactly as forward() computes it.
+  /// beta. inv_std is written into the caller's `channels` floats at
+  /// `inv_std_out`, exactly as forward() computes it; the other pointers
+  /// alias this module's running mean, gamma and beta.
   struct EvalAffine {
-    Tensor inv_std;
+    const float* inv_std;
     const float* mean;
     const float* gamma;
     const float* beta;
   };
-  EvalAffine eval_affine() const;
+  EvalAffine eval_affine(float* inv_std_out) const;
+
+  std::int64_t channels() const { return channels_; }
 
  private:
-  /// 1 / sqrt(var[c] + eps) per channel.
-  Tensor inv_std_of(const float* var) const;
+  /// out[c] = 1 / sqrt(var[c] + eps) per channel.
+  void inv_std_of(const float* var, float* out) const;
 
   std::int64_t channels_;
   float momentum_;

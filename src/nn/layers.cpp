@@ -67,17 +67,20 @@ ag::Var Conv2d::forward_fused(const ag::Var& input, const BatchNorm& bn,
   TEAMNET_CHECK_MSG(x.rank() == 4 && x.dim(1) == cin_,
                     "Conv2d expects [N," << cin_ << ",H,W], got "
                                          << shape_to_string(x.shape()));
-  const BatchNorm::EvalAffine affine = bn.eval_affine();
-  TEAMNET_CHECK_MSG(affine.inv_std.numel() == cout_,
-                    "BatchNorm channels mismatch");
+  TEAMNET_CHECK_MSG(bn.channels() == cout_, "BatchNorm channels mismatch");
+  const BatchNorm::EvalAffine affine =
+      bn.eval_affine(conv2d_channel_scratch(cout_));
   const GemmEpilogue epilogue{.bias = bias_.value().data(),
                               .mean = affine.mean,
-                              .inv_std = affine.inv_std.data(),
+                              .inv_std = affine.inv_std,
                               .gamma = affine.gamma,
                               .beta = affine.beta,
                               .relu = relu};
+  const std::int64_t ho = conv_out_dim(x.dim(2), kernel_, stride_, pad_);
+  const std::int64_t wo = conv_out_dim(x.dim(3), kernel_, stride_, pad_);
   return ag::constant(conv2d_forward(x, weight_.value().data(), cout_,
-                                     epilogue, kernel_, stride_, pad_));
+                                     epilogue, kernel_, stride_, pad_,
+                                     output_.take({x.dim(0), cout_, ho, wo})));
 }
 
 Analysis Conv2d::analyze(const Shape& input_shape) const {

@@ -53,9 +53,13 @@ class Conv2d : public Module {
   /// Serving forward of this conv, the eval-mode `bn` after it and, when
   /// `relu`, a ReLU after that, as one GEMM whose epilogue applies the
   /// BatchNorm and the ReLU (GemmEpilogue): bit-identical to the three
-  /// forwards in turn, but only the final activations are written. Needs
-  /// grad mode off; nn::Sequential calls it.
+  /// forwards in turn, but only the final activations are written, into
+  /// this layer's kept output when it is free (KeptOutput). Needs grad mode
+  /// off; nn::Sequential calls it.
   ag::Var forward_fused(const ag::Var& input, const BatchNorm& bn, bool relu);
+
+  /// Elements of the output forward_fused keeps (0 when none).
+  std::int64_t kept_numel() const { return output_.kept_numel(); }
 
   std::int64_t in_channels() const { return cin_; }
   std::int64_t out_channels() const { return cout_; }
@@ -69,6 +73,7 @@ class Conv2d : public Module {
   std::int64_t cin_, cout_, kernel_, stride_, pad_;
   ag::Var weight_;  ///< [Cin*k*k, Cout]
   ag::Var bias_;    ///< [Cout]
+  KeptOutput output_;  ///< forward_fused's batch-1 output buffer
 };
 
 class ReLU : public Module {

@@ -8,13 +8,15 @@
 namespace teamnet::nn {
 
 Tensor shake_tail(const Tensor& a, const Tensor& b, const Tensor& skip,
-                  float alpha) {
+                  float alpha, Tensor out) {
   TEAMNET_CHECK_MSG(b.shape() == a.shape() && skip.shape() == a.shape(),
                     "shake block outputs differ: "
                         << shape_to_string(a.shape()) << ", "
                         << shape_to_string(b.shape()) << ", skip "
                         << shape_to_string(skip.shape()));
-  Tensor out(a.shape(), uninitialized);
+  if (!out.defined()) out = Tensor(a.shape(), uninitialized);
+  TEAMNET_CHECK_MSG(out.shape() == a.shape(),
+                    "shake tail cannot write " << shape_to_string(out.shape()));
   const float* pa = a.data();
   const float* pb = b.data();
   const float* ps = skip.data();
@@ -90,10 +92,11 @@ ag::Var ShakeBlock::forward(const ag::Var& input) {
     beta = shake_rng_.uniform(0.0f, 1.0f);
   }
   // A serving forward needs no graph, so the mix, the residual add and the
-  // ReLU write one tensor instead of three.
+  // ReLU write one tensor instead of three, the kept one when it is free.
   if (!ag::grad_enabled()) {
-    return ag::constant(
-        shake_tail(b0.value(), b1.value(), skip.value(), alpha));
+    const Tensor& a = b0.value();
+    return ag::constant(shake_tail(a, b1.value(), skip.value(), alpha,
+                                   output_.take(a.shape())));
   }
   ag::Var mixed = ag::shake_combine(b0, b1, alpha, beta);
   return ag::relu(ag::add(mixed, skip));

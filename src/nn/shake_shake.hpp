@@ -33,13 +33,15 @@ struct ShakeShakeConfig {
 /// element by element the roundings of ag::shake_combine, then ops::add,
 /// then ops::relu (NaN and -0 become +0), so the result is bit-identical to
 /// the three ops in turn. The serving tail of every ShakeBlock, local or
-/// partitioned across MPI ranks.
+/// partitioned across MPI ranks. Writes every element of `out` when it is
+/// given (shaped like `a`), else of a new tensor, and returns it.
 Tensor shake_tail(const Tensor& a, const Tensor& b, const Tensor& skip,
-                  float alpha);
+                  float alpha, Tensor out = Tensor());
 
 /// One two-branch residual block. Exposed so MPI-Branch can execute the
 /// branches on different ranks. With grad mode off, forward() computes the
-/// tail with shake_tail in one pass (DESIGN.md §2.3).
+/// tail with shake_tail in one pass, into a kept output when it is free
+/// (KeptOutput, DESIGN.md §2.3).
 class ShakeBlock : public Module {
  public:
   /// Convs drawn from `rng`, shake mixing seeded from rng->fork(). A null
@@ -64,11 +66,15 @@ class ShakeBlock : public Module {
   /// nullptr when the skip connection is the identity.
   Sequential* skip_seq() { return skip_.get(); }
 
+  /// Elements of the output the serving tail keeps (0 when none).
+  std::int64_t kept_numel() const { return output_.kept_numel(); }
+
  private:
   std::unique_ptr<Sequential> branch0_;
   std::unique_ptr<Sequential> branch1_;
   std::unique_ptr<Sequential> skip_;  // nullptr => identity
   Rng shake_rng_;
+  KeptOutput output_;  ///< the serving tail's batch-1 output buffer
 };
 
 class ShakeShakeNet : public Module {

@@ -15,12 +15,11 @@ namespace {
 using Range = std::pair<std::int64_t, std::int64_t>;
 
 /// For each kernel index t, the output positions [lo, hi) along one axis
-/// whose input position o * stride + t - pad lands inside [0, in). Computed
-/// once per call: the divisions are too slow to repeat for every channel.
-std::vector<Range> valid_ranges(std::int64_t in, std::int64_t out,
-                                std::int64_t kernel, std::int64_t stride,
-                                std::int64_t pad) {
-  std::vector<Range> ranges(static_cast<std::size_t>(kernel));
+/// whose input position o * stride + t - pad lands inside [0, in), into
+/// ranges[t]. Computed once per call: the divisions are too slow to repeat
+/// for every channel.
+void valid_ranges(Range* ranges, std::int64_t in, std::int64_t out,
+                  std::int64_t kernel, std::int64_t stride, std::int64_t pad) {
   for (std::int64_t t = 0; t < kernel; ++t) {
     const std::int64_t offset = t - pad;
     const std::int64_t lo =
@@ -28,9 +27,40 @@ std::vector<Range> valid_ranges(std::int64_t in, std::int64_t out,
     const std::int64_t hi =
         in - offset <= 0 ? 0
                          : std::min(out, (in - offset + stride - 1) / stride);
-    ranges[static_cast<std::size_t>(t)] = {lo, std::max(lo, hi)};
+    ranges[t] = {lo, std::max(lo, hi)};
   }
-  return ranges;
+}
+
+/// The convolution kernels' per-thread working memory. Nothing in it
+/// outlives a call, so it only grows, to the largest conv the thread has
+/// run, and every later call reuses it: the buffers stay in the cache of
+/// the core that thread runs on (DESIGN.md §2.3).
+struct ConvScratch {
+  Tensor planes;   ///< conv2d_forward: one image's kx-shifted planes
+  Tensor channel;  ///< conv2d_channel_scratch: per-channel epilogue constants
+  std::vector<Range> ranges;       ///< valid_ranges along y, then along x
+  std::vector<std::int64_t> rows;  ///< conv2d_forward: the GEMM's tap offsets
+};
+
+thread_local ConvScratch t_scratch;
+
+/// At least `n` unset floats of `t`, reallocating only to grow.
+float* unset_floats(Tensor& t, std::int64_t n) {
+  if (t.numel() < n) {
+    t = Tensor({n}, uninitialized);
+  } else {
+    poison_uninitialized(t.data(), n);
+  }
+  return t.data();
+}
+
+/// Grows `v` to at least `n` elements; never shrinks it.
+template <class T>
+T* at_least(std::vector<T>& v, std::int64_t n) {
+  if (static_cast<std::int64_t>(v.size()) < n) {
+    v.resize(static_cast<std::size_t>(n));
+  }
+  return v.data();
 }
 
 /// dst[i] += src[i] for i in [lo, hi), four lanes at a time: each element
@@ -52,10 +82,14 @@ std::int64_t conv_out_dim(std::int64_t in, std::int64_t kernel,
   return out;
 }
 
+float* conv2d_channel_scratch(std::int64_t channels) {
+  return unset_floats(t_scratch.channel, channels);
+}
+
 Tensor conv2d_forward(const Tensor& input, const float* weight,
                       std::int64_t cout, const GemmEpilogue& epilogue,
                       std::int64_t kernel, std::int64_t stride,
-                      std::int64_t pad) {
+                      std::int64_t pad, Tensor out) {
   TEAMNET_CHECK(input.rank() == 4);
   const std::int64_t n = input.dim(0), c = input.dim(1), h = input.dim(2),
                      w = input.dim(3);
@@ -74,33 +108,37 @@ Tensor conv2d_forward(const Tensor& input, const float* weight,
   const std::int64_t plane = hq * wo, chan = phases * kernel * plane;
   const std::int64_t kk = c * kernel * kernel;
 
-  std::vector<std::int64_t> rows(static_cast<std::size_t>(kk));
+  ConvScratch& scratch = t_scratch;
+  std::int64_t* rows = at_least(scratch.rows, kk);
   for (std::int64_t ky = 0, p = 0; ky < kernel; ++ky)
     for (std::int64_t kx = 0; kx < kernel; ++kx, ++p) {
-      rows[static_cast<std::size_t>(p)] =
-          ((ky % stride) * kernel + kx) * plane + (ky / stride) * wo;
+      rows[p] = ((ky % stride) * kernel + kx) * plane + (ky / stride) * wo;
     }
   const std::int64_t taps = kernel * kernel;
-  for (std::int64_t p = taps; p < kk; ++p) {
-    rows[static_cast<std::size_t>(p)] =
-        rows[static_cast<std::size_t>(p - taps)] + chan;
-  }
+  for (std::int64_t p = taps; p < kk; ++p) rows[p] = rows[p - taps] + chan;
   // Every plane float is written below, the padding included.
-  Tensor planes({c * chan}, uninitialized);
+  float* const planes = unset_floats(scratch.planes, c * chan);
 
   // The plane rows (for phase py) and columns (for kx) that hold an input
   // pixel; the rest is padding.
-  const std::vector<Range> ys = valid_ranges(h, hq, phases, stride, pad);
-  const std::vector<Range> xs = valid_ranges(w, wo, kernel, stride, pad);
-  Tensor out({n, cout, ho, wo}, uninitialized);
+  Range* const ys = at_least(scratch.ranges, phases + kernel);
+  Range* const xs = ys + phases;
+  valid_ranges(ys, h, hq, phases, stride, pad);
+  valid_ranges(xs, w, wo, kernel, stride, pad);
+  if (!out.defined()) {
+    out = Tensor({n, cout, ho, wo}, uninitialized);
+  }
+  TEAMNET_CHECK_MSG(out.rank() == 4 && out.dim(0) == n && out.dim(1) == cout &&
+                        out.dim(2) == ho && out.dim(3) == wo,
+                    "conv2d_forward cannot write " << shape_to_string(out.shape()));
   for (std::int64_t img = 0; img < n; ++img) {
-    float* dst = planes.data();
+    float* dst = planes;
     for (std::int64_t ch = 0; ch < c; ++ch) {
       const float* src = input.data() + (img * c + ch) * h * w;
       for (std::int64_t py = 0; py < phases; ++py) {
-        const auto [a0, a1] = ys[static_cast<std::size_t>(py)];
+        const auto [a0, a1] = ys[py];
         for (std::int64_t kx = 0; kx < kernel; ++kx, dst += plane) {
-          const auto [b0, b1] = xs[static_cast<std::size_t>(kx)];
+          const auto [b0, b1] = xs[kx];
           if (a0 == a1 || b0 == b1) {
             std::fill_n(dst, plane, 0.0f);  // the plane holds only padding
             continue;
@@ -133,7 +171,7 @@ Tensor conv2d_forward(const Tensor& input, const float* weight,
         }
       }
     }
-    gemm_tn(weight, planes.data(), rows.data(), epilogue,
+    gemm_tn(weight, planes, rows, epilogue,
             out.data() + img * cout * ho * wo, cout, kk, ho * wo);
   }
   return out;
@@ -149,8 +187,10 @@ Tensor im2col(const Tensor& input, std::int64_t kernel, std::int64_t stride,
   // Every element is written below, the padding zeros included.
   Tensor cols({n, c * kernel * kernel, ho * wo}, uninitialized);
 
-  const std::vector<Range> ys = valid_ranges(h, ho, kernel, stride, pad);
-  const std::vector<Range> xs = valid_ranges(w, wo, kernel, stride, pad);
+  Range* const ys = at_least(t_scratch.ranges, 2 * kernel);
+  Range* const xs = ys + kernel;
+  valid_ranges(ys, h, ho, kernel, stride, pad);
+  valid_ranges(xs, w, wo, kernel, stride, pad);
   const float* in = input.data();
   float* out = cols.data();
   const std::int64_t hw = ho * wo;
@@ -158,9 +198,9 @@ Tensor im2col(const Tensor& input, std::int64_t kernel, std::int64_t stride,
     for (std::int64_t ch = 0; ch < c; ++ch) {
       const float* plane = in + (img * c + ch) * h * w;
       for (std::int64_t ky = 0; ky < kernel; ++ky) {
-        const auto [oy0, oy1] = ys[static_cast<std::size_t>(ky)];
+        const auto [oy0, oy1] = ys[ky];
         for (std::int64_t kx = 0; kx < kernel; ++kx, out += hw) {
-          const auto [ox0, ox1] = xs[static_cast<std::size_t>(kx)];
+          const auto [ox0, ox1] = xs[kx];
           if (oy0 == oy1 || ox0 == ox1) {
             std::fill_n(out, hw, 0.0f);  // the tap reads only padding
             continue;
@@ -214,8 +254,10 @@ Tensor col2im(const Tensor& cols, const Shape& input_shape, std::int64_t kernel,
   TEAMNET_CHECK(cols.dim(0) == n && cols.dim(1) == c * kernel * kernel &&
                 cols.dim(2) == ho * wo);
 
-  const std::vector<Range> ys = valid_ranges(h, ho, kernel, stride, pad);
-  const std::vector<Range> xs = valid_ranges(w, wo, kernel, stride, pad);
+  Range* const ys = at_least(t_scratch.ranges, 2 * kernel);
+  Range* const xs = ys + kernel;
+  valid_ranges(ys, h, ho, kernel, stride, pad);
+  valid_ranges(xs, w, wo, kernel, stride, pad);
   Tensor image(input_shape);
   const float* in = cols.data();
   float* out = image.data();
@@ -228,9 +270,9 @@ Tensor col2im(const Tensor& cols, const Shape& input_shape, std::int64_t kernel,
       // stride-1 row writes distinct contiguous pixels, so it is one vector
       // add and every pixel keeps that order.
       for (std::int64_t ky = kernel - 1; ky >= 0; --ky) {
-        const auto [oy0, oy1] = ys[static_cast<std::size_t>(ky)];
+        const auto [oy0, oy1] = ys[ky];
         for (std::int64_t kx = kernel - 1; kx >= 0; --kx) {
-          const auto [ox0, ox1] = xs[static_cast<std::size_t>(kx)];
+          const auto [ox0, ox1] = xs[kx];
           const float* row = taps + (ky * kernel + kx) * ho * wo;
           for (std::int64_t oy = oy0; oy < oy1; ++oy) {
             const std::int64_t base = (oy * stride + ky - pad) * w + kx - pad;

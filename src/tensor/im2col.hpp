@@ -39,11 +39,20 @@ std::int64_t conv_out_dim(std::int64_t in, std::int64_t kernel,
 /// out[n] = epilogue(W^T · im2col(input)[n]) bit for bit, but no im2col
 /// matrix. `weight` is [C * k * k, cout] row-major; every pointer in
 /// `epilogue` holds cout per-channel values (a bias, or a bias followed by
-/// an eval BatchNorm and optionally ReLU), or is null.
+/// an eval BatchNorm and optionally ReLU), or is null. Writes every element
+/// of `out` when it is given (it must have the output shape), else of a new
+/// tensor, and returns it. The planes and tap offsets live in a per-thread
+/// scratch that only grows, so a call allocates nothing but a new output.
 Tensor conv2d_forward(const Tensor& input, const float* weight,
                       std::int64_t cout, const GemmEpilogue& epilogue,
                       std::int64_t kernel, std::int64_t stride,
-                      std::int64_t pad);
+                      std::int64_t pad, Tensor out = Tensor());
+
+/// `channels` unset floats of the calling thread's scratch, for the
+/// per-channel epilogue constants of its next conv2d_forward call (an eval
+/// BatchNorm's inv_std). conv2d_forward never touches them; the next call
+/// of this function on the thread may move them.
+float* conv2d_channel_scratch(std::int64_t channels);
 
 /// Unfolds input [N, C, H, W] into columns [N, C * k * k, Hout * Wout].
 /// Each row holds one kernel tap over every output pixel; zero padding is

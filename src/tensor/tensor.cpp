@@ -6,15 +6,15 @@
 #include <limits>
 #include <sstream>
 
-#if defined(__SANITIZE_ADDRESS__)
-#define TEAMNET_POISON_UNINITIALIZED 1
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer)
-#define TEAMNET_POISON_UNINITIALIZED 1
-#endif
-#endif
-
 namespace teamnet {
+
+void poison_uninitialized([[maybe_unused]] float* p,
+                          [[maybe_unused]] std::int64_t n) {
+#ifdef TEAMNET_POISON_UNINITIALIZED
+  std::fill_n(p, static_cast<std::size_t>(n),
+              std::numeric_limits<float>::quiet_NaN());
+#endif
+}
 
 std::int64_t shape_numel(const Shape& shape) {
   std::int64_t n = 1;
@@ -44,9 +44,7 @@ Tensor::Tensor(Shape shape) : shape_(std::move(shape)) {
 Tensor::Tensor(Shape shape, Uninitialized) : shape_(std::move(shape)) {
   numel_ = shape_numel(shape_);
   data_ = std::shared_ptr<float[]>(new float[static_cast<std::size_t>(numel_)]);
-#ifdef TEAMNET_POISON_UNINITIALIZED
-  fill(std::numeric_limits<float>::quiet_NaN());
-#endif
+  poison_uninitialized(data_.get(), numel_);
 }
 
 Tensor::Tensor(Shape shape, std::vector<float> values)
@@ -181,6 +179,27 @@ std::string Tensor::to_string(std::int64_t max_values) const {
   if (numel_ > n) os << ", ...";
   os << '}';
   return os.str();
+}
+
+Tensor KeptOutput::take(const Shape& shape) {
+  if (shape.empty() || shape[0] != 1 ||
+      claimed_.test_and_set(std::memory_order_acquire)) {
+    return Tensor(shape, uninitialized);
+  }
+  Tensor out;
+  // use_count() is a relaxed load, but once it reads 1 no thread can add
+  // a holder while this claim stands, so the copy's acq_rel increment reads
+  // the last holder's release decrement: every read of the old contents
+  // happens before the writes to come.
+  if (kept_.data_.use_count() == 1 && kept_.shape_ == shape) {
+    out = kept_;
+    poison_uninitialized(out.data(), out.numel());
+  } else {
+    out = Tensor(shape, uninitialized);
+    kept_ = out;
+  }
+  claimed_.clear(std::memory_order_release);
+  return out;
 }
 
 }  // namespace teamnet

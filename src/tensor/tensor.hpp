@@ -6,6 +6,7 @@
 // returns a view over the same buffer.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <initializer_list>
 #include <memory>
@@ -16,7 +17,23 @@
 #include "common/error.hpp"
 #include "common/rng.hpp"
 
+// AddressSanitizer builds NaN-fill every float a kernel is handed unset (an
+// `uninitialized` Tensor, a reused KeptOutput buffer, conv2d_forward's
+// scratch planes), so an element the kernel forgets to write shows up in any
+// bit-identity test.
+#if defined(__SANITIZE_ADDRESS__)
+#define TEAMNET_POISON_UNINITIALIZED 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define TEAMNET_POISON_UNINITIALIZED 1
+#endif
+#endif
+
 namespace teamnet {
+
+/// Marks `n` floats at `p` as unset: NaN-fills them in poisoning builds
+/// (TEAMNET_POISON_UNINITIALIZED), does nothing otherwise.
+void poison_uninitialized(float* p, std::int64_t n);
 
 using Shape = std::vector<std::int64_t>;
 
@@ -39,8 +56,7 @@ class Tensor {
   explicit Tensor(Shape shape);
 
   /// Tensor whose elements are not set, for a kernel that writes every one
-  /// of them. AddressSanitizer builds fill it with NaN instead, so an
-  /// element a kernel forgets to write shows up in any bit-identity test.
+  /// of them (NaN in poisoning builds, see poison_uninitialized).
   Tensor(Shape shape, Uninitialized);
 
   /// Tensor with explicit contents; `values.size()` must match the shape.
@@ -111,9 +127,39 @@ class Tensor {
   std::string to_string(std::int64_t max_values = 8) const;
 
  private:
+  friend class KeptOutput;
+
   Shape shape_;
   std::int64_t numel_ = 0;
   std::shared_ptr<float[]> data_;
+};
+
+/// An output buffer a module keeps across serving forwards, so a batch-1
+/// forward writes memory its core already caches instead of a fresh
+/// allocation (DESIGN.md §2.3, §7). take() hands out the kept buffer only
+/// when all of these hold:
+///   - no other thread is inside take() (one atomic claim; a loser
+///     allocates instead of sharing a buffer);
+///   - nothing but this slot holds the buffer (a caller that still holds
+///     the last output, or a view of it, keeps it);
+///   - the shape matches, and its batch (dim 0) is 1.
+/// Otherwise take() allocates exactly as `Tensor(shape, uninitialized)`
+/// and, at batch 1, keeps the new buffer in the old one's place; a larger
+/// batch keeps nothing. Either way the elements are unset.
+class KeptOutput {
+ public:
+  KeptOutput() = default;
+  KeptOutput(const KeptOutput&) = delete;
+  KeptOutput& operator=(const KeptOutput&) = delete;
+
+  Tensor take(const Shape& shape);
+
+  /// Elements of the kept buffer (0 when none). Not while a take() runs.
+  std::int64_t kept_numel() const { return kept_.numel(); }
+
+ private:
+  std::atomic_flag claimed_;
+  Tensor kept_;
 };
 
 }  // namespace teamnet

@@ -524,6 +524,119 @@ TEST(FusedServing, ShakeBlockEvalTailEqualsCombineAddRelu) {
   }
 }
 
+/// A caller that holds a serving output keeps its values: the next forward
+/// writes elsewhere, for an eval Conv2d -> BatchNorm -> ReLU Sequential (the
+/// conv's kept output) and for a ShakeBlock (its tail's). Every call equals
+/// the layer-by-layer forward on a graph, and once the caller lets go, the
+/// next forward writes the kept buffer again.
+TEST(FusedServing, HeldOutputKeepsItsValues) {
+  Rng rng(38);
+  nn::Sequential seq;
+  seq.emplace<nn::Conv2d>(6, 6, 3, 1, 1, &rng);
+  seq.emplace<nn::BatchNorm>(6);
+  seq.emplace<nn::ReLU>();
+  perturb_state(seq, {4, 6, 16, 16}, rng);
+  nn::ShakeBlock block(6, 6, 1, &rng);
+  perturb_state(block, {4, 6, 16, 16}, rng);
+  for (nn::Module* module : {static_cast<nn::Module*>(&seq),
+                             static_cast<nn::Module*>(&block)}) {
+    SCOPED_TRACE(module->name());
+    const Tensor x1 = Tensor::randn({1, 6, 16, 16}, rng);
+    const Tensor x2 = Tensor::randn({1, 6, 16, 16}, rng);
+    const Tensor want1 = module->forward(ag::constant(x1)).value();
+    const Tensor want2 = module->forward(ag::constant(x2)).value();
+    const Tensor held = module->predict(x1);
+    const Tensor copy = held.clone();
+    Tensor next = module->predict(x2);
+    EXPECT_NE(next.data(), held.data());
+    expect_bit_identical(held, copy);
+    expect_bit_identical(held, want1);
+    expect_bit_identical(next, want2);
+    const float* kept = next.data();
+    next = Tensor();
+    const Tensor again = module->predict(x1);
+    EXPECT_EQ(again.data(), kept);
+    expect_bit_identical(again, want1);
+    expect_bit_identical(held, copy);
+  }
+}
+
+/// One SS-14 expert predicted from three threads at once, as the MPI
+/// executors' rank threads share one model: each kept output is claimed by
+/// one thread at a time, so every logit equals the expert's serial predict.
+TEST(Predict, OneExpertFromThreeThreadsIsBitIdentical) {
+  Rng rng(39);
+  nn::ShakeShakeNet ss14(ss14_c6(), rng);
+  perturb_state(ss14, {4, 3, 16, 16}, rng);
+  constexpr int kThreads = 3;
+  constexpr int kRounds = 50;
+  std::vector<Tensor> images, want;
+  for (int t = 0; t < kThreads; ++t) {
+    images.push_back(Tensor::randn({1, 3, 16, 16}, rng));
+    want.push_back(ss14.predict(images.back()));
+  }
+  std::vector<std::vector<Tensor>> got(kThreads);
+  std::vector<std::thread> callers;
+  for (int t = 0; t < kThreads; ++t) {
+    callers.emplace_back([&, t] {
+      for (int r = 0; r < kRounds; ++r) {
+        got[t].push_back(ss14.predict(images[t]));
+      }
+    });
+  }
+  for (auto& c : callers) c.join();
+  for (int t = 0; t < kThreads; ++t) {
+    for (int r = 0; r < kRounds; ++r) {
+      SCOPED_TRACE(testing::Message() << "thread " << t << " round " << r);
+      expect_bit_identical(got[t][r], want[t]);
+    }
+  }
+}
+
+/// The numel of every output `net` keeps: the stem conv's, then per block
+/// its branch and skip convs' and its tail's.
+std::vector<std::int64_t> kept_numels(nn::ShakeShakeNet& net) {
+  std::vector<std::int64_t> sizes;
+  const auto convs = [&](nn::Sequential& seq) {
+    for (std::size_t i = 0; i < seq.size(); ++i) {
+      if (const auto* conv = dynamic_cast<const nn::Conv2d*>(&seq.layer(i))) {
+        sizes.push_back(conv->kept_numel());
+      }
+    }
+  };
+  convs(net.stem());
+  for (std::size_t b = 0; b < net.num_blocks(); ++b) {
+    nn::ShakeBlock& block = net.block(b);
+    convs(block.branch_seq(0));
+    convs(block.branch_seq(1));
+    if (block.skip_seq() != nullptr) convs(*block.skip_seq());
+    sizes.push_back(block.kept_numel());
+  }
+  return sizes;
+}
+
+/// A batch-160 predict, the way sim/scenario.cpp scores accuracy, leaves
+/// every kept output at its batch-1 size, and batch-1 predicts after it
+/// stay bit-identical to the forward on a graph.
+TEST(Predict, LargeBatchKeepsNoBuffer) {
+  Rng rng(40);
+  nn::ShakeShakeNet ss14(ss14_c6(), rng);
+  perturb_state(ss14, {4, 3, 16, 16}, rng);
+  const Tensor one = Tensor::randn({1, 3, 16, 16}, rng);
+  const Tensor want = ss14.forward(ag::constant(one)).value();
+  expect_bit_identical(ss14.predict(one), want);
+  const std::vector<std::int64_t> batch1 = kept_numels(ss14);
+  ASSERT_EQ(batch1.size(), 26u + 6);  // every conv and every tail
+  EXPECT_EQ(batch1.front(), 6 * 16 * 16);
+  for (const std::int64_t numel : batch1) EXPECT_GT(numel, 0);
+
+  const Tensor logits = ss14.predict(Tensor::randn({160, 3, 16, 16}, rng));
+  EXPECT_EQ(logits.shape(), (Shape{160, 10}));
+  EXPECT_EQ(kept_numels(ss14), batch1);
+  for (int r = 0; r < 3; ++r) expect_bit_identical(ss14.predict(one), want);
+  EXPECT_EQ(kept_numels(ss14), batch1);
+}
+
 TEST(Optim, SgdDescendsQuadratic) {
   ag::Var w(Tensor({1}, {4.0f}), true);
   nn::SgdConfig cfg;

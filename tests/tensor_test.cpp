@@ -1,6 +1,7 @@
 // Unit tests for the Tensor value type and the raw math kernels.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -74,6 +75,67 @@ TEST(Tensor, CloneIsDeep) {
   Tensor c = t.clone();
   c[0] = 9.0f;
   EXPECT_EQ(t[0], 1.0f);
+}
+
+/// take() lends the kept buffer only when the slot is its one holder (no
+/// copy, view or earlier output still holds it), the shape matches and the
+/// batch is 1. Otherwise it allocates, and keeps the new buffer only at
+/// batch 1.
+TEST(KeptOutput, LendsOnlyAnUnheldBatchOneBuffer) {
+  KeptOutput slot;
+  EXPECT_EQ(slot.kept_numel(), 0);
+  Tensor first = slot.take({1, 2, 3});
+  EXPECT_EQ(first.shape(), (Shape{1, 2, 3}));
+  EXPECT_EQ(slot.kept_numel(), 6);
+  // `first` holds the kept buffer, so the next take allocates and keeps
+  // the new one.
+  Tensor second = slot.take({1, 2, 3});
+  EXPECT_NE(second.data(), first.data());
+  const float* kept = second.data();
+  // A view holds it as much as the tensor does.
+  Tensor view = second.reshape({6});
+  second = Tensor();
+  Tensor third = slot.take({1, 2, 3});
+  EXPECT_NE(third.data(), kept);
+  EXPECT_NE(third.data(), first.data());
+  kept = third.data();
+  third = Tensor();
+  EXPECT_EQ(slot.take({1, 2, 3}).data(), kept);
+  // A batch of 4 allocates and leaves the batch-1 buffer kept.
+  const Tensor batch = slot.take({4, 2, 3});
+  EXPECT_NE(batch.data(), kept);
+  EXPECT_EQ(slot.kept_numel(), 6);
+  EXPECT_EQ(slot.take({1, 2, 3}).data(), kept);
+  // Another shape replaces it.
+  Tensor other = slot.take({1, 3, 2});
+  EXPECT_NE(other.data(), kept);
+  EXPECT_EQ(other.shape(), (Shape{1, 3, 2}));
+  const float* replaced = other.data();
+  other = Tensor();
+  EXPECT_EQ(slot.take({1, 3, 2}).data(), replaced);
+}
+
+/// In a poisoning build a reused buffer, the kept output's or the conv
+/// scratch's, reads NaN until the kernel writes it, as an `uninitialized`
+/// Tensor does.
+TEST(KeptOutput, ReusedBuffersReadNanInPoisoningBuilds) {
+#ifndef TEAMNET_POISON_UNINITIALIZED
+  GTEST_SKIP() << "not a poisoning (AddressSanitizer) build";
+#else
+  KeptOutput slot;
+  Tensor out = slot.take({1, 4, 5});
+  out.fill(1.0f);
+  const float* kept = out.data();
+  out = Tensor();
+  out = slot.take({1, 4, 5});
+  ASSERT_EQ(out.data(), kept);
+  for (const float v : out.values()) ASSERT_TRUE(std::isnan(v));
+
+  float* scratch = conv2d_channel_scratch(12);
+  std::fill_n(scratch, 12, 1.0f);
+  ASSERT_EQ(conv2d_channel_scratch(12), scratch);
+  for (int i = 0; i < 12; ++i) ASSERT_TRUE(std::isnan(scratch[i]));
+#endif
 }
 
 TEST(Tensor, RandnDeterministicPerSeed) {
