@@ -353,8 +353,9 @@ void BM_RenderDigit(benchmark::State& state) {
 }
 BENCHMARK(BM_RenderDigit);
 
-// The benches' --quick MNIST set (1,200 digits, seed 11): renders, the
-// in-place shuffle and validation, the dataset half of a fleet's set-up.
+// The benches' --quick MNIST set (1,200 digits, seed 11): the walk, the
+// renders on every usable core and validation, the dataset half of a
+// fleet's set-up.
 void BM_SyntheticMnist(benchmark::State& state) {
   data::MnistConfig cfg;
   cfg.num_samples = 1200;
@@ -393,6 +394,21 @@ void BM_RngNormal(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * kDraws);
 }
 BENCHMARK(BM_RngNormal)->Unit(benchmark::kMillisecond);
+
+// The walk a synthetic build runs before it renders on every core: the
+// same 1,200 digits' noise skipped 784 draws at a time, so only the polar
+// method's accept test runs (the build's serial part).
+void BM_RngWalkNormals(benchmark::State& state) {
+  constexpr int kDigits = 1200;
+  constexpr int kPixels = 28 * 28;
+  Rng rng(11);
+  for (auto _ : state) {
+    for (int i = 0; i < kDigits; ++i) rng.skip_normals(kPixels);
+    benchmark::DoNotOptimize(rng.engine().unread().data());
+  }
+  state.SetItemsProcessed(state.iterations() * kDigits * kPixels);
+}
+BENCHMARK(BM_RngWalkNormals)->Unit(benchmark::kMillisecond);
 
 // One refill alone: the twist and tempering that make the engine's next
 // 312 words, which every draw amortizes.

@@ -23,6 +23,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <random>
+#include <span>
 #include <vector>
 
 #include "common/error.hpp"
@@ -50,9 +51,17 @@ class Mt64Engine {
   }
 
   /// Twists the state into the next 312 words and tempers them into the
-  /// block; the next draw is its first word. Draws call it when a block
-  /// runs out, so calling it early skips the rest of the current block.
+  /// block, several words per vector instruction on wider CPUs; the next
+  /// draw is its first word. Draws call it when a block runs out, so
+  /// calling it early skips the rest of the current block.
   void refill();
+
+  /// The current block's words not drawn yet; skip(k) passes over the first
+  /// k of them (k <= unread().size()) as k draws would.
+  std::span<const std::uint64_t> unread() const {
+    return {block_.data() + next_, kBlockWords - next_};
+  }
+  void skip(std::size_t k) { next_ += k; }
 
  private:
   std::array<std::uint64_t, kBlockWords> state_{};
@@ -82,6 +91,47 @@ inline double canonical_double(std::uint64_t w) {
   return std::min(static_cast<double>(h) * scale, 0x1.fffffffffffffp-1);
 }
 
+/// One try of the polar method from its two words, x's first: each
+/// coordinate is 2u - 1 taken in double and rounded to float, as libstdc++
+/// does, and r2 = x·x + y·y. Rng::normal draws with it and
+/// Rng::skip_normals walks with it, so the walk takes the draws' words.
+struct PolarTry {
+  float y;
+  float r2;
+
+  bool accepted() const { return !(r2 > 1.0f || r2 == 0.0f); }
+};
+
+inline PolarTry polar_try(std::uint64_t wx, std::uint64_t wy) {
+  const float x = static_cast<float>(2.0f * canonical_float(wx) - 1.0);
+  const float y = static_cast<float>(2.0f * canonical_float(wy) - 1.0);
+  return {y, x * x + y * y};
+}
+
+namespace detail {
+
+/// Mt64Engine::refill's work: twists the 312 state words in place and
+/// tempers them into the block.
+using Mt64Refill = void (*)(std::uint64_t* state, std::uint64_t* block);
+
+/// The refill built for `lanes` 64-bit words per vector: 2 on every CPU, 4
+/// with AVX2 and 8 with AVX-512F; nullptr for a width this CPU cannot run.
+/// Every width makes the same words, and refill() runs the widest.
+Mt64Refill mt64_refill(int lanes);
+
+/// Tries the polar method on `pairs` consecutive word pairs at `words` until
+/// `need` of them are accepted, taking each accept off `need`; returns the
+/// pairs tried. Every width makes the same decisions as PolarTry.
+using PolarScan = std::size_t (*)(const std::uint64_t* words,
+                                  std::size_t pairs, std::int64_t& need);
+
+/// The scan that tests `lanes` pairs at a time: 1 (one PolarTry per pair)
+/// and 2 on every CPU, 4 with AVX2 and 8 with AVX-512F; nullptr for a
+/// width this CPU cannot run.
+PolarScan polar_scan(int lanes);
+
+}  // namespace detail
+
 class Rng {
  public:
   explicit Rng(std::uint64_t seed = 0x5eed'c0de'1234'5678ULL) : engine_(seed) {}
@@ -97,16 +147,18 @@ class Rng {
   /// fresh std::normal_distribution would save for a second call.
   float normal(float mean = 0.0f, float stddev = 1.0f) {
     TEAMNET_CHECK(stddev > 0.0f);
-    float y = 0.0f;
-    float r2 = 0.0f;
+    PolarTry t{};
     do {
-      // 2u - 1 is taken in double and rounded to float, as libstdc++ does.
-      const float x = static_cast<float>(2.0f * canonical_float(engine_()) - 1.0);
-      y = static_cast<float>(2.0f * canonical_float(engine_()) - 1.0);
-      r2 = x * x + y * y;
-    } while (r2 > 1.0f || r2 == 0.0f);
-    return y * std::sqrt(-2.0f * std::log(r2) / r2) * stddev + mean;
+      const std::uint64_t wx = engine_();
+      t = polar_try(wx, engine_());
+    } while (!t.accepted());
+    return t.y * std::sqrt(-2.0f * std::log(t.r2) / t.r2) * stddev + mean;
   }
+
+  /// Leaves the stream where `count` calls of normal() would, without
+  /// making their values: it runs only the polar method's accept test,
+  /// several pairs at a time (DESIGN.md §1.1, "Building on every core").
+  void skip_normals(std::int64_t count);
 
   /// Uniform integer in [lo, hi] inclusive.
   int randint(int lo, int hi) {

@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "common/error.hpp"
+#include "data/synthetic_build.hpp"
 
 namespace teamnet::data {
 
@@ -14,20 +15,33 @@ struct Rgb {
   float r, g, b;
 };
 
-/// Unit-coordinate painter over a [3, S, S] tensor.
+/// Unit-coordinate painter over one [3, S, S] image, zeroed first. A
+/// canvas without an image paints nothing but makes every draw a painted
+/// one makes, so a walk of the stream runs the renderers' own code: the
+/// painters draw inside their call arguments, in an order the compiler
+/// chooses.
 class Canvas {
  public:
-  Canvas(std::int64_t size, Rng& rng) : size_(size), rng_(rng), img_({3, size, size}) {}
+  Canvas(std::int64_t size, Rng& rng, float* img)
+      : size_(size), rng_(rng), img_(img) {
+    if (img_ != nullptr) std::fill_n(img_, 3 * size_ * size_, 0.0f);
+  }
 
-  Tensor finish(float noise_stddev) {
-    for (auto& v : img_.values()) {
-      v = std::clamp(v + rng_.normal(0.0f, noise_stddev), 0.0f, 1.0f);
+  void finish(float noise_stddev) {
+    const std::int64_t n = 3 * size_ * size_;
+    if (img_ == nullptr) {
+      rng_.skip_normals(n);
+      return;
     }
-    return img_;
+    for (std::int64_t i = 0; i < n; ++i) {
+      img_[i] =
+          std::clamp(img_[i] + rng_.normal(0.0f, noise_stddev), 0.0f, 1.0f);
+    }
   }
 
   /// Vertical gradient from `top` to `bottom` over rows [y0, y1) (unit).
   void vertical_gradient(float y0, float y1, Rgb top, Rgb bottom) {
+    if (img_ == nullptr) return;
     const std::int64_t r0 = row(y0), r1 = row(y1);
     for (std::int64_t y = r0; y < r1; ++y) {
       const float t = r1 > r0 + 1
@@ -44,18 +58,22 @@ class Canvas {
     for (std::int64_t y = 0; y < size_; ++y) {
       for (std::int64_t x = 0; x < size_; ++x) {
         const float v = rng_.uniform(-variation, variation);
-        set(x, y, {base.r + v, base.g + v * 0.7f, base.b + v * 0.4f});
+        if (img_ != nullptr) {
+          set(x, y, {base.r + v, base.g + v * 0.7f, base.b + v * 0.4f});
+        }
       }
     }
   }
 
   void fill_rect(float x0, float y0, float x1, float y1, Rgb c) {
+    if (img_ == nullptr) return;
     for (std::int64_t y = row(y0); y < row(y1); ++y) {
       for (std::int64_t x = col(x0); x < col(x1); ++x) set(x, y, c);
     }
   }
 
   void fill_ellipse(float cx, float cy, float rx, float ry, Rgb c) {
+    if (img_ == nullptr) return;
     for (std::int64_t y = 0; y < size_; ++y) {
       for (std::int64_t x = 0; x < size_; ++x) {
         const float dx = (unit(x) - cx) / rx;
@@ -67,6 +85,7 @@ class Canvas {
 
   void fill_triangle_up(float cx, float base_y, float half_w, float height,
                         Rgb c) {
+    if (img_ == nullptr) return;
     for (std::int64_t y = row(base_y - height); y < row(base_y); ++y) {
       const float frac = (base_y - unit(y)) / height;  // 1 at apex, 0 at base
       const float hw = half_w * (1.0f - frac);
@@ -93,7 +112,7 @@ class Canvas {
 
   std::int64_t size_;
   Rng& rng_;
-  Tensor img_;
+  float* img_;
 };
 
 Rgb jitter(Rgb c, Rng& rng, float amount = 0.08f) {
@@ -232,6 +251,27 @@ void draw_horse(Canvas& canvas, Rng& rng) {
   canvas.fill_rect(cx + 0.12f, 0.50f, cx + 0.17f, 0.85f, coat);
 }
 
+/// render_cifar_sample into `img` (3·S·S floats, all written), or with
+/// img == nullptr only its draws.
+void render_cifar_into(float* img, int cls, std::int64_t image_size, Rng& rng,
+                       float noise_stddev) {
+  Canvas canvas(image_size, rng, img);
+  switch (cls) {
+    case 0: draw_airplane(canvas, rng); break;
+    case 1: draw_automobile(canvas, rng); break;
+    case 2: draw_bird(canvas, rng); break;
+    case 3: draw_cat(canvas, rng); break;
+    case 4: draw_deer(canvas, rng); break;
+    case 5: draw_dog(canvas, rng); break;
+    case 6: draw_frog(canvas, rng); break;
+    case 7: draw_horse(canvas, rng); break;
+    case 8: draw_ship(canvas, rng); break;
+    case 9: draw_truck(canvas, rng); break;
+    default: throw InvalidArgument("bad class id");
+  }
+  canvas.finish(noise_stddev);
+}
+
 }  // namespace
 
 const std::string& cifar_class_name(int cls) {
@@ -246,44 +286,30 @@ bool is_machine_class(int cls) {
 Tensor render_cifar_sample(int cls, std::int64_t image_size, Rng& rng,
                            float noise_stddev) {
   TEAMNET_CHECK(cls >= 0 && cls < 10 && image_size >= 8);
-  Canvas canvas(image_size, rng);
-  switch (cls) {
-    case 0: draw_airplane(canvas, rng); break;
-    case 1: draw_automobile(canvas, rng); break;
-    case 2: draw_bird(canvas, rng); break;
-    case 3: draw_cat(canvas, rng); break;
-    case 4: draw_deer(canvas, rng); break;
-    case 5: draw_dog(canvas, rng); break;
-    case 6: draw_frog(canvas, rng); break;
-    case 7: draw_horse(canvas, rng); break;
-    case 8: draw_ship(canvas, rng); break;
-    case 9: draw_truck(canvas, rng); break;
-    default: throw InvalidArgument("bad class id");
-  }
-  return canvas.finish(noise_stddev);
+  Tensor img({3, image_size, image_size}, uninitialized);
+  render_cifar_into(img.data(), cls, image_size, rng, noise_stddev);
+  return img;
 }
 
 Dataset make_synthetic_cifar(const CifarConfig& config) {
-  TEAMNET_CHECK(config.num_samples > 0);
-  Rng rng(config.seed);
-  const std::int64_t n = config.num_samples;
-  const std::int64_t s = config.image_size;
-
-  Dataset out;
-  out.num_classes = 10;
-  out.images = Tensor({n, 3, s, s});
-  out.labels.resize(static_cast<std::size_t>(n));
-  const std::int64_t sample_elems = 3 * s * s;
-  for (std::int64_t i = 0; i < n; ++i) {
-    const int cls = config.balanced ? static_cast<int>(i % 10) : rng.randint(0, 9);
-    out.labels[static_cast<std::size_t>(i)] = cls;
-    Tensor img = render_cifar_sample(cls, s, rng, config.noise_stddev);
-    std::copy(img.values().begin(), img.values().end(),
-              out.images.data() + i * sample_elems);
-  }
-  out.shuffle(rng);
-  out.validate();
-  return out;
+  return detail::make_synthetic_cifar(config, detail::default_build_chunks());
 }
+
+namespace detail {
+
+Dataset make_synthetic_cifar(const CifarConfig& config, int chunks) {
+  TEAMNET_CHECK(config.num_samples > 0 && config.image_size >= 8);
+  const std::int64_t s = config.image_size;
+  return build_synthetic(
+      config.num_samples, {3, s, s}, config.seed, config.balanced, chunks,
+      [&](Rng& rng, int cls) {
+        render_cifar_into(nullptr, cls, s, rng, config.noise_stddev);
+      },
+      [&](Rng& rng, int cls, float* row) {
+        render_cifar_into(row, cls, s, rng, config.noise_stddev);
+      });
+}
+
+}  // namespace detail
 
 }  // namespace teamnet::data

@@ -28,6 +28,7 @@ struct CifarConfig {
   bool balanced = true;
 };
 
+/// The samples render on every usable core (DESIGN.md §1.1).
 Dataset make_synthetic_cifar(const CifarConfig& config);
 
 /// Renders one sample of `cls` (exposed for tests/examples).
@@ -39,5 +40,13 @@ const std::string& cifar_class_name(int cls);
 
 /// True when `cls` belongs to the "machines" super-cluster {0, 1, 8, 9}.
 bool is_machine_class(int cls);
+
+namespace detail {
+
+/// make_synthetic_cifar in exactly `chunks` render chunks (at most one per
+/// sample). Every count makes the same bytes.
+Dataset make_synthetic_cifar(const CifarConfig& config, int chunks);
+
+}  // namespace detail
 
 }  // namespace teamnet::data

@@ -7,6 +7,7 @@
 #include <limits>
 
 #include "common/error.hpp"
+#include "data/synthetic_build.hpp"
 #include "tensor/vec4.hpp"
 
 namespace teamnet::data {
@@ -72,6 +73,22 @@ f32x4 min_distance2(f32x4 gx, float gy, const SegmentGeometry* g,
   return best;
 }
 
+// A sample's glyph transform, in the order render_digit draws it.
+struct GlyphTransform {
+  float scale, ox, oy, thickness, intensity, slant;
+};
+
+GlyphTransform draw_transform(Rng& rng, float size, float max_jitter) {
+  GlyphTransform t{};
+  t.scale = rng.uniform(0.55f, 0.75f) * size;
+  t.ox = (size - t.scale) * 0.5f + rng.uniform(-max_jitter, max_jitter);
+  t.oy = (size - t.scale) * 0.5f + rng.uniform(-max_jitter, max_jitter);
+  t.thickness = rng.uniform(0.055f, 0.095f);  // in glyph units
+  t.intensity = rng.uniform(0.75f, 1.0f);
+  t.slant = rng.uniform(-0.12f, 0.12f);  // horizontal shear
+  return t;
+}
+
 // render_digit into `out` ([image_size, image_size], every pixel written),
 // for a digit and size render_digit has checked.
 // The stroke distance is sqrt(min d^2) over the glyph's segments: sqrt is
@@ -82,15 +99,8 @@ f32x4 min_distance2(f32x4 gx, float gy, const SegmentGeometry* g,
 // stream is the per-pixel loop's.
 void render_digit_into(float* out, int digit, std::int64_t image_size,
                        Rng& rng, float noise_stddev, float max_jitter) {
-  const float size = static_cast<float>(image_size);
-
-  // Per-sample glyph transform.
-  const float scale = rng.uniform(0.55f, 0.75f) * size;
-  const float ox = (size - scale) * 0.5f + rng.uniform(-max_jitter, max_jitter);
-  const float oy = (size - scale) * 0.5f + rng.uniform(-max_jitter, max_jitter);
-  const float thickness = rng.uniform(0.055f, 0.095f);  // in glyph units
-  const float intensity = rng.uniform(0.75f, 1.0f);
-  const float slant = rng.uniform(-0.12f, 0.12f);  // horizontal shear
+  const auto [scale, ox, oy, thickness, intensity, slant] =
+      draw_transform(rng, static_cast<float>(image_size), max_jitter);
 
   std::array<SegmentGeometry, kSegments.size()> glyph{};
   std::size_t count = 0;
@@ -141,26 +151,27 @@ Tensor render_digit(int digit, std::int64_t image_size, Rng& rng,
 }
 
 Dataset make_synthetic_mnist(const MnistConfig& config) {
-  TEAMNET_CHECK(config.num_samples > 0 && config.image_size >= 12);
-  Rng rng(config.seed);
-  const std::int64_t n = config.num_samples;
-  const std::int64_t features = config.image_size * config.image_size;
-
-  Dataset out;
-  out.num_classes = 10;
-  out.images = Tensor({n, features}, uninitialized);
-  out.labels.resize(static_cast<std::size_t>(n));
-  for (std::int64_t i = 0; i < n; ++i) {
-    const int digit = config.balanced ? static_cast<int>(i % 10)
-                                      : rng.randint(0, 9);
-    out.labels[static_cast<std::size_t>(i)] = digit;
-    render_digit_into(out.images.data() + i * features, digit,
-                      config.image_size, rng, config.noise_stddev,
-                      config.max_jitter);
-  }
-  out.shuffle(rng);
-  out.validate();
-  return out;
+  return detail::make_synthetic_mnist(config, detail::default_build_chunks());
 }
+
+namespace detail {
+
+Dataset make_synthetic_mnist(const MnistConfig& config, int chunks) {
+  TEAMNET_CHECK(config.num_samples > 0 && config.image_size >= 12);
+  const std::int64_t features = config.image_size * config.image_size;
+  return build_synthetic(
+      config.num_samples, {features}, config.seed, config.balanced, chunks,
+      [&](Rng& rng, int) {
+        draw_transform(rng, static_cast<float>(config.image_size),
+                       config.max_jitter);
+        rng.skip_normals(features);  // one per pixel
+      },
+      [&](Rng& rng, int digit, float* row) {
+        render_digit_into(row, digit, config.image_size, rng,
+                          config.noise_stddev, config.max_jitter);
+      });
+}
+
+}  // namespace detail
 
 }  // namespace teamnet::data

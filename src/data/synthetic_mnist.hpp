@@ -20,11 +20,20 @@ struct MnistConfig {
   bool balanced = true;           ///< equal class counts (paper assumes this)
 };
 
-/// Images are flattened to [N, size*size] for the MLP family.
+/// Images are flattened to [N, size*size] for the MLP family. The samples
+/// render on every usable core (DESIGN.md §1.1).
 Dataset make_synthetic_mnist(const MnistConfig& config);
 
 /// Renders a single digit (exposed for tests/examples).
 Tensor render_digit(int digit, std::int64_t image_size, Rng& rng,
                     float noise_stddev, float max_jitter);
+
+namespace detail {
+
+/// make_synthetic_mnist in exactly `chunks` render chunks (at most one per
+/// sample). Every count makes the same bytes.
+Dataset make_synthetic_mnist(const MnistConfig& config, int chunks);
+
+}  // namespace detail
 
 }  // namespace teamnet::data

@@ -1,14 +1,18 @@
 // Tests for the common utilities: error macros, logging levels, seeded RNG
-// (fork independence, and its stream and draws pinned bit for bit to
-// std::mt19937_64 and libstdc++'s distributions), the table printer, the
+// (fork independence, its stream and draws pinned bit for bit to
+// std::mt19937_64 and libstdc++'s distributions, and the walk that skips
+// normals at every scan width), the table printer, the
 // fork-join helpers (each half exactly once, the inline fallback, a
 // helper's exception in the caller), and step_off and CoreMark, which move
 // a waiter off a core another thread is using.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <atomic>
 #include <bit>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <numeric>
 #include <random>
@@ -165,6 +169,41 @@ TEST(Rng, EngineWordsEqualMt19937_64AcrossBlocks) {
     }
   }
 }
+
+/// The refill built for `lanes` words per vector against
+/// std::mt19937_64 over three blocks of three seeds; skips if this CPU
+/// cannot run it.
+void check_refill_width(int lanes) {
+  const detail::Mt64Refill refill = detail::mt64_refill(lanes);
+  if (refill == nullptr) {
+    GTEST_SKIP() << lanes << "-lane refill needs "
+                 << (lanes == 8 ? "AVX-512F" : "AVX2");
+  }
+  for (const std::uint64_t seed : {std::uint64_t{5}, std::uint64_t{0},
+                                   ~std::uint64_t{0}}) {
+    // std::mt19937_64's seeding.
+    std::array<std::uint64_t, Mt64Engine::kBlockWords> state{}, block{};
+    state[0] = seed;
+    for (std::size_t i = 1; i < state.size(); ++i) {
+      const std::uint64_t prev = state[i - 1];
+      state[i] = 6364136223846793005ULL * (prev ^ (prev >> 62)) + i;
+    }
+    std::mt19937_64 twin(seed);
+    for (int b = 0; b < 3; ++b) {
+      refill(state.data(), block.data());
+      for (std::size_t i = 0; i < block.size(); ++i) {
+        ASSERT_EQ(block[i], twin()) << "seed " << seed << " block " << b
+                                    << " word " << i;
+      }
+    }
+  }
+}
+
+TEST(Rng, TwoLaneRefillEqualsMt19937_64) { check_refill_width(2); }
+
+TEST(Rng, FourLaneRefillEqualsMt19937_64) { check_refill_width(4); }
+
+TEST(Rng, EightLaneRefillEqualsMt19937_64) { check_refill_width(8); }
 
 TEST(Rng, ForkedEngineWordsEqualMt19937_64) {
   Rng parent(21);
@@ -346,6 +385,135 @@ TEST(Rng, FirstDrawsArePinned) {
   shuffler.shuffle(order);
   EXPECT_EQ(order, kShuffled);
 #endif
+}
+
+// skip_normals(n) against n calls of normal(): the walks run from zero
+// normals to several blocks' worth, after an even and an odd number of
+// words (so pairs also straddle refills), and must leave the engine at the
+// same word of the same block.
+TEST(Rng, SkipNormalsLeavesTheEngineWhereNormalsDo) {
+  const std::uint64_t seeds[] = {0x5eed'c0de'1234'5678ULL, 0,
+                                 ~std::uint64_t{0}};
+  bool ended_spent = false;    // every word of a block drawn, no refill yet
+  bool ended_refilled = false;  // the last pair came from a fresh block
+  for (const std::uint64_t seed : seeds) {
+    for (const int offset : {0, 1}) {
+      for (int count = 0; count <= 1300; count += count < 400 ? 1 : 97) {
+        Rng drawn(seed), walked(seed);
+        for (int i = 0; i < offset; ++i) {
+          drawn.uniform();
+          walked.uniform();
+        }
+        for (int i = 0; i < count; ++i) drawn.normal();
+        walked.skip_normals(count);
+        const std::size_t left = drawn.engine().unread().size();
+        ended_spent = ended_spent || (count > 0 && left == 0);
+        ended_refilled = ended_refilled || (count > 0 && left >= 310);
+        ASSERT_EQ(walked.engine().unread().size(), left)
+            << "seed " << seed << " offset " << offset << " count " << count;
+        for (int w = 0; w < 400; ++w) {
+          ASSERT_EQ(walked.engine()(), drawn.engine()())
+              << "seed " << seed << " offset " << offset << " count " << count
+              << " word " << w;
+        }
+      }
+    }
+  }
+  EXPECT_TRUE(ended_spent);
+  EXPECT_TRUE(ended_refilled);
+}
+
+/// Word pairs that put the polar method's accept test on its edges: random
+/// words, words shifted down so x and y sit near −1, pairs whose r2 lies
+/// within a few float steps of 1, and pairs near the origin.
+std::vector<std::uint64_t> polar_edge_words() {
+  std::mt19937_64 gen(5);
+  // The word whose canonical is (v + 1) / 2, clamped to the word range.
+  const auto word_for = [](long double v) {
+    const long double t = (v + 1.0L) / 2.0L * 0x1p64L;
+    if (t <= 0.0L) return std::uint64_t{0};
+    if (t >= 0x1p64L - 1.0L) return ~std::uint64_t{0};
+    return static_cast<std::uint64_t>(t);
+  };
+  std::vector<std::uint64_t> words;
+  for (int i = 0; i < 200'000; ++i) {
+    std::uint64_t a = gen(), b = gen();
+    switch (i % 4) {
+      case 1:
+        a >>= (a & 63);
+        b >>= (b & 63);
+        break;
+      case 2: {
+        const long double x = static_cast<long double>(a) * 0x1p-63L - 1.0L;
+        const long double y = std::sqrt(std::max(0.0L, 1.0L - x * x));
+        const auto nudge =
+            static_cast<std::int64_t>(b % (1u << 16)) - (1 << 15);
+        b = word_for(b & 1 ? y : -y) + static_cast<std::uint64_t>(nudge << 24);
+        break;
+      }
+      case 3:
+        a = (std::uint64_t{1} << 63) + (a >> 22) - (std::uint64_t{1} << 41);
+        b = (std::uint64_t{1} << 63) + (b >> 22) - (std::uint64_t{1} << 41);
+        break;
+      default:
+        break;
+    }
+    words.push_back(a);
+    words.push_back(b);
+  }
+  return words;
+}
+
+/// The `lanes`-pair scan against PolarTry one pair at a time, over spans
+/// of every length and alignment and every `need` up to past the span.
+void check_polar_scan_width(int lanes) {
+  const detail::PolarScan scan = detail::polar_scan(lanes);
+  if (scan == nullptr) {
+    GTEST_SKIP() << lanes << "-lane scan needs "
+                 << (lanes == 8 ? "AVX-512F" : "AVX2");
+  }
+  const std::vector<std::uint64_t> words = polar_edge_words();
+  const std::size_t pairs = words.size() / 2;
+  std::vector<int> accepted(pairs);
+  int near_one = 0;
+  for (std::size_t k = 0; k < pairs; ++k) {
+    const PolarTry t = polar_try(words[2 * k], words[2 * k + 1]);
+    accepted[k] = t.accepted();
+    near_one += std::abs(t.r2 - 1.0f) < 0x1p-16f;
+  }
+  ASSERT_GT(near_one, 1000) << "the edge words miss r2 = 1";
+  std::mt19937_64 pick(9);
+  for (int trial = 0; trial < 50'000; ++trial) {
+    const std::size_t start = pick() % pairs;
+    const std::size_t span = std::min<std::size_t>(pairs - start, pick() % 400);
+    const auto need = static_cast<std::int64_t>(pick() % 320);
+    std::size_t want_pairs = 0;
+    std::int64_t want_need = need;
+    while (want_pairs < span && want_need > 0) {
+      want_need -= accepted[start + want_pairs++];
+    }
+    std::int64_t got_need = need;
+    const std::size_t got_pairs =
+        scan(words.data() + 2 * start, span, got_need);
+    ASSERT_EQ(got_pairs, want_pairs)
+        << "start " << start << " span " << span << " need " << need;
+    ASSERT_EQ(got_need, want_need)
+        << "start " << start << " span " << span << " need " << need;
+  }
+}
+
+TEST(Rng, OnePairPolarScanAgreesWithPolarTry) { check_polar_scan_width(1); }
+
+TEST(Rng, TwoLanePolarScanAgreesWithOnePairAtATime) {
+  check_polar_scan_width(2);
+}
+
+TEST(Rng, FourLanePolarScanAgreesWithOnePairAtATime) {
+  check_polar_scan_width(4);
+}
+
+TEST(Rng, EightLanePolarScanAgreesWithOnePairAtATime) {
+  check_polar_scan_width(8);
 }
 
 // libstdc++ asserts these preconditions only under _GLIBCXX_ASSERTIONS;

@@ -1,7 +1,9 @@
-// Dataset substrate tests: determinism, balance, separability and the
-// super-cluster structure the specialization experiment depends on.
+// Dataset substrate tests: determinism, balance, separability, the
+// super-cluster structure the specialization experiment depends on, and
+// the pinned bytes of the builds at any render chunk count.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <numeric>
@@ -307,6 +309,91 @@ TEST(Dataset, ShuffleAndSplitBitsArePinned) {
   EXPECT_EQ(tail.size(), 81);
   EXPECT_EQ(digest(head), 0x0b65952fed0872b4ull);
   EXPECT_EQ(digest(tail), 0x08859ec19ab1e6c7ull);
+}
+
+// The builds render on every usable core from snapshots of one walk of the
+// stream; every chunk count must make the pinned bytes above.
+TEST(SyntheticData, EveryChunkCountMakesThePinnedBytes) {
+  data::MnistConfig quick_mnist;
+  quick_mnist.num_samples = 1200;
+  quick_mnist.seed = 11;
+  data::CifarConfig quick_cifar;
+  quick_cifar.num_samples = 800;
+  quick_cifar.image_size = 16;
+  quick_cifar.seed = 13;
+  for (const int chunks : {1, 2, 3, 4, 7}) {
+    SCOPED_TRACE(testing::Message() << chunks << " chunks");
+    EXPECT_EQ(digest(data::detail::make_synthetic_mnist({}, chunks)),
+              0x00212aa1c5314db5ull);
+    EXPECT_EQ(digest(data::detail::make_synthetic_mnist(quick_mnist, chunks)),
+              0xb27c5db6932cae1full);
+    EXPECT_EQ(digest(data::detail::make_synthetic_cifar(quick_cifar, chunks)),
+              0x998f116dc92c47d1ull);
+  }
+}
+
+/// What the builds did before they split: each sample rendered in stream
+/// order, then the rows shuffled in place.
+data::Dataset render_then_shuffle(const data::MnistConfig& c) {
+  Rng rng(c.seed);
+  data::Dataset d;
+  d.num_classes = 10;
+  d.images = Tensor({c.num_samples, c.image_size * c.image_size});
+  for (std::int64_t i = 0; i < c.num_samples; ++i) {
+    const int digit = c.balanced ? static_cast<int>(i % 10) : rng.randint(0, 9);
+    d.labels.push_back(digit);
+    const Tensor img = data::render_digit(digit, c.image_size, rng,
+                                          c.noise_stddev, c.max_jitter);
+    std::copy(img.values().begin(), img.values().end(),
+              d.images.data() + i * img.numel());
+  }
+  d.shuffle(rng);
+  return d;
+}
+
+data::Dataset render_then_shuffle(const data::CifarConfig& c) {
+  Rng rng(c.seed);
+  data::Dataset d;
+  d.num_classes = 10;
+  d.images = Tensor({c.num_samples, 3, c.image_size, c.image_size});
+  for (std::int64_t i = 0; i < c.num_samples; ++i) {
+    const int cls = c.balanced ? static_cast<int>(i % 10) : rng.randint(0, 9);
+    d.labels.push_back(cls);
+    const Tensor img =
+        data::render_cifar_sample(cls, c.image_size, rng, c.noise_stddev);
+    std::copy(img.values().begin(), img.values().end(),
+              d.images.data() + i * img.numel());
+  }
+  d.shuffle(rng);
+  return d;
+}
+
+// Unbalanced sets draw each label inside the walk, odd sizes move where
+// the draws fall in a block, and fewer samples than chunks leaves chunks
+// empty.
+TEST(SyntheticData, ChunkedBuildsEqualRenderThenShuffle) {
+  for (const bool balanced : {true, false}) {
+    for (const std::int64_t n : {3, 37}) {
+      data::MnistConfig mc;
+      mc.num_samples = n;
+      mc.image_size = 13;
+      mc.seed = 5;
+      mc.balanced = balanced;
+      data::CifarConfig cc;
+      cc.num_samples = n;
+      cc.image_size = 9;
+      cc.seed = 6;
+      cc.balanced = balanced;
+      const std::uint64_t mnist = digest(render_then_shuffle(mc));
+      const std::uint64_t cifar = digest(render_then_shuffle(cc));
+      for (const int chunks : {1, 2, 3, 4, 7}) {
+        SCOPED_TRACE(testing::Message() << "balanced " << balanced << " n "
+                                        << n << " chunks " << chunks);
+        EXPECT_EQ(digest(data::detail::make_synthetic_mnist(mc, chunks)), mnist);
+        EXPECT_EQ(digest(data::detail::make_synthetic_cifar(cc, chunks)), cifar);
+      }
+    }
+  }
 }
 
 TEST(Dataset, SplitHalvesAreViewsEqualToSubsets) {
