@@ -31,7 +31,7 @@ Outcome run(const MnistSetup& setup, std::vector<float> weights,
   core::TeamNetTrainer trainer(cfg, [&](int, Rng& rng) -> nn::ModulePtr {
     return std::make_unique<nn::MlpNet>(expert_cfg, rng);
   });
-  core::TeamNetEnsemble ensemble = trainer.train(setup.train);
+  core::TeamNetEnsemble ensemble = trainer.train(setup.train());
 
   Outcome out;
   out.label = weights.empty()

@@ -55,13 +55,14 @@ core::ConvergenceTelemetry decode_telemetry(const std::vector<Tensor>& tensors) 
 /// The Baseline recipe both datasets share: one Net built from `init_seed`
 /// and trained by plain supervised SGD (batch order seeded by `seed`). The
 /// cached model loads into a zero-built load target; a miss trains a fresh
-/// seeded model, never the target a failed load partly wrote.
-template <class Net, class NetConfig>
+/// seeded model, never the target a failed load partly wrote. Here and in
+/// the two recipes below, only a miss asks `setup` for its training rows.
+template <class Net, class NetConfig, class Setup>
 std::unique_ptr<Net> cached_baseline(const Options& opts,
                                      const std::string& stem,
                                      const NetConfig& cfg,
                                      std::uint64_t init_seed,
-                                     const data::Dataset& train, int epochs,
+                                     const Setup& setup, int epochs,
                                      std::int64_t batch_size, float lr,
                                      std::uint64_t seed) {
   auto model = std::make_unique<Net>(cfg);
@@ -73,7 +74,7 @@ std::unique_ptr<Net> cached_baseline(const Options& opts,
     sgd.lr = lr;
     nn::Sgd opt(model->parameters(), sgd);
     Rng rng(seed);
-    data::BatchIterator batches(train, batch_size, &rng);
+    data::BatchIterator batches(setup.train(), batch_size, &rng);
     for (int e = 0; e < epochs; ++e) {
       batches.reset();
       for (auto b = batches.next(); b.size() > 0; b = batches.next()) {
@@ -101,11 +102,10 @@ CacheEntry team_entry(const std::string& stem, TrainedTeam& team) {
 /// type Net, loaded into zero-built load targets when the entry is cached
 /// and trained by core::TeamNetTrainer (seeded by `cfg.seed`, which draws
 /// each expert's init) when it is not.
-template <class Net, class NetConfig>
+template <class Net, class NetConfig, class Setup>
 TrainedTeam cached_team(const Options& opts, const std::string& stem,
                         const NetConfig& expert_cfg,
-                        const core::TeamNetConfig& cfg,
-                        const data::Dataset& train) {
+                        const core::TeamNetConfig& cfg, const Setup& setup) {
   TrainedTeam team;
   for (int i = 0; i < cfg.num_experts; ++i) {
     team.experts.push_back(std::make_unique<Net>(expert_cfg));
@@ -114,7 +114,7 @@ TrainedTeam cached_team(const Options& opts, const std::string& stem,
     core::TeamNetTrainer trainer(cfg, [&expert_cfg](int, Rng& rng) {
       return nn::ModulePtr(std::make_unique<Net>(expert_cfg, rng));
     });
-    team.experts = trainer.train(train).release_experts();
+    team.experts = trainer.train(setup.train()).release_experts();
     team.telemetry = trainer.telemetry();
     return team_entry(stem, team);
   });
@@ -125,13 +125,13 @@ TrainedTeam cached_team(const Options& opts, const std::string& stem,
 /// The SG-MoE recipe both datasets share: a gate on `gate_in` features and
 /// `cfg.num_experts` experts of type Net, trained by moe::SgMoe::train on a
 /// freshly built model.
-template <class Net, class NetConfig>
+template <class Net, class NetConfig, class Setup>
 std::unique_ptr<moe::SgMoe> cached_sgmoe(const Options& opts,
                                          const std::string& stem,
                                          const NetConfig& expert_cfg,
                                          const moe::SgMoeConfig& cfg,
                                          std::int64_t gate_in,
-                                         const data::Dataset& train) {
+                                         const Setup& setup) {
   const auto make = [&] {
     return std::make_unique<moe::SgMoe>(
         cfg, gate_in, [&expert_cfg](int, Rng& rng) -> nn::ModulePtr {
@@ -148,7 +148,7 @@ std::unique_ptr<moe::SgMoe> cached_sgmoe(const Options& opts,
   auto model = make();
   load_or_train(opts.cache_dir, entry(*model), [&] {
     model = make();
-    model->train(train);
+    model->train(setup.train());
     return entry(*model);
   });
   for (int i = 0; i < cfg.num_experts; ++i) model->expert(i).set_training(false);
@@ -261,24 +261,53 @@ void print_banner(const std::string& experiment, const std::string& paper_ref) {
   std::printf("==============================================================\n");
 }
 
+namespace {
+
+data::Dataset make_rows(const data::MnistConfig& config, std::int64_t begin,
+                        std::int64_t end) {
+  return data::make_synthetic_mnist(config, begin, end);
+}
+
+data::Dataset make_rows(const data::CifarConfig& config, std::int64_t begin,
+                        std::int64_t end) {
+  return data::make_synthetic_cifar(config, begin, end);
+}
+
+/// The test split: rows [0, split_row(n, kTestFraction)) of the set.
+template <class Config>
+data::Dataset test_rows(const Config& config) {
+  return make_rows(config, 0,
+                   data::split_row(config.num_samples, kTestFraction));
+}
+
+}  // namespace
+
+template <class Config>
+const data::Dataset& TrainRows<Config>::get() const {
+  if (!rows_) {
+    rows_ = make_rows(config_,
+                      data::split_row(config_.num_samples, kTestFraction),
+                      config_.num_samples);
+  }
+  return *rows_;
+}
+
+template class TrainRows<data::MnistConfig>;
+template class TrainRows<data::CifarConfig>;
+
 MnistSetup mnist_setup(const Options& opts) {
   data::MnistConfig mc;
   mc.num_samples = opts.quick ? 1200 : 2500;
   mc.seed = 11;
-  data::Dataset all = data::make_synthetic_mnist(mc);
-  auto [test, train] = all.split(0.2);
-
-  MnistSetup setup;
-  setup.test = std::move(test);
-  setup.train = std::move(train);
-  setup.mlp8.in_features = 28 * 28;
-  setup.mlp8.depth = 8;
-  setup.mlp8.hidden = opts.quick ? 128 : 512;
-  setup.mlp4 = setup.mlp8;
-  setup.mlp4.depth = 4;
-  setup.mlp2 = setup.mlp8;
-  setup.mlp2.depth = 2;
-  return setup;
+  nn::MlpConfig mlp8;
+  mlp8.in_features = 28 * 28;
+  mlp8.depth = 8;
+  mlp8.hidden = opts.quick ? 128 : 512;
+  nn::MlpConfig mlp4 = mlp8;
+  mlp4.depth = 4;
+  nn::MlpConfig mlp2 = mlp8;
+  mlp2.depth = 2;
+  return {test_rows(mc), TrainRows(mc), mlp8, mlp4, mlp2};
 }
 
 const nn::MlpConfig& mnist_expert_cfg(const MnistSetup& setup, int num_experts) {
@@ -295,20 +324,15 @@ CifarSetup cifar_setup(const Options& opts) {
   cc.num_samples = opts.quick ? 800 : 1800;
   cc.image_size = 16;
   cc.seed = 13;
-  data::Dataset all = data::make_synthetic_cifar(cc);
-  auto [test, train] = all.split(0.2);
-
-  CifarSetup setup;
-  setup.test = std::move(test);
-  setup.train = std::move(train);
-  setup.ss26.depth = 26;
-  setup.ss26.image_size = 16;
-  setup.ss26.base_channels = opts.quick ? 6 : 10;
-  setup.ss14 = setup.ss26;
-  setup.ss14.depth = 14;
-  setup.ss8 = setup.ss26;
-  setup.ss8.depth = 8;
-  return setup;
+  nn::ShakeShakeConfig ss26;
+  ss26.depth = 26;
+  ss26.image_size = 16;
+  ss26.base_channels = opts.quick ? 6 : 10;
+  nn::ShakeShakeConfig ss14 = ss26;
+  ss14.depth = 14;
+  nn::ShakeShakeConfig ss8 = ss26;
+  ss8.depth = 8;
+  return {test_rows(cc), TrainRows(cc), ss26, ss14, ss8};
 }
 
 const nn::ShakeShakeConfig& cifar_expert_cfg(const CifarSetup& setup,
@@ -323,8 +347,8 @@ std::unique_ptr<nn::MlpNet> train_mnist_baseline(const MnistSetup& setup,
   return cached_baseline<nn::MlpNet>(
       opts,
       "mnist_mlp8_h" + std::to_string(setup.mlp8.hidden) + "_n" +
-          std::to_string(setup.train.size()),
-      setup.mlp8, 21, setup.train, opts.quick ? 3 : 6, 64, 0.05f, 22);
+          std::to_string(setup.train_size()),
+      setup.mlp8, 21, setup, opts.quick ? 3 : 6, 64, 0.05f, 22);
 }
 
 TrainedTeam train_mnist_teamnet(const MnistSetup& setup, int num_experts,
@@ -340,8 +364,8 @@ TrainedTeam train_mnist_teamnet(const MnistSetup& setup, int num_experts,
       opts,
       "mnist_teamnet_k" + std::to_string(num_experts) + "_h" +
           std::to_string(expert_cfg.hidden) + "_n" +
-          std::to_string(setup.train.size()) + "_" + core::to_string(gate),
-      expert_cfg, cfg, setup.train);
+          std::to_string(setup.train_size()) + "_" + core::to_string(gate),
+      expert_cfg, cfg, setup);
 }
 
 std::unique_ptr<moe::SgMoe> train_mnist_sgmoe(const MnistSetup& setup,
@@ -362,8 +386,8 @@ std::unique_ptr<moe::SgMoe> train_mnist_sgmoe(const MnistSetup& setup,
       opts,
       "mnist_sgmoe_v2_k" + std::to_string(num_experts) + "_h" +
           std::to_string(expert_cfg.hidden) + "_n" +
-          std::to_string(setup.train.size()),
-      expert_cfg, cfg, 28 * 28, setup.train);
+          std::to_string(setup.train_size()),
+      expert_cfg, cfg, 28 * 28, setup);
 }
 
 std::unique_ptr<nn::ShakeShakeNet> train_cifar_baseline(const CifarSetup& setup,
@@ -371,8 +395,8 @@ std::unique_ptr<nn::ShakeShakeNet> train_cifar_baseline(const CifarSetup& setup,
   return cached_baseline<nn::ShakeShakeNet>(
       opts,
       "cifar_ss26_c" + std::to_string(setup.ss26.base_channels) + "_n" +
-          std::to_string(setup.train.size()),
-      setup.ss26, 41, setup.train, opts.quick ? 2 : 4, 32, 0.03f, 42);
+          std::to_string(setup.train_size()),
+      setup.ss26, 41, setup, opts.quick ? 2 : 4, 32, 0.03f, 42);
 }
 
 TrainedTeam train_cifar_teamnet(const CifarSetup& setup, int num_experts,
@@ -389,8 +413,8 @@ TrainedTeam train_cifar_teamnet(const CifarSetup& setup, int num_experts,
       "cifar_teamnet_k" + std::to_string(num_experts) + "_d" +
           std::to_string(expert_cfg.depth) + "_c" +
           std::to_string(expert_cfg.base_channels) + "_n" +
-          std::to_string(setup.train.size()),
-      expert_cfg, cfg, setup.train);
+          std::to_string(setup.train_size()),
+      expert_cfg, cfg, setup);
 }
 
 std::unique_ptr<moe::SgMoe> train_cifar_sgmoe(const CifarSetup& setup,
@@ -408,9 +432,9 @@ std::unique_ptr<moe::SgMoe> train_cifar_sgmoe(const CifarSetup& setup,
       opts,
       "cifar_sgmoe_v2_k" + std::to_string(num_experts) + "_d" +
           std::to_string(expert_cfg.depth) + "_n" +
-          std::to_string(setup.train.size()),
+          std::to_string(setup.train_size()),
       expert_cfg, cfg, 3 * setup.ss26.image_size * setup.ss26.image_size,
-      setup.train);
+      setup);
 }
 
 sim::ScenarioResult as_scenario(const load::LoadResult& r) {

@@ -116,14 +116,41 @@ class BreakdownReport {
   std::vector<std::pair<std::string, load::BreakdownSummary>> rows_;
 };
 
+/// Each set-up's synthetic set is split at split_row(n, kTestFraction):
+/// the rows before it are the test split, the rest the training rows.
+inline constexpr double kTestFraction = 0.2;
+
+/// The training rows of a set-up's synthetic set, built by the first get()
+/// and kept, so a set-up whose models all load from the cache never builds
+/// them. The first get() writes the rows: make it from one thread.
+template <class Config>
+class TrainRows {
+ public:
+  explicit TrainRows(const Config& config) : config_(config) {}
+  const data::Dataset& get() const;
+  std::int64_t size() const {
+    return config_.num_samples -
+           data::split_row(config_.num_samples, kTestFraction);
+  }
+  bool built() const { return rows_.has_value(); }
+
+ private:
+  Config config_;
+  mutable std::optional<data::Dataset> rows_;
+};
+
 // ---- MNIST (handwritten digit recognition, §VI-C) --------------------------
 
 struct MnistSetup {
-  data::Dataset train;
-  data::Dataset test;
+  data::Dataset test;  ///< built with the set-up
+  TrainRows<data::MnistConfig> train_rows;
   nn::MlpConfig mlp8;  ///< baseline
   nn::MlpConfig mlp4;  ///< TeamNet double-node expert
   nn::MlpConfig mlp2;  ///< TeamNet quadro-node expert
+
+  /// The training rows, built on the first call.
+  const data::Dataset& train() const { return train_rows.get(); }
+  std::int64_t train_size() const { return train_rows.size(); }
 };
 
 MnistSetup mnist_setup(const Options& opts);
@@ -134,11 +161,15 @@ const nn::MlpConfig& mnist_expert_cfg(const MnistSetup& setup, int num_experts);
 // ---- CIFAR (image classification, §VI-D) ------------------------------------
 
 struct CifarSetup {
-  data::Dataset train;
-  data::Dataset test;
+  data::Dataset test;  ///< built with the set-up
+  TrainRows<data::CifarConfig> train_rows;
   nn::ShakeShakeConfig ss26;  ///< baseline
   nn::ShakeShakeConfig ss14;  ///< TeamNet double-node expert
   nn::ShakeShakeConfig ss8;   ///< TeamNet quadro-node expert
+
+  /// The training rows, built on the first call.
+  const data::Dataset& train() const { return train_rows.get(); }
+  std::int64_t train_size() const { return train_rows.size(); }
 };
 
 CifarSetup cifar_setup(const Options& opts);

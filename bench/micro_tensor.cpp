@@ -353,33 +353,41 @@ void BM_RenderDigit(benchmark::State& state) {
 }
 BENCHMARK(BM_RenderDigit);
 
+/// The rows a synthetic-set micro row builds: every row (arg 0) or the
+/// 20% test split a serving set-up builds (arg 1).
+std::int64_t synthetic_end(const benchmark::State& state, std::int64_t n) {
+  return state.range(0) == 0 ? n : data::split_row(n, 0.2);
+}
+
 // The benches' --quick MNIST set (1,200 digits, seed 11): the walk, the
-// renders on every usable core and validation, the dataset half of a
-// fleet's set-up.
+// renders on every usable core and validation. /1 is the dataset half of
+// a fleet's set-up.
 void BM_SyntheticMnist(benchmark::State& state) {
   data::MnistConfig cfg;
   cfg.num_samples = 1200;
   cfg.seed = 11;
+  const std::int64_t end = synthetic_end(state, cfg.num_samples);
   for (auto _ : state) {
-    data::Dataset ds = data::make_synthetic_mnist(cfg);
+    data::Dataset ds = data::make_synthetic_mnist(cfg, 0, end);
     benchmark::DoNotOptimize(ds.images.data());
   }
 }
-BENCHMARK(BM_SyntheticMnist)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SyntheticMnist)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
-// The benches' --quick CIFAR set (800 16x16x3 images, seed 13): the
+// The benches' --quick CIFAR set (800 16x16x3 images, seed 13). /1 is the
 // dataset half of tcp_cnn_k2's set-up.
 void BM_SyntheticCifar(benchmark::State& state) {
   data::CifarConfig cfg;
   cfg.num_samples = 800;
   cfg.image_size = 16;
   cfg.seed = 13;
+  const std::int64_t end = synthetic_end(state, cfg.num_samples);
   for (auto _ : state) {
-    data::Dataset ds = data::make_synthetic_cifar(cfg);
+    data::Dataset ds = data::make_synthetic_cifar(cfg, 0, end);
     benchmark::DoNotOptimize(ds.images.data());
   }
 }
-BENCHMARK(BM_SyntheticCifar)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SyntheticCifar)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 // As many normal draws as the --quick MNIST set's pixel noise (1,200
 // digits of 28x28): the stream that sets most of a fleet's set-up.

@@ -65,7 +65,7 @@ int main_impl(int argc, char** argv) {
 
   MnistSetup setup = mnist_setup(opts);
   std::printf("dataset: %lld train / %lld test, MLP hidden=%lld\n",
-              static_cast<long long>(setup.train.size()),
+              static_cast<long long>(setup.train_size()),
               static_cast<long long>(setup.test.size()),
               static_cast<long long>(setup.mlp8.hidden));
 

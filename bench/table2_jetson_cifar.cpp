@@ -67,7 +67,7 @@ int main_impl(int argc, char** argv) {
 
   CifarSetup setup = cifar_setup(opts);
   std::printf("dataset: %lld train / %lld test, Shake-Shake base channels %lld\n",
-              static_cast<long long>(setup.train.size()),
+              static_cast<long long>(setup.train_size()),
               static_cast<long long>(setup.test.size()),
               static_cast<long long>(setup.ss26.base_channels));
 

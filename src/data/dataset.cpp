@@ -61,10 +61,13 @@ void Dataset::shuffle(Rng& rng) {
   }
 }
 
+std::int64_t split_row(std::int64_t n, double frac) {
+  TEAMNET_CHECK(n >= 0 && frac >= 0.0 && frac <= 1.0);
+  return static_cast<std::int64_t>(static_cast<double>(n) * frac);
+}
+
 std::pair<Dataset, Dataset> Dataset::split(double frac) const {
-  TEAMNET_CHECK(frac >= 0.0 && frac <= 1.0);
-  const std::int64_t n_first = static_cast<std::int64_t>(
-      static_cast<double>(size()) * frac);
+  const std::int64_t n_first = split_row(size(), frac);
   const auto part = [this](std::int64_t begin, std::int64_t end) {
     Dataset out;
     out.images = images.slice_rows(begin, end);

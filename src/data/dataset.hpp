@@ -43,6 +43,10 @@ struct Dataset {
   void validate() const;
 };
 
+/// The row where split(frac) cuts a set of n rows: the first half is rows
+/// [0, split_row(n, frac)). A build of only one half asks for the same row.
+std::int64_t split_row(std::int64_t n, double frac);
+
 /// One minibatch.
 struct Batch {
   Tensor x;

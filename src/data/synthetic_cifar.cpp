@@ -292,16 +292,28 @@ Tensor render_cifar_sample(int cls, std::int64_t image_size, Rng& rng,
 }
 
 Dataset make_synthetic_cifar(const CifarConfig& config) {
-  return detail::make_synthetic_cifar(config, detail::default_build_chunks());
+  return make_synthetic_cifar(config, 0, config.num_samples);
+}
+
+Dataset make_synthetic_cifar(const CifarConfig& config, std::int64_t begin,
+                             std::int64_t end) {
+  return detail::make_synthetic_cifar(config, detail::default_build_chunks(),
+                                      begin, end);
 }
 
 namespace detail {
 
 Dataset make_synthetic_cifar(const CifarConfig& config, int chunks) {
+  return make_synthetic_cifar(config, chunks, 0, config.num_samples);
+}
+
+Dataset make_synthetic_cifar(const CifarConfig& config, int chunks,
+                             std::int64_t begin, std::int64_t end) {
   TEAMNET_CHECK(config.num_samples > 0 && config.image_size >= 8);
   const std::int64_t s = config.image_size;
   return build_synthetic(
       config.num_samples, {3, s, s}, config.seed, config.balanced, chunks,
+      begin, end,
       [&](Rng& rng, int cls) {
         render_cifar_into(nullptr, cls, s, rng, config.noise_stddev);
       },

@@ -31,6 +31,11 @@ struct CifarConfig {
 /// The samples render on every usable core (DESIGN.md §1.1).
 Dataset make_synthetic_cifar(const CifarConfig& config);
 
+/// Rows [begin, end) of make_synthetic_cifar(config), byte for byte. Only
+/// those rows are rendered; throws unless 0 <= begin <= end <= num_samples.
+Dataset make_synthetic_cifar(const CifarConfig& config, std::int64_t begin,
+                             std::int64_t end);
+
 /// Renders one sample of `cls` (exposed for tests/examples).
 Tensor render_cifar_sample(int cls, std::int64_t image_size, Rng& rng,
                            float noise_stddev);
@@ -46,6 +51,10 @@ namespace detail {
 /// make_synthetic_cifar in exactly `chunks` render chunks (at most one per
 /// sample). Every count makes the same bytes.
 Dataset make_synthetic_cifar(const CifarConfig& config, int chunks);
+
+/// Rows [begin, end) of it, in exactly `chunks` render chunks.
+Dataset make_synthetic_cifar(const CifarConfig& config, int chunks,
+                             std::int64_t begin, std::int64_t end);
 
 }  // namespace detail
 

@@ -151,16 +151,28 @@ Tensor render_digit(int digit, std::int64_t image_size, Rng& rng,
 }
 
 Dataset make_synthetic_mnist(const MnistConfig& config) {
-  return detail::make_synthetic_mnist(config, detail::default_build_chunks());
+  return make_synthetic_mnist(config, 0, config.num_samples);
+}
+
+Dataset make_synthetic_mnist(const MnistConfig& config, std::int64_t begin,
+                             std::int64_t end) {
+  return detail::make_synthetic_mnist(config, detail::default_build_chunks(),
+                                      begin, end);
 }
 
 namespace detail {
 
 Dataset make_synthetic_mnist(const MnistConfig& config, int chunks) {
+  return make_synthetic_mnist(config, chunks, 0, config.num_samples);
+}
+
+Dataset make_synthetic_mnist(const MnistConfig& config, int chunks,
+                             std::int64_t begin, std::int64_t end) {
   TEAMNET_CHECK(config.num_samples > 0 && config.image_size >= 12);
   const std::int64_t features = config.image_size * config.image_size;
   return build_synthetic(
       config.num_samples, {features}, config.seed, config.balanced, chunks,
+      begin, end,
       [&](Rng& rng, int) {
         draw_transform(rng, static_cast<float>(config.image_size),
                        config.max_jitter);

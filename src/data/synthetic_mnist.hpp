@@ -24,6 +24,11 @@ struct MnistConfig {
 /// render on every usable core (DESIGN.md §1.1).
 Dataset make_synthetic_mnist(const MnistConfig& config);
 
+/// Rows [begin, end) of make_synthetic_mnist(config), byte for byte. Only
+/// those rows are rendered; throws unless 0 <= begin <= end <= num_samples.
+Dataset make_synthetic_mnist(const MnistConfig& config, std::int64_t begin,
+                             std::int64_t end);
+
 /// Renders a single digit (exposed for tests/examples).
 Tensor render_digit(int digit, std::int64_t image_size, Rng& rng,
                     float noise_stddev, float max_jitter);
@@ -33,6 +38,10 @@ namespace detail {
 /// make_synthetic_mnist in exactly `chunks` render chunks (at most one per
 /// sample). Every count makes the same bytes.
 Dataset make_synthetic_mnist(const MnistConfig& config, int chunks);
+
+/// Rows [begin, end) of it, in exactly `chunks` render chunks.
+Dataset make_synthetic_mnist(const MnistConfig& config, int chunks,
+                             std::int64_t begin, std::int64_t end);
 
 }  // namespace detail
 

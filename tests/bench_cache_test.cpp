@@ -2,6 +2,8 @@
 // not at all, a missing or truncated file retrains the entire entry, and a
 // loaded entry replays the trained weights and gate telemetry bit for bit.
 // A two-expert MLP team on Gaussian blobs keeps every case in milliseconds.
+// The benches' set-ups build their test split eagerly and their training
+// rows only when something trains, so a warm cache never builds them.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -9,6 +11,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
@@ -169,6 +172,67 @@ TEST_F(BenchCache, AnyMissingOrTruncatedFileRetrainsTheWholeEntry) {
       EXPECT_EQ(trainings, expected);
     }
   }
+}
+
+/// Equal shapes, labels and bytes.
+void expect_same_rows(const data::Dataset& got, const data::Dataset& want) {
+  EXPECT_EQ(got.images.shape(), want.images.shape());
+  EXPECT_EQ(got.labels, want.labels);
+  EXPECT_EQ(got.num_classes, want.num_classes);
+  ASSERT_EQ(got.images.numel(), want.images.numel());
+  EXPECT_EQ(std::memcmp(got.images.data(), want.images.data(),
+                        static_cast<std::size_t>(got.images.numel()) *
+                            sizeof(float)),
+            0);
+}
+
+bench::Options quick_options(const std::string& cache_dir) {
+  bench::Options opts;
+  opts.quick = true;
+  opts.cache_dir = cache_dir;
+  return opts;
+}
+
+/// A set-up's test split and training rows are the halves that splitting
+/// the whole --quick set at 0.2 makes; its training-row count needs no
+/// build, and the rows, once built, are kept.
+template <class Setup>
+void expect_halves_of(const Setup& setup, const data::Dataset& all) {
+  const auto [test, train] = all.split(0.2);
+  expect_same_rows(setup.test, test);
+  EXPECT_EQ(setup.train_size(), train.size());
+  EXPECT_FALSE(setup.train_rows.built());
+  const data::Dataset& rows = setup.train();
+  EXPECT_TRUE(setup.train_rows.built());
+  expect_same_rows(rows, train);
+  EXPECT_EQ(&setup.train(), &rows);
+}
+
+TEST(BenchSetup, MnistRowsAreTheWholeSetsSplit) {
+  data::MnistConfig mc;
+  mc.num_samples = 1200;
+  mc.seed = 11;
+  expect_halves_of(bench::mnist_setup(quick_options("unused")),
+                   data::make_synthetic_mnist(mc));
+}
+
+TEST(BenchSetup, CifarRowsAreTheWholeSetsSplit) {
+  data::CifarConfig cc;
+  cc.num_samples = 800;
+  cc.image_size = 16;
+  cc.seed = 13;
+  expect_halves_of(bench::cifar_setup(quick_options("unused")),
+                   data::make_synthetic_cifar(cc));
+}
+
+TEST_F(BenchCache, WarmCacheTeamNeverBuildsTheTrainingRows) {
+  const bench::Options opts = quick_options(dir_);
+  const bench::MnistSetup cold = bench::mnist_setup(opts);
+  bench::train_mnist_teamnet(cold, 4, opts);
+  EXPECT_TRUE(cold.train_rows.built()) << "a miss trains on the rows";
+  const bench::MnistSetup warm = bench::mnist_setup(opts);
+  bench::train_mnist_teamnet(warm, 4, opts);
+  EXPECT_FALSE(warm.train_rows.built()) << "a hit only loads";
 }
 
 }  // namespace

@@ -396,6 +396,69 @@ TEST(SyntheticData, ChunkedBuildsEqualRenderThenShuffle) {
   }
 }
 
+/// Every range asked of `build(chunks, begin, end)` at 1, 2, 3, 4 and 7
+/// chunks holds the full build's rows, byte for byte.
+template <class Build>
+void expect_ranges_equal_full_rows(const data::Dataset& full,
+                                   const Build& build) {
+  const std::int64_t n = full.size();
+  const std::int64_t cut = data::split_row(n, 0.2);
+  const std::pair<std::int64_t, std::int64_t> ranges[] = {
+      {0, cut}, {cut, n}, {0, n}, {n / 2, n / 2 + 1}, {7, 7}};
+  for (const int chunks : {1, 2, 3, 4, 7}) {
+    for (const auto& [begin, end] : ranges) {
+      SCOPED_TRACE(testing::Message() << chunks << " chunks, rows [" << begin
+                                      << ", " << end << ")");
+      const data::Dataset part = build(chunks, begin, end);
+      std::vector<int> rows(static_cast<std::size_t>(end - begin));
+      std::iota(rows.begin(), rows.end(), static_cast<int>(begin));
+      const data::Dataset want = full.subset(rows);
+      EXPECT_EQ(part.images.shape(), want.images.shape());
+      EXPECT_EQ(part.labels, want.labels);
+      EXPECT_EQ(part.num_classes, 10);
+      EXPECT_EQ(digest(part), digest(want));
+    }
+  }
+}
+
+// A range renders only its rows and walks the rest of the stream, so each
+// row is the full build's row whatever the range or the chunk count.
+TEST(SyntheticData, RowRangesEqualTheFullBuildsRows) {
+  data::MnistConfig quick_mnist;
+  quick_mnist.num_samples = 1200;
+  quick_mnist.seed = 11;
+  data::CifarConfig quick_cifar;
+  quick_cifar.num_samples = 800;
+  quick_cifar.image_size = 16;
+  quick_cifar.seed = 13;
+  for (const data::MnistConfig& mc : {data::MnistConfig{}, quick_mnist}) {
+    expect_ranges_equal_full_rows(
+        data::make_synthetic_mnist(mc),
+        [&mc](int chunks, std::int64_t begin, std::int64_t end) {
+          return data::detail::make_synthetic_mnist(mc, chunks, begin, end);
+        });
+  }
+  expect_ranges_equal_full_rows(
+      data::make_synthetic_cifar(quick_cifar),
+      [&](int chunks, std::int64_t begin, std::int64_t end) {
+        return data::detail::make_synthetic_cifar(quick_cifar, chunks, begin,
+                                                  end);
+      });
+
+  // The benches' --quick test splits, as a serving set-up builds them.
+  EXPECT_EQ(digest(data::make_synthetic_mnist(quick_mnist, 0, 240)),
+            0xcaf51d20b6c271eaull);
+  EXPECT_EQ(digest(data::make_synthetic_cifar(quick_cifar, 0, 160)),
+            0x96453bd964ef992bull);
+
+  EXPECT_THROW(data::make_synthetic_mnist(quick_mnist, -1, 10), InvariantError);
+  EXPECT_THROW(data::make_synthetic_mnist(quick_mnist, 10, 9), InvariantError);
+  EXPECT_THROW(data::make_synthetic_mnist(quick_mnist, 0, 1201),
+               InvariantError);
+  EXPECT_THROW(data::make_synthetic_cifar(quick_cifar, 800, 801),
+               InvariantError);
+}
+
 TEST(Dataset, SplitHalvesAreViewsEqualToSubsets) {
   data::MnistConfig quick;
   quick.num_samples = 1200;
