@@ -136,17 +136,17 @@ int main_impl(int argc, char** argv) {
   report.write();
   std::printf(
       "\nexpected shape: the pipelined master keeps every arrived query in\n"
-      "flight, so the shared medium sets capacity (~943 q/s at k=2, ~314\n"
-      "at k=4, ~135 at k=8). Open-loop at 200 q/s is past it at k=8, where\n"
+      "flight, so the shared medium sets capacity (~1,225 q/s at k=2, ~408\n"
+      "at k=4, ~175 at k=8). Open-loop at 200 q/s is past it at k=8, where\n"
       "latency includes queueing delay and the tail grows with the run;\n"
       "the closed loop self-limits (in-flight <= population) and at c=8\n"
       "its achieved rate approaches the medium cap; the bursty wave lands\n"
       "between its trough and crest. Larger teams put more frames on the\n"
       "air per query, so p50 rises with k. The multicast rows run the\n"
-      "airtime-first wire: each Infer goes on the air once, in the lossless\n"
-      "compact coding (air_bytes_per_query: one compact Infer plus k-1\n"
-      "Results), which lifts the caps to ~754 q/s at k=4 and ~451 at k=8;\n"
-      "every multicast cell sits under its cap.\n");
+      "airtime-first wire: each Infer goes on the air once\n"
+      "(air_bytes_per_query: one compact Infer plus k-1 Results), which\n"
+      "lifts the caps to ~796 q/s at k=4 and ~466 at k=8; every multicast\n"
+      "cell sits under its cap.\n");
   write_observability_outputs(opts);
   return 0;
 }

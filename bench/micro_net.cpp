@@ -9,6 +9,7 @@
 
 #include <thread>
 
+#include "data/synthetic_cifar.hpp"
 #include "data/synthetic_mnist.hpp"
 #include "mpi/communicator.hpp"
 #include "net/message.hpp"
@@ -49,18 +50,31 @@ BENCHMARK(BM_MessageEncodeDecode)
     ->Args({16384, 0})
     ->Args({784, 325});
 
-// One Infer carrying a rendered quick-MNIST digit ([1, 784], the
-// synthetic MNIST defaults), encoded and decoded dense (range(0) = 0) or
-// compact (1): the pixels, zeros and top bytes the fleet wire's compact
-// Infers carry, where the rows above time seeded randn values.
+// One Infer carrying a rendered input row, encoded and decoded dense
+// (range(0) = 0) or compact (1): a quick-MNIST digit ([1, 784], the
+// synthetic MNIST defaults; range(1) = 0), whose pixels are 32.5% exact
+// zeros on average, or the first quick-CIFAR test row ([1, 3, 16, 16],
+// seed 13; range(1) = 1), 0.3% zeros on average. These are the pixels,
+// zeros and top bytes the fleet wire and tcp_cnn_k2 carry, where the rows
+// above time seeded randn values.
 void BM_MessageEncodeDecodeDigit(benchmark::State& state) {
-  Rng rng(1);
-  const data::MnistConfig mnist;
+  Tensor row;
+  if (state.range(1) == 0) {
+    Rng rng(1);
+    const data::MnistConfig mnist;
+    row = data::render_digit(3, mnist.image_size, rng, mnist.noise_stddev,
+                             mnist.max_jitter)
+              .reshape({1, mnist.image_size * mnist.image_size});
+  } else {
+    data::CifarConfig cifar;
+    cifar.num_samples = 800;
+    cifar.image_size = 16;
+    cifar.seed = 13;
+    row = data::make_synthetic_cifar(cifar, 0, 1).images;
+  }
   net::Message msg;
   msg.type = net::MsgType::Infer;
-  msg.tensors = {data::render_digit(3, mnist.image_size, rng,
-                                    mnist.noise_stddev, mnist.max_jitter)
-                     .reshape({1, mnist.image_size * mnist.image_size})};
+  msg.tensors = {row};
   const auto coding =
       state.range(0) != 0 ? net::TensorCoding::compact : net::TensorCoding::dense;
   for (auto _ : state) {
@@ -69,7 +83,11 @@ void BM_MessageEncodeDecodeDigit(benchmark::State& state) {
   }
   state.SetBytesProcessed(state.iterations() * msg.encoded_size(coding));
 }
-BENCHMARK(BM_MessageEncodeDecodeDigit)->Arg(0)->Arg(1);
+BENCHMARK(BM_MessageEncodeDecodeDigit)
+    ->Args({0, 0})
+    ->Args({1, 0})
+    ->Args({0, 1})
+    ->Args({1, 1});
 
 void BM_InprocRoundTrip(benchmark::State& state) {
   auto [a, b] = net::make_inproc_pair();

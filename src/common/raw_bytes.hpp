@@ -8,7 +8,8 @@
 // corrupt input surfaces as SerializationError, never as UB.
 //
 // Two flavors mirror the two buffer styles used in the tree:
-//   * std::string + offset cursor   (wire messages)
+//   * std::string + offset cursor   (wire messages; a frame sized up front
+//                                    is written through a char* cursor)
 //   * std::ostream / std::istream   (checkpoint files, tensor streams)
 #pragma once
 
@@ -46,6 +47,26 @@ void write_raw_array(std::string& out, const T* data, std::size_t count) {
   static_assert(detail::is_raw_serializable_v<T>,
                 "write_raw_array requires a trivially copyable type");
   out.append(reinterpret_cast<const char*>(data), count * sizeof(T));
+}
+
+/// Copies the object representation of `value` to `at`, a cursor into a
+/// buffer its caller sized, and returns the byte after it.
+template <typename T>
+char* write_raw_at(char* at, const T& value) {
+  static_assert(detail::is_raw_serializable_v<T>,
+                "write_raw_at requires a trivially copyable non-pointer type");
+  std::memcpy(at, &value, sizeof(T));
+  return at + sizeof(T);
+}
+
+/// Copies `count` contiguous elements starting at `data` to `at` and
+/// returns the byte after them.
+template <typename T>
+char* write_raw_array_at(char* at, const T* data, std::size_t count) {
+  static_assert(detail::is_raw_serializable_v<T>,
+                "write_raw_array_at requires a trivially copyable type");
+  if (count != 0) std::memcpy(at, data, count * sizeof(T));
+  return at + count * sizeof(T);
 }
 
 /// Reads one T from `in` at `offset`, advancing the cursor. Overflow-safe:

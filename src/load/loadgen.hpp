@@ -48,9 +48,9 @@ struct LoadConfig {
   int gather_quorum = 0;
   /// The airtime-first wire (sim::FleetSpec::multicast): the master
   /// broadcasts each query as one group frame on the shared medium, the
-  /// paper's "one broadcast", in the lossless compact input coding. Off =
-  /// one raw-float unicast Infer per worker, as the paper tables' TCP
-  /// sockets.
+  /// paper's "one broadcast". Off = one unicast Infer per worker, as the
+  /// paper tables' TCP sockets. Either way the Infer is in the lossless
+  /// compact input coding.
   bool multicast = true;
 };
 

@@ -217,7 +217,7 @@ std::string MasterCore::request_frame(const Query& q, const Tensor& payload,
   info.hedged = hedged;
   set_infer_info(request, info);
   request.tensors = {payload};
-  return request.encode(infer_coding_);
+  return request.encode(TensorCoding::compact);
 }
 
 void MasterCore::broadcast(Query& q, const Tensor& payload,

@@ -83,9 +83,9 @@ struct Message {
 
   std::string encode(TensorCoding coding = TensorCoding::dense) const;
   /// Reads both tensor codings. A header whose payload the frame cannot
-  /// hold, and a compact tensor whose palette, indices or padding bits
-  /// break the layout, are rejected (SerializationError) before the tensor
-  /// is allocated.
+  /// hold, and a compact tensor whose palette or padding bits break the
+  /// layout, are rejected (SerializationError) before the tensor is
+  /// allocated; a palette index out of range, by the walk that reads it.
   static Message decode(const std::string& bytes);
 
   /// Serialized size in bytes without materializing the string.
@@ -111,5 +111,24 @@ InferInfo infer_info(const Message& msg);
 
 /// Writes `info` into `msg.ints` in the Infer layout (always three ints).
 void set_infer_info(Message& msg, const InferInfo& info);
+
+namespace detail {
+
+/// While one is alive, the compact tensors this thread encodes and decodes
+/// go through the portable walks instead of the AVX2 + BMI2 ones the CPU
+/// may run (DESIGN.md §9). Both write and read the same bytes; tests use
+/// this to run the portable walks on a CPU that has the wide ones.
+class PortableCompactWalks {
+ public:
+  PortableCompactWalks();
+  ~PortableCompactWalks();
+  PortableCompactWalks(const PortableCompactWalks&) = delete;
+  PortableCompactWalks& operator=(const PortableCompactWalks&) = delete;
+
+ private:
+  bool outer_;  ///< the setting this one replaced
+};
+
+}  // namespace detail
 
 }  // namespace teamnet::net

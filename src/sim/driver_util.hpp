@@ -69,9 +69,8 @@ struct FleetSpec {
   bool drop_expired = false;  ///< CollaborativeWorker::set_drop_expired
   /// The airtime-first wire (net::MasterCore::set_group_send): the master
   /// broadcasts each query as one group frame on the shared medium, not
-  /// one unicast per worker, in the lossless compact input coding
-  /// (net::TensorCoding::compact). On a faulty fleet each receiver rolls
-  /// its own link's faults (net::with_faults).
+  /// one unicast per worker. On a faulty fleet each receiver rolls its own
+  /// link's faults (net::with_faults).
   bool multicast = false;
 };
 

@@ -139,11 +139,10 @@ struct ResilienceConfig {
   /// Workers drop Infer frames whose propagated deadline already expired.
   bool drop_expired = true;
   /// The airtime-first wire (FleetSpec::multicast): the master broadcasts
-  /// each Infer as one group frame in the compact input coding, and every
-  /// receiver rolls its own link's faults on it. Hedges (compact too),
-  /// probes, quiesce and Shutdown stay unicast. Off = one raw-float
-  /// unicast Infer per worker, the dispatch every frozen chaos/resilience
-  /// output was taken with.
+  /// each Infer as one group frame, and every receiver rolls its own
+  /// link's faults on it. Hedges, probes, quiesce and Shutdown stay
+  /// unicast. Off = one unicast Infer per worker. Every Infer is in the
+  /// compact input coding.
   bool multicast = true;
 
   /// Optional scripted two-way partition of one worker (0-based index) over

@@ -605,12 +605,26 @@ TEST(LoadGen, MulticastRunsAreByteIdenticalPerSeed) {
   }
 }
 
+/// The compact Infer bytes of every query `r` served: each record's row as
+/// the master codes it on every wire.
+std::int64_t compact_infer_bytes(const load::LoadResult& r,
+                                 const data::Dataset& test) {
+  std::int64_t infers = 0;
+  for (const auto& rec : r.records) {
+    net::Message infer;
+    infer.type = net::MsgType::Infer;
+    net::set_infer_info(infer, {});
+    infer.tensors = {sim::query_row_tensor(test, rec.row)};
+    infers += infer.encoded_size(net::TensorCoding::compact);
+  }
+  return infers;
+}
+
 TEST(LoadGen, AirBytesCountEachGroupFrameOnce) {
-  // MNIST-shaped frames: a raw-float [1, 784] Infer is 3,192 B and a
-  // 10-class Result 112 B. A k=4 unicast query puts 3 Infers and 3 Results
-  // on the air and delivers the same; a multicast query puts ONE Infer on
-  // the air, in the compact coding the master gives group frames (the
-  // blobs rows take few enough top bytes for its palette), and still
+  // MNIST-shaped frames: a compact [1, 784] Infer (the blobs rows take few
+  // enough top bytes for the palette) and a 10-class Result of 112 B. A
+  // k=4 unicast query puts 3 Infers and 3 Results on the air and delivers
+  // the same; a multicast query puts ONE Infer on the air and still
   // delivers three.
   data::BlobsConfig data_cfg;
   data_cfg.num_samples = 40;
@@ -632,20 +646,18 @@ TEST(LoadGen, AirBytesCountEachGroupFrameOnce) {
   auto load_cfg = small_load(load::ArrivalKind::open_poisson);
   load_cfg.multicast = false;
   const auto unicast = load::run_teamnet_load(ptrs, test, des_config(), load_cfg);
-  EXPECT_EQ(unicast.bytes_per_query, 3 * 3192 + 3 * 112);
+  const auto unicast_n = static_cast<double>(unicast.num_queries);
+  EXPECT_EQ(unicast.bytes_per_query,
+            static_cast<double>(3 * compact_infer_bytes(unicast, test) +
+                                3 * 112 * unicast.num_queries) /
+                unicast_n);
+  EXPECT_LT(unicast.bytes_per_query, 3 * 3192 + 3 * 112);
   EXPECT_EQ(unicast.air_bytes_per_query, unicast.bytes_per_query);
   EXPECT_EQ(unicast.messages_per_query, 6);
   load_cfg.multicast = true;
   const auto multicast =
       load::run_teamnet_load(ptrs, test, des_config(), load_cfg);
-  std::int64_t infers = 0;
-  for (const auto& rec : multicast.records) {
-    net::Message infer;
-    infer.type = net::MsgType::Infer;
-    net::set_infer_info(infer, {});
-    infer.tensors = {sim::query_row_tensor(test, rec.row)};
-    infers += infer.encoded_size(net::TensorCoding::compact);
-  }
+  const std::int64_t infers = compact_infer_bytes(multicast, test);
   const auto n = static_cast<double>(multicast.num_queries);
   EXPECT_EQ(multicast.air_bytes_per_query,
             static_cast<double>(infers + 3 * 112 * multicast.num_queries) / n);
@@ -656,9 +668,10 @@ TEST(LoadGen, AirBytesCountEachGroupFrameOnce) {
 }
 
 TEST(LoadGen, CompactInferFramesAreLossless) {
-  // Synthetic-MNIST rows have exact +0.0 pixels, so on the airtime-first
-  // wire their Infers go out compact. Every query must still get the
-  // class, winning node and degradation the raw-float unicast run gives.
+  // Synthetic-MNIST rows have exact +0.0 pixels, so their Infers go out
+  // compact on every wire. Every query, unicast and multicast, must still
+  // be a full gather whose class and winning node are the single-process
+  // oracle's (core::infer_experts) on the same row.
   data::MnistConfig data_cfg;
   data_cfg.num_samples = 40;
   data_cfg.seed = 21;
@@ -675,37 +688,29 @@ TEST(LoadGen, CompactInferFramesAreLossless) {
   }
   const auto ptrs = expert_ptrs(experts);
   auto load_cfg = small_load(load::ArrivalKind::open_poisson);
-  load_cfg.multicast = false;
-  const auto raw = load::run_teamnet_load(ptrs, test, des_config(), load_cfg);
-  load_cfg.multicast = true;
-  const auto compact =
-      load::run_teamnet_load(ptrs, test, des_config(), load_cfg);
-  ASSERT_EQ(compact.records.size(), raw.records.size());
-  for (std::size_t q = 0; q < raw.records.size(); ++q) {
-    EXPECT_EQ(compact.records[q].row, raw.records[q].row) << "qid " << q + 1;
-    EXPECT_EQ(compact.records[q].prediction, raw.records[q].prediction)
-        << "qid " << q + 1;
-    EXPECT_EQ(compact.records[q].chosen, raw.records[q].chosen)
-        << "qid " << q + 1;
-    EXPECT_EQ(compact.records[q].degradation, raw.records[q].degradation)
-        << "qid " << q + 1;
+  for (const bool multicast : {false, true}) {
+    load_cfg.multicast = multicast;
+    const auto r = load::run_teamnet_load(ptrs, test, des_config(), load_cfg);
+    ASSERT_EQ(static_cast<int>(r.records.size()), load_cfg.num_queries);
+    for (const auto& rec : r.records) {
+      EXPECT_EQ(rec.degradation, 0) << "row " << rec.row;
+      const core::InferenceResult want =
+          core::infer_experts(ptrs, sim::query_row_tensor(test, rec.row));
+      EXPECT_EQ(rec.chosen, want.chosen[0]) << "row " << rec.row;
+      EXPECT_EQ(rec.prediction, want.predictions[0]) << "row " << rec.row;
+    }
+    // On the air: the compact Infers as the master codes them, one per
+    // query multicast and three unicast, and three 112 B Results.
+    const std::int64_t infers = compact_infer_bytes(r, test);
+    const auto n = static_cast<double>(r.records.size());
+    EXPECT_EQ(r.air_bytes_per_query,
+              static_cast<double>((multicast ? 1 : 3) * infers +
+                                  3 * 112 * r.num_queries) /
+                  n)
+        << "multicast " << multicast;
+    EXPECT_LT(r.air_bytes_per_query,
+              (multicast ? 1 : 3) * 3192 + 3 * 112);
   }
-  EXPECT_EQ(compact.accuracy_pct, raw.accuracy_pct);
-  // On the air: one compact Infer per query, as the master codes it, and
-  // three raw-float 112 B Results.
-  std::int64_t infers = 0;
-  for (const auto& rec : compact.records) {
-    net::Message infer;
-    infer.type = net::MsgType::Infer;
-    net::set_infer_info(infer, {});
-    infer.tensors = {sim::query_row_tensor(test, rec.row)};
-    infers += infer.encoded_size(net::TensorCoding::compact);
-  }
-  const auto n = static_cast<double>(compact.records.size());
-  EXPECT_EQ(compact.air_bytes_per_query,
-            static_cast<double>(infers + 3 * 112 * compact.num_queries) / n);
-  EXPECT_LT(compact.air_bytes_per_query, 3192 + 3 * 112);
-  EXPECT_EQ(raw.air_bytes_per_query, 3 * 3192 + 3 * 112);
 }
 
 TEST(LoadGen, QuorumOfOneCompletesEveryQueryAtDispatch) {

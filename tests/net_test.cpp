@@ -17,6 +17,7 @@
 #include <optional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #if defined(__linux__)
@@ -29,6 +30,8 @@
 
 #include "core/teamnet.hpp"
 #include "data/blobs.hpp"
+#include "data/synthetic_cifar.hpp"
+#include "data/synthetic_mnist.hpp"
 #include "net/collab.hpp"
 #include "net/message.hpp"
 #include "net/tcp.hpp"
@@ -223,6 +226,206 @@ TEST(Message, WireBytesArePinned) {
             "0100000003000000070000000000000040420f00000000000100000000000000"
             "010000000200008001000000000000000800000000000000ed033f40c0200100"
             "00800000c00000200000a00000400000e0");
+}
+
+/// FNV-1a of `bytes`, continuing from `h`.
+std::uint64_t fnv1a(const std::string& bytes,
+                    std::uint64_t h = 0xcbf29ce484222325ull) {
+  for (const char c : bytes) {
+    h = (h ^ static_cast<unsigned char>(c)) * 0x100000001b3ull;
+  }
+  return h;
+}
+
+/// The compact Infer frame of `x` for query `qid`, after checking that it
+/// decodes to `x` bit for bit and that encoded_size counts it.
+std::string compact_infer(const Tensor& x, std::int64_t qid) {
+  net::Message msg;
+  msg.type = net::MsgType::Infer;
+  net::set_infer_info(msg, {qid, net::kNoDeadlineUs, false});
+  msg.tensors = {x};
+  std::string bytes = msg.encode(net::TensorCoding::compact);
+  EXPECT_EQ(static_cast<std::int64_t>(bytes.size()),
+            msg.encoded_size(net::TensorCoding::compact));
+  EXPECT_TRUE(same_bits(net::Message::decode(bytes).tensors.at(0), x));
+  return bytes;
+}
+
+/// Digest and total size of the compact Infers of every row of `images`.
+std::pair<std::uint64_t, std::int64_t> infer_digest(const Tensor& images) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  std::int64_t bytes = 0;
+  for (std::int64_t r = 0; r < images.dim(0); ++r) {
+    const std::string frame = compact_infer(images.slice_rows(r, r + 1), r);
+    h = fnv1a(frame, h);
+    bytes += static_cast<std::int64_t>(frame.size());
+  }
+  return {h, bytes};
+}
+
+TEST(Message, CompactInferFramesOfTheQuickTestRowsArePinned) {
+  // The frames the fleet wire and tcp_cnn_k2 carry: every test row of the
+  // quick-mode benches' MNIST (1,200 samples, seed 11) and CIFAR (800,
+  // 16x16, seed 13) sets, as compact Infers, byte for byte.
+  data::MnistConfig mc;
+  mc.num_samples = 1200;
+  mc.seed = 11;
+  const auto mnist = data::make_synthetic_mnist(
+      mc, 0, data::split_row(mc.num_samples, 0.2));
+  EXPECT_EQ(infer_digest(mnist.images),
+            std::make_pair(std::uint64_t{15782570028767700623ull},
+                           std::int64_t{467916}));
+  data::CifarConfig cc;
+  cc.num_samples = 800;
+  cc.image_size = 16;
+  cc.seed = 13;
+  const auto cifar = data::make_synthetic_cifar(
+      cc, 0, data::split_row(cc.num_samples, 0.2));
+  EXPECT_EQ(infer_digest(cifar.images),
+            std::make_pair(std::uint64_t{8805061318754656156ull},
+                           std::int64_t{427730}));
+}
+
+TEST(Message, CompactFrameEdgeCasesArePinned) {
+  // 197 elements: neither a whole bitmap byte nor a whole bitmap word.
+  // Every third one is +0.0, so each case goes compact; the palette size
+  // byte follows the header, the dims and the 25-byte bitmap.
+  constexpr std::int64_t kN = 197;
+  constexpr std::size_t kPaletteSizeAt = 40 + 8 + 25;
+  const auto with_zeros = [](const std::vector<float>& kept) {
+    Tensor t({kN});
+    for (std::int64_t i = 0; i < kN; ++i) {
+      if (i % 3 != 0) t[i] = kept[static_cast<std::size_t>(i) % kept.size()];
+    }
+    return t;
+  };
+  // Kept values spanning `tops` top bytes (sign and high exponent bits).
+  const auto spread = [](int tops) {
+    std::vector<float> kept;
+    for (int i = 0; i < 29; ++i) {
+      const int top = i % tops;
+      const float v = std::ldexp(1.0f + static_cast<float>(i) / 64.0f,
+                                 2 * (top / 2) - 8);
+      kept.push_back(top % 2 == 0 ? v : -v);
+    }
+    return kept;
+  };
+  const std::vector<float> specials = {
+      -0.0f,
+      std::bit_cast<float>(0x7fc00001u),  // quiet NaN with a payload
+      std::bit_cast<float>(0xffa00005u),  // negative signalling NaN
+      std::bit_cast<float>(0x00000001u),  // smallest denormal
+      std::bit_cast<float>(0x807fffffu),  // largest negative denormal
+      std::numeric_limits<float>::infinity(),
+      1.0f};
+  struct Case {
+    const char* name;
+    Tensor x;
+    int p;  // the palette size byte
+    std::uint64_t digest;
+    std::size_t bytes;
+  };
+  const Case cases[] = {
+      {"p=1", with_zeros(spread(1)), 1, 1221064983838106547ull, 468},
+      {"p=16", with_zeros(spread(16)), 16, 13630033889978282173ull, 549},
+      {"17 top bytes", with_zeros(spread(17)), 0, 766063057041320455ull, 598},
+      {"specials", with_zeros(specials), 5, 1601072190865459036ull, 522},
+      {"all zeros", Tensor({kN}), 0, 12470702039666603127ull, 74},
+  };
+  for (const Case& c : cases) {
+    const std::string frame = compact_infer(c.x, 5);
+    EXPECT_EQ(static_cast<int>(frame.at(kPaletteSizeAt)), c.p) << c.name;
+    EXPECT_EQ(fnv1a(frame), c.digest) << c.name;
+    EXPECT_EQ(frame.size(), c.bytes) << c.name;
+  }
+  // One kept element in a 2-byte bitmap, and in a 2-word one.
+  const std::pair<std::int64_t, std::uint64_t> sparse[] = {
+      {9, 4275226290662705412ull}, {65, 8043241534642383580ull}};
+  for (const auto& [n, digest] : sparse) {
+    Tensor t({n});
+    t[n - 1] = -1.5f;
+    EXPECT_EQ(fnv1a(compact_infer(t, 6)), digest) << n;
+  }
+}
+
+/// `x`'s compact frame and its decode, through the walks this thread runs.
+std::pair<std::string, Tensor> compact_round_trip(const Tensor& x) {
+  net::Message msg;
+  msg.type = net::MsgType::Infer;
+  msg.tensors = {x};
+  std::string bytes = msg.encode(net::TensorCoding::compact);
+  Tensor back = net::Message::decode(bytes).tensors.at(0);
+  return {std::move(bytes), std::move(back)};
+}
+
+TEST(Message, PortableWalksCodeLikeTheWideOnes) {
+  // The AVX2 + BMI2 walks (where the CPU runs them) and the portable ones
+  // must write the same frame and read it back bit for bit: the quick test
+  // rows, and seeded tensors of every length up to 200 (so every tail past
+  // 4, 16 and 64 elements), zero shares from none to all, and 1 to 17 top
+  // bytes per tensor (17: no palette).
+  std::vector<Tensor> inputs;
+  data::MnistConfig mc;
+  mc.num_samples = 1200;
+  mc.seed = 11;
+  const auto mnist = data::make_synthetic_mnist(mc, 0, 40);
+  data::CifarConfig cc;
+  cc.num_samples = 800;
+  cc.image_size = 16;
+  cc.seed = 13;
+  const auto cifar = data::make_synthetic_cifar(cc, 0, 40);
+  for (std::int64_t r = 0; r < 40; ++r) {
+    inputs.push_back(mnist.images.slice_rows(r, r + 1));
+    inputs.push_back(cifar.images.slice_rows(r, r + 1));
+  }
+  Rng rng(47);
+  for (std::int64_t n = 1; n <= 200; ++n) {
+    const int tops = 1 + static_cast<int>(n % 17);
+    const double zeros = static_cast<double>(n % 5) / 4.0;
+    Tensor t({n});
+    for (std::int64_t i = 0; i < n; ++i) {
+      if (rng.uniform() < zeros) continue;
+      const int top = static_cast<int>(rng.uniform() * tops);
+      const float v = std::ldexp(1.0f + static_cast<float>(rng.uniform()),
+                                 2 * (top / 2) - 8);
+      t[i] = top % 2 == 0 ? v : -v;
+    }
+    inputs.push_back(t);
+  }
+  for (const Tensor& x : inputs) {
+    const auto [wide, wide_back] = compact_round_trip(x);
+    net::detail::PortableCompactWalks portable;
+    const auto [bytes, back] = compact_round_trip(x);
+    EXPECT_EQ(bytes, wide) << shape_to_string(x.shape());
+    EXPECT_TRUE(same_bits(back, x)) << shape_to_string(x.shape());
+    EXPECT_TRUE(same_bits(wide_back, x)) << shape_to_string(x.shape());
+  }
+}
+
+TEST(Message, BothWalksRejectAnIndexPastThePalette) {
+  // 40 kept floats in 3 top bytes: 2-bit indices, so a field can hold 3.
+  // The run starts after the header, the dims, the 5-byte bitmap, the
+  // palette size and the palette. Setting the first or the last index to
+  // 3 must throw in either walk: the first sits in a 16-element step of
+  // the wide walk, the last in its element-by-element tail.
+  Tensor x({40});
+  for (std::int64_t i = 0; i < 40; ++i) {
+    x[i] = std::ldexp(1.5f, static_cast<int>(i % 3) * 2);
+  }
+  const std::string frame = compact_round_trip(x).first;
+  constexpr std::size_t kRunAt = 12 + 4 + 8 + 5 + 1 + 3;
+  ASSERT_EQ(static_cast<int>(frame.at(kRunAt - 4)), 3);
+  std::string first = frame;
+  first[kRunAt] = static_cast<char>(first[kRunAt] | 0x03);
+  std::string last = frame;
+  last[kRunAt + 9] = static_cast<char>(last[kRunAt + 9] | 0xc0);
+  for (const bool portable : {false, true}) {
+    std::optional<net::detail::PortableCompactWalks> walks;
+    if (portable) walks.emplace();
+    EXPECT_THROW(net::Message::decode(first), SerializationError) << portable;
+    EXPECT_THROW(net::Message::decode(last), SerializationError) << portable;
+    EXPECT_NO_THROW(net::Message::decode(frame)) << portable;
+  }
 }
 
 TEST(InProc, PairDeliversBothDirections) {

@@ -6,8 +6,10 @@
 #include "core/teamnet.hpp"
 #include "data/synthetic_mnist.hpp"
 #include "moe/sg_moe.hpp"
+#include "net/message.hpp"
 #include "nn/loss.hpp"
 #include "nn/mlp.hpp"
+#include "sim/driver_util.hpp"
 #include "sim/scenario.hpp"
 
 namespace teamnet {
@@ -206,12 +208,31 @@ TEST_F(ScenarioShape, BaselineLatencyMatchesAnalyticModel) {
 TEST_F(ScenarioShape, TeamNetProtocolRunsAndReportsTraffic) {
   std::vector<nn::Module*> experts = {&ensemble_->expert(0),
                                       &ensemble_->expert(1)};
-  auto result = sim::run_teamnet(experts, *test_, fast_config());
+  const auto cfg = fast_config();
+  auto result = sim::run_teamnet(experts, *test_, cfg);
   EXPECT_EQ(result.num_nodes, 2);
   EXPECT_GT(result.latency_ms, 0.0);
   // Figure 1's protocol: one broadcast + one gather = 2 messages/query.
   EXPECT_NEAR(result.messages_per_query, 2.0, 1e-9);
-  EXPECT_GT(result.bytes_per_query, kFeatures * 4);  // at least the input
+  // Each query carries its row's compact Infer and a dense Result of the
+  // 10 class probabilities and the entropy.
+  std::int64_t bytes = 0;
+  for (const int row :
+       sim::sample_query_rows(*test_, cfg.num_queries, cfg.seed)) {
+    net::Message infer;
+    infer.type = net::MsgType::Infer;
+    net::set_infer_info(infer, {});
+    infer.tensors = {sim::query_row_tensor(*test_, row)};
+    net::Message reply;
+    reply.type = net::MsgType::Result;
+    reply.ints = infer.ints;
+    reply.tensors = {Tensor({1, 10}), Tensor({1})};
+    bytes += infer.encoded_size(net::TensorCoding::compact) +
+             reply.encoded_size();
+  }
+  EXPECT_EQ(result.bytes_per_query,
+            static_cast<double>(bytes) / cfg.num_queries);
+  EXPECT_LT(result.bytes_per_query, kFeatures * 4);  // zeros left out
   EXPECT_GT(result.accuracy_pct, 50.0);
 }
 
